@@ -142,13 +142,13 @@ impl Topology {
         self.nodes.iter().filter(|n| n.kind == NodeKind::Host).map(|n| n.name.as_str())
     }
 
-    /// Minimum-latency route from `from` to `to`, as the list of links
-    /// crossed. `None` when unreachable.
-    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<Link>> {
+    /// The one shortest-path routine: Dijkstra on latency from `from` to
+    /// `to`. `None` when unreachable. Every routing query below reads
+    /// this, and the transport memoises its result per host pair.
+    pub(crate) fn shortest_path(&self, from: NodeId, to: NodeId) -> Option<Path> {
         if from == to {
-            return Some(Vec::new());
+            return Some(Path::default());
         }
-        // Dijkstra on latency.
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(NodeId, Link)>> = vec![None; n];
@@ -177,25 +177,27 @@ impl Topology {
                 }
             }
         }
-        if dist[to.0].is_infinite() {
-            return None;
-        }
-        let mut links = Vec::new();
+        let mut hops = Vec::new();
         let mut cur = to;
         while cur != from {
             let (p, link) = prev[cur.0]?;
-            links.push(link);
+            hops.push((cur, link));
             cur = p;
         }
-        links.reverse();
-        Some(links)
+        hops.reverse();
+        Some(Path { hops })
+    }
+
+    /// Minimum-latency route from `from` to `to`, as the list of links
+    /// crossed. `None` when unreachable.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Vec<Link>> {
+        Some(self.shortest_path(from, to)?.links().copied().collect())
     }
 
     /// Store-and-forward transfer time for `bytes` from `from` to `to`,
     /// or `None` when unreachable.
     pub fn transfer_seconds(&self, from: NodeId, to: NodeId, bytes: usize) -> Option<f64> {
-        let route = self.route(from, to)?;
-        Some(route.iter().map(|l| l.transfer_seconds(bytes)).sum())
+        Some(self.shortest_path(from, to)?.transfer_seconds(bytes))
     }
 
     /// Decompose the minimum-latency route's cost into its total
@@ -204,58 +206,38 @@ impl Topology {
     /// is what link-layer batching amortizes: one frame pays it once
     /// for every message it carries.
     pub fn route_cost(&self, from: NodeId, to: NodeId) -> Option<(f64, f64)> {
-        let route = self.route(from, to)?;
-        let latency = route.iter().map(|l| l.latency_s).sum();
-        let per_byte = route.iter().map(|l| 1.0 / l.bandwidth_bps).sum();
-        Some((latency, per_byte))
+        Some(self.shortest_path(from, to)?.cost())
     }
 
     /// Number of gateway nodes crossed on the route (the paper's "multiple
     /// gateways" dimension).
     pub fn gateways_crossed(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        if from == to {
-            return Some(0);
-        }
-        // Re-run Dijkstra tracking the node path.
-        let n = self.nodes.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        dist[from.0] = 0.0;
-        loop {
-            let mut u = None;
-            let mut best = f64::INFINITY;
-            for i in 0..n {
-                if !visited[i] && dist[i] < best {
-                    best = dist[i];
-                    u = Some(i);
-                }
-            }
-            let u = u?;
-            if u == to.0 {
-                break;
-            }
-            visited[u] = true;
-            for &(v, link) in &self.adj[u] {
-                let nd = dist[u] + link.latency_s;
-                if nd < dist[v.0] {
-                    dist[v.0] = nd;
-                    prev[v.0] = Some(NodeId(u));
-                }
-            }
-        }
-        if dist[to.0].is_infinite() {
-            return None;
-        }
-        let mut count = 0;
-        let mut cur = to;
-        while cur != from {
-            if self.kind(cur) == NodeKind::Gateway {
-                count += 1;
-            }
-            cur = prev[cur.0]?;
-        }
-        Some(count)
+        let path = self.shortest_path(from, to)?;
+        Some(path.hops.iter().filter(|(n, _)| self.kind(*n) == NodeKind::Gateway).count())
+    }
+}
+
+/// A minimum-latency path: each node reached after the source, with the
+/// link crossed to reach it, in travel order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Path {
+    hops: Vec<(NodeId, Link)>,
+}
+
+impl Path {
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        self.hops.iter().map(|(_, link)| link)
+    }
+
+    /// Store-and-forward time for `bytes` along the path, summed in
+    /// travel order.
+    pub(crate) fn transfer_seconds(&self, bytes: usize) -> f64 {
+        self.links().map(|l| l.transfer_seconds(bytes)).sum()
+    }
+
+    /// Total (latency seconds, seconds per byte) of the path.
+    pub(crate) fn cost(&self) -> (f64, f64) {
+        (self.links().map(|l| l.latency_s).sum(), self.links().map(|l| 1.0 / l.bandwidth_bps).sum())
     }
 }
 

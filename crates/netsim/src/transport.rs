@@ -18,9 +18,9 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::faults::FaultPlan;
-use crate::link::{decode_frame, LinkBatcher, LinkConfig, OpenFrame, PendingMsg};
+use crate::link::{decode_frame, FrameMsg, LinkBatcher, LinkConfig, OpenFrame, PendingMsg};
 use crate::metrics::MetricsRegistry;
-use crate::topology::Topology;
+use crate::topology::{NodeId, Path, Topology};
 
 /// Transport errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,6 +122,11 @@ pub struct SendReport {
     /// Virtual seconds this send stalled waiting for credits (the
     /// caller must advance its clock by this much).
     pub stalled_s: f64,
+    /// Arrival instant of this message when it left on its own envelope
+    /// (no link config installed): it is already delivered, so there is
+    /// no frame to report. `None` on a batched link, where the message's
+    /// fate is in whichever [`FlushReport`] carries its tag.
+    pub delivered_at: Option<f64>,
     /// Frames this append caused to flush (threshold or credit
     /// triggered). May include the appended message itself.
     pub flushed: Vec<FlushReport>,
@@ -172,8 +177,40 @@ struct EpEntry {
     tx: Sender<Envelope>,
 }
 
+/// What the transport derives from one directed host pair, computed on
+/// the pair's first message and shared by every later one: the route
+/// and the per-link metric keys.
+struct LinkRecord {
+    from_host: String,
+    to_host: String,
+    /// Minimum-latency route; `None` when the pair is partitioned.
+    route: Option<Path>,
+    msg_key: String,
+    bytes_key: String,
+    flushes_key: String,
+    fill_key: String,
+}
+
+impl LinkRecord {
+    fn path(&self) -> Result<&Path, NetError> {
+        self.route.as_ref().ok_or_else(|| NetError::Unreachable {
+            from: self.from_host.clone(),
+            to: self.to_host.clone(),
+        })
+    }
+}
+
+/// Open frames and credit ledgers, `[from_host][to_host]`. Nested
+/// BTreeMaps so a message finds its batcher by `&str` and bulk flushes
+/// walk links in a deterministic (name-sorted) order.
+type LinkTable = BTreeMap<String, BTreeMap<String, LinkBatcher>>;
+
 struct NetInner {
     topo: RwLock<Topology>,
+    /// Link records memoised for the current topology epoch: every
+    /// entry is dropped by [`Network::with_topology_mut`]. At most one
+    /// per ordered node pair, freed with the network.
+    link_records: RwLock<HashMap<(NodeId, NodeId), Arc<LinkRecord>>>,
     endpoints: RwLock<HashMap<String, EpEntry>>,
     down_hosts: RwLock<HashMap<String, bool>>,
     faults: RwLock<Option<Arc<FaultPlan>>>,
@@ -183,10 +220,9 @@ struct NetInner {
     /// Link-layer batching configuration; `None` keeps every link on
     /// the one-envelope-per-message path.
     link_cfg: RwLock<Option<LinkConfig>>,
-    /// Open frames and credit ledgers per directed host pair. BTreeMap
-    /// so bulk flushes walk links in a deterministic order. Lock order:
-    /// `links` before `endpoints` before `topo`.
-    links: Mutex<BTreeMap<(String, String), LinkBatcher>>,
+    /// Lock order: `links` before `endpoints` before `topo` before
+    /// `link_records`.
+    links: Mutex<LinkTable>,
 }
 
 /// Handle to the shared simulated network. Cloning is cheap.
@@ -206,6 +242,7 @@ impl Network {
         Self {
             inner: Arc::new(NetInner {
                 topo: RwLock::new(topo),
+                link_records: RwLock::new(HashMap::new()),
                 endpoints: RwLock::new(HashMap::new()),
                 down_hosts: RwLock::new(HashMap::new()),
                 faults: RwLock::new(None),
@@ -281,8 +318,14 @@ impl Network {
     }
 
     /// Mutate the topology (e.g. remove links for failure injection).
+    /// Starts a new topology epoch: every memoised route is dropped
+    /// before the write lock is released, so no send can pair the new
+    /// graph with an old route.
     pub fn with_topology_mut<R>(&self, f: impl FnOnce(&mut Topology) -> R) -> R {
-        f(&mut self.inner.topo.write().unwrap())
+        let mut topo = self.inner.topo.write().unwrap();
+        let out = f(&mut topo);
+        self.inner.link_records.write().unwrap().clear();
+        out
     }
 
     /// Read the topology.
@@ -302,13 +345,44 @@ impl Network {
         &self.inner.metrics
     }
 
-    /// Virtual transfer time between two hosts for a payload size.
-    pub fn transfer_seconds(&self, from: &str, to: &str, bytes: usize) -> Result<f64, NetError> {
+    /// The memoised record of the directed pair `from -> to`, computing
+    /// it on first use within this topology epoch.
+    fn link_record(&self, from: &str, to: &str) -> Result<Arc<LinkRecord>, NetError> {
         let topo = self.inner.topo.read().unwrap();
         let f = topo.node(from).ok_or_else(|| NetError::UnknownHost(from.into()))?;
         let t = topo.node(to).ok_or_else(|| NetError::UnknownHost(to.into()))?;
-        topo.transfer_seconds(f, t, bytes)
-            .ok_or_else(|| NetError::Unreachable { from: from.into(), to: to.into() })
+        if let Some(rec) = self.inner.link_records.read().unwrap().get(&(f, t)) {
+            return Ok(rec.clone());
+        }
+        // Computed under the topology read lock, so the route belongs
+        // to the epoch it is filed under.
+        let rec = Arc::new(LinkRecord {
+            from_host: from.to_owned(),
+            to_host: to.to_owned(),
+            route: topo.shortest_path(f, t),
+            msg_key: format!("net.msg.{from}->{to}"),
+            bytes_key: format!("net.bytes.{from}->{to}"),
+            flushes_key: format!("net.batch.flushes.{from}->{to}"),
+            fill_key: format!("net.batch.fill.{from}->{to}"),
+        });
+        self.inner.link_records.write().unwrap().insert((f, t), rec.clone());
+        Ok(rec)
+    }
+
+    /// Virtual transfer time between two hosts for a payload size.
+    pub fn transfer_seconds(&self, from: &str, to: &str, bytes: usize) -> Result<f64, NetError> {
+        Ok(self.link_record(from, to)?.path()?.transfer_seconds(bytes))
+    }
+
+    /// Count a failed send under its fault family.
+    fn count_fault<T>(&self, result: &Result<T, NetError>) {
+        let m = &self.inner.metrics;
+        match result {
+            Err(NetError::Dropped { .. }) => m.counter_add("net.fault.dropped", 1),
+            Err(NetError::Unreachable { .. }) => m.counter_add("net.fault.partitioned", 1),
+            Err(NetError::HostDown(_)) => m.counter_add("net.fault.hostdown", 1),
+            _ => {}
+        }
     }
 
     /// Send `payload` from `from` (an address) to `to` (an address),
@@ -321,21 +395,12 @@ impl Network {
         payload: Bytes,
         sent_at: f64,
     ) -> Result<f64, NetError> {
-        let from_host = host_of(from).to_owned();
-        let to_host = host_of(to).to_owned();
-        let result = self.send_inner(from, to, &from_host, &to_host, payload, sent_at);
-        let m = &self.inner.metrics;
-        match &result {
-            // Successful sends are counted inside `send_inner`, *before*
-            // the envelope reaches the receiver's queue: the receiver may
-            // act on the message (and something may read the metrics)
-            // the moment it is delivered, so counting afterwards races.
-            Ok(_) => {}
-            Err(NetError::Dropped { .. }) => m.counter_add("net.fault.dropped", 1),
-            Err(NetError::Unreachable { .. }) => m.counter_add("net.fault.partitioned", 1),
-            Err(NetError::HostDown(_)) => m.counter_add("net.fault.hostdown", 1),
-            Err(_) => {}
-        }
+        // Successful sends are counted inside `send_inner`, *before*
+        // the envelope reaches the receiver's queue: the receiver may
+        // act on the message (and something may read the metrics)
+        // the moment it is delivered, so counting afterwards races.
+        let result = self.send_inner(from, to, payload, sent_at);
+        self.count_fault(&result);
         result
     }
 
@@ -343,11 +408,10 @@ impl Network {
         &self,
         from: &str,
         to: &str,
-        from_host: &str,
-        to_host: &str,
         payload: Bytes,
         sent_at: f64,
     ) -> Result<f64, NetError> {
+        let (from_host, to_host) = (host_of(from), host_of(to));
         if self.is_down(from_host) {
             return Err(NetError::HostDown(from_host.into()));
         }
@@ -358,7 +422,8 @@ impl Network {
         if let Some(plan) = &plan {
             plan.check_send(from_host, to_host, sent_at)?;
         }
-        let mut transfer = self.transfer_seconds(from_host, to_host, payload.len())?;
+        let link = self.link_record(from_host, to_host)?;
+        let mut transfer = link.path()?.transfer_seconds(payload.len());
         if let Some(plan) = &plan {
             transfer = plan.adjust_transfer(sent_at, transfer);
         }
@@ -386,8 +451,8 @@ impl Network {
         // message that caused the state it observes. (The rare
         // disconnected-during-teardown failure below leaves the message
         // counted as sent, which is the drop-like semantics we want.)
-        self.inner.metrics.counter_add(&format!("net.msg.{from_host}->{to_host}"), 1);
-        self.inner.metrics.counter_add(&format!("net.bytes.{from_host}->{to_host}"), bytes);
+        self.inner.metrics.counter_add(&link.msg_key, 1);
+        self.inner.metrics.counter_add(&link.bytes_key, bytes);
         self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
         tx.send(env).map_err(|_| NetError::Disconnected(to.into()))?;
@@ -412,11 +477,7 @@ impl Network {
     /// route between two hosts — the decomposition batching amortizes:
     /// a frame pays the latency term once for all its messages.
     pub fn link_cost(&self, from: &str, to: &str) -> Result<(f64, f64), NetError> {
-        let topo = self.inner.topo.read().unwrap();
-        let f = topo.node(from).ok_or_else(|| NetError::UnknownHost(from.into()))?;
-        let t = topo.node(to).ok_or_else(|| NetError::UnknownHost(to.into()))?;
-        topo.route_cost(f, t)
-            .ok_or_else(|| NetError::Unreachable { from: from.into(), to: to.into() })
+        Ok(self.link_record(from, to)?.path()?.cost())
     }
 
     /// Append `payload` to the batched link toward `to`. Convenience
@@ -462,49 +523,18 @@ impl Network {
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<SendReport, NetError> {
         let Some(cfg) = self.link_config() else {
-            // No link config: behave exactly like `send`, reported as a
-            // one-message flush.
+            // No link config: behave exactly like `send`.
             let mut payload = BytesMut::with_capacity(payload_len);
             write(&mut payload);
             let arrive = self.send(from, to, payload.freeze(), sent_at)?;
             return Ok(SendReport {
                 stalled_s: 0.0,
-                flushed: vec![FlushReport {
-                    from_host: host_of(from).to_owned(),
-                    to_host: host_of(to).to_owned(),
-                    flush_t: sent_at,
-                    frame_bytes: payload_len as u64,
-                    msgs: vec![FlushRecord {
-                        tag,
-                        from: from.to_owned(),
-                        to: to.to_owned(),
-                        sent_at,
-                        result: Ok(arrive),
-                    }],
-                }],
+                delivered_at: Some(arrive),
+                flushed: Vec::new(),
             });
         };
-        let from_host = host_of(from).to_owned();
-        let to_host = host_of(to).to_owned();
-        let result = self.gather_inner(
-            &cfg,
-            from,
-            to,
-            &from_host,
-            &to_host,
-            sent_at,
-            tag,
-            payload_len,
-            write,
-        );
-        let m = &self.inner.metrics;
-        match &result {
-            Ok(_) => {}
-            Err(NetError::Dropped { .. }) => m.counter_add("net.fault.dropped", 1),
-            Err(NetError::Unreachable { .. }) => m.counter_add("net.fault.partitioned", 1),
-            Err(NetError::HostDown(_)) => m.counter_add("net.fault.hostdown", 1),
-            Err(_) => {}
-        }
+        let result = self.gather_inner(&cfg, from, to, sent_at, tag, payload_len, write);
+        self.count_fault(&result);
         result
     }
 
@@ -514,16 +544,24 @@ impl Network {
         cfg: &LinkConfig,
         from: &str,
         to: &str,
-        from_host: &str,
-        to_host: &str,
         sent_at: f64,
         tag: (u64, u64),
         payload_len: usize,
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<SendReport, NetError> {
+        let (from_host, to_host) = (host_of(from), host_of(to));
         let m = &self.inner.metrics;
         let mut links = self.inner.links.lock().unwrap();
-        let batcher = links.entry((from_host.to_owned(), to_host.to_owned())).or_default();
+        if !links.get(from_host).is_some_and(|out| out.contains_key(to_host)) {
+            links
+                .entry(from_host.to_owned())
+                .or_default()
+                .insert(to_host.to_owned(), Default::default());
+        }
+        let batcher = links
+            .get_mut(from_host)
+            .and_then(|out| out.get_mut(to_host))
+            .expect("batcher inserted above");
         let mut flushed = Vec::new();
 
         // Credit gate. Flushing first gives every reservation a return
@@ -589,7 +627,8 @@ impl Network {
         if let Some(plan) = &plan {
             plan.check_send(from_host, to_host, sent_eff)?;
         }
-        self.transfer_seconds(from_host, to_host, payload_len)?;
+        let link = self.link_record(from_host, to_host)?;
+        link.path()?;
         {
             let eps = self.inner.endpoints.read().unwrap();
             let entry = eps.get(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
@@ -618,8 +657,8 @@ impl Network {
         frame.first_sent = frame.first_sent.min(sent_eff);
         frame.max_sent = frame.max_sent.max(sent_eff);
         frame.payload_bytes += payload_len as u64;
-        m.counter_add(&format!("net.msg.{from_host}->{to_host}"), 1);
-        m.counter_add(&format!("net.bytes.{from_host}->{to_host}"), payload_len as u64);
+        m.counter_add(&link.msg_key, 1);
+        m.counter_add(&link.bytes_key, payload_len as u64);
         self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.bytes.fetch_add(payload_len as u64, Ordering::Relaxed);
 
@@ -630,7 +669,7 @@ impl Network {
         if full {
             self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, &mut flushed);
         }
-        Ok(SendReport { stalled_s, flushed })
+        Ok(SendReport { stalled_s, delivered_at: None, flushed })
     }
 
     /// Flush the open frame toward `to_host`, if any. `now` is the
@@ -641,7 +680,7 @@ impl Network {
         let Some(cfg) = self.link_config() else { return Vec::new() };
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
-        if let Some(batcher) = links.get_mut(&(from_host.to_owned(), to_host.to_owned())) {
+        if let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
             self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
         }
         flushed
@@ -653,11 +692,8 @@ impl Network {
         let Some(cfg) = self.link_config() else { return Vec::new() };
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
-        for ((f, t), batcher) in links.iter_mut() {
-            if f == from_host {
-                let (f, t) = (f.clone(), t.clone());
-                self.flush_batcher(&f, &t, batcher, &cfg, now, &mut flushed);
-            }
+        for (to_host, batcher) in links.get_mut(from_host).into_iter().flatten() {
+            self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
         }
         flushed
     }
@@ -667,9 +703,10 @@ impl Network {
         let Some(cfg) = self.link_config() else { return Vec::new() };
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
-        for ((f, t), batcher) in links.iter_mut() {
-            let (f, t) = (f.clone(), t.clone());
-            self.flush_batcher(&f, &t, batcher, &cfg, now, &mut flushed);
+        for (from_host, outbound) in links.iter_mut() {
+            for (to_host, batcher) in outbound {
+                self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
+            }
         }
         flushed
     }
@@ -678,7 +715,8 @@ impl Network {
     pub fn pending_batched(&self, from_host: &str, to_host: &str) -> usize {
         let links = self.inner.links.lock().unwrap();
         links
-            .get(&(from_host.to_owned(), to_host.to_owned()))
+            .get(from_host)
+            .and_then(|out| out.get(to_host))
             .and_then(|b| b.frame.as_ref())
             .map_or(0, |f| f.msgs.len())
     }
@@ -687,7 +725,7 @@ impl Network {
     /// `t`, after retiring returns due by `t`. Test/inspection hook.
     pub fn credit_outstanding(&self, from_host: &str, to_host: &str, t: f64) -> (u64, u32) {
         let mut links = self.inner.links.lock().unwrap();
-        match links.get_mut(&(from_host.to_owned(), to_host.to_owned())) {
+        match links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
             Some(b) => {
                 b.credit.retire(t);
                 b.credit.outstanding()
@@ -706,6 +744,9 @@ impl Network {
         flushed: &mut Vec<FlushReport>,
     ) {
         let Some(frame) = batcher.frame.take() else { return };
+        let link = self
+            .link_record(from_host, to_host)
+            .expect("a frame is opened only between hosts the topology knows");
         let flush_t = frame.max_sent.max(now);
         let OpenFrame { builder, msgs, .. } = frame;
         let wire = builder.finish();
@@ -743,15 +784,7 @@ impl Network {
                         }
                         Err(e.clone())
                     }
-                    None => self.deliver_flushed(
-                        &eps,
-                        plan.as_deref(),
-                        from_host,
-                        to_host,
-                        &pm,
-                        dm.payload,
-                        flush_t,
-                    ),
+                    None => self.deliver_flushed(&eps, plan.as_deref(), &link, &pm, dm, flush_t),
                 };
                 if let Ok(arrive) = &result {
                     last_arrive = Some(last_arrive.map_or(*arrive, |a| a.max(*arrive)));
@@ -775,8 +808,8 @@ impl Network {
                 records.iter().map(|r| r.result.as_ref().ok().and(ret)).collect();
             batcher.credit.settle(&outcomes);
         }
-        m.counter_add(&format!("net.batch.flushes.{from_host}->{to_host}"), 1);
-        m.counter_add(&format!("net.batch.fill.{from_host}->{to_host}"), records.len() as u64);
+        m.counter_add(&link.flushes_key, 1);
+        m.counter_add(&link.fill_key, records.len() as u64);
         flushed.push(FlushReport {
             from_host: from_host.to_owned(),
             to_host: to_host.to_owned(),
@@ -792,18 +825,17 @@ impl Network {
     /// at its members' send instants is time-identical to per-envelope
     /// sends. What batching changes is link *occupancy*: the route
     /// latency is paid once per frame, not once per message.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_flushed(
         &self,
         eps: &HashMap<String, EpEntry>,
         plan: Option<&FaultPlan>,
-        from_host: &str,
-        to_host: &str,
+        link: &LinkRecord,
         pm: &PendingMsg,
-        payload: Bytes,
+        decoded: FrameMsg,
         flush_t: f64,
     ) -> Result<f64, NetError> {
-        let mut transfer = self.transfer_seconds(from_host, to_host, pm.payload_len)?;
+        let to_host = link.to_host.as_str();
+        let mut transfer = link.path()?.transfer_seconds(pm.payload_len);
         if let Some(p) = plan {
             transfer = p.adjust_transfer(flush_t, transfer);
         }
@@ -815,10 +847,12 @@ impl Network {
                 return Err(NetError::UnknownAddress(pm.to.clone()));
             }
         }
+        // The envelope is what came out of the frame: delivery consumes
+        // the decoded record, addresses and all.
         let env = Envelope {
-            from: pm.from.clone(),
-            to: pm.to.clone(),
-            payload,
+            from: decoded.from,
+            to: decoded.to,
+            payload: decoded.payload,
             sent_at: pm.sent_at,
             arrive_at,
         };

@@ -32,6 +32,7 @@
 //! single-precision-appropriate tolerances.
 
 use schooner::{FnProcedure, ProgramImage};
+use std::sync::OnceLock;
 use tess::components::{Combustor, Duct, Nozzle, Shaft};
 use tess::gas::GasState;
 use uts::Value;
@@ -179,6 +180,11 @@ fn flow_out(s: &GasState) -> Value {
 
 /// The `npss-shaft` executable image.
 pub fn shaft_image() -> ProgramImage {
+    static IMAGE: OnceLock<ProgramImage> = OnceLock::new();
+    IMAGE.get_or_init(build_shaft_image).clone()
+}
+
+fn build_shaft_image() -> ProgramImage {
     ProgramImage::new("npss-shaft", SHAFT_SPEC)
         .expect("spec parses")
         .with_procedure("setshaft", || {
@@ -225,6 +231,11 @@ pub fn shaft_image() -> ProgramImage {
 
 /// The `npss-duct` executable image.
 pub fn duct_image() -> ProgramImage {
+    static IMAGE: OnceLock<ProgramImage> = OnceLock::new();
+    IMAGE.get_or_init(build_duct_image).clone()
+}
+
+fn build_duct_image() -> ProgramImage {
     ProgramImage::new("npss-duct", DUCT_SPEC)
         .expect("spec parses")
         .with_procedure("setduct", || {
@@ -257,6 +268,11 @@ pub fn duct_image() -> ProgramImage {
 
 /// The `npss-comb` executable image.
 pub fn combustor_image() -> ProgramImage {
+    static IMAGE: OnceLock<ProgramImage> = OnceLock::new();
+    IMAGE.get_or_init(build_combustor_image).clone()
+}
+
+fn build_combustor_image() -> ProgramImage {
     ProgramImage::new("npss-comb", COMBUSTOR_SPEC)
         .expect("spec parses")
         .with_procedure("setcomb", || {
@@ -291,6 +307,11 @@ pub fn combustor_image() -> ProgramImage {
 
 /// The `npss-nozl` executable image.
 pub fn nozzle_image() -> ProgramImage {
+    static IMAGE: OnceLock<ProgramImage> = OnceLock::new();
+    IMAGE.get_or_init(build_nozzle_image).clone()
+}
+
+fn build_nozzle_image() -> ProgramImage {
     ProgramImage::new("npss-nozl", NOZZLE_SPEC)
         .expect("spec parses")
         .with_procedure("setnozl", || {

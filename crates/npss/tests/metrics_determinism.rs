@@ -10,9 +10,9 @@
 //! same counters on every run.
 
 use netsim::FaultPlan;
-use npss::engine_exec::{Exec, ExecutiveEngine};
+use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
 use npss::procs;
-use npss::RemoteExec;
+use npss::{run_session, RemoteExec, SessionKnobs, SessionRequest, Workload};
 use schooner::{CallPolicy, Schooner};
 use tess::engine::Turbofan;
 use tess::schedules::Schedule;
@@ -118,4 +118,35 @@ fn faulty_table2_metrics_snapshots_are_byte_identical() {
     assert!(a.contains("\"rpc.retries.policy\""), "expected policy retries in:\n{a}");
     assert!(a.contains("\"rpc.calls\""), "expected call counters in:\n{a}");
     assert!(a.contains("\"rpc.call_s.ua-sparc10->lerc-cray-ymp\""), "expected histograms in:\n{a}");
+}
+
+/// The snapshot is also stable *across commits*: a seeded session's
+/// metrics JSON must equal the committed golden byte for byte, so a
+/// change to how metric keys are built (they are pre-built per link, not
+/// formatted per message) cannot silently rename or drop a counter. The
+/// wave-scheduled, link-batched twin covers the `net.batch.*` family.
+/// Regenerate the goldens only for a change that *means* to alter the
+/// metrics surface: write `run_session(..).metrics_json` of the two
+/// requests below to `tests/golden/`.
+#[test]
+fn seeded_session_snapshots_match_the_committed_goldens() {
+    let mut req =
+        SessionRequest::new("golden", 0x601D, Workload::Transient { t_end: 0.2, dt: 0.02 });
+    let plain = run_session(&req).unwrap();
+    req.knobs =
+        SessionKnobs { link_batching: true, scheduling: Scheduling::WaveParallel, crash: None };
+    let wave_batched = run_session(&req).unwrap();
+    for (name, got, want) in [
+        ("table2_session", &plain.metrics_json, include_str!("golden/table2_session.metrics.json")),
+        (
+            "table2_session_wave_batched",
+            &wave_batched.metrics_json,
+            include_str!("golden/table2_session_wave_batched.metrics.json"),
+        ),
+    ] {
+        for (i, (lg, lw)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(lg, lw, "{name}: snapshot diverges from the golden at line {i}");
+        }
+        assert_eq!(got, want, "{name}: snapshot is not byte-identical to the golden");
+    }
 }

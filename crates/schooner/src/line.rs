@@ -16,6 +16,7 @@
 //! the communication and computation its calls cause.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::BytesMut;
@@ -39,11 +40,13 @@ fn host_part(addr: &str) -> &str {
 /// Identifier of a line, assigned by the Manager.
 pub type LineId = u64;
 
-/// A resolved, cached binding to a remote procedure.
-#[derive(Debug, Clone)]
+/// A resolved, cached binding to a remote procedure. Built once per
+/// Manager resolution and shared (`Arc`) by the cache, every in-flight
+/// ticket, and the events of every call made through it.
+#[derive(Debug)]
 struct Binding {
-    addr: String,
-    remote_name: String,
+    addr: Arc<str>,
+    remote_name: Arc<str>,
     stub: CompiledStub,
     /// Incarnation of the process instance this binding points at;
     /// replies stamped with an older incarnation are fenced.
@@ -76,9 +79,8 @@ pub struct CallTicket {
 
 #[derive(Debug)]
 enum TicketState {
-    /// The request is on the (virtual) wire. The binding is boxed so a
-    /// failed ticket doesn't carry the full binding's footprint.
-    InFlight { call: u64, binding: Box<Binding>, request_bytes: u64 },
+    /// The request is on the (virtual) wire.
+    InFlight { call: u64, binding: Arc<Binding>, request_bytes: u64 },
     /// The issue attempt itself failed; the error is re-examined under
     /// the policy at collect time, exactly as a blocking call would.
     Failed(SchError),
@@ -130,7 +132,7 @@ pub struct LineHandle {
     endpoint: Endpoint,
     clock: VirtualClock,
     imports: HashMap<String, ProcSpec>,
-    cache: HashMap<String, Binding>,
+    cache: HashMap<String, Arc<Binding>>,
     /// Address of the last binding that failed with a stale error,
     /// reported to the Manager on the next lookup so it can probe it.
     suspect: Option<String>,
@@ -385,7 +387,7 @@ impl LineHandle {
         } else {
             match self.resolve_and_issue(&key, name, args) {
                 Ok((call, binding, request_bytes)) => {
-                    TicketState::InFlight { call, binding: Box::new(binding), request_bytes }
+                    TicketState::InFlight { call, binding, request_bytes }
                 }
                 Err(e) => TicketState::Failed(e),
             }
@@ -547,10 +549,10 @@ impl LineHandle {
         key: &str,
         name: &str,
         args: &[Value],
-    ) -> SchResult<(u64, Binding, u64)> {
+    ) -> SchResult<(u64, Arc<Binding>, u64)> {
         if !self.cache.contains_key(key) {
             let binding = self.map_via_manager(name)?;
-            self.cache.insert(key.to_owned(), binding);
+            self.cache.insert(key.to_owned(), Arc::new(binding));
         }
         self.issue_attempt(key, args)
     }
@@ -558,8 +560,8 @@ impl LineHandle {
     /// The request side of one attempt: open the span, marshal, and
     /// transmit. Returns `(call id, binding, request bytes)` with the
     /// request on the wire; an error abandons the span.
-    fn issue_attempt(&mut self, key: &str, args: &[Value]) -> SchResult<(u64, Binding, u64)> {
-        let binding = self.cache.get(key).expect("binding inserted by caller").clone();
+    fn issue_attempt(&mut self, key: &str, args: &[Value]) -> SchResult<(u64, Arc<Binding>, u64)> {
+        let binding = Arc::clone(self.cache.get(key).expect("binding inserted by caller"));
         let call = self.fresh_req();
         let obs = self.ctx.obs.clone();
         obs.span_start(
@@ -645,6 +647,9 @@ impl LineHandle {
             self.clock.advance(report.stalled_s);
             obs.span_phase(self.id, call, Phase::Transmit, report.stalled_s);
         }
+        if let Some(arrive_at) = report.delivered_at {
+            obs.span_phase(self.id, call, Phase::Transmit, arrive_at - sent_at);
+        }
         self.absorb_flush_reports(&report.flushed, Some((self.id, call)))?;
         Ok(request_bytes)
     }
@@ -728,7 +733,7 @@ impl LineHandle {
                     if e.code == FaultCode::ProcessGone {
                         // Prefer the address we actually dialled: it is
                         // the cache entry that went stale.
-                        SchError::ProcessGone(binding.addr.clone())
+                        SchError::ProcessGone(binding.addr.to_string())
                     } else {
                         e.into_error()
                     }
@@ -986,8 +991,8 @@ impl LineHandle {
             .first()
             .ok_or_else(|| SchError::Protocol("empty export spec in MapInfo".into()))?;
         Ok(Binding {
-            addr: info.addr,
-            remote_name: info.remote_name,
+            addr: info.addr.into(),
+            remote_name: info.remote_name.into(),
             stub: CompiledStub::compile(spec),
             incarnation: info.incarnation,
             // An out-of-range advertisement (future Manager) degrades to
@@ -998,7 +1003,7 @@ impl LineHandle {
 
     fn install_binding(&mut self, name: &str, info: MapInfo) -> SchResult<()> {
         let binding = self.binding_from_info(info)?;
-        self.cache.insert(name.to_ascii_lowercase(), binding);
+        self.cache.insert(name.to_ascii_lowercase(), Arc::new(binding));
         Ok(())
     }
 }

@@ -322,8 +322,12 @@ pub fn decode_event(bytes: &[u8]) -> Result<EventKind, String> {
         T_REMOTE_STARTED => {
             RemoteStarted { line: r.u64()?, path: r.str()?, machine: r.str()?, addr: r.str()? }
         }
-        T_CALL_ISSUED => CallIssued { line: r.u64()?, proc: r.str()?, addr: r.str()? },
-        T_REPLY_RECEIVED => ReplyReceived { line: r.u64()?, proc: r.str()?, addr: r.str()? },
+        T_CALL_ISSUED => {
+            CallIssued { line: r.u64()?, proc: r.str()?.into(), addr: r.str()?.into() }
+        }
+        T_REPLY_RECEIVED => {
+            ReplyReceived { line: r.u64()?, proc: r.str()?.into(), addr: r.str()?.into() }
+        }
         T_CALL_RETRY => CallRetry {
             line: r.u64()?,
             attempt: r.u32()?,
@@ -362,9 +366,12 @@ pub fn decode_event(bytes: &[u8]) -> Result<EventKind, String> {
         T_PROCESS_SPAWNED => {
             ProcessSpawned { host: r.str()?, addr: r.str()?, path: r.str()?, line: r.u64()? }
         }
-        T_COMPUTED => {
-            Computed { addr: r.str()?, proc: r.str()?, flops: r.f64()?, compute_s: r.f64()? }
-        }
+        T_COMPUTED => Computed {
+            addr: r.str()?.into(),
+            proc: r.str()?.into(),
+            flops: r.f64()?,
+            compute_s: r.f64()?,
+        },
         T_PROCESS_SHUTDOWN => ProcessShutdown { addr: r.str()? },
         T_BARRIER => Barrier { step: r.u64()? as usize, t: r.f64()? },
         T_ROLLBACK => Rollback {

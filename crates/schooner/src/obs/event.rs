@@ -9,6 +9,7 @@
 //! variant instead of parsing the text.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// One recorded event: the virtual time it happened plus what happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,23 +40,25 @@ pub enum EventKind {
         /// Address of the new process.
         addr: String,
     },
-    /// A call request left the line for a bound process.
+    /// A call request left the line for a bound process. The three
+    /// per-call events share their names with the binding (or process)
+    /// that emits them rather than copying the text on every call.
     CallIssued {
         /// Emitting line.
         line: u64,
         /// Remote procedure name (after case folding).
-        proc: String,
+        proc: Arc<str>,
         /// Process address dialled.
-        addr: String,
+        addr: Arc<str>,
     },
     /// The call's reply was unmarshaled and control returned to the line.
     ReplyReceived {
         /// Emitting line.
         line: u64,
         /// Remote procedure name.
-        proc: String,
+        proc: Arc<str>,
         /// Process address that answered.
-        addr: String,
+        addr: Arc<str>,
     },
     /// A policy-driven retry, optionally after a backoff pause.
     CallRetry {
@@ -238,9 +241,9 @@ pub enum EventKind {
     /// A process executed one procedure call.
     Computed {
         /// The process's address.
-        addr: String,
+        addr: Arc<str>,
         /// Procedure executed.
-        proc: String,
+        proc: Arc<str>,
         /// Flops charged.
         flops: f64,
         /// Virtual compute seconds those flops cost on this machine.
@@ -313,7 +316,8 @@ impl EventKind {
             | Moved { .. }
             | ManagerShutdown => "manager".to_owned(),
             ProcessSpawned { host, .. } => format!("server@{host}"),
-            Computed { addr, .. } | ProcessShutdown { addr } => addr.clone(),
+            Computed { addr, .. } => addr.to_string(),
+            ProcessShutdown { addr } => addr.clone(),
             Barrier { .. } | Rollback { .. } => "executive".to_owned(),
             Note { who, .. } => who.clone(),
         }

@@ -159,11 +159,8 @@ impl Obs {
     /// up, so the grid is far below resolution.
     pub fn span_end(&self, line: u64, call: u64, t: f64) {
         let ended = lock(&self.inner.spans).end(line, call, t);
-        if let Some(span) = ended {
-            let seconds = (span.total() * 1e9).round() / 1e9;
-            self.inner
-                .metrics
-                .observe(&format!("rpc.call_s.{}->{}", span.from_host, span.to_host), seconds);
+        if let Some((call_s_key, total)) = ended {
+            self.inner.metrics.observe(&call_s_key, (total * 1e9).round() / 1e9);
         }
     }
 

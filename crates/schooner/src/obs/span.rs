@@ -10,7 +10,8 @@
 //! completed set holds exactly the successful calls. Figure-1 breakdowns
 //! and the `costs` CLI read these spans instead of parsing trace text.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A per-phase attribution slot within a call span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,17 +67,21 @@ pub struct CallSpan {
     pub line: u64,
     /// The line's call id (unique within the line).
     pub call: u64,
-    /// Remote procedure name.
-    pub proc: String,
+    /// Remote procedure name. The three names of a span are shared with
+    /// every other span that carries the same text.
+    pub proc: Arc<str>,
     /// Caller's host.
-    pub from_host: String,
+    pub from_host: Arc<str>,
     /// Serving host.
-    pub to_host: String,
+    pub to_host: Arc<str>,
     /// Caller's virtual time when the call began.
     pub started_at: f64,
     /// Caller's virtual time when the reply was unmarshaled.
     pub ended_at: f64,
     phases: [f64; PHASE_COUNT],
+    /// `rpc.call_s.{from_host}->{to_host}`, the histogram this span's
+    /// duration is recorded under when it closes.
+    call_s_key: Arc<str>,
 }
 
 impl CallSpan {
@@ -190,6 +195,11 @@ pub(crate) struct SpanTable {
     open: HashMap<(u64, u64), CallSpan>,
     done: Vec<CallSpan>,
     abandoned: u64,
+    /// Every procedure and host name a span has carried, so opening a
+    /// span shares the text instead of copying it.
+    names: HashSet<Arc<str>>,
+    /// The `rpc.call_s.` histogram key of each host pair seen.
+    call_s_keys: HashMap<(Arc<str>, Arc<str>), Arc<str>>,
 }
 
 impl SpanTable {
@@ -202,19 +212,37 @@ impl SpanTable {
         to_host: &str,
         t: f64,
     ) {
+        let proc = self.intern(proc);
+        let from_host = self.intern(from_host);
+        let to_host = self.intern(to_host);
+        let call_s_key = self
+            .call_s_keys
+            .entry((from_host.clone(), to_host.clone()))
+            .or_insert_with(|| format!("rpc.call_s.{from_host}->{to_host}").into())
+            .clone();
         self.open.insert(
             (line, call),
             CallSpan {
                 line,
                 call,
-                proc: proc.to_owned(),
-                from_host: from_host.to_owned(),
-                to_host: to_host.to_owned(),
+                proc,
+                from_host,
+                to_host,
                 started_at: t,
                 ended_at: t,
                 phases: [0.0; PHASE_COUNT],
+                call_s_key,
             },
         );
+    }
+
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(shared) = self.names.get(name) {
+            return shared.clone();
+        }
+        let shared: Arc<str> = name.into();
+        self.names.insert(shared.clone());
+        shared
     }
 
     /// Attribute `seconds` to `phase`; a no-op when no span is open for
@@ -226,12 +254,13 @@ impl SpanTable {
         }
     }
 
-    /// Close the span; returns it for histogram recording.
-    pub(crate) fn end(&mut self, line: u64, call: u64, t: f64) -> Option<CallSpan> {
+    /// Close the span; returns its histogram key and total duration.
+    pub(crate) fn end(&mut self, line: u64, call: u64, t: f64) -> Option<(Arc<str>, f64)> {
         let mut span = self.open.remove(&(line, call))?;
         span.ended_at = t;
-        self.done.push(span.clone());
-        Some(span)
+        let closed = (span.call_s_key.clone(), span.total());
+        self.done.push(span);
+        Some(closed)
     }
 
     /// Drop the open span of a failed attempt.
@@ -271,8 +300,11 @@ mod tests {
         t.phase(1, 10, Phase::Compute, 0.003);
         t.phase(1, 10, Phase::Reply, 0.02);
         t.phase(1, 10, Phase::Unmarshal, 0.001);
-        let span = t.end(1, 10, 5.05).unwrap();
-        assert_eq!(span.proc, "duct");
+        let (key, total) = t.end(1, 10, 5.05).unwrap();
+        assert_eq!(&*key, "rpc.call_s.ua-sparc10->lerc-cray-ymp");
+        assert!((total - 0.05).abs() < 1e-12);
+        let span = &t.completed()[0];
+        assert_eq!(&*span.proc, "duct");
         assert!((span.total() - 0.05).abs() < 1e-12);
         assert!((span.phase(Phase::Transmit) - 0.02).abs() < 1e-12);
         assert!((span.overhead() - (0.05 - 0.045)).abs() < 1e-12);
@@ -309,6 +341,7 @@ mod tests {
             started_at: start,
             ended_at: end,
             phases: [0.0; PHASE_COUNT],
+            call_s_key: "rpc.call_s.a->b".into(),
         }
     }
 

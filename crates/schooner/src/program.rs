@@ -18,6 +18,7 @@ use uts::spec::{Direction, SpecFile};
 
 use crate::error::{SchError, SchResult};
 use crate::proc::Procedure;
+use crate::stub::CompiledStub;
 
 type Factory = Arc<dyn Fn() -> Box<dyn Procedure> + Send + Sync>;
 
@@ -25,16 +26,25 @@ type Factory = Arc<dyn Fn() -> Box<dyn Procedure> + Send + Sync>;
 #[derive(Clone)]
 pub struct ProgramImage {
     name: String,
+    compiled: Arc<Compiled>,
+    factories: HashMap<String, Factory>,
+}
+
+/// What the stub compiler makes of an image's specification source:
+/// built once when the image is created and shared by every clone of it
+/// and every process started from it.
+struct Compiled {
     spec_src: String,
     spec: SpecFile,
-    factories: HashMap<String, Factory>,
+    /// One stub per export, keyed by the name as declared.
+    stubs: HashMap<String, Arc<CompiledStub>>,
 }
 
 impl std::fmt::Debug for ProgramImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgramImage")
             .field("name", &self.name)
-            .field("exports", &self.spec.decls.iter().map(|d| &d.name).collect::<Vec<_>>())
+            .field("exports", &self.spec().decls.iter().map(|d| &d.name).collect::<Vec<_>>())
             .finish()
     }
 }
@@ -52,10 +62,14 @@ impl ProgramImage {
                 )));
             }
         }
+        let mut stubs = HashMap::new();
+        for d in &spec.decls {
+            // First declaration wins, as in `SpecFile::find`.
+            stubs.entry(d.name.clone()).or_insert_with(|| Arc::new(CompiledStub::compile(d)));
+        }
         Ok(Self {
             name: name.into(),
-            spec_src: spec_src.to_owned(),
-            spec,
+            compiled: Arc::new(Compiled { spec_src: spec_src.to_owned(), spec, stubs }),
             factories: HashMap::new(),
         })
     }
@@ -85,7 +99,7 @@ impl ProgramImage {
         proc_name: &str,
         factory: impl Fn() -> Box<dyn Procedure> + Send + Sync + 'static,
     ) -> SchResult<Self> {
-        if self.spec.find(proc_name).is_none() {
+        if self.spec().find(proc_name).is_none() {
             return Err(SchError::Other(format!(
                 "no export specification for procedure '{proc_name}' in image '{}'",
                 self.name
@@ -102,17 +116,22 @@ impl ProgramImage {
 
     /// Export specification source text.
     pub fn spec_src(&self) -> &str {
-        &self.spec_src
+        &self.compiled.spec_src
     }
 
     /// Parsed export specifications.
     pub fn spec(&self) -> &SpecFile {
-        &self.spec
+        &self.compiled.spec
+    }
+
+    /// The compiled stub of the export declared as `proc_name`.
+    pub fn stub(&self, proc_name: &str) -> Option<&Arc<CompiledStub>> {
+        self.compiled.stubs.get(proc_name)
     }
 
     /// Verify every export has an implementation.
     pub fn validate(&self) -> SchResult<()> {
-        for d in &self.spec.decls {
+        for d in &self.spec().decls {
             if !self.factories.contains_key(&d.name) {
                 return Err(SchError::Other(format!(
                     "export '{}' of image '{}' has no implementation",

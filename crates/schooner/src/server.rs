@@ -129,15 +129,14 @@ impl ServerWorker {
         // exports the names its "linker" produced.
         let case = arch.fortran_case();
         let mut folded: HashMap<String, Box<dyn Procedure>> = HashMap::new();
-        let mut stubs: HashMap<String, CompiledStub> = HashMap::new();
+        let mut stubs: HashMap<Arc<str>, Arc<CompiledStub>> = HashMap::new();
         let mut names: Vec<String> = Vec::new();
         for (name, p) in procs {
             let fname = case.apply(&name);
-            let spec = image
-                .spec()
-                .find(&name)
+            let stub = image
+                .stub(&name)
                 .ok_or_else(|| SchError::Other(format!("missing spec for '{name}'")))?;
-            stubs.insert(fname.clone(), CompiledStub::compile(spec));
+            stubs.insert(fname.as_str().into(), stub.clone());
             folded.insert(fname.clone(), p);
             names.push(fname);
         }
@@ -149,6 +148,7 @@ impl ServerWorker {
         // transport fences their endpoint if the host crashes later.
         let endpoint = self.ctx.net.register_process(addr.clone(), self.clock.now())?;
         let worker = ProcessWorker {
+            addr: addr.as_str().into(),
             ctx: self.ctx.clone(),
             host: self.host.clone(),
             arch,
@@ -199,9 +199,12 @@ struct ProcessWorker {
     /// reply so callers can fence pre-crash answers.
     incarnation: u64,
     endpoint: Endpoint,
+    /// The endpoint's address, shared into every `Computed` event.
+    addr: Arc<str>,
     clock: VirtualClock,
     procs: HashMap<String, Box<dyn Procedure>>,
-    stubs: HashMap<String, CompiledStub>,
+    /// The image's compiled stubs under this process's folded names.
+    stubs: HashMap<Arc<str>, Arc<CompiledStub>>,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -315,11 +318,10 @@ impl ProcessWorker {
                 self.line
             )));
         }
-        let stub = self
+        let (proc_name_shared, stub) = self
             .stubs
-            .get(proc_name)
-            .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?
-            .clone();
+            .get_key_value(proc_name)
+            .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
         // Unmarshal through this machine's native format; the payload's
         // leading byte says which wire codec the caller used, and the
         // reply is encoded with the same one.
@@ -337,8 +339,8 @@ impl ProcessWorker {
         self.ctx.obs.emit(
             self.clock.now(),
             EventKind::Computed {
-                addr: self.endpoint.addr().to_owned(),
-                proc: proc_name.to_owned(),
+                addr: self.addr.clone(),
+                proc: proc_name_shared.clone(),
                 flops,
                 compute_s: compute,
             },
@@ -359,7 +361,7 @@ impl ProcessWorker {
     /// `u32 name-len, name, u32 blob-len, blob` per procedure in sorted
     /// name order, where each blob is the UTS-marshaled state.
     fn collect_state(&self) -> SchResult<Bytes> {
-        let mut names: Vec<&String> = self.stubs.keys().collect();
+        let mut names: Vec<&str> = self.stubs.keys().map(|k| &**k).collect();
         names.sort();
         let mut buf = BytesMut::new();
         for name in names {
@@ -400,16 +402,15 @@ impl ProcessWorker {
 
             // State arrives keyed by the *source* process's folded names;
             // fold to our own convention via case-insensitive match.
-            let our_name =
-                self.stubs.keys().find(|k| k.eq_ignore_ascii_case(&name)).cloned().ok_or_else(
+            let (our_name, stub) =
+                self.stubs.iter().find(|(k, _)| k.eq_ignore_ascii_case(&name)).ok_or_else(
                     || SchError::StateTransfer(format!("no procedure '{name}' in target process")),
                 )?;
-            let stub = &self.stubs[&our_name];
             // Blobs are version-sniffed individually: a snapshot captured
             // under v1 installs into a v2 world and vice versa.
             let values = stub.unmarshal_state_any(blob, self.arch)?;
             self.procs
-                .get_mut(&our_name)
+                .get_mut(&**our_name)
                 .expect("stub/proc maps are parallel")
                 .set_state(values)
                 .map_err(|f| SchError::StateTransfer(f.message().to_owned()))?;

@@ -82,16 +82,16 @@ pub fn check_import_against_export(import: &ProcSpec, export: &ProcSpec) -> Resu
 /// Check the argument values supplied for one call against the **input**
 /// parameters (`val` and `var`) of a specification.
 pub fn check_call_args(spec: &ProcSpec, args: &[Value]) -> Result<()> {
-    let inputs: Vec<_> = spec.input_params().collect();
-    if inputs.len() != args.len() {
+    let declared = spec.input_params().count();
+    if declared != args.len() {
         return Err(Error::SignatureMismatch(format!(
             "procedure '{}' takes {} input arguments, {} supplied",
             spec.name,
-            inputs.len(),
+            declared,
             args.len()
         )));
     }
-    for (p, v) in inputs.iter().zip(args) {
+    for (p, v) in spec.input_params().zip(args) {
         v.expect_type(&p.ty).map_err(|e| {
             Error::SignatureMismatch(format!("argument \"{}\" of '{}': {e}", p.name, spec.name))
         })?;
@@ -102,16 +102,16 @@ pub fn check_call_args(spec: &ProcSpec, args: &[Value]) -> Result<()> {
 /// Check the result values produced by one call against the **output**
 /// parameters (`res` and `var`) of a specification.
 pub fn check_call_results(spec: &ProcSpec, results: &[Value]) -> Result<()> {
-    let outputs: Vec<_> = spec.output_params().collect();
-    if outputs.len() != results.len() {
+    let declared = spec.output_params().count();
+    if declared != results.len() {
         return Err(Error::SignatureMismatch(format!(
             "procedure '{}' produces {} results, {} supplied",
             spec.name,
-            outputs.len(),
+            declared,
             results.len()
         )));
     }
-    for (p, v) in outputs.iter().zip(results) {
+    for (p, v) in spec.output_params().zip(results) {
         v.expect_type(&p.ty).map_err(|e| {
             Error::SignatureMismatch(format!("result \"{}\" of '{}': {e}", p.name, spec.name))
         })?;

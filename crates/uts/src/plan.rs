@@ -521,26 +521,28 @@ fn decode_node(
                 .map_err(|e| Error::Wire(format!("invalid UTF-8 in string: {e}")))?;
             Ok(Value::String(s.to_owned()))
         }
+        // Bulk scalar arrays take one view of their bytes and walk it as
+        // a slice: the payload is found once per array, not once per
+        // element through the cursor.
         Op::IntegerArray(n) => {
             need(cur, 4 * n, "integer array")?;
-            let mut xs = Vec::with_capacity(n);
-            for _ in 0..n {
-                xs.push(i64::from(cur.get_i32()));
-            }
+            let raw = cur.split_to(4 * n);
+            let xs: Vec<i64> = raw
+                .chunks_exact(4)
+                .map(|c| i64::from(i32::from_be_bytes([c[0], c[1], c[2], c[3]])))
+                .collect();
             Ok(Value::Integers(xs.into()))
         }
         Op::FloatArray(n) => {
             need(cur, 4 * n, "float array")?;
+            let raw = cur.split_to(4 * n);
+            let wire = raw.chunks_exact(4).map(|c| f32::from_be_bytes([c[0], c[1], c[2], c[3]]));
             let mut xs = Vec::with_capacity(n);
             match fp {
-                FloatPass::Identity => {
-                    for _ in 0..n {
-                        xs.push(cur.get_f32());
-                    }
-                }
+                FloatPass::Identity => xs.extend(wire),
                 _ => {
-                    for _ in 0..n {
-                        xs.push(conv_f32(cur.get_f32(), fp)?);
+                    for x in wire {
+                        xs.push(conv_f32(x, fp)?);
                     }
                 }
             }
@@ -548,16 +550,16 @@ fn decode_node(
         }
         Op::DoubleArray(n) => {
             need(cur, 8 * n, "double array")?;
+            let raw = cur.split_to(8 * n);
+            let wire = raw
+                .chunks_exact(8)
+                .map(|c| f64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]));
             let mut xs = Vec::with_capacity(n);
             match fp {
-                FloatPass::Identity => {
-                    for _ in 0..n {
-                        xs.push(cur.get_f64());
-                    }
-                }
+                FloatPass::Identity => xs.extend(wire),
                 _ => {
-                    for _ in 0..n {
-                        xs.push(conv_f64(cur.get_f64(), fp)?);
+                    for x in wire {
+                        xs.push(conv_f64(x, fp)?);
                     }
                 }
             }

@@ -9,10 +9,12 @@
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply cloneable, immutable view into shared byte storage.
+/// A cheaply cloneable, immutable view into shared byte storage. The
+/// storage is the `Vec` it was built from, moved (not copied) behind the
+/// reference count, so [`BytesMut::freeze`] is O(1).
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     end: usize,
 }
@@ -85,7 +87,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
-        Self { data: v.into(), start: 0, end }
+        Self { data: Arc::new(v), start: 0, end }
     }
 }
 
@@ -417,6 +419,17 @@ mod tests {
         assert_eq!(&b[..], &[3, 4, 5]);
         let tail = s.slice(2..);
         assert_eq!(&tail[..], &[4]);
+    }
+
+    #[test]
+    fn freeze_keeps_the_buffer_it_was_given() {
+        let mut m = BytesMut::with_capacity(1 << 16);
+        m.put_slice(&[7u8; 1 << 16]);
+        let before = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), before, "freeze must not copy the payload");
+        assert_eq!(b.slice(16..).as_ptr(), before.wrapping_add(16));
+        assert_eq!(b.len(), 1 << 16);
     }
 
     #[test]

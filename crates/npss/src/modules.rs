@@ -22,7 +22,7 @@
 //! module's procedures locally or remotely according to the placements
 //! the user's widgets selected.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use avs::{AvsModule, ComputeCtx, ModuleSpec, Widget};
@@ -58,7 +58,7 @@ pub struct ExecutiveServices {
     cycle: Mutex<tess::CycleDesign>,
     /// slot → (machine, path); machine `"local"` means the original
     /// local-compute-only version.
-    placements: Mutex<HashMap<String, (String, String)>>,
+    placements: Mutex<BTreeMap<String, (String, String)>>,
     /// (slot, widget) → value.
     params: Mutex<HashMap<(String, String), f64>>,
     /// slot → registered component type name, for live modules.
@@ -89,7 +89,7 @@ impl ExecutiveServices {
             avs_host: avs_host.to_owned(),
             registry: RwLock::new(registry),
             cycle: Mutex::new(tess::CycleDesign::f100_class()),
-            placements: Mutex::new(HashMap::new()),
+            placements: Mutex::new(BTreeMap::new()),
             params: Mutex::new(HashMap::new()),
             module_types: Mutex::new(HashMap::new()),
             wave_plan: Mutex::new(WavePlan::default()),
@@ -146,8 +146,10 @@ impl ExecutiveServices {
         *self.cycle.lock().unwrap() = cycle;
     }
 
-    /// Current widget-driven placements: slot → (machine, path).
-    pub fn placements(&self) -> HashMap<String, (String, String)> {
+    /// Current widget-driven placements: slot → (machine, path), in
+    /// sorted slot order — the order their lines are opened in, which
+    /// the journal and every line id depend on.
+    pub fn placements(&self) -> BTreeMap<String, (String, String)> {
         self.placements.lock().unwrap().clone()
     }
 

@@ -20,6 +20,12 @@
 //!   ([`message`], [`stub`]);
 //! * **stub generation** from UTS specification files ([`stub`]).
 //!
+//! The Manager, the Servers and the processes are run-to-completion
+//! actors with private state, not threads: whoever waits for a message
+//! drives them, on its own thread, until the message arrives — or until
+//! the world goes quiescent, which is how a lost message is detected.
+//! Virtual timestamps, not host scheduling, carry the distribution.
+//!
 //! The extended execution model developed for NPSS is implemented in
 //! full:
 //!
@@ -87,6 +93,7 @@ pub mod stub;
 pub mod supervise;
 pub mod system;
 pub mod trace;
+mod world;
 
 pub use error::{SchError, SchResult};
 pub use line::{CallTicket, LineHandle, LineId, LineStats};

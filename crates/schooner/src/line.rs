@@ -17,10 +17,9 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::BytesMut;
-use netsim::{Endpoint, FlushReport, NetError, VirtualClock};
+use netsim::{Endpoint, Envelope, FlushReport, NetError, VirtualClock};
 use uts::spec::ProcSpec;
 use uts::{Architecture, Value, WIRE_V1, WIRE_V2};
 
@@ -769,17 +768,8 @@ impl LineHandle {
     /// answer from a pre-crash instance can never satisfy a call made to
     /// its successor. Other non-matching messages are stale and dropped.
     fn await_call_reply(&mut self, call: u64, min_incarnation: u64) -> SchResult<Msg> {
-        let deadline = std::time::Instant::now() + self.ctx.config.reply_timeout;
         loop {
-            if std::time::Instant::now() > deadline {
-                return Err(SchError::ManagerUnavailable);
-            }
-            let env = match self.endpoint.recv(Duration::from_millis(50)) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            self.clock.merge(env.arrive_at);
+            let env = self.recv()?;
             let Ok(msg) = Msg::decode(env.payload) else { continue };
             if let Msg::CallReply { call: c, incarnation, .. } = &msg {
                 if *incarnation > 0 && *incarnation < min_incarnation {
@@ -935,21 +925,25 @@ impl LineHandle {
         Ok(())
     }
 
+    /// The next message for this line, merged into its clock. Waiting
+    /// drives the world: the Manager, Server or process that owes the
+    /// message runs here, on the waiting thread. A world gone quiescent
+    /// with the mailbox still empty means the message is lost.
+    fn recv(&mut self) -> SchResult<Envelope> {
+        let env = self.ctx.world.recv(&self.endpoint).map_err(|e| match e {
+            NetError::Timeout => SchError::ManagerUnavailable,
+            e => e.into(),
+        })?;
+        self.clock.merge(env.arrive_at);
+        Ok(env)
+    }
+
     /// Block until a reply matching `pred` arrives; stale replies from
     /// earlier exchanges are discarded (a line is sequential, so anything
     /// not matching the current request is stale).
     fn await_reply(&mut self, pred: impl Fn(&Msg) -> bool) -> SchResult<Msg> {
-        let deadline = std::time::Instant::now() + self.ctx.config.reply_timeout;
         loop {
-            if std::time::Instant::now() > deadline {
-                return Err(SchError::ManagerUnavailable);
-            }
-            let env = match self.endpoint.recv(Duration::from_millis(50)) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            self.clock.merge(env.arrive_at);
+            let env = self.recv()?;
             if let Ok(msg) = Msg::decode(env.payload) {
                 if pred(&msg) {
                     return Ok(msg);

@@ -19,10 +19,8 @@
 //! * **procedure migration**, including the state-variable transfer
 //!   extension for procedures whose specs carry a `state(...)` clause.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use ledger::RecordKind;
 use netsim::{Endpoint, NetError, VirtualClock};
@@ -34,55 +32,45 @@ use crate::message::{MapInfo, Msg, StartedInfo, WireFault};
 use crate::obs::EventKind;
 use crate::supervise::{CheckpointStore, Health, HealthMonitor, Snapshot, SupervisionPolicy};
 use crate::system::{manager_addr, server_addr, RuntimeCtx};
+use crate::world::{Actor, Step};
 
-/// Handle to the running Manager thread.
-pub struct ManagerHandle {
+/// Handle to the world's Manager.
+pub(crate) struct ManagerHandle {
     addr: String,
-    join: Option<JoinHandle<()>>,
 }
 
 impl ManagerHandle {
-    /// The Manager's network address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Terminate the Manager (which first terminates every process it
-    /// knows about and every Server) and wait for it to finish.
-    pub fn shutdown(mut self, ctx: &RuntimeCtx) {
+    /// knows about and every Server) and run the world until every
+    /// actor has seen its shutdown message.
+    pub(crate) fn shutdown(self, ctx: &RuntimeCtx) {
         let host = self.addr.split(':').next().unwrap_or_default().to_owned();
         let _ =
             ctx.net.send(&format!("{host}:system"), &self.addr, Msg::ManagerShutdown.encode(), 0.0);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        ctx.world.run_until_idle();
     }
 }
 
-/// Spawn the Manager on `ctx.config.manager_host`.
-pub fn spawn_manager(ctx: RuntimeCtx) -> SchResult<ManagerHandle> {
+/// Register the Manager on `ctx.config.manager_host` with the world.
+pub(crate) fn spawn_manager(ctx: RuntimeCtx) -> SchResult<ManagerHandle> {
     let addr = manager_addr(&ctx.config.manager_host);
     let endpoint = ctx.net.register(addr.clone())?;
     let monitor = HealthMonitor::new(ctx.config.heartbeat_miss_threshold);
     let checkpoints = ctx.checkpoints.clone();
-    let worker = ManagerWorker {
+    let world = ctx.world.clone();
+    world.spawn(ManagerWorker {
         ctx,
         endpoint,
         clock: VirtualClock::new(),
-        lines: HashMap::new(),
+        lines: BTreeMap::new(),
         shared: NameDb::default(),
         backlog: VecDeque::new(),
         monitor,
         checkpoints,
         next_line: 1,
         next_req: 1,
-    };
-    let join = std::thread::Builder::new()
-        .name("schooner-manager".to_owned())
-        .stack_size(512 * 1024)
-        .spawn(move || worker.run())
-        .map_err(|e| SchError::Other(format!("cannot spawn manager thread: {e}")))?;
-    Ok(ManagerHandle { addr, join: Some(join) })
+    });
+    Ok(ManagerHandle { addr })
 }
 
 /// One procedure's entry in a mapping table.
@@ -170,7 +158,9 @@ struct ManagerWorker {
     ctx: RuntimeCtx,
     endpoint: Endpoint,
     clock: VirtualClock,
-    lines: HashMap<u64, LineState>,
+    /// Ordered by id, so a world torn down with lines still open shuts
+    /// them down (and journals it) in the same order every run.
+    lines: BTreeMap<u64, LineState>,
     shared: NameDb,
     /// Messages received while awaiting a specific reply.
     backlog: VecDeque<Msg>,
@@ -178,68 +168,47 @@ struct ManagerWorker {
     monitor: HealthMonitor,
     /// Recent `state(...)` snapshots per supervised process — the
     /// world-shared store from [`RuntimeCtx::checkpoints`], so recovery
-    /// code outside the Manager thread can pre-seed it from a journal.
+    /// code outside the Manager can pre-seed it from a journal.
     checkpoints: CheckpointStore,
     next_line: u64,
     next_req: u64,
 }
 
-impl ManagerWorker {
-    fn run(mut self) {
-        loop {
-            let msg = match self.backlog.pop_front() {
-                Some(m) => m,
-                None => match self.recv_one() {
-                    Some(m) => m,
-                    None => continue,
-                },
-            };
-            if !self.dispatch(msg) {
-                break;
-            }
-        }
-    }
-
-    /// Receive and decode one message, merging virtual clocks. `None` on
-    /// timeout or transport teardown-in-progress.
-    fn recv_one(&mut self) -> Option<Msg> {
-        match self.endpoint.recv(Duration::from_millis(50)) {
-            Ok(env) => {
+impl Actor for ManagerWorker {
+    fn step(&mut self) -> Step {
+        let msg = match self.backlog.pop_front() {
+            Some(m) => m,
+            None => {
+                let Some(env) = self.endpoint.try_recv() else { return Step::Idle };
                 self.clock.merge(env.arrive_at);
-                Msg::decode(env.payload).ok()
+                let Ok(m) = Msg::decode(env.payload) else { return Step::Worked };
+                m
             }
-            Err(NetError::Timeout) => None,
-            Err(_) => Some(Msg::ManagerShutdown),
+        };
+        if self.dispatch(msg) {
+            Step::Worked
+        } else {
+            Step::Done
         }
     }
+}
 
+impl ManagerWorker {
     fn send(&self, to: &str, msg: &Msg) -> SchResult<()> {
         self.endpoint.send(to, msg.encode(), self.clock.now())?;
         Ok(())
     }
 
     /// Wait for a reply satisfying `pred`, buffering everything else.
+    /// The wait drives the world (the Server or process that owes the
+    /// reply runs inside it); a world gone quiescent means the reply is
+    /// lost.
     fn await_reply(&mut self, pred: impl Fn(&Msg) -> bool) -> SchResult<Msg> {
-        self.await_reply_within(self.ctx.config.reply_timeout, pred)
-    }
-
-    /// [`Self::await_reply`] with an explicit wait budget. Paths that
-    /// run *while a caller is itself waiting on the Manager* (the
-    /// suspect-address probe) must use a budget well inside
-    /// `reply_timeout`, or the Manager's answer lands exactly on the
-    /// caller's own deadline and which side wins becomes a wall-clock
-    /// race.
-    fn await_reply_within(
-        &mut self,
-        timeout: Duration,
-        pred: impl Fn(&Msg) -> bool,
-    ) -> SchResult<Msg> {
-        let deadline = Instant::now() + timeout;
         loop {
-            if Instant::now() > deadline {
-                return Err(SchError::ManagerUnavailable);
-            }
-            let Some(msg) = self.recv_one() else { continue };
+            let env =
+                self.ctx.world.recv(&self.endpoint).map_err(|_| SchError::ManagerUnavailable)?;
+            self.clock.merge(env.arrive_at);
+            let Ok(msg) = Msg::decode(env.payload) else { continue };
             if pred(&msg) {
                 return Ok(msg);
             }
@@ -299,8 +268,7 @@ impl ManagerWorker {
                 let _ = self.send(&reply_to, &Msg::MoveReply { req, result });
             }
             Msg::ManagerShutdown => {
-                let lines: Vec<u64> = self.lines.keys().copied().collect();
-                for l in lines {
+                while let Some((&l, _)) = self.lines.first_key_value() {
                     self.shutdown_line(l);
                 }
                 for addr in self.shared.addrs() {
@@ -513,14 +481,9 @@ impl ManagerWorker {
             Err(_) => return self.record_probe_miss(addr),
             Ok(_) => {}
         }
-        // A live process answers a ping within milliseconds; only a dead
-        // one makes us wait. Budget a fraction of `reply_timeout` so the
-        // slandering caller (whose own reply deadline started ticking
-        // before this probe did) always hears our verdict in time.
-        let budget = self.ctx.config.reply_timeout / 4;
-        match self
-            .await_reply_within(budget, |m| matches!(m, Msg::Pong { req: r, .. } if *r == req))
-        {
+        // A live process answers inside this wait; a silent one leaves
+        // the world quiescent, which is the missed beat.
+        match self.await_reply(|m| matches!(m, Msg::Pong { req: r, .. } if *r == req)) {
             Ok(_) => {
                 self.monitor.record_beat(addr);
                 self.ctx

@@ -5,17 +5,17 @@
 //! process means: resolve the executable path against the machine's file
 //! store and the program registry, instantiate its procedures, apply the
 //! machine's Fortran name-case convention to the exported names (the Cray
-//! upper-cases, everyone else lower-cases), and spawn a worker thread that
-//! serves calls until it is shut down or migrated away.
+//! upper-cases, everyone else lower-cases), and register a process actor
+//! that serves calls until it is shut down or migrated away. Servers and
+//! processes are actors: they run when a waiting caller drives the
+//! world, never on a thread of their own.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use netsim::{Endpoint, NetError, VirtualClock};
+use netsim::{Endpoint, VirtualClock};
 use uts::Architecture;
 
 use crate::error::{SchError, SchResult};
@@ -24,48 +24,14 @@ use crate::obs::{EventKind, Phase};
 use crate::proc::Procedure;
 use crate::stub::CompiledStub;
 use crate::system::{server_addr, RuntimeCtx};
+use crate::world::{Actor, Step};
 
-/// Handle to a running per-machine Server thread.
-pub struct Server {
-    host: String,
-    join: Option<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl Server {
-    /// The host this Server manages.
-    pub fn host(&self) -> &str {
-        &self.host
-    }
-
-    /// Wait for the Server thread (and all its processes) to finish.
-    /// Called by `Schooner::shutdown` after `ServerShutdown` was sent.
-    pub fn join(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-/// Spawn the Server for `host`.
-pub fn spawn_server(ctx: RuntimeCtx, host: &str) -> SchResult<Server> {
+/// Register the Server for `host` with the world.
+pub(crate) fn spawn_server(ctx: RuntimeCtx, host: &str) -> SchResult<()> {
     let endpoint = ctx.net.register(server_addr(host))?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let worker = ServerWorker {
-        ctx,
-        host: host.to_owned(),
-        endpoint,
-        clock: VirtualClock::new(),
-        children: Vec::new(),
-        shutdown: shutdown.clone(),
-    };
-    let join = std::thread::Builder::new()
-        .name(format!("schooner-server-{host}"))
-        .stack_size(256 * 1024)
-        .spawn(move || worker.run())
-        .map_err(|e| SchError::Other(format!("cannot spawn server thread: {e}")))?;
-    Ok(Server { host: host.to_owned(), join: Some(join), shutdown })
+    let world = ctx.world.clone();
+    world.spawn(ServerWorker { ctx, host: host.to_owned(), endpoint, clock: VirtualClock::new() });
+    Ok(())
 }
 
 struct ServerWorker {
@@ -73,49 +39,28 @@ struct ServerWorker {
     host: String,
     endpoint: Endpoint,
     clock: VirtualClock,
-    children: Vec<JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
+}
+
+impl Actor for ServerWorker {
+    fn step(&mut self) -> Step {
+        let Some(env) = self.endpoint.try_recv() else { return Step::Idle };
+        self.clock.merge(env.arrive_at);
+        match Msg::decode(env.payload) {
+            Ok(Msg::StartProcess { req, line, path, incarnation, reply_to }) => {
+                self.clock.advance(self.ctx.config.process_startup_s);
+                let result =
+                    self.start_process(line, &path, incarnation).map_err(|e| WireFault::from(&e));
+                let reply = Msg::ProcessStarted { req, result };
+                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+            }
+            Ok(Msg::ServerShutdown) => return Step::Done,
+            _ => {}
+        }
+        Step::Worked
+    }
 }
 
 impl ServerWorker {
-    fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            // Reap children that have already exited so long runs with
-            // many short-lived processes don't accumulate handles.
-            self.children.retain(|c| !c.is_finished());
-            let env = match self.endpoint.recv(Duration::from_millis(50)) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => continue,
-                Err(_) => break,
-            };
-            self.clock.merge(env.arrive_at);
-            let msg = match Msg::decode(env.payload.clone()) {
-                Ok(m) => m,
-                Err(_) => continue,
-            };
-            match msg {
-                Msg::StartProcess { req, line, path, incarnation, reply_to } => {
-                    self.clock.advance(self.ctx.config.process_startup_s);
-                    let result = self
-                        .start_process(line, &path, incarnation)
-                        .map_err(|e| WireFault::from(&e));
-                    let reply = Msg::ProcessStarted { req, result };
-                    let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
-                }
-                Msg::ServerShutdown => break,
-                _ => {}
-            }
-        }
-        // Make sure every child process observes shutdown, then reap.
-        self.shutdown.store(true, Ordering::Release);
-        for child in self.children.drain(..) {
-            let _ = child.join();
-        }
-    }
-
     fn start_process(&mut self, line: u64, path: &str, incarnation: u64) -> SchResult<StartedInfo> {
         let image = self.ctx.registry.resolve(&self.ctx.files, path, &self.host)?;
         let arch = self
@@ -158,7 +103,6 @@ impl ServerWorker {
             clock: VirtualClock::starting_at(self.clock.now()),
             procs: folded,
             stubs,
-            shutdown: self.shutdown.clone(),
         };
         self.ctx.obs.emit(
             self.clock.now(),
@@ -169,14 +113,7 @@ impl ServerWorker {
                 line,
             },
         );
-        let join = std::thread::Builder::new()
-            .name(format!("schooner-{addr}"))
-            // Remote-procedure workers are shallow; a small stack keeps
-            // thousands of concurrent processes cheap.
-            .stack_size(256 * 1024)
-            .spawn(move || worker.run())
-            .map_err(|e| SchError::Other(format!("cannot spawn process thread: {e}")))?;
-        self.children.push(join);
+        self.ctx.world.spawn(worker);
 
         Ok(StartedInfo {
             addr,
@@ -205,67 +142,57 @@ struct ProcessWorker {
     procs: HashMap<String, Box<dyn Procedure>>,
     /// The image's compiled stubs under this process's folded names.
     stubs: HashMap<Arc<str>, Arc<CompiledStub>>,
-    shutdown: Arc<AtomicBool>,
+}
+
+impl Actor for ProcessWorker {
+    fn step(&mut self) -> Step {
+        let Some(env) = self.endpoint.try_recv() else { return Step::Idle };
+        self.clock.merge(env.arrive_at);
+        let Ok(msg) = Msg::decode(env.payload) else { return Step::Worked };
+        match msg {
+            Msg::CallRequest { call, line, proc_name, args, reply_to } => {
+                // A fault raised by the procedure body travels with
+                // the `RemoteFault` code and its bare message as the
+                // detail, so the caller re-wraps it exactly once.
+                let t0 = self.clock.now();
+                let result =
+                    self.serve_call(line, &proc_name, args).map_err(|e| WireFault::from(&e));
+                // Server-side unmarshal + execute + marshal, charged to
+                // the caller's open span as the Compute phase (the
+                // reply is sent after this, so the span is still open).
+                self.ctx.obs.span_phase(line, call, Phase::Compute, self.clock.now() - t0);
+                let reply = Msg::CallReply { call, incarnation: self.incarnation, result };
+                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+            }
+            Msg::Ping { req, reply_to } => {
+                let reply = Msg::Pong { req, incarnation: self.incarnation };
+                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+            }
+            Msg::GetState { req, reply_to } => {
+                let result = self.collect_state().map_err(|e| WireFault::from(&e));
+                let reply = Msg::StateReply { req, result };
+                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+            }
+            Msg::SetState { req, state, reply_to } => {
+                let result = self.install_state(state).map_err(|e| WireFault::from(&e));
+                let reply = Msg::SetStateAck { req, result };
+                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+            }
+            Msg::ProcShutdown => {
+                self.ctx.obs.emit(
+                    self.clock.now(),
+                    EventKind::ProcessShutdown { addr: self.endpoint.addr().to_owned() },
+                );
+                self.drain_with_gone_faults();
+                return Step::Done;
+            }
+            _ => {}
+        }
+        Step::Worked
+    }
 }
 
 impl ProcessWorker {
-    fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let env = match self.endpoint.recv(Duration::from_millis(50)) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => continue,
-                Err(_) => break,
-            };
-            self.clock.merge(env.arrive_at);
-            let msg = match Msg::decode(env.payload.clone()) {
-                Ok(m) => m,
-                Err(_) => continue,
-            };
-            match msg {
-                Msg::CallRequest { call, line, proc_name, args, reply_to } => {
-                    // A fault raised by the procedure body travels with
-                    // the `RemoteFault` code and its bare message as the
-                    // detail, so the caller re-wraps it exactly once.
-                    let t0 = self.clock.now();
-                    let result =
-                        self.serve_call(line, &proc_name, args).map_err(|e| WireFault::from(&e));
-                    // Server-side unmarshal + execute + marshal, charged to
-                    // the caller's open span as the Compute phase (the
-                    // reply is sent after this, so the span is still open).
-                    self.ctx.obs.span_phase(line, call, Phase::Compute, self.clock.now() - t0);
-                    let reply = Msg::CallReply { call, incarnation: self.incarnation, result };
-                    let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
-                }
-                Msg::Ping { req, reply_to } => {
-                    let reply = Msg::Pong { req, incarnation: self.incarnation };
-                    let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
-                }
-                Msg::GetState { req, reply_to } => {
-                    let result = self.collect_state().map_err(|e| WireFault::from(&e));
-                    let reply = Msg::StateReply { req, result };
-                    let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
-                }
-                Msg::SetState { req, state, reply_to } => {
-                    let result = self.install_state(state).map_err(|e| WireFault::from(&e));
-                    let reply = Msg::SetStateAck { req, result };
-                    let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
-                }
-                Msg::ProcShutdown => {
-                    self.ctx.obs.emit(
-                        self.clock.now(),
-                        EventKind::ProcessShutdown { addr: self.endpoint.addr().to_owned() },
-                    );
-                    break;
-                }
-                _ => {}
-            }
-        }
-        self.drain_with_gone_faults();
-    }
-
     /// Calls that raced our shutdown (FIFO order is per-sender, so a
     /// caller may have posted a request while the Manager's `ProcShutdown`
     /// was in flight) are answered with a `ProcessGone` fault, which the

@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use hetsim::{FileStore, MachinePark};
 use netsim::{LinkConfig, NetError, Network, Topology};
@@ -19,11 +18,12 @@ use crate::line::LineHandle;
 use crate::manager::{spawn_manager, ManagerHandle};
 use crate::obs::Obs;
 use crate::program::{ProgramImage, ProgramRegistry};
-use crate::server::{spawn_server, Server};
+use crate::server::spawn_server;
 use crate::supervise::{
     CheckpointStore, Snapshot, SupervisionMap, SupervisionPolicy, DEFAULT_CHECKPOINT_RETENTION,
 };
 use crate::trace::Trace;
+use crate::world::World;
 use ledger::{Journal, LedgerHandle};
 
 /// Address of the Manager process for the program rooted at `host`.
@@ -36,14 +36,11 @@ pub fn server_addr(host: &str) -> String {
     format!("{host}:schooner-server")
 }
 
-/// Tunables of the runtime's virtual-cost model and liveness guards.
+/// Tunables of the runtime's virtual-cost model.
 #[derive(Debug, Clone)]
 pub struct SchoonerConfig {
     /// Host the Manager process runs on.
     pub manager_host: String,
-    /// Wall-clock bound on waiting for any reply (liveness guard only;
-    /// virtual time is unaffected).
-    pub reply_timeout: Duration,
     /// Virtual seconds of Manager bookkeeping per handled request.
     pub manager_overhead_s: f64,
     /// Flops charged per scalar converted during marshaling.
@@ -78,7 +75,6 @@ impl Default for SchoonerConfig {
     fn default() -> Self {
         Self {
             manager_host: "lerc-sparc10".to_owned(),
-            reply_timeout: Duration::from_secs(10),
             manager_overhead_s: 0.4e-3,
             per_scalar_flops: 80.0,
             process_startup_s: 30e-3,
@@ -92,7 +88,7 @@ impl Default for SchoonerConfig {
 
 impl SchoonerConfig {
     /// Start a builder from the defaults; override just the fields that
-    /// matter: `SchoonerConfig::builder().reply_timeout(..).build()`.
+    /// matter: `SchoonerConfig::builder().wire_version(..).build()`.
     pub fn builder() -> SchoonerConfigBuilder {
         SchoonerConfigBuilder { config: Self::default() }
     }
@@ -109,12 +105,6 @@ impl SchoonerConfigBuilder {
     /// Host the Manager process runs on.
     pub fn manager_host(mut self, host: &str) -> Self {
         self.config.manager_host = host.to_owned();
-        self
-    }
-
-    /// Wall-clock bound on waiting for any reply.
-    pub fn reply_timeout(mut self, timeout: Duration) -> Self {
-        self.config.reply_timeout = timeout;
         self
     }
 
@@ -211,6 +201,9 @@ pub struct RuntimeCtx {
     /// it into its [`CallPolicy`](crate::CallPolicy) exactly as a
     /// synchronous send error would have been.
     pub batch_failures: Arc<Mutex<HashMap<(u64, u64), NetError>>>,
+    /// The world's actors — Manager, Servers, processes — which run
+    /// whenever a line (or the Manager itself) waits for a message.
+    pub(crate) world: World,
 }
 
 impl RuntimeCtx {
@@ -251,7 +244,6 @@ impl RuntimeCtx {
 pub struct Schooner {
     ctx: RuntimeCtx,
     manager: Option<ManagerHandle>,
-    servers: Vec<Server>,
     line_counter: AtomicU64,
 }
 
@@ -280,6 +272,7 @@ impl Schooner {
             checkpoints,
             incarnations: Arc::new(AtomicU64::new(1)),
             batch_failures: Arc::new(Mutex::new(HashMap::new())),
+            world: World::default(),
         };
         let hosts: Vec<String> = ctx
             .park
@@ -294,12 +287,11 @@ impl Schooner {
                 ctx.config.manager_host
             )));
         }
-        let mut servers = Vec::with_capacity(hosts.len());
         for h in &hosts {
-            servers.push(spawn_server(ctx.clone(), h)?);
+            spawn_server(ctx.clone(), h)?;
         }
         let manager = spawn_manager(ctx.clone())?;
-        Ok(Self { ctx, manager: Some(manager), servers, line_counter: AtomicU64::new(1) })
+        Ok(Self { ctx, manager: Some(manager), line_counter: AtomicU64::new(1) })
     }
 
     /// The standard NPSS world: the two-site testbed topology and machine
@@ -415,9 +407,8 @@ impl Schooner {
     fn shutdown_inner(&mut self) {
         if let Some(manager) = self.manager.take() {
             manager.shutdown(&self.ctx);
-        }
-        for server in self.servers.drain(..) {
-            server.join();
+            // Actors hold a `RuntimeCtx`, which holds the world.
+            self.ctx.world.clear();
         }
     }
 }
@@ -434,13 +425,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_only_named_fields() {
-        let c = SchoonerConfig::builder()
-            .manager_host("ua-sparc10")
-            .reply_timeout(Duration::from_millis(500))
-            .wire_version(uts::WIRE_V1)
-            .build();
+        let c =
+            SchoonerConfig::builder().manager_host("ua-sparc10").wire_version(uts::WIRE_V1).build();
         assert_eq!(c.manager_host, "ua-sparc10");
-        assert_eq!(c.reply_timeout, Duration::from_millis(500));
         assert_eq!(c.wire_version, uts::WIRE_V1);
         let d = SchoonerConfig::default();
         assert_eq!(c.heartbeat_miss_threshold, d.heartbeat_miss_threshold);

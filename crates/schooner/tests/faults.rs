@@ -4,8 +4,6 @@
 //! migration-based failover away from dead hosts, and the typed error
 //! chain surfaced when a policy is exhausted.
 
-use std::time::Duration;
-
 use netsim::{FaultPlan, NetError};
 use schooner::prelude::*;
 
@@ -78,10 +76,9 @@ fn partition_heals_in_virtual_time_and_results_match_baseline() {
 #[test]
 fn seeded_drops_replay_identically_across_runs() {
     let run = |seed: u64| -> (Vec<Vec<Value>>, u64, u64) {
-        // A short reply timeout keeps dropped *replies* cheap: the caller
-        // times out, classifies the loss as transient, and re-sends.
-        let config = SchoonerConfig::builder().reply_timeout(Duration::from_millis(250)).build();
-        let sch = Schooner::standard_with(config).unwrap();
+        // A dropped *reply* leaves the world quiescent: the caller sees
+        // the loss at once, classifies it as transient, and re-sends.
+        let sch = Schooner::standard().unwrap();
         sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
         let mut line = sch.open_line("m", "ua-sparc10").unwrap();
         line.start_remote("/x/cal", "lerc-sgi-4d480").unwrap();

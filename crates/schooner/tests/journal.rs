@@ -4,8 +4,6 @@
 //! live world — including across worlds, where a fresh Manager restores
 //! a dead world's snapshot into a brand-new process.
 
-use std::time::Duration;
-
 use ledger::{RecordKind, RecordTag, Repository};
 use netsim::FaultPlan;
 use schooner::prelude::*;
@@ -36,10 +34,7 @@ fn journal_file(name: &str) -> std::path::PathBuf {
 }
 
 fn quick_config(retention: usize) -> SchoonerConfig {
-    SchoonerConfig::builder()
-        .reply_timeout(Duration::from_millis(250))
-        .checkpoint_retention(retention)
-        .build()
+    SchoonerConfig::builder().checkpoint_retention(retention).build()
 }
 
 /// Every `CheckpointStore` write lands in the journal, retention evicts

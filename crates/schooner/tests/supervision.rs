@@ -8,8 +8,6 @@
 //! successor, and a Manager-held checkpoint of the `state(...)` variables
 //! brings a stateful procedure back to its last barrier.
 
-use std::time::Duration;
-
 use netsim::FaultPlan;
 use schooner::message::Msg;
 use schooner::prelude::*;
@@ -54,19 +52,13 @@ fn accumulator_image() -> ProgramImage {
     .unwrap()
 }
 
-fn quick_config() -> SchoonerConfig {
-    // A short wall-clock reply timeout keeps lost-message waits cheap;
-    // every decision the tests assert on runs in virtual time.
-    SchoonerConfig::builder().reply_timeout(Duration::from_millis(250)).build()
-}
-
 /// A host crash mid-run destroys the accumulator's state; the Manager
 /// respawns it under a fresh incarnation and restores the checkpoint, so
 /// the post-recovery total continues from the snapshot — not from zero,
 /// and not from the never-checkpointed value the crash wiped out.
 #[test]
 fn crash_respawns_and_restores_checkpointed_state() {
-    let sch = Schooner::standard_with(quick_config()).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.ctx().trace.set_enabled(true);
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
@@ -163,7 +155,7 @@ fn delayed_pre_crash_reply_is_fenced_by_incarnation() {
 /// respawn. Below the threshold a slandered process is never restarted.
 #[test]
 fn suspect_counts_misses_to_threshold_before_recovery() {
-    let sch = Schooner::standard_with(quick_config()).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.ctx().trace.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     // Module at U. of Arizona: its routes to both the Manager and the
@@ -208,7 +200,7 @@ fn suspect_counts_misses_to_threshold_before_recovery() {
 /// the decision is trace-visible.
 #[test]
 fn escalate_policy_surfaces_typed_error_instead_of_recovering() {
-    let sch = Schooner::standard_with(quick_config()).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.ctx().trace.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     sch.set_supervision_policy("/x/cal", SupervisionPolicy::Escalate);
@@ -239,7 +231,7 @@ fn escalate_policy_surfaces_typed_error_instead_of_recovering() {
 /// on the crashed host, and the trace shows the whole decision chain.
 #[test]
 fn migrate_policy_respawns_on_replica_host() {
-    let sch = Schooner::standard_with(quick_config()).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.ctx().trace.set_enabled(true);
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-cray-ymp", "lerc-convex"])
         .unwrap();

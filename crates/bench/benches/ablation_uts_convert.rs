@@ -8,9 +8,10 @@
 //! compares against a memcpy-like same-format baseline.
 //!
 //! It also regenerates `BENCH_marshal.json`: a head-to-head of the
-//! legacy tagged codec (wire v1) against the compiled marshal plan
-//! (wire v2) on bulk double arrays, plus the fast-path hit rate a
-//! standard Schooner world achieves after bind-time negotiation. Run
+//! reference tagged codec (wire v1, `uts::wire`, timed directly — the
+//! runtime no longer reaches it) against the compiled marshal plan
+//! (wire v2) the stubs run, on bulk double arrays, plus the share of a
+//! standard Schooner world's call payloads counted on the plan path. Run
 //! with `BENCH_QUICK=1` for the CI smoke configuration; set `BENCH_OUT`
 //! to redirect the JSON.
 
@@ -18,9 +19,11 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use bytes::Bytes;
 use schooner::stub::CompiledStub;
-use schooner::{Schooner, SchoonerConfig};
-use uts::{Architecture, Value, WIRE_V1, WIRE_V2};
+use schooner::Schooner;
+use uts::native::through_native;
+use uts::{Architecture, Type, Value};
 
 fn shaft_stub() -> CompiledStub {
     let file = uts::parse_spec_file(npss::procs::SHAFT_SPEC).unwrap();
@@ -52,6 +55,25 @@ fn burst_stub(len: usize) -> CompiledStub {
 fn burst_args(len: usize) -> Vec<Value> {
     let xs: Vec<f64> = (0..len).map(|i| 1.0 + (i % 128) as f64 * 0.125).collect();
     vec![Value::doubles(&xs)]
+}
+
+/// The reference pipeline's marshal half: sender-native pass, then the
+/// tagged wire encode.
+fn reference_marshal(stub: &CompiledStub, args: &[Value], from: Architecture) -> Bytes {
+    let native: Vec<Value> = args
+        .iter()
+        .zip(&stub.input_types)
+        .map(|(v, ty)| through_native(v, ty, from).unwrap())
+        .collect();
+    uts::wire::encode_values(&native).unwrap()
+}
+
+/// The reference pipeline's unmarshal half: tagged wire decode, then the
+/// receiver-native pass.
+fn reference_unmarshal(stub: &CompiledStub, wire: Bytes, to: Architecture) -> Vec<Value> {
+    let types: Vec<&Type> = stub.input_types.iter().collect();
+    let decoded = uts::wire::decode_values(wire, &types).unwrap();
+    decoded.iter().zip(&types).map(|(v, ty)| through_native(v, ty, to).unwrap()).collect()
 }
 
 fn quick() -> bool {
@@ -86,41 +108,39 @@ fn compare(len: usize, from: Architecture, to: Architecture, pair: &'static str)
     let args = burst_args(len);
     let iters = if quick() { 20 } else { 200 };
 
-    let bytes_v1 = stub.marshal_inputs(&args, from).unwrap().len();
-    let bytes_v2 = stub.marshal_inputs_wire(&args, from, WIRE_V2).unwrap().len();
+    let bytes_v1 = reference_marshal(&stub, &args, from).len();
+    let bytes_v2 = stub.marshal_inputs(&args, from).unwrap().len();
 
     let v1_ns = time_per_elem(iters, len, || {
-        let wire = stub.marshal_inputs(&args, from).unwrap();
-        stub.unmarshal_inputs(wire, to).unwrap();
+        let wire = reference_marshal(&stub, &args, from);
+        reference_unmarshal(&stub, wire, to);
     });
     let v2_ns = time_per_elem(iters, len, || {
-        let wire = stub.marshal_inputs_wire(&args, from, WIRE_V2).unwrap();
-        stub.unmarshal_inputs_any(wire, to).unwrap();
+        let wire = stub.marshal_inputs(&args, from).unwrap();
+        stub.unmarshal_inputs(wire, to).unwrap();
     });
     Row { pair, elems: len, bytes_v1, bytes_v2, v1_ns, v2_ns }
 }
 
-/// Drive a few calls through a world and report the share of call
-/// payloads that took the compiled-plan fast path, as counted by the
-/// `uts.*` metrics.
-fn hit_rate(config: SchoonerConfig) -> f64 {
-    let sch = Schooner::standard_with(config).unwrap();
+/// Drive a few calls through a standard world and report the share of
+/// marshaled payloads (one request and one reply per call) that the
+/// `uts.fast_path_hits` counter saw on the compiled-plan path.
+fn hit_rate() -> f64 {
+    const CALLS: u64 = 8;
+    let sch = Schooner::standard().unwrap();
     sch.install_program("/bench/hits", bench::payload_image(256), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("hits", "lerc-sparc10").unwrap();
     line.start_remote("/bench/hits", "lerc-sgi-4d480").unwrap();
     let xs = Value::floats(&vec![1.0f32; 256]);
-    for _ in 0..8 {
+    for _ in 0..CALLS {
         line.call("blast", std::slice::from_ref(&xs)).unwrap();
     }
     line.quit().unwrap();
-    let m = sch.ctx().obs.metrics();
-    let fast = m.counter("uts.fast_path_hits") as f64;
-    let legacy = m.counter("uts.legacy_path_hits") as f64;
-    fast / (fast + legacy)
+    sch.ctx().obs.metrics().counter("uts.fast_path_hits") as f64 / (2 * CALLS) as f64
 }
 
 fn bench_plan_vs_legacy() {
-    println!("\n=== Compiled marshal plan (wire v2) vs legacy tagged codec (wire v1) ===");
+    println!("\n=== Compiled marshal plan (wire v2) vs reference tagged codec (wire v1) ===");
     println!("payload: array of double, exact-representable values; round trip\n");
 
     let sizes = [64usize, 512, 4096];
@@ -149,9 +169,8 @@ fn bench_plan_vs_legacy() {
         );
     }
 
-    let v2_rate = hit_rate(SchoonerConfig::default());
-    let v1_rate = hit_rate(SchoonerConfig::builder().wire_version(WIRE_V1).build());
-    println!("\nfast-path hit rate: {v2_rate:.2} (standard world), {v1_rate:.2} (forced wire v1)");
+    let v2_rate = hit_rate();
+    println!("\nfast-path hit rate: {v2_rate:.2} (standard world)");
 
     // Acceptance criteria: >= 5x on the same-byte-order 4096-double
     // round trip, and the conversion pairs must not regress.
@@ -170,8 +189,7 @@ fn bench_plan_vs_legacy() {
             r.v1_ns
         );
     }
-    assert!((v2_rate - 1.0).abs() < f64::EPSILON, "negotiated world must take the fast path");
-    assert!(v1_rate == 0.0, "forced-v1 world must take the legacy path");
+    assert!((v2_rate - 1.0).abs() < f64::EPSILON, "every payload must take the plan path");
 
     // Machine-readable record for the CI artifact.
     let mut json = String::from("{\n  \"bench\": \"marshal_plan_vs_legacy\",\n");
@@ -191,7 +209,7 @@ fn bench_plan_vs_legacy() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"fast_path_hit_rate\": {{\"negotiated\": {v2_rate:.2}, \"forced_v1\": {v1_rate:.2}}}\n}}\n"
+        "  ],\n  \"fast_path_hit_rate\": {{\"negotiated\": {v2_rate:.2}}}\n}}\n"
     ));
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_marshal.json").into()
@@ -219,8 +237,8 @@ fn bench_convert(c: &mut Criterion) {
     for (from, to, label) in pairs {
         group.bench_with_input(BenchmarkId::from_parameter(label), &(from, to), |b, &(f, t)| {
             b.iter(|| {
-                let wire = stub.marshal_inputs(&args, f).unwrap();
-                stub.unmarshal_inputs(wire, t).unwrap()
+                let wire = reference_marshal(&stub, &args, f);
+                reference_unmarshal(&stub, wire, t)
             });
         });
     }
@@ -231,8 +249,8 @@ fn bench_convert(c: &mut Criterion) {
     for (from, to, label) in pairs {
         group.bench_with_input(BenchmarkId::from_parameter(label), &(from, to), |b, &(f, t)| {
             b.iter(|| {
-                let wire = stub.marshal_inputs_wire(&args, f, WIRE_V2).unwrap();
-                stub.unmarshal_inputs_any(wire, t).unwrap()
+                let wire = stub.marshal_inputs(&args, f).unwrap();
+                stub.unmarshal_inputs(wire, t).unwrap()
             });
         });
     }

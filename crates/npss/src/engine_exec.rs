@@ -363,164 +363,123 @@ impl ExecutiveEngine {
         }
     }
 
-    /// Run one execution wave: sync every participating remote line to a
-    /// common start instant, issue all requests in slot order, then
-    /// collect all replies in slot order. `calls` must be sorted by slot
-    /// index. Every pending call is drained even after a failure (a line
-    /// with a ticket outstanding accepts no other traffic); when several
-    /// calls in the wave fail, the error reported is the one lowest in
-    /// slot order, so the outcome never depends on reply arrival order.
-    fn call_wave(
+    /// Run a group of adapted-module calls, `calls` sorted by slot index.
+    ///
+    /// Without `overlap` they go out one blocking call at a time in the
+    /// order given and the first error is returned as is. With it the
+    /// group is one execution wave: every participating remote line is
+    /// synced to a common start instant, all requests are issued in slot
+    /// order, then all replies are collected in slot order. Every pending
+    /// call is drained even after a failure (a line with a ticket
+    /// outstanding accepts no other traffic); when several calls in the
+    /// wave fail, the error reported is the one lowest in slot order, so
+    /// the outcome never depends on reply arrival order.
+    ///
+    /// Groups are fixed-size arrays on the caller's stack, so the
+    /// sequential sweep pays nothing for sharing this path.
+    fn call_group<const N: usize>(
         &mut self,
-        calls: &[(usize, &'static str, Vec<Value>)],
-    ) -> Result<Vec<Vec<Value>>, String> {
+        overlap: bool,
+        calls: [(usize, &'static str, &[Value]); N],
+    ) -> Result<[Vec<Value>; N], String> {
+        let mut outs: [Vec<Value>; N] = std::array::from_fn(|_| Vec::new());
+        if !overlap {
+            for (out, (slot, name, args)) in outs.iter_mut().zip(calls) {
+                *out = self.slots[slot].exec.call(name, args)?;
+            }
+            return Ok(outs);
+        }
         let mut t0 = 0.0_f64;
         for (slot, _, _) in calls {
-            if let Exec::Remote(r) = &mut self.slots[*slot].exec {
+            if let Exec::Remote(r) = &mut self.slots[slot].exec {
                 t0 = t0.max(r.line_mut().now());
             }
         }
         for (slot, _, _) in calls {
-            if let Exec::Remote(r) = &mut self.slots[*slot].exec {
+            if let Exec::Remote(r) = &mut self.slots[slot].exec {
                 r.line_mut().sync_to(t0);
             }
         }
-        let mut pending = Vec::with_capacity(calls.len());
-        for (slot, name, args) in calls {
-            pending.push(self.slots[*slot].exec.begin(name, args));
-        }
-        let mut outs = Vec::with_capacity(calls.len());
-        let mut first_err: Option<(usize, String)> = None;
-        for ((slot, name, _), p) in calls.iter().zip(pending) {
-            match self.slots[*slot].exec.finish(p) {
-                Ok(o) => outs.push(o),
+        let pending = calls.map(|(slot, name, args)| self.slots[slot].exec.begin(name, args));
+        let mut first_err: Option<String> = None;
+        for ((out, (slot, name, _)), p) in outs.iter_mut().zip(calls).zip(pending) {
+            match self.slots[slot].exec.finish(p) {
+                Ok(o) => *out = o,
+                // `calls` is in slot order: the first failure met is the
+                // lowest slot's.
                 Err(e) => {
-                    outs.push(Vec::new());
-                    let msg = format!("{} ({name}): {e}", self.slots[*slot].slot);
-                    if first_err.as_ref().is_none_or(|(s, _)| slot < s) {
-                        first_err = Some((*slot, msg));
-                    }
+                    first_err
+                        .get_or_insert_with(|| format!("{} ({name}): {e}", self.slots[slot].slot));
                 }
             }
         }
         match first_err {
-            Some((_, msg)) => Err(msg),
+            Some(msg) => Err(msg),
             None => Ok(outs),
         }
     }
 
     /// Run the once-per-simulation `set…` procedures: parameter
     /// validation for duct/combustor/nozzle and the shaft balance
-    /// corrections from the design-point powers.
+    /// corrections from the design-point powers. Configuration has no
+    /// dataflow between components — each `set…` call only touches its
+    /// own module — so under the wave scheduler all six go out as one
+    /// full-width wave, each parameter set riding its component's line.
     pub fn setup(&mut self) -> Result<(), String> {
-        if self.scheduling == Scheduling::WaveParallel {
-            return self.setup_wave();
-        }
-        let cy = self.engine.cycle.clone();
-        let d = self.engine.design.clone();
-        self.slots[BYPASS_DUCT].exec.call("setduct", &[Value::Float(cy.bypass_dp as f32)])?;
-        self.slots[TAILPIPE].exec.call("setduct", &[Value::Float(cy.tailpipe_dp as f32)])?;
-        self.slots[COMBUSTOR].exec.call(
-            "setcomb",
-            &[Value::Float(cy.comb_eta as f32), Value::Float(cy.comb_dp as f32)],
-        )?;
-        self.slots[NOZZLE].exec.call(
-            "setnozl",
-            &[
-                Value::Float(d.nozzle_area as f32),
-                Value::Float(cy.nozzle_cd as f32),
-                Value::Float(cy.nozzle_cv as f32),
-            ],
-        )?;
-        let ecorr_of = |out: Vec<Value>| -> Result<f32, String> {
-            match out.first() {
-                Some(Value::Float(x)) => Ok(*x),
-                other => Err(format!("setshaft returned {other:?}")),
-            }
-        };
-        let lp = self.slots[LP_SHAFT].exec.call(
-            "setshaft",
-            &[
-                Value::floats(&[d.p_fan as f32, 0.0, 0.0, 0.0]),
-                Value::Integer(1),
-                Value::floats(&[d.p_lpt as f32, 0.0, 0.0, 0.0]),
-                Value::Integer(1),
-            ],
-        )?;
-        self.ecorr_lp = Some(ecorr_of(lp)?);
-        let hp = self.slots[HP_SHAFT].exec.call(
-            "setshaft",
-            &[
-                Value::floats(&[d.p_hpc as f32, 0.0, 0.0, 0.0]),
-                Value::Integer(1),
-                Value::floats(&[d.p_hpt as f32, 0.0, 0.0, 0.0]),
-                Value::Integer(1),
-            ],
-        )?;
-        self.ecorr_hp = Some(ecorr_of(hp)?);
-        Ok(())
-    }
-
-    /// `setup` for the wave scheduler. Configuration has no dataflow
-    /// between components — each `set…` call only touches its own module
-    /// — so all six go out as one full-width wave, and each parameter
-    /// set rides the owning component's line.
-    fn setup_wave(&mut self) -> Result<(), String> {
-        let cy = self.engine.cycle.clone();
-        let d = self.engine.design.clone();
+        let cy = &self.engine.cycle;
+        let d = &self.engine.design;
         let shaft_args = |p_c: f64, p_t: f64| {
-            vec![
+            [
                 Value::floats(&[p_c as f32, 0.0, 0.0, 0.0]),
                 Value::Integer(1),
                 Value::floats(&[p_t as f32, 0.0, 0.0, 0.0]),
                 Value::Integer(1),
             ]
         };
-        let calls = [
-            (BYPASS_DUCT, "setduct", vec![Value::Float(cy.bypass_dp as f32)]),
-            (TAILPIPE, "setduct", vec![Value::Float(cy.tailpipe_dp as f32)]),
-            (
-                COMBUSTOR,
-                "setcomb",
-                vec![Value::Float(cy.comb_eta as f32), Value::Float(cy.comb_dp as f32)],
-            ),
-            (
-                NOZZLE,
-                "setnozl",
-                vec![
-                    Value::Float(d.nozzle_area as f32),
-                    Value::Float(cy.nozzle_cd as f32),
-                    Value::Float(cy.nozzle_cv as f32),
-                ],
-            ),
-            (LP_SHAFT, "setshaft", shaft_args(d.p_fan, d.p_lpt)),
-            (HP_SHAFT, "setshaft", shaft_args(d.p_hpc, d.p_hpt)),
+        let bypass = [Value::Float(cy.bypass_dp as f32)];
+        let tailpipe = [Value::Float(cy.tailpipe_dp as f32)];
+        let comb = [Value::Float(cy.comb_eta as f32), Value::Float(cy.comb_dp as f32)];
+        let nozzle = [
+            Value::Float(d.nozzle_area as f32),
+            Value::Float(cy.nozzle_cd as f32),
+            Value::Float(cy.nozzle_cv as f32),
         ];
-        let outs = self.call_wave(&calls)?;
+        let lp = shaft_args(d.p_fan, d.p_lpt);
+        let hp = shaft_args(d.p_hpc, d.p_hpt);
+        let [.., lp_out, hp_out] = self.call_group(
+            self.scheduling == Scheduling::WaveParallel,
+            [
+                (BYPASS_DUCT, "setduct", &bypass),
+                (TAILPIPE, "setduct", &tailpipe),
+                (COMBUSTOR, "setcomb", &comb),
+                (NOZZLE, "setnozl", &nozzle),
+                (LP_SHAFT, "setshaft", &lp),
+                (HP_SHAFT, "setshaft", &hp),
+            ],
+        )?;
         let ecorr_of = |out: &[Value]| -> Result<f32, String> {
             match out.first() {
                 Some(Value::Float(x)) => Ok(*x),
                 other => Err(format!("setshaft returned {other:?}")),
             }
         };
-        self.ecorr_lp = Some(ecorr_of(&outs[4])?);
-        self.ecorr_hp = Some(ecorr_of(&outs[5])?);
+        self.ecorr_lp = Some(ecorr_of(&lp_out)?);
+        self.ecorr_hp = Some(ecorr_of(&hp_out)?);
         Ok(())
-    }
-
-    fn call_duct(
-        exec: &mut Exec,
-        flow: &tess::GasState,
-        dp: f64,
-    ) -> Result<tess::GasState, String> {
-        let out =
-            exec.call("duct", &[flow_to_value(flow), Value::Float(dp as f32), Value::Float(0.0)])?;
-        value_to_flow(&out[0])
     }
 
     /// Evaluate the gas path with the adapted components routed through
     /// their executors. Same unknowns/residuals as
     /// [`tess::Turbofan::evaluate`].
+    ///
+    /// The bypass duct and the combustor are independent in the AVS
+    /// graph, so they form one call group — a wave under the wave
+    /// scheduler, two blocking calls otherwise. The local HPC and bleed
+    /// computations run ahead of the group so both sets of arguments
+    /// exist before either request is issued; executive-side physics is
+    /// charged to no line, so the order is invisible on every clock, and
+    /// every number that feeds a residual is computed from the same
+    /// inputs in the same precision either way.
     pub fn evaluate(
         &mut self,
         n1: f64,
@@ -528,11 +487,6 @@ impl ExecutiveEngine {
         wf: f64,
         x: &[f64; 5],
     ) -> Result<OperatingPoint, String> {
-        if self.scheduling == Scheduling::WaveParallel
-            && self.wave_plan.same_wave("bypass duct", "combustor")
-        {
-            return self.evaluate_wave(n1, n2, wf, x);
-        }
         let e = &self.engine;
         let [beta_fan, beta_hpc, er_hpt, er_lpt, bpr_frac] = *x;
         if !(0.1..=8.0).contains(&bpr_frac) {
@@ -553,156 +507,32 @@ impl ExecutiveEngine {
         let st21 = fan_res.exit;
         let (st25, bypass) = tess::components::Splitter::new(bpr).split(&st21);
 
-        // Adapted module: bypass duct.
-        let st16 = Self::call_duct(&mut self.slots[BYPASS_DUCT].exec, &bypass, cy.bypass_dp)?;
-
-        let e = &self.engine;
         let hpc_res = e.hpc.operate(&st25, n2, beta_hpc, e.stators.hpc_deg)?;
         let st3 = hpc_res.exit;
         let r_hpc = (hpc_res.wc_map - st25.corrected_flow()) / d.st25.corrected_flow();
-
         let (st3m, _) = e.bleed.extract(&st3);
 
-        // Adapted module: combustor.
-        let comb_out = self.slots[COMBUSTOR].exec.call(
-            "comb",
-            &[
-                flow_to_value(&st3m),
-                Value::Float(wf as f32),
-                Value::Float(cy.comb_eta as f32),
-                Value::Float(cy.comb_dp as f32),
-            ],
+        // Adapted modules: bypass duct and combustor.
+        let duct_args =
+            [flow_to_value(&bypass), Value::Float(cy.bypass_dp as f32), Value::Float(0.0)];
+        let comb_args = [
+            flow_to_value(&st3m),
+            Value::Float(wf as f32),
+            Value::Float(cy.comb_eta as f32),
+            Value::Float(cy.comb_dp as f32),
+        ];
+        let overlap = self.scheduling == Scheduling::WaveParallel
+            && self.wave_plan.same_wave("bypass duct", "combustor");
+        let [duct_out, comb_out] = self.call_group(
+            overlap,
+            [(BYPASS_DUCT, "duct", &duct_args), (COMBUSTOR, "comb", &comb_args)],
         )?;
+        let st16 = value_to_flow(&duct_out[0])?;
         let st4 = value_to_flow(&comb_out[0])?;
 
         let e = &self.engine;
-        let hpt_res = e.hpt.operate(&st4, n2, er_hpt)?;
-        let st45 = hpt_res.exit;
-        let r_hpt = (hpt_res.wc_map - st4.corrected_flow()) / d.st4.corrected_flow();
-
-        let lpt_res = e.lpt.operate(&st45, n1, er_lpt)?;
-        let st5 = lpt_res.exit;
-        let r_lpt = (lpt_res.wc_map - st45.corrected_flow()) / d.st45.corrected_flow();
-
-        let design_mix_ratio = d.st5.pt / d.st16.pt;
-        let r_mix = (st5.pt / st16.pt) / design_mix_ratio - 1.0;
-
-        let st6 = e.mixer.mix(&st5, &st16);
-
-        // Adapted module: tailpipe duct.
-        let st7 = Self::call_duct(&mut self.slots[TAILPIPE].exec, &st6, cy.tailpipe_dp)?;
-
-        // Adapted module: nozzle.
-        let e = &self.engine;
-        let nz_out = self.slots[NOZZLE].exec.call(
-            "nozl",
-            &[
-                flow_to_value(&st7),
-                Value::Float(e.flight.p_amb as f32),
-                Value::Float(d.nozzle_area as f32),
-                Value::Float(cy.nozzle_cd as f32),
-                Value::Float(cy.nozzle_cv as f32),
-            ],
-        )?;
-        let nz =
-            nz_out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
-        let (w_capacity, gross_thrust) = (nz[0] as f64, nz[1] as f64);
-        let e = &self.engine;
-        let r_noz = (w_capacity - st7.w) / e.design.st7.w;
-
-        let ram_drag =
-            st2.w * tess::components::Inlet::flight_velocity(e.flight.t_amb, e.flight.mach);
-        let thrust = gross_thrust - ram_drag;
-
-        Ok(OperatingPoint {
-            n1,
-            n2,
-            wf,
-            st2,
-            st21,
-            st25,
-            st16,
-            st3,
-            st4,
-            st45,
-            st5,
-            st6,
-            st7,
-            p_fan: fan_res.power,
-            p_hpc: hpc_res.power,
-            p_hpt: hpt_res.power,
-            p_lpt: lpt_res.power,
-            thrust,
-            sfc: if thrust > 0.0 { wf / thrust } else { f64::NAN },
-            bpr,
-            flow_residuals: [r_hpc, r_hpt, r_lpt, r_noz, r_mix],
-        })
-    }
-
-    /// [`ExecutiveEngine::evaluate`] under the wave scheduler: the same
-    /// math in the same precision, but the bypass duct and the combustor
-    /// — independent in the AVS graph — go out as one wave. The local
-    /// fan/HPC/bleed computations are hoisted ahead of the wave so both
-    /// sets of arguments exist before either request is issued; every
-    /// number that feeds a residual is computed from the same inputs as
-    /// the sequential sweep, so the two paths agree bit for bit.
-    fn evaluate_wave(
-        &mut self,
-        n1: f64,
-        n2: f64,
-        wf: f64,
-        x: &[f64; 5],
-    ) -> Result<OperatingPoint, String> {
-        let e = &self.engine;
-        let [beta_fan, beta_hpc, er_hpt, er_lpt, bpr_frac] = *x;
-        if !(0.1..=8.0).contains(&bpr_frac) {
-            return Err(format!("bypass-ratio fraction {bpr_frac} outside model range"));
-        }
-        let bpr = e.cycle.bpr * bpr_frac;
-        let cy = e.cycle.clone();
-        let d = e.design.clone();
-
-        let probe = e.inlet.capture(e.flight.t_amb, e.flight.p_amb, e.flight.mach, 1.0);
-        let nc_fan = e.fan.corrected_speed(n1, probe.tt);
-        let fan_pt = e.fan.map.lookup(nc_fan, beta_fan).map_err(|err| format!("fan: {err}"))?;
-        let wc_fan = fan_pt.wc * (1.0 + 0.008 * e.stators.fan_deg);
-        let w2 = wc_fan * (probe.pt / tess::gas::P_STD) / (probe.tt / tess::gas::T_STD).sqrt();
-        let st2 = tess::GasState::new(w2, probe.tt, probe.pt, 0.0);
-
-        let fan_res = e.fan.operate(&st2, n1, beta_fan, e.stators.fan_deg)?;
-        let st21 = fan_res.exit;
-        let (st25, bypass) = tess::components::Splitter::new(bpr).split(&st21);
-
-        // Local HPC + bleed first: the combustor's wave arguments depend
-        // on them, the bypass duct's don't.
-        let hpc_res = e.hpc.operate(&st25, n2, beta_hpc, e.stators.hpc_deg)?;
-        let st3 = hpc_res.exit;
-        let r_hpc = (hpc_res.wc_map - st25.corrected_flow()) / d.st25.corrected_flow();
-        let (st3m, _) = e.bleed.extract(&st3);
-
-        // Wave: bypass duct and combustor are independent in the graph.
-        let calls = [
-            (
-                BYPASS_DUCT,
-                "duct",
-                vec![flow_to_value(&bypass), Value::Float(cy.bypass_dp as f32), Value::Float(0.0)],
-            ),
-            (
-                COMBUSTOR,
-                "comb",
-                vec![
-                    flow_to_value(&st3m),
-                    Value::Float(wf as f32),
-                    Value::Float(cy.comb_eta as f32),
-                    Value::Float(cy.comb_dp as f32),
-                ],
-            ),
-        ];
-        let outs = self.call_wave(&calls)?;
-        let st16 = value_to_flow(&outs[0][0])?;
-        let st4 = value_to_flow(&outs[1][0])?;
-
-        let e = &self.engine;
+        let cy = &e.cycle;
+        let d = &e.design;
         let hpt_res = e.hpt.operate(&st4, n2, er_hpt)?;
         let st45 = hpt_res.exit;
         let r_hpt = (hpt_res.wc_map - st4.corrected_flow()) / d.st4.corrected_flow();
@@ -717,10 +547,13 @@ impl ExecutiveEngine {
         let st6 = e.mixer.mix(&st5, &st16);
 
         // Adapted module: tailpipe duct (a singleton wave in the plan).
-        let st7 = Self::call_duct(&mut self.slots[TAILPIPE].exec, &st6, cy.tailpipe_dp)?;
+        let tailpipe_out = self.slots[TAILPIPE].exec.call(
+            "duct",
+            &[flow_to_value(&st6), Value::Float(cy.tailpipe_dp as f32), Value::Float(0.0)],
+        )?;
+        let st7 = value_to_flow(&tailpipe_out[0])?;
 
         // Adapted module: nozzle (likewise a singleton wave).
-        let e = &self.engine;
         let nz_out = self.slots[NOZZLE].exec.call(
             "nozl",
             &[
@@ -734,8 +567,7 @@ impl ExecutiveEngine {
         let nz =
             nz_out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
         let (w_capacity, gross_thrust) = (nz[0] as f64, nz[1] as f64);
-        let e = &self.engine;
-        let r_noz = (w_capacity - st7.w) / e.design.st7.w;
+        let r_noz = (w_capacity - st7.w) / d.st7.w;
 
         let ram_drag =
             st2.w * tess::components::Inlet::flight_velocity(e.flight.t_amb, e.flight.mach);
@@ -766,57 +598,13 @@ impl ExecutiveEngine {
         })
     }
 
-    /// Spool accelerations through the shaft executors (RPM/s).
+    /// Spool accelerations through the shaft executors (RPM/s). The two
+    /// shafts share no state: one wave under the wave scheduler.
     pub fn spool_accels(&mut self, op: &OperatingPoint) -> Result<(f64, f64), String> {
-        if self.scheduling == Scheduling::WaveParallel
-            && self.wave_plan.same_wave("low speed shaft", "high speed shaft")
-        {
-            return self.spool_accels_wave(op);
-        }
         let ecorr_lp = self.ecorr_lp.ok_or("setup() not run")?;
         let ecorr_hp = self.ecorr_hp.ok_or("setup() not run")?;
-        let i1 = self.engine.cycle.i1;
-        let i2 = self.engine.cycle.i2;
-        let shaft_call = |exec: &mut Exec,
-                          p_c: f64,
-                          p_t: f64,
-                          ecorr: f32,
-                          n: f64,
-                          inertia: f64|
-         -> Result<f64, String> {
-            let out = exec.call(
-                "shaft",
-                &[
-                    Value::floats(&[p_c as f32, 0.0, 0.0, 0.0]),
-                    Value::Integer(1),
-                    Value::floats(&[p_t as f32, 0.0, 0.0, 0.0]),
-                    Value::Integer(1),
-                    Value::Float(ecorr),
-                    Value::Float(n as f32),
-                    Value::Float(inertia as f32),
-                ],
-            )?;
-            match out.first() {
-                Some(Value::Float(x)) => Ok(*x as f64),
-                other => Err(format!("shaft returned {other:?}")),
-            }
-        };
-        let a1 =
-            shaft_call(&mut self.slots[LP_SHAFT].exec, op.p_fan, op.p_lpt, ecorr_lp, op.n1, i1)?;
-        let a2 =
-            shaft_call(&mut self.slots[HP_SHAFT].exec, op.p_hpc, op.p_hpt, ecorr_hp, op.n2, i2)?;
-        Ok((a1, a2))
-    }
-
-    /// [`ExecutiveEngine::spool_accels`] under the wave scheduler: the
-    /// two shafts share no state and form one wave.
-    fn spool_accels_wave(&mut self, op: &OperatingPoint) -> Result<(f64, f64), String> {
-        let ecorr_lp = self.ecorr_lp.ok_or("setup() not run")?;
-        let ecorr_hp = self.ecorr_hp.ok_or("setup() not run")?;
-        let i1 = self.engine.cycle.i1;
-        let i2 = self.engine.cycle.i2;
         let shaft_args = |p_c: f64, p_t: f64, ecorr: f32, n: f64, inertia: f64| {
-            vec![
+            [
                 Value::floats(&[p_c as f32, 0.0, 0.0, 0.0]),
                 Value::Integer(1),
                 Value::floats(&[p_t as f32, 0.0, 0.0, 0.0]),
@@ -826,18 +614,19 @@ impl ExecutiveEngine {
                 Value::Float(inertia as f32),
             ]
         };
-        let calls = [
-            (LP_SHAFT, "shaft", shaft_args(op.p_fan, op.p_lpt, ecorr_lp, op.n1, i1)),
-            (HP_SHAFT, "shaft", shaft_args(op.p_hpc, op.p_hpt, ecorr_hp, op.n2, i2)),
-        ];
-        let outs = self.call_wave(&calls)?;
+        let lp = shaft_args(op.p_fan, op.p_lpt, ecorr_lp, op.n1, self.engine.cycle.i1);
+        let hp = shaft_args(op.p_hpc, op.p_hpt, ecorr_hp, op.n2, self.engine.cycle.i2);
+        let overlap = self.scheduling == Scheduling::WaveParallel
+            && self.wave_plan.same_wave("low speed shaft", "high speed shaft");
+        let [lp_out, hp_out] =
+            self.call_group(overlap, [(LP_SHAFT, "shaft", &lp), (HP_SHAFT, "shaft", &hp)])?;
         let accel_of = |out: &[Value]| -> Result<f64, String> {
             match out.first() {
                 Some(Value::Float(x)) => Ok(*x as f64),
                 other => Err(format!("shaft returned {other:?}")),
             }
         };
-        Ok((accel_of(&outs[0])?, accel_of(&outs[1])?))
+        Ok((accel_of(&lp_out)?, accel_of(&hp_out)?))
     }
 
     /// Solve the four inner flow-match unknowns at fixed speeds and fuel.

@@ -120,8 +120,8 @@ impl ComponentCall for LocalExec {
 /// call switches the executor permanently to the *original
 /// local-compute-only version*: configuration calls (`set…`) already made
 /// remotely are replayed into the fallback so it starts from the same
-/// parameters, the degradation is recorded in the [`schooner::Trace`],
-/// and the simulation continues on baseline numbers.
+/// parameters, the degradation is recorded in the world's
+/// [`schooner::Obs`], and the simulation continues on baseline numbers.
 pub struct RemoteExec {
     line: LineHandle,
     host: String,

@@ -39,8 +39,8 @@ pub fn work_image(name: &str, flops: f64) -> ProgramImage {
 /// Returns the rendered control-transfer trace.
 pub fn run_fig1_program(sch: &Arc<Schooner>) -> Result<String, String> {
     let ctx = sch.ctx();
-    ctx.trace.set_enabled(true);
-    ctx.trace.clear();
+    ctx.obs.set_enabled(true);
+    ctx.obs.clear_events();
 
     sch.install_program("/fig1/p1", work_image("p1-vector", 5.0e7), &["lerc-cray-ymp"])
         .map_err(|e| e.to_string())?;
@@ -77,8 +77,8 @@ pub fn run_fig1_program(sch: &Arc<Schooner>) -> Result<String, String> {
     line2.quit().map_err(|e| e.to_string())?;
     line3.quit().map_err(|e| e.to_string())?;
 
-    let mut rendered = ctx.trace.render();
-    ctx.trace.set_enabled(false);
+    let mut rendered = ctx.obs.render();
+    ctx.obs.set_enabled(false);
 
     // Where the time goes when control crosses machines — straight from
     // the call spans, not from parsing the trace text.

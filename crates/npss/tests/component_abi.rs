@@ -133,7 +133,7 @@ fn afterburner_runs_out_of_process_bit_identically() {
 #[test]
 fn stateful_component_checkpoint_survives_host_crash() {
     let sch = world();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     let registry = ComponentRegistry::builtin();
     let hosts = all_hosts(&sch);
     let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
@@ -185,7 +185,7 @@ fn stateful_component_checkpoint_survives_host_crash() {
         assert_eq!(bits_of(&r), bits_of(&l), "post-recovery output {i} must be bit-identical");
     }
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("respawned"), "{rendered}");
 
     remote.destroy();

@@ -20,7 +20,7 @@ fn exhausted_policy_degrades_to_local_baseline() {
     let expected = baseline.call("duct", &duct_args()).unwrap();
 
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/npss/duct", duct_image(), &["lerc-sgi-4d480"]).unwrap();
     let line = sch.open_line("duct", "lerc-sparc10").unwrap();
     let policy = CallPolicy::new()
@@ -51,7 +51,7 @@ fn exhausted_policy_degrades_to_local_baseline() {
     let again = exec.call("duct", &duct_args()).unwrap();
     assert_eq!(again, expected);
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("degraded 'duct' to local fallback"), "{rendered}");
     sch.shutdown();
 }

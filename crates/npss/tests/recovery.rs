@@ -124,7 +124,7 @@ fn cray_crash_absorbed_by_call_policy_is_bit_identical() {
     let (reference, t_start, t_stop) = baseline(&policy, 5);
 
     let sch = world();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     let mut exec = table2_engine(&sch, &policy, 5);
     // Crash the Cray a little past mid-run; it reboots two virtual
     // seconds later, well within the policy's backoff budget.
@@ -139,7 +139,7 @@ fn cray_crash_absorbed_by_call_policy_is_bit_identical() {
     assert_eq!(exec.recoveries, 0, "the RPC layer must have absorbed the crash");
     assert_bit_identical(&result, &reference);
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("declared"), "{rendered}");
     assert!(rendered.contains("respawned '/npss/npss-duct' on lerc-cray-ymp"), "{rendered}");
 
@@ -157,7 +157,7 @@ fn cray_crash_rolls_back_to_checkpoint_and_recovers_bit_identically() {
     let (reference, t_start, t_stop) = baseline(&policy, 4);
 
     let sch = world();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     let mut exec = table2_engine(&sch, &policy, 4);
     exec.max_recoveries = 20;
     // A window the two-attempt policy cannot ride through: steps failing
@@ -175,7 +175,7 @@ fn cray_crash_rolls_back_to_checkpoint_and_recovers_bit_identically() {
     assert!(exec.recoveries >= 1, "the crash must have forced a checkpoint rollback");
     assert_bit_identical(&result, &reference);
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("resuming from checkpoint"), "{rendered}");
     assert!(rendered.contains("respawned '/npss/npss-duct' on lerc-cray-ymp"), "{rendered}");
 

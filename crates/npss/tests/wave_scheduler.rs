@@ -223,6 +223,36 @@ fn f100_network_parallel_run_matches_sequential() {
 /// the full-width configuration wave loses the Cray (bypass duct,
 /// tailpipe duct) and the UA SGI (combustor) at once, and the error is
 /// always the bypass duct's.
+/// A fault the executive finds in its own physics — here a β outside the
+/// HPC map — is reported before any component of that evaluation has been
+/// called, under either scheduler: the local HPC runs ahead of the bypass
+/// duct / combustor group in the one sweep both modes share. (A sequential
+/// sweep of its own used to have called the bypass duct by then.)
+#[test]
+fn hpc_map_excursion_fails_before_any_component_call() {
+    for scheduling in [Scheduling::Sequential, Scheduling::WaveParallel] {
+        let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
+        exec.scheduling = scheduling;
+        exec.wave_plan = f100_waves();
+        exec.setup().unwrap();
+        let calls =
+            |e: &ExecutiveEngine| -> Vec<u64> { e.report_rows().iter().map(|r| r.calls).collect() };
+        let before = calls(&exec);
+        assert_eq!(before, [1; 6], "setup configures every slot once");
+
+        let (cy, d) = (exec.engine.cycle.clone(), exec.engine.design.clone());
+        let on_map = [0.5, 0.5, d.er_hpt, d.er_lpt, 1.0];
+        let off_map = [0.5, 7.0, d.er_hpt, d.er_lpt, 1.0];
+        let err = exec.evaluate(cy.n1_design, cy.n2_design, d.wf, &off_map).unwrap_err();
+        assert!(err.contains("coordinate 7 outside table range"), "{scheduling:?}: {err}");
+        assert_eq!(calls(&exec), before, "{scheduling:?}: no slot was called");
+
+        // The same point on the map reaches all four gas-path slots.
+        exec.evaluate(cy.n1_design, cy.n2_design, d.wf, &on_map).unwrap();
+        assert_eq!(calls(&exec), [2, 2, 2, 2, 1, 1], "{scheduling:?}");
+    }
+}
+
 #[test]
 fn two_failures_in_one_wave_report_first_by_slot_order() {
     let sch = world();

@@ -92,7 +92,6 @@ pub mod server;
 pub mod stub;
 pub mod supervise;
 pub mod system;
-pub mod trace;
 mod world;
 
 pub use error::{SchError, SchResult};
@@ -111,7 +110,6 @@ pub use proc::{FnProcedure, ProcFault, ProcResult, Procedure, StatefulProcedure}
 pub use program::{ProgramImage, ProgramRegistry};
 pub use supervise::{CheckpointStore, Health, HealthMonitor, SupervisionPolicy};
 pub use system::{Schooner, SchoonerConfig, SchoonerConfigBuilder};
-pub use trace::{Event, Trace};
 
 /// The common imports for programs built on Schooner.
 ///
@@ -128,6 +126,5 @@ pub mod prelude {
     pub use crate::program::ProgramImage;
     pub use crate::supervise::SupervisionPolicy;
     pub use crate::system::{Schooner, SchoonerConfig, SchoonerConfigBuilder};
-    pub use crate::trace::Trace;
     pub use uts::Value;
 }

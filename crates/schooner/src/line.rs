@@ -21,7 +21,7 @@ use std::sync::Arc;
 use bytes::BytesMut;
 use netsim::{Endpoint, Envelope, FlushReport, NetError, VirtualClock};
 use uts::spec::ProcSpec;
-use uts::{Architecture, Value, WIRE_V1, WIRE_V2};
+use uts::{Architecture, Value};
 
 use crate::error::{SchError, SchResult};
 use crate::message::{FaultCode, MapInfo, Msg, StartedInfo, WireFault};
@@ -29,7 +29,6 @@ use crate::obs::{EventKind, Obs, Phase};
 use crate::policy::{CallPolicy, JitterRng};
 use crate::stub::CompiledStub;
 use crate::system::RuntimeCtx;
-use crate::trace::Trace;
 
 /// The host part of a `host:process` address.
 fn host_part(addr: &str) -> &str {
@@ -50,8 +49,6 @@ struct Binding {
     /// Incarnation of the process instance this binding points at;
     /// replies stamped with an older incarnation are fenced.
     incarnation: u64,
-    /// UTS wire version negotiated with the Manager for this binding.
-    wire: u8,
 }
 
 /// The in-flight (or already-failed) half of a split-phase call.
@@ -232,12 +229,6 @@ impl LineHandle {
     /// Transport statistics.
     pub fn stats(&self) -> LineStats {
         self.stats
-    }
-
-    /// The shared event trace (retries, failovers, and degradations are
-    /// recorded here alongside ordinary call events).
-    pub fn trace(&self) -> &Trace {
-        &self.ctx.trace
     }
 
     /// The shared observability sink: typed events, call spans keyed by
@@ -590,13 +581,10 @@ impl LineHandle {
         args: &[Value],
     ) -> SchResult<u64> {
         let obs = self.ctx.obs.clone();
-        binding.stub.marshal_inputs_into(&mut self.encode_buf, args, self.arch, binding.wire)?;
+        binding.stub.marshal_inputs_into(&mut self.encode_buf, args, self.arch)?;
         let m = obs.metrics();
         m.counter_add("uts.encode_bytes", self.encode_buf.len() as u64);
-        m.counter_add(
-            if binding.wire >= WIRE_V2 { "uts.fast_path_hits" } else { "uts.legacy_path_hits" },
-            1,
-        );
+        m.counter_add("uts.fast_path_hits", 1);
         let marshal_s = self.marshal_cost(binding.stub.input_scalars);
         self.clock.advance(marshal_s);
         obs.span_phase(self.id, call, Phase::Marshal, marshal_s);
@@ -744,7 +732,7 @@ impl LineHandle {
                 m.counter_add("rpc.calls", 1);
                 m.counter_add("rpc.request_bytes", request_bytes);
                 m.counter_add("rpc.reply_bytes", bytes.len() as u64);
-                let (out, _ver) = binding.stub.unmarshal_outputs_any(bytes, self.arch)?;
+                let out = binding.stub.unmarshal_outputs(bytes, self.arch)?;
                 let unmarshal_s = self.marshal_cost(binding.stub.output_scalars);
                 self.clock.advance(unmarshal_s);
                 obs.span_phase(self.id, call, Phase::Unmarshal, unmarshal_s);
@@ -857,7 +845,6 @@ impl LineHandle {
             line: self.id,
             name: name.to_owned(),
             target_host: target_machine.to_owned(),
-            max_wire: WIRE_V2,
             reply_to: self.endpoint.addr().to_owned(),
         })?;
         let reply =
@@ -965,7 +952,6 @@ impl LineHandle {
             name: name.to_owned(),
             import_spec,
             suspect_addr,
-            max_wire: WIRE_V2,
             reply_to: self.endpoint.addr().to_owned(),
         })?;
         let reply = self.await_reply(|m| matches!(m, Msg::MapReply { req: r, .. } if *r == req))?;
@@ -989,9 +975,6 @@ impl LineHandle {
             remote_name: info.remote_name.into(),
             stub: CompiledStub::compile(spec),
             incarnation: info.incarnation,
-            // An out-of-range advertisement (future Manager) degrades to
-            // the highest version this library speaks.
-            wire: info.wire_version.clamp(WIRE_V1, WIRE_V2),
         })
     }
 

@@ -239,9 +239,9 @@ impl ManagerWorker {
                     self.handle_start(line, &path, &host, shared).map_err(|e| WireFault::from(&e));
                 let _ = self.send(&reply_to, &Msg::StartReply { req, result });
             }
-            Msg::MapRequest { req, line, name, import_spec, suspect_addr, max_wire, reply_to } => {
+            Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to } => {
                 let result = self
-                    .handle_map(line, &name, &import_spec, &suspect_addr, max_wire)
+                    .handle_map(line, &name, &import_spec, &suspect_addr)
                     .map_err(|e| WireFault::from(&e));
                 let _ = self.send(&reply_to, &Msg::MapReply { req, result });
             }
@@ -261,10 +261,9 @@ impl ManagerWorker {
                 self.ctx.clear_batch_failures(line);
                 let _ = self.send(&reply_to, &Msg::IQuitAck { req });
             }
-            Msg::MoveRequest { req, line, name, target_host, max_wire, reply_to } => {
-                let result = self
-                    .handle_move(line, &name, &target_host, max_wire)
-                    .map_err(|e| WireFault::from(&e));
+            Msg::MoveRequest { req, line, name, target_host, reply_to } => {
+                let result =
+                    self.handle_move(line, &name, &target_host).map_err(|e| WireFault::from(&e));
                 let _ = self.send(&reply_to, &Msg::MoveReply { req, result });
             }
             Msg::ManagerShutdown => {
@@ -405,19 +404,12 @@ impl ManagerWorker {
             .ok_or_else(|| SchError::UnknownProcedure(name.to_owned()))
     }
 
-    /// Negotiate the UTS wire version of a binding: the caller's maximum
-    /// capped by the world's configured version, never below v1.
-    fn negotiate_wire(&self, max_wire: u8) -> u8 {
-        max_wire.min(self.ctx.config.wire_version).max(uts::WIRE_V1)
-    }
-
     fn handle_map(
         &mut self,
         line: u64,
         name: &str,
         import_spec: &str,
         suspect_addr: &str,
-        max_wire: u8,
     ) -> SchResult<MapInfo> {
         let (mut entry, in_shared) = self.locate(line, name)?;
 
@@ -459,7 +451,6 @@ impl ManagerWorker {
             remote_name: entry.remote_name.clone(),
             export_spec: entry.spec.to_source(),
             incarnation: entry.incarnation,
-            wire_version: self.negotiate_wire(max_wire),
         })
     }
 
@@ -744,13 +735,7 @@ impl ManagerWorker {
 
     /// Move the process exporting `name` (visible to `line`) to
     /// `target_host`, transferring declared state.
-    fn handle_move(
-        &mut self,
-        line: u64,
-        name: &str,
-        target_host: &str,
-        max_wire: u8,
-    ) -> SchResult<MapInfo> {
+    fn handle_move(&mut self, line: u64, name: &str, target_host: &str) -> SchResult<MapInfo> {
         let (entry, in_shared) = {
             if let Some(state) = self.lines.get(&line) {
                 if let Some(e) = state.db.get(name) {
@@ -838,7 +823,6 @@ impl ManagerWorker {
             remote_name: rebound.remote_name,
             export_spec: rebound.spec.to_source(),
             incarnation: rebound.incarnation,
-            wire_version: self.negotiate_wire(max_wire),
         })
     }
 }

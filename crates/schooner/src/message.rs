@@ -209,11 +209,6 @@ pub struct MapInfo {
     pub export_spec: String,
     /// Incarnation of the process currently exporting the procedure.
     pub incarnation: u64,
-    /// Highest UTS wire version negotiated for this binding: the minimum
-    /// of the caller's maximum and the world's configured version. The
-    /// caller encodes call arguments with this codec; receivers sniff the
-    /// payload, so a lower version is always safe.
-    pub wire_version: u8,
 }
 
 /// A protocol message.
@@ -234,15 +229,13 @@ pub enum Msg {
     /// spec so the Manager can type-check the binding. A non-empty
     /// `suspect_addr` reports the address the caller just failed to
     /// reach, prompting the Manager's health monitor to probe it before
-    /// answering. `max_wire` is the highest UTS wire version the caller's
-    /// library speaks; the Manager answers with the negotiated minimum.
+    /// answering.
     MapRequest {
         req: u64,
         line: u64,
         name: String,
         import_spec: String,
         suspect_addr: String,
-        max_wire: u8,
         reply_to: String,
     },
     /// Reply to [`Msg::MapRequest`].
@@ -253,16 +246,8 @@ pub enum Msg {
     /// Acknowledgement of [`Msg::IQuit`].
     IQuitAck { req: u64 },
     /// Move a procedure of `line` (or a shared one, `line` = 0 with
-    /// `shared`) to `target_host`. `max_wire` renegotiates the wire
-    /// version for the rebound [`MapInfo`].
-    MoveRequest {
-        req: u64,
-        line: u64,
-        name: String,
-        target_host: String,
-        max_wire: u8,
-        reply_to: String,
-    },
+    /// `shared`) to `target_host`.
+    MoveRequest { req: u64, line: u64, name: String, target_host: String, reply_to: String },
     /// Reply to [`Msg::MoveRequest`].
     MoveReply { req: u64, result: Result<MapInfo, WireFault> },
     /// Terminate the Manager (explicit, since the Manager is persistent).
@@ -377,6 +362,18 @@ impl Reader {
         Ok(self.buf.get_u8())
     }
 
+    /// The UTS-version byte of a map/move request or a [`MapInfo`]. The
+    /// runtime speaks one codec, so the byte is a constant on the wire
+    /// (message lengths predate that and are part of the byte-identity
+    /// surface); a peer announcing anything else is refused, not guessed
+    /// at.
+    fn uts_version(&mut self) -> SchResult<()> {
+        match self.u8()? {
+            uts::WIRE_V2 => Ok(()),
+            v => Err(SchError::Protocol(format!("unsupported UTS wire version {v}"))),
+        }
+    }
+
     fn u64(&mut self) -> SchResult<u64> {
         self.need(8)?;
         Ok(self.buf.get_u64())
@@ -461,17 +458,18 @@ fn put_mapinfo(buf: &mut BytesMut, info: &MapInfo) {
     put_str(buf, &info.remote_name);
     put_str(buf, &info.export_spec);
     buf.put_u64(info.incarnation);
-    buf.put_u8(info.wire_version);
+    buf.put_u8(uts::WIRE_V2);
 }
 
 fn get_mapinfo(r: &mut Reader) -> SchResult<MapInfo> {
-    Ok(MapInfo {
+    let info = MapInfo {
         addr: r.str()?,
         remote_name: r.str()?,
         export_spec: r.str()?,
         incarnation: r.u64()?,
-        wire_version: r.u8()?,
-    })
+    };
+    r.uts_version()?;
+    Ok(info)
 }
 
 impl Msg {
@@ -534,14 +532,14 @@ impl Msg {
                 b.put_u64(*req);
                 put_result(&mut b, result, put_started);
             }
-            Msg::MapRequest { req, line, name, import_spec, suspect_addr, max_wire, reply_to } => {
+            Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to } => {
                 b.put_u8(T_MAP_REQUEST);
                 b.put_u64(*req);
                 b.put_u64(*line);
                 put_str(&mut b, name);
                 put_str(&mut b, import_spec);
                 put_str(&mut b, suspect_addr);
-                b.put_u8(*max_wire);
+                b.put_u8(uts::WIRE_V2);
                 put_str(&mut b, reply_to);
             }
             Msg::MapReply { req, result } => {
@@ -559,13 +557,13 @@ impl Msg {
                 b.put_u8(T_IQUIT_ACK);
                 b.put_u64(*req);
             }
-            Msg::MoveRequest { req, line, name, target_host, max_wire, reply_to } => {
+            Msg::MoveRequest { req, line, name, target_host, reply_to } => {
                 b.put_u8(T_MOVE_REQUEST);
                 b.put_u64(*req);
                 b.put_u64(*line);
                 put_str(&mut b, name);
                 put_str(&mut b, target_host);
-                b.put_u8(*max_wire);
+                b.put_u8(uts::WIRE_V2);
                 put_str(&mut b, reply_to);
             }
             Msg::MoveReply { req, result } => {
@@ -675,28 +673,23 @@ impl Msg {
             T_START_REPLY => {
                 Msg::StartReply { req: r.u64()?, result: get_result(&mut r, get_started)? }
             }
-            T_MAP_REQUEST => Msg::MapRequest {
-                req: r.u64()?,
-                line: r.u64()?,
-                name: r.str()?,
-                import_spec: r.str()?,
-                suspect_addr: r.str()?,
-                max_wire: r.u8()?,
-                reply_to: r.str()?,
-            },
+            T_MAP_REQUEST => {
+                let (req, line) = (r.u64()?, r.u64()?);
+                let (name, import_spec, suspect_addr) = (r.str()?, r.str()?, r.str()?);
+                r.uts_version()?;
+                Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to: r.str()? }
+            }
             T_MAP_REPLY => {
                 Msg::MapReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? }
             }
             T_IQUIT => Msg::IQuit { req: r.u64()?, line: r.u64()?, reply_to: r.str()? },
             T_IQUIT_ACK => Msg::IQuitAck { req: r.u64()? },
-            T_MOVE_REQUEST => Msg::MoveRequest {
-                req: r.u64()?,
-                line: r.u64()?,
-                name: r.str()?,
-                target_host: r.str()?,
-                max_wire: r.u8()?,
-                reply_to: r.str()?,
-            },
+            T_MOVE_REQUEST => {
+                let (req, line) = (r.u64()?, r.u64()?);
+                let (name, target_host) = (r.str()?, r.str()?);
+                r.uts_version()?;
+                Msg::MoveRequest { req, line, name, target_host, reply_to: r.str()? }
+            }
             T_MOVE_REPLY => {
                 Msg::MoveReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? }
             }
@@ -806,7 +799,6 @@ mod tests {
             name: "shaft".into(),
             import_spec: "import shaft prog()".into(),
             suspect_addr: "cray:proc-3".into(),
-            max_wire: uts::WIRE_V2,
             reply_to: "a:1".into(),
         });
         round_trip(Msg::MapReply {
@@ -816,7 +808,6 @@ mod tests {
                 remote_name: "SHAFT".into(),
                 export_spec: "export SHAFT prog()".into(),
                 incarnation: 9,
-                wire_version: uts::WIRE_V2,
             }),
         });
         round_trip(Msg::MapReply {
@@ -830,7 +821,6 @@ mod tests {
             line: 7,
             name: "shaft".into(),
             target_host: "lerc-rs6000".into(),
-            max_wire: uts::WIRE_V1,
             reply_to: "a:1".into(),
         });
         round_trip(Msg::MoveReply {
@@ -962,6 +952,56 @@ mod tests {
         // A garbled detail still yields a typed stall rather than Other.
         let garbled = WireFault::new(FaultCode::CreditStall, "nonsense").into_error();
         assert!(matches!(garbled, SchError::Net(NetError::CreditStall { wait_us: u64::MAX, .. })));
+    }
+
+    /// The version byte keeps its place in the encoding; any value but
+    /// the one codec the runtime speaks is a protocol error, where the
+    /// old negotiation clamped it into range and carried on.
+    #[test]
+    fn foreign_uts_version_is_a_protocol_error() {
+        let reply_to = "a:1".to_owned();
+        let map = Msg::MapRequest {
+            req: 3,
+            line: 7,
+            name: "shaft".into(),
+            import_spec: String::new(),
+            suspect_addr: String::new(),
+            reply_to: reply_to.clone(),
+        };
+        let mv = Msg::MoveRequest {
+            req: 5,
+            line: 7,
+            name: "shaft".into(),
+            target_host: "lerc-rs6000".into(),
+            reply_to: reply_to.clone(),
+        };
+        let reply = Msg::MapReply {
+            req: 3,
+            result: Ok(MapInfo {
+                addr: "cray:proc-3".into(),
+                remote_name: "SHAFT".into(),
+                export_spec: "export SHAFT prog()".into(),
+                incarnation: 9,
+            }),
+        };
+        // The byte sits before the length-prefixed `reply_to` in the two
+        // requests and is the last byte of an `Ok` `MapInfo`.
+        let before_reply_to = 4 + reply_to.len() + 1;
+        for (msg, from_end) in [(map, before_reply_to), (mv, before_reply_to), (reply, 1)] {
+            let enc = msg.encode();
+            let at = enc.len() - from_end;
+            assert_eq!(enc[at], uts::WIRE_V2, "{msg:?}");
+            for foreign in [1u8, 0xFF] {
+                let mut raw = enc.to_vec();
+                raw[at] = foreign;
+                match Msg::decode(Bytes::from(raw)) {
+                    Err(SchError::Protocol(why)) => {
+                        assert!(why.contains(&format!("wire version {foreign}")), "{why}");
+                    }
+                    other => panic!("version {foreign} of {msg:?} decoded to {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

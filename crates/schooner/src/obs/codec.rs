@@ -80,7 +80,9 @@ const T_COMPUTED: u8 = 25;
 const T_PROCESS_SHUTDOWN: u8 = 26;
 const T_BARRIER: u8 = 27;
 const T_ROLLBACK: u8 = 28;
-const T_NOTE: u8 = 29;
+// Tag 29 was the free-form `Note` event of the retired `Trace` facade.
+// It stays reserved: a journal holding one decodes to the unknown-tag
+// error instead of being misread as whatever reuses the number.
 
 /// Encode one event for the journal.
 pub fn encode_event(e: &EventKind) -> Vec<u8> {
@@ -247,11 +249,6 @@ pub fn encode_event(e: &EventKind) -> Vec<u8> {
             put_u32(&mut out, *recovery);
             put_u32(&mut out, *max);
         }
-        Note { who, what } => {
-            out.push(T_NOTE);
-            put_str(&mut out, who);
-            put_str(&mut out, what);
-        }
     }
     out
 }
@@ -381,7 +378,6 @@ pub fn decode_event(bytes: &[u8]) -> Result<EventKind, String> {
             recovery: r.u32()?,
             max: r.u32()?,
         },
-        T_NOTE => Note { who: r.str()?, what: r.str()? },
         other => return Err(format!("unknown event tag {other}")),
     };
     if r.pos != bytes.len() {
@@ -472,7 +468,6 @@ mod tests {
             ProcessShutdown { addr: "h:proc-7".into() },
             Barrier { step: 10, t: 0.2 },
             Rollback { step: 11, cause: "boom".into(), t: 0.2, recovery: 1, max: 2 },
-            Note { who: "x".into(), what: "anything at all".into() },
         ];
         // Compile-time exhaustiveness: touching every variant here means
         // a new variant breaks this match until the codec handles it.
@@ -505,8 +500,7 @@ mod tests {
                 | Computed { .. }
                 | ProcessShutdown { .. }
                 | Barrier { .. }
-                | Rollback { .. }
-                | Note { .. } => {}
+                | Rollback { .. } => {}
             }
         }
         all
@@ -543,6 +537,11 @@ mod tests {
             }
         }
         assert!(decode_event(&[0xFE]).is_err());
+        // A `Note` as the retired facade wrote it: tag 29, two strings.
+        let mut note = vec![29];
+        put_str(&mut note, "x");
+        put_str(&mut note, "anything at all");
+        assert_eq!(decode_event(&note).unwrap_err(), "unknown event tag 29");
         assert!(decode_event(&[]).is_err());
     }
 

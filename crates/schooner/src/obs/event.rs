@@ -1,12 +1,11 @@
 //! Typed observability events.
 //!
 //! Every instrumented moment in the runtime is one [`EventKind`] variant
-//! with structured fields. The `Display` impl reproduces, byte for byte,
-//! the strings the old stringly `Trace::record` call-sites produced, so
-//! example transcripts (and the determinism CI job diffing them) are
-//! unaffected by the migration; [`EventKind::who`] reproduces the old
-//! `who` column the same way. Code that wants the *data* matches on the
-//! variant instead of parsing the text.
+//! with structured fields. The `Display` impl and [`EventKind::who`] are
+//! the `what` and `who` columns of [`Obs::render`](super::Obs::render);
+//! the example transcripts and the determinism CI job diffing them pin
+//! both byte for byte. Code that wants the *data* matches on the variant
+//! instead of parsing the text.
 
 use std::fmt;
 use std::sync::Arc;
@@ -24,8 +23,6 @@ pub struct ObsEvent {
 ///
 /// Grouped by emitter: line-side RPC lifecycle, Manager bookkeeping and
 /// supervision, Server/process lifecycle, and engine-level recovery.
-/// [`EventKind::Note`] carries legacy free-form records from the
-/// [`Trace`](crate::Trace) compatibility facade.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     // ----- RPC lifecycle (emitted by a line) -----
@@ -276,19 +273,10 @@ pub enum EventKind {
         /// Recovery budget.
         max: u32,
     },
-
-    // ----- Compatibility -----
-    /// A free-form record from the legacy `Trace::record` facade.
-    Note {
-        /// Emitting component.
-        who: String,
-        /// What happened.
-        what: String,
-    },
 }
 
 impl EventKind {
-    /// The emitting component, as the legacy trace's `who` column.
+    /// The emitting component: the transcript's `who` column.
     pub fn who(&self) -> String {
         use EventKind::*;
         match self {
@@ -319,7 +307,6 @@ impl EventKind {
             Computed { addr, .. } => addr.to_string(),
             ProcessShutdown { addr } => addr.clone(),
             Barrier { .. } | Rollback { .. } => "executive".to_owned(),
-            Note { who, .. } => who.clone(),
         }
     }
 }
@@ -412,7 +399,6 @@ impl fmt::Display for EventKind {
                      (recovery {recovery} of {max})"
                 )
             }
-            Note { what, .. } => f.write_str(what),
         }
     }
 }
@@ -537,12 +523,5 @@ mod tests {
             e.to_string(),
             "step 11 failed (boom); resuming from checkpoint at t=0.200 (recovery 1 of 2)"
         );
-    }
-
-    #[test]
-    fn note_passes_through() {
-        let e = EventKind::Note { who: "x".into(), what: "anything at all".into() };
-        assert_eq!(e.who(), "x");
-        assert_eq!(e.to_string(), "anything at all");
     }
 }

@@ -4,17 +4,15 @@
 //! instrumentation the runtime produces:
 //!
 //! * **events** — a time-ordered log of typed [`EventKind`] records
-//!   (RPC lifecycle, supervision, engine recovery), off by default and
-//!   rendered identically to the old stringly trace;
+//!   (RPC lifecycle, supervision, engine recovery), off by default;
+//!   [`Obs::render`] prints it as the `(t, who, what)` control-flow
+//!   transcript the examples and Figure 1 show;
 //! * **spans** — per-call [`CallSpan`]s keyed by `(line, call id)` that
 //!   aggregate virtual-time durations per [`Phase`], feeding the
 //!   Figure-1 breakdowns and the `costs` CLI without string parsing;
 //! * **metrics** — the shared [`MetricsRegistry`] (adopted from the
 //!   world's [`Network`](netsim::Network), so transport counters land in
 //!   the same snapshot), always on, exported as deterministic JSON.
-//!
-//! The legacy [`Trace`](crate::Trace) API survives as a facade over the
-//! event log; existing call-sites and transcripts are unaffected.
 
 pub mod codec;
 mod event;
@@ -41,9 +39,9 @@ struct ObsInner {
 }
 
 /// Shared, cheaply cloneable observability sink. Event recording is
-/// disabled by default (like the old trace); spans and metrics are
-/// always on — they are aggregates, not logs, so their cost is a few
-/// arithmetic operations per call.
+/// disabled by default; spans and metrics are always on — they are
+/// aggregates, not logs, so their cost is a few arithmetic operations
+/// per call.
 #[derive(Clone)]
 pub struct Obs {
     inner: Arc<ObsInner>,
@@ -126,6 +124,16 @@ impl Obs {
     /// Drop all recorded events (spans and metrics are unaffected).
     pub fn clear_events(&self) {
         lock(&self.inner.events).clear();
+    }
+
+    /// Render the event log as a control-flow listing, one
+    /// `[time] who what` line per event in [`Obs::events`] order.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for e in self.events() {
+            out.push_str(&format!("[{:>10.6}s] {:<24} {}\n", e.t, e.kind.who(), e.kind));
+        }
+        out
     }
 
     // ----- spans -----
@@ -211,12 +219,37 @@ mod tests {
         assert!(obs.events().is_empty());
         obs.set_enabled(true);
         obs.emit(2.0, EventKind::ManagerShutdown);
-        obs.emit(1.0, EventKind::Note { who: "a".into(), what: "first".into() });
+        obs.emit(1.0, EventKind::ProcessShutdown { addr: "a".into() });
         let ev = obs.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[0].t, 1.0, "events sort by time");
         obs.clear_events();
         assert!(obs.events().is_empty());
+    }
+
+    #[test]
+    fn render_lists_events_in_time_order_with_nan_last() {
+        let obs = Obs::new();
+        obs.set_enabled(true);
+        obs.emit(f64::NAN, EventKind::ProcessShutdown { addr: "broken".into() });
+        obs.emit(
+            0.25,
+            EventKind::CallIssued {
+                line: 1,
+                proc: "DOUBLE".into(),
+                addr: "lerc-cray-ymp:proc-3".into(),
+            },
+        );
+        obs.emit(0.125, EventKind::ManagerShutdown);
+        let rendered = obs.render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("[  0.125000s] manager "), "{rendered}");
+        assert_eq!(
+            lines[1],
+            "[  0.250000s] line-1                   call DOUBLE -> lerc-cray-ymp:proc-3"
+        );
+        assert!(lines[2].contains("broken"), "a NaN stamp sorts last, it does not panic");
     }
 
     #[test]

@@ -249,10 +249,8 @@ impl ProcessWorker {
             .stubs
             .get_key_value(proc_name)
             .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
-        // Unmarshal through this machine's native format; the payload's
-        // leading byte says which wire codec the caller used, and the
-        // reply is encoded with the same one.
-        let (values, wire) = stub.unmarshal_inputs_any(args, self.arch)?;
+        // Unmarshal through this machine's native format.
+        let values = stub.unmarshal_inputs(args, self.arch)?;
         self.clock.advance(self.marshal_cost(stub.input_scalars));
 
         let proc = self
@@ -273,14 +271,11 @@ impl ProcessWorker {
             },
         );
 
-        let out = stub.marshal_outputs_wire(&results, self.arch, wire)?;
+        let out = stub.marshal_outputs(&results, self.arch)?;
         self.clock.advance(self.marshal_cost(stub.output_scalars));
         let m = self.ctx.obs.metrics();
         m.counter_add("uts.encode_bytes", out.len() as u64);
-        m.counter_add(
-            if wire >= uts::WIRE_V2 { "uts.fast_path_hits" } else { "uts.legacy_path_hits" },
-            1,
-        );
+        m.counter_add("uts.fast_path_hits", 1);
         Ok(out)
     }
 
@@ -294,11 +289,7 @@ impl ProcessWorker {
         for name in names {
             let stub = &self.stubs[name];
             let proc = &self.procs[name];
-            let blob = stub.marshal_state_wire(
-                &proc.get_state(),
-                self.arch,
-                self.ctx.config.wire_version,
-            )?;
+            let blob = stub.marshal_state(&proc.get_state(), self.arch)?;
             buf.put_u32(name.len() as u32);
             buf.put_slice(name.as_bytes());
             buf.put_u32(blob.len() as u32);
@@ -333,9 +324,7 @@ impl ProcessWorker {
                 self.stubs.iter().find(|(k, _)| k.eq_ignore_ascii_case(&name)).ok_or_else(
                     || SchError::StateTransfer(format!("no procedure '{name}' in target process")),
                 )?;
-            // Blobs are version-sniffed individually: a snapshot captured
-            // under v1 installs into a v2 world and vice versa.
-            let values = stub.unmarshal_state_any(blob, self.arch)?;
+            let values = stub.unmarshal_state(blob, self.arch)?;
             self.procs
                 .get_mut(&**our_name)
                 .expect("stub/proc maps are parallel")

@@ -4,20 +4,19 @@
 //! to produce per-procedure stubs that (a) marshal and unmarshal arguments
 //! through the UTS library and (b) use the Schooner library to locate and
 //! talk to the remote procedure. [`CompiledStub`] is the output of that
-//! compilation step here: the precomputed input/output type lists and
-//! scalar counts for one procedure. The free functions implement the UTS
-//! library half — every value crosses its machine's **native format** on
-//! the way to and from the wire, so architecture range/precision semantics
-//! apply at exactly the points they did in the real system.
+//! compilation step here: the precomputed input/output type lists, scalar
+//! counts and one compiled [`MarshalPlan`] each for the inputs, outputs
+//! and `state(...)` variables of one procedure. Every value crosses its
+//! machine's **native format** on the way to and from the wire, so
+//! architecture range/precision semantics apply at exactly the points
+//! they did in the real system.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use uts::check::{check_call_args, check_call_results};
-use uts::native::through_native;
 use uts::spec::ProcSpec;
-use uts::wire::{WireReader, WireWriter};
-use uts::{payload_version, Architecture, MarshalPlan, Type, Value, WIRE_V1, WIRE_V2};
+use uts::{Architecture, MarshalPlan, Type, Value};
 
-use crate::error::SchResult;
+use crate::error::{SchError, SchResult};
 
 /// A compiled stub for one procedure: the marshal plan.
 #[derive(Debug, Clone)]
@@ -32,11 +31,11 @@ pub struct CompiledStub {
     pub input_scalars: usize,
     /// Scalar leaves across all outputs.
     pub output_scalars: usize,
-    /// Compiled wire-v2 plan for the input parameter list.
+    /// Compiled plan for the input parameter list.
     pub input_plan: MarshalPlan,
-    /// Compiled wire-v2 plan for the output parameter list.
+    /// Compiled plan for the output parameter list.
     pub output_plan: MarshalPlan,
-    /// Compiled wire-v2 plan for the `state(...)` variable list.
+    /// Compiled plan for the `state(...)` variable list.
     pub state_plan: MarshalPlan,
 }
 
@@ -67,63 +66,10 @@ impl CompiledStub {
     /// wire bytes.
     pub fn marshal_inputs(&self, args: &[Value], arch: Architecture) -> SchResult<Bytes> {
         check_call_args(&self.spec, args)?;
-        let mut w = WireWriter::new();
-        for (v, ty) in args.iter().zip(&self.input_types) {
-            let native = through_native(v, ty, arch)?;
-            w.put(&native, ty)?;
-        }
-        Ok(w.finish())
+        Ok(self.input_plan.encode(args, arch)?)
     }
 
-    /// Unmarshal input arguments on the **receiving** side: decode wire
-    /// bytes, pass each through the receiver's native format.
-    pub fn unmarshal_inputs(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
-        let mut r = WireReader::new(bytes);
-        let mut out = Vec::with_capacity(self.input_types.len());
-        for ty in &self.input_types {
-            let v = r.get(ty)?;
-            out.push(through_native(&v, ty, arch)?);
-        }
-        if r.remaining() != 0 {
-            return Err(uts::Error::Wire(format!(
-                "{} trailing bytes after arguments of '{}'",
-                r.remaining(),
-                self.spec.name
-            ))
-            .into());
-        }
-        Ok(out)
-    }
-
-    /// Marshal result values on the callee side.
-    pub fn marshal_outputs(&self, results: &[Value], arch: Architecture) -> SchResult<Bytes> {
-        check_call_results(&self.spec, results)?;
-        let mut w = WireWriter::new();
-        for (v, ty) in results.iter().zip(&self.output_types) {
-            let native = through_native(v, ty, arch)?;
-            w.put(&native, ty)?;
-        }
-        Ok(w.finish())
-    }
-
-    /// Marshal input arguments under a negotiated wire version: v2 runs
-    /// the compiled [`MarshalPlan`] (bulk arrays, exact-size buffer),
-    /// anything else takes the legacy tagged path.
-    pub fn marshal_inputs_wire(
-        &self,
-        args: &[Value],
-        arch: Architecture,
-        wire: u8,
-    ) -> SchResult<Bytes> {
-        if wire >= WIRE_V2 {
-            check_call_args(&self.spec, args)?;
-            Ok(self.input_plan.encode(args, arch)?)
-        } else {
-            self.marshal_inputs(args, arch)
-        }
-    }
-
-    /// Like [`CompiledStub::marshal_inputs_wire`] but encoding into a
+    /// Like [`CompiledStub::marshal_inputs`] but encoding into a
     /// caller-owned scratch buffer, so a long-lived line reuses one
     /// allocation across calls. The buffer is cleared first and holds the
     /// full payload on return.
@@ -132,157 +78,45 @@ impl CompiledStub {
         buf: &mut BytesMut,
         args: &[Value],
         arch: Architecture,
-        wire: u8,
     ) -> SchResult<()> {
-        if wire >= WIRE_V2 {
-            check_call_args(&self.spec, args)?;
-            self.input_plan.encode_into(buf, args, arch)?;
-        } else {
-            let legacy = self.marshal_inputs(args, arch)?;
-            buf.clear();
-            buf.put_slice(&legacy);
-        }
-        Ok(())
+        check_call_args(&self.spec, args)?;
+        Ok(self.input_plan.encode_into(buf, args, arch)?)
     }
 
-    /// Unmarshal input arguments of either wire version: the payload's
-    /// leading byte says which codec produced it. Returns the values and
-    /// the version detected, so the callee can answer in kind.
-    pub fn unmarshal_inputs_any(
-        &self,
-        bytes: Bytes,
-        arch: Architecture,
-    ) -> SchResult<(Vec<Value>, u8)> {
-        if payload_version(&bytes) == WIRE_V2 {
-            Ok((self.input_plan.decode(bytes, arch)?, WIRE_V2))
-        } else {
-            Ok((self.unmarshal_inputs(bytes, arch)?, WIRE_V1))
-        }
+    /// Unmarshal input arguments on the **receiving** side: decode wire
+    /// bytes, pass each through the receiver's native format.
+    pub fn unmarshal_inputs(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
+        Ok(self.input_plan.decode(bytes, arch)?)
     }
 
-    /// Marshal result values under a negotiated wire version.
-    pub fn marshal_outputs_wire(
-        &self,
-        results: &[Value],
-        arch: Architecture,
-        wire: u8,
-    ) -> SchResult<Bytes> {
-        if wire >= WIRE_V2 {
-            check_call_results(&self.spec, results)?;
-            Ok(self.output_plan.encode(results, arch)?)
-        } else {
-            self.marshal_outputs(results, arch)
-        }
-    }
-
-    /// Unmarshal result values of either wire version (sniffed from the
-    /// payload, like [`CompiledStub::unmarshal_inputs_any`]).
-    pub fn unmarshal_outputs_any(
-        &self,
-        bytes: Bytes,
-        arch: Architecture,
-    ) -> SchResult<(Vec<Value>, u8)> {
-        if payload_version(&bytes) == WIRE_V2 {
-            Ok((self.output_plan.decode(bytes, arch)?, WIRE_V2))
-        } else {
-            Ok((self.unmarshal_outputs(bytes, arch)?, WIRE_V1))
-        }
-    }
-
-    /// Marshal this procedure's `state(...)` variables under a negotiated
-    /// wire version (checkpoints and migration state transfer).
-    pub fn marshal_state_wire(
-        &self,
-        values: &[Value],
-        arch: Architecture,
-        wire: u8,
-    ) -> SchResult<Bytes> {
-        if wire >= WIRE_V2 {
-            if self.spec.state.len() != values.len() {
-                return Err(crate::error::SchError::StateTransfer(format!(
-                    "spec declares {} state variables, procedure produced {}",
-                    self.spec.state.len(),
-                    values.len()
-                )));
-            }
-            Ok(self.state_plan.encode(values, arch)?)
-        } else {
-            marshal_state(&self.spec.state, values, arch)
-        }
-    }
-
-    /// Unmarshal `state(...)` variables of either wire version. Snapshots
-    /// taken before a version change restore unchanged: each blob is
-    /// sniffed independently.
-    pub fn unmarshal_state_any(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
-        if payload_version(&bytes) == WIRE_V2 {
-            Ok(self.state_plan.decode(bytes, arch)?)
-        } else {
-            unmarshal_state(&self.spec.state, bytes, arch)
-        }
+    /// Marshal result values on the callee side.
+    pub fn marshal_outputs(&self, results: &[Value], arch: Architecture) -> SchResult<Bytes> {
+        check_call_results(&self.spec, results)?;
+        Ok(self.output_plan.encode(results, arch)?)
     }
 
     /// Unmarshal result values on the caller side.
     pub fn unmarshal_outputs(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
-        let mut r = WireReader::new(bytes);
-        let mut out = Vec::with_capacity(self.output_types.len());
-        for ty in &self.output_types {
-            let v = r.get(ty)?;
-            out.push(through_native(&v, ty, arch)?);
-        }
-        if r.remaining() != 0 {
-            return Err(uts::Error::Wire(format!(
-                "{} trailing bytes after results of '{}'",
-                r.remaining(),
-                self.spec.name
-            ))
-            .into());
-        }
-        Ok(out)
+        Ok(self.output_plan.decode(bytes, arch)?)
     }
-}
 
-/// Marshal migration state values (typed by the spec's `state(...)`
-/// clause) through the source architecture.
-pub fn marshal_state(
-    state_types: &[(String, Type)],
-    values: &[Value],
-    arch: Architecture,
-) -> SchResult<Bytes> {
-    if state_types.len() != values.len() {
-        return Err(crate::error::SchError::StateTransfer(format!(
-            "spec declares {} state variables, procedure produced {}",
-            state_types.len(),
-            values.len()
-        )));
+    /// Marshal this procedure's `state(...)` variables through the source
+    /// architecture (checkpoints and migration state transfer).
+    pub fn marshal_state(&self, values: &[Value], arch: Architecture) -> SchResult<Bytes> {
+        if self.spec.state.len() != values.len() {
+            return Err(SchError::StateTransfer(format!(
+                "spec declares {} state variables, procedure produced {}",
+                self.spec.state.len(),
+                values.len()
+            )));
+        }
+        Ok(self.state_plan.encode(values, arch)?)
     }
-    let mut w = WireWriter::new();
-    for (v, (_, ty)) in values.iter().zip(state_types) {
-        let native = through_native(v, ty, arch)?;
-        w.put(&native, ty)?;
-    }
-    Ok(w.finish())
-}
 
-/// Unmarshal migration state on the destination architecture.
-pub fn unmarshal_state(
-    state_types: &[(String, Type)],
-    bytes: Bytes,
-    arch: Architecture,
-) -> SchResult<Vec<Value>> {
-    let mut r = WireReader::new(bytes);
-    let mut out = Vec::with_capacity(state_types.len());
-    for (_, ty) in state_types {
-        let v = r.get(ty)?;
-        out.push(through_native(&v, ty, arch)?);
+    /// Unmarshal `state(...)` variables on the destination architecture.
+    pub fn unmarshal_state(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
+        Ok(self.state_plan.decode(bytes, arch)?)
     }
-    if r.remaining() != 0 {
-        return Err(crate::error::SchError::StateTransfer(format!(
-            "{} trailing bytes in state transfer",
-            r.remaining()
-        )));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -343,6 +177,7 @@ export shaft prog(
         for from in Architecture::ALL {
             for to in Architecture::ALL {
                 let wire = stub.marshal_inputs(&args, from).unwrap();
+                assert_eq!(wire[0], uts::plan::V2_MAGIC);
                 let got = stub.unmarshal_inputs(wire, to).unwrap();
                 assert_eq!(got, args, "{from} -> {to}");
             }
@@ -378,22 +213,25 @@ export shaft prog(
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
+    fn state_stub(state: &str) -> CompiledStub {
+        let src = format!(r#"export h prog("x" val double, "y" res double) state({state})"#);
+        CompiledStub::compile(&uts::parse_spec_file(&src).unwrap().decls[0])
+    }
+
     #[test]
     fn state_round_trip() {
-        let types = vec![
-            ("t".to_owned(), Type::Double),
-            ("hist".to_owned(), Type::Array { len: 3, elem: Box::new(Type::Double) }),
-        ];
-        let values = vec![Value::Double(1.5), Value::doubles(&[0.1, 0.2, 0.3])];
-        let wire = marshal_state(&types, &values, Architecture::SunSparc10).unwrap();
-        let got = unmarshal_state(&types, wire, Architecture::IbmRs6000).unwrap();
+        let stub = state_stub(r#""t" double, "hist" array[3] of double"#);
+        let values = vec![Value::Double(1.5), Value::doubles(&[0.125, 0.25, 0.375])];
+        let wire = stub.marshal_state(&values, Architecture::CrayYmp).unwrap();
+        let got = stub.unmarshal_state(wire, Architecture::ConvexC220).unwrap();
         assert_eq!(got, values);
     }
 
     #[test]
     fn state_count_mismatch_rejected() {
-        let types = vec![("t".to_owned(), Type::Double)];
-        assert!(marshal_state(&types, &[], Architecture::SunSparc10).is_err());
+        let stub = state_stub(r#""t" double"#);
+        let err = stub.marshal_state(&[], Architecture::SunSparc10).unwrap_err();
+        assert!(matches!(err, SchError::StateTransfer(_)), "{err}");
     }
 
     /// A checkpoint captured on any architecture restores bit-exactly on
@@ -406,12 +244,9 @@ export shaft prog(
         let mant48 = (1u64 << 48) - 1; // widest mantissa every format holds
         let big = mant48 as f64 * 2f64.powi(78); // ~3.0e37, near the VAX ceiling
         let tiny = 2f64.powi(-120); // near the VAX floor
-        let types = vec![
-            ("t".to_owned(), Type::Double),
-            ("edges".to_owned(), Type::Array { len: 4, elem: Box::new(Type::Double) }),
-            ("gains".to_owned(), Type::Array { len: 3, elem: Box::new(Type::Float) }),
-            ("steps".to_owned(), Type::Integer),
-        ];
+        let stub = state_stub(
+            r#""t" double, "edges" array[4] of double, "gains" array[3] of float, "steps" integer"#,
+        );
         let values = vec![
             Value::Double(0.125),
             Value::doubles(&[big, -big, tiny, -tiny]),
@@ -420,12 +255,12 @@ export shaft prog(
         ];
         for from in Architecture::ALL {
             for to in Architecture::ALL {
-                let wire = marshal_state(&types, &values, from).unwrap();
-                let got = unmarshal_state(&types, wire.clone(), to).unwrap();
+                let wire = stub.marshal_state(&values, from).unwrap();
+                let got = stub.unmarshal_state(wire.clone(), to).unwrap();
                 assert_eq!(got, values, "{from} -> {to}");
                 // Re-checkpointing a restored instance produces the same
                 // wire bytes, so relays through third hosts stay exact.
-                let rewire = marshal_state(&types, &got, to).unwrap();
+                let rewire = stub.marshal_state(&got, to).unwrap();
                 assert_eq!(rewire, wire, "{from} -> {to} re-marshal");
             }
         }
@@ -436,51 +271,13 @@ export shaft prog(
     /// real Cray computation would have produced them.
     #[test]
     fn cray_restore_rounds_to_its_48_bit_mantissa() {
-        let types = vec![("x".to_owned(), Type::Double)];
+        let stub = state_stub(r#""x" double"#);
         let fine = f64::from_bits(0x3FF0_0000_0000_000F); // 1 + 15 * 2^-52
-        let wire = marshal_state(&types, &[Value::Double(fine)], Architecture::SunSparc10).unwrap();
-        let got = unmarshal_state(&types, wire, Architecture::CrayYmp).unwrap();
+        let wire = stub.marshal_state(&[Value::Double(fine)], Architecture::SunSparc10).unwrap();
+        let got = stub.unmarshal_state(wire, Architecture::CrayYmp).unwrap();
         let Value::Double(x) = got[0] else { panic!("{got:?}") };
         assert_ne!(x, fine, "the low mantissa bits do not fit the Cray word");
         assert!((x - fine).abs() < 1e-12, "rounding is to nearest: {x}");
-    }
-
-    #[test]
-    fn wire_v2_inputs_round_trip_on_every_arch_pair() {
-        let stub = shaft_stub();
-        let args = shaft_args();
-        for from in Architecture::ALL {
-            for to in Architecture::ALL {
-                let wire = stub.marshal_inputs_wire(&args, from, WIRE_V2).unwrap();
-                assert_eq!(uts::payload_version(&wire), WIRE_V2);
-                let (got, ver) = stub.unmarshal_inputs_any(wire, to).unwrap();
-                assert_eq!(ver, WIRE_V2);
-                assert_eq!(got, args, "{from} -> {to}");
-            }
-        }
-    }
-
-    #[test]
-    fn receiver_sniffs_either_wire_version() {
-        let stub = shaft_stub();
-        let args = shaft_args();
-        let v1 = stub.marshal_inputs_wire(&args, Architecture::SunSparc10, WIRE_V1).unwrap();
-        let v2 = stub.marshal_inputs_wire(&args, Architecture::SunSparc10, WIRE_V2).unwrap();
-        assert_ne!(v1, v2, "the codecs frame differently");
-        let (from_v1, ver1) = stub.unmarshal_inputs_any(v1, Architecture::CrayYmp).unwrap();
-        let (from_v2, ver2) = stub.unmarshal_inputs_any(v2, Architecture::CrayYmp).unwrap();
-        assert_eq!((ver1, ver2), (WIRE_V1, WIRE_V2));
-        assert_eq!(from_v1, from_v2);
-        assert_eq!(from_v1, args);
-    }
-
-    #[test]
-    fn v2_payload_is_smaller_for_arrays() {
-        let stub = shaft_stub();
-        let args = shaft_args();
-        let v1 = stub.marshal_inputs_wire(&args, Architecture::SunSparc10, WIRE_V1).unwrap();
-        let v2 = stub.marshal_inputs_wire(&args, Architecture::SunSparc10, WIRE_V2).unwrap();
-        assert!(v2.len() < v1.len(), "v2 {} vs v1 {}", v2.len(), v1.len());
     }
 
     #[test]
@@ -488,48 +285,12 @@ export shaft prog(
         let stub = shaft_stub();
         let args = shaft_args();
         let mut buf = BytesMut::new();
-        stub.marshal_inputs_into(&mut buf, &args, Architecture::SunSparc10, WIRE_V2).unwrap();
+        stub.marshal_inputs_into(&mut buf, &args, Architecture::SunSparc10).unwrap();
         let first = Bytes::copy_from_slice(&buf);
-        stub.marshal_inputs_into(&mut buf, &args, Architecture::SunSparc10, WIRE_V2).unwrap();
+        stub.marshal_inputs_into(&mut buf, &args, Architecture::SunSparc10).unwrap();
         assert_eq!(&buf[..], &first[..], "re-encode is reproducible");
-        let direct = stub.marshal_inputs_wire(&args, Architecture::SunSparc10, WIRE_V2).unwrap();
+        let direct = stub.marshal_inputs(&args, Architecture::SunSparc10).unwrap();
         assert_eq!(&buf[..], &direct[..]);
-        // The v1 fallback also lands in the same buffer.
-        stub.marshal_inputs_into(&mut buf, &args, Architecture::SunSparc10, WIRE_V1).unwrap();
-        let legacy = stub.marshal_inputs(&args, Architecture::SunSparc10).unwrap();
-        assert_eq!(&buf[..], &legacy[..]);
-    }
-
-    #[test]
-    fn outputs_cross_versions() {
-        let stub = shaft_stub();
-        let results = vec![Value::Float(-123.5)];
-        for wire in [WIRE_V1, WIRE_V2] {
-            let enc = stub.marshal_outputs_wire(&results, Architecture::CrayYmp, wire).unwrap();
-            let (got, ver) = stub.unmarshal_outputs_any(enc, Architecture::SunSparc10).unwrap();
-            assert_eq!(ver, wire);
-            assert_eq!(got, results);
-        }
-    }
-
-    #[test]
-    fn state_blobs_restore_across_versions_and_architectures() {
-        let file = uts::parse_spec_file(
-            r#"export h prog("x" val double, "y" res double)
-               state("t" double, "hist" array[3] of double)"#,
-        )
-        .unwrap();
-        let stub = CompiledStub::compile(&file.decls[0]);
-        let values = vec![Value::Double(1.5), Value::doubles(&[0.125, 0.25, 0.375])];
-        for wire in [WIRE_V1, WIRE_V2] {
-            let blob = stub.marshal_state_wire(&values, Architecture::CrayYmp, wire).unwrap();
-            let got = stub.unmarshal_state_any(blob, Architecture::ConvexC220).unwrap();
-            assert_eq!(got, values, "wire v{wire}");
-        }
-        // Arity mismatches are state-transfer errors under both codecs.
-        for wire in [WIRE_V1, WIRE_V2] {
-            assert!(stub.marshal_state_wire(&[], Architecture::SunSparc10, wire).is_err());
-        }
     }
 
     #[test]
@@ -539,5 +300,19 @@ export shaft prog(
         let mut longer = wire.to_vec();
         longer.extend_from_slice(&[0, 0]);
         assert!(stub.unmarshal_inputs(Bytes::from(longer), Architecture::Sgi4D).is_err());
+    }
+
+    /// The runtime speaks one codec: a payload of the reference tagged
+    /// codec is well-formed for its own decoder but a typed wire error
+    /// here, never a fallback.
+    #[test]
+    fn reference_codec_payload_is_a_typed_error() {
+        let stub = shaft_stub();
+        let args = shaft_args();
+        let tagged = uts::wire::encode_values(&args).unwrap();
+        let types: Vec<&Type> = stub.input_types.iter().collect();
+        assert_eq!(uts::wire::decode_values(tagged.clone(), &types).unwrap(), args);
+        let err = stub.unmarshal_inputs(tagged, Architecture::SunSparc10).unwrap_err();
+        assert!(matches!(err, SchError::Uts(uts::Error::Wire(_))), "{err}");
     }
 }

@@ -22,7 +22,6 @@ use crate::server::spawn_server;
 use crate::supervise::{
     CheckpointStore, Snapshot, SupervisionMap, SupervisionPolicy, DEFAULT_CHECKPOINT_RETENTION,
 };
-use crate::trace::Trace;
 use crate::world::World;
 use ledger::{Journal, LedgerHandle};
 
@@ -50,11 +49,6 @@ pub struct SchoonerConfig {
     /// Consecutive heartbeat misses before the Manager declares a
     /// suspect process dead and runs its supervision policy.
     pub heartbeat_miss_threshold: u32,
-    /// Highest UTS wire version this world's Manager hands out in
-    /// bindings (see [`uts::WIRE_V2`]). The negotiated version of any
-    /// binding is `min(caller max, this)`; set to [`uts::WIRE_V1`] to
-    /// force every call onto the legacy tagged codec.
-    pub wire_version: u8,
     /// Checkpoints retained per `(line, path)` key in the Manager's
     /// [`CheckpointStore`] (clamped to at least 1). Older snapshots are
     /// evicted — and the evictions journaled, when a journal is
@@ -79,7 +73,6 @@ impl Default for SchoonerConfig {
             per_scalar_flops: 80.0,
             process_startup_s: 30e-3,
             heartbeat_miss_threshold: 2,
-            wire_version: uts::WIRE_V2,
             checkpoint_retention: DEFAULT_CHECKPOINT_RETENTION,
             link_batching: None,
         }
@@ -88,7 +81,7 @@ impl Default for SchoonerConfig {
 
 impl SchoonerConfig {
     /// Start a builder from the defaults; override just the fields that
-    /// matter: `SchoonerConfig::builder().wire_version(..).build()`.
+    /// matter: `SchoonerConfig::builder().manager_host(..).build()`.
     pub fn builder() -> SchoonerConfigBuilder {
         SchoonerConfigBuilder { config: Self::default() }
     }
@@ -132,12 +125,6 @@ impl SchoonerConfigBuilder {
         self
     }
 
-    /// Highest UTS wire version the Manager hands out in bindings.
-    pub fn wire_version(mut self, version: u8) -> Self {
-        self.config.wire_version = version;
-        self
-    }
-
     /// Checkpoints retained per `(line, path)` key.
     pub fn checkpoint_retention(mut self, n: usize) -> Self {
         self.config.checkpoint_retention = n;
@@ -171,9 +158,6 @@ pub struct RuntimeCtx {
     /// The typed observability sink: events, call spans, and the metrics
     /// registry (shared with [`RuntimeCtx::net`]'s).
     pub obs: Obs,
-    /// Event trace sink — the legacy facade over [`RuntimeCtx::obs`];
-    /// both views share storage.
-    pub trace: Trace,
     /// Per-executable supervision policies, consulted by the Manager
     /// when a supervised process dies.
     pub supervision: SupervisionMap,
@@ -255,8 +239,7 @@ impl Schooner {
         let net = Network::new(topology);
         net.set_link_config(config.link_batching);
         // The world's sink adopts the network's registry so transport
-        // counters and RPC metrics land in one snapshot; the legacy
-        // trace is a facade over the same event storage.
+        // counters and RPC metrics land in one snapshot.
         let obs = Obs::with_metrics(net.metrics().clone());
         let checkpoints = CheckpointStore::with_retention(config.checkpoint_retention);
         let ctx = RuntimeCtx {
@@ -264,7 +247,6 @@ impl Schooner {
             park,
             files: FileStore::new(),
             registry: ProgramRegistry::new(),
-            trace: Trace::from_obs(obs.clone()),
             obs,
             supervision: SupervisionMap::new(),
             config: Arc::new(config),
@@ -426,9 +408,9 @@ mod tests {
     #[test]
     fn builder_overrides_only_named_fields() {
         let c =
-            SchoonerConfig::builder().manager_host("ua-sparc10").wire_version(uts::WIRE_V1).build();
+            SchoonerConfig::builder().manager_host("ua-sparc10").checkpoint_retention(3).build();
         assert_eq!(c.manager_host, "ua-sparc10");
-        assert_eq!(c.wire_version, uts::WIRE_V1);
+        assert_eq!(c.checkpoint_retention, 3);
         let d = SchoonerConfig::default();
         assert_eq!(c.heartbeat_miss_threshold, d.heartbeat_miss_threshold);
         assert_eq!(c.per_scalar_flops, d.per_scalar_flops);
@@ -438,7 +420,7 @@ mod tests {
     fn struct_literal_construction_still_compiles() {
         // Deprecation path: all fields stay public for one release, so
         // functional-update literals keep working.
-        let c = SchoonerConfig { wire_version: uts::WIRE_V1, ..SchoonerConfig::default() };
-        assert_eq!(c.wire_version, uts::WIRE_V1);
+        let c = SchoonerConfig { heartbeat_miss_threshold: 5, ..SchoonerConfig::default() };
+        assert_eq!(c.heartbeat_miss_threshold, 5);
     }
 }

@@ -76,7 +76,6 @@ fn gen_mapinfo(g: &mut Gen) -> MapInfo {
         remote_name: g.ident(12),
         export_spec: g.printable(80),
         incarnation: g.next_u64(),
-        wire_version: (g.below(2) + 1) as u8,
     }
 }
 
@@ -102,7 +101,6 @@ fn gen_msg(g: &mut Gen) -> Msg {
             name: g.ident(12),
             import_spec: g.printable(60),
             suspect_addr: g.ident(16),
-            max_wire: (g.below(2) + 1) as u8,
             reply_to: g.ident(16),
         },
         5 => {

@@ -346,12 +346,12 @@ fn line_stats_count_traffic() {
 #[test]
 fn trace_records_control_transfer() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/npss/doubler", doubler_image(), &["lerc-cray-ymp"]).unwrap();
     let mut line = sch.open_line("m", "ua-sparc10").unwrap();
     line.start_remote("/npss/doubler", "lerc-cray-ymp").unwrap();
     line.call("double", &[Value::Float(1.0)]).unwrap();
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("opened line"), "{rendered}");
     assert!(rendered.contains("started process"), "{rendered}");
     assert!(rendered.contains("call DOUBLE"), "{rendered}");

@@ -59,7 +59,7 @@ fn accumulator_image() -> ProgramImage {
 #[test]
 fn crash_respawns_and_restores_checkpointed_state() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
     line.start_remote("/npss/accum", "lerc-sgi-4d480").unwrap();
@@ -96,7 +96,7 @@ fn crash_respawns_and_restores_checkpointed_state() {
     assert!(stats.policy_retries >= 1, "{stats:?}");
     assert_eq!(stats.failovers, 0, "{stats:?}");
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("checkpointed 'accum'"), "{rendered}");
     assert!(rendered.contains("dead (incarnation 1)"), "{rendered}");
     assert!(rendered.contains("restored '/npss/accum' from checkpoint"), "{rendered}");
@@ -115,7 +115,7 @@ fn crash_respawns_and_restores_checkpointed_state() {
 #[test]
 fn delayed_pre_crash_reply_is_fenced_by_incarnation() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480", "lerc-rs6000"]).unwrap();
     // Deterministic request ids on this line: open=1, start=2, first call
     // maps (3) then calls (4), move=5 — so the next call id is 6.
@@ -144,7 +144,7 @@ fn delayed_pre_crash_reply_is_fenced_by_incarnation() {
     assert_eq!(out, vec![Value::Float(212.0)], "the poisoned payload must never be accepted");
     assert_eq!(line.stats().fenced_replies, 1);
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("fenced reply from incarnation 1 (binding is 2)"), "{rendered}");
     sch.shutdown();
 }
@@ -156,7 +156,7 @@ fn delayed_pre_crash_reply_is_fenced_by_incarnation() {
 #[test]
 fn suspect_counts_misses_to_threshold_before_recovery() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     // Module at U. of Arizona: its routes to both the Manager and the
     // serving host stay clear of the Manager-side partition below.
@@ -179,7 +179,7 @@ fn suspect_counts_misses_to_threshold_before_recovery() {
     let out = line.call_with("cal", &[Value::Float(100.0)], &policy).unwrap();
     assert_eq!(out, vec![Value::Float(212.0)]);
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("heartbeat miss 1/2"), "{rendered}");
     assert!(rendered.contains("heartbeat miss 2/2"), "{rendered}");
     assert!(rendered.contains("declared lerc-sgi-4d480"), "{rendered}");
@@ -201,7 +201,7 @@ fn suspect_counts_misses_to_threshold_before_recovery() {
 #[test]
 fn escalate_policy_surfaces_typed_error_instead_of_recovering() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     sch.set_supervision_policy("/x/cal", SupervisionPolicy::Escalate);
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
@@ -220,7 +220,7 @@ fn escalate_policy_surfaces_typed_error_instead_of_recovering() {
     assert!(matches!(&err, SchError::Escalated(name) if name == "cal"), "{err}");
     assert!(!err.is_retryable(), "escalation must stop the retry loop");
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("escalating failure of 'cal' to the caller"), "{rendered}");
 
     sch.ctx().net.set_fault_plan(None);
@@ -232,7 +232,7 @@ fn escalate_policy_surfaces_typed_error_instead_of_recovering() {
 #[test]
 fn migrate_policy_respawns_on_replica_host() {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-cray-ymp", "lerc-convex"])
         .unwrap();
     sch.set_supervision_policy(
@@ -255,7 +255,7 @@ fn migrate_policy_respawns_on_replica_host() {
     let out = line.call_with("accum", &[Value::Double(4.0)], &policy).unwrap();
     assert_eq!(out, vec![Value::Double(7.0)], "state carried Cray -> Convex via the checkpoint");
 
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("respawned '/npss/accum' on lerc-convex"), "{rendered}");
     assert!(rendered.contains("restored '/npss/accum' from checkpoint"), "{rendered}");
 

@@ -174,7 +174,7 @@ fn concurrent_drivers_never_see_a_false_loss() {
 /// reproduce.
 fn lost_reply_run() -> (String, u64, u64, String) {
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "ua-sparc10").unwrap();
     line.start_remote("/x/cal", "lerc-sgi-4d480").unwrap();
@@ -206,7 +206,7 @@ fn lost_reply_run() -> (String, u64, u64, String) {
     assert_eq!(out, vec![Value::Float(2.0 * 1.8 + 32.0)]);
     assert!(line.stats().policy_retries >= 1);
     assert!(line.now() >= cut + 2.5);
-    let transcript = sch.ctx().trace.render();
+    let transcript = sch.ctx().obs.render();
     let now = line.now();
     sch.ctx().net.set_fault_plan(None);
     line.quit().unwrap();
@@ -242,7 +242,7 @@ fn a_panicking_procedure_retires_only_its_process() {
         })
         .unwrap();
     let sch = Schooner::standard().unwrap();
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/x/cal", image, &["lerc-sgi-4d480"]).unwrap();
     sch.install_program("/x/ok", converter_image(), &["lerc-convex"]).unwrap();
     let mut line = sch.open_line("m", "ua-sparc10").unwrap();
@@ -262,7 +262,7 @@ fn a_panicking_procedure_retires_only_its_process() {
     let out = line.call("cal", &[Value::Float(4.0)]).unwrap();
     assert_eq!(out, vec![Value::Float(4.0 * 1.8 + 32.0)]);
     assert_eq!(line.stats().stale_retries, 1);
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     assert!(rendered.contains("respawned '/x/cal' on lerc-sgi-4d480"), "{rendered}");
     sch.shutdown();
 }

@@ -8,8 +8,11 @@
 //! * a **specification language** ([`spec`]) with a Pascal-like syntax in
 //!   which `export` and `import` specifications describe the parameters of
 //!   remotely callable procedures;
-//! * an **intermediate wire representation** ([`wire`]) through which all
-//!   data passes when crossing machine boundaries;
+//! * an **intermediate wire representation** through which all data
+//!   passes when crossing machine boundaries: **compiled marshal plans**
+//!   ([`plan`]) compile a signature once into a flat opcode sequence,
+//!   pack scalar arrays contiguously, and bypass the native round-trip on
+//!   IEEE architectures;
 //! * **per-architecture native formats** ([`native`]) and conversion
 //!   routines between a machine's native representation and the wire
 //!   format — including a faithful Cray-1 floating-point codec whose wider
@@ -17,21 +20,23 @@
 //! * **signature checking** ([`check`]) used by the Schooner Manager to
 //!   type-check calls at runtime, including the subset rule that allows an
 //!   import specification to name a subset of an export's parameters;
-//! * **compiled marshal plans** ([`plan`]) — the wire-v2 fast path that
-//!   compiles a signature once into a flat opcode sequence, packs scalar
-//!   arrays contiguously, and bypasses the native round-trip on IEEE
-//!   architectures while preserving v1 conversion semantics exactly.
+//! * the **reference tagged codec** ([`wire`], wire v1) — the oracle for
+//!   `tests/wire_v2_differential.rs` and `BENCH_marshal.json`, whose
+//!   conversion semantics the plans preserve exactly; not used by the
+//!   runtime.
 //!
 //! The flow of an argument value in a remote call is:
 //!
 //! ```text
-//! caller Value ──encode──▶ caller-native bytes ──to_wire──▶ wire bytes
-//!      wire bytes ──from_wire──▶ callee-native bytes ──decode──▶ callee Value
+//! caller Value ──MarshalPlan::encode(caller arch)──▶ wire bytes
+//!      wire bytes ──MarshalPlan::decode(callee arch)──▶ callee Value
 //! ```
 //!
-//! Both native steps are real byte-level conversions, so heterogeneity
-//! errors (e.g. a Cray integer too large for the 32-bit wire integer) occur
-//! for the same reason they did in the original system.
+//! Each side applies its own architecture's native-format conversion per
+//! scalar — real byte-level conversions for the Cray and VAX formats,
+//! identity for IEEE machines — so heterogeneity errors (e.g. a Cray
+//! integer too large for the 32-bit wire integer) occur for the same
+//! reason they did in the original system.
 //!
 //! # Example
 //!
@@ -39,7 +44,7 @@
 //! arguments from a SPARC workstation toward a Cray:
 //!
 //! ```
-//! use uts::{parse_spec_file, Architecture, Value};
+//! use uts::{parse_spec_file, Architecture, MarshalPlan, Type, Value};
 //! use uts::native::through_native;
 //!
 //! let spec = parse_spec_file(r#"
@@ -61,8 +66,8 @@
 //!
 //! // ...but an integer only the Cray's 64-bit word can hold is an error
 //! // at the 32-bit wire boundary, per the paper's chosen policy.
-//! let mut w = uts::WireWriter::new();
-//! assert!(w.put_unchecked(&Value::Integer(1 << 40)).is_err());
+//! let plan = MarshalPlan::compile(&[Type::Integer]);
+//! assert!(plan.encode(&[Value::Integer(1 << 40)], Architecture::CrayYmp).is_err());
 //! ```
 
 pub mod arch;
@@ -78,8 +83,7 @@ pub mod wire;
 pub use arch::Architecture;
 pub use check::{check_call_args, check_import_against_export, CheckedCall};
 pub use error::{Error, Result};
-pub use plan::{payload_version, MarshalPlan, WIRE_V1, WIRE_V2};
+pub use plan::{MarshalPlan, WIRE_V2};
 pub use spec::{parse_spec_file, Direction, Parameter, ProcSpec, SpecFile};
 pub use types::{ParamMode, Type};
 pub use value::Value;
-pub use wire::{WireReader, WireWriter};

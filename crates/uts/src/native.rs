@@ -22,9 +22,8 @@
 
 use crate::arch::{Architecture, FloatRepr, IntRepr};
 use crate::error::{Error, Result};
-use crate::types::Type;
+use crate::types::{Type, WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
 use crate::value::Value;
-use crate::wire::{WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
 
 /// `ldexp(x, e) = x * 2^e` computed safely for the exponent ranges the Cray
 /// codec produces (|e| ≤ ~1200 after range pre-checks).

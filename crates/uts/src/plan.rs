@@ -1,7 +1,7 @@
 //! Compiled marshal plans and the v2 untagged wire format.
 //!
-//! The legacy (v1) codec interprets the `Type` tree for every value of
-//! every call: each array element is boxed as a [`Value`], recursively
+//! The reference tagged codec ([`crate::wire`], v1) interprets the `Type`
+//! tree for every value of every call: each array element is boxed as a [`Value`], recursively
 //! type-checked, converted through the sender's native format via an
 //! intermediate byte buffer, and emitted with its own tag byte. This
 //! module compiles a procedure signature **once** into a flat opcode
@@ -20,10 +20,10 @@
 //! # The v2 wire format
 //!
 //! A v2 payload starts with the marker byte [`V2_MAGIC`] (`0xF2`), a value
-//! no v1 stream can begin with (v1 tags are `0x01..=0x08`), so receivers
-//! sniff the version per payload and fall back to the tagged v1 decoder
-//! for old senders. After the marker the values follow **untagged**, in
-//! signature order:
+//! no v1 stream can begin with (v1 tags are `0x01..=0x08`), so
+//! [`MarshalPlan::decode`] refuses a tagged payload with a typed
+//! [`Error::Wire`] instead of misreading it. After the marker the values
+//! follow **untagged**, in signature order:
 //!
 //! ```text
 //! integer   4 bytes two's complement BE
@@ -47,25 +47,15 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::arch::{Architecture, FloatRepr, IntRepr};
 use crate::error::{Error, Result};
 use crate::native::{cray, vax};
-use crate::types::Type;
+use crate::types::{Type, WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
 use crate::value::Value;
-use crate::wire::{WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
 
-/// The legacy self-describing tagged format.
-pub const WIRE_V1: u8 = 1;
-/// The plan-driven untagged format introduced by this module.
+/// The UTS version of the plan-driven untagged format introduced by this
+/// module — the one codec the runtime speaks. Schooner's bind messages
+/// carry it as a fixed byte.
 pub const WIRE_V2: u8 = 2;
 /// First byte of every v2 payload; disjoint from the v1 tag space.
 pub const V2_MAGIC: u8 = 0xF2;
-
-/// Which wire version a payload was encoded with, sniffed from its first
-/// byte. An empty payload is a valid v1 encoding of zero values.
-pub fn payload_version(payload: &[u8]) -> u8 {
-    match payload.first() {
-        Some(&V2_MAGIC) => WIRE_V2,
-        _ => WIRE_V1,
-    }
-}
 
 /// One instruction of a compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -642,7 +632,7 @@ mod tests {
     ) -> Result<Vec<Value>> {
         let plan = MarshalPlan::compile(types);
         let bytes = plan.encode(values, from)?;
-        assert_eq!(payload_version(&bytes), WIRE_V2);
+        assert_eq!(bytes[0], V2_MAGIC);
         plan.decode(bytes, to)
     }
 
@@ -858,10 +848,11 @@ mod tests {
     fn v1_payloads_are_never_mistaken_for_v2() {
         let vals = vec![Value::Integer(1), Value::doubles(&[2.0])];
         let bytes = encode_values(&vals).unwrap();
-        assert_eq!(payload_version(&bytes), WIRE_V1);
-        assert_eq!(payload_version(&[]), WIRE_V1);
+        assert_ne!(bytes[0], V2_MAGIC);
         let plan = MarshalPlan::compile(&[Type::Integer, arr(1, Type::Double)]);
-        assert!(plan.decode(bytes, Architecture::Sgi4D).is_err());
+        assert!(matches!(plan.decode(bytes, Architecture::Sgi4D), Err(Error::Wire(_))));
+        // An empty payload (v1's encoding of zero values) has no marker either.
+        assert!(matches!(plan.decode(Bytes::new(), Architecture::Sgi4D), Err(Error::Wire(_))));
     }
 
     #[test]

@@ -9,6 +9,12 @@
 
 use std::fmt;
 
+/// The wire `integer` is 32 bits; this is the range check applied when a
+/// wider native integer (e.g. the Cray's 64-bit word) is marshaled.
+pub const WIRE_INTEGER_MIN: i64 = i32::MIN as i64;
+/// Upper bound of the 32-bit wire integer.
+pub const WIRE_INTEGER_MAX: i64 = i32::MAX as i64;
+
 /// A UTS type as written in a specification file.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {

@@ -1,6 +1,8 @@
-//! The UTS intermediate wire representation.
+//! The reference tagged codec (wire v1) — the oracle for
+//! `tests/wire_v2_differential.rs` and `BENCH_marshal.json`, not used by
+//! the runtime, which marshals through [`crate::plan`] only.
 //!
-//! Every argument crossing a machine boundary passes through this
+//! This is the intermediate representation as first built: a
 //! self-describing, canonical big-endian format. Being self-describing (each
 //! value carries a type tag) lets the receiving side detect corrupt or
 //! mis-typed streams instead of silently misinterpreting bytes — the
@@ -25,7 +27,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{Error, Result};
-use crate::types::Type;
+use crate::types::{Type, WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
 use crate::value::Value;
 
 const TAG_INTEGER: u8 = 0x01;
@@ -36,12 +38,6 @@ const TAG_BOOLEAN: u8 = 0x05;
 const TAG_STRING: u8 = 0x06;
 const TAG_ARRAY: u8 = 0x07;
 const TAG_RECORD: u8 = 0x08;
-
-/// The wire `integer` is 32 bits; this is the range check applied when a
-/// wider native integer (e.g. the Cray's 64-bit word) is marshaled.
-pub const WIRE_INTEGER_MIN: i64 = i32::MIN as i64;
-/// Upper bound of the 32-bit wire integer.
-pub const WIRE_INTEGER_MAX: i64 = i32::MAX as i64;
 
 /// Serializes a sequence of values into the intermediate representation.
 #[derive(Debug, Default)]

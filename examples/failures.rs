@@ -83,7 +83,7 @@ fn partition_survival() -> Result<(), Box<dyn std::error::Error>> {
     println!("== part 2: surviving a timed partition ==\n");
 
     let sch = Schooner::standard().map_err(to_err2)?;
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     let image = ProgramImage::new("cal", r#"export cal prog("x" val float, "y" res float)"#)
         .map_err(to_err2)?
         .with_procedure("cal", || {
@@ -115,7 +115,7 @@ fn partition_survival() -> Result<(), Box<dyn std::error::Error>> {
     let out = line.call_with("cal", &[Value::Float(100.0)], &policy).map_err(to_err2)?;
     println!("cal(100) = {:?} after the partition healed at t = {:.2}s", out[0], line.now());
 
-    for event in sch.ctx().trace.render().lines().filter(|l| l.contains("retry")) {
+    for event in sch.ctx().obs.render().lines().filter(|l| l.contains("retry")) {
         println!("  trace: {event}");
     }
     sch.ctx().net.set_fault_plan(None);
@@ -130,7 +130,7 @@ fn degraded_transient() -> Result<(), Box<dyn std::error::Error>> {
     println!("== part 3: transient completing through local-fallback degradation ==\n");
 
     let sch = Schooner::standard().map_err(to_err2)?;
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     sch.install_program("/npss/comb", combustor_image(), &["ua-sgi-4d340"]).map_err(to_err2)?;
 
     let line = sch.open_line("combustor", "ua-sparc10").map_err(to_err2)?;
@@ -171,7 +171,7 @@ fn degraded_transient() -> Result<(), Box<dyn std::error::Error>> {
     for row in engine.report_rows() {
         println!("  {:<18} {:<34} {:>6} calls", row.module, row.location, row.calls);
     }
-    for event in sch.ctx().trace.render().lines().filter(|l| l.contains("degraded")) {
+    for event in sch.ctx().obs.render().lines().filter(|l| l.contains("degraded")) {
         println!("\ntrace: {event}");
     }
     engine.shutdown();

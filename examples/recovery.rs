@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ride that out, so the transient must fall back to its barriers.
     let t_crash = t_start + 0.55 * (t_stop - t_start);
     let sch = world()?;
-    sch.ctx().trace.set_enabled(true);
+    sch.ctx().obs.set_enabled(true);
     // Every event, checkpoint write, and supervision verdict of the
     // faulted run lands in a durable journal as well.
     let journal_path = std::env::temp_dir().join("npss-recovery.journal");
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("supervision trace:");
-    let rendered = sch.ctx().trace.render();
+    let rendered = sch.ctx().obs.render();
     for line in rendered.lines().filter(|l| {
         ["resuming from checkpoint", "declared", "respawned", "heartbeat", "escalating"]
             .iter()

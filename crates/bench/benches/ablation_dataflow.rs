@@ -14,54 +14,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use npss::engine_exec::{ExecutiveEngine, Scheduling, WavePlan};
-use npss::{procs, RemoteExec};
-use schooner::Schooner;
+use npss::engine_exec::{ExecutiveEngine, Scheduling};
+use npss::service;
+use schooner::{CallPolicy, Schooner};
 use std::sync::Arc;
-use tess::engine::Turbofan;
 use uts::Value;
 
 const FANOUT: usize = 8;
 
-fn npss_world() -> Arc<Schooner> {
-    let sch = bench::world();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &refs).unwrap();
-    }
-    sch
-}
-
 /// The Table 2 engine with the derived wave plan and a chosen mode.
 fn table2_engine(sch: &Schooner, scheduling: Scheduling) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    exec.scheduling = scheduling;
-    exec.wave_plan = WavePlan {
-        waves: vec![
-            vec!["bypass duct".into(), "combustor".into()],
-            vec!["low speed shaft".into(), "high speed shaft".into()],
-            vec!["tailpipe duct".into()],
-            vec!["nozzle".into()],
-        ],
-    };
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        exec.set_remote(slot, RemoteExec::start(line, path, machine).unwrap()).unwrap();
-    }
-    exec
+    service::table2_engine(sch, &CallPolicy::default(), scheduling, 0).unwrap()
 }
 
 const SLOTS: [&str; 6] =
@@ -74,7 +37,7 @@ const SLOTS: [&str; 6] =
 /// parallel cost is the wave's makespan.
 fn f100_level_seconds() -> (f64, f64) {
     use npss::engine_exec::Exec;
-    let sch = npss_world();
+    let sch = service::world(false).unwrap();
     let mut exec = table2_engine(&sch, Scheduling::WaveParallel);
     exec.setup().unwrap(); // warm: process spawn, binding lookups
     sch.ctx().obs.clear_spans();
@@ -196,7 +159,7 @@ fn bench_dataflow(c: &mut Criterion) {
 
     // Wall-clock cost of the scheduling machinery itself: one full-width
     // configuration wave, sequential vs wave-parallel.
-    let sch2 = npss_world();
+    let sch2 = service::world(false).unwrap();
     let mut group = c.benchmark_group("dataflow");
     group.sample_size(if quick { 10 } else { 30 });
     for (label, scheduling) in [

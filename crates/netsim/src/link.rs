@@ -35,6 +35,8 @@
 //!
 //! The decoder rejects truncated frames, corrupted bodies (CRC), frames
 //! split across reads, and record counts that disagree with the body.
+//! The header's `count` is not covered by the CRC, so it is bounded by
+//! what the body can hold before anything is reserved for it.
 
 use std::fmt;
 
@@ -46,6 +48,9 @@ pub const FRAME_MAGIC: [u8; 2] = *b"NB";
 pub const FRAME_VERSION: u8 = 2;
 /// Fixed frame header length in bytes.
 pub const FRAME_HEADER_LEN: usize = 15;
+/// Smallest possible record: two empty addresses (2 + 2 length bytes),
+/// the send instant (8) and an empty payload's length (4).
+const MIN_RECORD_LEN: usize = 16;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), bitwise implementation —
 /// frames are small and this keeps the codec dependency-free.
@@ -246,7 +251,10 @@ pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg>, FrameError> {
     if computed != declared_crc {
         return Err(FrameError::CrcMismatch { declared: declared_crc, computed });
     }
-    let mut msgs = Vec::with_capacity(count as usize);
+    // `count` lies outside the CRC, so it is untrusted even when the
+    // body is intact: reserve only what the body can hold and let the
+    // record loop report the disagreement.
+    let mut msgs = Vec::with_capacity((count as usize).min(body_len / MIN_RECORD_LEN));
     let mut off = FRAME_HEADER_LEN;
     for parsed in 0..count {
         match decode_record(frame, &mut off, total) {
@@ -338,23 +346,15 @@ pub struct LinkConfig {
     pub credit: Option<CreditConfig>,
 }
 
-/// One message buffered in an open frame, with the caller's opaque tag
-/// (the Schooner layer stores `(line id, call id)` for span
-/// attribution).
-#[derive(Debug, Clone)]
-pub(crate) struct PendingMsg {
-    pub(crate) tag: (u64, u64),
-    pub(crate) from: String,
-    pub(crate) to: String,
-    pub(crate) sent_at: f64,
-    pub(crate) payload_len: usize,
-}
-
-/// An open (not yet flushed) frame on one link.
+/// An open (not yet flushed) frame on one link. The frame records are
+/// the one holder of each buffered message's addresses, send instant and
+/// payload; beside them sits only what the wire does not carry.
 #[derive(Debug)]
 pub(crate) struct OpenFrame {
     pub(crate) builder: FrameBuilder,
-    pub(crate) msgs: Vec<PendingMsg>,
+    /// The caller's opaque tag per record, in record order (the Schooner
+    /// layer stores `(line id, call id)` for span attribution).
+    pub(crate) tags: Vec<(u64, u64)>,
     pub(crate) first_sent: f64,
     pub(crate) max_sent: f64,
     /// Logical payload bytes (framing overhead excluded — the cost
@@ -366,7 +366,7 @@ impl OpenFrame {
     pub(crate) fn new() -> Self {
         Self {
             builder: FrameBuilder::new(),
-            msgs: Vec::new(),
+            tags: Vec::new(),
             first_sent: f64::INFINITY,
             max_sent: f64::NEG_INFINITY,
             payload_bytes: 0,
@@ -575,6 +575,38 @@ mod tests {
         bad[3..7].copy_from_slice(&2u32.to_be_bytes());
         let err = decode_frame(&Bytes::from(bad)).unwrap_err();
         assert_eq!(err, FrameError::CountMismatch { declared: 2, parsed: 1 });
+        // A count the body cannot possibly hold must not be believed
+        // long enough to reserve memory for it.
+        let mut bad = frame.to_vec();
+        bad[3..7].copy_from_slice(&u32::MAX.to_be_bytes());
+        let err = decode_frame(&Bytes::from(bad)).unwrap_err();
+        assert_eq!(err, FrameError::CountMismatch { declared: u32::MAX, parsed: 1 });
+    }
+
+    #[test]
+    fn every_header_count_and_length_bit_flip_is_a_typed_error() {
+        // Bytes 3..11 (count, body length) sit outside the CRC: damage
+        // there has to be caught by the structural checks alone.
+        let mut b = FrameBuilder::new();
+        b.push("a:x", "b:y", 0.0, b"one");
+        b.push("a:x", "b:z", 0.5, &[9; 40]);
+        let frame = b.finish();
+        for byte in 3..11 {
+            for bit in 0..8 {
+                let mut bad = frame.to_vec();
+                bad[byte] ^= 1 << bit;
+                let err = decode_frame(&Bytes::from(bad)).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        FrameError::CountMismatch { .. }
+                            | FrameError::TrailingBytes(_)
+                            | FrameError::Truncated { .. }
+                    ),
+                    "flip of bit {bit} in byte {byte} gave {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::faults::FaultPlan;
-use crate::link::{decode_frame, FrameMsg, LinkBatcher, LinkConfig, OpenFrame, PendingMsg};
+use crate::link::{decode_frame, FrameMsg, LinkBatcher, LinkConfig, OpenFrame};
 use crate::metrics::MetricsRegistry;
 use crate::topology::{NodeId, Path, Topology};
 
@@ -135,14 +135,6 @@ pub struct SendReport {
 /// One flushed link frame.
 #[derive(Debug, Clone)]
 pub struct FlushReport {
-    /// Sending host of the link.
-    pub from_host: String,
-    /// Receiving host of the link.
-    pub to_host: String,
-    /// Virtual time the frame left the sender.
-    pub flush_t: f64,
-    /// Wire size of the frame (header + records).
-    pub frame_bytes: u64,
     /// Per-message outcomes, in buffer order.
     pub msgs: Vec<FlushRecord>,
 }
@@ -153,10 +145,6 @@ pub struct FlushRecord {
     /// Opaque caller tag passed at append time (Schooner stores
     /// `(line id, call id)` for span attribution).
     pub tag: (u64, u64),
-    /// Sender's full address.
-    pub from: String,
-    /// Destination address.
-    pub to: String,
     /// Virtual time the message was appended (post-stall).
     pub sent_at: f64,
     /// Arrival instant on success, or why delivery failed.
@@ -412,51 +400,85 @@ impl Network {
         sent_at: f64,
     ) -> Result<f64, NetError> {
         let (from_host, to_host) = (host_of(from), host_of(to));
-        if self.is_down(from_host) {
-            return Err(NetError::HostDown(from_host.into()));
-        }
-        if self.is_down(to_host) {
-            return Err(NetError::HostDown(to_host.into()));
-        }
         let plan = self.fault_plan();
-        if let Some(plan) = &plan {
-            plan.check_send(from_host, to_host, sent_at)?;
-        }
+        let plan = plan.as_deref();
+        self.check_link(plan, from_host, to_host, sent_at, true)?;
         let link = self.link_record(from_host, to_host)?;
-        let mut transfer = link.path()?.transfer_seconds(payload.len());
-        if let Some(plan) = &plan {
-            transfer = plan.adjust_transfer(sent_at, transfer);
-        }
-        let arrive_at = sent_at + transfer;
-        let tx = {
-            let eps = self.inner.endpoints.read().unwrap();
-            let entry = eps.get(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
-            // Crash fencing: a process endpoint born before a crash of
-            // its host no longer exists — the address resolves to
-            // nothing, which the RPC layer classifies as a stale binding.
-            if let (Some(birth), Some(plan)) = (entry.birth, &plan) {
-                if plan.crash_count(to_host, sent_at) > plan.crash_count(to_host, birth) {
-                    self.inner.metrics.counter_add("net.fault.fenced", 1);
-                    return Err(NetError::UnknownAddress(to.into()));
-                }
-            }
-            entry.tx.clone()
-        };
-        let env =
-            Envelope { from: from.to_owned(), to: to.to_owned(), payload, sent_at, arrive_at };
-        let bytes = env.payload.len() as u64;
+        let arrive_at = arrival(&link, plan, sent_at, payload.len())?;
+        let eps = self.inner.endpoints.read().unwrap();
+        let tx = self.mailbox(&eps, plan, to, to_host, sent_at)?;
         // Count the message before it becomes visible to the receiver:
-        // delivery can immediately unblock the receiving thread, and a
-        // metrics snapshot taken right after must already include every
-        // message that caused the state it observes. (The rare
-        // disconnected-during-teardown failure below leaves the message
-        // counted as sent, which is the drop-like semantics we want.)
+        // a metrics snapshot taken right after delivery must already
+        // include every message that caused the state it observes. (The
+        // rare disconnected-during-teardown failure below leaves the
+        // message counted as sent, which is the drop-like semantics we
+        // want.)
+        self.count_message(&link, payload.len() as u64);
+        enqueue(
+            tx,
+            Envelope { from: from.to_owned(), to: to.to_owned(), payload, sent_at, arrive_at },
+        )
+    }
+
+    // ----- admission rules, each stated once -----
+    //
+    // `send`, the batcher's append and its flush all admit a message by
+    // the same rules in the same order: link state, route, arrival law,
+    // destination mailbox, counting. Each rule lives in one helper below
+    // (the route rule is `link_record` + `LinkRecord::path`).
+
+    /// Link state at `t`: administratively downed hosts, then the fault
+    /// plan's windows. A logical message (`drop_ordinal`) also consumes
+    /// the link's seeded drop ordinal; a frame leaving later re-checks
+    /// the windows only, because its members consumed theirs at append.
+    fn check_link(
+        &self,
+        plan: Option<&FaultPlan>,
+        from_host: &str,
+        to_host: &str,
+        t: f64,
+        drop_ordinal: bool,
+    ) -> Result<(), NetError> {
+        for host in [from_host, to_host] {
+            if self.is_down(host) {
+                return Err(NetError::HostDown(host.into()));
+            }
+        }
+        match plan {
+            Some(p) if drop_ordinal => p.check_send(from_host, to_host, t),
+            Some(p) => p.check_window(from_host, to_host, t),
+            None => Ok(()),
+        }
+    }
+
+    /// The mailbox registered at `to`, as of virtual time `t`. Crash
+    /// fencing: a process endpoint born before a crash of its host no
+    /// longer exists — the address resolves to nothing, which the RPC
+    /// layer classifies as a stale binding.
+    fn mailbox<'a>(
+        &self,
+        eps: &'a HashMap<String, EpEntry>,
+        plan: Option<&FaultPlan>,
+        to: &str,
+        to_host: &str,
+        t: f64,
+    ) -> Result<&'a Sender<Envelope>, NetError> {
+        let entry = eps.get(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
+        if let (Some(birth), Some(plan)) = (entry.birth, plan) {
+            if plan.crash_count(to_host, t) > plan.crash_count(to_host, birth) {
+                self.inner.metrics.counter_add("net.fault.fenced", 1);
+                return Err(NetError::UnknownAddress(to.into()));
+            }
+        }
+        Ok(&entry.tx)
+    }
+
+    /// Count one *logical* message on its link (frames are not messages).
+    fn count_message(&self, link: &LinkRecord, bytes: u64) {
         self.inner.metrics.counter_add(&link.msg_key, 1);
         self.inner.metrics.counter_add(&link.bytes_key, bytes);
         self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
-        tx.send(env).map_err(|_| NetError::Disconnected(to.into()))?;
-        Ok(arrive_at)
     }
 
     /// Install (or clear) link-layer batching and flow control. With a
@@ -468,8 +490,7 @@ impl Network {
         *self.inner.link_cfg.write().unwrap() = cfg;
     }
 
-    /// The installed link-layer configuration, if any.
-    pub fn link_config(&self) -> Option<LinkConfig> {
+    fn link_config(&self) -> Option<LinkConfig> {
         *self.inner.link_cfg.read().unwrap()
     }
 
@@ -607,65 +628,40 @@ impl Network {
         if let Some(f) = &batcher.frame {
             let over_linger = sent_eff - f.first_sent >= cfg.batch.linger_s;
             let over_bytes = f.payload_bytes + payload_len as u64 > cfg.batch.max_frame_bytes;
-            let over_msgs = f.msgs.len() as u32 + 1 > cfg.batch.max_frame_msgs;
+            let over_msgs = f.tags.len() as u32 + 1 > cfg.batch.max_frame_msgs;
             if over_linger || over_bytes || over_msgs {
                 self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, &mut flushed);
             }
         }
 
-        // Per-message admission, mirroring the unbatched path at the
-        // effective send instant: host state, fault plan (this consumes
-        // the link's drop ordinal for this logical message), route, and
-        // destination endpoint with crash fencing.
-        if self.is_down(from_host) {
-            return Err(NetError::HostDown(from_host.into()));
-        }
-        if self.is_down(to_host) {
-            return Err(NetError::HostDown(to_host.into()));
-        }
+        // Per-message admission at the effective send instant, by the
+        // unbatched path's rules (this consumes the link's drop ordinal
+        // for this logical message); the arrival law waits for the flush.
         let plan = self.fault_plan();
-        if let Some(plan) = &plan {
-            plan.check_send(from_host, to_host, sent_eff)?;
-        }
+        let plan = plan.as_deref();
+        self.check_link(plan, from_host, to_host, sent_eff, true)?;
         let link = self.link_record(from_host, to_host)?;
         link.path()?;
-        {
-            let eps = self.inner.endpoints.read().unwrap();
-            let entry = eps.get(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
-            if let (Some(birth), Some(plan)) = (entry.birth, &plan) {
-                if plan.crash_count(to_host, sent_eff) > plan.crash_count(to_host, birth) {
-                    m.counter_add("net.fault.fenced", 1);
-                    return Err(NetError::UnknownAddress(to.into()));
-                }
-            }
-        }
+        self.mailbox(&self.inner.endpoints.read().unwrap(), plan, to, to_host, sent_eff)?;
 
-        // Commit: reserve credits, gather the payload into the frame,
-        // and count the *logical* message (frames are not messages).
+        // Commit: reserve credits, gather the payload into the frame
+        // (from here on the frame record is the one holder of the
+        // message's addresses, send instant and length), and count it.
         if cfg.credit.is_some() {
             batcher.credit.reserve(payload_len as u64);
         }
         let frame = batcher.frame.get_or_insert_with(OpenFrame::new);
         frame.builder.push_with(from, to, sent_eff, payload_len, write);
-        frame.msgs.push(PendingMsg {
-            tag,
-            from: from.to_owned(),
-            to: to.to_owned(),
-            sent_at: sent_eff,
-            payload_len,
-        });
+        frame.tags.push(tag);
         frame.first_sent = frame.first_sent.min(sent_eff);
         frame.max_sent = frame.max_sent.max(sent_eff);
         frame.payload_bytes += payload_len as u64;
-        m.counter_add(&link.msg_key, 1);
-        m.counter_add(&link.bytes_key, payload_len as u64);
-        self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bytes.fetch_add(payload_len as u64, Ordering::Relaxed);
+        self.count_message(&link, payload_len as u64);
 
         // Post-append thresholds: a frame that just filled leaves now,
         // carrying this message with it.
         let full = frame.payload_bytes >= cfg.batch.max_frame_bytes
-            || frame.msgs.len() as u32 >= cfg.batch.max_frame_msgs;
+            || frame.tags.len() as u32 >= cfg.batch.max_frame_msgs;
         if full {
             self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, &mut flushed);
         }
@@ -681,18 +677,6 @@ impl Network {
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
         if let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
-            self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
-        }
-        flushed
-    }
-
-    /// Flush every open frame leaving `from_host`, in deterministic
-    /// (destination-sorted) order.
-    pub fn flush_outbound(&self, from_host: &str, now: f64) -> Vec<FlushReport> {
-        let Some(cfg) = self.link_config() else { return Vec::new() };
-        let mut flushed = Vec::new();
-        let mut links = self.inner.links.lock().unwrap();
-        for (to_host, batcher) in links.get_mut(from_host).into_iter().flatten() {
             self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
         }
         flushed
@@ -718,7 +702,7 @@ impl Network {
             .get(from_host)
             .and_then(|out| out.get(to_host))
             .and_then(|b| b.frame.as_ref())
-            .map_or(0, |f| f.msgs.len())
+            .map_or(0, |f| f.tags.len())
     }
 
     /// Credits outstanding (bytes, messages) on a link at virtual time
@@ -748,54 +732,36 @@ impl Network {
             .link_record(from_host, to_host)
             .expect("a frame is opened only between hosts the topology knows");
         let flush_t = frame.max_sent.max(now);
-        let OpenFrame { builder, msgs, .. } = frame;
-        let wire = builder.finish();
-        let frame_bytes = wire.len() as u64;
+        let OpenFrame { builder, tags, .. } = frame;
         // Decode our own frame on every flush: delivery consumes the
-        // decoded payload slices, so a codec regression cannot pass
-        // silently.
-        let decoded = decode_frame(&wire).expect("link frame failed to decode");
-        debug_assert_eq!(decoded.len(), msgs.len());
+        // decoded records — addresses, send instants, payload slices —
+        // so a codec regression cannot pass silently.
+        let decoded = decode_frame(&builder.finish()).expect("link frame failed to decode");
+        debug_assert_eq!(decoded.len(), tags.len());
         let m = &self.inner.metrics;
         let plan = self.fault_plan();
-        // Link-level window check at flush time: a crash, flap, or
-        // partition that opened since append kills the whole frame.
-        // (Drop ordinals were already consumed per message at append.)
-        let link_err = if self.is_down(from_host) {
-            Some(NetError::HostDown(from_host.to_owned()))
-        } else if self.is_down(to_host) {
-            Some(NetError::HostDown(to_host.to_owned()))
-        } else {
-            plan.as_ref().and_then(|p| p.check_window(from_host, to_host, flush_t).err())
-        };
-        let mut records = Vec::with_capacity(msgs.len());
+        let plan = plan.as_deref();
+        // Link-level check at flush time: a crash, flap, or partition
+        // that opened since append kills the whole frame.
+        let link_err = self.check_link(plan, from_host, to_host, flush_t, false).err();
+        let mut records = Vec::with_capacity(tags.len());
         let mut last_arrive: Option<f64> = None;
         {
             let eps = self.inner.endpoints.read().unwrap();
-            for (pm, dm) in msgs.into_iter().zip(decoded) {
+            for (tag, msg) in tags.into_iter().zip(decoded) {
+                let sent_at = msg.sent_at;
                 let result = match &link_err {
                     Some(e) => {
-                        match e {
-                            NetError::HostDown(_) => m.counter_add("net.fault.hostdown", 1),
-                            NetError::Unreachable { .. } => {
-                                m.counter_add("net.fault.partitioned", 1);
-                            }
-                            _ => {}
-                        }
-                        Err(e.clone())
+                        let failed = Err(e.clone());
+                        self.count_fault(&failed);
+                        failed
                     }
-                    None => self.deliver_flushed(&eps, plan.as_deref(), &link, &pm, dm, flush_t),
+                    None => self.deliver_flushed(&eps, plan, &link, msg, flush_t),
                 };
                 if let Ok(arrive) = &result {
                     last_arrive = Some(last_arrive.map_or(*arrive, |a| a.max(*arrive)));
                 }
-                records.push(FlushRecord {
-                    tag: pm.tag,
-                    from: pm.from,
-                    to: pm.to,
-                    sent_at: pm.sent_at,
-                    result,
-                });
+                records.push(FlushRecord { tag, sent_at, result });
             }
         }
         // Credit return: the receiver acks the frame once its last
@@ -810,13 +776,7 @@ impl Network {
         }
         m.counter_add(&link.flushes_key, 1);
         m.counter_add(&link.fill_key, records.len() as u64);
-        flushed.push(FlushReport {
-            from_host: from_host.to_owned(),
-            to_host: to_host.to_owned(),
-            flush_t,
-            frame_bytes,
-            msgs: records,
-        });
+        flushed.push(FlushReport { msgs: records });
     }
 
     /// Deliver one decoded frame member. Arrival is computed from the
@@ -830,35 +790,34 @@ impl Network {
         eps: &HashMap<String, EpEntry>,
         plan: Option<&FaultPlan>,
         link: &LinkRecord,
-        pm: &PendingMsg,
-        decoded: FrameMsg,
+        msg: FrameMsg,
         flush_t: f64,
     ) -> Result<f64, NetError> {
-        let to_host = link.to_host.as_str();
-        let mut transfer = link.path()?.transfer_seconds(pm.payload_len);
-        if let Some(p) = plan {
-            transfer = p.adjust_transfer(flush_t, transfer);
-        }
-        let arrive_at = flush_t + transfer;
-        let entry = eps.get(&pm.to).ok_or_else(|| NetError::UnknownAddress(pm.to.clone()))?;
-        if let (Some(birth), Some(p)) = (entry.birth, plan) {
-            if p.crash_count(to_host, flush_t) > p.crash_count(to_host, birth) {
-                self.inner.metrics.counter_add("net.fault.fenced", 1);
-                return Err(NetError::UnknownAddress(pm.to.clone()));
-            }
-        }
-        // The envelope is what came out of the frame: delivery consumes
-        // the decoded record, addresses and all.
-        let env = Envelope {
-            from: decoded.from,
-            to: decoded.to,
-            payload: decoded.payload,
-            sent_at: pm.sent_at,
-            arrive_at,
-        };
-        entry.tx.send(env).map_err(|_| NetError::Disconnected(pm.to.clone()))?;
-        Ok(arrive_at)
+        let arrive_at = arrival(link, plan, flush_t, msg.payload.len())?;
+        let tx = self.mailbox(eps, plan, &msg.to, &link.to_host, flush_t)?;
+        // The envelope is what came out of the frame, addresses and all.
+        let FrameMsg { from, to, sent_at, payload } = msg;
+        enqueue(tx, Envelope { from, to, payload, sent_at, arrive_at })
     }
+}
+
+/// The arrival law: a message of `bytes` leaving at `t` arrives one route
+/// transfer later, stretched by any latency spike active at `t`.
+fn arrival(
+    link: &LinkRecord,
+    plan: Option<&FaultPlan>,
+    t: f64,
+    bytes: usize,
+) -> Result<f64, NetError> {
+    let transfer = link.path()?.transfer_seconds(bytes);
+    Ok(t + plan.map_or(transfer, |p| p.adjust_transfer(t, transfer)))
+}
+
+/// Hand an admitted envelope to its mailbox; returns its arrival time.
+fn enqueue(tx: &Sender<Envelope>, env: Envelope) -> Result<f64, NetError> {
+    let arrive_at = env.arrive_at;
+    tx.send(env).map_err(|e| NetError::Disconnected(e.0.to))?;
+    Ok(arrive_at)
 }
 
 /// A registered receiver bound to one address.

@@ -1,5 +1,5 @@
 //! The executive's engine: TESS gas-path evaluation with the four adapted
-//! components routed through [`ComponentCall`] executors.
+//! components routed through [`Exec`] executors.
 //!
 //! The F100 network contains six module instances with (potentially)
 //! remote computations: two ducts (bypass and tailpipe), one combustor,
@@ -22,9 +22,7 @@ use tess::solver::newton::{newton_solve, NewtonOptions};
 use tess::transient::{TransientMethod, TransientResult, TransientSample};
 use uts::Value;
 
-use crate::exec::{
-    flow_to_value, value_to_flow, ComponentCall, LocalExec, PendingCall, RemoteExec,
-};
+use crate::exec::{flow_to_value, value_to_flow, LocalExec, PendingCall, RemoteExec};
 use crate::procs;
 
 /// How the executive orders adapted-module calls within a solver step.
@@ -135,7 +133,7 @@ impl Exec {
     /// Virtual seconds of communication + remote compute (0 when local).
     pub fn elapsed_virtual(&self) -> f64 {
         match self {
-            Exec::Local(e) => e.elapsed_virtual(),
+            Exec::Local(_) => 0.0,
             Exec::Remote(e) => e.elapsed_virtual(),
         }
     }
@@ -149,34 +147,25 @@ impl Exec {
 
     /// Issue the request half of a call; local executors (which have no
     /// line to overlap on) compute eagerly and carry the result.
-    fn begin(&mut self, name: &str, args: &[Value]) -> PendingExec {
+    fn begin(&mut self, name: &str, args: &[Value]) -> PendingCall {
         match self {
-            Exec::Local(e) => PendingExec::Done(e.call(name, args).map_err(|e| e.to_string())),
-            Exec::Remote(e) => match e.begin(name, args) {
-                Ok(p) => PendingExec::Remote(Box::new(p)),
-                Err(err) => PendingExec::Done(Err(err.to_string())),
-            },
+            Exec::Local(e) => PendingCall::Ready(e.call(name, args)),
+            Exec::Remote(e) => {
+                e.begin(name, args).unwrap_or_else(|err| PendingCall::Ready(Err(err)))
+            }
         }
     }
 
     /// Collect the reply half of a call begun with [`Exec::begin`].
-    fn finish(&mut self, pending: PendingExec) -> Result<Vec<Value>, String> {
+    fn finish(&mut self, pending: PendingCall) -> Result<Vec<Value>, String> {
         match (self, pending) {
-            (_, PendingExec::Done(r)) => r,
-            (Exec::Remote(e), PendingExec::Remote(p)) => e.finish(*p).map_err(|e| e.to_string()),
-            (Exec::Local(_), PendingExec::Remote(p)) => {
-                Err(format!("pending call '{}' outlived its remote executor", p.name()))
+            (Exec::Remote(e), p) => e.finish(p).map_err(|e| e.to_string()),
+            (Exec::Local(_), PendingCall::Ready(r)) => r.map_err(|e| e.to_string()),
+            (Exec::Local(_), PendingCall::Ticket(t)) => {
+                Err(format!("pending call '{}' outlived its remote executor", t.name()))
             }
         }
     }
-}
-
-/// An executor-level call in flight (or already done, for local slots).
-/// The remote half is boxed: most slots in a wave hold the small `Done`
-/// variant only briefly, the ticket payload is large.
-enum PendingExec {
-    Done(Result<Vec<Value>, String>),
-    Remote(Box<PendingCall>),
 }
 
 /// Solver tolerances appropriate for single-precision component calls.

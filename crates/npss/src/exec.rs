@@ -1,9 +1,9 @@
 //! Component executors: the seam between the engine's gas-path evaluation
 //! and where a component's computation actually runs.
 //!
-//! A [`ComponentCall`] invokes one of an adapted module's procedures with
-//! UTS values. [`LocalExec`] is the *original local-compute-only version*
-//! of a module — the same procedure implementations, called in-process.
+//! An executor invokes one of an adapted module's procedures with UTS
+//! values. [`LocalExec`] is the *original local-compute-only version* of
+//! a module — the same procedure implementations, called in-process.
 //! [`RemoteExec`] routes the call through a Schooner line to a process on
 //! whatever machine the user's widgets selected. Both paths speak
 //! single-precision `float` values, so a correct remote configuration
@@ -62,24 +62,6 @@ impl From<ProcFault> for ExecError {
     }
 }
 
-/// Something that can execute an adapted module's procedures.
-pub trait ComponentCall: Send {
-    /// Call procedure `name` with the input arguments; returns outputs.
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError>;
-
-    /// Where the computation runs, for reports ("local" or a host name).
-    fn location(&self) -> String;
-
-    /// Number of calls made so far.
-    fn calls(&self) -> u64;
-
-    /// Virtual seconds attributable to this executor's communication and
-    /// remote computation (0 for local executors).
-    fn elapsed_virtual(&self) -> f64 {
-        0.0
-    }
-}
-
 /// In-process execution of an image's procedures.
 pub struct LocalExec {
     procs: HashMap<String, Box<dyn Procedure>>,
@@ -91,10 +73,9 @@ impl LocalExec {
     pub fn new(image: &ProgramImage) -> Result<Self, String> {
         Ok(Self { procs: image.instantiate().map_err(|e| e.to_string())?, calls: 0 })
     }
-}
 
-impl ComponentCall for LocalExec {
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
+    /// Call procedure `name` with the input arguments; returns outputs.
+    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
         self.calls += 1;
         self.procs
             .get_mut(name)
@@ -103,11 +84,13 @@ impl ComponentCall for LocalExec {
             .map_err(ExecError::Fault)
     }
 
-    fn location(&self) -> String {
+    /// Where the computation runs, for reports.
+    pub fn location(&self) -> String {
         "local".to_owned()
     }
 
-    fn calls(&self) -> u64 {
+    /// Number of calls made so far.
+    pub fn calls(&self) -> u64 {
         self.calls
     }
 }
@@ -234,17 +217,18 @@ impl RemoteExec {
         );
         Ok(())
     }
-}
 
-impl ComponentCall for RemoteExec {
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
-        // The blocking form is the split-phase form with no gap: one code
-        // path, so the two cannot drift apart in policy or bookkeeping.
+    /// Call procedure `name` with the input arguments; returns outputs.
+    /// The blocking form is the split-phase form with no gap: one code
+    /// path, so the two cannot drift apart in policy or bookkeeping.
+    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
         let pending = self.begin(name, args)?;
         self.finish(pending)
     }
 
-    fn location(&self) -> String {
+    /// Where the computation runs, for reports (a host name, or the
+    /// local fallback once degraded).
+    pub fn location(&self) -> String {
         if self.degraded {
             format!("local (degraded from {})", self.host)
         } else {
@@ -252,83 +236,78 @@ impl ComponentCall for RemoteExec {
         }
     }
 
-    fn calls(&self) -> u64 {
+    /// Number of calls made so far.
+    pub fn calls(&self) -> u64 {
         let local = self.fallback.as_ref().map_or(0, |f| f.calls());
         self.line.stats().calls + local
     }
 
-    fn elapsed_virtual(&self) -> f64 {
+    /// Virtual seconds attributable to this executor's communication and
+    /// remote computation.
+    pub fn elapsed_virtual(&self) -> f64 {
         self.line.now() - self.started_at
     }
-}
 
-/// A component call whose request has been issued but whose reply has
-/// not yet been collected — the executor-level face of a Schooner
-/// [`CallTicket`]. Executors without an in-flight line (local fallback
-/// after degradation) resolve eagerly and carry the finished result.
-pub struct PendingCall {
-    name: String,
-    args: Vec<Value>,
-    state: PendingState,
-}
-
-enum PendingState {
-    /// Already resolved (degraded executors compute at issue time).
-    Ready(Result<Vec<Value>, ExecError>),
-    /// A split-phase call outstanding on the executor's line.
-    Ticket(CallTicket),
-}
-
-impl PendingCall {
-    /// The procedure this pending call invokes.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl RemoteExec {
     /// Issue the request half of a call through this executor's line and
     /// return without waiting for the reply; pair with
     /// [`RemoteExec::finish`]. A degraded executor computes on the local
     /// fallback immediately (there is nothing to overlap with).
     pub fn begin(&mut self, name: &str, args: &[Value]) -> Result<PendingCall, ExecError> {
-        let state = if self.degraded {
-            PendingState::Ready(
+        Ok(if self.degraded {
+            PendingCall::Ready(
                 self.fallback.as_mut().expect("degraded implies fallback").call(name, args),
             )
         } else {
-            PendingState::Ticket(self.line.issue_with(name, args, &self.policy)?)
-        };
-        Ok(PendingCall { name: name.to_owned(), args: args.to_vec(), state })
+            PendingCall::Ticket(self.line.issue_with(name, args, &self.policy)?)
+        })
     }
 
     /// Collect the reply half of a call begun with [`RemoteExec::begin`].
     /// The executor's [`CallPolicy`] runs its full retry/failover
     /// lifecycle here, including degradation to the local fallback on
-    /// exhaustion — identical to the blocking [`ComponentCall::call`].
+    /// exhaustion — identical to the blocking [`RemoteExec::call`].
     pub fn finish(&mut self, pending: PendingCall) -> Result<Vec<Value>, ExecError> {
-        let PendingCall { name, args, state } = pending;
-        let ticket = match state {
-            PendingState::Ready(out) => return out,
-            PendingState::Ticket(t) => t,
+        let ticket = match pending {
+            PendingCall::Ready(out) => return out,
+            PendingCall::Ticket(t) => t,
         };
-        match self.line.collect(ticket) {
-            Ok(out) => {
-                if name.to_ascii_lowercase().starts_with("set") {
-                    self.config_log.push((name.clone(), args));
+        // Collecting consumes the ticket, the one holder of the call's
+        // name and arguments; copy them first only when something reads
+        // them afterwards — the configuration log or the fallback.
+        let is_set =
+            ticket.name().as_bytes().get(..3).is_some_and(|p| p.eq_ignore_ascii_case(b"set"));
+        let can_degrade =
+            self.policy.on_exhaustion == OnExhaustion::Degrade && self.fallback.is_some();
+        let kept =
+            (is_set || can_degrade).then(|| (ticket.name().to_owned(), ticket.args().to_vec()));
+        match (self.line.collect(ticket), kept) {
+            (Ok(out), kept) => {
+                if is_set {
+                    self.config_log.extend(kept);
                 }
                 Ok(out)
             }
-            Err(e @ (SchError::PolicyExhausted { .. } | SchError::DeadlineExceeded { .. }))
-                if self.policy.on_exhaustion == OnExhaustion::Degrade
-                    && self.fallback.is_some() =>
-            {
+            (
+                Err(e @ (SchError::PolicyExhausted { .. } | SchError::DeadlineExceeded { .. })),
+                Some((name, args)),
+            ) if can_degrade => {
                 self.degrade(&e)?;
                 self.call(&name, &args)
             }
-            Err(e) => Err(ExecError::Sch(e)),
+            (Err(e), _) => Err(ExecError::Sch(e)),
         }
     }
+}
+
+/// A component call whose request has been issued but whose reply has
+/// not yet been collected. The ticket owns the call's name and
+/// arguments; nothing here copies them.
+pub enum PendingCall {
+    /// Already resolved: local executors and degraded remote ones have no
+    /// line to overlap on and compute at issue time.
+    Ready(Result<Vec<Value>, ExecError>),
+    /// The split-phase call outstanding on the executor's line.
+    Ticket(CallTicket),
 }
 
 /// Pack a gas state into the single-precision `[w, tt, pt, far]` quadruple
@@ -362,8 +341,8 @@ mod tests {
         .unwrap();
         assert_eq!(exec.calls(), 1);
         assert_eq!(exec.location(), "local");
-        assert_eq!(exec.elapsed_virtual(), 0.0);
         assert!(exec.call("nothere", &[]).is_err());
+        assert_eq!(crate::engine_exec::Exec::Local(exec).elapsed_virtual(), 0.0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use bridge::{
     COMPONENT_PROC,
 };
 pub use engine_exec::{ExecutiveEngine, ExecutiveSolverOptions, Scheduling, WavePlan};
-pub use exec::{flow_to_value, value_to_flow, ComponentCall, ExecError, LocalExec, RemoteExec};
+pub use exec::{flow_to_value, value_to_flow, ExecError, LocalExec, RemoteExec};
 pub use f100::{F100Network, RemotePlacement};
 pub use service::{run_session, CrashPlan, SessionKnobs, SessionReport, SessionRequest, Workload};
 pub use sweep::{flight_profile, FlightPoint, SweepConfig, SweepDriver, SweepReport};

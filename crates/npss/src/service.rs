@@ -166,7 +166,10 @@ pub fn f100_wave_plan() -> WavePlan {
     }
 }
 
-fn world(link_batching: bool) -> Result<Schooner, String> {
+/// A fresh standard world with the four adapted-module images installed
+/// on every host — the Table-2 world every session, suite, bench and
+/// example runs in. `link_batching` installs the default link config.
+pub fn world(link_batching: bool) -> Result<Schooner, String> {
     let config = if link_batching {
         SchoonerConfig::builder().link_batching(LinkConfig::default()).build()
     } else {
@@ -186,13 +189,18 @@ fn world(link_batching: bool) -> Result<Schooner, String> {
     Ok(sch)
 }
 
-/// The Table-2 placement bound to a fresh executive, with the recovery
-/// policy every pooled session uses (idempotent component evaluations,
-/// generous retry budget so a crash-window reboot lands inside it).
-fn table2_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEngine, String> {
-    let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
+/// The Table-2 placement bound to a fresh executive: six module lines
+/// opened from `ua-sparc10` in a fixed order (line and process ids are
+/// part of the byte-identity surface), every slot calling under `policy`,
+/// the F100 wave plan installed, and a checkpoint barrier every
+/// `checkpoint_interval` solver steps (0 disables crash recovery).
+pub fn table2_engine(
+    sch: &Schooner,
+    policy: &CallPolicy,
+    scheduling: Scheduling,
+    checkpoint_interval: usize,
+) -> Result<ExecutiveEngine, String> {
+    let mut exec = ExecutiveEngine::all_local(Turbofan::f100()?)?;
     exec.scheduling = scheduling;
     exec.wave_plan = f100_wave_plan();
     for (slot, path, machine) in [
@@ -204,13 +212,19 @@ fn table2_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEngi
         ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
     ] {
         let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
-        let remote = RemoteExec::start(line, path, machine)
-            .map_err(|e| e.to_string())?
-            .with_policy(policy.clone());
-        exec.set_remote(slot, remote).map_err(|e| e.to_string())?;
+        let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
+        exec.set_remote(slot, remote)?;
     }
-    exec.checkpoint_interval = 4;
+    exec.checkpoint_interval = checkpoint_interval;
     Ok(exec)
+}
+
+/// The Table-2 engine under the recovery policy every pooled session
+/// uses: idempotent component evaluations and a retry budget generous
+/// enough that a crash-window reboot lands inside it.
+fn session_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEngine, String> {
+    let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
+    table2_engine(sch, &policy, scheduling, 4)
 }
 
 /// The session's virtual clock: the bypass-duct line's `now()` (every
@@ -278,7 +292,7 @@ fn run_workload(
 ) -> Result<(Vec<String>, f64, f64), String> {
     match &req.workload {
         Workload::Transient { t_end, dt } => {
-            let mut exec = table2_engine(sch, req.knobs.scheduling)?;
+            let mut exec = session_engine(sch, req.knobs.scheduling)?;
             let start = vnow(&mut exec)?;
             // A seed-specific throttle move: idle fraction, push level,
             // and ramp shape all drawn from the session's stream.
@@ -305,7 +319,7 @@ fn run_workload(
             Ok((transcript, start, end))
         }
         Workload::SteadyState { wf_frac } => {
-            let mut exec = table2_engine(sch, req.knobs.scheduling)?;
+            let mut exec = session_engine(sch, req.knobs.scheduling)?;
             let start = vnow(&mut exec)?;
             let jitter = rng.range(0.98, 1.02);
             let wf = (wf_frac * jitter).clamp(0.85, 1.05) * exec.engine.design.wf;

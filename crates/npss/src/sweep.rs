@@ -16,6 +16,7 @@
 //! [`SchoonerConfig::link_batching`]: schooner::SchoonerConfig
 
 use schooner::Schooner;
+use testkit::SplitMix64;
 use uts::Value;
 
 use crate::exec::{PendingCall, RemoteExec};
@@ -51,31 +52,19 @@ impl FlightPoint {
     }
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// `n` seeded flight-profile variants. Pure function of `(seed, n)`:
 /// the same arguments produce the same sweep on every platform, so a
 /// flood's traffic — message sizes, issue order, payload bytes — is
 /// reproducible and two runs of it are comparable byte for byte.
 pub fn flight_profile(seed: u64, n: usize) -> Vec<FlightPoint> {
-    let mut s = seed;
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|_| FlightPoint {
-            w: (60.0 + 90.0 * unit(&mut s)) as f32,
-            tt: (420.0 + 400.0 * unit(&mut s)) as f32,
-            pt: (16.0 + 48.0 * unit(&mut s)) as f32,
-            far: (0.02 * unit(&mut s)) as f32,
-            dp: (0.01 + 0.07 * unit(&mut s)) as f32,
+            w: (60.0 + 90.0 * rng.unit()) as f32,
+            tt: (420.0 + 400.0 * rng.unit()) as f32,
+            pt: (16.0 + 48.0 * rng.unit()) as f32,
+            far: (0.02 * rng.unit()) as f32,
+            dp: (0.01 + 0.07 * rng.unit()) as f32,
         })
         .collect()
 }
@@ -173,8 +162,8 @@ impl SweepDriver {
                 for v in &out {
                     if let Some(fs) = v.as_floats() {
                         for f in fs.iter() {
-                            let mut bits = checksum ^ u64::from(f.to_bits());
-                            checksum = splitmix64(&mut bits);
+                            checksum =
+                                SplitMix64::new(checksum ^ u64::from(f.to_bits())).next_u64();
                         }
                     }
                 }

@@ -3,7 +3,7 @@
 //! the module, replays its configuration, and the run continues on
 //! baseline numbers — with the switch recorded in the trace.
 
-use npss::exec::{ComponentCall, ExecError, LocalExec, RemoteExec};
+use npss::exec::{ExecError, LocalExec, RemoteExec};
 use npss::procs::duct_image;
 use schooner::{CallPolicy, SchError, Schooner};
 use uts::Value;

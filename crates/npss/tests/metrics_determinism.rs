@@ -11,48 +11,15 @@
 
 use netsim::FaultPlan;
 use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
-use npss::procs;
-use npss::{run_session, RemoteExec, SessionKnobs, SessionRequest, Workload};
-use schooner::{CallPolicy, Schooner};
+use npss::service::{table2_engine, world};
+use npss::{run_session, SessionKnobs, SessionRequest, Workload};
+use schooner::CallPolicy;
 use tess::engine::Turbofan;
 use tess::schedules::Schedule;
 use tess::transient::TransientMethod;
 
 const T_END: f64 = 0.4;
 const DT: f64 = 0.02;
-
-fn world() -> Schooner {
-    let sch = Schooner::standard().unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).unwrap();
-    }
-    sch
-}
-
-fn table2_engine(sch: &Schooner, policy: &CallPolicy) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = 4;
-    exec
-}
 
 fn fuel_schedule(engine: &Turbofan) -> Schedule {
     let wf_ref = engine.design.wf;
@@ -74,8 +41,8 @@ fn vnow(exec: &mut ExecutiveEngine) -> f64 {
 /// transient — the full recovery surface.
 fn faulty_run_snapshot(crash_window: Option<(f64, f64)>) -> (String, f64, f64) {
     let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
-    let sch = world();
-    let mut exec = table2_engine(&sch, &policy);
+    let sch = world(false).unwrap();
+    let mut exec = table2_engine(&sch, &policy, Scheduling::Sequential, 4).unwrap();
     let t_start = vnow(&mut exec);
     if let Some((t_crash, t_restart)) = crash_window {
         sch.ctx().net.set_fault_plan(Some(

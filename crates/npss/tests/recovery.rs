@@ -13,52 +13,15 @@
 //! numeric fingerprint at all.
 
 use netsim::FaultPlan;
-use npss::engine_exec::{Exec, ExecutiveEngine};
-use npss::procs;
-use npss::RemoteExec;
-use schooner::{CallPolicy, Schooner};
+use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
+use npss::service::{table2_engine, world};
+use schooner::CallPolicy;
 use tess::engine::Turbofan;
 use tess::schedules::Schedule;
 use tess::transient::{TransientMethod, TransientResult};
 
 const T_END: f64 = 0.4;
 const DT: f64 = 0.02;
-
-fn world() -> Schooner {
-    let sch = Schooner::standard().unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).unwrap();
-    }
-    sch
-}
-
-/// The Table-2 placement: executive on the UA Sparc 10, combustor on the
-/// UA SGI 4D/340, both ducts on the LeRC Cray Y-MP, nozzle on the LeRC
-/// SGI 4D/420, both shafts on the LeRC IBM RS6000.
-fn table2_engine(sch: &Schooner, policy: &CallPolicy, interval: usize) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = interval;
-    exec
-}
 
 fn fuel_schedule(engine: &Turbofan) -> Schedule {
     let wf_ref = engine.design.wf;
@@ -105,8 +68,8 @@ fn assert_bit_identical(recovered: &TransientResult, baseline: &TransientResult)
 /// the faulted worlds can be scheduled mid-transient. Identical worlds
 /// evolve identically in virtual time, so the measured span transfers.
 fn baseline(policy: &CallPolicy, interval: usize) -> (TransientResult, f64, f64) {
-    let sch = world();
-    let mut exec = table2_engine(&sch, policy, interval);
+    let sch = world(false).unwrap();
+    let mut exec = table2_engine(&sch, policy, Scheduling::Sequential, interval).unwrap();
     let t_start = vnow(&mut exec);
     let result = run(&mut exec);
     let t_stop = vnow(&mut exec);
@@ -123,9 +86,9 @@ fn cray_crash_absorbed_by_call_policy_is_bit_identical() {
     let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
     let (reference, t_start, t_stop) = baseline(&policy, 5);
 
-    let sch = world();
+    let sch = world(false).unwrap();
     sch.ctx().obs.set_enabled(true);
-    let mut exec = table2_engine(&sch, &policy, 5);
+    let mut exec = table2_engine(&sch, &policy, Scheduling::Sequential, 5).unwrap();
     // Crash the Cray a little past mid-run; it reboots two virtual
     // seconds later, well within the policy's backoff budget.
     let t_crash = t_start + 0.55 * (t_stop - t_start);
@@ -156,9 +119,9 @@ fn cray_crash_rolls_back_to_checkpoint_and_recovers_bit_identically() {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
     let (reference, t_start, t_stop) = baseline(&policy, 4);
 
-    let sch = world();
+    let sch = world(false).unwrap();
     sch.ctx().obs.set_enabled(true);
-    let mut exec = table2_engine(&sch, &policy, 4);
+    let mut exec = table2_engine(&sch, &policy, Scheduling::Sequential, 4).unwrap();
     exec.max_recoveries = 20;
     // A window the two-attempt policy cannot ride through: steps failing
     // inside it roll back to the barrier until the Cray returns. Each

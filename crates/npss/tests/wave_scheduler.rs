@@ -6,10 +6,10 @@
 //! checkpoint/rollback path.
 
 use netsim::FaultPlan;
-use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling, WavePlan};
-use npss::procs;
-use npss::{F100Network, RemoteExec, RemotePlacement};
-use schooner::{CallPolicy, Schooner, SchoonerConfig};
+use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
+use npss::service::{f100_wave_plan, table2_engine, world};
+use npss::{F100Network, RemotePlacement};
+use schooner::{CallPolicy, Schooner};
 use std::sync::Arc;
 use tess::engine::Turbofan;
 use tess::schedules::Schedule;
@@ -17,65 +17,6 @@ use tess::transient::{TransientMethod, TransientResult};
 
 const T_END: f64 = 0.4;
 const DT: f64 = 0.02;
-
-fn world() -> Schooner {
-    world_with(SchoonerConfig::default())
-}
-
-fn world_with(config: SchoonerConfig) -> Schooner {
-    let sch = Schooner::standard_with(config).unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).unwrap();
-    }
-    sch
-}
-
-/// The F100 graph's execution waves over the adapted slots, as the AVS
-/// leveling pass derives them: bypass duct ∥ combustor, the two shafts
-/// together, tailpipe and nozzle on the critical path.
-fn f100_waves() -> WavePlan {
-    WavePlan {
-        waves: vec![
-            vec!["bypass duct".into(), "combustor".into()],
-            vec!["low speed shaft".into(), "high speed shaft".into()],
-            vec!["tailpipe duct".into()],
-            vec!["nozzle".into()],
-        ],
-    }
-}
-
-/// The Table-2 placement with a chosen scheduling mode.
-fn table2_engine(
-    sch: &Schooner,
-    policy: &CallPolicy,
-    interval: usize,
-    scheduling: Scheduling,
-) -> ExecutiveEngine {
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    exec.scheduling = scheduling;
-    exec.wave_plan = f100_waves();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = interval;
-    exec
-}
 
 fn fuel_schedule(engine: &Turbofan) -> Schedule {
     let wf_ref = engine.design.wf;
@@ -134,8 +75,8 @@ fn wave_plan_derives_antichains_from_f100_graph() {
 fn parallel_equals_sequential_bit_and_byte() {
     let policy = CallPolicy::default();
     let mode_run = |scheduling: Scheduling| -> (TransientResult, String, f64) {
-        let sch = world();
-        let mut exec = table2_engine(&sch, &policy, 5, scheduling);
+        let sch = world(false).unwrap();
+        let mut exec = table2_engine(&sch, &policy, scheduling, 5).unwrap();
         let t0 = vnow(&mut exec);
         let result = run(&mut exec);
         let elapsed = vnow(&mut exec) - t0;
@@ -168,9 +109,9 @@ fn parallel_equals_sequential_bit_and_byte() {
 #[test]
 fn batched_wave_parallel_matches_unbatched_sequential() {
     let policy = CallPolicy::default();
-    let mode_run = |config: SchoonerConfig, scheduling: Scheduling| {
-        let sch = world_with(config);
-        let mut exec = table2_engine(&sch, &policy, 5, scheduling);
+    let mode_run = |link_batching: bool, scheduling: Scheduling| {
+        let sch = world(link_batching).unwrap();
+        let mut exec = table2_engine(&sch, &policy, scheduling, 5).unwrap();
         let result = run(&mut exec);
         let snapshot = sch.ctx().obs.metrics().snapshot_json_excluding(&[
             "net.batch.",
@@ -185,11 +126,9 @@ fn batched_wave_parallel_matches_unbatched_sequential() {
         sch.shutdown();
         (result, snapshot, flushes)
     };
-    let (seq, seq_metrics, seq_flushes) =
-        mode_run(SchoonerConfig::default(), Scheduling::Sequential);
+    let (seq, seq_metrics, seq_flushes) = mode_run(false, Scheduling::Sequential);
     assert_eq!(seq_flushes, 0, "unbatched run must not touch the frame layer");
-    let batched = SchoonerConfig::builder().link_batching(netsim::LinkConfig::default()).build();
-    let (par, par_metrics, par_flushes) = mode_run(batched, Scheduling::WaveParallel);
+    let (par, par_metrics, par_flushes) = mode_run(true, Scheduling::WaveParallel);
     assert!(par_flushes > 0, "batched run never coalesced — test is vacuous");
     assert_bit_identical(&par, &seq);
     assert_eq!(par_metrics, seq_metrics, "logical counters diverged under batching");
@@ -233,7 +172,7 @@ fn hpc_map_excursion_fails_before_any_component_call() {
     for scheduling in [Scheduling::Sequential, Scheduling::WaveParallel] {
         let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
         exec.scheduling = scheduling;
-        exec.wave_plan = f100_waves();
+        exec.wave_plan = f100_wave_plan();
         exec.setup().unwrap();
         let calls =
             |e: &ExecutiveEngine| -> Vec<u64> { e.report_rows().iter().map(|r| r.calls).collect() };
@@ -255,9 +194,9 @@ fn hpc_map_excursion_fails_before_any_component_call() {
 
 #[test]
 fn two_failures_in_one_wave_report_first_by_slot_order() {
-    let sch = world();
+    let sch = world(false).unwrap();
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.05, 2.0, 0.05);
-    let mut exec = table2_engine(&sch, &policy, 0, Scheduling::WaveParallel);
+    let mut exec = table2_engine(&sch, &policy, Scheduling::WaveParallel, 0).unwrap();
     sch.ctx().net.set_host_up("lerc-cray-ymp", false);
     sch.ctx().net.set_host_up("ua-sgi-4d340", false);
     let err = exec.setup().unwrap_err();
@@ -283,8 +222,8 @@ fn two_failures_in_one_wave_report_first_by_slot_order() {
 fn two_host_crash_in_one_wave_rolls_back_bit_identically() {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
     let (reference, t_start, t_stop) = {
-        let sch = world();
-        let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel);
+        let sch = world(false).unwrap();
+        let mut exec = table2_engine(&sch, &policy, Scheduling::WaveParallel, 4).unwrap();
         let t0 = vnow(&mut exec);
         let result = run(&mut exec);
         let t1 = vnow(&mut exec);
@@ -293,8 +232,8 @@ fn two_host_crash_in_one_wave_rolls_back_bit_identically() {
         (result, t0, t1)
     };
 
-    let sch = world();
-    let mut exec = table2_engine(&sch, &policy, 4, Scheduling::WaveParallel);
+    let sch = world(false).unwrap();
+    let mut exec = table2_engine(&sch, &policy, Scheduling::WaveParallel, 4).unwrap();
     exec.max_recoveries = 20;
     let t_crash = t_start + 0.55 * (t_stop - t_start);
     sch.ctx().net.set_fault_plan(Some(
@@ -321,8 +260,9 @@ fn two_host_crash_in_one_wave_rolls_back_bit_identically() {
 /// nothing is charged to an arbitrary "first" line.
 #[test]
 fn reply_bytes_are_attributed_per_line() {
-    let sch = world();
-    let mut exec = table2_engine(&sch, &CallPolicy::default(), 5, Scheduling::WaveParallel);
+    let sch = world(false).unwrap();
+    let mut exec =
+        table2_engine(&sch, &CallPolicy::default(), Scheduling::WaveParallel, 5).unwrap();
     let _ = run(&mut exec);
     exec.checkpoint_remotes();
 

@@ -88,6 +88,13 @@ impl CallTicket {
         &self.name
     }
 
+    /// The input arguments this ticket was issued with. The ticket is
+    /// their one holder between issue and collect; callers that need
+    /// them afterwards copy them before collecting.
+    pub fn args(&self) -> &[Value] {
+        &self.args
+    }
+
     /// Whether the issue attempt put a request on the wire (false when
     /// it failed before transmitting; the failure surfaces at collect).
     pub fn in_flight(&self) -> bool {

@@ -768,128 +768,152 @@ mod tests {
         assert_eq!(dec, m);
     }
 
+    /// One of every message variant; every payload decoder (`StartedInfo`,
+    /// `MapInfo`, bytes, counts, faults) appears under at least one of them.
+    fn all_variants() -> Vec<Msg> {
+        vec![
+            Msg::OpenLine { req: 1, module: "shaft".into(), reply_to: "a:1".into() },
+            Msg::LineOpened { req: 1, line: 7 },
+            Msg::StartRequest {
+                req: 2,
+                line: 7,
+                path: "/npss/shaft".into(),
+                host: "lerc-cray-ymp".into(),
+                shared: true,
+                reply_to: "a:1".into(),
+            },
+            Msg::StartReply {
+                req: 2,
+                result: Ok(StartedInfo {
+                    addr: "cray:proc-3".into(),
+                    spec_src: "export f prog()".into(),
+                    proc_names: vec!["F".into(), "G".into()],
+                    incarnation: 4,
+                }),
+            },
+            Msg::StartReply {
+                req: 2,
+                result: Err(WireFault::new(FaultCode::Other, "no such file")),
+            },
+            Msg::MapRequest {
+                req: 3,
+                line: 7,
+                name: "shaft".into(),
+                import_spec: "import shaft prog()".into(),
+                suspect_addr: "cray:proc-3".into(),
+                reply_to: "a:1".into(),
+            },
+            Msg::MapReply {
+                req: 3,
+                result: Ok(MapInfo {
+                    addr: "cray:proc-3".into(),
+                    remote_name: "SHAFT".into(),
+                    export_spec: "export SHAFT prog()".into(),
+                    incarnation: 9,
+                }),
+            },
+            Msg::MapReply {
+                req: 3,
+                result: Err(WireFault::new(FaultCode::UnknownProcedure, "unknown")),
+            },
+            Msg::IQuit { req: 4, line: 7, reply_to: "a:1".into() },
+            Msg::IQuitAck { req: 4 },
+            Msg::MoveRequest {
+                req: 5,
+                line: 7,
+                name: "shaft".into(),
+                target_host: "lerc-rs6000".into(),
+                reply_to: "a:1".into(),
+            },
+            Msg::MoveReply {
+                req: 5,
+                result: Err(WireFault::new(FaultCode::ProcessGone, "cray:proc-3")),
+            },
+            Msg::ManagerShutdown,
+            Msg::StartProcess {
+                req: 6,
+                line: 7,
+                path: "/npss/shaft".into(),
+                incarnation: 2,
+                reply_to: "mgr".into(),
+            },
+            Msg::ProcessStarted {
+                req: 6,
+                result: Err(WireFault::new(FaultCode::UnknownExecutable, "not installed")),
+            },
+            Msg::ServerShutdown,
+            Msg::CallRequest {
+                call: 9,
+                line: 7,
+                proc_name: "SHAFT".into(),
+                args: Bytes::from_static(&[1, 2, 3]),
+                reply_to: "a:1".into(),
+            },
+            Msg::CallReply { call: 9, incarnation: 3, result: Ok(Bytes::from_static(&[4, 5])) },
+            Msg::CallReply {
+                call: 9,
+                incarnation: 0,
+                result: Err(WireFault::new(FaultCode::RemoteFault, "fault")),
+            },
+            Msg::GetState { req: 10, reply_to: "mgr".into() },
+            Msg::StateReply { req: 10, result: Ok(Bytes::from_static(&[7])) },
+            Msg::SetState { req: 11, state: Bytes::new(), reply_to: "mgr".into() },
+            Msg::SetStateAck { req: 11, result: Ok(()) },
+            Msg::SetStateAck {
+                req: 11,
+                result: Err(WireFault::new(FaultCode::StateTransfer, "type")),
+            },
+            Msg::ProcShutdown,
+            Msg::Ping { req: 12, reply_to: "mgr".into() },
+            Msg::Pong { req: 12, incarnation: 5 },
+            Msg::CheckpointRequest {
+                req: 13,
+                line: 7,
+                name: "shaft".into(),
+                reply_to: "a:1".into(),
+            },
+            Msg::CheckpointReply { req: 13, result: Ok(64) },
+            Msg::CheckpointReply {
+                req: 13,
+                result: Err(WireFault::new(FaultCode::StateTransfer, "no state")),
+            },
+            Msg::RestoreRequest { req: 14, line: 7, name: "shaft".into(), reply_to: "a:1".into() },
+            Msg::RestoreReply { req: 14, result: Ok(64) },
+            Msg::RestoreReply {
+                req: 14,
+                result: Err(WireFault::new(FaultCode::StateTransfer, "no state")),
+            },
+        ]
+    }
+
     #[test]
     fn all_variants_round_trip() {
-        round_trip(Msg::OpenLine { req: 1, module: "shaft".into(), reply_to: "a:1".into() });
-        round_trip(Msg::LineOpened { req: 1, line: 7 });
-        round_trip(Msg::StartRequest {
-            req: 2,
-            line: 7,
-            path: "/npss/shaft".into(),
-            host: "lerc-cray-ymp".into(),
-            shared: true,
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::StartReply {
-            req: 2,
-            result: Ok(StartedInfo {
-                addr: "cray:proc-3".into(),
-                spec_src: "export f prog()".into(),
-                proc_names: vec!["F".into(), "G".into()],
-                incarnation: 4,
-            }),
-        });
-        round_trip(Msg::StartReply {
-            req: 2,
-            result: Err(WireFault::new(FaultCode::Other, "no such file")),
-        });
-        round_trip(Msg::MapRequest {
-            req: 3,
-            line: 7,
-            name: "shaft".into(),
-            import_spec: "import shaft prog()".into(),
-            suspect_addr: "cray:proc-3".into(),
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::MapReply {
-            req: 3,
-            result: Ok(MapInfo {
-                addr: "cray:proc-3".into(),
-                remote_name: "SHAFT".into(),
-                export_spec: "export SHAFT prog()".into(),
-                incarnation: 9,
-            }),
-        });
-        round_trip(Msg::MapReply {
-            req: 3,
-            result: Err(WireFault::new(FaultCode::UnknownProcedure, "unknown")),
-        });
-        round_trip(Msg::IQuit { req: 4, line: 7, reply_to: "a:1".into() });
-        round_trip(Msg::IQuitAck { req: 4 });
-        round_trip(Msg::MoveRequest {
-            req: 5,
-            line: 7,
-            name: "shaft".into(),
-            target_host: "lerc-rs6000".into(),
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::MoveReply {
-            req: 5,
-            result: Err(WireFault::new(FaultCode::ProcessGone, "cray:proc-3")),
-        });
-        round_trip(Msg::ManagerShutdown);
-        round_trip(Msg::StartProcess {
-            req: 6,
-            line: 7,
-            path: "/npss/shaft".into(),
-            incarnation: 2,
-            reply_to: "mgr".into(),
-        });
-        round_trip(Msg::ProcessStarted {
-            req: 6,
-            result: Err(WireFault::new(FaultCode::UnknownExecutable, "not installed")),
-        });
-        round_trip(Msg::ServerShutdown);
-        round_trip(Msg::CallRequest {
-            call: 9,
-            line: 7,
-            proc_name: "SHAFT".into(),
-            args: Bytes::from_static(&[1, 2, 3]),
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::CallReply {
-            call: 9,
-            incarnation: 3,
-            result: Ok(Bytes::from_static(&[4, 5])),
-        });
-        round_trip(Msg::CallReply {
-            call: 9,
-            incarnation: 0,
-            result: Err(WireFault::new(FaultCode::RemoteFault, "fault")),
-        });
-        round_trip(Msg::GetState { req: 10, reply_to: "mgr".into() });
-        round_trip(Msg::StateReply { req: 10, result: Ok(Bytes::from_static(&[7])) });
-        round_trip(Msg::SetState { req: 11, state: Bytes::new(), reply_to: "mgr".into() });
-        round_trip(Msg::SetStateAck { req: 11, result: Ok(()) });
-        round_trip(Msg::SetStateAck {
-            req: 11,
-            result: Err(WireFault::new(FaultCode::StateTransfer, "type")),
-        });
-        round_trip(Msg::ProcShutdown);
-        round_trip(Msg::Ping { req: 12, reply_to: "mgr".into() });
-        round_trip(Msg::Pong { req: 12, incarnation: 5 });
-        round_trip(Msg::CheckpointRequest {
-            req: 13,
-            line: 7,
-            name: "shaft".into(),
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::CheckpointReply { req: 13, result: Ok(64) });
-        round_trip(Msg::CheckpointReply {
-            req: 13,
-            result: Err(WireFault::new(FaultCode::StateTransfer, "no state")),
-        });
-        round_trip(Msg::RestoreRequest {
-            req: 14,
-            line: 7,
-            name: "shaft".into(),
-            reply_to: "a:1".into(),
-        });
-        round_trip(Msg::RestoreReply { req: 14, result: Ok(64) });
-        round_trip(Msg::RestoreReply {
-            req: 14,
-            result: Err(WireFault::new(FaultCode::StateTransfer, "no state")),
-        });
+        all_variants().into_iter().for_each(round_trip);
+    }
+
+    /// A damaged message decodes to a typed error or to some well-formed
+    /// message (one that survives its own round trip) — never a panic.
+    fn decodes_without_panicking(raw: Vec<u8>) {
+        if let Ok(m) = Msg::decode(Bytes::from(raw)) {
+            assert_eq!(Msg::decode(m.encode()), Ok(m));
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_every_variant_decodes_or_fails_typed() {
+        for msg in all_variants() {
+            let enc = msg.encode();
+            for cut in 0..enc.len() {
+                decodes_without_panicking(enc[..cut].to_vec());
+            }
+            for i in 0..enc.len() {
+                for bit in 0..8 {
+                    let mut bad = enc.to_vec();
+                    bad[i] ^= 1 << bit;
+                    decodes_without_panicking(bad);
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,9 @@
 
 use npss_sim::ledger::{RecordKind, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Exec;
-use npss_sim::npss::{procs, ExecutiveEngine, RemoteExec};
+use npss_sim::npss::engine_exec::{Exec, Scheduling};
+use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::engine::Turbofan;
 use npss_sim::tess::schedules::Schedule;
 use npss_sim::tess::transient::{TransientMethod, TransientResult};
 
@@ -142,38 +141,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn world() -> Result<Schooner, Box<dyn std::error::Error>> {
-    let sch = Schooner::standard().map_err(|e| e.to_string())?;
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &host_refs).map_err(|e| e.to_string())?;
-    }
-    Ok(sch)
+    Ok(service::world(false)?)
 }
 
 /// The Table-2 placement with checkpoint barriers every five solver
 /// steps and a deliberately short-fused call policy.
 fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::Error>> {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100()?)?;
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
-        let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
-        exec.set_remote(slot, remote)?;
-    }
-    exec.checkpoint_interval = 5;
+    let mut exec = service::table2_engine(sch, &policy, Scheduling::Sequential, 5)?;
     exec.max_recoveries = 20;
     Ok(exec)
 }

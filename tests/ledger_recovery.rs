@@ -9,10 +9,9 @@
 
 use npss_sim::ledger::{RecordKind, RecordTag, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Exec;
-use npss_sim::npss::{procs, ExecutiveEngine, RemoteExec};
+use npss_sim::npss::engine_exec::{Exec, Scheduling};
+use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::engine::Turbofan;
 use npss_sim::tess::schedules::Schedule;
 use npss_sim::tess::transient::{TransientMethod, TransientResult};
 
@@ -20,37 +19,12 @@ const T_END: f64 = 0.3;
 const DT: f64 = 0.02;
 
 fn world() -> Schooner {
-    let sch = Schooner::standard().unwrap();
-    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
-    let refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    for (path, image) in [
-        (procs::SHAFT_PATH, procs::shaft_image()),
-        (procs::DUCT_PATH, procs::duct_image()),
-        (procs::COMBUSTOR_PATH, procs::combustor_image()),
-        (procs::NOZZLE_PATH, procs::nozzle_image()),
-    ] {
-        sch.install_program(path, image, &refs).unwrap();
-    }
-    sch
+    service::world(false).unwrap()
 }
 
 fn table2_engine(sch: &Schooner) -> ExecutiveEngine {
     let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
-        let line = sch.open_line(slot, "ua-sparc10").unwrap();
-        let remote = RemoteExec::start(line, path, machine).unwrap().with_policy(policy.clone());
-        exec.set_remote(slot, remote).unwrap();
-    }
-    exec.checkpoint_interval = 3;
-    exec
+    service::table2_engine(sch, &policy, Scheduling::Sequential, 3).unwrap()
 }
 
 fn fuel(exec: &ExecutiveEngine) -> Schedule {

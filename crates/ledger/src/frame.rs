@@ -16,8 +16,9 @@
 //!   header bytes remain, or fewer than `len` body bytes). This is what
 //!   a crash mid-append leaves behind; the reader discards the tail.
 //! * **corrupt** — a frame is complete but its CRC does not match the
-//!   body. An interrupted append cannot produce this (the CRC is
-//!   computed before any byte is written), so it is a typed error.
+//!   body. An interrupted write cannot produce this (every frame's CRC
+//!   is patched in before any byte of it is written), so it is a typed
+//!   error.
 
 use crate::error::LedgerError;
 
@@ -30,17 +31,31 @@ pub const FILE_HEADER_LEN: usize = MAGIC.len() + 4;
 /// Bytes in each frame header (len + crc).
 pub const FRAME_HEADER_LEN: usize = 8;
 
+/// The byte-at-a-time CRC-32 table: entry `i` is the bit-serial
+/// remainder of `i` after eight steps, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the same checksum zlib
-/// and PNG use. Implemented bitwise — frame bodies are small and this
-/// crate takes no dependencies.
+/// and PNG use. Table-driven, one lookup per byte — this crate takes no
+/// dependencies.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -77,13 +92,18 @@ pub fn check_file_header(bytes: &[u8]) -> Result<usize, LedgerError> {
     Ok(FILE_HEADER_LEN)
 }
 
-/// Frame one body: `[len][crc][body]`.
-pub fn encode_frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(body).to_be_bytes());
-    out.extend_from_slice(body);
-    out
+/// Append one `[len][crc][body]` frame to `buf` in place: reserve the
+/// header, let `body` encode straight into `buf`, then patch in the
+/// length and CRC of what it wrote.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    let body_start = start + FRAME_HEADER_LEN;
+    buf.resize(body_start, 0);
+    body(buf);
+    let len = (buf.len() - body_start) as u32;
+    let crc = crc32(&buf[body_start..]);
+    buf[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    buf[start + 4..body_start].copy_from_slice(&crc.to_be_bytes());
 }
 
 /// Outcome of reading one frame at `offset`.
@@ -139,11 +159,16 @@ mod tests {
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut file = file_header();
+        frame_into(&mut file, |buf| buf.extend_from_slice(body));
+        file
+    }
+
     #[test]
     fn frame_round_trip() {
         let body = b"hello frames";
-        let mut file = file_header();
-        file.extend_from_slice(&encode_frame(body));
+        let file = framed(body);
         let first = check_file_header(&file).unwrap();
         match read_frame(&file, first).unwrap() {
             FrameRead::Ok { body: b, next } => {
@@ -157,8 +182,7 @@ mod tests {
 
     #[test]
     fn torn_and_corrupt_are_distinguished() {
-        let mut file = file_header();
-        file.extend_from_slice(&encode_frame(b"payload"));
+        let file = framed(b"payload");
         let first = check_file_header(&file).unwrap();
 
         // Truncated body: torn, not corrupt.

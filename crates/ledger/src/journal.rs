@@ -1,22 +1,43 @@
 //! The journal writer, the replay reader, and the attach-once handle.
+//!
+//! The writer **group-commits**: every append frames its record in place
+//! at the end of one reusable buffer, and the buffer goes to the file in
+//! a single `write_all` at the records that define durability. An
+//! [`RecordKind::Event`] stays buffered; every other kind — checkpoint,
+//! eviction, verdict, barrier, sample, rollback, metrics snapshot, note —
+//! commits the buffer, itself included, before its append returns. The
+//! buffer is also committed when it reaches 64 KiB, on
+//! [`Journal::commit`] and [`Journal::sync`], and when the last clone of
+//! the journal drops. A process kill can therefore lose only the events
+//! after the last state record, and since each commit is whole frames
+//! written in order, a torn tail is only ever the last frame of the last
+//! commit — the case replay discards.
 
 use crate::error::LedgerError;
 use crate::frame::{self, FrameRead};
 use crate::record::{self, Record, RecordKind};
 use crate::sequencer::Sequencer;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// An open journal: append-only writer over one file.
+/// Buffered bytes at which an append commits even without a state
+/// record, bounding both the buffer and what a kill can lose.
+const COMMIT_BYTES: usize = 64 * 1024;
+
+/// An open journal: append-only, group-committing writer over one file.
 ///
-/// Cloning is cheap and shares the underlying file and sequencer, so
-/// many subsystems (obs sink, Manager, executive) can append to one
-/// journal; the internal mutex serializes appends so frames never
-/// interleave. Each append writes its complete frame in a single
-/// `write_all`, so the only partial frame a crash can leave is the
-/// final one — exactly the torn-tail case replay discards.
+/// Cloning is cheap and shares the underlying file, buffer and
+/// sequencer, so many subsystems (obs sink, Manager, executive) can
+/// append to one journal; the internal mutex serializes appends so
+/// frames never interleave. Appends frame into one buffer, and each
+/// commit writes the buffer in a single `write_all` — at every record
+/// that is not an [`RecordKind::Event`], at 64 KiB, on
+/// [`commit`](Journal::commit) or [`sync`](Journal::sync), and when the
+/// last clone drops — so the only partial frame a crash can leave is the
+/// final one of the last commit, exactly the torn-tail case replay
+/// discards.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Mutex<JournalInner>>,
@@ -26,6 +47,45 @@ pub struct Journal {
 struct JournalInner {
     file: File,
     seq: Sequencer,
+    /// Framed records not yet written to `file`.
+    buf: Vec<u8>,
+}
+
+impl JournalInner {
+    /// Write every buffered frame in one `write_all`. The buffer is
+    /// emptied even on failure: its records already hold their sequence
+    /// ids, so writing them again later could only duplicate frames.
+    fn commit(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.buf);
+        self.buf.clear();
+        written
+    }
+
+    /// Assign the next `(seq, t)`, frame the body `encode` writes for
+    /// it, and commit when `durable` or when the buffer is full.
+    fn append(
+        &mut self,
+        t: f64,
+        durable: bool,
+        encode: impl FnOnce(&mut Vec<u8>, u64, f64),
+    ) -> io::Result<u64> {
+        let (seq, t) = self.seq.assign(t);
+        frame::frame_into(&mut self.buf, |buf| encode(buf, seq, t));
+        if durable || self.buf.len() >= COMMIT_BYTES {
+            self.commit()?;
+        }
+        Ok(seq)
+    }
+}
+
+impl Drop for JournalInner {
+    fn drop(&mut self) {
+        // The last clone is gone: nothing can append after this.
+        let _ = self.commit();
+    }
 }
 
 impl Journal {
@@ -34,7 +94,11 @@ impl Journal {
         let mut file = File::create(path)?;
         file.write_all(&frame::file_header())?;
         Ok(Self {
-            inner: Arc::new(Mutex::new(JournalInner { file, seq: Sequencer::new() })),
+            inner: Arc::new(Mutex::new(JournalInner {
+                file,
+                seq: Sequencer::new(),
+                buf: Vec::new(),
+            })),
             path: Arc::new(path.to_path_buf()),
         })
     }
@@ -53,6 +117,7 @@ impl Journal {
             inner: Arc::new(Mutex::new(JournalInner {
                 file,
                 seq: Sequencer::resuming(last_seq, last_t),
+                buf: Vec::new(),
             })),
             path: Arc::new(path.to_path_buf()),
         };
@@ -64,25 +129,56 @@ impl Journal {
         &self.path
     }
 
+    fn lock(&self) -> MutexGuard<'_, JournalInner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Append one record stamped with producer time `t`; returns the
-    /// assigned sequence id.
+    /// assigned sequence id. Every kind but [`RecordKind::Event`] is a
+    /// state record: it is written to the file, with every event
+    /// buffered before it, before this returns.
     pub fn append(&self, t: f64, kind: RecordKind) -> Result<u64, LedgerError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let (seq, t) = inner.seq.assign(t);
-        let body = record::encode_body(&Record { seq, t, kind });
-        let framed = frame::encode_frame(&body);
-        inner.file.write_all(&framed)?;
+        let durable = !matches!(kind, RecordKind::Event { .. });
+        let seq = self.lock().append(t, durable, |buf, seq, t| {
+            record::encode_body_into(buf, &Record { seq, t, kind });
+        })?;
         Ok(seq)
+    }
+
+    /// Append one [`RecordKind::Event`] whose payload `payload` encodes
+    /// straight into the journal's buffer — the same bytes as
+    /// `append(t, RecordKind::Event { payload })` with that payload,
+    /// without materializing it. The event stays buffered until the
+    /// next commit. `payload` must only append to the buffer it is
+    /// given, and must not panic: a frame it leaves half-written would
+    /// make replay report the journal `Corrupt` from that record on.
+    pub fn append_event(
+        &self,
+        t: f64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, LedgerError> {
+        let seq = self.lock().append(t, false, |buf, seq, t| {
+            record::encode_event_body_into(buf, seq, t, payload);
+        })?;
+        Ok(seq)
+    }
+
+    /// Write every buffered record to the file (no `fsync`).
+    pub fn commit(&self) -> Result<(), LedgerError> {
+        self.lock().commit()?;
+        Ok(())
     }
 
     /// The most recently assigned sequence id (0 when empty).
     pub fn last_seq(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).seq.last_seq()
+        self.lock().seq.last_seq()
     }
 
-    /// Force the journal to stable storage (`fsync`).
+    /// Commit the buffer and force the journal to stable storage
+    /// (`fsync`).
     pub fn sync(&self) -> Result<(), LedgerError> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
+        inner.commit()?;
         inner.file.sync_all()?;
         Ok(())
     }
@@ -180,6 +276,17 @@ impl LedgerHandle {
     /// Append if attached; `None` when unattached or on I/O failure.
     pub fn append(&self, t: f64, kind: RecordKind) -> Option<u64> {
         self.journal.get().and_then(|j| j.append(t, kind).ok())
+    }
+
+    /// [`Journal::append_event`] if attached; `payload` is not called
+    /// when unattached. `None` when unattached or on I/O failure.
+    pub fn append_event(&self, t: f64, payload: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+        self.journal.get().and_then(|j| j.append_event(t, payload).ok())
+    }
+
+    /// [`Journal::commit`] if attached; a no-op when unattached.
+    pub fn commit(&self) -> Result<(), LedgerError> {
+        self.journal.get().map_or(Ok(()), Journal::commit)
     }
 }
 

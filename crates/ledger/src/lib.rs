@@ -16,9 +16,11 @@
 //!   whose CRC fails is a typed [`LedgerError::Corrupt`].
 //! * [`Sequencer`] — assigns strictly increasing record ids and clamps
 //!   virtual timestamps to be monotone non-decreasing.
-//! * [`Journal`] — the writer: every append frames one [`Record`] and
-//!   pushes it to the OS immediately (no userspace buffering), so the
-//!   journal is as fresh as the last completed syscall.
+//! * [`Journal`] — the writer: every append frames one [`Record`] in
+//!   place in one buffer, and the buffer is group-committed in a single
+//!   `write_all` at every state record (anything but an obs event), so
+//!   the file is as fresh as the last checkpoint, verdict, barrier or
+//!   sample; only events after it are still in memory.
 //! * [`replay`] / [`Repository`] / [`Query`] — the readers: scan a
 //!   journal back into records, then answer range queries,
 //!   latest-checkpoint-per-path, retained-checkpoint sets (respecting

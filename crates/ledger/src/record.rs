@@ -203,63 +203,83 @@ fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     }
 }
 
-/// Encode one record as a frame body.
-pub fn encode_body(rec: &Record) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    put_u64(&mut out, rec.seq);
-    put_f64(&mut out, rec.t);
+/// Encode one record as a frame body, appended to `out`.
+pub fn encode_body_into(out: &mut Vec<u8>, rec: &Record) {
+    put_u64(out, rec.seq);
+    put_f64(out, rec.t);
     match &rec.kind {
-        RecordKind::Event { payload } => {
-            out.push(TAG_EVENT);
-            put_bytes(&mut out, payload);
-        }
+        RecordKind::Event { payload } => put_event(out, |out| out.extend_from_slice(payload)),
         RecordKind::Checkpoint { line, path, incarnation, taken_at, state } => {
             out.push(TAG_CHECKPOINT);
-            put_u64(&mut out, *line);
-            put_str(&mut out, path);
-            put_u64(&mut out, *incarnation);
-            put_f64(&mut out, *taken_at);
-            put_bytes(&mut out, state);
+            put_u64(out, *line);
+            put_str(out, path);
+            put_u64(out, *incarnation);
+            put_f64(out, *taken_at);
+            put_bytes(out, state);
         }
         RecordKind::CheckpointEvicted { line, path, taken_at } => {
             out.push(TAG_CHECKPOINT_EVICTED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, path);
-            put_f64(&mut out, *taken_at);
+            put_u64(out, *line);
+            put_str(out, path);
+            put_f64(out, *taken_at);
         }
         RecordKind::Verdict { addr, incarnation, verdict } => {
             out.push(TAG_VERDICT);
-            put_str(&mut out, addr);
-            put_u64(&mut out, *incarnation);
-            put_str(&mut out, verdict);
+            put_str(out, addr);
+            put_u64(out, *incarnation);
+            put_str(out, verdict);
         }
         RecordKind::MetricsSnapshot { json } => {
             out.push(TAG_METRICS_SNAPSHOT);
-            put_str(&mut out, json);
+            put_str(out, json);
         }
         RecordKind::Barrier { step, t_engine, samples_len, state } => {
             out.push(TAG_BARRIER);
-            put_u64(&mut out, *step);
-            put_f64(&mut out, *t_engine);
-            put_u64(&mut out, *samples_len);
-            put_f64s(&mut out, state);
+            put_u64(out, *step);
+            put_f64(out, *t_engine);
+            put_u64(out, *samples_len);
+            put_f64s(out, state);
         }
         RecordKind::Sample { values } => {
             out.push(TAG_SAMPLE);
-            put_f64s(&mut out, values);
+            put_f64s(out, values);
         }
         RecordKind::Rollback { step, t_engine, samples_len } => {
             out.push(TAG_ROLLBACK);
-            put_u64(&mut out, *step);
-            put_f64(&mut out, *t_engine);
-            put_u64(&mut out, *samples_len);
+            put_u64(out, *step);
+            put_f64(out, *t_engine);
+            put_u64(out, *samples_len);
         }
         RecordKind::Note { text } => {
             out.push(TAG_NOTE);
-            put_str(&mut out, text);
+            put_str(out, text);
         }
     }
-    out
+}
+
+/// Encode the body of an [`RecordKind::Event`] record whose `payload`
+/// encodes straight into `out` — the same bytes [`encode_body_into`]
+/// writes for the materialized payload.
+pub(crate) fn encode_event_body_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    t: f64,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    put_u64(out, seq);
+    put_f64(out, t);
+    put_event(out, payload);
+}
+
+/// The event tag and length-prefixed payload, the length patched in
+/// after `payload` has written.
+fn put_event(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    out.push(TAG_EVENT);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 struct Reader<'a> {
@@ -421,6 +441,12 @@ mod tests {
         ]
     }
 
+    fn encode_body(rec: &Record) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_body_into(&mut body, rec);
+        body
+    }
+
     #[test]
     fn every_kind_round_trips() {
         for (i, kind) in samples().into_iter().enumerate() {
@@ -433,14 +459,34 @@ mod tests {
 
     #[test]
     fn truncated_body_is_corrupt() {
-        let rec = Record { seq: 1, t: 0.0, kind: RecordKind::Note { text: "truncate me".into() } };
-        let body = encode_body(&rec);
-        for cut in 0..body.len() {
-            let err = decode_body(&body[..cut], 42);
-            assert!(
-                matches!(err, Err(LedgerError::Corrupt { offset: 42, .. })),
-                "cut at {cut} must be Corrupt, got {err:?}"
-            );
+        for (i, kind) in samples().into_iter().enumerate() {
+            let body = encode_body(&Record { seq: 1, t: 0.0, kind });
+            for cut in 0..body.len() {
+                let err = decode_body(&body[..cut], 42);
+                assert!(
+                    matches!(err, Err(LedgerError::Corrupt { offset: 42, .. })),
+                    "sample {i} cut at {cut} must be Corrupt, got {err:?}"
+                );
+            }
+        }
+    }
+
+    /// Every single-bit flip of every kind's body decodes to a typed
+    /// error or to a record that encodes back to exactly the flipped
+    /// bytes — never a panic.
+    #[test]
+    fn bit_flips_are_corrupt_or_round_trip() {
+        for (i, kind) in samples().into_iter().enumerate() {
+            let body = encode_body(&Record { seq: 3, t: 0.5, kind });
+            for bit in 0..body.len() * 8 {
+                let mut flipped = body.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                match decode_body(&flipped, 42) {
+                    Err(LedgerError::Corrupt { offset: 42, .. }) => {}
+                    Err(other) => panic!("sample {i} bit {bit}: unexpected error {other}"),
+                    Ok(rec) => assert_eq!(encode_body(&rec), flipped, "sample {i} bit {bit}"),
+                }
+            }
         }
     }
 

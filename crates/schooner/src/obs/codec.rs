@@ -86,171 +86,177 @@ const T_ROLLBACK: u8 = 28;
 
 /// Encode one event for the journal.
 pub fn encode_event(e: &EventKind) -> Vec<u8> {
-    use EventKind::*;
     let mut out = Vec::with_capacity(32);
+    encode_event_into(&mut out, e);
+    out
+}
+
+/// Encode one event, appended to `out` — what [`Obs::emit`](super::Obs::emit)
+/// hands the journal, encoding straight into its buffer.
+pub fn encode_event_into(out: &mut Vec<u8>, e: &EventKind) {
+    use EventKind::*;
     match e {
         RemoteStarted { line, path, machine, addr } => {
             out.push(T_REMOTE_STARTED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, path);
-            put_str(&mut out, machine);
-            put_str(&mut out, addr);
+            put_u64(out, *line);
+            put_str(out, path);
+            put_str(out, machine);
+            put_str(out, addr);
         }
         CallIssued { line, proc, addr } => {
             out.push(T_CALL_ISSUED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, proc);
-            put_str(&mut out, addr);
+            put_u64(out, *line);
+            put_str(out, proc);
+            put_str(out, addr);
         }
         ReplyReceived { line, proc, addr } => {
             out.push(T_REPLY_RECEIVED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, proc);
-            put_str(&mut out, addr);
+            put_u64(out, *line);
+            put_str(out, proc);
+            put_str(out, addr);
         }
         CallRetry { line, attempt, name, backoff_s, cause } => {
             out.push(T_CALL_RETRY);
-            put_u64(&mut out, *line);
-            put_u32(&mut out, *attempt);
-            put_str(&mut out, name);
-            put_opt_f64(&mut out, *backoff_s);
-            put_str(&mut out, cause);
+            put_u64(out, *line);
+            put_u32(out, *attempt);
+            put_str(out, name);
+            put_opt_f64(out, *backoff_s);
+            put_str(out, cause);
         }
         FailoverMove { line, name, target, cause } => {
             out.push(T_FAILOVER_MOVE);
-            put_u64(&mut out, *line);
-            put_str(&mut out, name);
-            put_str(&mut out, target);
-            put_str(&mut out, cause);
+            put_u64(out, *line);
+            put_str(out, name);
+            put_str(out, target);
+            put_str(out, cause);
         }
         FailoverFailed { line, target, cause } => {
             out.push(T_FAILOVER_FAILED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, target);
-            put_str(&mut out, cause);
+            put_u64(out, *line);
+            put_str(out, target);
+            put_str(out, cause);
         }
         ReplyFenced { line, incarnation, binding } => {
             out.push(T_REPLY_FENCED);
-            put_u64(&mut out, *line);
-            put_u64(&mut out, *incarnation);
-            put_u64(&mut out, *binding);
+            put_u64(out, *line);
+            put_u64(out, *incarnation);
+            put_u64(out, *binding);
         }
         Degraded { line, module, cause } => {
             out.push(T_DEGRADED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, module);
-            put_str(&mut out, cause);
+            put_u64(out, *line);
+            put_str(out, module);
+            put_str(out, cause);
         }
         LineOpened { line, module } => {
             out.push(T_LINE_OPENED);
-            put_u64(&mut out, *line);
-            put_str(&mut out, module);
+            put_u64(out, *line);
+            put_str(out, module);
         }
         ExportsRegistered { count, path, addr, line } => {
             out.push(T_EXPORTS_REGISTERED);
-            put_u64(&mut out, *count as u64);
-            put_str(&mut out, path);
-            put_str(&mut out, addr);
-            put_opt_u64(&mut out, *line);
+            put_u64(out, *count as u64);
+            put_str(out, path);
+            put_str(out, addr);
+            put_opt_u64(out, *line);
         }
         Mapped { name, line, addr } => {
             out.push(T_MAPPED);
-            put_str(&mut out, name);
-            put_u64(&mut out, *line);
-            put_str(&mut out, addr);
+            put_str(out, name);
+            put_u64(out, *line);
+            put_str(out, addr);
         }
         ProbeEndpointGone { addr } => {
             out.push(T_PROBE_ENDPOINT_GONE);
-            put_str(&mut out, addr);
+            put_str(out, addr);
         }
         HeartbeatAnswered { addr } => {
             out.push(T_HEARTBEAT_ANSWERED);
-            put_str(&mut out, addr);
+            put_str(out, addr);
         }
         HeartbeatMiss { n, threshold, addr } => {
             out.push(T_HEARTBEAT_MISS);
-            put_u32(&mut out, *n);
-            put_u32(&mut out, *threshold);
-            put_str(&mut out, addr);
+            put_u32(out, *n);
+            put_u32(out, *threshold);
+            put_str(out, addr);
         }
         DeathVerdict { addr, incarnation } => {
             out.push(T_DEATH_VERDICT);
-            put_str(&mut out, addr);
-            put_u64(&mut out, *incarnation);
+            put_str(out, addr);
+            put_u64(out, *incarnation);
         }
         FailureEscalated { name } => {
             out.push(T_FAILURE_ESCALATED);
-            put_str(&mut out, name);
+            put_str(out, name);
         }
         RespawnFailed { path, host, cause } => {
             out.push(T_RESPAWN_FAILED);
-            put_str(&mut out, path);
-            put_str(&mut out, host);
-            put_str(&mut out, cause);
+            put_str(out, path);
+            put_str(out, host);
+            put_str(out, cause);
         }
         CheckpointRestored { path, taken_at } => {
             out.push(T_CHECKPOINT_RESTORED);
-            put_str(&mut out, path);
-            put_f64(&mut out, *taken_at);
+            put_str(out, path);
+            put_f64(out, *taken_at);
         }
         Respawned { path, host, incarnation, addr } => {
             out.push(T_RESPAWNED);
-            put_str(&mut out, path);
-            put_str(&mut out, host);
-            put_u64(&mut out, *incarnation);
-            put_str(&mut out, addr);
+            put_str(out, path);
+            put_str(out, host);
+            put_u64(out, *incarnation);
+            put_str(out, addr);
         }
         Checkpointed { name, bytes, at } => {
             out.push(T_CHECKPOINTED);
-            put_str(&mut out, name);
-            put_u64(&mut out, *bytes);
-            put_f64(&mut out, *at);
+            put_str(out, name);
+            put_u64(out, *bytes);
+            put_f64(out, *at);
         }
         LineShutdown { line, module } => {
             out.push(T_LINE_SHUTDOWN);
-            put_u64(&mut out, *line);
-            put_str(&mut out, module);
+            put_u64(out, *line);
+            put_str(out, module);
         }
         Moved { name, old, new } => {
             out.push(T_MOVED);
-            put_str(&mut out, name);
-            put_str(&mut out, old);
-            put_str(&mut out, new);
+            put_str(out, name);
+            put_str(out, old);
+            put_str(out, new);
         }
         ManagerShutdown => out.push(T_MANAGER_SHUTDOWN),
         ProcessSpawned { host, addr, path, line } => {
             out.push(T_PROCESS_SPAWNED);
-            put_str(&mut out, host);
-            put_str(&mut out, addr);
-            put_str(&mut out, path);
-            put_u64(&mut out, *line);
+            put_str(out, host);
+            put_str(out, addr);
+            put_str(out, path);
+            put_u64(out, *line);
         }
         Computed { addr, proc, flops, compute_s } => {
             out.push(T_COMPUTED);
-            put_str(&mut out, addr);
-            put_str(&mut out, proc);
-            put_f64(&mut out, *flops);
-            put_f64(&mut out, *compute_s);
+            put_str(out, addr);
+            put_str(out, proc);
+            put_f64(out, *flops);
+            put_f64(out, *compute_s);
         }
         ProcessShutdown { addr } => {
             out.push(T_PROCESS_SHUTDOWN);
-            put_str(&mut out, addr);
+            put_str(out, addr);
         }
         Barrier { step, t } => {
             out.push(T_BARRIER);
-            put_u64(&mut out, *step as u64);
-            put_f64(&mut out, *t);
+            put_u64(out, *step as u64);
+            put_f64(out, *t);
         }
         Rollback { step, cause, t, recovery, max } => {
             out.push(T_ROLLBACK);
-            put_u64(&mut out, *step as u64);
-            put_str(&mut out, cause);
-            put_f64(&mut out, *t);
-            put_u32(&mut out, *recovery);
-            put_u32(&mut out, *max);
+            put_u64(out, *step as u64);
+            put_str(out, cause);
+            put_f64(out, *t);
+            put_u32(out, *recovery);
+            put_u32(out, *max);
         }
     }
-    out
 }
 
 struct Reader<'a> {
@@ -543,6 +549,49 @@ mod tests {
         put_str(&mut note, "anything at all");
         assert_eq!(decode_event(&note).unwrap_err(), "unknown event tag 29");
         assert!(decode_event(&[]).is_err());
+    }
+
+    /// Every single-bit flip of every variant decodes to an error or to
+    /// an event that encodes back to exactly the flipped bytes — never a
+    /// panic.
+    #[test]
+    fn bit_flips_are_errors_or_round_trip() {
+        for e in one_of_each() {
+            let encoded = encode_event(&e);
+            for bit in 0..encoded.len() * 8 {
+                let mut flipped = encoded.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(decoded) = decode_event(&flipped) {
+                    assert_eq!(encode_event(&decoded), flipped, "{e:?} bit {bit}");
+                }
+            }
+        }
+    }
+
+    /// Encoding straight into the journal's buffer writes exactly the
+    /// file a materialized payload does, for every variant.
+    #[test]
+    fn append_event_writes_what_append_of_the_payload_writes() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let (in_place, materialized) =
+            (dir.join(format!("codec-in-place-{pid}")), dir.join(format!("codec-payload-{pid}")));
+        let a = ledger::Journal::create(&in_place).unwrap();
+        let b = ledger::Journal::create(&materialized).unwrap();
+        for (i, e) in one_of_each().iter().enumerate() {
+            let t = 0.125 * i as f64;
+            let seq = a.append_event(t, |buf| encode_event_into(buf, e)).unwrap();
+            let payload = encode_event(e);
+            assert_eq!(b.append(t, ledger::RecordKind::Event { payload }).unwrap(), seq);
+        }
+        a.commit().unwrap();
+        b.commit().unwrap();
+        let (a_bytes, b_bytes) =
+            (std::fs::read(&in_place).unwrap(), std::fs::read(&materialized).unwrap());
+        assert_eq!(ledger::replay(&in_place).unwrap().records.len(), one_of_each().len());
+        assert_eq!(a_bytes, b_bytes);
+        std::fs::remove_file(&in_place).ok();
+        std::fs::remove_file(&materialized).ok();
     }
 
     #[test]

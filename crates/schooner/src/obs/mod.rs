@@ -24,7 +24,6 @@ pub use span::{critical_path, CallSpan, CriticalPath, Phase, SpanWave, PHASES, P
 pub use ledger::LedgerHandle;
 pub use netsim::metrics::{Histogram, MetricsRegistry};
 
-use ledger::RecordKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -103,11 +102,11 @@ impl Obs {
     }
 
     /// Record a typed event. The in-memory log only keeps it while
-    /// enabled; an attached journal records it unconditionally.
+    /// enabled; an attached journal records it unconditionally, encoding
+    /// it straight into the journal's buffer (events are written at the
+    /// journal's next commit).
     pub fn emit(&self, t: f64, kind: EventKind) {
-        if self.inner.ledger.is_attached() {
-            self.inner.ledger.append(t, RecordKind::Event { payload: codec::encode_event(&kind) });
-        }
+        self.inner.ledger.append_event(t, |buf| codec::encode_event_into(buf, &kind));
         if self.is_enabled() {
             lock(&self.inner.events).push(ObsEvent { t, kind });
         }
@@ -288,9 +287,12 @@ mod tests {
         let obs = Obs::new();
         let path = std::env::temp_dir().join(format!("obs-journal-sink-{}", std::process::id()));
         obs.ledger().attach(ledger::Journal::create(&path).unwrap()).unwrap();
-        // Event recording is off, but the journal still gets the event.
+        // Event recording is off, but the journal still gets the event —
+        // buffered until the journal's next commit.
         obs.emit(1.0, EventKind::ManagerShutdown);
         assert!(obs.events().is_empty());
+        assert!(ledger::replay(&path).unwrap().records.is_empty(), "not on disk before a commit");
+        obs.ledger().commit().unwrap();
         let replayed = ledger::replay(&path).unwrap();
         assert_eq!(replayed.records.len(), 1);
         match &replayed.records[0].kind {

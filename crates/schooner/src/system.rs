@@ -381,7 +381,10 @@ impl Schooner {
         LineHandle::open(self.ctx.clone(), self.manager_address(), module, host, n)
     }
 
-    /// Shut the world down: all processes, all Servers, the Manager.
+    /// Shut the world down: all processes, all Servers, the Manager —
+    /// then commit the attached journal, if any, so the file holds every
+    /// record even while an [`Obs`] clone (an executive's, say) outlives
+    /// the world.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -391,6 +394,7 @@ impl Schooner {
             manager.shutdown(&self.ctx);
             // Actors hold a `RuntimeCtx`, which holds the world.
             self.ctx.world.clear();
+            let _ = self.ctx.obs.ledger().commit();
         }
     }
 }

@@ -199,3 +199,37 @@ fn metrics_snapshot_survives_the_world() {
     assert!(repo.metrics_as_of(seq - 1).is_none_or(|(s, _)| s < seq));
     std::fs::remove_file(&path).ok();
 }
+
+/// `shutdown` commits the journal even while an `Obs` clone — an
+/// executive's, say — keeps the journal's writer alive: every record
+/// appended so far, the buffered events included, is on disk.
+#[test]
+fn shutdown_commits_while_an_obs_clone_outlives_the_world() {
+    let path = journal_file("shutdown-commit");
+    let sch = Schooner::standard_with(quick_config(4)).unwrap();
+    sch.attach_journal(&path).unwrap();
+    sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
+    let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
+    line.start_remote("/npss/accum", "lerc-sgi-4d480").unwrap();
+    for _ in 0..3 {
+        line.call("accum", &[Value::Double(1.0)]).unwrap();
+    }
+    line.quit().unwrap();
+    drop(line);
+    let obs = sch.ctx().obs.clone();
+    sch.shutdown();
+
+    let journal = obs.ledger().journal().expect("journal attached");
+    let replayed = ledger::replay(&path).unwrap();
+    assert_eq!(replayed.torn_bytes, 0);
+    assert_eq!(
+        replayed.records.last().map(|r| r.seq),
+        Some(journal.last_seq()),
+        "every appended record is on disk"
+    );
+    let tags = Repository::open(&path).unwrap().counts_by_tag();
+    assert!(tags.get(&RecordTag::Event).is_some_and(|&n| n > 6), "{tags:?}");
+    drop(obs);
+    assert_eq!(ledger::replay(&path).unwrap().records, replayed.records, "nothing was held back");
+    std::fs::remove_file(&path).ok();
+}

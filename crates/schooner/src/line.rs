@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use netsim::{Endpoint, Envelope, FlushReport, NetError, VirtualClock};
 use uts::spec::ProcSpec;
 use uts::{Architecture, Value};
@@ -189,11 +189,10 @@ impl LineHandle {
             module: module.to_owned(),
             reply_to: handle.endpoint.addr().to_owned(),
         })?;
-        let reply =
-            handle.await_reply(|m| matches!(m, Msg::LineOpened { req: r, .. } if *r == req))?;
-        if let Msg::LineOpened { line, .. } = reply {
-            handle.id = line;
-        }
+        handle.id = handle.await_reply(|m| match m {
+            Msg::LineOpened { req: r, line } if r == req => Ok(line),
+            m => Err(m),
+        })?;
         Ok(handle)
     }
 
@@ -279,24 +278,22 @@ impl LineHandle {
             shared,
             reply_to: self.endpoint.addr().to_owned(),
         })?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::StartReply { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::StartReply { result, .. } => {
-                let StartedInfo { proc_names, addr, .. } = result.map_err(WireFault::into_error)?;
-                self.ctx.obs.emit(
-                    self.clock.now(),
-                    EventKind::RemoteStarted {
-                        line: self.id,
-                        path: path.to_owned(),
-                        machine: machine.to_owned(),
-                        addr,
-                    },
-                );
-                Ok(proc_names)
-            }
-            _ => unreachable!("await_reply predicate"),
-        }
+        let StartedInfo { proc_names, addr, .. } = self
+            .await_reply(|m| match m {
+                Msg::StartReply { req: r, result } if r == req => Ok(result),
+                m => Err(m),
+            })?
+            .map_err(WireFault::into_error)?;
+        self.ctx.obs.emit(
+            self.clock.now(),
+            EventKind::RemoteStarted {
+                line: self.id,
+                path: path.to_owned(),
+                machine: machine.to_owned(),
+                addr,
+            },
+        );
+        Ok(proc_names)
     }
 
     /// Invoke a remote procedure with the input arguments (`val`/`var`
@@ -592,7 +589,7 @@ impl LineHandle {
         let m = obs.metrics();
         m.counter_add("uts.encode_bytes", self.encode_buf.len() as u64);
         m.counter_add("uts.fast_path_hits", 1);
-        let marshal_s = self.marshal_cost(binding.stub.input_scalars);
+        let marshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.input_scalars);
         self.clock.advance(marshal_s);
         obs.span_phase(self.id, call, Phase::Marshal, marshal_s);
         let request_bytes = self.encode_buf.len() as u64;
@@ -604,11 +601,11 @@ impl LineHandle {
                 addr: binding.addr.clone(),
             },
         );
-        // Scatter-gather transmit: the request is encoded directly into
-        // the link's frame buffer (or, with batching off, into a
-        // single-message frame that leaves immediately) — the marshal
-        // plan's output in `encode_buf` is never re-boxed into a
-        // per-call allocation.
+        // Scatter-gather transmit: with batching on, the request is
+        // encoded directly into the link's frame buffer; with it off,
+        // into one per-call `BytesMut` that is sent as a plain message
+        // (no single-message frame is built). Either way the marshal
+        // plan's output in `encode_buf` is copied once, into the wire.
         let sent_at = self.clock.now();
         let wire_len = Msg::call_request_wire_len(
             &binding.remote_name,
@@ -720,75 +717,64 @@ impl LineHandle {
         let flushed =
             self.ctx.net.flush_link(&self.host, host_part(&binding.addr), self.clock.now());
         self.absorb_flush_reports(&flushed, Some((self.id, call)))?;
-        let reply = self.await_call_reply(call, binding.incarnation)?;
-        match reply {
-            Msg::CallReply { result, .. } => {
-                let bytes = result.map_err(|e| {
-                    if e.code == FaultCode::ProcessGone {
-                        // Prefer the address we actually dialled: it is
-                        // the cache entry that went stale.
-                        SchError::ProcessGone(binding.addr.to_string())
-                    } else {
-                        e.into_error()
-                    }
-                })?;
-                self.stats.calls += 1;
-                self.stats.request_bytes += request_bytes;
-                self.stats.reply_bytes += bytes.len() as u64;
-                let m = obs.metrics();
-                m.counter_add("rpc.calls", 1);
-                m.counter_add("rpc.request_bytes", request_bytes);
-                m.counter_add("rpc.reply_bytes", bytes.len() as u64);
-                let out = binding.stub.unmarshal_outputs(bytes, self.arch)?;
-                let unmarshal_s = self.marshal_cost(binding.stub.output_scalars);
-                self.clock.advance(unmarshal_s);
-                obs.span_phase(self.id, call, Phase::Unmarshal, unmarshal_s);
-                obs.emit(
-                    self.clock.now(),
-                    EventKind::ReplyReceived {
-                        line: self.id,
-                        proc: binding.remote_name.clone(),
-                        addr: binding.addr.clone(),
-                    },
-                );
-                Ok(out)
+        let bytes = self.await_call_reply(call, binding.incarnation)?.map_err(|e| {
+            if e.code == FaultCode::ProcessGone {
+                // Prefer the address we actually dialled: it is the
+                // cache entry that went stale.
+                SchError::ProcessGone(binding.addr.to_string())
+            } else {
+                e.into_error()
             }
-            _ => unreachable!("await_reply predicate"),
-        }
+        })?;
+        self.stats.calls += 1;
+        self.stats.request_bytes += request_bytes;
+        self.stats.reply_bytes += bytes.len() as u64;
+        let m = obs.metrics();
+        m.counter_add("rpc.calls", 1);
+        m.counter_add("rpc.request_bytes", request_bytes);
+        m.counter_add("rpc.reply_bytes", bytes.len() as u64);
+        let out = binding.stub.unmarshal_outputs(bytes, self.arch)?;
+        let unmarshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.output_scalars);
+        self.clock.advance(unmarshal_s);
+        obs.span_phase(self.id, call, Phase::Unmarshal, unmarshal_s);
+        obs.emit(
+            self.clock.now(),
+            EventKind::ReplyReceived {
+                line: self.id,
+                proc: binding.remote_name.clone(),
+                addr: binding.addr.clone(),
+            },
+        );
+        Ok(out)
     }
 
-    /// Block until the `CallReply` for `call` arrives. Replies stamped by
-    /// an incarnation older than `min_incarnation` are **fenced** —
-    /// discarded and counted — *before* call-id matching, so a delayed
-    /// answer from a pre-crash instance can never satisfy a call made to
-    /// its successor. Other non-matching messages are stale and dropped.
-    fn await_call_reply(&mut self, call: u64, min_incarnation: u64) -> SchResult<Msg> {
+    /// Block until the `CallReply` for `call` arrives and return its
+    /// payload. Replies stamped by an incarnation older than
+    /// `min_incarnation` are **fenced** — discarded and counted —
+    /// *before* call-id matching, so a delayed answer from a pre-crash
+    /// instance can never satisfy a call made to its successor. Other
+    /// non-matching messages are stale and dropped.
+    fn await_call_reply(
+        &mut self,
+        call: u64,
+        min_incarnation: u64,
+    ) -> SchResult<Result<Bytes, WireFault>> {
         loop {
             let env = self.recv()?;
-            let Ok(msg) = Msg::decode(env.payload) else { continue };
-            if let Msg::CallReply { call: c, incarnation, .. } = &msg {
-                if *incarnation > 0 && *incarnation < min_incarnation {
-                    self.stats.fenced_replies += 1;
-                    self.ctx.obs.metrics().counter_add("rpc.fenced_replies", 1);
-                    self.ctx.obs.emit(
-                        self.clock.now(),
-                        EventKind::ReplyFenced {
-                            line: self.id,
-                            incarnation: *incarnation,
-                            binding: min_incarnation,
-                        },
-                    );
-                    continue;
-                }
-                if *c == call {
-                    self.ctx.obs.span_phase(
-                        self.id,
-                        call,
-                        Phase::Reply,
-                        env.arrive_at - env.sent_at,
-                    );
-                    return Ok(msg);
-                }
+            let Ok(Msg::CallReply { call: c, incarnation, result }) = Msg::decode(env.payload)
+            else {
+                continue;
+            };
+            if incarnation > 0 && incarnation < min_incarnation {
+                self.stats.fenced_replies += 1;
+                self.ctx.obs.metrics().counter_add("rpc.fenced_replies", 1);
+                self.ctx.obs.emit(
+                    self.clock.now(),
+                    EventKind::ReplyFenced { line: self.id, incarnation, binding: min_incarnation },
+                );
+            } else if c == call {
+                self.ctx.obs.span_phase(self.id, call, Phase::Reply, env.arrive_at - env.sent_at);
+                return Ok(result);
             }
         }
     }
@@ -798,20 +784,7 @@ impl LineHandle {
     /// neutrally and retained for crash recovery. Returns the snapshot
     /// size in bytes — 0 for a process declaring no state.
     pub fn checkpoint(&mut self, name: &str) -> SchResult<u64> {
-        self.ensure_live()?;
-        let req = self.fresh_req();
-        self.send_manager(&Msg::CheckpointRequest {
-            req,
-            line: self.id,
-            name: name.to_owned(),
-            reply_to: self.endpoint.addr().to_owned(),
-        })?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::CheckpointReply { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::CheckpointReply { result, .. } => result.map_err(WireFault::into_error),
-            _ => unreachable!("await_reply predicate"),
-        }
+        self.snapshot_exchange(name, false)
     }
 
     /// Ask the Manager to push the latest retained checkpoint of the
@@ -820,20 +793,26 @@ impl LineHandle {
     /// was pre-seeded from a replayed journal. Returns the restored
     /// snapshot size in bytes — 0 when no checkpoint is retained.
     pub fn restore(&mut self, name: &str) -> SchResult<u64> {
+        self.snapshot_exchange(name, true)
+    }
+
+    /// One checkpoint (or, with `restore`, restore) exchange with the
+    /// Manager; returns the snapshot size in bytes.
+    fn snapshot_exchange(&mut self, name: &str, restore: bool) -> SchResult<u64> {
         self.ensure_live()?;
         let req = self.fresh_req();
-        self.send_manager(&Msg::RestoreRequest {
-            req,
-            line: self.id,
-            name: name.to_owned(),
-            reply_to: self.endpoint.addr().to_owned(),
+        let (line, name, reply_to) = (self.id, name.to_owned(), self.endpoint.addr().to_owned());
+        self.send_manager(&if restore {
+            Msg::RestoreRequest { req, line, name, reply_to }
+        } else {
+            Msg::CheckpointRequest { req, line, name, reply_to }
         })?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::RestoreReply { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::RestoreReply { result, .. } => result.map_err(WireFault::into_error),
-            _ => unreachable!("await_reply predicate"),
-        }
+        self.await_reply(|m| match m {
+            Msg::CheckpointReply { req: r, result } if r == req && !restore => Ok(result),
+            Msg::RestoreReply { req: r, result } if r == req && restore => Ok(result),
+            m => Err(m),
+        })?
+        .map_err(WireFault::into_error)
     }
 
     /// The network address this line receives replies on. Exposed so
@@ -854,16 +833,15 @@ impl LineHandle {
             target_host: target_machine.to_owned(),
             reply_to: self.endpoint.addr().to_owned(),
         })?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::MoveReply { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::MoveReply { result, .. } => {
-                let info = result.map_err(WireFault::into_error)?;
-                self.install_binding(name, info)?;
-                Ok(())
-            }
-            _ => unreachable!("await_reply predicate"),
-        }
+        let info = self
+            .await_reply(|m| match m {
+                Msg::MoveReply { req: r, result } if r == req => Ok(result),
+                m => Err(m),
+            })?
+            .map_err(WireFault::into_error)?;
+        let binding = self.binding_from_info(info)?;
+        self.cache.insert(name.to_ascii_lowercase(), Arc::new(binding));
+        Ok(())
     }
 
     /// Notify the Manager that this module is going away; the remote
@@ -873,12 +851,11 @@ impl LineHandle {
             return Ok(());
         }
         let req = self.fresh_req();
-        self.send_manager(&Msg::IQuit {
-            req,
-            line: self.id,
-            reply_to: self.endpoint.addr().to_owned(),
+        self.send_manager(&self.iquit(req))?;
+        self.await_reply(|m| match m {
+            Msg::IQuitAck { req: r } if r == req => Ok(()),
+            m => Err(m),
         })?;
-        self.await_reply(|m| matches!(m, Msg::IQuitAck { req: r } if *r == req))?;
         self.quit_sent = true;
         self.cache.clear();
         self.ctx.clear_batch_failures(self.id);
@@ -905,11 +882,9 @@ impl LineHandle {
         r
     }
 
-    fn marshal_cost(&self, scalars: usize) -> f64 {
-        self.ctx
-            .park
-            .compute_seconds(&self.host, scalars as f64 * self.ctx.config.per_scalar_flops)
-            .unwrap_or(0.0)
+    /// This line's `sch_i_quit` notice.
+    fn iquit(&self, req: u64) -> Msg {
+        Msg::IQuit { req, line: self.id, reply_to: self.endpoint.addr().to_owned() }
     }
 
     fn send_manager(&self, msg: &Msg) -> SchResult<()> {
@@ -932,16 +907,15 @@ impl LineHandle {
         Ok(env)
     }
 
-    /// Block until a reply matching `pred` arrives; stale replies from
-    /// earlier exchanges are discarded (a line is sequential, so anything
-    /// not matching the current request is stale).
-    fn await_reply(&mut self, pred: impl Fn(&Msg) -> bool) -> SchResult<Msg> {
+    /// Block until the reply `want` accepts arrives and return the
+    /// payload it extracts; `want` hands any other message back, and it
+    /// is discarded (a line is sequential, so anything not answering the
+    /// current request is stale).
+    fn await_reply<T>(&mut self, want: impl Fn(Msg) -> Result<T, Msg>) -> SchResult<T> {
         loop {
             let env = self.recv()?;
-            if let Ok(msg) = Msg::decode(env.payload) {
-                if pred(&msg) {
-                    return Ok(msg);
-                }
+            if let Ok(Ok(payload)) = Msg::decode(env.payload).map(&want) {
+                return Ok(payload);
             }
         }
     }
@@ -961,14 +935,13 @@ impl LineHandle {
             suspect_addr,
             reply_to: self.endpoint.addr().to_owned(),
         })?;
-        let reply = self.await_reply(|m| matches!(m, Msg::MapReply { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::MapReply { result, .. } => {
-                let info = result.map_err(WireFault::into_error)?;
-                self.binding_from_info(info)
-            }
-            _ => unreachable!("await_reply predicate"),
-        }
+        let info = self
+            .await_reply(|m| match m {
+                Msg::MapReply { req: r, result } if r == req => Ok(result),
+                m => Err(m),
+            })?
+            .map_err(WireFault::into_error)?;
+        self.binding_from_info(info)
     }
 
     fn binding_from_info(&self, info: MapInfo) -> SchResult<Binding> {
@@ -983,12 +956,6 @@ impl LineHandle {
             stub: CompiledStub::compile(spec),
             incarnation: info.incarnation,
         })
-    }
-
-    fn install_binding(&mut self, name: &str, info: MapInfo) -> SchResult<()> {
-        let binding = self.binding_from_info(info)?;
-        self.cache.insert(name.to_ascii_lowercase(), Arc::new(binding));
-        Ok(())
     }
 }
 
@@ -1008,13 +975,7 @@ impl Drop for LineHandle {
         if !self.quit_sent {
             // Best effort: tell the Manager this module is gone so the
             // line's processes are reclaimed; do not block on the ack.
-            let req = self.next_req;
-            let _ = self.endpoint.send(
-                &self.manager,
-                Msg::IQuit { req, line: self.id, reply_to: self.endpoint.addr().to_owned() }
-                    .encode(),
-                self.clock.now(),
-            );
+            let _ = self.send_manager(&self.iquit(self.next_req));
         }
     }
 }

@@ -22,6 +22,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 
+use bytes::Bytes;
 use ledger::RecordKind;
 use netsim::{Endpoint, NetError, VirtualClock};
 use uts::check::check_import_against_export;
@@ -88,6 +89,27 @@ struct ProcEntry {
     spec: ProcSpec,
     /// Incarnation of the instance currently serving this entry.
     incarnation: u64,
+}
+
+impl ProcEntry {
+    /// The binding a caller receives for this entry.
+    fn map_info(&self) -> MapInfo {
+        MapInfo {
+            addr: self.addr.clone(),
+            remote_name: self.remote_name.clone(),
+            export_spec: self.spec.to_source(),
+            incarnation: self.incarnation,
+        }
+    }
+}
+
+/// Where a replacement process gets its state from.
+enum StateFrom {
+    /// The latest retained checkpoint, if any (crash recovery).
+    Checkpoint,
+    /// A blob fetched live from the old instance before it is fenced
+    /// (migration); `None` when that process declares no state.
+    Live(Option<Bytes>),
 }
 
 /// A name database: keys are case-folded so that upper- and lower-case
@@ -199,20 +221,21 @@ impl ManagerWorker {
         Ok(())
     }
 
-    /// Wait for a reply satisfying `pred`, buffering everything else.
-    /// The wait drives the world (the Server or process that owes the
-    /// reply runs inside it); a world gone quiescent means the reply is
-    /// lost.
-    fn await_reply(&mut self, pred: impl Fn(&Msg) -> bool) -> SchResult<Msg> {
+    /// Wait for the reply `want` accepts — it hands back the reply's
+    /// payload, or the message itself, which is buffered for the
+    /// dispatch loop. The wait drives the world (the Server or process
+    /// that owes the reply runs inside it); a world gone quiescent means
+    /// the reply is lost.
+    fn await_reply<T>(&mut self, want: impl Fn(Msg) -> Result<T, Msg>) -> SchResult<T> {
         loop {
             let env =
                 self.ctx.world.recv(&self.endpoint).map_err(|_| SchError::ManagerUnavailable)?;
             self.clock.merge(env.arrive_at);
             let Ok(msg) = Msg::decode(env.payload) else { continue };
-            if pred(&msg) {
-                return Ok(msg);
+            match want(msg) {
+                Ok(payload) => return Ok(payload),
+                Err(msg) => self.backlog.push_back(msg),
             }
-            self.backlog.push_back(msg);
         }
     }
 
@@ -220,6 +243,24 @@ impl ManagerWorker {
         let r = self.next_req;
         self.next_req += 1;
         r
+    }
+
+    /// The name database of a process scope: a line's, or the shared
+    /// one for scope 0.
+    fn db(&self, scope: u64) -> &NameDb {
+        if scope == 0 {
+            &self.shared
+        } else {
+            &self.lines[&scope].db
+        }
+    }
+
+    fn db_mut(&mut self, scope: u64) -> &mut NameDb {
+        if scope == 0 {
+            &mut self.shared
+        } else {
+            &mut self.lines.get_mut(&scope).expect("scope of a located entry").db
+        }
     }
 
     /// Handle one message; returns false to terminate.
@@ -298,34 +339,21 @@ impl ManagerWorker {
         if !shared && !self.lines.contains_key(&line) {
             return Err(SchError::UnknownLine(line));
         }
-        let proc_line = if shared { 0 } else { line };
-        let info = self.start_process_on(proc_line, path, host)?;
+        let scope = if shared { 0 } else { line };
+        let info = self.start_process_on(scope, path, host)?;
 
         // Parse the export spec and pre-check for duplicates before
         // mutating any table.
         let spec = uts::parse_spec_file(&info.spec_src)?;
-        let db =
-            if shared { &self.shared } else { &self.lines.get(&line).expect("checked above").db };
-        for decl in &spec.decls {
-            if decl.direction != Direction::Export {
-                continue;
-            }
-            if db.contains(&decl.name) {
-                // Undo: terminate the just-started process.
-                let _ = self.send(&info.addr, &Msg::ProcShutdown);
-                return Err(SchError::DuplicateProcedure { name: decl.name.clone(), line });
-            }
+        let exports = spec.decls.iter().filter(|d| d.direction == Direction::Export);
+        if let Some(dup) = exports.clone().find(|d| self.db(scope).contains(&d.name)) {
+            // Undo: terminate the just-started process.
+            let _ = self.send(&info.addr, &Msg::ProcShutdown);
+            return Err(SchError::DuplicateProcedure { name: dup.name.clone(), line });
         }
 
-        let db = if shared {
-            &mut self.shared
-        } else {
-            &mut self.lines.get_mut(&line).expect("checked above").db
-        };
-        for decl in &spec.decls {
-            if decl.direction != Direction::Export {
-                continue;
-            }
+        let db = self.db_mut(scope);
+        for decl in exports {
             let remote_name = info
                 .proc_names
                 .iter()
@@ -350,7 +378,7 @@ impl ManagerWorker {
                 count: spec.decls.len(),
                 path: path.to_owned(),
                 addr: info.addr.clone(),
-                line: if shared { None } else { Some(line) },
+                line: (scope != 0).then_some(scope),
             },
         );
         Ok(info)
@@ -360,47 +388,43 @@ impl ManagerWorker {
     /// Every start — initial, migration, or crash recovery — gets a fresh,
     /// strictly larger incarnation number (from the world-shared counter,
     /// so a journal-driven recovery can floor-bump past dead history).
-    fn start_process_on(&mut self, line: u64, path: &str, host: &str) -> SchResult<StartedInfo> {
+    fn start_process_on(&mut self, scope: u64, path: &str, host: &str) -> SchResult<StartedInfo> {
         let req = self.fresh_req();
         let incarnation = self.ctx.incarnations.fetch_add(1, Ordering::SeqCst);
         self.send(
             &server_addr(host),
             &Msg::StartProcess {
                 req,
-                line,
+                line: scope,
                 path: path.to_owned(),
                 incarnation,
                 reply_to: self.endpoint.addr().to_owned(),
             },
         )?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::ProcessStarted { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::ProcessStarted { result, .. } => {
-                let info = result.map_err(WireFault::into_error)?;
-                // Journal every incarnation actually issued, so a
-                // journal-seeded successor world floor-bumps past it and
-                // can never hand the number out again.
-                self.journal_verdict(&info.addr, info.incarnation, "started");
-                Ok(info)
-            }
-            _ => unreachable!("await_reply predicate"),
-        }
+        let info = self
+            .await_reply(|m| match m {
+                Msg::ProcessStarted { req: r, result } if r == req => Ok(result),
+                m => Err(m),
+            })?
+            .map_err(WireFault::into_error)?;
+        // Journal every incarnation actually issued, so a journal-seeded
+        // successor world floor-bumps past it and can never hand the
+        // number out again.
+        self.journal_verdict(&info.addr, info.incarnation, "started");
+        Ok(info)
     }
 
     /// Resolve a name for a line — its own database first, then shared —
-    /// returning a clone of the entry and whether it is shared.
-    fn locate(&self, line: u64, name: &str) -> SchResult<(ProcEntry, bool)> {
-        if let Some(state) = self.lines.get(&line) {
-            if let Some(e) = state.db.get(name) {
-                return Ok((e.clone(), false));
-            }
-        } else {
-            return Err(SchError::UnknownLine(line));
+    /// returning a clone of the entry and its process scope (the line,
+    /// or 0 for a shared procedure).
+    fn locate(&self, line: u64, name: &str) -> SchResult<(ProcEntry, u64)> {
+        let state = self.lines.get(&line).ok_or(SchError::UnknownLine(line))?;
+        if let Some(e) = state.db.get(name) {
+            return Ok((e.clone(), line));
         }
         self.shared
             .get(name)
-            .map(|e| (e.clone(), true))
+            .map(|e| (e.clone(), 0))
             .ok_or_else(|| SchError::UnknownProcedure(name.to_owned()))
     }
 
@@ -411,7 +435,7 @@ impl ManagerWorker {
         import_spec: &str,
         suspect_addr: &str,
     ) -> SchResult<MapInfo> {
-        let (mut entry, in_shared) = self.locate(line, name)?;
+        let (mut entry, scope) = self.locate(line, name)?;
 
         // A caller reported the current binding unreachable. Probe it
         // with a heartbeat; only a dead verdict triggers recovery, so
@@ -429,7 +453,7 @@ impl ManagerWorker {
                     return Err(SchError::ProcessGone(entry.addr));
                 }
                 Health::Dead => {
-                    entry = self.recover(line, in_shared, name, &entry)?;
+                    entry = self.recover(scope, name, &entry)?;
                 }
             }
         }
@@ -446,12 +470,7 @@ impl ManagerWorker {
             self.clock.now(),
             EventKind::Mapped { name: name.to_owned(), line, addr: entry.addr.clone() },
         );
-        Ok(MapInfo {
-            addr: entry.addr.clone(),
-            remote_name: entry.remote_name.clone(),
-            export_spec: entry.spec.to_source(),
-            incarnation: entry.incarnation,
-        })
+        Ok(entry.map_info())
     }
 
     /// Send one heartbeat to `addr` and update the monitor with the
@@ -474,7 +493,10 @@ impl ManagerWorker {
         }
         // A live process answers inside this wait; a silent one leaves
         // the world quiescent, which is the missed beat.
-        match self.await_reply(|m| matches!(m, Msg::Pong { req: r, .. } if *r == req)) {
+        match self.await_reply(|m| match m {
+            Msg::Pong { req: r, .. } if r == req => Ok(()),
+            m => Err(m),
+        }) {
             Ok(_) => {
                 self.monitor.record_beat(addr);
                 self.ctx
@@ -500,28 +522,20 @@ impl ManagerWorker {
     }
 
     /// Run the supervision policy for a process declared dead: respawn it
-    /// (in place or on a replica) under a fresh incarnation, restore its
-    /// latest checkpoint, and rebind the mapping tables. Returns the
-    /// rebound entry for `name`.
-    fn recover(
-        &mut self,
-        line: u64,
-        in_shared: bool,
-        name: &str,
-        dead: &ProcEntry,
-    ) -> SchResult<ProcEntry> {
-        let old_addr = dead.addr.clone();
+    /// (in place or on a replica) under a fresh incarnation from its
+    /// latest checkpoint. Returns the rebound entry for `name`.
+    fn recover(&mut self, scope: u64, name: &str, dead: &ProcEntry) -> SchResult<ProcEntry> {
         self.ctx.obs.emit(
             self.clock.now(),
-            EventKind::DeathVerdict { addr: old_addr.clone(), incarnation: dead.incarnation },
+            EventKind::DeathVerdict { addr: dead.addr.clone(), incarnation: dead.incarnation },
         );
-        self.journal_verdict(&old_addr, dead.incarnation, "dead");
+        self.journal_verdict(&dead.addr, dead.incarnation, "dead");
         let candidates: Vec<String> = match self.ctx.supervision.get(&dead.path) {
             SupervisionPolicy::Escalate => {
                 self.ctx
                     .obs
                     .emit(self.clock.now(), EventKind::FailureEscalated { name: name.to_owned() });
-                self.journal_verdict(&old_addr, dead.incarnation, "escalated");
+                self.journal_verdict(&dead.addr, dead.incarnation, "escalated");
                 return Err(SchError::Escalated(name.to_owned()));
             }
             SupervisionPolicy::RestartInPlace => vec![dead.host.clone()],
@@ -531,109 +545,155 @@ impl ManagerWorker {
                 v
             }
         };
-
-        let proc_line = if in_shared { 0 } else { line };
-        let mut started = None;
-        for host in &candidates {
-            match self.start_process_on(proc_line, &dead.path, host) {
-                Ok(info) => {
-                    started = Some((info, host.clone()));
-                    break;
-                }
-                Err(e) => {
-                    self.ctx.obs.emit(
-                        self.clock.now(),
-                        EventKind::RespawnFailed {
-                            path: dead.path.clone(),
-                            host: host.clone(),
-                            cause: e.to_string(),
-                        },
-                    );
-                }
-            }
-        }
-        let Some((info, new_host)) = started else {
-            // Every candidate host refused (e.g. still inside the crash
-            // window). Report the old address as gone — that class stays
-            // retryable across the wire, so the caller's backoff keeps
-            // driving recovery until a respawn succeeds.
-            return Err(SchError::ProcessGone(old_addr));
-        };
-
-        // Restore the latest checkpoint, if one was captured.
-        if let Some(snap) = self.checkpoints.get(proc_line, &dead.path) {
-            let req = self.fresh_req();
-            self.send(
-                &info.addr,
-                &Msg::SetState {
-                    req,
-                    state: snap.state.clone(),
-                    reply_to: self.endpoint.addr().to_owned(),
-                },
-            )?;
-            let reply =
-                self.await_reply(|m| matches!(m, Msg::SetStateAck { req: r, .. } if *r == req))?;
-            match reply {
-                Msg::SetStateAck { result, .. } => {
-                    result.map_err(|wf| SchError::StateTransfer(wf.detail))?
-                }
-                _ => unreachable!(),
-            }
-            self.ctx.obs.emit(
-                self.clock.now(),
-                EventKind::CheckpointRestored { path: dead.path.clone(), taken_at: snap.taken_at },
-            );
-        }
-
-        let db = if in_shared {
-            &mut self.shared
-        } else {
-            &mut self.lines.get_mut(&line).expect("present").db
-        };
-        db.rebind(&old_addr, &info.addr, &new_host, &info.proc_names, info.incarnation);
-        let rebound = db.get(name).expect("entry survived rebind").clone();
-        self.monitor.forget(&old_addr);
-        // Best effort: if the death verdict was a false positive (the old
-        // instance survives behind a healed link), terminate it so it
-        // cannot answer for its successor.
-        let _ = self.send(&old_addr, &Msg::ProcShutdown);
+        let rebound =
+            self.replace(scope, name, dead, &candidates, StateFrom::Checkpoint, |m, host, e| {
+                m.ctx.obs.emit(
+                    m.clock.now(),
+                    EventKind::RespawnFailed {
+                        path: dead.path.clone(),
+                        host: host.to_owned(),
+                        cause: e.to_string(),
+                    },
+                );
+                // If every candidate refuses (e.g. still inside the crash
+                // window), report the old address as gone — that class
+                // stays retryable across the wire, so the caller's
+                // backoff keeps driving recovery until a respawn succeeds.
+                SchError::ProcessGone(dead.addr.clone())
+            })?;
         self.ctx.obs.emit(
             self.clock.now(),
             EventKind::Respawned {
                 path: dead.path.clone(),
-                host: new_host.clone(),
-                incarnation: info.incarnation,
-                addr: info.addr.clone(),
+                host: rebound.host.clone(),
+                incarnation: rebound.incarnation,
+                addr: rebound.addr.clone(),
             },
         );
         Ok(rebound)
+    }
+
+    /// Move the process exporting `name` (visible to `line`) to
+    /// `target_host`, transferring declared state.
+    fn handle_move(&mut self, line: u64, name: &str, target_host: &str) -> SchResult<MapInfo> {
+        let (entry, scope) = self.locate(line, name)?;
+        // Capture state from the old instance before it is shut down.
+        let state = self.fetch_state(scope, &entry.addr)?;
+        let rebound = self.replace(
+            scope,
+            name,
+            &entry,
+            &[target_host.to_owned()],
+            StateFrom::Live(state),
+            |_, _, e| e,
+        )?;
+        self.ctx.obs.emit(
+            self.clock.now(),
+            EventKind::Moved { name: name.to_owned(), old: entry.addr, new: rebound.addr.clone() },
+        );
+        Ok(rebound.map_info())
+    }
+
+    /// Replace the process behind `old` — crash recovery and migration
+    /// alike: start a new instance on the first of `hosts` whose Server
+    /// accepts it, install its state, shut the old instance down (a
+    /// false death verdict must not leave it answering for its
+    /// successor; callers' caches go stale and fall back to the
+    /// Manager), rebind the scope's table and forget the old address's
+    /// health. Each refusal goes to `refused`, which reports it and
+    /// returns the error to give if no host accepts. Returns the rebound
+    /// entry for `name`.
+    fn replace(
+        &mut self,
+        scope: u64,
+        name: &str,
+        old: &ProcEntry,
+        hosts: &[String],
+        state: StateFrom,
+        mut refused: impl FnMut(&Self, &str, SchError) -> SchError,
+    ) -> SchResult<ProcEntry> {
+        let mut started = None;
+        let mut last = None;
+        for host in hosts {
+            match self.start_process_on(scope, &old.path, host) {
+                Ok(info) => {
+                    started = Some((info, host));
+                    break;
+                }
+                Err(e) => last = Some(refused(self, host, e)),
+            }
+        }
+        let Some((info, host)) = started else {
+            return Err(last.unwrap_or_else(|| SchError::ProcessGone(old.addr.clone())));
+        };
+        match state {
+            StateFrom::Checkpoint => {
+                self.restore_checkpoint(scope, &old.path, &info.addr)?;
+            }
+            StateFrom::Live(Some(blob)) => self.install_state(&info.addr, blob)?,
+            StateFrom::Live(None) => {}
+        }
+        let _ = self.send(&old.addr, &Msg::ProcShutdown);
+        let db = self.db_mut(scope);
+        db.rebind(&old.addr, &info.addr, host, &info.proc_names, info.incarnation);
+        let rebound = db.get(name).expect("entry survived rebind").clone();
+        self.monitor.forget(&old.addr);
+        Ok(rebound)
+    }
+
+    /// The `state(...)` blob of the process at `addr` (`GetState`), or
+    /// `None` when none of its procedures declares state.
+    fn fetch_state(&mut self, scope: u64, addr: &str) -> SchResult<Option<Bytes>> {
+        if !self.db(scope).map.values().any(|e| e.addr == addr && !e.spec.state.is_empty()) {
+            return Ok(None);
+        }
+        let req = self.fresh_req();
+        self.send(addr, &Msg::GetState { req, reply_to: self.endpoint.addr().to_owned() })?;
+        let state = self.await_reply(|m| match m {
+            Msg::StateReply { req: r, result } if r == req => Ok(result),
+            m => Err(m),
+        })?;
+        state.map(Some).map_err(|wf| SchError::StateTransfer(wf.detail))
+    }
+
+    /// Install a `state(...)` blob into the process at `addr` (`SetState`).
+    fn install_state(&mut self, addr: &str, state: Bytes) -> SchResult<()> {
+        let req = self.fresh_req();
+        self.send(addr, &Msg::SetState { req, state, reply_to: self.endpoint.addr().to_owned() })?;
+        self.await_reply(|m| match m {
+            Msg::SetStateAck { req: r, result } if r == req => Ok(result),
+            m => Err(m),
+        })?
+        .map_err(|wf| SchError::StateTransfer(wf.detail))
+    }
+
+    /// Push the latest checkpoint retained for `(scope, path)` into the
+    /// process at `addr`. Returns the restored byte count (0 when no
+    /// checkpoint is retained).
+    fn restore_checkpoint(&mut self, scope: u64, path: &str, addr: &str) -> SchResult<u64> {
+        let Some(snap) = self.checkpoints.get(scope, path) else {
+            return Ok(0);
+        };
+        self.install_state(addr, snap.state.clone())?;
+        self.ctx.obs.emit(
+            self.clock.now(),
+            EventKind::CheckpointRestored { path: path.to_owned(), taken_at: snap.taken_at },
+        );
+        Ok(snap.state.len() as u64)
     }
 
     /// Capture a snapshot of the `state(...)` variables of the process
     /// exporting `name` and retain it for crash recovery. Returns the
     /// snapshot size in bytes (0 for a process declaring no state).
     fn handle_checkpoint(&mut self, line: u64, name: &str) -> SchResult<u64> {
-        let (entry, in_shared) = self.locate(line, name)?;
-        let proc_line = if in_shared { 0 } else { line };
-        let db = if in_shared { &self.shared } else { &self.lines[&line].db };
-        let has_state = db.map.values().any(|e| e.addr == entry.addr && !e.spec.state.is_empty());
-        if !has_state {
+        let (entry, scope) = self.locate(line, name)?;
+        let Some(state) = self.fetch_state(scope, &entry.addr)? else {
             return Ok(0);
-        }
-        let req = self.fresh_req();
-        self.send(&entry.addr, &Msg::GetState { req, reply_to: self.endpoint.addr().to_owned() })?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::StateReply { req: r, .. } if *r == req))?;
-        let state = match reply {
-            Msg::StateReply { result, .. } => {
-                result.map_err(|wf| SchError::StateTransfer(wf.detail))?
-            }
-            _ => unreachable!(),
         };
         let n = state.len() as u64;
         let taken_at = self.clock.now();
         let evicted = self.checkpoints.put(
-            proc_line,
+            scope,
             &entry.path,
             Snapshot { state: state.clone(), taken_at, incarnation: entry.incarnation },
         );
@@ -644,7 +704,7 @@ impl ManagerWorker {
             self.ctx.ledger().append(
                 taken_at,
                 RecordKind::Checkpoint {
-                    line: proc_line,
+                    line: scope,
                     path: entry.path.clone(),
                     incarnation: entry.incarnation,
                     taken_at,
@@ -655,7 +715,7 @@ impl ManagerWorker {
                 self.ctx.ledger().append(
                     taken_at,
                     RecordKind::CheckpointEvicted {
-                        line: proc_line,
+                        line: scope,
                         path: entry.path.clone(),
                         taken_at: old.taken_at,
                     },
@@ -670,38 +730,12 @@ impl ManagerWorker {
     }
 
     /// Push the latest retained checkpoint of the process exporting
-    /// `name` back into its *current* instance via `set_state`. Used by
-    /// journal-driven recovery, where the store was pre-seeded from a
-    /// replayed ledger rather than captured live. Returns the restored
-    /// byte count (0 when no checkpoint is retained).
+    /// `name` back into its *current* instance. Used by journal-driven
+    /// recovery, where the store was pre-seeded from a replayed ledger
+    /// rather than captured live.
     fn handle_restore(&mut self, line: u64, name: &str) -> SchResult<u64> {
-        let (entry, in_shared) = self.locate(line, name)?;
-        let proc_line = if in_shared { 0 } else { line };
-        let Some(snap) = self.checkpoints.get(proc_line, &entry.path) else {
-            return Ok(0);
-        };
-        let req = self.fresh_req();
-        self.send(
-            &entry.addr,
-            &Msg::SetState {
-                req,
-                state: snap.state.clone(),
-                reply_to: self.endpoint.addr().to_owned(),
-            },
-        )?;
-        let reply =
-            self.await_reply(|m| matches!(m, Msg::SetStateAck { req: r, .. } if *r == req))?;
-        match reply {
-            Msg::SetStateAck { result, .. } => {
-                result.map_err(|wf| SchError::StateTransfer(wf.detail))?
-            }
-            _ => unreachable!(),
-        }
-        self.ctx.obs.emit(
-            self.clock.now(),
-            EventKind::CheckpointRestored { path: entry.path.clone(), taken_at: snap.taken_at },
-        );
-        Ok(snap.state.len() as u64)
+        let (entry, scope) = self.locate(line, name)?;
+        self.restore_checkpoint(scope, &entry.path, &entry.addr)
     }
 
     /// Append a supervision-verdict record to the attached journal, if any.
@@ -732,97 +766,77 @@ impl ManagerWorker {
             );
         }
     }
+}
 
-    /// Move the process exporting `name` (visible to `line`) to
-    /// `target_host`, transferring declared state.
-    fn handle_move(&mut self, line: u64, name: &str, target_host: &str) -> SchResult<MapInfo> {
-        let (entry, in_shared) = {
-            if let Some(state) = self.lines.get(&line) {
-                if let Some(e) = state.db.get(name) {
-                    (e.clone(), false)
-                } else if let Some(e) = self.shared.get(name) {
-                    (e.clone(), true)
-                } else {
-                    return Err(SchError::UnknownProcedure(name.to_owned()));
-                }
-            } else if let Some(e) = self.shared.get(name) {
-                (e.clone(), true)
-            } else {
-                return Err(SchError::UnknownLine(line));
-            }
+#[cfg(test)]
+mod tests {
+    use netsim::Endpoint;
+    use uts::Value;
+
+    use crate::message::{FaultCode, MapInfo, Msg, WireFault};
+    use crate::{FnProcedure, ProgramImage, Schooner};
+
+    /// Send `msg` to the Manager from `ep` and drive the world until the
+    /// reply arrives.
+    fn ask(sch: &Schooner, ep: &Endpoint, msg: Msg) -> Msg {
+        ep.send(&sch.manager_address(), msg.encode(), 0.0).unwrap();
+        Msg::decode(sch.ctx().world.recv(ep).unwrap().payload).unwrap()
+    }
+
+    fn map(sch: &Schooner, ep: &Endpoint, line: u64) -> MapInfo {
+        let req = Msg::MapRequest {
+            req: 1,
+            line,
+            name: "double".into(),
+            import_spec: String::new(),
+            suspect_addr: String::new(),
+            reply_to: ep.addr().to_owned(),
         };
-        let old_addr = entry.addr.clone();
-
-        // Does any procedure of that process declare migration state?
-        let db = if in_shared { &self.shared } else { &self.lines[&line].db };
-        let has_state = db.map.values().any(|e| e.addr == old_addr && !e.spec.state.is_empty());
-
-        // Capture state from the old instance before it is shut down.
-        let state_blob = if has_state {
-            let req = self.fresh_req();
-            self.send(
-                &old_addr,
-                &Msg::GetState { req, reply_to: self.endpoint.addr().to_owned() },
-            )?;
-            let reply =
-                self.await_reply(|m| matches!(m, Msg::StateReply { req: r, .. } if *r == req))?;
-            match reply {
-                Msg::StateReply { result, .. } => {
-                    Some(result.map_err(|wf| SchError::StateTransfer(wf.detail))?)
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        };
-
-        // Start the replacement.
-        let proc_line = if in_shared { 0 } else { line };
-        let info = self.start_process_on(proc_line, &entry.path, target_host)?;
-
-        // Install state into the new instance.
-        if let Some(blob) = state_blob {
-            let req = self.fresh_req();
-            self.send(
-                &info.addr,
-                &Msg::SetState { req, state: blob, reply_to: self.endpoint.addr().to_owned() },
-            )?;
-            let reply =
-                self.await_reply(|m| matches!(m, Msg::SetStateAck { req: r, .. } if *r == req))?;
-            match reply {
-                Msg::SetStateAck { result, .. } => {
-                    result.map_err(|wf| SchError::StateTransfer(wf.detail))?
-                }
-                _ => unreachable!(),
-            }
+        match ask(sch, ep, req) {
+            Msg::MapReply { result: Ok(info), .. } => info,
+            other => panic!("map answered {other:?}"),
         }
+    }
 
-        // Shut down the old instance; callers' caches go stale and will
-        // fall back to the Manager on their next call.
-        let _ = self.send(&old_addr, &Msg::ProcShutdown);
+    /// A move names a line the Manager never opened: it is refused with
+    /// `UnknownLine`, as a map, checkpoint or restore from that line is,
+    /// and the shared procedure it names stays where it is.
+    #[test]
+    fn move_from_an_unknown_line_is_refused() {
+        let sch = Schooner::standard().unwrap();
+        let image =
+            ProgramImage::new("doubler", r#"export double prog("x" val float, "y" res float)"#)
+                .unwrap()
+                .with_procedure("double", || {
+                    Box::new(FnProcedure::new(|args: &[Value]| match args[0] {
+                        Value::Float(x) => Ok(vec![Value::Float(2.0 * x)]),
+                        _ => Err("bad argument".into()),
+                    }))
+                })
+                .unwrap();
+        sch.install_program("/demo/doubler", image, &["lerc-cray-ymp", "lerc-rs6000"]).unwrap();
+        let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
+        line.start_shared("/demo/doubler", "lerc-cray-ymp").unwrap();
 
-        // Rebind the mapping tables.
-        let db = if in_shared {
-            &mut self.shared
-        } else {
-            &mut self.lines.get_mut(&line).expect("present").db
+        let ep = sch.ctx().net.register("lerc-sparc10:forger").unwrap();
+        let before = map(&sch, &ep, line.id());
+        let forged = Msg::MoveRequest {
+            req: 2,
+            line: 999,
+            name: "double".into(),
+            target_host: "lerc-rs6000".into(),
+            reply_to: ep.addr().to_owned(),
         };
-        db.rebind(&old_addr, &info.addr, target_host, &info.proc_names, info.incarnation);
-        let rebound = db.get(name).expect("entry survived rebind").clone();
-        self.monitor.forget(&old_addr);
-        self.ctx.obs.emit(
-            self.clock.now(),
-            EventKind::Moved {
-                name: name.to_owned(),
-                old: old_addr.clone(),
-                new: info.addr.clone(),
-            },
-        );
-        Ok(MapInfo {
-            addr: rebound.addr,
-            remote_name: rebound.remote_name,
-            export_spec: rebound.spec.to_source(),
-            incarnation: rebound.incarnation,
-        })
+        match ask(&sch, &ep, forged) {
+            Msg::MoveReply { req: 2, result: Err(WireFault { code, detail }) } => {
+                assert_eq!(code, FaultCode::UnknownLine);
+                assert_eq!(detail, "999");
+            }
+            other => panic!("move from an unknown line answered {other:?}"),
+        }
+        assert_eq!(map(&sch, &ep, line.id()), before, "the process must not have moved");
+        assert_eq!(line.call("double", &[Value::Float(4.0)]).unwrap(), vec![Value::Float(8.0)]);
+        line.quit().unwrap();
+        sch.shutdown();
     }
 }

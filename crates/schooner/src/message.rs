@@ -245,8 +245,8 @@ pub enum Msg {
     IQuit { req: u64, line: u64, reply_to: String },
     /// Acknowledgement of [`Msg::IQuit`].
     IQuitAck { req: u64 },
-    /// Move a procedure of `line` (or a shared one, `line` = 0 with
-    /// `shared`) to `target_host`.
+    /// Move a procedure visible to `line` (its own, or a shared one) to
+    /// `target_host`; an unknown `line` is refused like any other request.
     MoveRequest { req: u64, line: u64, name: String, target_host: String, reply_to: String },
     /// Reply to [`Msg::MoveRequest`].
     MoveReply { req: u64, result: Result<MapInfo, WireFault> },

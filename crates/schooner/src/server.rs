@@ -68,22 +68,20 @@ impl ServerWorker {
             .park
             .arch_of(&self.host)
             .ok_or_else(|| SchError::Other(format!("host '{}' has no machine", self.host)))?;
-        let procs = image.instantiate()?;
-
         // Apply the target compiler's name-case convention: the process
         // exports the names its "linker" produced.
         let case = arch.fortran_case();
-        let mut folded: HashMap<String, Box<dyn Procedure>> = HashMap::new();
-        let mut stubs: HashMap<Arc<str>, Arc<CompiledStub>> = HashMap::new();
+        let mut exports = HashMap::new();
         let mut names: Vec<String> = Vec::new();
-        for (name, p) in procs {
-            let fname = case.apply(&name);
+        for (name, proc) in image.instantiate()? {
             let stub = image
                 .stub(&name)
-                .ok_or_else(|| SchError::Other(format!("missing spec for '{name}'")))?;
-            stubs.insert(fname.as_str().into(), stub.clone());
-            folded.insert(fname.clone(), p);
-            names.push(fname);
+                .ok_or_else(|| SchError::Other(format!("missing spec for '{name}'")))?
+                .clone();
+            let folded = case.apply(&name);
+            let key: Arc<str> = folded.as_str().into();
+            exports.insert(key.clone(), Export { name: key, stub, proc });
+            names.push(folded);
         }
         names.sort();
 
@@ -101,8 +99,7 @@ impl ServerWorker {
             incarnation,
             endpoint,
             clock: VirtualClock::starting_at(self.clock.now()),
-            procs: folded,
-            stubs,
+            exports,
         };
         self.ctx.obs.emit(
             self.clock.now(),
@@ -124,6 +121,15 @@ impl ServerWorker {
     }
 }
 
+/// One exported procedure of a process.
+struct Export {
+    /// The name under this process's Fortran case convention, shared
+    /// into every `Computed` event.
+    name: Arc<str>,
+    stub: Arc<CompiledStub>,
+    proc: Box<dyn Procedure>,
+}
+
 /// One remote-procedure process: owns the procedure instances of one
 /// executable image and serves calls over its endpoint.
 struct ProcessWorker {
@@ -139,9 +145,8 @@ struct ProcessWorker {
     /// The endpoint's address, shared into every `Computed` event.
     addr: Arc<str>,
     clock: VirtualClock,
-    procs: HashMap<String, Box<dyn Procedure>>,
-    /// The image's compiled stubs under this process's folded names.
-    stubs: HashMap<Arc<str>, Arc<CompiledStub>>,
+    /// The image's procedures, by folded name.
+    exports: HashMap<Arc<str>, Export>,
 }
 
 impl Actor for ProcessWorker {
@@ -161,22 +166,21 @@ impl Actor for ProcessWorker {
                 // the caller's open span as the Compute phase (the
                 // reply is sent after this, so the span is still open).
                 self.ctx.obs.span_phase(line, call, Phase::Compute, self.clock.now() - t0);
-                let reply = Msg::CallReply { call, incarnation: self.incarnation, result };
-                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+                self.reply(
+                    &reply_to,
+                    Msg::CallReply { call, incarnation: self.incarnation, result },
+                );
             }
             Msg::Ping { req, reply_to } => {
-                let reply = Msg::Pong { req, incarnation: self.incarnation };
-                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+                self.reply(&reply_to, Msg::Pong { req, incarnation: self.incarnation });
             }
             Msg::GetState { req, reply_to } => {
                 let result = self.collect_state().map_err(|e| WireFault::from(&e));
-                let reply = Msg::StateReply { req, result };
-                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+                self.reply(&reply_to, Msg::StateReply { req, result });
             }
             Msg::SetState { req, state, reply_to } => {
                 let result = self.install_state(state).map_err(|e| WireFault::from(&e));
-                let reply = Msg::SetStateAck { req, result };
-                let _ = self.endpoint.send(&reply_to, reply.encode(), self.clock.now());
+                self.reply(&reply_to, Msg::SetStateAck { req, result });
             }
             Msg::ProcShutdown => {
                 self.ctx.obs.emit(
@@ -193,49 +197,29 @@ impl Actor for ProcessWorker {
 }
 
 impl ProcessWorker {
+    fn reply(&self, to: &str, msg: Msg) {
+        let _ = self.endpoint.send(to, msg.encode(), self.clock.now());
+    }
+
     /// Calls that raced our shutdown (FIFO order is per-sender, so a
     /// caller may have posted a request while the Manager's `ProcShutdown`
     /// was in flight) are answered with a `ProcessGone` fault, which the
     /// caller's stub recognizes and resolves by re-asking the Manager.
-    fn drain_with_gone_faults(&mut self) {
+    fn drain_with_gone_faults(&self) {
+        let gone = || Err(WireFault::new(FaultCode::ProcessGone, self.endpoint.addr()));
         while let Some(env) = self.endpoint.try_recv() {
-            if let Ok(msg) = Msg::decode(env.payload) {
-                let reply = match msg {
-                    Msg::CallRequest { call, reply_to, .. } => Some((
-                        reply_to,
-                        Msg::CallReply {
-                            call,
-                            incarnation: self.incarnation,
-                            result: Err(WireFault::new(
-                                FaultCode::ProcessGone,
-                                self.endpoint.addr(),
-                            )),
-                        },
-                    )),
-                    Msg::GetState { req, reply_to } => Some((
-                        reply_to,
-                        Msg::StateReply {
-                            req,
-                            result: Err(WireFault::new(
-                                FaultCode::ProcessGone,
-                                self.endpoint.addr(),
-                            )),
-                        },
-                    )),
-                    _ => None,
-                };
-                if let Some((to, m)) = reply {
-                    let _ = self.endpoint.send(&to, m.encode(), self.clock.now());
+            match Msg::decode(env.payload) {
+                Ok(Msg::CallRequest { call, reply_to, .. }) => {
+                    let reply =
+                        Msg::CallReply { call, incarnation: self.incarnation, result: gone() };
+                    self.reply(&reply_to, reply);
                 }
+                Ok(Msg::GetState { req, reply_to }) => {
+                    self.reply(&reply_to, Msg::StateReply { req, result: gone() });
+                }
+                _ => {}
             }
         }
-    }
-
-    fn marshal_cost(&self, scalars: usize) -> f64 {
-        self.ctx
-            .park
-            .compute_seconds(&self.host, scalars as f64 * self.ctx.config.per_scalar_flops)
-            .unwrap_or(0.0)
     }
 
     fn serve_call(&mut self, caller_line: u64, proc_name: &str, args: Bytes) -> SchResult<Bytes> {
@@ -245,18 +229,14 @@ impl ProcessWorker {
                 self.line
             )));
         }
-        let (proc_name_shared, stub) = self
-            .stubs
-            .get_key_value(proc_name)
+        let Export { name, stub, proc } = self
+            .exports
+            .get_mut(proc_name)
             .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
         // Unmarshal through this machine's native format.
         let values = stub.unmarshal_inputs(args, self.arch)?;
-        self.clock.advance(self.marshal_cost(stub.input_scalars));
+        self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.input_scalars));
 
-        let proc = self
-            .procs
-            .get_mut(proc_name)
-            .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
         let flops = proc.flops(&values);
         let results = proc.call(&values).map_err(SchError::from)?;
         let compute = self.ctx.park.compute_seconds(&self.host, flops).unwrap_or(0.0);
@@ -265,14 +245,14 @@ impl ProcessWorker {
             self.clock.now(),
             EventKind::Computed {
                 addr: self.addr.clone(),
-                proc: proc_name_shared.clone(),
+                proc: name.clone(),
                 flops,
                 compute_s: compute,
             },
         );
 
         let out = stub.marshal_outputs(&results, self.arch)?;
-        self.clock.advance(self.marshal_cost(stub.output_scalars));
+        self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.output_scalars));
         let m = self.ctx.obs.metrics();
         m.counter_add("uts.encode_bytes", out.len() as u64);
         m.counter_add("uts.fast_path_hits", 1);
@@ -283,12 +263,10 @@ impl ProcessWorker {
     /// `u32 name-len, name, u32 blob-len, blob` per procedure in sorted
     /// name order, where each blob is the UTS-marshaled state.
     fn collect_state(&self) -> SchResult<Bytes> {
-        let mut names: Vec<&str> = self.stubs.keys().map(|k| &**k).collect();
-        names.sort();
+        let mut exports: Vec<&Export> = self.exports.values().collect();
+        exports.sort_by(|a, b| a.name.cmp(&b.name));
         let mut buf = BytesMut::new();
-        for name in names {
-            let stub = &self.stubs[name];
-            let proc = &self.procs[name];
+        for Export { name, stub, proc } in exports {
             let blob = stub.marshal_state(&proc.get_state(), self.arch)?;
             buf.put_u32(name.len() as u32);
             buf.put_slice(name.as_bytes());
@@ -320,17 +298,142 @@ impl ProcessWorker {
 
             // State arrives keyed by the *source* process's folded names;
             // fold to our own convention via case-insensitive match.
-            let (our_name, stub) =
-                self.stubs.iter().find(|(k, _)| k.eq_ignore_ascii_case(&name)).ok_or_else(
+            let export =
+                self.exports.values_mut().find(|e| e.name.eq_ignore_ascii_case(&name)).ok_or_else(
                     || SchError::StateTransfer(format!("no procedure '{name}' in target process")),
                 )?;
-            let values = stub.unmarshal_state(blob, self.arch)?;
-            self.procs
-                .get_mut(&**our_name)
-                .expect("stub/proc maps are parallel")
+            let values = export.stub.unmarshal_state(blob, self.arch)?;
+            export
+                .proc
                 .set_state(values)
                 .map_err(|f| SchError::StateTransfer(f.message().to_owned()))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+    use netsim::Endpoint;
+    use uts::Value;
+
+    use crate::message::Msg;
+    use crate::{ProgramImage, Schooner, StatefulProcedure};
+
+    /// Two stateful procedures in one image, so a state frame carries two
+    /// `[name][blob]` records of different shapes.
+    fn two_state_image() -> ProgramImage {
+        let spec = r#"
+export accum prog("x" val double, "total" res double) state("total" double)
+export tally prog("n" val integer, "count" res integer) state("hist" array[2] of float, "count" integer)
+"#;
+        ProgramImage::new("pair", spec)
+            .unwrap()
+            .with_procedure("accum", || {
+                Box::new(StatefulProcedure::new(
+                    0.0f64,
+                    |total: &mut f64, args: &[Value]| {
+                        *total += args[0].as_f64().ok_or("not numeric")?;
+                        Ok(vec![Value::Double(*total)])
+                    },
+                    |total: &f64| vec![Value::Double(*total)],
+                    |vals: Vec<Value>| vals.first().and_then(Value::as_f64).ok_or("bad".into()),
+                ))
+            })
+            .unwrap()
+            .with_procedure("tally", || {
+                Box::new(StatefulProcedure::new(
+                    ([0.0f32; 2], 0i64),
+                    |(hist, count): &mut ([f32; 2], i64), args: &[Value]| {
+                        let n = args[0].as_i64().ok_or("not an integer")?;
+                        hist[(n & 1) as usize] += 1.0;
+                        *count += 1;
+                        Ok(vec![Value::Integer(*count)])
+                    },
+                    |(hist, count): &([f32; 2], i64)| {
+                        vec![Value::floats(hist), Value::Integer(*count)]
+                    },
+                    |vals: Vec<Value>| match vals.as_slice() {
+                        [hist, Value::Integer(count)] => {
+                            let h = hist.as_floats().ok_or("bad hist")?;
+                            Ok(([h[0], h[1]], *count))
+                        }
+                        _ => Err("bad state".into()),
+                    },
+                ))
+            })
+            .unwrap()
+    }
+
+    /// Send `msg` (stamped to reply to `ep`) and drive the world until the
+    /// reply arrives; `None` if the world goes quiescent without one.
+    fn exchange(sch: &Schooner, ep: &Endpoint, to: &str, msg: Msg) -> Option<Msg> {
+        ep.send(to, msg.encode(), 0.0).unwrap();
+        let env = sch.ctx().world.recv(ep).ok()?;
+        Some(Msg::decode(env.payload).unwrap())
+    }
+
+    /// Every truncation and every single-bit flip of a real two-procedure
+    /// state frame, sent as `SetState`, is answered with a `SetStateAck`
+    /// (a typed fault or `Ok`) — the process neither panics nor goes
+    /// silent — and it still serves calls afterwards.
+    #[test]
+    fn damaged_state_frames_are_acked_never_fatal() {
+        let sch = Schooner::standard().unwrap();
+        sch.install_program("/x/pair", two_state_image(), &["lerc-cray-ymp"]).unwrap();
+        let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
+        line.start_remote("/x/pair", "lerc-cray-ymp").unwrap();
+        line.call("accum", &[Value::Double(2.5)]).unwrap();
+        line.call("tally", &[Value::Integer(3)]).unwrap();
+
+        let ep = sch.ctx().net.register("lerc-sparc10:prober").unwrap();
+        let reply_to = ep.addr().to_owned();
+        let map = Msg::MapRequest {
+            req: 1,
+            line: line.id(),
+            name: "accum".into(),
+            import_spec: String::new(),
+            suspect_addr: String::new(),
+            reply_to: reply_to.clone(),
+        };
+        let Some(Msg::MapReply { result: Ok(info), .. }) =
+            exchange(&sch, &ep, &sch.manager_address(), map)
+        else {
+            panic!("map failed")
+        };
+        let proc_addr = info.addr;
+        let get = Msg::GetState { req: 2, reply_to: reply_to.clone() };
+        let Some(Msg::StateReply { result: Ok(blob), .. }) = exchange(&sch, &ep, &proc_addr, get)
+        else {
+            panic!("get_state failed")
+        };
+
+        let mut damaged: Vec<Bytes> = (0..blob.len()).map(|cut| blob.slice(..cut)).collect();
+        for i in 0..blob.len() {
+            for bit in 0..8 {
+                let mut raw = blob.to_vec();
+                raw[i] ^= 1 << bit;
+                damaged.push(Bytes::from(raw));
+            }
+        }
+        let (mut ok, mut faults) = (0, 0);
+        for (req, state) in (10u64..).zip(damaged.into_iter().chain([blob.clone()])) {
+            let set = Msg::SetState { req, state: state.clone(), reply_to: reply_to.clone() };
+            match exchange(&sch, &ep, &proc_addr, set) {
+                Some(Msg::SetStateAck { req: r, result }) if r == req => match result {
+                    Ok(()) => ok += 1,
+                    Err(_) => faults += 1,
+                },
+                other => panic!("SetState of {state:?} answered {other:?}"),
+            }
+        }
+        assert!(ok > 1 && faults > 0, "{ok} installed, {faults} refused");
+        // The last frame sent was the intact one: the process resumes
+        // from it.
+        assert_eq!(line.call("accum", &[Value::Double(1.0)]).unwrap(), vec![Value::Double(3.5)]);
+        assert_eq!(line.call("tally", &[Value::Integer(4)]).unwrap(), vec![Value::Integer(2)]);
+        line.quit().unwrap();
+        sch.shutdown();
     }
 }

@@ -206,6 +206,14 @@ impl RuntimeCtx {
         self.incarnations.fetch_max(floor, Ordering::SeqCst);
     }
 
+    /// Virtual seconds `host` spends converting `scalars` values between
+    /// its native format and the wire.
+    pub(crate) fn marshal_seconds(&self, host: &str, scalars: usize) -> f64 {
+        self.park
+            .compute_seconds(host, scalars as f64 * self.config.per_scalar_flops)
+            .unwrap_or(0.0)
+    }
+
     /// Park the delivery failure of a batched message owned by another
     /// line (or by a call this line will only examine at collect time).
     pub(crate) fn park_batch_failure(&self, tag: (u64, u64), err: NetError) {

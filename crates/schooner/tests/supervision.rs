@@ -262,3 +262,58 @@ fn migrate_policy_respawns_on_replica_host() {
     sch.ctx().net.set_fault_plan(None);
     sch.shutdown();
 }
+
+/// Migration and crash recovery are one replacement: moving the
+/// accumulator Cray -> Convex and losing the Cray under
+/// `MigrateTo(["lerc-convex"])` install the same state, so the first
+/// call on the replacement answers the same bits and a checkpoint taken
+/// right after it holds the same bytes.
+#[test]
+fn migration_and_crash_recovery_install_the_same_bytes() {
+    // The accumulator at 3.0 on the Cray, checkpointed.
+    let world = || {
+        let sch = Schooner::standard().unwrap();
+        sch.install_program("/npss/accum", accumulator_image(), &["lerc-cray-ymp", "lerc-convex"])
+            .unwrap();
+        let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
+        line.start_remote("/npss/accum", "lerc-cray-ymp").unwrap();
+        line.call("accum", &[Value::Double(3.0)]).unwrap();
+        line.checkpoint("accum").unwrap();
+        (sch, line)
+    };
+    // The first call on the replacement, then a checkpoint of its state.
+    let after = |sch: &Schooner, line: &mut LineHandle, policy: &CallPolicy| {
+        let out = line.call_with("accum", &[Value::Double(0.1)], policy).unwrap();
+        let Value::Double(total) = out[0] else { panic!("{out:?}") };
+        line.checkpoint("accum").unwrap();
+        let snap = sch.ctx().checkpoints.get(line.id(), "/npss/accum").unwrap();
+        (total.to_bits(), snap.state)
+    };
+
+    let (moved, mut line) = world();
+    line.move_procedure("accum", "lerc-convex").unwrap();
+    let (moved_bits, moved_state) = after(&moved, &mut line, &CallPolicy::default());
+    drop(line);
+    moved.shutdown();
+
+    let (crashed, mut line) = world();
+    crashed.set_supervision_policy(
+        "/npss/accum",
+        SupervisionPolicy::MigrateTo(vec!["lerc-convex".to_owned()]),
+    );
+    crashed.ctx().obs.set_enabled(true);
+    let t0 = line.now();
+    crashed.ctx().net.set_fault_plan(Some(
+        FaultPlan::new(3).host_crash("lerc-cray-ymp", t0).host_restart("lerc-cray-ymp", t0 + 0.5),
+    ));
+    let policy = CallPolicy::new().idempotent(true).retries(6).backoff(0.25, 2.0, 2.0);
+    let (crashed_bits, crashed_state) = after(&crashed, &mut line, &policy);
+    let rendered = crashed.ctx().obs.render();
+    assert!(rendered.contains("respawned '/npss/accum' on lerc-convex"), "{rendered}");
+
+    assert_eq!(moved_bits, crashed_bits, "first call on the replacement");
+    assert_eq!(moved_state, crashed_state, "checkpoint after the first call");
+    drop(line);
+    crashed.ctx().net.set_fault_plan(None);
+    crashed.shutdown();
+}

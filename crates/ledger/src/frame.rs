@@ -20,6 +20,7 @@
 //!   is patched in before any byte of it is written), so it is a typed
 //!   error.
 
+use crate::codec::{put_u32, Reader};
 use crate::error::LedgerError;
 
 /// File magic: identifies a ledger journal.
@@ -64,25 +65,23 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub fn file_header() -> Vec<u8> {
     let mut out = Vec::with_capacity(FILE_HEADER_LEN);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_be_bytes());
+    put_u32(&mut out, VERSION);
     out
 }
 
 /// Validate the file header at the start of `bytes`; returns the offset
 /// of the first frame.
 pub fn check_file_header(bytes: &[u8]) -> Result<usize, LedgerError> {
-    if bytes.len() < FILE_HEADER_LEN {
+    let mut r = Reader::new(bytes);
+    let (Ok(magic), Ok(version)) = (r.take(MAGIC.len()), r.u32()) else {
         return Err(LedgerError::Corrupt {
             offset: 0,
             reason: format!("file header truncated: {} bytes, need {FILE_HEADER_LEN}", bytes.len()),
         });
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(LedgerError::Corrupt { offset: 0, reason: "bad magic".into() });
     }
-    let mut v = [0u8; 4];
-    v.copy_from_slice(&bytes[MAGIC.len()..FILE_HEADER_LEN]);
-    let version = u32::from_be_bytes(v);
     if version != VERSION {
         return Err(LedgerError::Corrupt {
             offset: MAGIC.len() as u64,
@@ -119,22 +118,13 @@ pub enum FrameRead<'a> {
 /// Read the frame starting at `offset`; CRC mismatch on a complete
 /// frame is `Err(Corrupt)`.
 pub fn read_frame(bytes: &[u8], offset: usize) -> Result<FrameRead<'_>, LedgerError> {
-    let remaining = bytes.len() - offset;
-    if remaining == 0 {
+    let mut r = Reader::new(&bytes[offset..]);
+    if r.is_empty() {
         return Ok(FrameRead::End);
     }
-    if remaining < FRAME_HEADER_LEN {
-        return Ok(FrameRead::Torn { tail: remaining });
-    }
-    let mut word = [0u8; 4];
-    word.copy_from_slice(&bytes[offset..offset + 4]);
-    let len = u32::from_be_bytes(word) as usize;
-    word.copy_from_slice(&bytes[offset + 4..offset + 8]);
-    let crc_stored = u32::from_be_bytes(word);
-    if remaining < FRAME_HEADER_LEN + len {
-        return Ok(FrameRead::Torn { tail: remaining });
-    }
-    let body = &bytes[offset + FRAME_HEADER_LEN..offset + FRAME_HEADER_LEN + len];
+    let torn = FrameRead::Torn { tail: bytes.len() - offset };
+    let (Ok(len), Ok(crc_stored)) = (r.u32(), r.u32()) else { return Ok(torn) };
+    let Ok(body) = r.take(len as usize) else { return Ok(torn) };
     let crc_actual = crc32(body);
     if crc_actual != crc_stored {
         return Err(LedgerError::Corrupt {
@@ -144,7 +134,7 @@ pub fn read_frame(bytes: &[u8], offset: usize) -> Result<FrameRead<'_>, LedgerEr
             ),
         });
     }
-    Ok(FrameRead::Ok { body, next: offset + FRAME_HEADER_LEN + len })
+    Ok(FrameRead::Ok { body, next: offset + r.pos() })
 }
 
 #[cfg(test)]

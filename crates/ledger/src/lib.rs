@@ -10,6 +10,10 @@
 //!
 //! The pieces:
 //!
+//! * [`codec`] — the big-endian byte codec (writers and one position-
+//!   reporting [`codec::Reader`]) that record bodies and frame headers are
+//!   read and written through, shared with the Schooner control plane and
+//!   the obs event codec.
 //! * [`frame`] — the on-disk framing: a fixed file header followed by
 //!   `[len][crc32][body]` frames. A torn final frame (crash mid-write)
 //!   is detected and cleanly discarded on replay; a *complete* frame
@@ -35,6 +39,7 @@
 //! (obs events, UTS-encoded checkpoint state) ride through as opaque
 //! bytes, and the crates that produced them decode them on the way out.
 
+pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod journal;

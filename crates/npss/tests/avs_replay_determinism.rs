@@ -42,3 +42,12 @@ fn same_seed_avs_runs_write_identical_journals_and_reports() {
     assert_eq!(report_a, report_b, "executor report must be bit-stable");
     assert!(journal_a == journal_b, "same-seed journals differ ({} bytes)", journal_a.len());
 }
+
+/// The journal's bytes themselves, not just their agreement between two
+/// runs: a change to any format inside it (frame, record, obs event)
+/// moves this pin.
+#[test]
+fn avs_journal_bytes_are_pinned() {
+    let (journal, _) = journaled_run("pin");
+    assert_eq!((journal.len(), ledger::frame::crc32(&journal)), (225_313, 0x1E40_E583));
+}

@@ -7,7 +7,8 @@
 //! byte strings; the protocol itself uses a compact framing so message
 //! sizes — which drive the network cost model — stay realistic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use ledger::codec::Reader;
 use netsim::NetError;
 
 use crate::error::{SchError, SchResult};
@@ -16,35 +17,37 @@ use crate::error::{SchError, SchResult};
 ///
 /// Replies used to carry bare strings; retry logic needs to distinguish
 /// "the process is gone" from "the implementation raised a fault", so
-/// error replies now carry a code plus the human-readable detail.
+/// error replies now carry a code plus the human-readable detail. A
+/// code's discriminant is its byte on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FaultCode {
     /// No procedure with the requested name is visible.
-    UnknownProcedure,
+    UnknownProcedure = 1,
     /// The line id is not known to the Manager.
-    UnknownLine,
+    UnknownLine = 2,
     /// The executable path is not installed on the target host.
-    UnknownExecutable,
+    UnknownExecutable = 3,
     /// A procedure with this name already exists in the line.
-    Duplicate,
+    Duplicate = 4,
     /// The procedure implementation reported a failure.
-    RemoteFault,
+    RemoteFault = 5,
     /// The process addressed is gone (shut down, migrated away, died).
-    ProcessGone,
+    ProcessGone = 6,
     /// Migration state capture or install failed.
-    StateTransfer,
+    StateTransfer = 7,
     /// A message could not be decoded.
-    Protocol,
+    Protocol = 8,
     /// The Manager (or another required service) is unavailable.
-    Unavailable,
+    Unavailable = 9,
     /// The supervision policy for a crashed procedure is to escalate the
     /// failure to the caller instead of recovering.
-    Escalated,
+    Escalated = 11,
     /// A batched link's credit window stayed exhausted past the maximum
     /// stall; the detail carries `from|to|wait_us`.
-    CreditStall,
+    CreditStall = 12,
     /// Anything else; the detail string carries the description.
-    Other,
+    Other = 10,
 }
 
 impl FaultCode {
@@ -64,39 +67,10 @@ impl FaultCode {
         FaultCode::Other,
     ];
 
-    fn to_u8(self) -> u8 {
-        match self {
-            FaultCode::UnknownProcedure => 1,
-            FaultCode::UnknownLine => 2,
-            FaultCode::UnknownExecutable => 3,
-            FaultCode::Duplicate => 4,
-            FaultCode::RemoteFault => 5,
-            FaultCode::ProcessGone => 6,
-            FaultCode::StateTransfer => 7,
-            FaultCode::Protocol => 8,
-            FaultCode::Unavailable => 9,
-            FaultCode::Other => 10,
-            FaultCode::Escalated => 11,
-            FaultCode::CreditStall => 12,
-        }
-    }
-
+    /// The code whose wire byte is `b`; an unknown byte (forward
+    /// compatibility) is still an error, [`FaultCode::Other`].
     fn from_u8(b: u8) -> FaultCode {
-        match b {
-            1 => FaultCode::UnknownProcedure,
-            2 => FaultCode::UnknownLine,
-            3 => FaultCode::UnknownExecutable,
-            4 => FaultCode::Duplicate,
-            5 => FaultCode::RemoteFault,
-            6 => FaultCode::ProcessGone,
-            7 => FaultCode::StateTransfer,
-            8 => FaultCode::Protocol,
-            9 => FaultCode::Unavailable,
-            11 => FaultCode::Escalated,
-            12 => FaultCode::CreditStall,
-            // Forward compatibility: an unknown code is still an error.
-            _ => FaultCode::Other,
-        }
+        FaultCode::ALL.into_iter().find(|&c| c as u8 == b).unwrap_or(FaultCode::Other)
     }
 }
 
@@ -341,58 +315,14 @@ fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
     buf.put_slice(b);
 }
 
-struct Reader {
-    buf: Bytes,
-}
-
-impl Reader {
-    fn need(&self, n: usize) -> SchResult<()> {
-        if self.buf.remaining() < n {
-            Err(SchError::Protocol(format!(
-                "truncated message: need {n}, have {}",
-                self.buf.remaining()
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u8(&mut self) -> SchResult<u8> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    /// The UTS-version byte of a map/move request or a [`MapInfo`]. The
-    /// runtime speaks one codec, so the byte is a constant on the wire
-    /// (message lengths predate that and are part of the byte-identity
-    /// surface); a peer announcing anything else is refused, not guessed
-    /// at.
-    fn uts_version(&mut self) -> SchResult<()> {
-        match self.u8()? {
-            uts::WIRE_V2 => Ok(()),
-            v => Err(SchError::Protocol(format!("unsupported UTS wire version {v}"))),
-        }
-    }
-
-    fn u64(&mut self) -> SchResult<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64())
-    }
-
-    fn str(&mut self) -> SchResult<String> {
-        self.need(4)?;
-        let len = self.buf.get_u32() as usize;
-        self.need(len)?;
-        let raw = self.buf.split_to(len);
-        String::from_utf8(raw.to_vec())
-            .map_err(|e| SchError::Protocol(format!("invalid UTF-8: {e}")))
-    }
-
-    fn bytes(&mut self) -> SchResult<Bytes> {
-        self.need(4)?;
-        let len = self.buf.get_u32() as usize;
-        self.need(len)?;
-        Ok(self.buf.split_to(len))
+/// The UTS-version byte of a map/move request or a [`MapInfo`]. The
+/// runtime speaks one codec, so the byte is a constant on the wire
+/// (message lengths predate that and are part of the byte-identity
+/// surface); a peer announcing anything else is refused, not guessed at.
+fn uts_version(r: &mut Reader) -> Result<(), String> {
+    match r.u8()? {
+        uts::WIRE_V2 => Ok(()),
+        v => Err(format!("unsupported UTS wire version {v}")),
     }
 }
 
@@ -408,7 +338,7 @@ fn put_result<T>(
         }
         Err(e) => {
             buf.put_u8(0);
-            buf.put_u8(e.code.to_u8());
+            buf.put_u8(e.code as u8);
             put_str(buf, &e.detail);
         }
     }
@@ -416,15 +346,15 @@ fn put_result<T>(
 
 fn get_result<T>(
     r: &mut Reader,
-    get_ok: impl FnOnce(&mut Reader) -> SchResult<T>,
-) -> SchResult<Result<T, WireFault>> {
+    get_ok: impl FnOnce(&mut Reader) -> Result<T, String>,
+) -> Result<Result<T, WireFault>, String> {
     match r.u8()? {
         1 => Ok(Ok(get_ok(r)?)),
         0 => {
             let code = FaultCode::from_u8(r.u8()?);
-            Ok(Err(WireFault { code, detail: r.str()? }))
+            Ok(Err(WireFault { code, detail: r.str()?.into() }))
         }
-        other => Err(SchError::Protocol(format!("invalid result tag {other}"))),
+        other => Err(format!("invalid result tag {other}")),
     }
 }
 
@@ -438,17 +368,15 @@ fn put_started(buf: &mut BytesMut, info: &StartedInfo) {
     }
 }
 
-fn get_started(r: &mut Reader) -> SchResult<StartedInfo> {
-    let addr = r.str()?;
-    let spec_src = r.str()?;
+fn get_started(r: &mut Reader) -> Result<StartedInfo, String> {
+    let addr = r.str()?.into();
+    let spec_src = r.str()?.into();
     let incarnation = r.u64()?;
-    let n = {
-        r.need(2)?;
-        r.buf.get_u16() as usize
-    };
+    // Each name is at least its 4-byte length.
+    let n = r.count_u16(4)?;
     let mut proc_names = Vec::with_capacity(n);
     for _ in 0..n {
-        proc_names.push(r.str()?);
+        proc_names.push(r.str()?.into());
     }
     Ok(StartedInfo { addr, spec_src, proc_names, incarnation })
 }
@@ -461,14 +389,14 @@ fn put_mapinfo(buf: &mut BytesMut, info: &MapInfo) {
     buf.put_u8(uts::WIRE_V2);
 }
 
-fn get_mapinfo(r: &mut Reader) -> SchResult<MapInfo> {
+fn get_mapinfo(r: &mut Reader) -> Result<MapInfo, String> {
     let info = MapInfo {
-        addr: r.str()?,
-        remote_name: r.str()?,
-        export_spec: r.str()?,
+        addr: r.str()?.into(),
+        remote_name: r.str()?.into(),
+        export_spec: r.str()?.into(),
         incarnation: r.u64()?,
     };
-    r.uts_version()?;
+    uts_version(r)?;
     Ok(info)
 }
 
@@ -657,105 +585,108 @@ impl Msg {
 
     /// Decode a message from transport bytes.
     pub fn decode(buf: Bytes) -> SchResult<Msg> {
-        let mut r = Reader { buf };
-        let tag = r.u8()?;
-        let msg = match tag {
-            T_OPEN_LINE => Msg::OpenLine { req: r.u64()?, module: r.str()?, reply_to: r.str()? },
-            T_LINE_OPENED => Msg::LineOpened { req: r.u64()?, line: r.u64()? },
-            T_START_REQUEST => Msg::StartRequest {
-                req: r.u64()?,
-                line: r.u64()?,
-                path: r.str()?,
-                host: r.str()?,
-                shared: r.u8()? != 0,
-                reply_to: r.str()?,
-            },
-            T_START_REPLY => {
-                Msg::StartReply { req: r.u64()?, result: get_result(&mut r, get_started)? }
-            }
-            T_MAP_REQUEST => {
-                let (req, line) = (r.u64()?, r.u64()?);
-                let (name, import_spec, suspect_addr) = (r.str()?, r.str()?, r.str()?);
-                r.uts_version()?;
-                Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to: r.str()? }
-            }
-            T_MAP_REPLY => {
-                Msg::MapReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? }
-            }
-            T_IQUIT => Msg::IQuit { req: r.u64()?, line: r.u64()?, reply_to: r.str()? },
-            T_IQUIT_ACK => Msg::IQuitAck { req: r.u64()? },
-            T_MOVE_REQUEST => {
-                let (req, line) = (r.u64()?, r.u64()?);
-                let (name, target_host) = (r.str()?, r.str()?);
-                r.uts_version()?;
-                Msg::MoveRequest { req, line, name, target_host, reply_to: r.str()? }
-            }
-            T_MOVE_REPLY => {
-                Msg::MoveReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? }
-            }
-            T_MANAGER_SHUTDOWN => Msg::ManagerShutdown,
-            T_START_PROCESS => Msg::StartProcess {
-                req: r.u64()?,
-                line: r.u64()?,
-                path: r.str()?,
-                incarnation: r.u64()?,
-                reply_to: r.str()?,
-            },
-            T_PROCESS_STARTED => {
-                Msg::ProcessStarted { req: r.u64()?, result: get_result(&mut r, get_started)? }
-            }
-            T_SERVER_SHUTDOWN => Msg::ServerShutdown,
-            T_CALL_REQUEST => Msg::CallRequest {
-                call: r.u64()?,
-                line: r.u64()?,
-                proc_name: r.str()?,
-                args: r.bytes()?,
-                reply_to: r.str()?,
-            },
-            T_CALL_REPLY => Msg::CallReply {
-                call: r.u64()?,
-                incarnation: r.u64()?,
-                result: get_result(&mut r, |r| r.bytes())?,
-            },
-            T_GET_STATE => Msg::GetState { req: r.u64()?, reply_to: r.str()? },
-            T_STATE_REPLY => {
-                Msg::StateReply { req: r.u64()?, result: get_result(&mut r, |r| r.bytes())? }
-            }
-            T_SET_STATE => Msg::SetState { req: r.u64()?, state: r.bytes()?, reply_to: r.str()? },
-            T_SET_STATE_ACK => {
-                Msg::SetStateAck { req: r.u64()?, result: get_result(&mut r, |_| Ok(()))? }
-            }
-            T_PROC_SHUTDOWN => Msg::ProcShutdown,
-            T_PING => Msg::Ping { req: r.u64()?, reply_to: r.str()? },
-            T_PONG => Msg::Pong { req: r.u64()?, incarnation: r.u64()? },
-            T_CHECKPOINT_REQUEST => Msg::CheckpointRequest {
-                req: r.u64()?,
-                line: r.u64()?,
-                name: r.str()?,
-                reply_to: r.str()?,
-            },
-            T_CHECKPOINT_REPLY => {
-                Msg::CheckpointReply { req: r.u64()?, result: get_result(&mut r, |r| r.u64())? }
-            }
-            T_RESTORE_REQUEST => Msg::RestoreRequest {
-                req: r.u64()?,
-                line: r.u64()?,
-                name: r.str()?,
-                reply_to: r.str()?,
-            },
-            T_RESTORE_REPLY => {
-                Msg::RestoreReply { req: r.u64()?, result: get_result(&mut r, |r| r.u64())? }
-            }
-            other => return Err(SchError::Protocol(format!("unknown message tag {other}"))),
-        };
-        if r.buf.remaining() != 0 {
-            return Err(SchError::Protocol(format!(
-                "{} trailing bytes after message",
-                r.buf.remaining()
-            )));
-        }
-        Ok(msg)
+        decode_fields(&buf).map_err(SchError::Protocol)
     }
+}
+
+/// [`Msg::decode`]'s fields; payloads are slices of `buf`, not copies.
+fn decode_fields(buf: &Bytes) -> Result<Msg, String> {
+    let mut r = Reader::new(buf);
+    let msg = match r.u8()? {
+        T_OPEN_LINE => {
+            Msg::OpenLine { req: r.u64()?, module: r.str()?.into(), reply_to: r.str()?.into() }
+        }
+        T_LINE_OPENED => Msg::LineOpened { req: r.u64()?, line: r.u64()? },
+        T_START_REQUEST => Msg::StartRequest {
+            req: r.u64()?,
+            line: r.u64()?,
+            path: r.str()?.into(),
+            host: r.str()?.into(),
+            shared: r.u8()? != 0,
+            reply_to: r.str()?.into(),
+        },
+        T_START_REPLY => {
+            Msg::StartReply { req: r.u64()?, result: get_result(&mut r, get_started)? }
+        }
+        T_MAP_REQUEST => {
+            let (req, line, name) = (r.u64()?, r.u64()?, r.str()?.into());
+            let (import_spec, suspect_addr) = (r.str()?.into(), r.str()?.into());
+            uts_version(&mut r)?;
+            let reply_to = r.str()?.into();
+            Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to }
+        }
+        T_MAP_REPLY => Msg::MapReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? },
+        T_IQUIT => Msg::IQuit { req: r.u64()?, line: r.u64()?, reply_to: r.str()?.into() },
+        T_IQUIT_ACK => Msg::IQuitAck { req: r.u64()? },
+        T_MOVE_REQUEST => {
+            let (req, line, name) = (r.u64()?, r.u64()?, r.str()?.into());
+            let target_host = r.str()?.into();
+            uts_version(&mut r)?;
+            Msg::MoveRequest { req, line, name, target_host, reply_to: r.str()?.into() }
+        }
+        T_MOVE_REPLY => Msg::MoveReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? },
+        T_MANAGER_SHUTDOWN => Msg::ManagerShutdown,
+        T_START_PROCESS => Msg::StartProcess {
+            req: r.u64()?,
+            line: r.u64()?,
+            path: r.str()?.into(),
+            incarnation: r.u64()?,
+            reply_to: r.str()?.into(),
+        },
+        T_PROCESS_STARTED => {
+            Msg::ProcessStarted { req: r.u64()?, result: get_result(&mut r, get_started)? }
+        }
+        T_SERVER_SHUTDOWN => Msg::ServerShutdown,
+        T_CALL_REQUEST => Msg::CallRequest {
+            call: r.u64()?,
+            line: r.u64()?,
+            proc_name: r.str()?.into(),
+            args: buf.slice(r.bytes()?.1),
+            reply_to: r.str()?.into(),
+        },
+        T_CALL_REPLY => Msg::CallReply {
+            call: r.u64()?,
+            incarnation: r.u64()?,
+            result: get_result(&mut r, |r| Ok(buf.slice(r.bytes()?.1)))?,
+        },
+        T_GET_STATE => Msg::GetState { req: r.u64()?, reply_to: r.str()?.into() },
+        T_STATE_REPLY => Msg::StateReply {
+            req: r.u64()?,
+            result: get_result(&mut r, |r| Ok(buf.slice(r.bytes()?.1)))?,
+        },
+        T_SET_STATE => Msg::SetState {
+            req: r.u64()?,
+            state: buf.slice(r.bytes()?.1),
+            reply_to: r.str()?.into(),
+        },
+        T_SET_STATE_ACK => {
+            Msg::SetStateAck { req: r.u64()?, result: get_result(&mut r, |_| Ok(()))? }
+        }
+        T_PROC_SHUTDOWN => Msg::ProcShutdown,
+        T_PING => Msg::Ping { req: r.u64()?, reply_to: r.str()?.into() },
+        T_PONG => Msg::Pong { req: r.u64()?, incarnation: r.u64()? },
+        T_CHECKPOINT_REQUEST => Msg::CheckpointRequest {
+            req: r.u64()?,
+            line: r.u64()?,
+            name: r.str()?.into(),
+            reply_to: r.str()?.into(),
+        },
+        T_CHECKPOINT_REPLY => {
+            Msg::CheckpointReply { req: r.u64()?, result: get_result(&mut r, |r| Ok(r.u64()?))? }
+        }
+        T_RESTORE_REQUEST => Msg::RestoreRequest {
+            req: r.u64()?,
+            line: r.u64()?,
+            name: r.str()?.into(),
+            reply_to: r.str()?.into(),
+        },
+        T_RESTORE_REPLY => {
+            Msg::RestoreReply { req: r.u64()?, result: get_result(&mut r, |r| Ok(r.u64()?))? }
+        }
+        other => return Err(format!("unknown message tag {other}")),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -889,6 +820,37 @@ mod tests {
     #[test]
     fn all_variants_round_trip() {
         all_variants().into_iter().for_each(round_trip);
+    }
+
+    /// The encoding itself, not just its round trip: a change made the
+    /// same way on both sides (endianness, length width) moves this.
+    #[test]
+    fn all_variants_encode_to_pinned_bytes() {
+        let bytes: Vec<u8> = all_variants().iter().flat_map(|m| m.encode().to_vec()).collect();
+        assert_eq!((bytes.len(), ledger::frame::crc32(&bytes)), (889, 0x6D7F_5B28));
+        assert_eq!(FaultCode::ALL.map(|c| c as u8), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 10]);
+    }
+
+    /// A `StartReply` whose `u16` name count promises 65 535 names that
+    /// are not there is refused before anything is reserved for them.
+    #[test]
+    fn forged_proc_name_count_is_a_protocol_error() {
+        let reply = Msg::StartReply {
+            req: 2,
+            result: Ok(StartedInfo {
+                addr: "cray:proc-3".into(),
+                spec_src: String::new(),
+                proc_names: Vec::new(),
+                incarnation: 4,
+            }),
+        };
+        let mut raw = reply.encode().to_vec();
+        let n = raw.len();
+        raw[n - 2..].copy_from_slice(&u16::MAX.to_be_bytes());
+        match Msg::decode(Bytes::from(raw)) {
+            Err(SchError::Protocol(why)) => assert!(why.contains("count 65535"), "{why}"),
+            other => panic!("forged count decoded to {other:?}"),
+        }
     }
 
     /// A damaged message decodes to a typed error or to some well-formed

@@ -14,7 +14,8 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use ledger::codec::{put_bytes, put_str, Reader};
 use netsim::{Endpoint, VirtualClock};
 use uts::Architecture;
 
@@ -265,41 +266,24 @@ impl ProcessWorker {
     fn collect_state(&self) -> SchResult<Bytes> {
         let mut exports: Vec<&Export> = self.exports.values().collect();
         exports.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for Export { name, stub, proc } in exports {
-            let blob = stub.marshal_state(&proc.get_state(), self.arch)?;
-            buf.put_u32(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u32(blob.len() as u32);
-            buf.put_slice(&blob);
+            put_str(&mut buf, name);
+            put_bytes(&mut buf, &stub.marshal_state(&proc.get_state(), self.arch)?);
         }
-        Ok(buf.freeze())
+        Ok(buf.into())
     }
 
-    fn install_state(&mut self, mut state: Bytes) -> SchResult<()> {
-        while state.remaining() > 0 {
-            if state.remaining() < 4 {
-                return Err(SchError::StateTransfer("truncated state frame".into()));
-            }
-            let nlen = state.get_u32() as usize;
-            if state.remaining() < nlen {
-                return Err(SchError::StateTransfer("truncated state name".into()));
-            }
-            let name = String::from_utf8(state.split_to(nlen).to_vec())
-                .map_err(|e| SchError::StateTransfer(format!("bad state name: {e}")))?;
-            if state.remaining() < 4 {
-                return Err(SchError::StateTransfer("truncated state blob length".into()));
-            }
-            let blen = state.get_u32() as usize;
-            if state.remaining() < blen {
-                return Err(SchError::StateTransfer("truncated state blob".into()));
-            }
-            let blob = state.split_to(blen);
-
+    fn install_state(&mut self, state: Bytes) -> SchResult<()> {
+        let mut r = Reader::new(&state);
+        let bad_frame = |e| SchError::StateTransfer(format!("bad state frame: {e}"));
+        while !r.is_empty() {
+            let name = r.str().map_err(bad_frame)?;
+            let blob = state.slice(r.bytes().map_err(bad_frame)?.1);
             // State arrives keyed by the *source* process's folded names;
             // fold to our own convention via case-insensitive match.
             let export =
-                self.exports.values_mut().find(|e| e.name.eq_ignore_ascii_case(&name)).ok_or_else(
+                self.exports.values_mut().find(|e| e.name.eq_ignore_ascii_case(name)).ok_or_else(
                     || SchError::StateTransfer(format!("no procedure '{name}' in target process")),
                 )?;
             let values = export.stub.unmarshal_state(blob, self.arch)?;
@@ -433,6 +417,41 @@ export tally prog("n" val integer, "count" res integer) state("hist" array[2] of
         // from it.
         assert_eq!(line.call("accum", &[Value::Double(1.0)]).unwrap(), vec![Value::Double(3.5)]);
         assert_eq!(line.call("tally", &[Value::Integer(4)]).unwrap(), vec![Value::Integer(2)]);
+        line.quit().unwrap();
+        sch.shutdown();
+    }
+
+    /// The state frame's bytes themselves (`[u32 len][name][u32
+    /// len][blob]` per procedure), not just their round trip.
+    #[test]
+    fn two_procedure_state_frame_is_pinned() {
+        let sch = Schooner::standard().unwrap();
+        sch.install_program("/x/pair", two_state_image(), &["lerc-cray-ymp"]).unwrap();
+        let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
+        line.start_remote("/x/pair", "lerc-cray-ymp").unwrap();
+        line.call("accum", &[Value::Double(2.5)]).unwrap();
+        line.call("tally", &[Value::Integer(3)]).unwrap();
+        let ep = sch.ctx().net.register("lerc-sparc10:prober").unwrap();
+        let reply_to = ep.addr().to_owned();
+        let map = Msg::MapRequest {
+            req: 1,
+            line: line.id(),
+            name: "accum".into(),
+            import_spec: String::new(),
+            suspect_addr: String::new(),
+            reply_to: reply_to.clone(),
+        };
+        let Some(Msg::MapReply { result: Ok(info), .. }) =
+            exchange(&sch, &ep, &sch.manager_address(), map)
+        else {
+            panic!("map failed")
+        };
+        let get = Msg::GetState { req: 2, reply_to };
+        let Some(Msg::StateReply { result: Ok(blob), .. }) = exchange(&sch, &ep, &info.addr, get)
+        else {
+            panic!("get_state failed")
+        };
+        assert_eq!((blob.len(), ledger::frame::crc32(&blob)), (48, 0x52E8_04A6));
         line.quit().unwrap();
         sch.shutdown();
     }

@@ -107,7 +107,7 @@ impl Json {
 
     /// Parse a JSON document.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { s: s.as_bytes(), at: 0 };
+        let mut p = Parser { s, at: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -194,19 +194,20 @@ fn write_str(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    s: &'a [u8],
+    s: &'a str,
+    /// Byte offset into `s`, always on a character boundary.
     at: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.s.get(self.at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.at += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.s.get(self.at).copied()
+        self.s.as_bytes().get(self.at).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -219,7 +220,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.at..].starts_with(word.as_bytes()) {
+        if self.s[self.at..].starts_with(word) {
             self.at += word.len();
             Ok(v)
         } else {
@@ -315,6 +316,7 @@ impl Parser<'_> {
                         Some(b'u') => {
                             let hex = self
                                 .s
+                                .as_bytes()
                                 .get(self.at + 1..self.at + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
@@ -329,10 +331,7 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.s[self.at..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().unwrap();
+                    let c = self.s[self.at..].chars().next().expect("not at the end");
                     out.push(c);
                     self.at += c.len_utf8();
                 }
@@ -349,7 +348,7 @@ impl Parser<'_> {
         {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.s[start..self.at]).expect("digits are ascii");
+        let text = &self.s[start..self.at];
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number '{text}'"))
     }
 }
@@ -384,6 +383,16 @@ mod tests {
         for bad in ["{nope", "[1,", "\"open", "{\"k\" 1}", "tru", "1.2.3", "[] []"] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+    }
+
+    /// A string value steps through the document once: a 1 MiB one
+    /// parses in linear time and round-trips.
+    #[test]
+    fn a_one_mebibyte_string_parses_and_round_trips() {
+        let doc = Json::obj(vec![("blob", Json::Str("ab\u{e9}\u{1F680}\\\"".repeat(1 << 17)))]);
+        let text = doc.pretty();
+        assert!(text.len() > 1 << 20);
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]

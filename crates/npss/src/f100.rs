@@ -38,19 +38,28 @@ impl RemotePlacement {
         self
     }
 
-    /// The Table 2 configuration: TESS on the UA Sparc 10; combustor on
-    /// the UA SGI 4D/340; both ducts on the LeRC Cray Y-MP; nozzle on the
-    /// LeRC SGI 4D/420; both shafts on the LeRC IBM RS6000.
+    /// The Table 2 configuration, [`TABLE2_PLACEMENT`].
     pub fn table2() -> Self {
-        Self::default()
-            .with("combustor", "ua-sgi-4d340")
-            .with("bypass duct", "lerc-cray-ymp")
-            .with("tailpipe duct", "lerc-cray-ymp")
-            .with("nozzle", "lerc-sgi-4d420")
-            .with("low speed shaft", "lerc-rs6000")
-            .with("high speed shaft", "lerc-rs6000")
+        TABLE2_PLACEMENT
+            .iter()
+            .fold(Self::default(), |p, &(slot, _, machine)| p.with(slot, machine))
     }
 }
+
+/// The Table 2 configuration as `(slot, executable, machine)`: TESS on
+/// the UA Sparc 10; combustor on the UA SGI 4D/340; both ducts on the
+/// LeRC Cray Y-MP; nozzle on the LeRC SGI 4D/420; both shafts on the LeRC
+/// IBM RS6000. The executable is the one the slot's module runs by
+/// default. The order is the order lines are opened in, so line and
+/// process ids (part of the byte-identity surface) follow from it.
+pub const TABLE2_PLACEMENT: [(&str, &str, &str); 6] = [
+    ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
+    ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
+    ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
+    ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
+    ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
+    ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
+];
 
 /// The assembled F100 network.
 pub struct F100Network {

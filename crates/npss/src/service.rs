@@ -24,6 +24,7 @@ use tess::transient::TransientMethod;
 use testkit::SplitMix64;
 
 use crate::engine_exec::{Exec, ExecutiveEngine, Scheduling, WavePlan};
+use crate::f100::TABLE2_PLACEMENT;
 use crate::procs;
 use crate::sweep::{SweepConfig, SweepDriver};
 use crate::RemoteExec;
@@ -190,10 +191,11 @@ pub fn world(link_batching: bool) -> Result<Schooner, String> {
 }
 
 /// The Table-2 placement bound to a fresh executive: six module lines
-/// opened from `ua-sparc10` in a fixed order (line and process ids are
-/// part of the byte-identity surface), every slot calling under `policy`,
-/// the F100 wave plan installed, and a checkpoint barrier every
-/// `checkpoint_interval` solver steps (0 disables crash recovery).
+/// opened from `ua-sparc10` in [`TABLE2_PLACEMENT`]'s order (line and
+/// process ids are part of the byte-identity surface), every slot
+/// calling under `policy`, the F100 wave plan installed, and a checkpoint
+/// barrier every `checkpoint_interval` solver steps (0 disables crash
+/// recovery).
 pub fn table2_engine(
     sch: &Schooner,
     policy: &CallPolicy,
@@ -203,14 +205,7 @@ pub fn table2_engine(
     let mut exec = ExecutiveEngine::all_local(Turbofan::f100()?)?;
     exec.scheduling = scheduling;
     exec.wave_plan = f100_wave_plan();
-    for (slot, path, machine) in [
-        ("combustor", procs::COMBUSTOR_PATH, "ua-sgi-4d340"),
-        ("bypass duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("tailpipe duct", procs::DUCT_PATH, "lerc-cray-ymp"),
-        ("nozzle", procs::NOZZLE_PATH, "lerc-sgi-4d420"),
-        ("low speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-        ("high speed shaft", procs::SHAFT_PATH, "lerc-rs6000"),
-    ] {
+    for (slot, path, machine) in TABLE2_PLACEMENT {
         let line = sch.open_line(slot, "ua-sparc10").map_err(|e| e.to_string())?;
         let remote = RemoteExec::start(line, path, machine)?.with_policy(policy.clone());
         exec.set_remote(slot, remote)?;

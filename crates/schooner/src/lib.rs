@@ -79,6 +79,7 @@
 //! sch.shutdown();
 //! ```
 
+mod codec;
 pub mod error;
 pub mod line;
 pub mod manager;

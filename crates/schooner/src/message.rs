@@ -11,6 +11,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use ledger::codec::Reader;
 use netsim::NetError;
 
+use crate::codec::{self, Field};
 use crate::error::{SchError, SchResult};
 
 /// Machine-readable classification of a fault crossing the wire.
@@ -277,127 +278,125 @@ pub enum Msg {
     RestoreReply { req: u64, result: Result<u64, WireFault> },
 }
 
-const T_OPEN_LINE: u8 = 1;
-const T_LINE_OPENED: u8 = 2;
-const T_START_REQUEST: u8 = 3;
-const T_START_REPLY: u8 = 4;
-const T_MAP_REQUEST: u8 = 5;
-const T_MAP_REPLY: u8 = 6;
-const T_IQUIT: u8 = 7;
-const T_IQUIT_ACK: u8 = 8;
-const T_MOVE_REQUEST: u8 = 9;
-const T_MOVE_REPLY: u8 = 10;
-const T_MANAGER_SHUTDOWN: u8 = 11;
-const T_START_PROCESS: u8 = 12;
-const T_PROCESS_STARTED: u8 = 13;
-const T_SERVER_SHUTDOWN: u8 = 14;
-const T_CALL_REQUEST: u8 = 15;
-const T_CALL_REPLY: u8 = 16;
-const T_GET_STATE: u8 = 17;
-const T_STATE_REPLY: u8 = 18;
-const T_SET_STATE: u8 = 19;
-const T_SET_STATE_ACK: u8 = 20;
-const T_PROC_SHUTDOWN: u8 = 21;
-const T_PING: u8 = 22;
-const T_PONG: u8 = 23;
-const T_CHECKPOINT_REQUEST: u8 = 24;
-const T_CHECKPOINT_REPLY: u8 = 25;
-const T_RESTORE_REQUEST: u8 = 26;
-const T_RESTORE_REPLY: u8 = 27;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
-}
-
 /// The UTS-version byte of a map/move request or a [`MapInfo`]. The
 /// runtime speaks one codec, so the byte is a constant on the wire
 /// (message lengths predate that and are part of the byte-identity
 /// surface); a peer announcing anything else is refused, not guessed at.
-fn uts_version(r: &mut Reader) -> Result<(), String> {
-    match r.u8()? {
-        uts::WIRE_V2 => Ok(()),
-        v => Err(format!("unsupported UTS wire version {v}")),
-    }
-}
+struct UtsVersion;
 
-fn put_result<T>(
-    buf: &mut BytesMut,
-    r: &Result<T, WireFault>,
-    put_ok: impl FnOnce(&mut BytesMut, &T),
-) {
-    match r {
-        Ok(v) => {
-            buf.put_u8(1);
-            put_ok(buf, v);
-        }
-        Err(e) => {
-            buf.put_u8(0);
-            buf.put_u8(e.code as u8);
-            put_str(buf, &e.detail);
+impl<In: ?Sized> Field<In> for UtsVersion {
+    fn put(&self, out: &mut impl BufMut) {
+        out.put_u8(uts::WIRE_V2);
+    }
+    fn get(r: &mut Reader, _: &In) -> Result<Self, String> {
+        match r.u8()? {
+            uts::WIRE_V2 => Ok(UtsVersion),
+            v => Err(format!("unsupported UTS wire version {v}")),
         }
     }
 }
 
-fn get_result<T>(
-    r: &mut Reader,
-    get_ok: impl FnOnce(&mut Reader) -> Result<T, String>,
-) -> Result<Result<T, WireFault>, String> {
-    match r.u8()? {
-        1 => Ok(Ok(get_ok(r)?)),
-        0 => {
-            let code = FaultCode::from_u8(r.u8()?);
-            Ok(Err(WireFault { code, detail: r.str()?.into() }))
+/// `1` and the value, or `0`, the fault's code byte and its detail.
+impl<In: ?Sized, T: Field<In>> Field<In> for Result<T, WireFault> {
+    fn put(&self, out: &mut impl BufMut) {
+        match self {
+            Ok(v) => {
+                out.put_u8(1);
+                v.put(out);
+            }
+            Err(e) => {
+                out.put_u8(0);
+                out.put_u8(e.code as u8);
+                Field::<In>::put(&e.detail, out);
+            }
         }
-        other => Err(format!("invalid result tag {other}")),
+    }
+    fn get(r: &mut Reader, input: &In) -> Result<Self, String> {
+        match r.u8()? {
+            1 => T::get(r, input).map(Ok),
+            0 => {
+                let code = FaultCode::from_u8(r.u8()?);
+                Ok(Err(WireFault { code, detail: Field::get(r, input)? }))
+            }
+            other => Err(format!("invalid result tag {other}")),
+        }
     }
 }
 
-fn put_started(buf: &mut BytesMut, info: &StartedInfo) {
-    put_str(buf, &info.addr);
-    put_str(buf, &info.spec_src);
-    buf.put_u64(info.incarnation);
-    buf.put_u16(info.proc_names.len() as u16);
-    for n in &info.proc_names {
-        put_str(buf, n);
+/// The names' count is a `u16`, after the incarnation.
+impl<In: ?Sized> Field<In> for StartedInfo {
+    fn put(&self, out: &mut impl BufMut) {
+        Field::<In>::put(&self.addr, out);
+        Field::<In>::put(&self.spec_src, out);
+        out.put_u64(self.incarnation);
+        out.put_u16(self.proc_names.len() as u16);
+        self.proc_names.iter().for_each(|n| Field::<In>::put(n, out));
+    }
+    fn get(r: &mut Reader, input: &In) -> Result<Self, String> {
+        let (addr, spec_src, incarnation) =
+            (Field::get(r, input)?, Field::get(r, input)?, r.u64()?);
+        // Each name is at least its 4-byte length.
+        let n = r.count_u16(4)?;
+        let mut proc_names = Vec::with_capacity(n);
+        for _ in 0..n {
+            proc_names.push(Field::get(r, input)?);
+        }
+        Ok(StartedInfo { addr, spec_src, proc_names, incarnation })
     }
 }
 
-fn get_started(r: &mut Reader) -> Result<StartedInfo, String> {
-    let addr = r.str()?.into();
-    let spec_src = r.str()?.into();
-    let incarnation = r.u64()?;
-    // Each name is at least its 4-byte length.
-    let n = r.count_u16(4)?;
-    let mut proc_names = Vec::with_capacity(n);
-    for _ in 0..n {
-        proc_names.push(r.str()?.into());
+/// The UTS-version byte comes last.
+impl<In: ?Sized> Field<In> for MapInfo {
+    fn put(&self, out: &mut impl BufMut) {
+        Field::<In>::put(&self.addr, out);
+        Field::<In>::put(&self.remote_name, out);
+        Field::<In>::put(&self.export_spec, out);
+        out.put_u64(self.incarnation);
+        Field::<In>::put(&UtsVersion, out);
     }
-    Ok(StartedInfo { addr, spec_src, proc_names, incarnation })
+    fn get(r: &mut Reader, input: &In) -> Result<Self, String> {
+        let info = MapInfo {
+            addr: Field::get(r, input)?,
+            remote_name: Field::get(r, input)?,
+            export_spec: Field::get(r, input)?,
+            incarnation: r.u64()?,
+        };
+        UtsVersion::get(r, input)?;
+        Ok(info)
+    }
 }
 
-fn put_mapinfo(buf: &mut BytesMut, info: &MapInfo) {
-    put_str(buf, &info.addr);
-    put_str(buf, &info.remote_name);
-    put_str(buf, &info.export_spec);
-    buf.put_u64(info.incarnation);
-    buf.put_u8(uts::WIRE_V2);
-}
-
-fn get_mapinfo(r: &mut Reader) -> Result<MapInfo, String> {
-    let info = MapInfo {
-        addr: r.str()?.into(),
-        remote_name: r.str()?.into(),
-        export_spec: r.str()?.into(),
-        incarnation: r.u64()?,
-    };
-    uts_version(r)?;
-    Ok(info)
+// Payload fields (`args`, `state`, the `Ok` blobs) decode as slices of
+// the received `Bytes`, not copies.
+codec::tagged! {
+    Msg from Bytes, "message";
+    1 OpenLine { req, module, reply_to }
+    2 LineOpened { req, line }
+    3 StartRequest { req, line, path, host, shared, reply_to }
+    4 StartReply { req, result }
+    5 MapRequest { req, line, name, import_spec, suspect_addr, [UtsVersion] reply_to }
+    6 MapReply { req, result }
+    7 IQuit { req, line, reply_to }
+    8 IQuitAck { req }
+    9 MoveRequest { req, line, name, target_host, [UtsVersion] reply_to }
+    10 MoveReply { req, result }
+    11 ManagerShutdown {}
+    12 StartProcess { req, line, path, incarnation, reply_to }
+    13 ProcessStarted { req, result }
+    14 ServerShutdown {}
+    15 CallRequest { call, line, proc_name, args, reply_to }
+    16 CallReply { call, incarnation, result }
+    17 GetState { req, reply_to }
+    18 StateReply { req, result }
+    19 SetState { req, state, reply_to }
+    20 SetStateAck { req, result }
+    21 ProcShutdown {}
+    22 Ping { req, reply_to }
+    23 Pong { req, incarnation }
+    24 CheckpointRequest { req, line, name, reply_to }
+    25 CheckpointReply { req, result }
+    26 RestoreRequest { req, line, name, reply_to }
+    27 RestoreReply { req, result }
 }
 
 impl Msg {
@@ -412,8 +411,8 @@ impl Msg {
     /// Encode a [`Msg::CallRequest`] directly into `out` — the
     /// scatter-gather fast path, writing the marshal plan's output
     /// straight into a link frame buffer with no per-call `Bytes`
-    /// allocation. Byte-identical to `Msg::CallRequest { .. }.encode()`
-    /// (the encode arm delegates here).
+    /// allocation. It restates the table's `CallRequest` row from
+    /// borrowed fields; a test pins the two byte-identical.
     pub fn encode_call_request_into(
         out: &mut BytesMut,
         call: u64,
@@ -422,271 +421,26 @@ impl Msg {
         args: &[u8],
         reply_to: &str,
     ) {
-        out.put_u8(T_CALL_REQUEST);
+        out.put_u8(15);
         out.put_u64(call);
         out.put_u64(line);
-        put_str(out, proc_name);
-        out.put_u32(args.len() as u32);
-        out.put_slice(args);
-        put_str(out, reply_to);
+        for field in [proc_name.as_bytes(), args, reply_to.as_bytes()] {
+            out.put_u32(field.len() as u32);
+            out.put_slice(field);
+        }
     }
 
     /// Encode this message into transport bytes.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(64);
-        match self {
-            Msg::OpenLine { req, module, reply_to } => {
-                b.put_u8(T_OPEN_LINE);
-                b.put_u64(*req);
-                put_str(&mut b, module);
-                put_str(&mut b, reply_to);
-            }
-            Msg::LineOpened { req, line } => {
-                b.put_u8(T_LINE_OPENED);
-                b.put_u64(*req);
-                b.put_u64(*line);
-            }
-            Msg::StartRequest { req, line, path, host, shared, reply_to } => {
-                b.put_u8(T_START_REQUEST);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, path);
-                put_str(&mut b, host);
-                b.put_u8(u8::from(*shared));
-                put_str(&mut b, reply_to);
-            }
-            Msg::StartReply { req, result } => {
-                b.put_u8(T_START_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, put_started);
-            }
-            Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to } => {
-                b.put_u8(T_MAP_REQUEST);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, name);
-                put_str(&mut b, import_spec);
-                put_str(&mut b, suspect_addr);
-                b.put_u8(uts::WIRE_V2);
-                put_str(&mut b, reply_to);
-            }
-            Msg::MapReply { req, result } => {
-                b.put_u8(T_MAP_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, put_mapinfo);
-            }
-            Msg::IQuit { req, line, reply_to } => {
-                b.put_u8(T_IQUIT);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, reply_to);
-            }
-            Msg::IQuitAck { req } => {
-                b.put_u8(T_IQUIT_ACK);
-                b.put_u64(*req);
-            }
-            Msg::MoveRequest { req, line, name, target_host, reply_to } => {
-                b.put_u8(T_MOVE_REQUEST);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, name);
-                put_str(&mut b, target_host);
-                b.put_u8(uts::WIRE_V2);
-                put_str(&mut b, reply_to);
-            }
-            Msg::MoveReply { req, result } => {
-                b.put_u8(T_MOVE_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, put_mapinfo);
-            }
-            Msg::ManagerShutdown => b.put_u8(T_MANAGER_SHUTDOWN),
-            Msg::StartProcess { req, line, path, incarnation, reply_to } => {
-                b.put_u8(T_START_PROCESS);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, path);
-                b.put_u64(*incarnation);
-                put_str(&mut b, reply_to);
-            }
-            Msg::ProcessStarted { req, result } => {
-                b.put_u8(T_PROCESS_STARTED);
-                b.put_u64(*req);
-                put_result(&mut b, result, put_started);
-            }
-            Msg::ServerShutdown => b.put_u8(T_SERVER_SHUTDOWN),
-            Msg::CallRequest { call, line, proc_name, args, reply_to } => {
-                Msg::encode_call_request_into(&mut b, *call, *line, proc_name, args, reply_to);
-            }
-            Msg::CallReply { call, incarnation, result } => {
-                b.put_u8(T_CALL_REPLY);
-                b.put_u64(*call);
-                b.put_u64(*incarnation);
-                put_result(&mut b, result, put_bytes);
-            }
-            Msg::GetState { req, reply_to } => {
-                b.put_u8(T_GET_STATE);
-                b.put_u64(*req);
-                put_str(&mut b, reply_to);
-            }
-            Msg::StateReply { req, result } => {
-                b.put_u8(T_STATE_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, put_bytes);
-            }
-            Msg::SetState { req, state, reply_to } => {
-                b.put_u8(T_SET_STATE);
-                b.put_u64(*req);
-                put_bytes(&mut b, state);
-                put_str(&mut b, reply_to);
-            }
-            Msg::SetStateAck { req, result } => {
-                b.put_u8(T_SET_STATE_ACK);
-                b.put_u64(*req);
-                put_result(&mut b, result, |_, ()| {});
-            }
-            Msg::ProcShutdown => b.put_u8(T_PROC_SHUTDOWN),
-            Msg::Ping { req, reply_to } => {
-                b.put_u8(T_PING);
-                b.put_u64(*req);
-                put_str(&mut b, reply_to);
-            }
-            Msg::Pong { req, incarnation } => {
-                b.put_u8(T_PONG);
-                b.put_u64(*req);
-                b.put_u64(*incarnation);
-            }
-            Msg::CheckpointRequest { req, line, name, reply_to } => {
-                b.put_u8(T_CHECKPOINT_REQUEST);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, name);
-                put_str(&mut b, reply_to);
-            }
-            Msg::CheckpointReply { req, result } => {
-                b.put_u8(T_CHECKPOINT_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, |b, n| b.put_u64(*n));
-            }
-            Msg::RestoreRequest { req, line, name, reply_to } => {
-                b.put_u8(T_RESTORE_REQUEST);
-                b.put_u64(*req);
-                b.put_u64(*line);
-                put_str(&mut b, name);
-                put_str(&mut b, reply_to);
-            }
-            Msg::RestoreReply { req, result } => {
-                b.put_u8(T_RESTORE_REPLY);
-                b.put_u64(*req);
-                put_result(&mut b, result, |b, n| b.put_u64(*n));
-            }
-        }
+        self.put(&mut b);
         b.freeze()
     }
 
     /// Decode a message from transport bytes.
     pub fn decode(buf: Bytes) -> SchResult<Msg> {
-        decode_fields(&buf).map_err(SchError::Protocol)
+        codec::decode(&buf).map_err(SchError::Protocol)
     }
-}
-
-/// [`Msg::decode`]'s fields; payloads are slices of `buf`, not copies.
-fn decode_fields(buf: &Bytes) -> Result<Msg, String> {
-    let mut r = Reader::new(buf);
-    let msg = match r.u8()? {
-        T_OPEN_LINE => {
-            Msg::OpenLine { req: r.u64()?, module: r.str()?.into(), reply_to: r.str()?.into() }
-        }
-        T_LINE_OPENED => Msg::LineOpened { req: r.u64()?, line: r.u64()? },
-        T_START_REQUEST => Msg::StartRequest {
-            req: r.u64()?,
-            line: r.u64()?,
-            path: r.str()?.into(),
-            host: r.str()?.into(),
-            shared: r.u8()? != 0,
-            reply_to: r.str()?.into(),
-        },
-        T_START_REPLY => {
-            Msg::StartReply { req: r.u64()?, result: get_result(&mut r, get_started)? }
-        }
-        T_MAP_REQUEST => {
-            let (req, line, name) = (r.u64()?, r.u64()?, r.str()?.into());
-            let (import_spec, suspect_addr) = (r.str()?.into(), r.str()?.into());
-            uts_version(&mut r)?;
-            let reply_to = r.str()?.into();
-            Msg::MapRequest { req, line, name, import_spec, suspect_addr, reply_to }
-        }
-        T_MAP_REPLY => Msg::MapReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? },
-        T_IQUIT => Msg::IQuit { req: r.u64()?, line: r.u64()?, reply_to: r.str()?.into() },
-        T_IQUIT_ACK => Msg::IQuitAck { req: r.u64()? },
-        T_MOVE_REQUEST => {
-            let (req, line, name) = (r.u64()?, r.u64()?, r.str()?.into());
-            let target_host = r.str()?.into();
-            uts_version(&mut r)?;
-            Msg::MoveRequest { req, line, name, target_host, reply_to: r.str()?.into() }
-        }
-        T_MOVE_REPLY => Msg::MoveReply { req: r.u64()?, result: get_result(&mut r, get_mapinfo)? },
-        T_MANAGER_SHUTDOWN => Msg::ManagerShutdown,
-        T_START_PROCESS => Msg::StartProcess {
-            req: r.u64()?,
-            line: r.u64()?,
-            path: r.str()?.into(),
-            incarnation: r.u64()?,
-            reply_to: r.str()?.into(),
-        },
-        T_PROCESS_STARTED => {
-            Msg::ProcessStarted { req: r.u64()?, result: get_result(&mut r, get_started)? }
-        }
-        T_SERVER_SHUTDOWN => Msg::ServerShutdown,
-        T_CALL_REQUEST => Msg::CallRequest {
-            call: r.u64()?,
-            line: r.u64()?,
-            proc_name: r.str()?.into(),
-            args: buf.slice(r.bytes()?.1),
-            reply_to: r.str()?.into(),
-        },
-        T_CALL_REPLY => Msg::CallReply {
-            call: r.u64()?,
-            incarnation: r.u64()?,
-            result: get_result(&mut r, |r| Ok(buf.slice(r.bytes()?.1)))?,
-        },
-        T_GET_STATE => Msg::GetState { req: r.u64()?, reply_to: r.str()?.into() },
-        T_STATE_REPLY => Msg::StateReply {
-            req: r.u64()?,
-            result: get_result(&mut r, |r| Ok(buf.slice(r.bytes()?.1)))?,
-        },
-        T_SET_STATE => Msg::SetState {
-            req: r.u64()?,
-            state: buf.slice(r.bytes()?.1),
-            reply_to: r.str()?.into(),
-        },
-        T_SET_STATE_ACK => {
-            Msg::SetStateAck { req: r.u64()?, result: get_result(&mut r, |_| Ok(()))? }
-        }
-        T_PROC_SHUTDOWN => Msg::ProcShutdown,
-        T_PING => Msg::Ping { req: r.u64()?, reply_to: r.str()?.into() },
-        T_PONG => Msg::Pong { req: r.u64()?, incarnation: r.u64()? },
-        T_CHECKPOINT_REQUEST => Msg::CheckpointRequest {
-            req: r.u64()?,
-            line: r.u64()?,
-            name: r.str()?.into(),
-            reply_to: r.str()?.into(),
-        },
-        T_CHECKPOINT_REPLY => {
-            Msg::CheckpointReply { req: r.u64()?, result: get_result(&mut r, |r| Ok(r.u64()?))? }
-        }
-        T_RESTORE_REQUEST => Msg::RestoreRequest {
-            req: r.u64()?,
-            line: r.u64()?,
-            name: r.str()?.into(),
-            reply_to: r.str()?.into(),
-        },
-        T_RESTORE_REPLY => {
-            Msg::RestoreReply { req: r.u64()?, result: get_result(&mut r, |r| Ok(r.u64()?))? }
-        }
-        other => return Err(format!("unknown message tag {other}")),
-    };
-    r.finish()?;
-    Ok(msg)
 }
 
 #[cfg(test)]
@@ -702,7 +456,7 @@ mod tests {
     /// One of every message variant; every payload decoder (`StartedInfo`,
     /// `MapInfo`, bytes, counts, faults) appears under at least one of them.
     fn all_variants() -> Vec<Msg> {
-        vec![
+        let all = vec![
             Msg::OpenLine { req: 1, module: "shaft".into(), reply_to: "a:1".into() },
             Msg::LineOpened { req: 1, line: 7 },
             Msg::StartRequest {
@@ -814,7 +568,50 @@ mod tests {
                 req: 14,
                 result: Err(WireFault::new(FaultCode::StateTransfer, "no state")),
             },
-        ]
+        ];
+        // Compile-time exhaustiveness, as in obs's `one_of_each`: a new
+        // variant breaks this match until it is listed here, and
+        // `every_tag_has_a_sample` fails until the list holds one of it.
+        for m in &all {
+            use Msg::*;
+            match m {
+                OpenLine { .. }
+                | LineOpened { .. }
+                | StartRequest { .. }
+                | StartReply { .. }
+                | MapRequest { .. }
+                | MapReply { .. }
+                | IQuit { .. }
+                | IQuitAck { .. }
+                | MoveRequest { .. }
+                | MoveReply { .. }
+                | ManagerShutdown
+                | StartProcess { .. }
+                | ProcessStarted { .. }
+                | ServerShutdown
+                | CallRequest { .. }
+                | CallReply { .. }
+                | GetState { .. }
+                | StateReply { .. }
+                | SetState { .. }
+                | SetStateAck { .. }
+                | ProcShutdown
+                | Ping { .. }
+                | Pong { .. }
+                | CheckpointRequest { .. }
+                | CheckpointReply { .. }
+                | RestoreRequest { .. }
+                | RestoreReply { .. } => {}
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn every_tag_has_a_sample() {
+        let tags: std::collections::BTreeSet<u8> =
+            all_variants().iter().map(|m| m.encode()[0]).collect();
+        assert!(tags.into_iter().eq(1..=27));
     }
 
     #[test]
@@ -989,6 +786,9 @@ mod tests {
             }
         }
     }
+
+    /// `LineOpened`'s tag in the table.
+    const T_LINE_OPENED: u8 = 2;
 
     #[test]
     fn garbage_rejected_cleanly() {

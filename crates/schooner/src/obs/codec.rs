@@ -1,10 +1,10 @@
 //! Binary codec for [`EventKind`] journal records.
 //!
 //! The ledger stores obs events as opaque payloads; this module is the
-//! schema. Every variant encodes as `[u8 tag][fields]` through
-//! [`ledger::codec`]: big-endian integers, IEEE-754 bit patterns for
-//! floats (exact round trip, no formatting), and `u32`-length-prefixed
-//! UTF-8 strings. The codec is **field-exact**:
+//! schema, one table of the form the control-plane `Msg` uses. Every
+//! variant encodes as `[u8 tag][fields]`: big-endian integers, IEEE-754
+//! bit patterns for floats (exact round trip, no formatting), and
+//! `u32`-length-prefixed UTF-8 strings. The codec is **field-exact**:
 //! `decode_event(encode_event(e)) == e` for every variant, so a journal
 //! replay renders the same legacy `Display` transcript the live run
 //! produced.
@@ -14,119 +14,14 @@
 //! ledger layer has already CRC-validated the frame, so an undecodable
 //! payload means a version skew, not bit rot.
 
-use std::sync::Arc;
-
-use ledger::codec::{put_f64, put_opt, put_str, put_u32, put_u64, CodecError, Reader};
-
 use super::event::EventKind;
-
-/// How one field type travels: `usize` as a `u64`, strings
-/// length-prefixed, an `Option` as a presence byte and the value.
-trait Field: Sized {
-    fn put(&self, out: &mut Vec<u8>);
-    fn get(r: &mut Reader) -> Result<Self, CodecError>;
-}
-
-impl Field for u32 {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_u32(out, *self);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.u32()
-    }
-}
-
-impl Field for u64 {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.u64()
-    }
-}
-
-impl Field for usize {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self as u64);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.u64().map(|v| v as usize)
-    }
-}
-
-impl Field for f64 {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_f64(out, *self);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.f64()
-    }
-}
-
-impl Field for String {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_str(out, self);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.str().map(String::from)
-    }
-}
-
-impl Field for Arc<str> {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_str(out, self);
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.str().map(Arc::from)
-    }
-}
-
-impl<T: Field> Field for Option<T> {
-    fn put(&self, out: &mut Vec<u8>) {
-        put_opt(out, self.as_ref(), |out, v| v.put(out));
-    }
-    fn get(r: &mut Reader) -> Result<Self, CodecError> {
-        r.opt(T::get)
-    }
-}
-
-/// Writes [`encode_event_into`] and [`decode_event`] from one table of
-/// `tag Variant { fields in wire order }`, so the two directions cannot
-/// disagree on a layout. Listing every field (the pattern has no `..`)
-/// makes a field added to a variant fail to compile until it is placed.
-/// A field's wire form is its type's [`Field`] impl, so changing a
-/// field's type changes the format; the byte pin below catches that.
-macro_rules! event_codec {
-    ($($tag:literal $variant:ident { $($field:ident),* })*) => {
-        /// Encode one event, appended to `out` — what
-        /// [`Obs::emit`](super::Obs::emit) hands the journal, encoding
-        /// straight into its buffer.
-        pub fn encode_event_into(out: &mut Vec<u8>, e: &EventKind) {
-            match e {
-                $(EventKind::$variant { $($field),* } => {
-                    out.push($tag);
-                    $($field.put(out);)*
-                })*
-            }
-        }
-
-        /// Decode one journaled event payload.
-        pub fn decode_event(bytes: &[u8]) -> Result<EventKind, String> {
-            let mut r = Reader::new(bytes);
-            let event = match r.u8()? {
-                $($tag => EventKind::$variant { $($field: Field::get(&mut r)?),* },)*
-                other => return Err(format!("unknown event tag {other}")),
-            };
-            r.finish()?;
-            Ok(event)
-        }
-    };
-}
+use crate::codec::{self, Field};
 
 // Tag 29 was the free-form `Note` event of the retired `Trace` facade.
 // It stays reserved: a journal holding one decodes to the unknown-tag
 // error instead of being misread as whatever reuses the number.
-event_codec! {
+codec::tagged! {
+    EventKind from [u8], "event";
     1 RemoteStarted { line, path, machine, addr }
     2 CallIssued { line, proc, addr }
     3 ReplyReceived { line, proc, addr }
@@ -157,6 +52,13 @@ event_codec! {
     28 Rollback { step, cause, t, recovery, max }
 }
 
+/// Encode one event, appended to `out` — what
+/// [`Obs::emit`](super::Obs::emit) hands the journal, encoding straight
+/// into its buffer.
+pub fn encode_event_into(out: &mut Vec<u8>, e: &EventKind) {
+    e.put(out);
+}
+
 /// Encode one event for the journal.
 pub fn encode_event(e: &EventKind) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
@@ -164,8 +66,15 @@ pub fn encode_event(e: &EventKind) -> Vec<u8> {
     out
 }
 
+/// Decode one journaled event payload.
+pub fn decode_event(bytes: &[u8]) -> Result<EventKind, String> {
+    codec::decode(bytes)
+}
+
 #[cfg(test)]
 mod tests {
+    use ledger::codec::put_str;
+
     use super::*;
 
     /// One populated sample of **every** variant. Built through an

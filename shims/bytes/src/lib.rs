@@ -366,12 +366,14 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.data.extend_from_slice(s);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
     }

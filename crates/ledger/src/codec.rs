@@ -178,9 +178,16 @@ impl<'a> Reader<'a> {
 
     /// A `u32`-length-prefixed UTF-8 string, borrowed.
     pub fn str(&mut self) -> Result<&'a str> {
+        self.str_with_range().map(|(s, _)| s)
+    }
+
+    /// [`Reader::str`] and the string's range in the input (a caller
+    /// holding the input as `Bytes` keeps a checked slice of it).
+    pub fn str_with_range(&mut self) -> Result<(&'a str, Range<usize>)> {
         let at = self.pos;
-        let raw = self.bytes()?.0;
-        std::str::from_utf8(raw).or_else(|_| err(at, ErrorKind::Utf8))
+        let (raw, range) = self.bytes()?;
+        let s = std::str::from_utf8(raw).or_else(|_| err(at, ErrorKind::Utf8))?;
+        Ok((s, range))
     }
 
     /// A `u32` count, then that many `f64`s.

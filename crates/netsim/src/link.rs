@@ -123,14 +123,14 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One logical message recovered from a frame. The payload is a
-/// zero-copy slice of the frame buffer.
+/// One logical message recovered from a frame. The addresses borrow
+/// the frame buffer and the payload is a zero-copy slice of it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FrameMsg {
+pub struct FrameMsg<'a> {
     /// Sender's full address (`host:process`).
-    pub from: String,
+    pub from: &'a str,
     /// Destination address.
-    pub to: String,
+    pub to: &'a str,
     /// Virtual time the sender issued the message.
     pub sent_at: f64,
     /// The message payload.
@@ -226,7 +226,7 @@ impl FrameBuilder {
 
 /// Decode a frame into its logical messages. Payloads are zero-copy
 /// slices of `frame`.
-pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg>, FrameError> {
+pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg<'_>>, FrameError> {
     if frame.len() < FRAME_HEADER_LEN {
         return Err(FrameError::Truncated { needed: FRAME_HEADER_LEN, have: frame.len() });
     }
@@ -268,7 +268,7 @@ pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg>, FrameError> {
     Ok(msgs)
 }
 
-fn decode_record(frame: &Bytes, off: &mut usize, end: usize) -> Option<FrameMsg> {
+fn decode_record<'a>(frame: &'a Bytes, off: &mut usize, end: usize) -> Option<FrameMsg<'a>> {
     let take = |off: &mut usize, n: usize| -> Option<usize> {
         let start = *off;
         if start + n > end {
@@ -280,11 +280,11 @@ fn decode_record(frame: &Bytes, off: &mut usize, end: usize) -> Option<FrameMsg>
     let s = take(off, 2)?;
     let from_len = u16::from_be_bytes(frame[s..s + 2].try_into().unwrap()) as usize;
     let s = take(off, from_len)?;
-    let from = std::str::from_utf8(&frame[s..s + from_len]).ok()?.to_owned();
+    let from = std::str::from_utf8(&frame[s..s + from_len]).ok()?;
     let s = take(off, 2)?;
     let to_len = u16::from_be_bytes(frame[s..s + 2].try_into().unwrap()) as usize;
     let s = take(off, to_len)?;
-    let to = std::str::from_utf8(&frame[s..s + to_len]).ok()?.to_owned();
+    let to = std::str::from_utf8(&frame[s..s + to_len]).ok()?;
     let s = take(off, 8)?;
     let sent_at = f64::from_bits(u64::from_be_bytes(frame[s..s + 8].try_into().unwrap()));
     let s = take(off, 4)?;

@@ -84,13 +84,14 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A message in flight.
+/// A message in flight. Its addresses share the text their endpoints
+/// registered, so carrying them costs no copy.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     /// Sender's full address (`host:process`).
-    pub from: String,
+    pub from: Arc<str>,
     /// Destination address.
-    pub to: String,
+    pub to: Arc<str>,
     /// Opaque payload (wire-format bytes at the Schooner layer).
     pub payload: Bytes,
     /// Virtual time at which the sender issued the message.
@@ -199,7 +200,9 @@ struct NetInner {
     /// entry is dropped by [`Network::with_topology_mut`]. At most one
     /// per ordered node pair, freed with the network.
     link_records: RwLock<HashMap<(NodeId, NodeId), Arc<LinkRecord>>>,
-    endpoints: RwLock<HashMap<String, EpEntry>>,
+    /// Keyed by the one shared copy of each address, which every
+    /// envelope to or from the endpoint carries.
+    endpoints: RwLock<HashMap<Arc<str>, EpEntry>>,
     down_hosts: RwLock<HashMap<String, bool>>,
     faults: RwLock<Option<Arc<FaultPlan>>>,
     next_ep: AtomicU64,
@@ -269,6 +272,7 @@ impl Network {
         if self.inner.topo.read().unwrap().node(&host).is_none() {
             return Err(NetError::UnknownHost(host));
         }
+        let addr: Arc<str> = addr.into();
         let (tx, rx) = channel();
         let id = self.inner.next_ep.fetch_add(1, Ordering::Relaxed);
         self.inner.endpoints.write().unwrap().insert(addr.clone(), EpEntry { id, birth, tx });
@@ -406,7 +410,7 @@ impl Network {
         let link = self.link_record(from_host, to_host)?;
         let arrive_at = arrival(&link, plan, sent_at, payload.len())?;
         let eps = self.inner.endpoints.read().unwrap();
-        let tx = self.mailbox(&eps, plan, to, to_host, sent_at)?;
+        let (to, tx) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
         // Count the message before it becomes visible to the receiver:
         // a metrics snapshot taken right after delivery must already
         // include every message that caused the state it observes. (The
@@ -414,10 +418,8 @@ impl Network {
         // message counted as sent, which is the drop-like semantics we
         // want.)
         self.count_message(&link, payload.len() as u64);
-        enqueue(
-            tx,
-            Envelope { from: from.to_owned(), to: to.to_owned(), payload, sent_at, arrive_at },
-        )
+        let from = sender_addr(&eps, from);
+        enqueue(tx, Envelope { from, to: to.clone(), payload, sent_at, arrive_at })
     }
 
     // ----- admission rules, each stated once -----
@@ -451,26 +453,27 @@ impl Network {
         }
     }
 
-    /// The mailbox registered at `to`, as of virtual time `t`. Crash
-    /// fencing: a process endpoint born before a crash of its host no
-    /// longer exists — the address resolves to nothing, which the RPC
-    /// layer classifies as a stale binding.
+    /// The mailbox registered at `to`, as of virtual time `t`, and the
+    /// shared copy of its address. Crash fencing: a process endpoint born
+    /// before a crash of its host no longer exists — the address resolves
+    /// to nothing, which the RPC layer classifies as a stale binding.
     fn mailbox<'a>(
         &self,
-        eps: &'a HashMap<String, EpEntry>,
+        eps: &'a HashMap<Arc<str>, EpEntry>,
         plan: Option<&FaultPlan>,
         to: &str,
         to_host: &str,
         t: f64,
-    ) -> Result<&'a Sender<Envelope>, NetError> {
-        let entry = eps.get(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
+    ) -> Result<(&'a Arc<str>, &'a Sender<Envelope>), NetError> {
+        let (addr, entry) =
+            eps.get_key_value(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
         if let (Some(birth), Some(plan)) = (entry.birth, plan) {
             if plan.crash_count(to_host, t) > plan.crash_count(to_host, birth) {
                 self.inner.metrics.counter_add("net.fault.fenced", 1);
                 return Err(NetError::UnknownAddress(to.into()));
             }
         }
-        Ok(&entry.tx)
+        Ok((addr, &entry.tx))
     }
 
     /// Count one *logical* message on its link (frames are not messages).
@@ -736,7 +739,8 @@ impl Network {
         // Decode our own frame on every flush: delivery consumes the
         // decoded records — addresses, send instants, payload slices —
         // so a codec regression cannot pass silently.
-        let decoded = decode_frame(&builder.finish()).expect("link frame failed to decode");
+        let wire = builder.finish();
+        let decoded = decode_frame(&wire).expect("link frame failed to decode");
         debug_assert_eq!(decoded.len(), tags.len());
         let m = &self.inner.metrics;
         let plan = self.fault_plan();
@@ -787,18 +791,28 @@ impl Network {
     /// latency is paid once per frame, not once per message.
     fn deliver_flushed(
         &self,
-        eps: &HashMap<String, EpEntry>,
+        eps: &HashMap<Arc<str>, EpEntry>,
         plan: Option<&FaultPlan>,
         link: &LinkRecord,
         msg: FrameMsg,
         flush_t: f64,
     ) -> Result<f64, NetError> {
         let arrive_at = arrival(link, plan, flush_t, msg.payload.len())?;
-        let tx = self.mailbox(eps, plan, &msg.to, &link.to_host, flush_t)?;
-        // The envelope is what came out of the frame, addresses and all.
-        let FrameMsg { from, to, sent_at, payload } = msg;
-        enqueue(tx, Envelope { from, to, payload, sent_at, arrive_at })
+        let (to, tx) = self.mailbox(eps, plan, msg.to, &link.to_host, flush_t)?;
+        // The envelope is what came out of the frame, addresses and all
+        // (as the registered copies of the text the record carries).
+        let FrameMsg { from, sent_at, payload, .. } = msg;
+        enqueue(
+            tx,
+            Envelope { from: sender_addr(eps, from), to: to.clone(), payload, sent_at, arrive_at },
+        )
     }
+}
+
+/// The envelope's copy of sender address `from`: the one its endpoint
+/// registered, or a fresh one for a sender with no endpoint.
+fn sender_addr(eps: &HashMap<Arc<str>, EpEntry>, from: &str) -> Arc<str> {
+    eps.get_key_value(from).map_or_else(|| from.into(), |(addr, _)| addr.clone())
 }
 
 /// The arrival law: a message of `bytes` leaving at `t` arrives one route
@@ -816,13 +830,13 @@ fn arrival(
 /// Hand an admitted envelope to its mailbox; returns its arrival time.
 fn enqueue(tx: &Sender<Envelope>, env: Envelope) -> Result<f64, NetError> {
     let arrive_at = env.arrive_at;
-    tx.send(env).map_err(|e| NetError::Disconnected(e.0.to))?;
+    tx.send(env).map_err(|e| NetError::Disconnected(e.0.to.to_string()))?;
     Ok(arrive_at)
 }
 
 /// A registered receiver bound to one address.
 pub struct Endpoint {
-    addr: String,
+    addr: Arc<str>,
     host: String,
     rx: Receiver<Envelope>,
     /// Our registration id, kept for identity comparison so a
@@ -857,7 +871,7 @@ impl Endpoint {
     pub fn recv(&self, timeout: Duration) -> Result<Envelope, NetError> {
         self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected(self.addr.clone()),
+            RecvTimeoutError::Disconnected => NetError::Disconnected(self.addr.to_string()),
         })
     }
 
@@ -872,9 +886,9 @@ impl Drop for Endpoint {
         // Only remove the registration if it still points at us; a
         // re-registration may have replaced it.
         let mut eps = self.net.inner.endpoints.write().unwrap();
-        if let Some(entry) = eps.get(&self.addr) {
+        if let Some(entry) = eps.get(&*self.addr) {
             if entry.id == self.id {
-                eps.remove(&self.addr);
+                eps.remove(&*self.addr);
             }
         }
     }
@@ -905,7 +919,7 @@ mod tests {
         let arrive = net.send("a:main", "b:svc", Bytes::from_static(b"hello"), 1.0).unwrap();
         let env = pb.recv(Duration::from_secs(1)).unwrap();
         assert_eq!(&env.payload[..], b"hello");
-        assert_eq!(env.from, "a:main");
+        assert_eq!(&*env.from, "a:main");
         assert!((env.arrive_at - arrive).abs() < 1e-12);
         assert!(env.arrive_at > env.sent_at);
     }

@@ -256,7 +256,7 @@ fn batched_flood_replays_byte_identically() {
             }
         }
         net.flush_all(t);
-        let envs: Vec<(String, u64, u64)> = drain(&dst)
+        let envs: Vec<(std::sync::Arc<str>, u64, u64)> = drain(&dst)
             .into_iter()
             .map(|e| (e.from, e.sent_at.to_bits(), e.arrive_at.to_bits()))
             .collect();

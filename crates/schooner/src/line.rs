@@ -64,13 +64,38 @@ struct Binding {
 /// overlapping tickets *across* lines.
 #[derive(Debug)]
 pub struct CallTicket {
-    name: String,
-    key: String,
-    args: Vec<Value>,
+    bufs: TicketBufs,
     policy: CallPolicy,
     /// The line's virtual time when the call started (deadline anchor).
     started: f64,
     state: TicketState,
+}
+
+/// The call's name, its lower-cased cache key and its arguments. The
+/// ticket is their one holder between issue and collect, in buffers its
+/// line lends it: a line has at most one call in flight, so one set
+/// serves every call, handed back cleared at collect (no argument
+/// outlives its call).
+#[derive(Debug, Default)]
+struct TicketBufs {
+    name: String,
+    key: String,
+    args: Vec<Value>,
+}
+
+impl TicketBufs {
+    fn fill(&mut self, name: &str, args: &[Value]) {
+        self.name.push_str(name);
+        self.key.push_str(name);
+        self.key.make_ascii_lowercase();
+        self.args.extend_from_slice(args);
+    }
+
+    fn clear(&mut self) {
+        self.name.clear();
+        self.key.clear();
+        self.args.clear();
+    }
 }
 
 #[derive(Debug)]
@@ -85,14 +110,14 @@ enum TicketState {
 impl CallTicket {
     /// The procedure name this ticket calls.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.bufs.name
     }
 
     /// The input arguments this ticket was issued with. The ticket is
     /// their one holder between issue and collect; callers that need
     /// them afterwards copy them before collecting.
     pub fn args(&self) -> &[Value] {
-        &self.args
+        &self.bufs.args
     }
 
     /// Whether the issue attempt put a request on the wire (false when
@@ -148,6 +173,8 @@ pub struct LineHandle {
     /// Scratch buffer reused for every request encode; its allocation
     /// survives across calls so steady-state marshaling is copy-only.
     encode_buf: BytesMut,
+    /// The buffers the next ticket borrows; empty while one is out.
+    ticket_bufs: TicketBufs,
 }
 
 impl LineHandle {
@@ -182,6 +209,7 @@ impl LineHandle {
             quit_sent: false,
             in_flight: false,
             encode_buf: BytesMut::new(),
+            ticket_bufs: TicketBufs::default(),
         };
         let req = handle.fresh_req();
         handle.send_manager(&Msg::OpenLine {
@@ -369,7 +397,8 @@ impl LineHandle {
         policy: &CallPolicy,
     ) -> SchResult<CallTicket> {
         self.ensure_live()?;
-        let key = name.to_ascii_lowercase();
+        let mut bufs = std::mem::take(&mut self.ticket_bufs);
+        bufs.fill(name, args);
         let started = self.clock.now();
         let state = if policy.deadline_s.is_some_and(|limit| limit < 0.0) {
             // A deadline already in the past fails before any attempt,
@@ -379,7 +408,7 @@ impl LineHandle {
                 deadline_s: policy.deadline_s.unwrap_or_default(),
             })
         } else {
-            match self.resolve_and_issue(&key, name, args) {
+            match self.resolve_and_issue(&bufs.key, name, args) {
                 Ok((call, binding, request_bytes)) => {
                     TicketState::InFlight { call, binding, request_bytes }
                 }
@@ -387,14 +416,7 @@ impl LineHandle {
             }
         };
         self.in_flight = true;
-        Ok(CallTicket {
-            name: name.to_owned(),
-            key,
-            args: args.to_vec(),
-            policy: policy.clone(),
-            started,
-            state,
-        })
+        Ok(CallTicket { bufs, policy: policy.clone(), started, state })
     }
 
     /// Collect the reply half of a split-phase call: block until the
@@ -408,8 +430,24 @@ impl LineHandle {
     /// line for its next request, whatever the outcome.
     pub fn collect(&mut self, ticket: CallTicket) -> SchResult<Vec<Value>> {
         self.in_flight = false;
-        let CallTicket { name, key, args, policy, started, state } = ticket;
-        let mut rng = JitterRng::new(policy.seed, &name);
+        let CallTicket { mut bufs, policy, started, state } = ticket;
+        let out = self.collect_under_policy(&bufs, &policy, started, state);
+        bufs.clear();
+        self.ticket_bufs = bufs;
+        out
+    }
+
+    /// The body of [`LineHandle::collect`]: the issued attempt's outcome,
+    /// then the policy's retry/failover lifecycle.
+    fn collect_under_policy(
+        &mut self,
+        bufs: &TicketBufs,
+        policy: &CallPolicy,
+        started: f64,
+        state: TicketState,
+    ) -> SchResult<Vec<Value>> {
+        let TicketBufs { name, key, args } = bufs;
+        let mut rng = JitterRng::new(policy.seed, name);
         let mut failover = policy.failover.iter();
         let mut backoff = policy.backoff_initial_s;
         let mut attempts: u32 = 1;
@@ -430,14 +468,14 @@ impl LineHandle {
                     if let Some(limit) = policy.deadline_s {
                         if self.clock.now() - started > limit {
                             return Err(SchError::DeadlineExceeded {
-                                what: name,
+                                what: name.clone(),
                                 deadline_s: limit,
                             });
                         }
                     }
                     attempts += 1;
                     attempts_here += 1;
-                    match self.resolve_and_call(&key, &name, &args) {
+                    match self.resolve_and_call(key, name, args) {
                         Ok(out) => return Ok(out),
                         Err(e) => e,
                     }
@@ -452,7 +490,7 @@ impl LineHandle {
                 if let Some(addr) = stale_addr(&err) {
                     self.suspect = Some(addr);
                 }
-                self.cache.remove(&key);
+                self.cache.remove(key);
             }
             if !policy.retries_error(&err) {
                 return Err(err);
@@ -469,7 +507,7 @@ impl LineHandle {
                             cause: err.to_string(),
                         },
                     );
-                    match self.move_procedure(&name, target) {
+                    match self.move_procedure(name, target) {
                         Ok(()) => {
                             self.stats.failovers += 1;
                             self.ctx.obs.metrics().counter_add("rpc.failovers", 1);
@@ -490,7 +528,7 @@ impl LineHandle {
                 }
                 if !moved {
                     return Err(SchError::PolicyExhausted {
-                        what: name,
+                        what: name.clone(),
                         attempts,
                         last: Box::new(err),
                     });

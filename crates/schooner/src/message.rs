@@ -239,7 +239,7 @@ pub enum Msg {
 
     // ----- caller ↔ process -----
     /// Invoke `proc_name` with wire-encoded input arguments.
-    CallRequest { call: u64, line: u64, proc_name: String, args: Bytes, reply_to: String },
+    CallRequest { call: u64, line: u64, proc_name: WireStr, args: Bytes, reply_to: WireStr },
     /// Wire-encoded output results, or a fault. `incarnation` identifies
     /// the process instance that answered (0 when unknown, e.g. a
     /// transport-level fault synthesized outside any process); callers
@@ -276,6 +276,48 @@ pub enum Msg {
     /// Reply to [`Msg::RestoreRequest`]; `Ok(n)` is the size in bytes of
     /// the restored snapshot (0 when no checkpoint is retained).
     RestoreReply { req: u64, result: Result<u64, WireFault> },
+}
+
+/// A string field decoded in place: a UTF-8-checked view into the
+/// received message buffer, so decoding it copies nothing. It reads as a
+/// `str`; building one from a `&str` copies the text once.
+#[derive(Clone, PartialEq, Eq)]
+pub struct WireStr(Bytes);
+
+impl std::ops::Deref for WireStr {
+    type Target = str;
+    fn deref(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("a WireStr is UTF-8 from construction")
+    }
+}
+
+impl From<&str> for WireStr {
+    fn from(s: &str) -> Self {
+        WireStr(Bytes::copy_from_slice(s.as_bytes()))
+    }
+}
+
+impl From<String> for WireStr {
+    fn from(s: String) -> Self {
+        WireStr(Bytes::from(s.into_bytes()))
+    }
+}
+
+impl std::fmt::Debug for WireStr {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// The same bytes as a `String` field; decodes as a slice of the input.
+impl Field<Bytes> for WireStr {
+    fn put(&self, out: &mut impl BufMut) {
+        Field::<Bytes>::put(&self.0, out);
+    }
+    #[inline(always)]
+    fn get(r: &mut Reader, input: &Bytes) -> Result<Self, String> {
+        Ok(WireStr(input.slice(r.str_with_range()?.1)))
+    }
 }
 
 /// The UTS-version byte of a map/move request or a [`MapInfo`]. The
@@ -428,6 +470,35 @@ impl Msg {
             out.put_u32(field.len() as u32);
             out.put_slice(field);
         }
+    }
+
+    /// Bytes a [`Msg::CallReply`] carrying `Ok` puts before its payload:
+    /// tag, call, incarnation, result tag and the payload's length.
+    pub const CALL_REPLY_HEADER_LEN: usize = 1 + 8 + 8 + 1 + 4;
+
+    /// Encode a [`Msg::CallReply`] carrying `Ok(payload)` directly into
+    /// `out`, where `write` appends the payload — the gather path a
+    /// process marshals its results through, so the reply is assembled
+    /// in its one buffer. The payload's length is backfilled once `write`
+    /// returns; its error is returned as is, with `out` partly written.
+    /// It restates the table's `CallReply` row; a test pins the two
+    /// byte-identical.
+    pub fn encode_call_reply_into<E>(
+        out: &mut BytesMut,
+        call: u64,
+        incarnation: u64,
+        write: impl FnOnce(&mut BytesMut) -> Result<(), E>,
+    ) -> Result<(), E> {
+        out.put_u8(16);
+        out.put_u64(call);
+        out.put_u64(incarnation);
+        out.put_u8(1);
+        let at = out.len();
+        out.put_u32(0);
+        write(out)?;
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+        Ok(())
     }
 
     /// Encode this message into transport bytes.
@@ -721,6 +792,55 @@ mod tests {
         );
         assert_eq!(&gathered[..], &boxed[..]);
         assert_eq!(Msg::call_request_wire_len("SHAFT", 37, "lerc-rs6000:line-3"), boxed.len());
+    }
+
+    #[test]
+    fn gather_reply_matches_encode_and_header_len() {
+        for payload in [Vec::new(), vec![7u8; 5], vec![0xA5; 70_000]] {
+            let boxed = Msg::CallReply {
+                call: 42,
+                incarnation: 3,
+                result: Ok(Bytes::from(payload.clone())),
+            }
+            .encode();
+            let mut gathered = BytesMut::new();
+            Msg::encode_call_reply_into(&mut gathered, 42, 3, |b| {
+                b.put_slice(&payload);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            assert_eq!(&gathered[..], &boxed[..]);
+            assert_eq!(Msg::CALL_REPLY_HEADER_LEN + payload.len(), boxed.len());
+        }
+        let mut failed = BytesMut::new();
+        let err = Msg::encode_call_reply_into(&mut failed, 1, 1, |_| Err("no outputs"));
+        assert_eq!(err, Err("no outputs"));
+    }
+
+    /// A decoded `CallRequest`'s strings are views of the received
+    /// buffer, and a non-UTF-8 name is refused as `String` fields are.
+    #[test]
+    fn call_request_strings_decode_in_place() {
+        let enc = Msg::CallRequest {
+            call: 1,
+            line: 2,
+            proc_name: "SHAFT".into(),
+            args: Bytes::from_static(&[1, 2]),
+            reply_to: "a:line-1".into(),
+        }
+        .encode();
+        let Ok(Msg::CallRequest { proc_name, reply_to, .. }) = Msg::decode(enc.clone()) else {
+            panic!("decodes")
+        };
+        assert_eq!((&*proc_name, &*reply_to), ("SHAFT", "a:line-1"));
+        let inside = enc.as_ptr_range();
+        assert!(inside.contains(&proc_name.as_ptr()) && inside.contains(&reply_to.as_ptr()));
+        let mut bad = enc.to_vec();
+        bad[1 + 8 + 8 + 4] = 0xFF;
+        match Msg::decode(Bytes::from(bad)) {
+            Err(SchError::Protocol(why)) => assert_eq!(why, "invalid UTF-8 at byte 17"),
+            other => panic!("non-UTF-8 name decoded to {other:?}"),
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use ledger::codec::{put_bytes, put_str, Reader};
 use netsim::{Endpoint, VirtualClock};
-use uts::Architecture;
+use uts::{Architecture, Value};
 
 use crate::error::{SchError, SchResult};
 use crate::message::{FaultCode, Msg, StartedInfo, WireFault};
@@ -101,6 +101,7 @@ impl ServerWorker {
             endpoint,
             clock: VirtualClock::starting_at(self.clock.now()),
             exports,
+            args: Vec::new(),
         };
         self.ctx.obs.emit(
             self.clock.now(),
@@ -148,6 +149,9 @@ struct ProcessWorker {
     clock: VirtualClock,
     /// The image's procedures, by folded name.
     exports: HashMap<Arc<str>, Export>,
+    /// The arguments of the call being served, decoded into one vector
+    /// the process keeps; it is empty between calls.
+    args: Vec<Value>,
 }
 
 impl Actor for ProcessWorker {
@@ -161,16 +165,15 @@ impl Actor for ProcessWorker {
                 // the `RemoteFault` code and its bare message as the
                 // detail, so the caller re-wraps it exactly once.
                 let t0 = self.clock.now();
-                let result =
-                    self.serve_call(line, &proc_name, args).map_err(|e| WireFault::from(&e));
+                let reply = self.serve_call(call, line, &proc_name, args).unwrap_or_else(|e| {
+                    let result = Err(WireFault::from(&e));
+                    Msg::CallReply { call, incarnation: self.incarnation, result }.encode()
+                });
                 // Server-side unmarshal + execute + marshal, charged to
                 // the caller's open span as the Compute phase (the
                 // reply is sent after this, so the span is still open).
                 self.ctx.obs.span_phase(line, call, Phase::Compute, self.clock.now() - t0);
-                self.reply(
-                    &reply_to,
-                    Msg::CallReply { call, incarnation: self.incarnation, result },
-                );
+                let _ = self.endpoint.send(&reply_to, reply, self.clock.now());
             }
             Msg::Ping { req, reply_to } => {
                 self.reply(&reply_to, Msg::Pong { req, incarnation: self.incarnation });
@@ -223,7 +226,15 @@ impl ProcessWorker {
         }
     }
 
-    fn serve_call(&mut self, caller_line: u64, proc_name: &str, args: Bytes) -> SchResult<Bytes> {
+    /// Serve one call and return its encoded `CallReply`: the results
+    /// are marshaled straight into the reply's one buffer.
+    fn serve_call(
+        &mut self,
+        call: u64,
+        caller_line: u64,
+        proc_name: &str,
+        args: Bytes,
+    ) -> SchResult<Bytes> {
         if self.line != 0 && caller_line != self.line {
             return Err(SchError::Other(format!(
                 "procedure '{proc_name}' belongs to line {}, not line {caller_line}",
@@ -235,11 +246,13 @@ impl ProcessWorker {
             .get_mut(proc_name)
             .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
         // Unmarshal through this machine's native format.
-        let values = stub.unmarshal_inputs(args, self.arch)?;
+        stub.unmarshal_inputs_into(args, self.arch, &mut self.args)?;
         self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.input_scalars));
 
-        let flops = proc.flops(&values);
-        let results = proc.call(&values).map_err(SchError::from)?;
+        let flops = proc.flops(&self.args);
+        let results = proc.call(&self.args);
+        self.args.clear();
+        let results = results.map_err(SchError::from)?;
         let compute = self.ctx.park.compute_seconds(&self.host, flops).unwrap_or(0.0);
         self.clock.advance(compute);
         self.ctx.obs.emit(
@@ -252,12 +265,16 @@ impl ProcessWorker {
             },
         );
 
-        let out = stub.marshal_outputs(&results, self.arch)?;
+        let mut reply =
+            BytesMut::with_capacity(Msg::CALL_REPLY_HEADER_LEN + stub.output_plan.size_hint());
+        Msg::encode_call_reply_into(&mut reply, call, self.incarnation, |b| {
+            stub.marshal_outputs_after(b, &results, self.arch)
+        })?;
         self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.output_scalars));
         let m = self.ctx.obs.metrics();
-        m.counter_add("uts.encode_bytes", out.len() as u64);
+        m.counter_add("uts.encode_bytes", (reply.len() - Msg::CALL_REPLY_HEADER_LEN) as u64);
         m.counter_add("uts.fast_path_hits", 1);
-        Ok(out)
+        Ok(reply.freeze())
     }
 
     /// Package the migration state of every procedure in this process:

@@ -89,10 +89,33 @@ impl CompiledStub {
         Ok(self.input_plan.decode(bytes, arch)?)
     }
 
+    /// Like [`CompiledStub::unmarshal_inputs`] but into a caller-owned
+    /// vector (cleared first; empty on error).
+    pub fn unmarshal_inputs_into(
+        &self,
+        bytes: Bytes,
+        arch: Architecture,
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
+        Ok(self.input_plan.decode_into(bytes, arch, out)?)
+    }
+
     /// Marshal result values on the callee side.
     pub fn marshal_outputs(&self, results: &[Value], arch: Architecture) -> SchResult<Bytes> {
         check_call_results(&self.spec, results)?;
         Ok(self.output_plan.encode(results, arch)?)
+    }
+
+    /// Like [`CompiledStub::marshal_outputs`] but appending to `buf`
+    /// after what it already holds (the reply message's header).
+    pub fn marshal_outputs_after(
+        &self,
+        buf: &mut BytesMut,
+        results: &[Value],
+        arch: Architecture,
+    ) -> SchResult<()> {
+        check_call_results(&self.spec, results)?;
+        Ok(self.output_plan.encode_after(buf, results, arch)?)
     }
 
     /// Unmarshal result values on the caller side.

@@ -15,14 +15,16 @@
 //! that quiescence is the loss event ([`NetError::Timeout`]), found at
 //! once instead of after a wall-clock deadline.
 //!
-//! Three rules keep that verdict sound when several threads drive one
+//! Four rules keep that verdict sound when several threads drive one
 //! world: an actor is only ever `try_lock`ed (a busy actor is mid-step
 //! further up this thread's own stack, or on another thread whose step
-//! may be producing our reply); the table lock is never held across a
-//! step (a Server registers a process mid-step) and a pass walks a copy
-//! of the table, so a concurrent retirement cannot make it skip an actor
-//! with mail; and shutdown clears the table, because actors hold a
-//! `RuntimeCtx`, which holds the world.
+//! may be producing our reply); a pass during which *any* thread
+//! completed a step counts as worked, since that step may have sent to
+//! an actor this pass had already gone by; the table lock is never held
+//! across a step (a Server registers a process mid-step) and a pass
+//! walks a copy of the table, so a concurrent retirement cannot make it
+//! skip an actor with mail; and shutdown clears the table, because
+//! actors hold a `RuntimeCtx`, which holds the world.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,7 +59,8 @@ struct Slot {
 
 /// The outcome of one pass over the actors.
 struct Pass {
-    /// Some actor handled a message or retired.
+    /// Some actor handled a message or retired, on any thread, while
+    /// the pass ran.
     worked: bool,
     /// Some actor was mid-step on another thread.
     foreign: bool,
@@ -76,6 +79,11 @@ thread_local! {
 #[derive(Clone, Default)]
 pub(crate) struct World {
     slots: Arc<Mutex<Vec<Arc<Slot>>>>,
+    /// Steps that handled a message or retired an actor, on every
+    /// thread: a pass that sees it move has to look again. Bumped with
+    /// `AcqRel` after the step and read with `Acquire`, so a pass that
+    /// sees a step counted also sees what that step sent.
+    steps: Arc<AtomicU64>,
 }
 
 impl World {
@@ -131,6 +139,7 @@ impl World {
     /// Give every actor that is not already mid-step one step.
     fn pass(&self) -> Pass {
         let me = TOKEN.with(|t| *t);
+        let steps_before = self.steps.load(Ordering::Acquire);
         let mut table = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
         table.extend(self.slots.lock().unwrap().iter().cloned());
         let mut pass = Pass { worked: false, foreign: false };
@@ -153,20 +162,93 @@ impl World {
             let step = catch_unwind(AssertUnwindSafe(|| actor.step())).unwrap_or(Step::Done);
             slot.runner.store(0, Ordering::Release);
             match step {
-                Step::Idle => {}
-                Step::Worked => pass.worked = true,
+                Step::Idle => continue,
+                Step::Worked => {}
                 Step::Done => {
                     // Dropping the actor drops its endpoint, which
                     // unregisters its address.
                     *guard = None;
                     drop(guard);
                     self.slots.lock().unwrap().retain(|s| !Arc::ptr_eq(s, slot));
-                    pass.worked = true;
                 }
             }
+            self.steps.fetch_add(1, Ordering::AcqRel);
         }
         table.clear();
         SCRATCH.with(|s| s.borrow_mut().push(table));
+        pass.worked = self.steps.load(Ordering::Acquire) != steps_before;
         pass
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    use bytes::Bytes;
+    use netsim::{npss_testbed, Network};
+
+    use super::*;
+
+    /// Forwards whatever reaches its endpoint to `to`.
+    struct Relay {
+        ep: Endpoint,
+        to: &'static str,
+    }
+
+    impl Actor for Relay {
+        fn step(&mut self) -> Step {
+            let Some(env) = self.ep.try_recv() else { return Step::Idle };
+            self.ep.send(self.to, env.payload, env.arrive_at).unwrap();
+            Step::Worked
+        }
+    }
+
+    /// On its first step, lets another thread run one whole pass and
+    /// waits for it to finish; idle ever after.
+    struct Yield {
+        go: Option<(Sender<()>, Receiver<()>)>,
+    }
+
+    impl Actor for Yield {
+        fn step(&mut self) -> Step {
+            if let Some((go, done)) = self.go.take() {
+                go.send(()).unwrap();
+                done.recv().unwrap();
+            }
+            Step::Idle
+        }
+    }
+
+    /// A step that another thread completes during this thread's pass,
+    /// after this pass went by the actor it sends to, is still work: the
+    /// message is on its way, not lost. Actors in order: X relays to the
+    /// waiter, Y (stepped by the waiter) lets thread B run one pass, and
+    /// Z holds one message for X, which B's pass moves on.
+    #[test]
+    fn a_step_completed_on_another_thread_mid_pass_is_not_a_loss() {
+        let net = Network::new(npss_testbed());
+        let waiter = net.register("ua-sparc10:waiter").unwrap();
+        let x = net.register("ua-sparc10:x").unwrap();
+        let z = net.register("ua-sparc10:z").unwrap();
+        net.send("ua-sparc10:src", "ua-sparc10:z", Bytes::from_static(b"m"), 0.0).unwrap();
+
+        let world = World::default();
+        let (go_tx, go_rx) = channel();
+        let (done_tx, done_rx) = channel();
+        world.spawn(Relay { ep: x, to: "ua-sparc10:waiter" });
+        world.spawn(Yield { go: Some((go_tx, done_rx)) });
+        world.spawn(Relay { ep: z, to: "ua-sparc10:x" });
+        let other = world.clone();
+        let b = std::thread::spawn(move || {
+            go_rx.recv().unwrap();
+            other.pass();
+            done_tx.send(()).unwrap();
+        });
+
+        let env = world.recv(&waiter).expect("the message reaches the waiter");
+        assert_eq!(&env.payload[..], b"m");
+        b.join().unwrap();
+        world.clear();
     }
 }

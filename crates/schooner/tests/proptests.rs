@@ -112,9 +112,9 @@ fn gen_msg(g: &mut Gen) -> Msg {
         8 => Msg::CallRequest {
             call: g.next_u64(),
             line: g.next_u64(),
-            proc_name: g.ident(12),
+            proc_name: g.ident(12).into(),
             args: Bytes::from(g.bytes(48)),
-            reply_to: g.ident(16),
+            reply_to: g.ident(16).into(),
         },
         9 => {
             let result = if g.flag() { Ok(Bytes::from(g.bytes(64))) } else { Err(gen_fault(g)) };

@@ -42,6 +42,8 @@
 //! applies the receiver's, so every range and precision hazard of the v1
 //! pipeline occurs at the same place with the same error.
 
+use std::sync::Arc;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::arch::{Architecture, FloatRepr, IntRepr};
@@ -190,9 +192,21 @@ impl MarshalPlan {
     }
 
     /// Encode into a caller-owned buffer (cleared first), so a long-lived
-    /// handle can reuse one allocation across calls. Returns the frozen
-    /// payload.
+    /// handle can reuse one allocation across calls.
     pub fn encode_into(
+        &self,
+        buf: &mut BytesMut,
+        values: &[Value],
+        arch: Architecture,
+    ) -> Result<()> {
+        buf.clear();
+        self.encode_after(buf, values, arch)
+    }
+
+    /// Encode after whatever `buf` already holds, so a payload can be
+    /// written straight into the message that carries it. On error `buf`
+    /// holds a partial payload.
+    pub fn encode_after(
         &self,
         buf: &mut BytesMut,
         values: &[Value],
@@ -205,7 +219,6 @@ impl MarshalPlan {
                 values.len()
             )));
         }
-        buf.clear();
         buf.reserve(self.size_hint);
         buf.put_u8(V2_MAGIC);
         let fp = float_pass(arch);
@@ -228,13 +241,31 @@ impl MarshalPlan {
     /// same signature, applying the **receiver** architecture's native
     /// conversion per scalar. The marker byte must still be present.
     pub fn decode(&self, buf: Bytes, arch: Architecture) -> Result<Vec<Value>> {
+        let mut out = Vec::with_capacity(self.param_ends.len());
+        self.decode_into(buf, arch, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`MarshalPlan::decode`] into a caller-owned vector (cleared
+    /// first), so a long-lived process reuses one allocation across
+    /// calls. On error `out` is left empty.
+    pub fn decode_into(&self, buf: Bytes, arch: Architecture, out: &mut Vec<Value>) -> Result<()> {
+        out.clear();
+        let result = self.decode_values(buf, arch, out);
+        if result.is_err() {
+            out.clear();
+        }
+        result
+    }
+
+    fn decode_values(&self, buf: Bytes, arch: Architecture, out: &mut Vec<Value>) -> Result<()> {
         let mut cur = buf;
         if cur.first() != Some(&V2_MAGIC) {
             return Err(Error::Wire("payload is not wire v2 (missing marker)".into()));
         }
         cur.advance(1);
         let fp = float_pass(arch);
-        let mut out = Vec::with_capacity(self.param_ends.len());
+        out.reserve(self.param_ends.len());
         let mut pos = 0usize;
         for _ in 0..self.param_ends.len() {
             out.push(decode_node(self, &mut pos, fp, &mut cur)?);
@@ -242,8 +273,34 @@ impl MarshalPlan {
         if cur.remaining() != 0 {
             return Err(Error::Wire(format!("{} trailing bytes after v2 decode", cur.remaining())));
         }
-        Ok(out)
+        Ok(())
     }
+}
+
+/// Collect `N`-byte wire chunks into one `Arc<[T]>` in a single pass and
+/// a single allocation (`Map<ChunksExact>` has an exact length), passing
+/// each through `conv`. The first conversion error is kept and returned
+/// once the pass ends; the elements after it are converted but unused.
+fn collect_array<T, const N: usize>(
+    raw: &[u8],
+    from_wire: impl Fn([u8; N]) -> T,
+    conv: impl Fn(T) -> Result<T>,
+) -> Result<Arc<[T]>>
+where
+    T: Copy + Default,
+{
+    let mut first_err = None;
+    let xs: Arc<[T]> = raw
+        .chunks_exact(N)
+        .map(|c| {
+            let x = from_wire(c.try_into().expect("chunks are N bytes"));
+            conv(x).unwrap_or_else(|e| {
+                first_err.get_or_insert(e);
+                T::default()
+            })
+        })
+        .collect();
+    first_err.map_or(Ok(xs), Err)
 }
 
 /// Lower bound on the v2 wire size of `ty` (strings counted as their
@@ -517,43 +574,26 @@ fn decode_node(
         Op::IntegerArray(n) => {
             need(cur, 4 * n, "integer array")?;
             let raw = cur.split_to(4 * n);
-            let xs: Vec<i64> = raw
-                .chunks_exact(4)
-                .map(|c| i64::from(i32::from_be_bytes([c[0], c[1], c[2], c[3]])))
-                .collect();
-            Ok(Value::Integers(xs.into()))
+            let from_wire = |c| i64::from(i32::from_be_bytes(c));
+            Ok(Value::Integers(collect_array(&raw, from_wire, Ok)?))
         }
         Op::FloatArray(n) => {
             need(cur, 4 * n, "float array")?;
             let raw = cur.split_to(4 * n);
-            let wire = raw.chunks_exact(4).map(|c| f32::from_be_bytes([c[0], c[1], c[2], c[3]]));
-            let mut xs = Vec::with_capacity(n);
-            match fp {
-                FloatPass::Identity => xs.extend(wire),
-                _ => {
-                    for x in wire {
-                        xs.push(conv_f32(x, fp)?);
-                    }
-                }
-            }
-            Ok(Value::Floats(xs.into()))
+            let xs = match fp {
+                FloatPass::Identity => collect_array(&raw, f32::from_be_bytes, Ok)?,
+                _ => collect_array(&raw, f32::from_be_bytes, |x| conv_f32(x, fp))?,
+            };
+            Ok(Value::Floats(xs))
         }
         Op::DoubleArray(n) => {
             need(cur, 8 * n, "double array")?;
             let raw = cur.split_to(8 * n);
-            let wire = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_be_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]));
-            let mut xs = Vec::with_capacity(n);
-            match fp {
-                FloatPass::Identity => xs.extend(wire),
-                _ => {
-                    for x in wire {
-                        xs.push(conv_f64(x, fp)?);
-                    }
-                }
-            }
-            Ok(Value::Doubles(xs.into()))
+            let xs = match fp {
+                FloatPass::Identity => collect_array(&raw, f64::from_be_bytes, Ok)?,
+                _ => collect_array(&raw, f64::from_be_bytes, |x| conv_f64(x, fp))?,
+            };
+            Ok(Value::Doubles(xs))
         }
         Op::ByteArray(n) => {
             need(cur, n, "byte array")?;
@@ -872,6 +912,87 @@ mod tests {
         let bytes = plan.encode(&values, Architecture::IntelI860).unwrap();
         let out = plan.decode(bytes, Architecture::IntelI860).unwrap();
         assert_eq!(out, values);
+    }
+
+    /// A bulk array is decoded in one pass, but a conversion failure at
+    /// element `k` is still the error the element-by-element decode
+    /// returned — the first one, not a later one — and no value comes
+    /// back, not even into a caller's vector.
+    #[test]
+    fn array_conversion_failure_is_the_first_elements_error_and_no_value() {
+        let k = 5;
+        let mut ds = [0.5f64; 8];
+        (ds[k], ds[7]) = (1.0e300, -2.0e300);
+        let mut fs = [0.5f32; 8];
+        (fs[k], fs[7]) = (f32::MAX, f32::INFINITY);
+        let cases = [
+            (
+                arr(8, Type::Double),
+                Value::doubles(&ds),
+                Error::OutOfRange {
+                    what: "double",
+                    value: 1.0e300f64.to_string(),
+                    target: "VAX D_floating exponent".into(),
+                },
+            ),
+            (
+                arr(8, Type::Float),
+                Value::floats(&fs),
+                Error::OutOfRange {
+                    what: "float",
+                    value: f32::MAX.to_string(),
+                    target: "VAX F_floating exponent".into(),
+                },
+            ),
+        ];
+        for (ty, value, want) in cases {
+            let plan = MarshalPlan::compile([&ty]);
+            let wire = plan.encode(&[value], Architecture::SunSparc10).unwrap();
+            let err = plan.decode(wire.clone(), Architecture::ConvexC220).unwrap_err();
+            assert_eq!(err, want, "{ty}");
+            assert_eq!(err.to_string(), want.to_string());
+            let mut out = vec![Value::Integer(1)];
+            assert_eq!(plan.decode_into(wire, Architecture::ConvexC220, &mut out), Err(want));
+            assert!(out.is_empty(), "{ty}: partial values {out:?}");
+        }
+    }
+
+    /// Arrays decoded in one pass hold exactly what decoding each element
+    /// alone gives: the same bits through an IEEE identity (NaN payloads,
+    /// signed zeros and subnormals included) and through the Cray and VAX
+    /// conversions.
+    #[test]
+    fn one_pass_arrays_match_element_wise_decode_bit_for_bit() {
+        let ds = [0.1, -0.0, f64::MIN_POSITIVE / 4.0, f64::from_bits(0x7FF8_0000_0000_0001), 1e30];
+        let fs = [0.1f32, -0.0, f32::MIN_POSITIVE / 4.0, f32::from_bits(0x7FC0_0001), 1e30];
+        let (vax_ds, vax_fs) = ([0.1, -0.0, 1e-30, 3.5, 1e30], [0.1f32, -0.0, 1e-30, 3.5, 1e30]);
+        for (to, ds, fs) in [
+            (Architecture::Sgi4D, ds, fs),
+            (Architecture::CrayYmp, vax_ds, vax_fs),
+            (Architecture::ConvexC220, vax_ds, vax_fs),
+        ] {
+            let plan = MarshalPlan::compile([&arr(5, Type::Double), &arr(5, Type::Float)]);
+            let wire =
+                plan.encode(&[Value::doubles(&ds), Value::floats(&fs)], Architecture::SunSparc10);
+            let got = plan.decode(wire.unwrap(), to).unwrap();
+            let (Value::Doubles(got_ds), Value::Floats(got_fs)) = (&got[0], &got[1]) else {
+                panic!("{got:?}")
+            };
+            let one = |ty: Type, v: Value| {
+                let plan = MarshalPlan::compile([&ty]);
+                plan.decode(plan.encode(&[v], Architecture::SunSparc10).unwrap(), to).unwrap()
+            };
+            for (i, (&d, &f)) in ds.iter().zip(&fs).enumerate() {
+                let [Value::Double(d1)] = one(Type::Double, Value::Double(d))[..] else { panic!() };
+                let [Value::Float(f1)] = one(Type::Float, Value::Float(f))[..] else { panic!() };
+                assert_eq!(got_ds[i].to_bits(), d1.to_bits(), "double {i} on {to}");
+                assert_eq!(got_fs[i].to_bits(), f1.to_bits(), "float {i} on {to}");
+            }
+            if to == Architecture::Sgi4D {
+                assert!(got_ds.iter().zip(&ds).all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert!(got_fs.iter().zip(&fs).all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+        }
     }
 
     /// The four engine-module signatures of the paper's Table 2, plus a

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -178,6 +178,16 @@ struct LinkRecord {
     bytes_key: String,
     flushes_key: String,
     fill_key: String,
+    /// The `net.credit.` keys, built on the pair's first credit stall:
+    /// most links never stall.
+    credit_keys: OnceLock<CreditKeys>,
+}
+
+/// The credit-stall counter keys of one directed host pair.
+struct CreditKeys {
+    stalls: String,
+    stall_us: String,
+    refused: String,
 }
 
 impl LinkRecord {
@@ -185,6 +195,17 @@ impl LinkRecord {
         self.route.as_ref().ok_or_else(|| NetError::Unreachable {
             from: self.from_host.clone(),
             to: self.to_host.clone(),
+        })
+    }
+
+    fn credit_keys(&self) -> &CreditKeys {
+        self.credit_keys.get_or_init(|| {
+            let (from, to) = (&self.from_host, &self.to_host);
+            CreditKeys {
+                stalls: format!("net.credit.stalls.{from}->{to}"),
+                stall_us: format!("net.credit.stall_us.{from}->{to}"),
+                refused: format!("net.credit.refused.{from}->{to}"),
+            }
         })
     }
 }
@@ -356,6 +377,7 @@ impl Network {
             bytes_key: format!("net.bytes.{from}->{to}"),
             flushes_key: format!("net.batch.flushes.{from}->{to}"),
             fill_key: format!("net.batch.fill.{from}->{to}"),
+            credit_keys: OnceLock::new(),
         });
         self.inner.link_records.write().unwrap().insert((f, t), rec.clone());
         Ok(rec)
@@ -514,7 +536,8 @@ impl Network {
         sent_at: f64,
         tag: (u64, u64),
     ) -> Result<SendReport, NetError> {
-        self.send_gather(from, to, sent_at, tag, payload.len(), &mut |b| b.put_slice(&payload))
+        let write = &mut |b: &mut BytesMut| b.put_slice(&payload);
+        self.send_gather(from, to, sent_at, tag, payload.len(), &mut BytesMut::new(), write)
     }
 
     /// Scatter-gather append: `write` emits exactly `payload_len` bytes
@@ -537,6 +560,13 @@ impl Network {
     /// `SendReport::stalled_s` tells the caller how far to advance its
     /// clock. A stall longer than the configured maximum fails with
     /// [`NetError::CreditStall`].
+    ///
+    /// With no link config the message is written into `spare`, which
+    /// the caller lends, and leaves as a plain envelope; `spare` is left
+    /// empty. A spare reclaimed from an earlier message (see
+    /// [`Bytes::try_into_mut`]) with room for `payload_len` bytes makes
+    /// that send allocate nothing. A batched link leaves `spare` alone.
+    #[allow(clippy::too_many_arguments)]
     pub fn send_gather(
         &self,
         from: &str,
@@ -544,13 +574,15 @@ impl Network {
         sent_at: f64,
         tag: (u64, u64),
         payload_len: usize,
+        spare: &mut BytesMut,
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<SendReport, NetError> {
         let Some(cfg) = self.link_config() else {
             // No link config: behave exactly like `send`.
-            let mut payload = BytesMut::with_capacity(payload_len);
-            write(&mut payload);
-            let arrive = self.send(from, to, payload.freeze(), sent_at)?;
+            spare.clear();
+            spare.reserve(payload_len);
+            write(spare);
+            let arrive = self.send(from, to, std::mem::take(spare).freeze(), sent_at)?;
             return Ok(SendReport {
                 stalled_s: 0.0,
                 delivered_at: Some(arrive),
@@ -599,7 +631,8 @@ impl Network {
                 self.flush_batcher(from_host, to_host, batcher, cfg, sent_at, &mut flushed);
                 batcher.credit.retire(sent_at);
                 if !batcher.credit.admits(need, credit) {
-                    let link = format!("{from_host}->{to_host}");
+                    let link = self.link_record(from_host, to_host)?;
+                    let keys = link.credit_keys();
                     let wait = batcher
                         .credit
                         .earliest_available(sent_at, need, credit)
@@ -608,11 +641,11 @@ impl Network {
                     match wait {
                         Some(w) if w <= credit.max_stall_s => {
                             stalled_s = w;
-                            m.counter_add(&format!("net.credit.stalls.{link}"), 1);
-                            m.counter_add(&format!("net.credit.stall_us.{link}"), wait_us);
+                            m.counter_add(&keys.stalls, 1);
+                            m.counter_add(&keys.stall_us, wait_us);
                         }
                         _ => {
-                            m.counter_add(&format!("net.credit.refused.{link}"), 1);
+                            m.counter_add(&keys.refused, 1);
                             return Err(NetError::CreditStall {
                                 from: from_host.to_owned(),
                                 to: to_host.to_owned(),

@@ -23,16 +23,18 @@ use npss::{run_session, SessionKnobs, SessionRequest, Workload};
 /// per-call clone/route/format path measured 120 (plain) and 138
 /// (wave+batched); with every invariant computed once, 29.7 and 38.0;
 /// with the call's name and arguments held by the ticket alone and its
-/// addresses by the frame record alone, 26.7 and 30.5; today, with
-/// addresses shared from their registration, ticket buffers lent by the
-/// line, request strings decoded in place, arrays collected in one
-/// allocation, the process's argument vector reused and replies
-/// marshaled into their one buffer, 12.6 and 16.4. The ceilings are
-/// those figures plus about 2 %; the figures are printed on failure and
-/// by `--nocapture`, so the ceilings can be ratcheted down as the path
-/// gets leaner. `schooner/tests/call_allocs.rs` pins one warm call.
-const MAX_PLAIN: f64 = 12.9;
-const MAX_WAVE_BATCHED: f64 = 16.8;
+/// addresses by the frame record alone, 26.7 and 30.5; with addresses
+/// shared from their registration, ticket buffers lent by the line,
+/// request strings decoded in place, arrays collected in one allocation,
+/// the process's argument vector reused and replies marshaled into their
+/// one buffer, 12.6 and 16.4; today, with request and reply buffers
+/// circulating between each line and its processes, 8.6 and 14.5. The
+/// ceilings are those figures plus about 2 %; the figures are printed on
+/// failure and by `--nocapture`, so the ceilings can be ratcheted down
+/// as the path gets leaner. `schooner/tests/call_allocs.rs` pins one
+/// warm call.
+const MAX_PLAIN: f64 = 8.8;
+const MAX_WAVE_BATCHED: f64 = 14.8;
 
 struct Counting;
 

@@ -24,7 +24,7 @@ use uts::spec::ProcSpec;
 use uts::{Architecture, Value};
 
 use crate::error::{SchError, SchResult};
-use crate::message::{FaultCode, MapInfo, Msg, StartedInfo, WireFault};
+use crate::message::{reclaim, FaultCode, MapInfo, Msg, StartedInfo, WireFault};
 use crate::obs::{EventKind, Obs, Phase};
 use crate::policy::{CallPolicy, JitterRng};
 use crate::stub::CompiledStub;
@@ -173,6 +173,10 @@ pub struct LineHandle {
     /// Scratch buffer reused for every request encode; its allocation
     /// survives across calls so steady-state marshaling is copy-only.
     encode_buf: BytesMut,
+    /// The wire buffer the next unbatched request is written into: a
+    /// reply buffer reclaimed after its results were decoded, or empty
+    /// while lent out.
+    spare: BytesMut,
     /// The buffers the next ticket borrows; empty while one is out.
     ticket_bufs: TicketBufs,
 }
@@ -209,6 +213,7 @@ impl LineHandle {
             quit_sent: false,
             in_flight: false,
             encode_buf: BytesMut::new(),
+            spare: BytesMut::new(),
             ticket_bufs: TicketBufs::default(),
         };
         let req = handle.fresh_req();
@@ -641,7 +646,7 @@ impl LineHandle {
         );
         // Scatter-gather transmit: with batching on, the request is
         // encoded directly into the link's frame buffer; with it off,
-        // into one per-call `BytesMut` that is sent as a plain message
+        // into the line's spare buffer, which is sent as a plain message
         // (no single-message frame is built). Either way the marshal
         // plan's output in `encode_buf` is copied once, into the wire.
         let sent_at = self.clock.now();
@@ -659,6 +664,7 @@ impl LineHandle {
             sent_at,
             (line_id, call),
             wire_len,
+            &mut self.spare,
             &mut |b| {
                 Msg::encode_call_request_into(
                     b,
@@ -771,7 +777,8 @@ impl LineHandle {
         m.counter_add("rpc.calls", 1);
         m.counter_add("rpc.request_bytes", request_bytes);
         m.counter_add("rpc.reply_bytes", bytes.len() as u64);
-        let out = binding.stub.unmarshal_outputs(bytes, self.arch)?;
+        let out = binding.stub.unmarshal_outputs(bytes.clone(), self.arch)?;
+        reclaim(&mut self.spare, bytes);
         let unmarshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.output_scalars);
         self.clock.advance(unmarshal_s);
         obs.span_phase(self.id, call, Phase::Unmarshal, unmarshal_s);
@@ -1015,5 +1022,56 @@ impl Drop for LineHandle {
             // line's processes are reclaimed; do not block on the ack.
             let _ = self.send_manager(&self.iquit(self.next_req));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use uts::Value;
+
+    use crate::message::SPARE_CAP;
+    use crate::{FnProcedure, LineHandle, Procedure, ProgramImage, Schooner};
+
+    fn echo() -> Box<dyn Procedure> {
+        Box::new(FnProcedure::new(|args: &[Value]| Ok(vec![args[0].clone()])))
+    }
+
+    /// A 64 KiB echo leaves no spare above the cap on either side: the
+    /// line keeps neither its request nor its reply buffer, and the
+    /// process keeps neither, so the small call after it is answered in
+    /// a small buffer, which the line keeps again.
+    #[test]
+    fn no_side_keeps_a_bulk_buffer_as_its_spare() {
+        let image = ProgramImage::new(
+            "echo",
+            r#"
+export small prog("x" val double, "y" res double)
+export bulk prog("x" val array[8192] of double, "y" res array[8192] of double)
+"#,
+        )
+        .unwrap()
+        .with_procedure("small", echo)
+        .unwrap()
+        .with_procedure("bulk", echo)
+        .unwrap();
+        let sch = Schooner::standard().unwrap();
+        sch.install_program("/t/echo", image, &["lerc-cray-ymp"]).unwrap();
+        let mut line = sch.open_line("echo", "ua-sparc10").unwrap();
+        line.start_remote("/t/echo", "lerc-cray-ymp").unwrap();
+        let small = |line: &mut LineHandle| {
+            line.call("small", &[Value::Double(0.5)]).unwrap();
+            line.spare.capacity()
+        };
+        let before = small(&mut line);
+        assert!((1..=SPARE_CAP).contains(&before), "spare of {before} bytes after a small call");
+
+        let bulk = [Value::doubles(&[0.25; 8192])];
+        assert_eq!(line.call("bulk", &bulk).unwrap(), bulk);
+        assert!(line.stats().reply_bytes > 64 * 1024);
+        assert_eq!(line.spare.capacity(), 0, "the bulk reply was dropped");
+        let after = small(&mut line);
+        assert!((1..=SPARE_CAP).contains(&after), "spare of {after} bytes after a bulk call");
+        line.quit().unwrap();
+        sch.shutdown();
     }
 }

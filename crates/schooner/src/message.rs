@@ -514,6 +514,29 @@ impl Msg {
     }
 }
 
+/// Largest buffer a line or process keeps as its spare: a bulk payload's
+/// buffer is freed once read rather than held for the rest of the run.
+pub(crate) const SPARE_CAP: usize = 16 * 1024;
+
+/// Keep the storage of a received call message as `spare`, the buffer
+/// the side's next call message is written into. It is kept only when
+/// `spare` is empty (a side keeps one), nothing else still holds it (a
+/// zero-copy `array of byte` value may) and its capacity is at most
+/// [`SPARE_CAP`]; otherwise it is dropped as before.
+pub(crate) fn reclaim(spare: &mut BytesMut, buf: Bytes) {
+    // A view longer than the cap is never kept: skip moving its bytes to
+    // the front of the storage only to drop it.
+    if spare.capacity() > 0 || buf.len() > SPARE_CAP {
+        return;
+    }
+    if let Ok(mut buf) = buf.try_into_mut() {
+        if buf.capacity() <= SPARE_CAP {
+            buf.clear();
+            *spare = buf;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use netsim::{Endpoint, VirtualClock};
 use uts::{Architecture, Value};
 
 use crate::error::{SchError, SchResult};
-use crate::message::{FaultCode, Msg, StartedInfo, WireFault};
+use crate::message::{reclaim, FaultCode, Msg, StartedInfo, WireFault};
 use crate::obs::{EventKind, Phase};
 use crate::proc::Procedure;
 use crate::stub::CompiledStub;
@@ -102,6 +102,7 @@ impl ServerWorker {
             clock: VirtualClock::starting_at(self.clock.now()),
             exports,
             args: Vec::new(),
+            spare: BytesMut::new(),
         };
         self.ctx.obs.emit(
             self.clock.now(),
@@ -152,13 +153,16 @@ struct ProcessWorker {
     /// The arguments of the call being served, decoded into one vector
     /// the process keeps; it is empty between calls.
     args: Vec<Value>,
+    /// The buffer the next reply is written into: a request buffer
+    /// reclaimed once its call was answered, or empty while lent out.
+    spare: BytesMut,
 }
 
 impl Actor for ProcessWorker {
     fn step(&mut self) -> Step {
         let Some(env) = self.endpoint.try_recv() else { return Step::Idle };
         self.clock.merge(env.arrive_at);
-        let Ok(msg) = Msg::decode(env.payload) else { return Step::Worked };
+        let Ok(msg) = Msg::decode(env.payload.clone()) else { return Step::Worked };
         match msg {
             Msg::CallRequest { call, line, proc_name, args, reply_to } => {
                 // A fault raised by the procedure body travels with
@@ -196,6 +200,9 @@ impl Actor for ProcessWorker {
             }
             _ => {}
         }
+        // Every field borrowed from the request, `reply_to` included, is
+        // gone once its reply is sent.
+        reclaim(&mut self.spare, env.payload);
         Step::Worked
     }
 }
@@ -227,7 +234,8 @@ impl ProcessWorker {
     }
 
     /// Serve one call and return its encoded `CallReply`: the results
-    /// are marshaled straight into the reply's one buffer.
+    /// are marshaled straight into the reply's one buffer, the process's
+    /// spare when it has one.
     fn serve_call(
         &mut self,
         call: u64,
@@ -265,8 +273,8 @@ impl ProcessWorker {
             },
         );
 
-        let mut reply =
-            BytesMut::with_capacity(Msg::CALL_REPLY_HEADER_LEN + stub.output_plan.size_hint());
+        let mut reply = std::mem::take(&mut self.spare);
+        reply.reserve(Msg::CALL_REPLY_HEADER_LEN + stub.output_plan.size_hint());
         Msg::encode_call_reply_into(&mut reply, call, self.incarnation, |b| {
             stub.marshal_outputs_after(b, &results, self.arch)
         })?;

@@ -5,9 +5,9 @@
 //! process, so an allocation that creeps back into the line, the
 //! message codec, the transport or the process shows here, as an exact
 //! count, before it is lost in a session's totals. What a warm call
-//! still allocates is the request and reply buffers with their shared
-//! handles, the caller's result vector, and the procedure's own result
-//! vector.
+//! still allocates is the caller's result vector and the procedure's own
+//! result vector: its request and reply buffers circulate between the
+//! line and the process.
 //!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
@@ -19,12 +19,14 @@ use schooner::{FnProcedure, ProgramImage, Schooner};
 use uts::Value;
 
 /// Ceilings on the mean allocations per warm call: the measured figures
-/// (6.07 blocking, 6.06 split-phase; 18.07 and 18.06 while addresses,
-/// ticket fields and request strings were copied, the process decoded
-/// into a fresh vector and the reply was marshaled twice) plus a small
-/// margin. They are printed by `--nocapture` and on failure.
-const MAX_CALL: f64 = 6.2;
-const MAX_ISSUE_COLLECT: f64 = 6.2;
+/// (2.07 blocking, 2.06 split-phase; 6.07 and 6.06 while every request
+/// and reply was a fresh buffer and a fresh shared handle; 18.07 and
+/// 18.06 while addresses, ticket fields and request strings were copied,
+/// the process decoded into a fresh vector and the reply was marshaled
+/// twice) plus a small margin. They are printed by `--nocapture` and on
+/// failure.
+const MAX_CALL: f64 = 2.2;
+const MAX_ISSUE_COLLECT: f64 = 2.2;
 
 /// Calls measured per form, after as many warm-up calls.
 const N: u64 = 200;

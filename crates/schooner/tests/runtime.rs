@@ -403,3 +403,40 @@ fn concurrent_lines_execute_independently() {
     });
     sch.shutdown();
 }
+
+/// Request and reply buffers circulate between a line and its process,
+/// but never while anything still reads them. A byte-array value is a
+/// zero-copy view of the message that carried it: the caller holds one
+/// result across ten further calls on the same line, and the procedure
+/// keeps each argument until the next call returns it. Neither is
+/// overwritten by a later message.
+#[test]
+fn zero_copy_byte_arrays_outlive_later_calls_on_their_line() {
+    let stamped = |n: u8| Value::Bytes(bytes::Bytes::from(vec![n; 32]));
+    let image = ProgramImage::new(
+        "swap",
+        r#"export swap prog("b" val array[32] of byte, "prev" res array[32] of byte)"#,
+    )
+    .unwrap()
+    .with_procedure("swap", move || {
+        let mut kept = stamped(0);
+        Box::new(FnProcedure::new(move |args: &[Value]| {
+            Ok(vec![std::mem::replace(&mut kept, args[0].clone())])
+        }))
+    })
+    .unwrap();
+    let sch = Schooner::standard().unwrap();
+    sch.install_program("/t/swap", image, &["lerc-cray-ymp"]).unwrap();
+    let mut line = sch.open_line("swapper", "ua-sparc10").unwrap();
+    line.start_remote("/t/swap", "lerc-cray-ymp").unwrap();
+
+    let held = line.call("swap", &[stamped(1)]).unwrap();
+    assert!(matches!(held[..], [Value::Bytes(_)]), "{held:?}");
+    assert_eq!(held, vec![stamped(0)]);
+    for n in 2..12 {
+        assert_eq!(line.call("swap", &[stamped(n)]).unwrap(), vec![stamped(n - 1)]);
+        assert_eq!(held, vec![stamped(0)], "after call {n}");
+    }
+    line.quit().unwrap();
+    sch.shutdown();
+}

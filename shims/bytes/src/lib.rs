@@ -5,6 +5,16 @@
 //! cheaply cloneable view into shared storage, [`BytesMut`] is a growable
 //! buffer, and the [`Buf`]/[`BufMut`] traits read and write scalars in
 //! network (big-endian) byte order.
+//!
+//! Storage comes back as it does in `bytes` ≥ 1.6:
+//! [`Bytes::try_into_mut`] turns a uniquely held buffer into a
+//! [`BytesMut`] without allocating, and fails, handing the view back
+//! unchanged, while any other handle or slice of it is alive. The
+//! `BytesMut` it returns keeps the emptied reference-counted block (its
+//! *shell*), and [`BytesMut::freeze`] moves the bytes back into that
+//! shell, so a buffer that goes round write → freeze → reclaim →
+//! write allocates nothing once its capacity suffices. Writes never touch
+//! the shell: a `BytesMut` writes to a plain `Vec<u8>` either way.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -68,6 +78,19 @@ impl Bytes {
         let head = self.slice(0..at);
         self.start += at;
         head
+    }
+
+    /// Turn this view back into a [`BytesMut`] holding exactly its
+    /// bytes, without allocating, when it is the storage's only handle;
+    /// otherwise hand it back unchanged. The returned buffer keeps the
+    /// storage's capacity and its reference-counted block, which its next
+    /// [`freeze`](BytesMut::freeze) reuses.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        let Some(storage) = Arc::get_mut(&mut self.data) else { return Err(self) };
+        let mut data = std::mem::take(storage);
+        data.truncate(self.end);
+        data.drain(..self.start);
+        Ok(BytesMut { data, shell: Some(self.data) })
     }
 }
 
@@ -134,9 +157,12 @@ impl std::fmt::Debug for Bytes {
 }
 
 /// A growable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    /// An emptied, uniquely held storage block left by
+    /// [`Bytes::try_into_mut`], refilled by [`BytesMut::freeze`].
+    shell: Option<Arc<Vec<u8>>>,
 }
 
 impl BytesMut {
@@ -147,7 +173,7 @@ impl BytesMut {
 
     /// An empty buffer with reserved capacity.
     pub fn with_capacity(n: usize) -> Self {
-        Self { data: Vec::with_capacity(n) }
+        Self { data: Vec::with_capacity(n), shell: None }
     }
 
     /// Length in bytes.
@@ -155,20 +181,29 @@ impl BytesMut {
         self.data.len()
     }
 
+    /// Bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
-    /// Freeze into an immutable [`Bytes`].
+    /// Freeze into an immutable [`Bytes`]: into the reclaimed shell when
+    /// there is one, allocating nothing.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        let Some(mut shell) = self.shell else { return Bytes::from(self.data) };
+        let end = self.data.len();
+        *Arc::get_mut(&mut shell).expect("a shell is uniquely held") = self.data;
+        Bytes { data: shell, start: 0, end }
     }
 
     /// Split off and return the first `at` bytes, leaving the rest.
     pub fn split_to(&mut self, at: usize) -> Self {
         let rest = self.data.split_off(at);
-        Self { data: std::mem::replace(&mut self.data, rest) }
+        Self { data: std::mem::replace(&mut self.data, rest), shell: None }
     }
 
     /// Ensure room for `additional` more bytes without reallocating.
@@ -181,6 +216,20 @@ impl BytesMut {
         self.data.clear();
     }
 }
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        Self { data: self.data.clone(), shell: None }
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for BytesMut {}
 
 impl Deref for BytesMut {
     type Target = [u8];
@@ -432,6 +481,51 @@ mod tests {
         assert_eq!(b.as_ptr(), before, "freeze must not copy the payload");
         assert_eq!(b.slice(16..).as_ptr(), before.wrapping_add(16));
         assert_eq!(b.len(), 1 << 16);
+    }
+
+    #[test]
+    fn try_into_mut_on_a_unique_buffer_returns_its_bytes() {
+        let b = Bytes::from(vec![1, 2, 3, 4]);
+        let m = b.try_into_mut().expect("sole handle");
+        assert_eq!(&m[..], &[1, 2, 3, 4]);
+        assert!(m.capacity() >= 4);
+    }
+
+    #[test]
+    fn try_into_mut_on_a_sub_slice_returns_the_view() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5, 6]).slice(2..5);
+        let m = b.try_into_mut().expect("sole handle");
+        assert_eq!(&m[..], &[3, 4, 5]);
+        let mut tail = Bytes::from(vec![9, 8, 7]);
+        tail.advance(1);
+        assert_eq!(&tail.try_into_mut().unwrap()[..], &[8, 7]);
+    }
+
+    #[test]
+    fn try_into_mut_on_a_shared_buffer_hands_the_view_back() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let view = b.slice(1..4);
+        let back = view.try_into_mut().expect_err("the parent still holds the storage");
+        assert_eq!(&back[..], &[2, 3, 4]);
+        let other = b.clone();
+        let b = b.try_into_mut().expect_err("a clone still holds the storage");
+        assert_eq!(b, other);
+        drop((other, back));
+        assert_eq!(&b.try_into_mut().unwrap()[..], &[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn clone_and_eq_ignore_the_shell() {
+        let m = Bytes::from(vec![5, 6]).try_into_mut().unwrap();
+        let c = m.clone();
+        let mut plain = BytesMut::new();
+        plain.put_slice(&[5, 6]);
+        assert_eq!(c, m);
+        assert_eq!(c, plain);
+        // The clone owns no shell: freezing both leaves two storages.
+        let (a, b) = (m.freeze(), c.freeze());
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!(a, b);
     }
 
     #[test]

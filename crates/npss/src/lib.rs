@@ -30,7 +30,6 @@ pub mod f100;
 pub mod modules;
 pub mod procs;
 pub mod service;
-pub mod session_bench;
 pub mod sweep;
 
 pub use bridge::{

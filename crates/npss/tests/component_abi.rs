@@ -14,6 +14,7 @@ use npss::modules::{ComponentModule, ExecutiveServices};
 use schooner::{CallPolicy, Schooner};
 use std::sync::Arc;
 use tess::component::{flow_value, ComponentRegistry, EngineComponent};
+use testkit::SplitMix64;
 use uts::Value;
 
 /// Executive host (UA site) and an IEEE-double serving host (LeRC site),
@@ -29,39 +30,19 @@ fn all_hosts(sch: &Schooner) -> Vec<String> {
     sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect()
 }
 
-/// Deterministic SplitMix64, so the input sweep is seeded and identical
-/// across runs without any external RNG.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [lo, hi), from the top 53 bits.
-    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + u * (hi - lo)
-    }
-}
-
 /// The seeded afterburner input sweep: wet and dry operating points.
 fn afterburner_sweep(seed: u64, n: usize) -> Vec<Vec<Value>> {
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     (0..n)
         .map(|i| {
             let flow = tess::GasState::new(
-                rng.uniform(50.0, 90.0),
-                rng.uniform(700.0, 1000.0),
-                rng.uniform(1.5e5, 3.0e5),
-                rng.uniform(0.0, 0.025),
+                rng.range(50.0, 90.0),
+                rng.range(700.0, 1000.0),
+                rng.range(1.5e5, 3.0e5),
+                rng.range(0.0, 0.025),
             );
             // Every fourth point is dry (wf = 0), exercising both paths.
-            let wf = if i % 4 == 0 { 0.0 } else { rng.uniform(0.3, 2.2) };
+            let wf = if i % 4 == 0 { 0.0 } else { rng.range(0.3, 2.2) };
             vec![flow_value(&flow), Value::Double(wf)]
         })
         .collect()

@@ -103,10 +103,7 @@ pub use obs::{
     Phase, SpanWave,
 };
 pub use policy::{CallPolicy, OnExhaustion};
-pub use pool::{
-    simulate_service, Offered, PoolConfig, Rejected, ServiceOutcome, SessionPool, SessionTicket,
-    TokenBucket, VirtualSession,
-};
+pub use pool::{PoolConfig, Rejected, SessionPool, SessionTicket, TokenBucket};
 pub use proc::{FnProcedure, ProcFault, ProcResult, Procedure, StatefulProcedure};
 pub use program::{ProgramImage, ProgramRegistry};
 pub use supervise::{CheckpointStore, Health, HealthMonitor, SupervisionPolicy};

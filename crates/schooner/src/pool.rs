@@ -24,13 +24,6 @@
 //! pool. Pool-level telemetry (`pool.*` counters, gauges, histograms)
 //! lives in the pool's own [`MetricsRegistry`], never in a session
 //! world's, so world snapshots stay byte-comparable across runs.
-//!
-//! For the benchmark's scaling rows the same admission semantics are
-//! replayed in **virtual time** by [`simulate_service`]: a deterministic
-//! service model (earliest-free-worker FIFO, token buckets refilled at
-//! virtual arrival instants, bounded queue) that yields sessions/sec and
-//! latency percentiles with no wall-clock noise — the same analytical
-//! convention the transport ablation uses for link occupancy.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,8 +37,9 @@ use crate::obs::MetricsRegistry;
 
 /// A per-tenant token bucket. Pure state machine over an explicit clock:
 /// callers pass `now_s` (wall seconds in the live pool, virtual seconds
-/// in the service model), which is what makes the same limiter usable in
-/// both and unit-testable without sleeping.
+/// in the sessions study's queueing model, `npss/tests/bench_records.rs`),
+/// which is what makes the same limiter usable in both and unit-testable
+/// without sleeping.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     rate: f64,
@@ -82,7 +76,7 @@ impl TokenBucket {
     }
 }
 
-/// Why a session was refused at the front door. Both variants carry a
+/// Why a session was refused at the front door. Every variant has a
 /// retry-after hint so a polite client can back off instead of spinning.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Rejected {
@@ -102,6 +96,9 @@ pub enum Rejected {
         /// Estimated seconds until a queue slot frees.
         retry_after_s: f64,
     },
+    /// The pool has shut down and no worker is left to run the session;
+    /// its retry-after hint is infinite.
+    Closed,
 }
 
 impl Rejected {
@@ -110,6 +107,7 @@ impl Rejected {
         match self {
             Rejected::RateLimited { retry_after_s, .. } => *retry_after_s,
             Rejected::QueueFull { retry_after_s, .. } => *retry_after_s,
+            Rejected::Closed => f64::INFINITY,
         }
     }
 }
@@ -126,13 +124,12 @@ impl std::fmt::Display for Rejected {
                     "admission queue full ({depth}/{capacity}); retry after {retry_after_s:.3} s"
                 )
             }
+            Rejected::Closed => write!(f, "session pool is shut down"),
         }
     }
 }
 
-/// Sizing and admission-control knobs for a [`SessionPool`] (and for the
-/// [`simulate_service`] model, which replays the same semantics in
-/// virtual time).
+/// Sizing and admission-control knobs for a [`SessionPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads (each runs one session at a time).
@@ -258,6 +255,9 @@ impl<R: Send + 'static> SessionPool<R> {
         let now = self.now_s();
         let m = &self.shared.metrics;
         let mut s = lock(&self.shared);
+        if s.shutdown {
+            return Err(Rejected::Closed);
+        }
         let bucket = s
             .buckets
             .entry(tenant.to_owned())
@@ -345,152 +345,6 @@ fn worker_loop<R: Send + 'static>(shared: &Shared<R>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic service model
-// ---------------------------------------------------------------------------
-
-/// One offered session in the virtual-time service model.
-#[derive(Debug, Clone)]
-pub struct Offered {
-    /// Virtual arrival instant (non-decreasing across the plan).
-    pub arrival_s: f64,
-    /// Submitting tenant (keys the token bucket).
-    pub tenant: String,
-    /// Virtual service cost of the session — in this repo, the session
-    /// world's own virtual-time cost, measured once per distinct seed.
-    pub service_s: f64,
-}
-
-/// One admitted-and-completed session in the service model.
-#[derive(Debug, Clone)]
-pub struct VirtualSession {
-    /// The submitting tenant.
-    pub tenant: String,
-    /// When it arrived.
-    pub arrival_s: f64,
-    /// When a worker picked it up.
-    pub start_s: f64,
-    /// When it finished.
-    pub finish_s: f64,
-}
-
-impl VirtualSession {
-    /// Queue wait plus service: the client-visible session latency.
-    pub fn latency_s(&self) -> f64 {
-        self.finish_s - self.arrival_s
-    }
-}
-
-/// The outcome of replaying an offered plan through the service model.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceOutcome {
-    /// Admitted sessions with their timing.
-    pub completed: Vec<VirtualSession>,
-    /// Refused sessions: (arrival instant, typed rejection).
-    pub rejected: Vec<(f64, Rejected)>,
-    /// Virtual time from the first arrival to the last finish.
-    pub makespan_s: f64,
-}
-
-impl ServiceOutcome {
-    /// Completed sessions per virtual second.
-    pub fn sessions_per_s(&self) -> f64 {
-        if self.makespan_s > 0.0 {
-            self.completed.len() as f64 / self.makespan_s
-        } else {
-            0.0
-        }
-    }
-
-    /// The `p`-th percentile (0–100) of completed-session latency,
-    /// nearest-rank on the sorted latencies. 0 when nothing completed.
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.completed.is_empty() {
-            return 0.0;
-        }
-        let mut lat: Vec<f64> = self.completed.iter().map(VirtualSession::latency_s).collect();
-        lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let idx = ((p / 100.0) * (lat.len() - 1) as f64).ceil() as usize;
-        lat[idx.min(lat.len() - 1)]
-    }
-
-    /// How many offers the limiter refused.
-    pub fn rejected_rate_limited(&self) -> usize {
-        self.rejected.iter().filter(|(_, r)| matches!(r, Rejected::RateLimited { .. })).count()
-    }
-
-    /// How many offers the bounded queue refused.
-    pub fn rejected_queue_full(&self) -> usize {
-        self.rejected.iter().filter(|(_, r)| matches!(r, Rejected::QueueFull { .. })).count()
-    }
-}
-
-/// Replay an offered plan through the pool's admission semantics in
-/// virtual time: per-tenant token buckets refilled at arrival instants,
-/// a bounded FIFO queue, and earliest-free-worker assignment. Pure
-/// arithmetic over the plan — two calls with the same config and plan
-/// produce identical outcomes, which is what lets the benchmark assert a
-/// scaling floor with no wall-clock noise.
-pub fn simulate_service(config: &PoolConfig, offered: &[Offered]) -> ServiceOutcome {
-    assert!(config.workers >= 1, "service model needs at least one worker");
-    let mut plan: Vec<&Offered> = offered.iter().collect();
-    plan.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("arrivals are finite"));
-
-    let mut free_at = vec![0.0_f64; config.workers];
-    let mut buckets: BTreeMap<&str, TokenBucket> = BTreeMap::new();
-    // Start instants of admitted sessions, in non-decreasing order; the
-    // prefix with `start <= now` has left the queue. (Starts are
-    // non-decreasing because arrivals are sorted and the earliest worker
-    // free time never moves backwards.)
-    let mut pending_starts: VecDeque<f64> = VecDeque::new();
-    let mut out = ServiceOutcome::default();
-
-    for session in plan {
-        let now = session.arrival_s;
-        while pending_starts.front().is_some_and(|&s| s <= now) {
-            pending_starts.pop_front();
-        }
-        let bucket = buckets
-            .entry(session.tenant.as_str())
-            .or_insert_with(|| TokenBucket::new(config.tenant_rate, config.tenant_burst));
-        if let Err(retry_after_s) = bucket.try_take(now) {
-            out.rejected.push((
-                now,
-                Rejected::RateLimited { tenant: session.tenant.clone(), retry_after_s },
-            ));
-            continue;
-        }
-        let depth = pending_starts.len();
-        if depth >= config.queue_capacity {
-            let retry_after_s = (pending_starts.front().copied().unwrap_or(now) - now).max(0.0);
-            out.rejected.push((
-                now,
-                Rejected::QueueFull { depth, capacity: config.queue_capacity, retry_after_s },
-            ));
-            continue;
-        }
-        let (worker, &free) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("free times are finite"))
-            .expect("at least one worker");
-        let start = now.max(free);
-        let finish = start + session.service_s;
-        free_at[worker] = finish;
-        pending_starts.push_back(start);
-        out.completed.push(VirtualSession {
-            tenant: session.tenant.clone(),
-            arrival_s: now,
-            start_s: start,
-            finish_s: finish,
-        });
-        if finish > out.makespan_s {
-            out.makespan_s = finish;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,62 +379,6 @@ mod tests {
         let mut b = TokenBucket::new(0.0, 1.0);
         assert!(b.try_take(0.0).is_ok());
         assert_eq!(b.try_take(0.0).unwrap_err(), f64::INFINITY);
-    }
-
-    #[test]
-    fn service_model_is_deterministic_and_work_conserving() {
-        let cfg = PoolConfig { workers: 2, queue_capacity: 100, ..PoolConfig::default() };
-        let plan: Vec<Offered> = (0..10)
-            .map(|i| Offered { arrival_s: i as f64 * 0.1, tenant: "t".into(), service_s: 1.0 })
-            .collect();
-        let a = simulate_service(&cfg, &plan);
-        let b = simulate_service(&cfg, &plan);
-        assert_eq!(a.completed.len(), b.completed.len());
-        for (x, y) in a.completed.iter().zip(&b.completed) {
-            assert_eq!(x.start_s.to_bits(), y.start_s.to_bits());
-            assert_eq!(x.finish_s.to_bits(), y.finish_s.to_bits());
-        }
-        // 10 jobs of 1 s on 2 workers, arrivals staggered 0.1 s apart:
-        // worker B starts 0.1 s behind A and finishes its fifth at 5.1 s.
-        assert!((a.makespan_s - 5.1).abs() < 1e-9, "makespan {}", a.makespan_s);
-        assert_eq!(a.rejected.len(), 0);
-    }
-
-    #[test]
-    fn service_model_scales_with_workers() {
-        let plan: Vec<Offered> = (0..64)
-            .map(|i| Offered { arrival_s: i as f64 * 0.001, tenant: "t".into(), service_s: 0.5 })
-            .collect();
-        let thr = |workers: usize| {
-            let cfg =
-                PoolConfig { workers, queue_capacity: usize::MAX >> 1, ..PoolConfig::default() };
-            simulate_service(&cfg, &plan).sessions_per_s()
-        };
-        let t1 = thr(1);
-        let t8 = thr(8);
-        assert!(t8 / t1 > 6.0, "8 workers should be ~8x one: {t1} vs {t8}");
-    }
-
-    #[test]
-    fn service_model_bounds_queue_and_types_rejections() {
-        // One worker at 1 session/s capacity; the flood tenant offers
-        // 100/s. Its 2/s bucket sheds most offers (RateLimited), and the
-        // ~2/s that pass the limiter still exceed capacity, so the
-        // 4-deep queue overflows too (QueueFull).
-        let plan: Vec<Offered> = (0..1000)
-            .map(|i| Offered { arrival_s: i as f64 * 0.01, tenant: "flood".into(), service_s: 1.0 })
-            .collect();
-        let cfg = PoolConfig { workers: 1, queue_capacity: 4, tenant_rate: 2.0, tenant_burst: 4.0 };
-        let out = simulate_service(&cfg, &plan);
-        assert!(out.rejected_queue_full() > 0, "admitted overload must overflow the queue");
-        assert!(out.rejected_rate_limited() > 0, "2/s bucket must throttle a 100/s flood");
-        for (_, r) in &out.rejected {
-            assert!(r.retry_after_s() > 0.0, "rejections must carry a positive retry hint: {r}");
-        }
-        // The bounded queue caps admitted latency: at most the running
-        // session plus `capacity` queued sessions ahead of an admission.
-        let worst = out.latency_percentile(100.0);
-        assert!(worst <= 6.0 + 1e-9, "queue bound must cap latency, got {worst}");
     }
 
     #[test]
@@ -694,5 +492,24 @@ mod tests {
         assert_eq!(t.wait().unwrap(), 7);
         pool.shutdown();
         assert!(pool.workers.is_empty(), "shutdown must join and drain every handle");
+    }
+
+    #[test]
+    fn submit_after_shutdown_is_refused_not_stranded() {
+        let mut pool: SessionPool<u32> =
+            SessionPool::start(PoolConfig { workers: 2, ..PoolConfig::default() }).unwrap();
+        pool.shutdown();
+        match pool.submit("late", || 7) {
+            Err(r) => {
+                assert_eq!(r, Rejected::Closed);
+                assert_eq!(r.retry_after_s(), f64::INFINITY);
+            }
+            // No worker is left to run an admitted job, so its ticket
+            // would never resolve.
+            Ok(ticket) => {
+                let outcome = ticket.rx.recv_timeout(std::time::Duration::from_millis(500));
+                panic!("admitted after shutdown; ticket resolved: {}", outcome.is_ok());
+            }
+        }
     }
 }

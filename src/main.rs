@@ -27,10 +27,6 @@
 //!                                       run S seeded sessions from T tenants
 //!                                       through a live session pool with
 //!                                       admission control
-//! npss-sim bench-sessions [--quick] [--out PATH]
-//!                                       regenerate the sessions ablation:
-//!                                       sessions/sec and p99 vs pool size,
-//!                                       plus the admission-control overload row
 //! ```
 
 use std::sync::Arc;
@@ -52,7 +48,7 @@ fn main() {
 }
 
 fn usage() -> String {
-    "usage: npss-sim <testbed|table1|table2|fig1|f100|costs|replay|serve|bench-sessions> [args]\n\
+    "usage: npss-sim <testbed|table1|table2|fig1|f100|costs|replay|serve> [args]\n\
      \n\
      testbed                 describe the simulated two-site testbed\n\
      table1 [SECONDS]        regenerate Table 1 (default 1.0 s transient)\n\
@@ -74,11 +70,7 @@ fn usage() -> String {
      \u{20}                        run seeded sessions through a live multi-\n\
      \u{20}                        tenant pool: per-tenant token buckets, a\n\
      \u{20}                        bounded queue, typed rejections, and the\n\
-     \u{20}                        pool's own metrics snapshot\n\
-     bench-sessions [--quick] [--out PATH]\n\
-     \u{20}                        regenerate the sessions ablation rows\n\
-     \u{20}                        (sessions/sec + p99 vs pool size, overload\n\
-     \u{20}                        row); --out also writes the JSON artifact"
+     \u{20}                        pool's own metrics snapshot"
         .to_owned()
 }
 
@@ -103,7 +95,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "costs" => cmd_costs(&args[1..]),
         "replay" => cmd_replay(&args[1..]),
         "serve" => cmd_serve(&args[1..]),
-        "bench-sessions" => cmd_bench_sessions(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
@@ -351,6 +342,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let burst: f64 = parse_flag(args, "--burst", 4.0)?;
     let sessions: usize = parse_flag(args, "--sessions", 12)?;
     let tenants: usize = parse_flag(args, "--tenants", 3)?;
+    if tenants == 0 {
+        return Err("--tenants must be at least 1".to_owned());
+    }
 
     println!(
         "session pool: {workers} workers, queue {queue}, {rate}/s per tenant (burst {burst})\n"
@@ -395,26 +389,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     println!("\n{rejections} rejection(s) at the front door");
     println!("\npool metrics:");
     print!("{}", pool.metrics().snapshot_json());
-    Ok(())
-}
-
-fn cmd_bench_sessions(args: &[String]) -> Result<(), String> {
-    use npss_sim::npss::session_bench::{render, run_session_bench};
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).cloned().ok_or("--out requires a PATH".to_owned()))
-        .transpose()?;
-
-    println!("measuring seeded session costs through a live pool...\n");
-    let report = run_session_bench(quick)?;
-    print!("{}", render(&report));
-    if let Some(path) = out {
-        std::fs::write(&path, report.to_json()).map_err(|e| e.to_string())?;
-        println!("\nwrote {path}");
-    }
     Ok(())
 }
 
@@ -474,4 +448,16 @@ fn cmd_f100(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    #[test]
+    fn serve_refuses_zero_tenants() {
+        let args = ["serve", "--tenants", "0"].map(String::from);
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("--tenants"), "unexpected error: {err}");
+    }
 }

@@ -9,7 +9,9 @@
 //!   many logical messages into one checksummed link frame;
 //! * a **`LinkBatcher`** per directed host pair that accumulates
 //!   messages into an open frame until a flush threshold fires
-//!   ([`BatchConfig`]);
+//!   ([`BatchConfig`]). A lone message is held unframed, as the plain
+//!   envelope it leaves as if nothing joins it; the second append builds
+//!   the frame, so every frame on the wire carries at least two;
 //! * **credit accounting** (`CreditState`) for receiver-granted
 //!   byte/message windows ([`CreditConfig`]): senders that exhaust the
 //!   window stall in *virtual* time until credits return, so a slow
@@ -39,6 +41,7 @@
 //! what the body can hold before anything is reserved for it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -346,15 +349,33 @@ pub struct LinkConfig {
     pub credit: Option<CreditConfig>,
 }
 
-/// An open (not yet flushed) frame on one link. The frame records are
-/// the one holder of each buffered message's addresses, send instant and
-/// payload; beside them sits only what the wire does not carry.
+/// A message appended to an empty link, held as the envelope it leaves
+/// as if nothing joins it before the flush: its payload in the buffer
+/// the sender lent, its addresses the copies their endpoints registered.
+#[derive(Debug)]
+pub(crate) struct HeldMsg {
+    pub(crate) from: Arc<str>,
+    pub(crate) to: Arc<str>,
+    pub(crate) sent_at: f64,
+    pub(crate) payload: Bytes,
+}
+
+/// What an open frame's messages are held in.
+#[derive(Debug)]
+pub(crate) enum Records {
+    /// One message, unframed: a flush delivers it as a plain envelope.
+    Held(HeldMsg),
+    /// Two or more messages, in the frame that carries them.
+    Framed(FrameBuilder),
+}
+
+/// An open (not yet flushed) frame on one link. Its records are the one
+/// holder of each buffered message's addresses, send instant and
+/// payload. A lone message is held as its envelope-to-be; the second
+/// append builds the frame, so a frame always carries at least two.
 #[derive(Debug)]
 pub(crate) struct OpenFrame {
-    pub(crate) builder: FrameBuilder,
-    /// The caller's opaque tag per record, in record order (the Schooner
-    /// layer stores `(line id, call id)` for span attribution).
-    pub(crate) tags: Vec<(u64, u64)>,
+    pub(crate) records: Records,
     pub(crate) first_sent: f64,
     pub(crate) max_sent: f64,
     /// Logical payload bytes (framing overhead excluded — the cost
@@ -363,14 +384,33 @@ pub(crate) struct OpenFrame {
 }
 
 impl OpenFrame {
-    pub(crate) fn new() -> Self {
-        Self {
-            builder: FrameBuilder::new(),
-            tags: Vec::new(),
-            first_sent: f64::INFINITY,
-            max_sent: f64::NEG_INFINITY,
-            payload_bytes: 0,
+    /// An open frame holding its first message.
+    pub(crate) fn held(msg: HeldMsg) -> Self {
+        let (sent_at, payload_bytes) = (msg.sent_at, msg.payload.len() as u64);
+        Self { records: Records::Held(msg), first_sent: sent_at, max_sent: sent_at, payload_bytes }
+    }
+
+    /// Append a record whose payload `write` emits in place. Appending
+    /// to a held message builds the frame and writes the held message
+    /// into it first.
+    pub(crate) fn push(
+        &mut self,
+        from: &str,
+        to: &str,
+        sent_at: f64,
+        payload_len: usize,
+        write: &mut dyn FnMut(&mut BytesMut),
+    ) {
+        if let Records::Held(held) = &self.records {
+            let mut builder = FrameBuilder::new();
+            builder.push(&held.from, &held.to, held.sent_at, &held.payload);
+            self.records = Records::Framed(builder);
         }
+        let Records::Framed(builder) = &mut self.records else { unreachable!("framed above") };
+        builder.push_with(from, to, sent_at, payload_len, write);
+        self.first_sent = self.first_sent.min(sent_at);
+        self.max_sent = self.max_sent.max(sent_at);
+        self.payload_bytes += payload_len as u64;
     }
 }
 
@@ -379,6 +419,10 @@ impl OpenFrame {
 #[derive(Debug, Default)]
 pub(crate) struct LinkBatcher {
     pub(crate) frame: Option<OpenFrame>,
+    /// The caller's opaque tag per record of the open frame, in record
+    /// order (the Schooner layer stores `(line id, call id)` for span
+    /// attribution); emptied by each flush and reused by the next frame.
+    pub(crate) tags: Vec<(u64, u64)>,
     pub(crate) credit: CreditState,
 }
 
@@ -413,14 +457,14 @@ impl CreditState {
         self.pending.push(bytes);
     }
 
-    /// Settle every pending reservation after a flush: `Some(return_t)`
-    /// schedules the credit's return, `None` (failed delivery) releases
-    /// it immediately.
-    pub(crate) fn settle(&mut self, outcomes: &[Option<f64>]) {
+    /// Settle every pending reservation after a flush, one outcome per
+    /// reservation in append order: `Some(return_t)` schedules the
+    /// credit's return, `None` (failed delivery) releases it immediately.
+    pub(crate) fn settle(&mut self, outcomes: impl ExactSizeIterator<Item = Option<f64>>) {
         debug_assert_eq!(outcomes.len(), self.pending.len(), "settle must cover the whole frame");
         for (bytes, outcome) in self.pending.drain(..).zip(outcomes) {
             if let Some(rt) = outcome {
-                self.settled.push((*rt, bytes));
+                self.settled.push((rt, bytes));
             }
         }
     }
@@ -615,7 +659,7 @@ mod tests {
         c.reserve(100);
         c.reserve(50);
         assert_eq!(c.outstanding(), (150, 2));
-        c.settle(&[Some(5.0), None]);
+        c.settle([Some(5.0), None].into_iter());
         assert_eq!(c.outstanding(), (100, 1), "failed delivery releases immediately");
         c.retire(4.9);
         assert_eq!(c.outstanding(), (100, 1));
@@ -629,7 +673,7 @@ mod tests {
         let mut c = CreditState::default();
         c.reserve(60);
         c.reserve(40);
-        c.settle(&[Some(2.0), Some(3.0)]);
+        c.settle([Some(2.0), Some(3.0)].into_iter());
         // Window full: 60 returns at t=2, 40 at t=3.
         assert_eq!(c.earliest_available(1.0, 50, &w), Some(2.0));
         assert_eq!(c.earliest_available(1.0, 100, &w), Some(3.0));
@@ -644,7 +688,7 @@ mod tests {
         let mut c = CreditState::default();
         c.reserve(1);
         c.reserve(1);
-        c.settle(&[Some(7.0), Some(9.0)]);
+        c.settle([Some(7.0), Some(9.0)].into_iter());
         assert_eq!(c.earliest_available(0.0, 1, &w), Some(7.0));
     }
 }

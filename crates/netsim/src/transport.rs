@@ -18,7 +18,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::faults::FaultPlan;
-use crate::link::{decode_frame, FrameMsg, LinkBatcher, LinkConfig, OpenFrame};
+use crate::link::{decode_frame, FrameMsg, HeldMsg, LinkBatcher, LinkConfig, OpenFrame, Records};
 use crate::metrics::MetricsRegistry;
 use crate::topology::{NodeId, Path, Topology};
 
@@ -125,22 +125,14 @@ pub struct SendReport {
     pub stalled_s: f64,
     /// Arrival instant of this message when it left on its own envelope
     /// (no link config installed): it is already delivered, so there is
-    /// no frame to report. `None` on a batched link, where the message's
-    /// fate is in whichever [`FlushReport`] carries its tag.
+    /// no flush to report. `None` on a batched link, where the message's
+    /// fate is the [`FlushRecord`] that carries its tag.
     pub delivered_at: Option<f64>,
-    /// Frames this append caused to flush (threshold or credit
-    /// triggered). May include the appended message itself.
-    pub flushed: Vec<FlushReport>,
 }
 
-/// One flushed link frame.
-#[derive(Debug, Clone)]
-pub struct FlushReport {
-    /// Per-message outcomes, in buffer order.
-    pub msgs: Vec<FlushRecord>,
-}
-
-/// Fate of one logical message in a flushed frame.
+/// Fate of one logical message in a flush. Flushes append these to a
+/// buffer the caller lends, in link order and buffer order within a
+/// link.
 #[derive(Debug, Clone)]
 pub struct FlushRecord {
     /// Opaque caller tag passed at append time (Schooner stores
@@ -527,7 +519,8 @@ impl Network {
     }
 
     /// Append `payload` to the batched link toward `to`. Convenience
-    /// wrapper over [`send_gather`](Network::send_gather).
+    /// wrapper over [`send_gather`](Network::send_gather) that drops the
+    /// outcomes of any flush the append causes.
     pub fn send_batched(
         &self,
         from: &str,
@@ -537,16 +530,20 @@ impl Network {
         tag: (u64, u64),
     ) -> Result<SendReport, NetError> {
         let write = &mut |b: &mut BytesMut| b.put_slice(&payload);
-        self.send_gather(from, to, sent_at, tag, payload.len(), &mut BytesMut::new(), write)
+        let (spare, flushed) = (&mut BytesMut::new(), &mut Vec::new());
+        self.send_gather(from, to, sent_at, tag, payload.len(), spare, flushed, write)
     }
 
     /// Scatter-gather append: `write` emits exactly `payload_len` bytes
-    /// of payload *directly into the link frame buffer* — no per-call
-    /// intermediate allocation. The message is charged against the
-    /// link's credit window and buffered until a flush threshold fires
-    /// (size, message count, or linger age; see
-    /// [`BatchConfig`](crate::link::BatchConfig)) or the sender flushes
-    /// explicitly with [`flush_link`](Network::flush_link).
+    /// of payload in place — into `spare`, which the caller lends, when
+    /// the link holds nothing yet, else *directly into the link frame
+    /// buffer*. The message is charged against the link's credit window
+    /// and buffered until a flush threshold fires (size, message count,
+    /// or linger age; see [`BatchConfig`](crate::link::BatchConfig)) or
+    /// the sender flushes explicitly with
+    /// [`flush_link`](Network::flush_link). A flush that finds one
+    /// message delivers it as the plain envelope it was written as; only
+    /// two or more make a frame.
     ///
     /// Semantics match the unbatched path per logical message: fault
     /// windows and drop ordinals are consumed *at append time* with
@@ -561,11 +558,18 @@ impl Network {
     /// clock. A stall longer than the configured maximum fails with
     /// [`NetError::CreditStall`].
     ///
-    /// With no link config the message is written into `spare`, which
-    /// the caller lends, and leaves as a plain envelope; `spare` is left
-    /// empty. A spare reclaimed from an earlier message (see
-    /// [`Bytes::try_into_mut`]) with room for `payload_len` bytes makes
-    /// that send allocate nothing. A batched link leaves `spare` alone.
+    /// Every message a flush triggered by this append delivers or fails
+    /// is appended to `flushed` as a [`FlushRecord`] — also when the
+    /// append itself then fails, so the caller must read `flushed`
+    /// before acting on an error. This message's own record is among
+    /// them when its frame filled and left at once.
+    ///
+    /// With no link config the message is written into `spare` and
+    /// leaves as a plain envelope at once. Either way a message written
+    /// into `spare` takes its buffer, leaving it empty; a spare
+    /// reclaimed from an earlier message (see [`Bytes::try_into_mut`])
+    /// with room for `payload_len` bytes makes that write allocate
+    /// nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn send_gather(
         &self,
@@ -575,21 +579,17 @@ impl Network {
         tag: (u64, u64),
         payload_len: usize,
         spare: &mut BytesMut,
+        flushed: &mut Vec<FlushRecord>,
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<SendReport, NetError> {
         let Some(cfg) = self.link_config() else {
             // No link config: behave exactly like `send`.
-            spare.clear();
-            spare.reserve(payload_len);
-            write(spare);
-            let arrive = self.send(from, to, std::mem::take(spare).freeze(), sent_at)?;
-            return Ok(SendReport {
-                stalled_s: 0.0,
-                delivered_at: Some(arrive),
-                flushed: Vec::new(),
-            });
+            let payload = fill(spare, payload_len, write);
+            let arrive = self.send(from, to, payload, sent_at)?;
+            return Ok(SendReport { stalled_s: 0.0, delivered_at: Some(arrive) });
         };
-        let result = self.gather_inner(&cfg, from, to, sent_at, tag, payload_len, write);
+        let result =
+            self.gather_inner(&cfg, from, to, sent_at, tag, payload_len, spare, flushed, write);
         self.count_fault(&result);
         result
     }
@@ -603,6 +603,8 @@ impl Network {
         sent_at: f64,
         tag: (u64, u64),
         payload_len: usize,
+        spare: &mut BytesMut,
+        flushed: &mut Vec<FlushRecord>,
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<SendReport, NetError> {
         let (from_host, to_host) = (host_of(from), host_of(to));
@@ -618,7 +620,6 @@ impl Network {
             .get_mut(from_host)
             .and_then(|out| out.get_mut(to_host))
             .expect("batcher inserted above");
-        let mut flushed = Vec::new();
 
         // Credit gate. Flushing first gives every reservation a return
         // time, making credit availability a pure function of virtual
@@ -628,7 +629,7 @@ impl Network {
             batcher.credit.retire(sent_at);
             let need = payload_len as u64;
             if !batcher.credit.admits(need, credit) {
-                self.flush_batcher(from_host, to_host, batcher, cfg, sent_at, &mut flushed);
+                self.flush_batcher(from_host, to_host, batcher, cfg, sent_at, flushed);
                 batcher.credit.retire(sent_at);
                 if !batcher.credit.admits(need, credit) {
                     let link = self.link_record(from_host, to_host)?;
@@ -664,9 +665,9 @@ impl Network {
         if let Some(f) = &batcher.frame {
             let over_linger = sent_eff - f.first_sent >= cfg.batch.linger_s;
             let over_bytes = f.payload_bytes + payload_len as u64 > cfg.batch.max_frame_bytes;
-            let over_msgs = f.tags.len() as u32 + 1 > cfg.batch.max_frame_msgs;
+            let over_msgs = batcher.tags.len() as u32 + 1 > cfg.batch.max_frame_msgs;
             if over_linger || over_bytes || over_msgs {
-                self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, &mut flushed);
+                self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, flushed);
             }
         }
 
@@ -678,48 +679,64 @@ impl Network {
         self.check_link(plan, from_host, to_host, sent_eff, true)?;
         let link = self.link_record(from_host, to_host)?;
         link.path()?;
-        self.mailbox(&self.inner.endpoints.read().unwrap(), plan, to, to_host, sent_eff)?;
+        let (from_addr, to_addr) = {
+            let eps = self.inner.endpoints.read().unwrap();
+            let (to, _) = self.mailbox(&eps, plan, to, to_host, sent_eff)?;
+            (sender_addr(&eps, from), to.clone())
+        };
 
-        // Commit: reserve credits, gather the payload into the frame
-        // (from here on the frame record is the one holder of the
-        // message's addresses, send instant and length), and count it.
+        // Commit: reserve credits, gather the payload into the held
+        // message or the frame (from here on that is the one holder of
+        // the message's addresses, send instant and length), and count it.
         if cfg.credit.is_some() {
             batcher.credit.reserve(payload_len as u64);
         }
-        let frame = batcher.frame.get_or_insert_with(OpenFrame::new);
-        frame.builder.push_with(from, to, sent_eff, payload_len, write);
-        frame.tags.push(tag);
-        frame.first_sent = frame.first_sent.min(sent_eff);
-        frame.max_sent = frame.max_sent.max(sent_eff);
-        frame.payload_bytes += payload_len as u64;
+        // An empty link holds the message as the envelope it would leave
+        // as, addressed by the copies the endpoints registered.
+        match &mut batcher.frame {
+            Some(frame) => frame.push(from, to, sent_eff, payload_len, write),
+            None => {
+                let payload = fill(spare, payload_len, write);
+                let held = HeldMsg { from: from_addr, to: to_addr, sent_at: sent_eff, payload };
+                batcher.frame = Some(OpenFrame::held(held));
+            }
+        }
+        batcher.tags.push(tag);
         self.count_message(&link, payload_len as u64);
 
         // Post-append thresholds: a frame that just filled leaves now,
         // carrying this message with it.
+        let frame = batcher.frame.as_ref().expect("appended above");
         let full = frame.payload_bytes >= cfg.batch.max_frame_bytes
-            || frame.tags.len() as u32 >= cfg.batch.max_frame_msgs;
+            || batcher.tags.len() as u32 >= cfg.batch.max_frame_msgs;
         if full {
-            self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, &mut flushed);
+            self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, flushed);
         }
-        Ok(SendReport { stalled_s, delivered_at: None, flushed })
+        Ok(SendReport { stalled_s, delivered_at: None })
     }
 
-    /// Flush the open frame toward `to_host`, if any. `now` is the
-    /// flusher's virtual time; the frame leaves at the latest of `now`
-    /// and its members' send instants. Senders call this before
-    /// awaiting a reply so no request is ever stranded in a buffer.
-    pub fn flush_link(&self, from_host: &str, to_host: &str, now: f64) -> Vec<FlushReport> {
-        let Some(cfg) = self.link_config() else { return Vec::new() };
-        let mut flushed = Vec::new();
+    /// Flush the open frame toward `to_host`, if any, appending its
+    /// messages' outcomes to `flushed`. `now` is the flusher's virtual
+    /// time; the frame leaves at the latest of `now` and its members'
+    /// send instants. Senders call this before awaiting a reply so no
+    /// request is ever stranded in a buffer.
+    pub fn flush_link(
+        &self,
+        from_host: &str,
+        to_host: &str,
+        now: f64,
+        flushed: &mut Vec<FlushRecord>,
+    ) {
+        let Some(cfg) = self.link_config() else { return };
         let mut links = self.inner.links.lock().unwrap();
         if let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
-            self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
+            self.flush_batcher(from_host, to_host, batcher, &cfg, now, flushed);
         }
-        flushed
     }
 
-    /// Flush every open frame on every link (teardown / test sync).
-    pub fn flush_all(&self, now: f64) -> Vec<FlushReport> {
+    /// Flush every open frame on every link (teardown / test sync) and
+    /// return their messages' outcomes.
+    pub fn flush_all(&self, now: f64) -> Vec<FlushRecord> {
         let Some(cfg) = self.link_config() else { return Vec::new() };
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
@@ -734,11 +751,7 @@ impl Network {
     /// Number of messages buffered (unflushed) on a link.
     pub fn pending_batched(&self, from_host: &str, to_host: &str) -> usize {
         let links = self.inner.links.lock().unwrap();
-        links
-            .get(from_host)
-            .and_then(|out| out.get(to_host))
-            .and_then(|b| b.frame.as_ref())
-            .map_or(0, |f| f.tags.len())
+        links.get(from_host).and_then(|out| out.get(to_host)).map_or(0, |b| b.tags.len())
     }
 
     /// Credits outstanding (bytes, messages) on a link at virtual time
@@ -761,31 +774,24 @@ impl Network {
         batcher: &mut LinkBatcher,
         cfg: &LinkConfig,
         now: f64,
-        flushed: &mut Vec<FlushReport>,
+        flushed: &mut Vec<FlushRecord>,
     ) {
         let Some(frame) = batcher.frame.take() else { return };
         let link = self
             .link_record(from_host, to_host)
             .expect("a frame is opened only between hosts the topology knows");
         let flush_t = frame.max_sent.max(now);
-        let OpenFrame { builder, tags, .. } = frame;
-        // Decode our own frame on every flush: delivery consumes the
-        // decoded records — addresses, send instants, payload slices —
-        // so a codec regression cannot pass silently.
-        let wire = builder.finish();
-        let decoded = decode_frame(&wire).expect("link frame failed to decode");
-        debug_assert_eq!(decoded.len(), tags.len());
         let m = &self.inner.metrics;
         let plan = self.fault_plan();
         let plan = plan.as_deref();
         // Link-level check at flush time: a crash, flap, or partition
-        // that opened since append kills the whole frame.
+        // that opened since append fails every message the flush carries.
         let link_err = self.check_link(plan, from_host, to_host, flush_t, false).err();
-        let mut records = Vec::with_capacity(tags.len());
+        let first = flushed.len();
         let mut last_arrive: Option<f64> = None;
         {
             let eps = self.inner.endpoints.read().unwrap();
-            for (tag, msg) in tags.into_iter().zip(decoded) {
+            let mut deliver = |tag: (u64, u64), msg: FrameMsg| {
                 let sent_at = msg.sent_at;
                 let result = match &link_err {
                     Some(e) => {
@@ -798,30 +804,48 @@ impl Network {
                 if let Ok(arrive) = &result {
                     last_arrive = Some(last_arrive.map_or(*arrive, |a| a.max(*arrive)));
                 }
-                records.push(FlushRecord { tag, sent_at, result });
+                flushed.push(FlushRecord { tag, sent_at, result });
+            };
+            match frame.records {
+                // A lone message leaves as the envelope it was written
+                // as: no frame is built, checksummed or decoded for it.
+                Records::Held(HeldMsg { from, to, sent_at, payload }) => {
+                    deliver(batcher.tags[0], FrameMsg { from: &from, to: &to, sent_at, payload });
+                }
+                Records::Framed(builder) => {
+                    // Decode our own frame on every flush: delivery
+                    // consumes the decoded records — addresses, send
+                    // instants, payload slices — so a codec regression
+                    // cannot pass silently.
+                    let wire = builder.finish();
+                    let decoded = decode_frame(&wire).expect("link frame failed to decode");
+                    debug_assert_eq!(decoded.len(), batcher.tags.len());
+                    for (&tag, msg) in batcher.tags.iter().zip(decoded) {
+                        deliver(tag, msg);
+                    }
+                }
             }
         }
+        batcher.tags.clear();
         // Credit return: the receiver acks the frame once its last
         // message arrives; the ack pays one zero-byte latency back.
         // Failed messages release their credits immediately.
         if cfg.credit.is_some() {
             let ret = last_arrive
                 .map(|a| a + self.transfer_seconds(to_host, from_host, 0).unwrap_or(0.0));
-            let outcomes: Vec<Option<f64>> =
-                records.iter().map(|r| r.result.as_ref().ok().and(ret)).collect();
-            batcher.credit.settle(&outcomes);
+            let outcomes = flushed[first..].iter().map(|r| r.result.as_ref().ok().and(ret));
+            batcher.credit.settle(outcomes);
         }
         m.counter_add(&link.flushes_key, 1);
-        m.counter_add(&link.fill_key, records.len() as u64);
-        flushed.push(FlushReport { msgs: records });
+        m.counter_add(&link.fill_key, (flushed.len() - first) as u64);
     }
 
-    /// Deliver one decoded frame member. Arrival is computed from the
-    /// message's *own* payload size at the frame's flush instant — the
-    /// same parallel-wire law as the unbatched path, so a frame flushed
-    /// at its members' send instants is time-identical to per-envelope
-    /// sends. What batching changes is link *occupancy*: the route
-    /// latency is paid once per frame, not once per message.
+    /// Deliver one flushed message, held or decoded from its frame.
+    /// Arrival is computed from the message's *own* payload size at the
+    /// flush instant — the same parallel-wire law as the unbatched path,
+    /// so a frame flushed at its members' send instants is time-identical
+    /// to per-envelope sends. What batching changes is link *occupancy*:
+    /// the route latency is paid once per frame, not once per message.
     fn deliver_flushed(
         &self,
         eps: &HashMap<Arc<str>, EpEntry>,
@@ -832,14 +856,24 @@ impl Network {
     ) -> Result<f64, NetError> {
         let arrive_at = arrival(link, plan, flush_t, msg.payload.len())?;
         let (to, tx) = self.mailbox(eps, plan, msg.to, &link.to_host, flush_t)?;
-        // The envelope is what came out of the frame, addresses and all
-        // (as the registered copies of the text the record carries).
+        // The envelope is what the flush carried, addresses and all (as
+        // the registered copies of the text the record carries).
         let FrameMsg { from, sent_at, payload, .. } = msg;
         enqueue(
             tx,
             Envelope { from: sender_addr(eps, from), to: to.clone(), payload, sent_at, arrive_at },
         )
     }
+}
+
+/// Write a `payload_len`-byte payload into `spare` and take it out as
+/// the message's buffer, leaving `spare` empty.
+fn fill(spare: &mut BytesMut, payload_len: usize, write: &mut dyn FnMut(&mut BytesMut)) -> Bytes {
+    spare.clear();
+    spare.reserve(payload_len);
+    write(spare);
+    debug_assert_eq!(spare.len(), payload_len, "writer emitted a different length than declared");
+    std::mem::take(spare).freeze()
 }
 
 /// The envelope's copy of sender address `from`: the one its endpoint
@@ -1130,6 +1164,74 @@ mod tests {
         let _proc2 = net.register_process("b:proc-2", 2.2).unwrap();
         assert!(net.send("a:x", "b:proc-2", Bytes::new(), 2.5).is_ok());
         net.set_fault_plan(None);
+    }
+
+    const SGI: &str = "lerc-sgi-4d480:svc";
+
+    /// Append a four-byte message toward [`SGI`] through `send_gather`,
+    /// collecting flush outcomes into `out`.
+    fn append(
+        net: &Network,
+        from: &str,
+        t: f64,
+        tag: (u64, u64),
+        out: &mut Vec<FlushRecord>,
+    ) -> Result<SendReport, NetError> {
+        let write = &mut |b: &mut BytesMut| b.put_slice(b"ping");
+        net.send_gather(from, SGI, t, tag, 4, &mut BytesMut::new(), out, write)
+    }
+
+    /// Nothing is left on the link to report twice.
+    fn assert_link_drained(net: &Network, t: f64) {
+        assert_eq!(net.pending_batched("lerc-sparc10", "lerc-sgi-4d480"), 0);
+        let mut later = Vec::new();
+        net.flush_link("lerc-sparc10", "lerc-sgi-4d480", t, &mut later);
+        assert!(later.is_empty(), "reported again: {later:?}");
+    }
+
+    /// A linger flush before an append that is then refused admission:
+    /// the flushed message's failure is reported, not lost with the
+    /// append's own error.
+    #[test]
+    fn an_append_refused_after_a_linger_flush_reports_the_flush() {
+        let net = Network::new(crate::npss_testbed());
+        net.set_link_config(Some(LinkConfig::default()));
+        let _svc = net.register(SGI).unwrap();
+        let mut out = Vec::new();
+        append(&net, "lerc-sparc10:l1", 0.0, (1, 1), &mut out).unwrap();
+        assert!(out.is_empty(), "a lone message is held until a flush");
+        net.set_fault_plan(Some(FaultPlan::new(1).partition(
+            &["lerc-sparc10"],
+            &["lerc-sgi-4d480"],
+            1.0,
+            2.0,
+        )));
+        let err = append(&net, "lerc-sparc10:l2", 1.5, (2, 1), &mut out).unwrap_err();
+        assert!(matches!(err, NetError::Unreachable { .. }), "{err:?}");
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].tag, out[0].sent_at), ((1, 1), 0.0));
+        assert!(matches!(out[0].result, Err(NetError::Unreachable { .. })), "{out:?}");
+        assert_link_drained(&net, 3.0);
+    }
+
+    /// The credit gate's flush before a refused stall: the flushed
+    /// message's delivery is reported, not lost with the `CreditStall`.
+    #[test]
+    fn an_append_refused_a_credit_stall_reports_the_flush() {
+        let net = Network::new(crate::npss_testbed());
+        let credit =
+            crate::CreditConfig { window_bytes: 1 << 20, window_msgs: 1, max_stall_s: 0.0 };
+        net.set_link_config(Some(LinkConfig { credit: Some(credit), ..LinkConfig::default() }));
+        let svc = net.register(SGI).unwrap();
+        let mut out = Vec::new();
+        append(&net, "lerc-sparc10:l1", 0.0, (1, 1), &mut out).unwrap();
+        let err = append(&net, "lerc-sparc10:l2", 0.0, (2, 1), &mut out).unwrap_err();
+        assert!(matches!(err, NetError::CreditStall { .. }), "{err:?}");
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].tag, (1, 1));
+        let arrive = *out[0].result.as_ref().expect("the flushed message was delivered");
+        assert_eq!(svc.try_recv().map(|e| e.arrive_at.to_bits()), Some(arrive.to_bits()));
+        assert_link_drained(&net, 0.0);
     }
 
     #[test]

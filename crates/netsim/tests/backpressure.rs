@@ -102,9 +102,7 @@ fn credits_always_eventually_return() {
                 Err(_) => failed += 1,
             }
             if i % 10 == 9 {
-                for rep in net.flush_all(t) {
-                    failed += rep.msgs.iter().filter(|r| r.result.is_err()).count() as u32;
-                }
+                failed += net.flush_all(t).iter().filter(|r| r.result.is_err()).count() as u32;
                 t += 0.05;
             }
         }
@@ -194,7 +192,7 @@ fn receiver_crash_does_not_wedge_the_window() {
         net.send_batched(SRC, DST, Bytes::from(vec![1u8; 100]), 0.5, (0, i)).unwrap();
     }
     let reports = net.flush_all(1.5);
-    let failures: Vec<_> = reports.iter().flat_map(|r| r.msgs.iter()).collect();
+    let failures: Vec<_> = reports.iter().collect();
     assert_eq!(failures.len(), 3);
     assert!(
         failures.iter().all(|r| matches!(r.result, Err(NetError::HostDown(_)))),

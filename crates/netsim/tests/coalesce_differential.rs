@@ -233,6 +233,106 @@ fn seeded_drop_plans_fail_identical_message_ordinals() {
     }
 }
 
+/// A link whose frames never flush by threshold, metered by the default
+/// credit window: every flush in the tests below is an explicit one.
+fn credited_unbounded() -> LinkConfig {
+    LinkConfig {
+        batch: BatchConfig { linger_s: 1e9, ..BatchConfig::default() },
+        credit: Some(CreditConfig::default()),
+    }
+}
+
+/// A flush outcome, comparable bit for bit.
+fn outcome(r: &netsim::FlushRecord) -> ((u64, u64), u64, Result<u64, NetError>) {
+    (r.tag, r.sent_at.to_bits(), r.result.clone().map(f64::to_bits))
+}
+
+/// A window fault that opens between a lone (held) message's append and
+/// its flush fails it exactly as it fails the same message inside a
+/// two-record frame: the same typed error, the same `net.fault.*`
+/// counts, and its credit released at once.
+#[test]
+fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
+    let plans: [fn() -> FaultPlan; 2] = [
+        || FaultPlan::new(1).partition(&["ua-sparc10"], &["lerc-rs6000"], 1.0, 2.0),
+        || FaultPlan::new(1).host_flap("lerc-rs6000", 1.0, 2.0),
+    ];
+    let msgs = [(b"solve duct".as_slice(), (0, 0)), (b"solve duct again".as_slice(), (0, 1))];
+    for plan in plans {
+        let net = || {
+            let net = Network::new(npss_testbed());
+            net.set_link_config(Some(credited_unbounded()));
+            net.set_fault_plan(Some(plan()));
+            net.register(SRC).unwrap();
+            (net.register(DST).unwrap(), net)
+        };
+        // Held: each message flushes alone, into the open window.
+        let (_dst_h, held) = net();
+        let mut held_out = Vec::new();
+        for (body, tag) in msgs {
+            held.send_batched(SRC, DST, Bytes::from_static(body), 0.5, tag).unwrap();
+            assert_eq!(held.pending_batched("ua-sparc10", "lerc-rs6000"), 1);
+            held_out.extend(held.flush_all(1.5));
+            assert_eq!(held.credit_outstanding("ua-sparc10", "lerc-rs6000", 1.5), (0, 0));
+        }
+        // Framed: both messages leave in one frame.
+        let (_dst_f, framed) = net();
+        for (body, tag) in msgs {
+            framed.send_batched(SRC, DST, Bytes::from_static(body), 0.5, tag).unwrap();
+        }
+        let framed_out = framed.flush_all(1.5);
+        assert_eq!(framed.credit_outstanding("ua-sparc10", "lerc-rs6000", 1.5), (0, 0));
+
+        let held_out: Vec<_> = held_out.iter().map(outcome).collect();
+        assert_eq!(held_out, framed_out.iter().map(outcome).collect::<Vec<_>>());
+        assert!(held_out.iter().all(|(_, _, r)| r.is_err()), "the fault never fired: {held_out:?}");
+        let excl = &["net.batch."];
+        assert_eq!(
+            held.metrics().snapshot_json_excluding(excl),
+            framed.metrics().snapshot_json_excluding(excl)
+        );
+        assert_eq!(held.metrics().counter("net.batch.flushes.ua-sparc10->lerc-rs6000"), 2);
+        assert_eq!(framed.metrics().counter("net.batch.flushes.ua-sparc10->lerc-rs6000"), 1);
+    }
+}
+
+/// With credits on, a fill-1 flush delivers its message at the plain
+/// path's arrival instant and returns its credit at the bit-identical
+/// instant a two-record frame does when that message arrives last.
+#[test]
+fn a_held_flush_returns_its_credit_when_a_framed_flush_does() {
+    let (late, early) = (Bytes::from(vec![7u8; 300]), Bytes::from_static(b"ack"));
+    let net = || {
+        let net = Network::new(npss_testbed());
+        net.set_link_config(Some(credited_unbounded()));
+        net.register(SRC).unwrap();
+        (net.register(DST).unwrap(), net)
+    };
+    let (_dst_h, held) = net();
+    held.send_batched(SRC, DST, late.clone(), 0.5, (0, 0)).unwrap();
+    let held_out = held.flush_all(0.5);
+    let (_dst_f, framed) = net();
+    framed.send_batched(SRC, DST, late.clone(), 0.5, (0, 0)).unwrap();
+    framed.send_batched(SRC, DST, early, 0.5, (0, 1)).unwrap();
+    let framed_out = framed.flush_all(0.5);
+    let plain = Network::new(npss_testbed());
+    let _dst_p = plain.register(DST).unwrap();
+    let plain_arrival = plain.send(SRC, DST, late, 0.5).unwrap();
+
+    let arrival = *held_out[0].result.as_ref().unwrap();
+    assert_eq!(arrival.to_bits(), plain_arrival.to_bits());
+    assert_eq!(outcome(&held_out[0]), outcome(&framed_out[0]));
+    let early_arrival = *framed_out[1].result.as_ref().unwrap();
+    assert!(early_arrival < arrival, "the framed probe must not arrive last");
+
+    let returned = arrival + held.transfer_seconds("lerc-rs6000", "ua-sparc10", 0).unwrap();
+    let just_before = f64::from_bits(returned.to_bits() - 1);
+    for (net, outstanding) in [(&held, (300, 1)), (&framed, (303, 2))] {
+        assert_eq!(net.credit_outstanding("ua-sparc10", "lerc-rs6000", just_before), outstanding);
+        assert_eq!(net.credit_outstanding("ua-sparc10", "lerc-rs6000", returned), (0, 0));
+    }
+}
+
 /// The same seeded batched flood, run twice, is byte-identical in its
 /// full metrics snapshot — batching counters included.
 #[test]

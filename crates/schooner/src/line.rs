@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use netsim::{Endpoint, Envelope, FlushReport, NetError, VirtualClock};
+use netsim::{Endpoint, Envelope, FlushRecord, NetError, VirtualClock};
 use uts::spec::ProcSpec;
 use uts::{Architecture, Value};
 
@@ -173,10 +173,13 @@ pub struct LineHandle {
     /// Scratch buffer reused for every request encode; its allocation
     /// survives across calls so steady-state marshaling is copy-only.
     encode_buf: BytesMut,
-    /// The wire buffer the next unbatched request is written into: a
-    /// reply buffer reclaimed after its results were decoded, or empty
-    /// while lent out.
+    /// The wire buffer the next request is written into, unless a
+    /// batched link adds it to an open frame: a reply buffer reclaimed
+    /// after its results were decoded, or empty while lent out.
     spare: BytesMut,
+    /// Outcomes of the link flushes this line's sends trigger, lent to
+    /// the transport and emptied by `absorb_flush_reports`.
+    flushed: Vec<FlushRecord>,
     /// The buffers the next ticket borrows; empty while one is out.
     ticket_bufs: TicketBufs,
 }
@@ -214,6 +217,7 @@ impl LineHandle {
             in_flight: false,
             encode_buf: BytesMut::new(),
             spare: BytesMut::new(),
+            flushed: Vec::new(),
             ticket_bufs: TicketBufs::default(),
         };
         let req = handle.fresh_req();
@@ -644,11 +648,11 @@ impl LineHandle {
                 addr: binding.addr.clone(),
             },
         );
-        // Scatter-gather transmit: with batching on, the request is
-        // encoded directly into the link's frame buffer; with it off,
-        // into the line's spare buffer, which is sent as a plain message
-        // (no single-message frame is built). Either way the marshal
-        // plan's output in `encode_buf` is copied once, into the wire.
+        // Scatter-gather transmit: the request is encoded into the line's
+        // spare buffer, which leaves as a plain message, unless a batched
+        // link already holds a message, when it goes straight into that
+        // link's frame. Either way the marshal plan's output in
+        // `encode_buf` is copied once, into the wire.
         let sent_at = self.clock.now();
         let wire_len = Msg::call_request_wire_len(
             &binding.remote_name,
@@ -658,13 +662,14 @@ impl LineHandle {
         let line_id = self.id;
         let encode_buf = &self.encode_buf;
         let endpoint = &self.endpoint;
-        let report = self.ctx.net.send_gather(
+        let sent = self.ctx.net.send_gather(
             endpoint.addr(),
             &binding.addr,
             sent_at,
             (line_id, call),
             wire_len,
             &mut self.spare,
+            &mut self.flushed,
             &mut |b| {
                 Msg::encode_call_request_into(
                     b,
@@ -675,47 +680,48 @@ impl LineHandle {
                     endpoint.addr(),
                 )
             },
-        )?;
+        );
         // Credit-window stalls happen in virtual time and count as
         // transmission: the line waited for the wire.
-        if report.stalled_s > 0.0 {
-            self.clock.advance(report.stalled_s);
-            obs.span_phase(self.id, call, Phase::Transmit, report.stalled_s);
+        if let Ok(report) = &sent {
+            if report.stalled_s > 0.0 {
+                self.clock.advance(report.stalled_s);
+                obs.span_phase(self.id, call, Phase::Transmit, report.stalled_s);
+            }
+            if let Some(arrive_at) = report.delivered_at {
+                obs.span_phase(self.id, call, Phase::Transmit, arrive_at - sent_at);
+            }
         }
-        if let Some(arrive_at) = report.delivered_at {
-            obs.span_phase(self.id, call, Phase::Transmit, arrive_at - sent_at);
-        }
-        self.absorb_flush_reports(&report.flushed, Some((self.id, call)))?;
+        // A failed append may still have flushed other lines' messages:
+        // their outcomes are absorbed before the error is returned.
+        let absorbed = self.absorb_flush_reports((self.id, call));
+        sent?;
+        absorbed?;
         Ok(request_bytes)
     }
 
-    /// Fold link flush reports into the world's state. Every delivered
-    /// message — whichever line issued it — gets its time on the wire
-    /// charged to the Transmit phase of its own call span (the span
-    /// table ignores tags with no open span). A delivery failure of
-    /// *this* line's `own` call is returned as the attempt's error;
-    /// failures of other lines' coalesced messages are parked in the
-    /// shared mailbox for their owners to claim at collect time.
-    fn absorb_flush_reports(
-        &mut self,
-        reports: &[FlushReport],
-        own: Option<(u64, u64)>,
-    ) -> SchResult<()> {
+    /// Fold the link flush outcomes in `self.flushed` into the world's
+    /// state, emptying it. Every delivered message — whichever line
+    /// issued it — gets its time on the wire charged to the Transmit
+    /// phase of its own call span (the span table ignores tags with no
+    /// open span). A delivery failure of *this* line's `own` call is
+    /// returned as the attempt's error; failures of other lines'
+    /// coalesced messages are parked in the shared mailbox for their
+    /// owners to claim at collect time.
+    fn absorb_flush_reports(&mut self, own: (u64, u64)) -> SchResult<()> {
         let mut own_err: Option<NetError> = None;
-        for rep in reports {
-            for rec in &rep.msgs {
-                match &rec.result {
-                    Ok(arrive_at) => {
-                        self.ctx.obs.span_phase(
-                            rec.tag.0,
-                            rec.tag.1,
-                            Phase::Transmit,
-                            arrive_at - rec.sent_at,
-                        );
-                    }
-                    Err(e) if own == Some(rec.tag) => own_err = Some(e.clone()),
-                    Err(e) => self.ctx.park_batch_failure(rec.tag, e.clone()),
+        for rec in self.flushed.drain(..) {
+            match rec.result {
+                Ok(arrive_at) => {
+                    self.ctx.obs.span_phase(
+                        rec.tag.0,
+                        rec.tag.1,
+                        Phase::Transmit,
+                        arrive_at - rec.sent_at,
+                    );
                 }
+                Err(e) if rec.tag == own => own_err = Some(e),
+                Err(e) => self.ctx.park_batch_failure(rec.tag, e),
             }
         }
         own_err.map_or(Ok(()), |e| Err(e.into()))
@@ -758,9 +764,9 @@ impl LineHandle {
         if let Some(e) = self.ctx.take_batch_failure((self.id, call)) {
             return Err(e.into());
         }
-        let flushed =
-            self.ctx.net.flush_link(&self.host, host_part(&binding.addr), self.clock.now());
-        self.absorb_flush_reports(&flushed, Some((self.id, call)))?;
+        let to_host = host_part(&binding.addr);
+        self.ctx.net.flush_link(&self.host, to_host, self.clock.now(), &mut self.flushed);
+        self.absorb_flush_reports((self.id, call))?;
         let bytes = self.await_call_reply(call, binding.incarnation)?.map_err(|e| {
             if e.code == FaultCode::ProcessGone {
                 // Prefer the address we actually dialled: it is the

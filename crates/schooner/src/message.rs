@@ -452,8 +452,9 @@ impl Msg {
 
     /// Encode a [`Msg::CallRequest`] directly into `out` — the
     /// scatter-gather fast path, writing the marshal plan's output
-    /// straight into a link frame buffer with no per-call `Bytes`
-    /// allocation. It restates the table's `CallRequest` row from
+    /// straight into the line's lent wire buffer or a link frame buffer
+    /// with no per-call `Bytes` allocation. It restates the table's
+    /// `CallRequest` row from
     /// borrowed fields; a test pins the two byte-identical.
     pub fn encode_call_request_into(
         out: &mut BytesMut,

@@ -70,6 +70,41 @@ fn partition_heals_in_virtual_time_and_results_match_baseline() {
     sch.shutdown();
 }
 
+/// On a batched link, a request held for a flush can be failed by the
+/// flush another line's append triggers — even when that append is then
+/// refused too. Both lines see the typed transport error; the first
+/// line's failure is not lost and mistaken for a vanished reply.
+#[test]
+fn a_held_request_failed_by_another_lines_refused_append_keeps_its_error() {
+    let config = SchoonerConfig::builder().link_batching(netsim::LinkConfig::default()).build();
+    let sch = Schooner::standard_with(config).unwrap();
+    sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
+    let mut a = sch.open_line("a", "ua-sparc10").unwrap();
+    let mut b = sch.open_line("b", "ua-sparc10").unwrap();
+    for line in [&mut a, &mut b] {
+        line.start_remote("/x/cal", "lerc-sgi-4d480").unwrap();
+        line.call("cal", &[Value::Float(0.0)]).unwrap();
+    }
+    let t0 = a.sync_to(b.now());
+    let held = a.issue("cal", &[Value::Float(1.0)]).unwrap();
+    // The partition opens after `a`'s request was appended and before
+    // `b`'s append, which finds it past its linger deadline.
+    sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xF002).partition(
+        &["ua-sparc10"],
+        &["lerc-sgi-4d480"],
+        t0 + 1.0,
+        t0 + 10.0,
+    )));
+    b.sync_to(t0 + 2.0);
+    let refused = b.issue("cal", &[Value::Float(2.0)]).unwrap();
+    for (line, ticket) in [(&mut a, held), (&mut b, refused)] {
+        let err = line.collect(ticket).unwrap_err();
+        assert!(matches!(err, SchError::Net(NetError::Unreachable { .. })), "{err}");
+    }
+    sch.ctx().net.set_fault_plan(None);
+    sch.shutdown();
+}
+
 /// Seeded message drops: two runs with the same plan seed see the exact
 /// same fates (same outputs, same retry counts), and the answers still
 /// match the clean baseline because the policy absorbs every loss.

@@ -19,7 +19,7 @@
 use tess::engine::{OperatingPoint, Turbofan};
 use tess::schedules::Schedule;
 use tess::solver::newton::{newton_solve, NewtonOptions};
-use tess::transient::{TransientMethod, TransientResult, TransientSample};
+use tess::transient::{transient_steps, TransientMethod, TransientResult, TransientSample};
 use uts::Value;
 
 use crate::exec::{flow_to_value, value_to_flow, LocalExec, PendingCall, RemoteExec};
@@ -789,6 +789,7 @@ impl ExecutiveEngine {
         dt: f64,
         t_end: f64,
     ) -> Result<TransientResult, String> {
+        let steps = transient_steps(t_end, dt)?;
         let initial = self.balance(fuel.at(0.0))?;
         let y = [initial.n1, initial.n2];
         let mut inner = self.engine.design_inner_guess();
@@ -796,7 +797,7 @@ impl ExecutiveEngine {
 
         let samples = vec![sample_of(0.0, &initial)];
         self.journal_sample(&samples[0]);
-        self.transient_loop(fuel, method, dt, t_end, 0.0, 0, y, inner, samples)
+        self.transient_loop(fuel, method, dt, steps, 0.0, 0, y, inner, samples)
     }
 
     /// Resume an interrupted transient from a replayed journal alone.
@@ -826,6 +827,7 @@ impl ExecutiveEngine {
         dt: f64,
         t_end: f64,
     ) -> Result<TransientResult, String> {
+        let steps = transient_steps(t_end, dt)?;
         // The latest barrier's resume state: (t, step, y, inner, samples_len).
         struct Resume {
             t: f64,
@@ -877,20 +879,20 @@ impl ExecutiveEngine {
         }
         self.setup()?;
         self.restore_remotes();
-        self.transient_loop(fuel, method, dt, t_end, r.t, r.step, r.y, r.inner, samples)
+        self.transient_loop(fuel, method, dt, steps, r.t, r.step, r.y, r.inner, samples)
     }
 
     /// The transient stepping loop shared by [`Self::run_transient`]
     /// (entering at step 0) and [`Self::recover_from_journal`] (entering
     /// at a replayed barrier). Places the entry checkpoint barrier, then
-    /// integrates to `t_end` with rollback recovery.
+    /// integrates to step `steps` with rollback recovery.
     #[allow(clippy::too_many_arguments)] // the resume state is the argument list
     fn transient_loop(
         &mut self,
         fuel: &Schedule,
         method: TransientMethod,
         dt: f64,
-        t_end: f64,
+        steps: usize,
         mut t: f64,
         mut step: usize,
         mut y: [f64; 2],
@@ -898,7 +900,6 @@ impl ExecutiveEngine {
         mut samples: Vec<TransientSample>,
     ) -> Result<TransientResult, String> {
         let mut integrator = method.integrator();
-        let steps = (t_end / dt).round() as usize;
         self.recoveries = 0;
         let mut checkpoint = if self.checkpoint_interval > 0 {
             self.checkpoint_remotes();

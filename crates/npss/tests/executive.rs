@@ -1,12 +1,18 @@
 //! End-to-end tests of the prototype executive: the F100 network, local
-//! and remote component execution, and the paper's verification property
-//! (remote results equal the local-compute-only baseline).
+//! and remote component execution, the paper's verification property
+//! (remote results equal the local-compute-only baseline), and the wave
+//! scheduler's plan and failure order (its replay is `tests/replay_matrix.rs`).
 
 use std::sync::Arc;
 
+use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
 use npss::experiments::{max_rel_diff, table1, table2};
-use npss::f100::{F100Network, RemotePlacement};
-use schooner::Schooner;
+use npss::f100::{F100Network, RemotePlacement, TABLE2_PLACEMENT};
+use npss::service;
+use schooner::{CallPolicy, Schooner};
+use tess::engine::Turbofan;
+use tess::schedules::Schedule;
+use tess::transient::TransientMethod;
 
 fn world() -> Arc<Schooner> {
     Arc::new(Schooner::standard().unwrap())
@@ -57,6 +63,12 @@ fn all_local_run_balances_and_spools_up() {
     for row in net.report() {
         assert_eq!(row.location, "local", "{row:?}");
     }
+}
+
+#[test]
+fn zero_time_step_is_refused_not_run_forever() {
+    let run = F100Network::build(world(), "ua-sparc10").unwrap().run("Modified Euler", 0.2, 0.0);
+    assert!(run.unwrap_err().contains("time step must be positive"));
 }
 
 #[test]
@@ -226,4 +238,106 @@ fn engine_model_choice_switches_cycles() {
         sfc_hb < 0.8 * sfc_f100,
         "high-bypass executive run must be more efficient: {sfc_hb:.3e} vs {sfc_f100:.3e}"
     );
+}
+
+/// The AVS leveling pass groups exactly the independent slots: the
+/// bypass duct and combustor share a wave, the two shafts share a wave,
+/// and everything on the gas path's spine stays ordered.
+#[test]
+fn wave_plan_derives_antichains_from_f100_graph() {
+    let net = F100Network::build(world(), "ua-sparc10").unwrap();
+    let plan = net.wave_plan().unwrap();
+    assert!(plan.same_wave("bypass duct", "combustor"), "{plan:?}");
+    assert!(plan.same_wave("low speed shaft", "high speed shaft"), "{plan:?}");
+    assert!(!plan.same_wave("bypass duct", "tailpipe duct"), "{plan:?}");
+    assert!(!plan.same_wave("combustor", "nozzle"), "{plan:?}");
+    assert!(!plan.same_wave("tailpipe duct", "nozzle"), "{plan:?}");
+}
+
+/// A fault the executive finds in its own physics — here a β outside the
+/// HPC map — is reported before any component of that evaluation has been
+/// called, under either scheduler: the local HPC runs ahead of the bypass
+/// duct / combustor group in the one sweep both modes share.
+#[test]
+fn hpc_map_excursion_fails_before_any_component_call() {
+    for scheduling in [Scheduling::Sequential, Scheduling::WaveParallel] {
+        let mut exec = ExecutiveEngine::all_local(Turbofan::f100().unwrap()).unwrap();
+        exec.scheduling = scheduling;
+        exec.wave_plan = service::f100_wave_plan();
+        exec.setup().unwrap();
+        let calls =
+            |e: &ExecutiveEngine| -> Vec<u64> { e.report_rows().iter().map(|r| r.calls).collect() };
+        let before = calls(&exec);
+        assert_eq!(before, [1; 6], "setup configures every slot once");
+
+        let (cy, d) = (exec.engine.cycle.clone(), exec.engine.design.clone());
+        let on_map = [0.5, 0.5, d.er_hpt, d.er_lpt, 1.0];
+        let off_map = [0.5, 7.0, d.er_hpt, d.er_lpt, 1.0];
+        let err = exec.evaluate(cy.n1_design, cy.n2_design, d.wf, &off_map).unwrap_err();
+        assert!(err.contains("coordinate 7 outside table range"), "{scheduling:?}: {err}");
+        assert_eq!(calls(&exec), before, "{scheduling:?}: no slot was called");
+
+        // The same point on the map reaches all four gas-path slots.
+        exec.evaluate(cy.n1_design, cy.n2_design, d.wf, &on_map).unwrap();
+        assert_eq!(calls(&exec), [2, 2, 2, 2, 1, 1], "{scheduling:?}");
+    }
+}
+
+/// When two calls in the same wave both fail, the reported error names
+/// the slot lowest in slot order, regardless of which host died "first":
+/// the full-width configuration wave loses the Cray (bypass duct,
+/// tailpipe duct) and the UA SGI (combustor) at once, and the error is
+/// always the bypass duct's.
+#[test]
+fn two_failures_in_one_wave_report_first_by_slot_order() {
+    let sch = service::world(false).unwrap();
+    let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.05, 2.0, 0.05);
+    let mut exec = service::table2_engine(&sch, &policy, Scheduling::WaveParallel, 0).unwrap();
+    sch.ctx().net.set_host_up("lerc-cray-ymp", false);
+    sch.ctx().net.set_host_up("ua-sgi-4d340", false);
+    let err = exec.setup().unwrap_err();
+    assert!(err.starts_with("bypass duct"), "expected the lowest slot's error, got: {err}");
+
+    // With only the combustor's host down, the error is the combustor's.
+    sch.ctx().net.set_host_up("lerc-cray-ymp", true);
+    let err = exec.setup().unwrap_err();
+    assert!(err.starts_with("combustor"), "expected the combustor's error, got: {err}");
+
+    sch.ctx().net.set_host_up("ua-sgi-4d340", true);
+    exec.setup().unwrap();
+    exec.shutdown();
+    sch.shutdown();
+}
+
+/// Checkpoint, restore, and configuration traffic ride the owning
+/// component's line: after a wave-parallel run with barriers, every
+/// slot's line has non-zero call and reply-byte counts of its own, and
+/// the per-line tallies sum exactly to the world's `rpc.*` counters —
+/// nothing is charged to an arbitrary "first" line.
+#[test]
+fn reply_bytes_are_attributed_per_line() {
+    let sch = service::world(false).unwrap();
+    let mut exec =
+        service::table2_engine(&sch, &CallPolicy::default(), Scheduling::WaveParallel, 5).unwrap();
+    let fuel = Schedule::constant(exec.engine.design.wf);
+    exec.run_transient(&fuel, TransientMethod::ImprovedEuler, 0.02, 0.2).unwrap();
+    exec.checkpoint_remotes();
+
+    let (mut calls, mut request_bytes, mut reply_bytes) = (0, 0, 0);
+    for (slot, _, _) in TABLE2_PLACEMENT {
+        let Some(Exec::Remote(r)) = exec.exec_mut(slot) else { panic!("{slot} should be remote") };
+        let stats = r.stats();
+        assert!(stats.calls > 0, "{slot} made no calls of its own");
+        assert!(stats.reply_bytes > 0, "{slot} earned no reply bytes of its own");
+        calls += stats.calls;
+        request_bytes += stats.request_bytes;
+        reply_bytes += stats.reply_bytes;
+    }
+    let m = sch.ctx().obs.metrics();
+    assert_eq!(m.counter("rpc.calls"), calls, "calls must sum to the world counter");
+    assert_eq!(m.counter("rpc.request_bytes"), request_bytes);
+    assert_eq!(m.counter("rpc.reply_bytes"), reply_bytes);
+
+    exec.shutdown();
+    sch.shutdown();
 }

@@ -206,9 +206,28 @@ impl<R> SessionTicket<R> {
 
 impl<R: Send + 'static> SessionPool<R> {
     /// Start the pool: spawn `config.workers` named worker threads.
+    /// Refuses a pool that could never admit a session: no workers, no
+    /// queue, a rate that is negative or NaN, or a finite rate whose bucket
+    /// cannot hold one token.
     pub fn start(config: PoolConfig) -> SchResult<Self> {
-        if config.workers == 0 {
+        let PoolConfig { workers, queue_capacity, tenant_rate, tenant_burst } = config;
+        if workers == 0 {
             return Err(SchError::Other("session pool needs at least one worker".into()));
+        }
+        if queue_capacity == 0 {
+            return Err(SchError::Other(
+                "session pool needs a queue capacity of at least one".into(),
+            ));
+        }
+        if tenant_rate.is_nan() || tenant_rate < 0.0 {
+            return Err(SchError::Other(format!(
+                "tenant rate must be zero or more, got {tenant_rate}"
+            )));
+        }
+        if tenant_rate.is_finite() && (tenant_burst.is_nan() || tenant_burst < 1.0) {
+            let why =
+                format!("a finite tenant rate needs a burst of at least one, got {tenant_burst}");
+            return Err(SchError::Other(why));
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -472,6 +491,33 @@ mod tests {
         after.wait().unwrap();
         assert_eq!(pool.metrics().counter("pool.session_panics"), 1);
         pool.shutdown();
+    }
+
+    #[test]
+    fn start_refuses_a_pool_that_could_never_admit() {
+        let refused = [
+            (PoolConfig { workers: 0, ..PoolConfig::default() }, "worker"),
+            (PoolConfig { queue_capacity: 0, ..PoolConfig::default() }, "queue capacity"),
+            (PoolConfig { tenant_rate: f64::NAN, ..PoolConfig::default() }, "tenant rate"),
+            (PoolConfig { tenant_rate: -1.0, ..PoolConfig::default() }, "tenant rate"),
+            (PoolConfig { tenant_rate: 2.0, tenant_burst: 0.5, ..PoolConfig::default() }, "burst"),
+            (
+                PoolConfig { tenant_rate: 0.0, tenant_burst: f64::NAN, ..PoolConfig::default() },
+                "burst",
+            ),
+        ];
+        for (config, why) in refused {
+            let shown = format!("{config:?}");
+            match SessionPool::<()>::start(config) {
+                Err(SchError::Other(e)) => assert!(e.contains(why), "{shown}: {e}"),
+                Err(e) => panic!("{shown}: unexpected error {e}"),
+                Ok(_) => panic!("{shown}: a pool that can never admit was started"),
+            }
+        }
+        // A zero rate (a burst, then nothing) and an infinite one stay valid.
+        for tenant_rate in [0.0, f64::INFINITY] {
+            SessionPool::<()>::start(PoolConfig { tenant_rate, ..PoolConfig::default() }).unwrap();
+        }
     }
 
     #[test]

@@ -216,6 +216,7 @@ impl TransientRun {
     /// Balance at the t = 0 operating point, then run the transient to
     /// `t_end` seconds.
     pub fn run(&mut self, t_end: f64) -> Result<TransientResult, String> {
+        let steps = transient_steps(t_end, self.dt)?;
         // "TESS first attempts to balance the engine at the initial
         // operating point through a steady-state calculation."
         self.engine.stators.fan_deg = self.fan_stators.at(0.0);
@@ -233,7 +234,6 @@ impl TransientRun {
 
         let mut integrator = self.method.integrator();
         let mut samples = vec![sample_of(0.0, &initial.point)];
-        let steps = (t_end / self.dt).round() as usize;
         let mut t = 0.0;
         for _ in 0..steps {
             // Injected failures fire at the start of the step in which
@@ -273,6 +273,20 @@ impl TransientRun {
         }
         Ok(TransientResult { samples, method: self.method.display_name().to_owned(), dt: self.dt })
     }
+}
+
+/// The number of fixed `dt` steps in a transient of `t_end` seconds.
+/// Refuses what no loop could finish or would silently skip: a step that
+/// is not positive and finite, and a length that is negative or not
+/// finite.
+pub fn transient_steps(t_end: f64, dt: f64) -> Result<usize, String> {
+    if !dt.is_finite() || dt <= 0.0 {
+        return Err(format!("time step must be positive and finite, got {dt}"));
+    }
+    if !t_end.is_finite() || t_end < 0.0 {
+        return Err(format!("transient length must be finite and not negative, got {t_end}"));
+    }
+    Ok((t_end / dt).round() as usize)
 }
 
 fn sample_of(t: f64, op: &OperatingPoint) -> TransientSample {
@@ -351,6 +365,24 @@ mod tests {
         for s in &r.samples {
             assert!((s.n1 - n1d).abs() / n1d < 2e-3, "drifted to {} at t={}", s.n1, s.t);
         }
+    }
+
+    #[test]
+    fn step_count_refuses_steps_and_lengths_no_loop_could_run() {
+        assert_eq!(transient_steps(1.0, 0.02), Ok(50));
+        assert_eq!(transient_steps(0.0, 0.02), Ok(0));
+        for dt in [0.0, -0.0, -0.02, f64::NAN, f64::INFINITY] {
+            let err = transient_steps(1.0, dt).unwrap_err();
+            assert!(err.contains("time step"), "dt {dt}: {err}");
+        }
+        for t_end in [-0.2, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = transient_steps(t_end, 0.02).unwrap_err();
+            assert!(err.contains("transient length"), "t_end {t_end}: {err}");
+        }
+        // Refused before the initial balance, so nothing runs.
+        let (engine, fuel) = throttle_step();
+        let err = TransientRun::new(engine, fuel, TransientMethod::ImprovedEuler, 0.0).run(1.0);
+        assert!(err.unwrap_err().contains("time step"));
     }
 
     #[test]

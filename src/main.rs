@@ -56,7 +56,8 @@ fn usage() -> String {
      fig1                    Figure 1 control-transfer trace\n\
      f100 [SECONDS] [slot=machine ...] [--parallel]\n\
      \u{20}                        run the F100 network; --parallel overlaps\n\
-     \u{20}                        each graph level's calls (same results)\n\
+     \u{20}                        each graph level's calls (same results);\n\
+     \u{20}                        SECONDS, here and above, is in (0, 5]\n\
      costs [--metrics] [--journal PATH] [--critical-path]\n\
      \u{20}                        per-machine-pair RPC cost table with phase\n\
      \u{20}                        breakdown; --metrics appends the JSON snapshot,\n\
@@ -78,8 +79,14 @@ fn world() -> Result<Arc<Schooner>, String> {
     Ok(Arc::new(Schooner::standard().map_err(|e| e.to_string())?))
 }
 
-fn parse_seconds(args: &[String], default: f64) -> f64 {
-    args.first().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The transient length: 1 s when absent, otherwise a number in the
+/// system module's "transient seconds" range, 0 < SECONDS <= 5.
+fn parse_seconds(arg: Option<&String>) -> Result<f64, String> {
+    let Some(arg) = arg else { return Ok(1.0) };
+    match arg.parse::<f64>() {
+        Ok(s) if s > 0.0 && s <= 5.0 => Ok(s),
+        _ => Err(format!("SECONDS must be a number with 0 < SECONDS <= 5, got '{arg}'")),
+    }
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -88,8 +95,8 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     match cmd.as_str() {
         "testbed" => cmd_testbed(),
-        "table1" => cmd_table1(parse_seconds(&args[1..], 1.0)),
-        "table2" => cmd_table2(parse_seconds(&args[1..], 1.0)),
+        "table1" => cmd_table1(parse_seconds(args.get(1))?),
+        "table2" => cmd_table2(parse_seconds(args.get(1))?),
         "fig1" => cmd_fig1(),
         "f100" => cmd_f100(&args[1..]),
         "costs" => cmd_costs(&args[1..]),
@@ -399,8 +406,8 @@ fn cmd_f100(args: &[String]) -> Result<(), String> {
     for a in args {
         if a == "--parallel" {
             parallel = true;
-        } else if let Ok(s) = a.parse::<f64>() {
-            seconds = s;
+        } else if a.parse::<f64>().is_ok() {
+            seconds = parse_seconds(Some(a))?;
         } else if let Some((slot, machine)) = a.split_once('=') {
             placement = placement.with(slot, machine);
         } else {
@@ -453,6 +460,16 @@ fn cmd_f100(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::run;
+
+    #[test]
+    fn transient_seconds_outside_the_system_module_range_are_refused() {
+        for cmd in ["table1", "table2", "f100"] {
+            for bad in ["abc", "NaN", "inf", "0", "-1", "5.5"] {
+                let err = run(&[cmd, bad].map(String::from)).unwrap_err();
+                assert!(err.contains("SECONDS"), "{cmd} {bad}: {err}");
+            }
+        }
+    }
 
     #[test]
     fn serve_refuses_zero_tenants() {

@@ -48,8 +48,9 @@ impl ComponentProcedure {
 }
 
 impl Procedure for ComponentProcedure {
-    fn call(&mut self, args: &[Value]) -> ProcResult<Vec<Value>> {
-        self.component.compute(args).map_err(ProcFault::Failed)
+    fn call(&mut self, args: &[Value], out: &mut Vec<Value>) -> ProcResult<()> {
+        out.extend(self.component.compute(args).map_err(ProcFault::Failed)?);
+        Ok(())
     }
 
     fn flops(&self, _args: &[Value]) -> f64 {
@@ -214,7 +215,8 @@ mod tests {
 
         let mut procs = image.instantiate().unwrap();
         let spec = reg.spec("duct").unwrap();
-        let out = procs.get_mut(COMPONENT_PROC).unwrap().call(&spec.examples).unwrap();
+        let mut out = Vec::new();
+        procs.get_mut(COMPONENT_PROC).unwrap().call(&spec.examples, &mut out).unwrap();
         // Must agree with a direct in-process compute on a fresh instance.
         let mut local = reg.create("duct").unwrap();
         assert_eq!(out, local.compute(&spec.examples).unwrap());

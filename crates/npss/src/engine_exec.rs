@@ -107,10 +107,12 @@ pub enum Exec {
 }
 
 impl Exec {
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, String> {
+    /// Call `name`; `out` is cleared first, holds the outputs on success
+    /// and is empty on error.
+    fn call(&mut self, name: &str, args: &[Value], out: &mut Vec<Value>) -> Result<(), String> {
         match self {
-            Exec::Local(e) => e.call(name, args).map_err(|e| e.to_string()),
-            Exec::Remote(e) => e.call(name, args).map_err(|e| e.to_string()),
+            Exec::Local(e) => e.call(name, args, out).map_err(|e| e.to_string()),
+            Exec::Remote(e) => e.call(name, args, out).map_err(|e| e.to_string()),
         }
     }
 
@@ -146,20 +148,21 @@ impl Exec {
     }
 
     /// Issue the request half of a call; local executors (which have no
-    /// line to overlap on) compute eagerly and carry the result.
-    fn begin(&mut self, name: &str, args: &[Value]) -> PendingCall {
+    /// line to overlap on) compute eagerly, into `out`.
+    fn begin(&mut self, name: &str, args: &[Value], out: &mut Vec<Value>) -> PendingCall {
         match self {
-            Exec::Local(e) => PendingCall::Ready(e.call(name, args)),
+            Exec::Local(e) => PendingCall::Ready(e.call(name, args, out)),
             Exec::Remote(e) => {
-                e.begin(name, args).unwrap_or_else(|err| PendingCall::Ready(Err(err)))
+                e.begin(name, args, out).unwrap_or_else(|err| PendingCall::Ready(Err(err)))
             }
         }
     }
 
-    /// Collect the reply half of a call begun with [`Exec::begin`].
-    fn finish(&mut self, pending: PendingCall) -> Result<Vec<Value>, String> {
+    /// Collect the reply half of a call begun with [`Exec::begin`] into
+    /// the `out` it was begun with.
+    fn finish(&mut self, pending: PendingCall, out: &mut Vec<Value>) -> Result<(), String> {
         match (self, pending) {
-            (Exec::Remote(e), p) => e.finish(p).map_err(|e| e.to_string()),
+            (Exec::Remote(e), p) => e.finish(p, out).map_err(|e| e.to_string()),
             (Exec::Local(_), PendingCall::Ready(r)) => r.map_err(|e| e.to_string()),
             (Exec::Local(_), PendingCall::Ticket(t)) => {
                 Err(format!("pending call '{}' outlived its remote executor", t.name()))
@@ -210,11 +213,28 @@ pub struct ExecReportRow {
 }
 
 /// One adapted-module slot: its name, the gas-path procedure it serves,
-/// and the executor currently bound to it.
+/// the executor currently bound to it, and the vector that executor
+/// writes each call's outputs into. The slot keeps that vector across
+/// calls, so a call allocates nothing for its results; it is emptied
+/// once the outputs are read, so no value outlives its call.
 struct SlotExec {
     slot: &'static str,
     proc: &'static str,
     exec: Exec,
+    out: Vec<Value>,
+}
+
+impl SlotExec {
+    fn call(&mut self, name: &str, args: &[Value]) -> Result<(), String> {
+        self.exec.call(name, args, &mut self.out)
+    }
+
+    /// Read the outputs of the slot's last call, then empty its vector.
+    fn take<T>(&mut self, read: impl FnOnce(&[Value]) -> Result<T, String>) -> Result<T, String> {
+        let got = read(&self.out);
+        self.out.clear();
+        got
+    }
 }
 
 /// Index of each slot in [`ExecutiveEngine`]'s table; the table order is
@@ -281,7 +301,8 @@ impl ExecutiveEngine {
         ];
         let mut slots = Vec::with_capacity(table.len());
         for (slot, proc, image) in table {
-            slots.push(SlotExec { slot, proc, exec: Exec::Local(LocalExec::new(&image())?) });
+            let exec = Exec::Local(LocalExec::new(&image())?);
+            slots.push(SlotExec { slot, proc, exec, out: Vec::new() });
         }
         Ok(Self {
             engine,
@@ -352,7 +373,8 @@ impl ExecutiveEngine {
         }
     }
 
-    /// Run a group of adapted-module calls, `calls` sorted by slot index.
+    /// Run a group of adapted-module calls, `calls` sorted by slot index,
+    /// each writing its outputs into its slot's vector.
     ///
     /// Without `overlap` they go out one blocking call at a time in the
     /// order given and the first error is returned as is. With it the
@@ -362,7 +384,8 @@ impl ExecutiveEngine {
     /// call is drained even after a failure (a line with a ticket
     /// outstanding accepts no other traffic); when several calls in the
     /// wave fail, the error reported is the one lowest in slot order, so
-    /// the outcome never depends on reply arrival order.
+    /// the outcome never depends on reply arrival order. Either way, a
+    /// group that fails leaves no slot of the group holding an output.
     ///
     /// Groups are fixed-size arrays on the caller's stack, so the
     /// sequential sweep pays nothing for sharing this path.
@@ -370,41 +393,48 @@ impl ExecutiveEngine {
         &mut self,
         overlap: bool,
         calls: [(usize, &'static str, &[Value]); N],
-    ) -> Result<[Vec<Value>; N], String> {
-        let mut outs: [Vec<Value>; N] = std::array::from_fn(|_| Vec::new());
-        if !overlap {
-            for (out, (slot, name, args)) in outs.iter_mut().zip(calls) {
-                *out = self.slots[slot].exec.call(name, args)?;
-            }
-            return Ok(outs);
-        }
-        let mut t0 = 0.0_f64;
-        for (slot, _, _) in calls {
-            if let Exec::Remote(r) = &mut self.slots[slot].exec {
-                t0 = t0.max(r.line_mut().now());
-            }
-        }
-        for (slot, _, _) in calls {
-            if let Exec::Remote(r) = &mut self.slots[slot].exec {
-                r.line_mut().sync_to(t0);
-            }
-        }
-        let pending = calls.map(|(slot, name, args)| self.slots[slot].exec.begin(name, args));
+    ) -> Result<(), String> {
         let mut first_err: Option<String> = None;
-        for ((out, (slot, name, _)), p) in outs.iter_mut().zip(calls).zip(pending) {
-            match self.slots[slot].exec.finish(p) {
-                Ok(o) => *out = o,
+        if !overlap {
+            for (slot, name, args) in calls {
+                if let Err(e) = self.slots[slot].call(name, args) {
+                    first_err = Some(e);
+                    break;
+                }
+            }
+        } else {
+            let mut t0 = 0.0_f64;
+            for (slot, _, _) in calls {
+                if let Exec::Remote(r) = &mut self.slots[slot].exec {
+                    t0 = t0.max(r.line_mut().now());
+                }
+            }
+            for (slot, _, _) in calls {
+                if let Exec::Remote(r) = &mut self.slots[slot].exec {
+                    r.line_mut().sync_to(t0);
+                }
+            }
+            let pending = calls.map(|(slot, name, args)| {
+                let SlotExec { exec, out, .. } = &mut self.slots[slot];
+                exec.begin(name, args, out)
+            });
+            for ((slot, name, _), p) in calls.into_iter().zip(pending) {
+                let SlotExec { slot: slot_name, exec, out, .. } = &mut self.slots[slot];
                 // `calls` is in slot order: the first failure met is the
                 // lowest slot's.
-                Err(e) => {
-                    first_err
-                        .get_or_insert_with(|| format!("{} ({name}): {e}", self.slots[slot].slot));
+                if let Err(e) = exec.finish(p, out) {
+                    first_err.get_or_insert_with(|| format!("{slot_name} ({name}): {e}"));
                 }
             }
         }
         match first_err {
-            Some(msg) => Err(msg),
-            None => Ok(outs),
+            Some(msg) => {
+                for (slot, _, _) in calls {
+                    self.slots[slot].out.clear();
+                }
+                Err(msg)
+            }
+            None => Ok(()),
         }
     }
 
@@ -435,7 +465,7 @@ impl ExecutiveEngine {
         ];
         let lp = shaft_args(d.p_fan, d.p_lpt);
         let hp = shaft_args(d.p_hpc, d.p_hpt);
-        let [.., lp_out, hp_out] = self.call_group(
+        self.call_group(
             self.scheduling == Scheduling::WaveParallel,
             [
                 (BYPASS_DUCT, "setduct", &bypass),
@@ -446,14 +476,19 @@ impl ExecutiveEngine {
                 (HP_SHAFT, "setshaft", &hp),
             ],
         )?;
+        for slot in [BYPASS_DUCT, TAILPIPE, COMBUSTOR, NOZZLE] {
+            self.slots[slot].out.clear();
+        }
         let ecorr_of = |out: &[Value]| -> Result<f32, String> {
             match out.first() {
                 Some(Value::Float(x)) => Ok(*x),
                 other => Err(format!("setshaft returned {other:?}")),
             }
         };
-        self.ecorr_lp = Some(ecorr_of(&lp_out)?);
-        self.ecorr_hp = Some(ecorr_of(&hp_out)?);
+        let lp = self.slots[LP_SHAFT].take(ecorr_of);
+        let hp = self.slots[HP_SHAFT].take(ecorr_of);
+        self.ecorr_lp = Some(lp?);
+        self.ecorr_hp = Some(hp?);
         Ok(())
     }
 
@@ -512,12 +547,13 @@ impl ExecutiveEngine {
         ];
         let overlap = self.scheduling == Scheduling::WaveParallel
             && self.wave_plan.same_wave("bypass duct", "combustor");
-        let [duct_out, comb_out] = self.call_group(
+        self.call_group(
             overlap,
             [(BYPASS_DUCT, "duct", &duct_args), (COMBUSTOR, "comb", &comb_args)],
         )?;
-        let st16 = value_to_flow(&duct_out[0])?;
-        let st4 = value_to_flow(&comb_out[0])?;
+        let st16 = self.slots[BYPASS_DUCT].take(|out| value_to_flow(&out[0]));
+        let st4 = self.slots[COMBUSTOR].take(|out| value_to_flow(&out[0]));
+        let (st16, st4) = (st16?, st4?);
 
         let e = &self.engine;
         let cy = &e.cycle;
@@ -536,14 +572,16 @@ impl ExecutiveEngine {
         let st6 = e.mixer.mix(&st5, &st16);
 
         // Adapted module: tailpipe duct (a singleton wave in the plan).
-        let tailpipe_out = self.slots[TAILPIPE].exec.call(
+        let tailpipe = &mut self.slots[TAILPIPE];
+        tailpipe.call(
             "duct",
             &[flow_to_value(&st6), Value::Float(cy.tailpipe_dp as f32), Value::Float(0.0)],
         )?;
-        let st7 = value_to_flow(&tailpipe_out[0])?;
+        let st7 = tailpipe.take(|out| value_to_flow(&out[0]))?;
 
         // Adapted module: nozzle (likewise a singleton wave).
-        let nz_out = self.slots[NOZZLE].exec.call(
+        let nozzle = &mut self.slots[NOZZLE];
+        nozzle.call(
             "nozl",
             &[
                 flow_to_value(&st7),
@@ -553,9 +591,11 @@ impl ExecutiveEngine {
                 Value::Float(cy.nozzle_cv as f32),
             ],
         )?;
-        let nz =
-            nz_out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
-        let (w_capacity, gross_thrust) = (nz[0] as f64, nz[1] as f64);
+        let (w_capacity, gross_thrust) = nozzle.take(|out| {
+            let nz =
+                out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
+            Ok((nz[0] as f64, nz[1] as f64))
+        })?;
         let r_noz = (w_capacity - st7.w) / d.st7.w;
 
         let ram_drag =
@@ -607,15 +647,16 @@ impl ExecutiveEngine {
         let hp = shaft_args(op.p_hpc, op.p_hpt, ecorr_hp, op.n2, self.engine.cycle.i2);
         let overlap = self.scheduling == Scheduling::WaveParallel
             && self.wave_plan.same_wave("low speed shaft", "high speed shaft");
-        let [lp_out, hp_out] =
-            self.call_group(overlap, [(LP_SHAFT, "shaft", &lp), (HP_SHAFT, "shaft", &hp)])?;
+        self.call_group(overlap, [(LP_SHAFT, "shaft", &lp), (HP_SHAFT, "shaft", &hp)])?;
         let accel_of = |out: &[Value]| -> Result<f64, String> {
             match out.first() {
                 Some(Value::Float(x)) => Ok(*x as f64),
                 other => Err(format!("shaft returned {other:?}")),
             }
         };
-        Ok((accel_of(&lp_out)?, accel_of(&hp_out)?))
+        let lp = self.slots[LP_SHAFT].take(accel_of);
+        let hp = self.slots[HP_SHAFT].take(accel_of);
+        Ok((lp?, hp?))
     }
 
     /// Solve the four inner flow-match unknowns at fixed speeds and fuel.
@@ -628,9 +669,10 @@ impl ExecutiveEngine {
     ) -> Result<OperatingPoint, String> {
         let opts = self.opts.newton();
         let report = newton_solve(
-            |x: &[f64]| {
+            |x: &[f64], r: &mut [f64]| {
                 let op = self.evaluate(n1, n2, wf, &[x[0], x[1], x[2], x[3], x[4]])?;
-                Ok(op.flow_residuals.to_vec())
+                r.copy_from_slice(&op.flow_residuals);
+                Ok(())
             },
             guess.as_slice(),
             &opts,
@@ -651,14 +693,14 @@ impl ExecutiveEngine {
         let x0 = [1.0, 1.0, 0.5, 0.5, self.engine.design.er_hpt, self.engine.design.er_lpt, 1.0];
         let opts = self.opts.newton();
         let report = newton_solve(
-            |x: &[f64]| {
+            |x: &[f64], r: &mut [f64]| {
                 let op =
                     self.evaluate(x[0] * n1d, x[1] * n2d, wf, &[x[2], x[3], x[4], x[5], x[6]])?;
                 let (a1, a2) = self.spool_accels(&op)?;
-                let mut r = op.flow_residuals.to_vec();
-                r.push(a1 / 1000.0);
-                r.push(a2 / 1000.0);
-                Ok(r)
+                r[..5].copy_from_slice(&op.flow_residuals);
+                r[5] = a1 / 1000.0;
+                r[6] = a2 / 1000.0;
+                Ok(())
             },
             &x0,
             &opts,

@@ -63,6 +63,10 @@ impl From<ProcFault> for ExecError {
 }
 
 /// In-process execution of an image's procedures.
+///
+/// Names resolve without regard to case, as the Manager's name database,
+/// a line's binding cache and a process all resolve them, so a call that
+/// works remotely works here too.
 pub struct LocalExec {
     procs: HashMap<String, Box<dyn Procedure>>,
     calls: u64,
@@ -74,14 +78,25 @@ impl LocalExec {
         Ok(Self { procs: image.instantiate().map_err(|e| e.to_string())?, calls: 0 })
     }
 
-    /// Call procedure `name` with the input arguments; returns outputs.
-    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
+    /// Call procedure `name` with the input arguments. `out` is cleared
+    /// first, holds the outputs on success and is empty on error.
+    pub fn call(
+        &mut self,
+        name: &str,
+        args: &[Value],
+        out: &mut Vec<Value>,
+    ) -> Result<(), ExecError> {
         self.calls += 1;
-        self.procs
-            .get_mut(name)
-            .ok_or_else(|| ExecError::Config(format!("no local procedure '{name}'")))?
-            .call(args)
-            .map_err(ExecError::Fault)
+        out.clear();
+        let (_, proc) = self
+            .procs
+            .iter_mut()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .ok_or_else(|| ExecError::Config(format!("no local procedure '{name}'")))?;
+        proc.call(args, out).map_err(|fault| {
+            out.clear();
+            ExecError::Fault(fault)
+        })
     }
 
     /// Where the computation runs, for reports.
@@ -201,8 +216,9 @@ impl RemoteExec {
     /// configuration calls so it matches the remote instance's setup.
     fn degrade(&mut self, cause: &SchError) -> Result<(), ExecError> {
         let fallback = self.fallback.as_mut().expect("checked by caller");
+        let mut replayed = Vec::new();
         for (name, args) in &self.config_log {
-            fallback.call(name, args)?;
+            fallback.call(name, args, &mut replayed)?;
         }
         self.degraded = true;
         let obs = self.line.obs();
@@ -218,12 +234,18 @@ impl RemoteExec {
         Ok(())
     }
 
-    /// Call procedure `name` with the input arguments; returns outputs.
-    /// The blocking form is the split-phase form with no gap: one code
-    /// path, so the two cannot drift apart in policy or bookkeeping.
-    pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, ExecError> {
-        let pending = self.begin(name, args)?;
-        self.finish(pending)
+    /// Call procedure `name` with the input arguments. `out` is cleared
+    /// first, holds the outputs on success and is empty on error. The
+    /// blocking form is the split-phase form with no gap: one code path,
+    /// so the two cannot drift apart in policy or bookkeeping.
+    pub fn call(
+        &mut self,
+        name: &str,
+        args: &[Value],
+        out: &mut Vec<Value>,
+    ) -> Result<(), ExecError> {
+        let pending = self.begin(name, args, out)?;
+        self.finish(pending, out)
     }
 
     /// Where the computation runs, for reports (a host name, or the
@@ -250,12 +272,18 @@ impl RemoteExec {
 
     /// Issue the request half of a call through this executor's line and
     /// return without waiting for the reply; pair with
-    /// [`RemoteExec::finish`]. A degraded executor computes on the local
-    /// fallback immediately (there is nothing to overlap with).
-    pub fn begin(&mut self, name: &str, args: &[Value]) -> Result<PendingCall, ExecError> {
+    /// [`RemoteExec::finish`], passing it the same `out`. A degraded
+    /// executor computes on the local fallback immediately (there is
+    /// nothing to overlap with), into `out`.
+    pub fn begin(
+        &mut self,
+        name: &str,
+        args: &[Value],
+        out: &mut Vec<Value>,
+    ) -> Result<PendingCall, ExecError> {
         Ok(if self.degraded {
             PendingCall::Ready(
-                self.fallback.as_mut().expect("degraded implies fallback").call(name, args),
+                self.fallback.as_mut().expect("degraded implies fallback").call(name, args, out),
             )
         } else {
             PendingCall::Ticket(self.line.issue_with(name, args, &self.policy)?)
@@ -265,10 +293,12 @@ impl RemoteExec {
     /// Collect the reply half of a call begun with [`RemoteExec::begin`].
     /// The executor's [`CallPolicy`] runs its full retry/failover
     /// lifecycle here, including degradation to the local fallback on
-    /// exhaustion — identical to the blocking [`RemoteExec::call`].
-    pub fn finish(&mut self, pending: PendingCall) -> Result<Vec<Value>, ExecError> {
+    /// exhaustion — identical to the blocking [`RemoteExec::call`]. `out`
+    /// is the vector `begin` was given: it holds the outputs on success
+    /// and is empty on error.
+    pub fn finish(&mut self, pending: PendingCall, out: &mut Vec<Value>) -> Result<(), ExecError> {
         let ticket = match pending {
-            PendingCall::Ready(out) => return out,
+            PendingCall::Ready(result) => return result,
             PendingCall::Ticket(t) => t,
         };
         // Collecting consumes the ticket, the one holder of the call's
@@ -280,19 +310,19 @@ impl RemoteExec {
             self.policy.on_exhaustion == OnExhaustion::Degrade && self.fallback.is_some();
         let kept =
             (is_set || can_degrade).then(|| (ticket.name().to_owned(), ticket.args().to_vec()));
-        match (self.line.collect(ticket), kept) {
-            (Ok(out), kept) => {
+        match (self.line.collect_into(ticket, out), kept) {
+            (Ok(()), kept) => {
                 if is_set {
                     self.config_log.extend(kept);
                 }
-                Ok(out)
+                Ok(())
             }
             (
                 Err(e @ (SchError::PolicyExhausted { .. } | SchError::DeadlineExceeded { .. })),
                 Some((name, args)),
             ) if can_degrade => {
                 self.degrade(&e)?;
-                self.call(&name, &args)
+                self.call(&name, &args, out)
             }
             (Err(e), _) => Err(ExecError::Sch(e)),
         }
@@ -304,8 +334,9 @@ impl RemoteExec {
 /// arguments; nothing here copies them.
 pub enum PendingCall {
     /// Already resolved: local executors and degraded remote ones have no
-    /// line to overlap on and compute at issue time.
-    Ready(Result<Vec<Value>, ExecError>),
+    /// line to overlap on and compute at issue time, into the output
+    /// vector the call was begun with.
+    Ready(Result<(), ExecError>),
     /// The split-phase call outstanding on the executor's line.
     Ticket(CallTicket),
 }
@@ -334,14 +365,18 @@ mod tests {
     fn local_exec_counts_calls() {
         let mut exec = LocalExec::new(&duct_image()).unwrap();
         assert_eq!(exec.calls(), 0);
+        let mut out = Vec::new();
         exec.call(
             "duct",
             &[Value::floats(&[42.0, 390.0, 2.9e5, 0.0]), Value::Float(0.02), Value::Float(0.0)],
+            &mut out,
         )
         .unwrap();
         assert_eq!(exec.calls(), 1);
+        assert_eq!(out.len(), 1);
         assert_eq!(exec.location(), "local");
-        assert!(exec.call("nothere", &[]).is_err());
+        assert!(exec.call("nothere", &[], &mut out).is_err());
+        assert!(out.is_empty(), "a failed call leaves no outputs");
         assert_eq!(crate::engine_exec::Exec::Local(exec).elapsed_virtual(), 0.0);
     }
 

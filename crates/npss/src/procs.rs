@@ -198,7 +198,7 @@ fn build_shaft_image() -> ProgramImage {
                         energy_sum(&ecom, incom)?,
                         energy_sum(&etur, intur)?,
                     )?;
-                    Ok(vec![Value::Float(ecorr as f32)])
+                    Ok([Value::Float(ecorr as f32)])
                 },
                 5_000.0,
             ))
@@ -221,7 +221,7 @@ fn build_shaft_image() -> ProgramImage {
                         xspool,
                         xmyi,
                     )?;
-                    Ok(vec![Value::Float(dxspl as f32)])
+                    Ok([Value::Float(dxspl as f32)])
                 },
                 20_000.0,
             ))
@@ -245,7 +245,7 @@ fn build_duct_image() -> ProgramImage {
                     if !(0.0..1.0).contains(&dp) {
                         return Err(format!("setduct: dpfrac {dp} out of range").into());
                     }
-                    Ok(vec![Value::Integer(1)])
+                    Ok([Value::Integer(1)])
                 },
                 2_000.0,
             ))
@@ -258,7 +258,7 @@ fn build_duct_image() -> ProgramImage {
                     let dp = get_f32(&args[1], "dpfrac")? as f64;
                     let q = get_f32(&args[2], "q")? as f64;
                     let out = Duct::new(dp).flow(&flow, q);
-                    Ok(vec![flow_out(&out)])
+                    Ok([flow_out(&out)])
                 },
                 60_000.0,
             ))
@@ -283,7 +283,7 @@ fn build_combustor_image() -> ProgramImage {
                     if !(0.0..=1.0).contains(&eta) || !(0.0..1.0).contains(&dp) {
                         return Err("setcomb: parameters out of range".into());
                     }
-                    Ok(vec![Value::Integer(1)])
+                    Ok([Value::Integer(1)])
                 },
                 2_000.0,
             ))
@@ -297,7 +297,7 @@ fn build_combustor_image() -> ProgramImage {
                     let eta = get_f32(&args[2], "eta")? as f64;
                     let dp = get_f32(&args[3], "dp")? as f64;
                     let out = Combustor::new(eta, dp).burn(&flow, wf)?;
-                    Ok(vec![flow_out(&out)])
+                    Ok([flow_out(&out)])
                 },
                 150_000.0,
             ))
@@ -323,7 +323,7 @@ fn build_nozzle_image() -> ProgramImage {
                     if area <= 0.0 || !(0.0..=1.0).contains(&cd) || !(0.0..=1.0).contains(&cv) {
                         return Err("setnozl: parameters out of range".into());
                     }
-                    Ok(vec![Value::Integer(1)])
+                    Ok([Value::Integer(1)])
                 },
                 2_000.0,
             ))
@@ -338,7 +338,7 @@ fn build_nozzle_image() -> ProgramImage {
                     let cd = get_f32(&args[3], "cd")? as f64;
                     let cv = get_f32(&args[4], "cv")? as f64;
                     let nz = Nozzle::new(area, cd, cv).operate(&flow, pamb, None)?;
-                    Ok(vec![Value::floats(&[
+                    Ok([Value::floats(&[
                         nz.w_capacity as f32,
                         nz.gross_thrust as f32,
                         nz.exit_velocity as f32,
@@ -354,6 +354,20 @@ fn build_nozzle_image() -> ProgramImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schooner::{ProcResult, Procedure};
+
+    /// One call of a procedure, its outputs in a fresh vector.
+    pub(super) trait Outputs {
+        fn outputs(&mut self, args: &[Value]) -> ProcResult<Vec<Value>>;
+    }
+
+    impl Outputs for Box<dyn Procedure> {
+        fn outputs(&mut self, args: &[Value]) -> ProcResult<Vec<Value>> {
+            let mut out = Vec::new();
+            self.call(args, &mut out)?;
+            Ok(out)
+        }
+    }
 
     #[test]
     fn shaft_spec_is_the_papers() {
@@ -379,7 +393,7 @@ mod tests {
         let out = procs
             .get_mut("setshaft")
             .unwrap()
-            .call(&[
+            .outputs(&[
                 Value::floats(&[1.25e7, 0.0, 0.0, 0.0]),
                 Value::Integer(1),
                 Value::floats(&[1.2626e7, 0.0, 0.0, 0.0]),
@@ -399,7 +413,7 @@ mod tests {
         let shaft = procs.get_mut("shaft").unwrap();
         // Surplus turbine power accelerates the spool.
         let out = shaft
-            .call(&[
+            .outputs(&[
                 Value::floats(&[1.0e7, 0.0, 0.0, 0.0]),
                 Value::Integer(1),
                 Value::floats(&[1.1e7, 0.0, 0.0, 0.0]),
@@ -433,9 +447,9 @@ mod tests {
                 Value::Float(xmyi),
             ]
         };
-        assert!(shaft.call(&mk(-5.0, 9.0, 1)).is_err());
-        assert!(shaft.call(&mk(10_000.0, 0.0, 1)).is_err());
-        assert!(shaft.call(&mk(10_000.0, 9.0, 7)).is_err());
+        assert!(shaft.outputs(&mk(-5.0, 9.0, 1)).is_err());
+        assert!(shaft.outputs(&mk(10_000.0, 0.0, 1)).is_err());
+        assert!(shaft.outputs(&mk(10_000.0, 9.0, 7)).is_err());
     }
 
     #[test]
@@ -444,7 +458,7 @@ mod tests {
         let out = procs
             .get_mut("duct")
             .unwrap()
-            .call(&[
+            .outputs(&[
                 Value::floats(&[42.0, 390.0, 2.9e5, 0.0]),
                 Value::Float(0.02),
                 Value::Float(0.0),
@@ -463,7 +477,7 @@ mod tests {
         let out = comb
             .get_mut("comb")
             .unwrap()
-            .call(&[
+            .outputs(&[
                 Value::floats(&[57.0, 790.0, 2.3e6, 0.0]),
                 Value::Float(1.3),
                 Value::Float(0.995),
@@ -478,7 +492,7 @@ mod tests {
         let out = nozl
             .get_mut("nozl")
             .unwrap()
-            .call(&[
+            .outputs(&[
                 Value::floats(&[100.0, 800.0, 2.3e5, 0.02]),
                 Value::Float(101_325.0),
                 Value::Float(0.25),
@@ -495,31 +509,31 @@ mod tests {
     #[test]
     fn set_procedures_validate_parameters() {
         let mut duct = duct_image().instantiate().unwrap();
-        assert!(duct.get_mut("setduct").unwrap().call(&[Value::Float(0.02)]).is_ok());
-        assert!(duct.get_mut("setduct").unwrap().call(&[Value::Float(1.5)]).is_err());
+        assert!(duct.get_mut("setduct").unwrap().outputs(&[Value::Float(0.02)]).is_ok());
+        assert!(duct.get_mut("setduct").unwrap().outputs(&[Value::Float(1.5)]).is_err());
 
         let mut comb = combustor_image().instantiate().unwrap();
         assert!(comb
             .get_mut("setcomb")
             .unwrap()
-            .call(&[Value::Float(0.995), Value::Float(0.05)])
+            .outputs(&[Value::Float(0.995), Value::Float(0.05)])
             .is_ok());
         assert!(comb
             .get_mut("setcomb")
             .unwrap()
-            .call(&[Value::Float(1.5), Value::Float(0.05)])
+            .outputs(&[Value::Float(1.5), Value::Float(0.05)])
             .is_err());
 
         let mut nozl = nozzle_image().instantiate().unwrap();
         assert!(nozl
             .get_mut("setnozl")
             .unwrap()
-            .call(&[Value::Float(0.25), Value::Float(0.98), Value::Float(0.98)])
+            .outputs(&[Value::Float(0.25), Value::Float(0.98), Value::Float(0.98)])
             .is_ok());
         assert!(nozl
             .get_mut("setnozl")
             .unwrap()
-            .call(&[Value::Float(-1.0), Value::Float(0.98), Value::Float(0.98)])
+            .outputs(&[Value::Float(-1.0), Value::Float(0.98), Value::Float(0.98)])
             .is_err());
     }
 }
@@ -543,7 +557,7 @@ pub fn duct2_image() -> ProgramImage {
                     if !(0.0..1.0).contains(&dp) {
                         return Err(format!("setduct: dpfrac {dp} out of range").into());
                     }
-                    Ok(vec![Value::Integer(2)]) // version marker
+                    Ok([Value::Integer(2)]) // version marker
                 },
                 2_000.0,
             ))
@@ -560,7 +574,7 @@ pub fn duct2_image() -> ProgramImage {
                     let scale = (flow.w / 100.0).powi(2);
                     let dp = (dp_ref * scale).clamp(0.0, 0.5);
                     let out = Duct::new(dp).flow(&flow, q);
-                    Ok(vec![flow_out(&out)])
+                    Ok([flow_out(&out)])
                 },
                 90_000.0,
             ))
@@ -570,6 +584,7 @@ pub fn duct2_image() -> ProgramImage {
 
 #[cfg(test)]
 mod duct2_tests {
+    use super::tests::Outputs;
     use super::*;
 
     #[test]
@@ -578,7 +593,7 @@ mod duct2_tests {
         let duct = procs.get_mut("duct").unwrap();
         let mut call = |w: f32| {
             let out = duct
-                .call(&[
+                .outputs(&[
                     Value::floats(&[w, 390.0, 2.9e5, 0.0]),
                     Value::Float(0.02),
                     Value::Float(0.0),

@@ -118,6 +118,8 @@ pub struct SweepReport {
 /// The flood driver: `lines` split-phase executors over one link.
 pub struct SweepDriver {
     execs: Vec<RemoteExec>,
+    /// One output vector per executor, kept across rounds.
+    outs: Vec<Vec<Value>>,
     cfg: SweepConfig,
 }
 
@@ -137,7 +139,7 @@ impl SweepDriver {
                 .map_err(|e| e.to_string())?;
             execs.push(RemoteExec::start(line, SWEEP_PROC_PATH, &cfg.target_host)?);
         }
-        Ok(Self { execs, cfg })
+        Ok(Self { outs: vec![Vec::new(); execs.len()], execs, cfg })
     }
 
     /// Run the flood: issue wave-wide rounds until every variant has
@@ -154,12 +156,14 @@ impl SweepDriver {
                 e.line_mut().sync_to(t0);
             }
             let mut pending: Vec<PendingCall> = Vec::with_capacity(round.len());
-            for (e, p) in self.execs.iter_mut().zip(round) {
-                pending.push(e.begin("duct", &p.duct_args()).map_err(|err| err.to_string())?);
+            for ((e, out), p) in self.execs.iter_mut().zip(&mut self.outs).zip(round) {
+                pending.push(e.begin("duct", &p.duct_args(), out).map_err(|err| err.to_string())?);
             }
-            for (slot, (e, p)) in self.execs.iter_mut().zip(pending).enumerate() {
-                let out = e.finish(p).map_err(|err| format!("sweep slot {slot}: {err}"))?;
-                for v in &out {
+            for (slot, ((e, out), p)) in
+                self.execs.iter_mut().zip(&mut self.outs).zip(pending).enumerate()
+            {
+                e.finish(p, out).map_err(|err| format!("sweep slot {slot}: {err}"))?;
+                for v in out.drain(..) {
                     if let Some(fs) = v.as_floats() {
                         for f in fs.iter() {
                             checksum =

@@ -28,15 +28,18 @@ use npss::{run_session, SessionKnobs, SessionRequest, Workload};
 /// request strings decoded in place, arrays collected in one allocation,
 /// the process's argument vector reused and replies marshaled into their
 /// one buffer, 12.6 and 16.4; with request and reply buffers
-/// circulating between each line and its processes, 8.6 and 14.5;
-/// today, with a link's lone message held unframed and flushed as a
-/// plain envelope (so batched requests circulate too), 8.6 and 8.9. The
-/// ceilings are those figures plus about 2 %; the figures are printed on
-/// failure and by `--nocapture`, so the ceilings can be ratcheted down
-/// as the path gets leaner. `schooner/tests/call_allocs.rs` pins one
-/// warm call.
-const MAX_PLAIN: f64 = 8.8;
-const MAX_WAVE_BATCHED: f64 = 9.1;
+/// circulating between each line and its processes, 8.6 and 14.5; with a
+/// link's lone message held unframed and flushed as a plain envelope (so
+/// batched requests circulate too), 8.6 and 8.9; today, with short
+/// packed arrays held inside their values, results written into vectors
+/// the process and each executive slot keep, mapping entries shared by
+/// the Manager and the Newton solver's buffers kept per solve, 1.91 and
+/// 2.20. The ceilings are those figures plus about 2 %; the figures are
+/// printed on failure and by `--nocapture`, so the ceilings can be
+/// ratcheted down as the path gets leaner. `schooner/tests/call_allocs.rs`
+/// pins one warm call.
+const MAX_PLAIN: f64 = 1.95;
+const MAX_WAVE_BATCHED: f64 = 2.24;
 
 struct Counting;
 
@@ -89,15 +92,15 @@ fn table2_session_stays_within_its_allocation_budget() {
     req.knobs =
         SessionKnobs { link_batching: true, scheduling: Scheduling::WaveParallel, crash: None };
     let wave_batched = allocs_per_call(&req);
-    println!("allocations per rpc.calls: plain {plain:.1}, wave+batched {wave_batched:.1}");
+    println!("allocations per rpc.calls: plain {plain:.3}, wave+batched {wave_batched:.3}");
 
     assert!(
         plain <= MAX_PLAIN,
-        "plain Table-2 session: {plain:.1} allocations per call, budget {MAX_PLAIN}"
+        "plain Table-2 session: {plain:.3} allocations per call, budget {MAX_PLAIN}"
     );
     assert!(
         wave_batched <= MAX_WAVE_BATCHED,
-        "wave-scheduled, link-batched Table-2 session: {wave_batched:.1} allocations per call, \
+        "wave-scheduled, link-batched Table-2 session: {wave_batched:.3} allocations per call, \
          budget {MAX_WAVE_BATCHED}"
     );
 }

@@ -369,7 +369,8 @@ impl LineHandle {
     /// `call_with` is exactly [`LineHandle::issue_with`] followed by
     /// [`LineHandle::collect`]: the split-phase API with no work between
     /// the halves. The event, span, and metric sequence of the two forms
-    /// is identical.
+    /// is identical. It returns a fresh vector; a caller that keeps its
+    /// own issues and collects with [`LineHandle::collect_into`].
     pub fn call_with(
         &mut self,
         name: &str,
@@ -438,12 +439,26 @@ impl LineHandle {
     /// attempt counted. Collecting consumes the ticket and frees the
     /// line for its next request, whatever the outcome.
     pub fn collect(&mut self, ticket: CallTicket) -> SchResult<Vec<Value>> {
+        let mut out = Vec::new();
+        self.collect_into(ticket, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`LineHandle::collect`] into a vector the caller keeps: `out` is
+    /// cleared first, holds the results on success and is empty on
+    /// error. A caller that reuses one vector per line collects without
+    /// allocating for its results.
+    pub fn collect_into(&mut self, ticket: CallTicket, out: &mut Vec<Value>) -> SchResult<()> {
+        out.clear();
         self.in_flight = false;
         let CallTicket { mut bufs, policy, started, state } = ticket;
-        let out = self.collect_under_policy(&bufs, &policy, started, state);
+        let result = self.collect_under_policy(&bufs, &policy, started, state, out);
         bufs.clear();
         self.ticket_bufs = bufs;
-        out
+        if result.is_err() {
+            out.clear();
+        }
+        result
     }
 
     /// The body of [`LineHandle::collect`]: the issued attempt's outcome,
@@ -454,7 +469,8 @@ impl LineHandle {
         policy: &CallPolicy,
         started: f64,
         state: TicketState,
-    ) -> SchResult<Vec<Value>> {
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
         let TicketBufs { name, key, args } = bufs;
         let mut rng = JitterRng::new(policy.seed, name);
         let mut failover = policy.failover.iter();
@@ -463,15 +479,15 @@ impl LineHandle {
         let mut attempts_here: u32 = 1;
         // The issued attempt's outcome enters the policy loop as attempt
         // one; later iterations run whole attempts themselves.
-        let mut pending: Option<SchResult<Vec<Value>>> = Some(match state {
+        let mut pending: Option<SchResult<()>> = Some(match state {
             TicketState::InFlight { call, binding, request_bytes } => {
-                self.collect_attempt(call, &binding, request_bytes)
+                self.collect_attempt(call, &binding, request_bytes, out)
             }
             TicketState::Failed(e) => Err(e),
         });
         loop {
             let err = match pending.take() {
-                Some(Ok(out)) => return Ok(out),
+                Some(Ok(())) => return Ok(()),
                 Some(Err(e)) => e,
                 None => {
                     if let Some(limit) = policy.deadline_s {
@@ -484,8 +500,8 @@ impl LineHandle {
                     }
                     attempts += 1;
                     attempts_here += 1;
-                    match self.resolve_and_call(key, name, args) {
-                        Ok(out) => return Ok(out),
+                    match self.resolve_and_call(key, name, args, out) {
+                        Ok(()) => return Ok(()),
                         Err(e) => e,
                     }
                 }
@@ -578,9 +594,15 @@ impl LineHandle {
     }
 
     /// One resolution-plus-call attempt against the current cache.
-    fn resolve_and_call(&mut self, key: &str, name: &str, args: &[Value]) -> SchResult<Vec<Value>> {
+    fn resolve_and_call(
+        &mut self,
+        key: &str,
+        name: &str,
+        args: &[Value],
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
         let (call, binding, request_bytes) = self.resolve_and_issue(key, name, args)?;
-        self.collect_attempt(call, &binding, request_bytes)
+        self.collect_attempt(call, &binding, request_bytes, out)
     }
 
     /// Resolve the binding (consulting the Manager on a cache miss) and
@@ -728,18 +750,19 @@ impl LineHandle {
     }
 
     /// The reply side of one attempt: await the reply (closing the span)
-    /// and unmarshal the results; an error abandons the span.
+    /// and unmarshal the results into `out`; an error abandons the span.
     fn collect_attempt(
         &mut self,
         call: u64,
         binding: &Binding,
         request_bytes: u64,
-    ) -> SchResult<Vec<Value>> {
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
         let obs = self.ctx.obs.clone();
-        match self.collect_attempt_span(call, binding, request_bytes) {
-            Ok(out) => {
+        match self.collect_attempt_span(call, binding, request_bytes, out) {
+            Ok(()) => {
                 obs.span_end(self.id, call, self.clock.now());
-                Ok(out)
+                Ok(())
             }
             Err(e) => {
                 obs.span_abandon(self.id, call);
@@ -754,7 +777,8 @@ impl LineHandle {
         call: u64,
         binding: &Binding,
         request_bytes: u64,
-    ) -> SchResult<Vec<Value>> {
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
         let obs = self.ctx.obs.clone();
         // Batched transport: the request may still be coalesced in the
         // link buffer, or may have failed in a flush driven by another
@@ -783,7 +807,7 @@ impl LineHandle {
         m.counter_add("rpc.calls", 1);
         m.counter_add("rpc.request_bytes", request_bytes);
         m.counter_add("rpc.reply_bytes", bytes.len() as u64);
-        let out = binding.stub.unmarshal_outputs(bytes.clone(), self.arch)?;
+        binding.stub.unmarshal_outputs_into(bytes.clone(), self.arch, out)?;
         reclaim(&mut self.spare, bytes);
         let unmarshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.output_scalars);
         self.clock.advance(unmarshal_s);
@@ -796,7 +820,7 @@ impl LineHandle {
                 addr: binding.addr.clone(),
             },
         );
-        Ok(out)
+        Ok(())
     }
 
     /// Block until the `CallReply` for `call` arrives and return its

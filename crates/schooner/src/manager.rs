@@ -21,6 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use ledger::RecordKind;
@@ -113,10 +114,12 @@ enum StateFrom {
 }
 
 /// A name database: keys are case-folded so that upper- and lower-case
-/// spellings are synonyms.
+/// spellings are synonyms. Entries are shared, so resolving a name hands
+/// out the entry without copying its strings or its specification; a
+/// rebind copies only an entry some resolution still holds.
 #[derive(Debug, Clone, Default)]
 struct NameDb {
-    map: HashMap<String, ProcEntry>,
+    map: HashMap<String, Arc<ProcEntry>>,
 }
 
 impl NameDb {
@@ -124,7 +127,7 @@ impl NameDb {
         name.to_ascii_lowercase()
     }
 
-    fn get(&self, name: &str) -> Option<&ProcEntry> {
+    fn get(&self, name: &str) -> Option<&Arc<ProcEntry>> {
         self.map.get(&Self::key(name))
     }
 
@@ -133,7 +136,7 @@ impl NameDb {
     }
 
     fn insert(&mut self, name: &str, entry: ProcEntry) {
-        self.map.insert(Self::key(name), entry);
+        self.map.insert(Self::key(name), Arc::new(entry));
     }
 
     /// Distinct process addresses in this database.
@@ -156,6 +159,7 @@ impl NameDb {
     ) {
         for entry in self.map.values_mut() {
             if entry.addr == old_addr {
+                let entry = Arc::make_mut(entry);
                 entry.addr = new_addr.to_owned();
                 entry.host = new_host.to_owned();
                 entry.incarnation = new_incarnation;
@@ -415,16 +419,16 @@ impl ManagerWorker {
     }
 
     /// Resolve a name for a line — its own database first, then shared —
-    /// returning a clone of the entry and its process scope (the line,
-    /// or 0 for a shared procedure).
-    fn locate(&self, line: u64, name: &str) -> SchResult<(ProcEntry, u64)> {
+    /// returning the shared entry and its process scope (the line, or 0
+    /// for a shared procedure).
+    fn locate(&self, line: u64, name: &str) -> SchResult<(Arc<ProcEntry>, u64)> {
         let state = self.lines.get(&line).ok_or(SchError::UnknownLine(line))?;
         if let Some(e) = state.db.get(name) {
-            return Ok((e.clone(), line));
+            return Ok((Arc::clone(e), line));
         }
         self.shared
             .get(name)
-            .map(|e| (e.clone(), 0))
+            .map(|e| (Arc::clone(e), 0))
             .ok_or_else(|| SchError::UnknownProcedure(name.to_owned()))
     }
 
@@ -450,7 +454,7 @@ impl ManagerWorker {
                 Health::Suspect(_) => {
                     // Below the declare-dead threshold: make the caller
                     // back off and retry rather than recovering early.
-                    return Err(SchError::ProcessGone(entry.addr));
+                    return Err(SchError::ProcessGone(entry.addr.clone()));
                 }
                 Health::Dead => {
                     entry = self.recover(scope, name, &entry)?;
@@ -524,7 +528,7 @@ impl ManagerWorker {
     /// Run the supervision policy for a process declared dead: respawn it
     /// (in place or on a replica) under a fresh incarnation from its
     /// latest checkpoint. Returns the rebound entry for `name`.
-    fn recover(&mut self, scope: u64, name: &str, dead: &ProcEntry) -> SchResult<ProcEntry> {
+    fn recover(&mut self, scope: u64, name: &str, dead: &ProcEntry) -> SchResult<Arc<ProcEntry>> {
         self.ctx.obs.emit(
             self.clock.now(),
             EventKind::DeathVerdict { addr: dead.addr.clone(), incarnation: dead.incarnation },
@@ -589,7 +593,11 @@ impl ManagerWorker {
         )?;
         self.ctx.obs.emit(
             self.clock.now(),
-            EventKind::Moved { name: name.to_owned(), old: entry.addr, new: rebound.addr.clone() },
+            EventKind::Moved {
+                name: name.to_owned(),
+                old: entry.addr.clone(),
+                new: rebound.addr.clone(),
+            },
         );
         Ok(rebound.map_info())
     }
@@ -611,7 +619,7 @@ impl ManagerWorker {
         hosts: &[String],
         state: StateFrom,
         mut refused: impl FnMut(&Self, &str, SchError) -> SchError,
-    ) -> SchResult<ProcEntry> {
+    ) -> SchResult<Arc<ProcEntry>> {
         let mut started = None;
         let mut last = None;
         for host in hosts {
@@ -636,7 +644,7 @@ impl ManagerWorker {
         let _ = self.send(&old.addr, &Msg::ProcShutdown);
         let db = self.db_mut(scope);
         db.rebind(&old.addr, &info.addr, host, &info.proc_names, info.incarnation);
-        let rebound = db.get(name).expect("entry survived rebind").clone();
+        let rebound = Arc::clone(db.get(name).expect("entry survived rebind"));
         self.monitor.forget(&old.addr);
         Ok(rebound)
     }

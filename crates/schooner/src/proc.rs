@@ -70,12 +70,19 @@ pub type ProcResult<T> = Result<T, ProcFault>;
 /// A callable procedure body.
 ///
 /// `call` receives the **input** parameters (`val` and `var`) in spec
-/// order and must return the **output** parameters (`res` and `var`) in
-/// spec order. Failures are reported as a [`ProcFault`] — they travel
-/// back to the caller as a remote fault.
+/// order and writes the **output** parameters (`res` and `var`) in spec
+/// order into `out`. Failures are reported as a [`ProcFault`] — they
+/// travel back to the caller as a remote fault.
 pub trait Procedure: Send {
-    /// Execute one call.
-    fn call(&mut self, args: &[Value]) -> ProcResult<Vec<Value>>;
+    /// Execute one call, appending its outputs to `out`.
+    ///
+    /// `out` belongs to the caller, which keeps it across calls the way
+    /// a process keeps its argument vector: it is empty on entry, and the
+    /// caller clears it once the outputs are used (a process, once the
+    /// reply is marshaled), so a steady stream of calls reuses one
+    /// allocation and no value outlives its call. On a fault, whatever
+    /// was appended is discarded.
+    fn call(&mut self, args: &[Value], out: &mut Vec<Value>) -> ProcResult<()>;
 
     /// Estimated floating-point operations for one call with these
     /// arguments. Drives the virtual-time compute cost.
@@ -100,14 +107,19 @@ pub trait Procedure: Send {
 }
 
 /// A stateless procedure from a plain function or closure.
+///
+/// The closure returns its outputs as any `IntoIterator<Item = Value>`:
+/// a `Vec`, or a stack array such as `[Value::Float(x)]`, which reaches
+/// the caller's output vector without allocating.
 pub struct FnProcedure<F> {
     f: F,
     flops: f64,
 }
 
-impl<F> FnProcedure<F>
+impl<F, R> FnProcedure<F>
 where
-    F: FnMut(&[Value]) -> ProcResult<Vec<Value>> + Send,
+    F: FnMut(&[Value]) -> ProcResult<R> + Send,
+    R: IntoIterator<Item = Value>,
 {
     /// Wrap a closure with the default work model.
     pub fn new(f: F) -> Self {
@@ -120,12 +132,14 @@ where
     }
 }
 
-impl<F> Procedure for FnProcedure<F>
+impl<F, R> Procedure for FnProcedure<F>
 where
-    F: FnMut(&[Value]) -> ProcResult<Vec<Value>> + Send,
+    F: FnMut(&[Value]) -> ProcResult<R> + Send,
+    R: IntoIterator<Item = Value>,
 {
-    fn call(&mut self, args: &[Value]) -> ProcResult<Vec<Value>> {
-        (self.f)(args)
+    fn call(&mut self, args: &[Value], out: &mut Vec<Value>) -> ProcResult<()> {
+        out.extend((self.f)(args)?);
+        Ok(())
     }
 
     fn flops(&self, _args: &[Value]) -> f64 {
@@ -136,6 +150,8 @@ where
 /// A stateful procedure built from a state value plus a step closure;
 /// `get_state`/`set_state` expose the state through a pair of conversion
 /// closures so migration works without hand-writing a `Procedure` impl.
+/// The step closure returns its outputs as any `IntoIterator<Item =
+/// Value>`, as [`FnProcedure`]'s does.
 pub struct StatefulProcedure<S, F, G, H> {
     state: S,
     step: F,
@@ -144,10 +160,11 @@ pub struct StatefulProcedure<S, F, G, H> {
     flops: f64,
 }
 
-impl<S, F, G, H> StatefulProcedure<S, F, G, H>
+impl<S, F, G, H, R> StatefulProcedure<S, F, G, H>
 where
     S: Send,
-    F: FnMut(&mut S, &[Value]) -> ProcResult<Vec<Value>> + Send,
+    F: FnMut(&mut S, &[Value]) -> ProcResult<R> + Send,
+    R: IntoIterator<Item = Value>,
     G: Fn(&S) -> Vec<Value> + Send,
     H: Fn(Vec<Value>) -> ProcResult<S> + Send,
 {
@@ -163,15 +180,17 @@ where
     }
 }
 
-impl<S, F, G, H> Procedure for StatefulProcedure<S, F, G, H>
+impl<S, F, G, H, R> Procedure for StatefulProcedure<S, F, G, H>
 where
     S: Send,
-    F: FnMut(&mut S, &[Value]) -> ProcResult<Vec<Value>> + Send,
+    F: FnMut(&mut S, &[Value]) -> ProcResult<R> + Send,
+    R: IntoIterator<Item = Value>,
     G: Fn(&S) -> Vec<Value> + Send,
     H: Fn(Vec<Value>) -> ProcResult<S> + Send,
 {
-    fn call(&mut self, args: &[Value]) -> ProcResult<Vec<Value>> {
-        (self.step)(&mut self.state, args)
+    fn call(&mut self, args: &[Value], out: &mut Vec<Value>) -> ProcResult<()> {
+        out.extend((self.step)(&mut self.state, args)?);
+        Ok(())
     }
 
     fn flops(&self, _args: &[Value]) -> f64 {
@@ -193,18 +212,39 @@ where
 mod tests {
     use super::*;
 
+    fn call(p: &mut impl Procedure, args: &[Value]) -> ProcResult<Vec<Value>> {
+        let mut out = Vec::new();
+        p.call(args, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn fn_procedure_calls_through() {
         let mut p = FnProcedure::new(|args: &[Value]| {
             let x = args[0].as_f64().ok_or("not numeric")?;
             Ok(vec![Value::Double(x * 2.0)])
         });
-        let out = p.call(&[Value::Double(21.0)]).unwrap();
+        let out = call(&mut p, &[Value::Double(21.0)]).unwrap();
         assert_eq!(out, vec![Value::Double(42.0)]);
         assert_eq!(p.flops(&[]), 50_000.0);
         assert!(p.get_state().is_empty());
         assert!(p.set_state(vec![]).is_ok());
         assert!(matches!(p.set_state(vec![Value::Integer(1)]), Err(ProcFault::BadState(_))));
+    }
+
+    /// A closure may return a stack array; its outputs are appended to
+    /// the caller's vector, which keeps its allocation across calls.
+    #[test]
+    fn fn_procedure_returns_any_iterable_into_the_callers_vector() {
+        let mut p = FnProcedure::new(|args: &[Value]| Ok([args[0].clone(), Value::Integer(1)]));
+        let mut out = Vec::with_capacity(2);
+        let buf = out.as_ptr();
+        for x in [1.5, 2.5] {
+            p.call(&[Value::Double(x)], &mut out).unwrap();
+            assert_eq!(out, [Value::Double(x), Value::Integer(1)]);
+            out.clear();
+        }
+        assert_eq!(out.as_ptr(), buf, "the caller's vector was reused");
     }
 
     #[test]
@@ -215,8 +255,8 @@ mod tests {
 
     #[test]
     fn fn_procedure_propagates_faults() {
-        let mut p = FnProcedure::new(|_: &[Value]| Err("boom".into()));
-        let fault = p.call(&[]).unwrap_err();
+        let mut p = FnProcedure::new(|_: &[Value]| ProcResult::<[Value; 0]>::Err("boom".into()));
+        let fault = call(&mut p, &[]).unwrap_err();
         assert_eq!(fault, ProcFault::Failed("boom".into()));
         assert_eq!(fault.to_string(), "boom", "display is the bare message");
     }
@@ -237,13 +277,13 @@ mod tests {
             )
         };
         let mut a = make(0.0);
-        a.call(&[Value::Double(1.0)]).unwrap();
-        a.call(&[Value::Double(2.0)]).unwrap();
+        call(&mut a, &[Value::Double(1.0)]).unwrap();
+        call(&mut a, &[Value::Double(2.0)]).unwrap();
         let snapshot = a.get_state();
 
         let mut b = make(0.0);
         b.set_state(snapshot).unwrap();
-        let out = b.call(&[Value::Double(4.0)]).unwrap();
+        let out = call(&mut b, &[Value::Double(4.0)]).unwrap();
         assert_eq!(out, vec![Value::Double(7.0)], "state carried across instances");
     }
 

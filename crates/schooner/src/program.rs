@@ -222,7 +222,8 @@ mod tests {
         let img = double_image();
         img.validate().unwrap();
         let mut procs = img.instantiate().unwrap();
-        let out = procs.get_mut("double").unwrap().call(&[Value::Double(4.0)]).unwrap();
+        let mut out = Vec::new();
+        procs.get_mut("double").unwrap().call(&[Value::Double(4.0)], &mut out).unwrap();
         assert_eq!(out, vec![Value::Double(8.0)]);
     }
 
@@ -313,10 +314,13 @@ mod tests {
 
         let mut a = img.instantiate().unwrap();
         let mut b = img.instantiate().unwrap();
-        a.get_mut("count").unwrap().call(&[]).unwrap();
-        let out = a.get_mut("count").unwrap().call(&[]).unwrap();
+        let mut out = Vec::new();
+        a.get_mut("count").unwrap().call(&[], &mut out).unwrap();
+        out.clear();
+        a.get_mut("count").unwrap().call(&[], &mut out).unwrap();
         assert_eq!(out, vec![Value::Integer(2)]);
-        let out = b.get_mut("count").unwrap().call(&[]).unwrap();
+        out.clear();
+        b.get_mut("count").unwrap().call(&[], &mut out).unwrap();
         assert_eq!(out, vec![Value::Integer(1)], "instances must not share state");
     }
 }

@@ -102,6 +102,7 @@ impl ServerWorker {
             clock: VirtualClock::starting_at(self.clock.now()),
             exports,
             args: Vec::new(),
+            results: Vec::new(),
             spare: BytesMut::new(),
         };
         self.ctx.obs.emit(
@@ -153,6 +154,10 @@ struct ProcessWorker {
     /// The arguments of the call being served, decoded into one vector
     /// the process keeps; it is empty between calls.
     args: Vec<Value>,
+    /// The outputs of the call being served, written by the procedure
+    /// into one vector the process keeps; cleared once the reply is
+    /// marshaled, so it too is empty between calls.
+    results: Vec<Value>,
     /// The buffer the next reply is written into: a request buffer
     /// reclaimed once its call was answered, or empty while lent out.
     spare: BytesMut,
@@ -258,9 +263,12 @@ impl ProcessWorker {
         self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.input_scalars));
 
         let flops = proc.flops(&self.args);
-        let results = proc.call(&self.args);
+        let called = proc.call(&self.args, &mut self.results);
         self.args.clear();
-        let results = results.map_err(SchError::from)?;
+        if let Err(fault) = called {
+            self.results.clear();
+            return Err(fault.into());
+        }
         let compute = self.ctx.park.compute_seconds(&self.host, flops).unwrap_or(0.0);
         self.clock.advance(compute);
         self.ctx.obs.emit(
@@ -275,9 +283,11 @@ impl ProcessWorker {
 
         let mut reply = std::mem::take(&mut self.spare);
         reply.reserve(Msg::CALL_REPLY_HEADER_LEN + stub.output_plan.size_hint());
-        Msg::encode_call_reply_into(&mut reply, call, self.incarnation, |b| {
-            stub.marshal_outputs_after(b, &results, self.arch)
-        })?;
+        let marshaled = Msg::encode_call_reply_into(&mut reply, call, self.incarnation, |b| {
+            stub.marshal_outputs_after(b, &self.results, self.arch)
+        });
+        self.results.clear();
+        marshaled?;
         self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.output_scalars));
         let m = self.ctx.obs.metrics();
         m.counter_add("uts.encode_bytes", (reply.len() - Msg::CALL_REPLY_HEADER_LEN) as u64);

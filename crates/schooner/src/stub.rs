@@ -118,9 +118,15 @@ impl CompiledStub {
         Ok(self.output_plan.encode_after(buf, results, arch)?)
     }
 
-    /// Unmarshal result values on the caller side.
-    pub fn unmarshal_outputs(&self, bytes: Bytes, arch: Architecture) -> SchResult<Vec<Value>> {
-        Ok(self.output_plan.decode(bytes, arch)?)
+    /// Unmarshal result values on the caller side, into a caller-owned
+    /// vector (cleared first; empty on error).
+    pub fn unmarshal_outputs_into(
+        &self,
+        bytes: Bytes,
+        arch: Architecture,
+        out: &mut Vec<Value>,
+    ) -> SchResult<()> {
+        Ok(self.output_plan.decode_into(bytes, arch, out)?)
     }
 
     /// Marshal this procedure's `state(...)` variables through the source
@@ -220,7 +226,8 @@ export shaft prog(
         let stub = shaft_stub();
         let results = vec![Value::Float(-123.5)];
         let wire = stub.marshal_outputs(&results, Architecture::CrayYmp).unwrap();
-        let got = stub.unmarshal_outputs(wire, Architecture::SunSparc10).unwrap();
+        let mut got = vec![Value::Integer(7)];
+        stub.unmarshal_outputs_into(wire, Architecture::SunSparc10, &mut got).unwrap();
         assert_eq!(got, results);
     }
 

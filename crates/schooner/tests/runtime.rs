@@ -212,7 +212,9 @@ fn out_of_range_cray_integer_is_an_error() {
 fn remote_fault_propagates_with_message() {
     let image = ProgramImage::new("faulty", "export boom prog()")
         .unwrap()
-        .with_procedure("boom", || Box::new(FnProcedure::new(|_: &[Value]| Err("it broke".into()))))
+        .with_procedure("boom", || {
+            Box::new(FnProcedure::new(|_: &[Value]| Err::<[Value; 0], _>("it broke".into())))
+        })
         .unwrap();
     let sch = Schooner::standard().unwrap();
     sch.install_program("/npss/faulty", image, &["lerc-sgi-4d480"]).unwrap();

@@ -322,9 +322,10 @@ impl Turbofan {
         wf: f64,
         guess: &mut [f64; 5],
     ) -> Result<OperatingPoint, String> {
-        let f = |x: &[f64]| -> Result<Vec<f64>, String> {
+        let f = |x: &[f64], r: &mut [f64]| -> Result<(), String> {
             let op = self.evaluate(n1, n2, wf, &[x[0], x[1], x[2], x[3], x[4]])?;
-            Ok(op.flow_residuals.to_vec())
+            r.copy_from_slice(&op.flow_residuals);
+            Ok(())
         };
         let opts = NewtonOptions { tol: 1e-9, max_iters: 50, ..Default::default() };
         let report = newton_solve(f, guess.as_slice(), &opts).map_err(|e| e.to_string())?;
@@ -352,14 +353,12 @@ impl Turbofan {
         let n1d = self.cycle.n1_design;
         let n2d = self.cycle.n2_design;
         let x0 = [1.0, 1.0, 0.5, 0.5, self.design.er_hpt, self.design.er_lpt, 1.0];
-        let f = |x: &[f64]| -> Result<Vec<f64>, String> {
+        let f = |x: &[f64], r: &mut [f64]| -> Result<(), String> {
             let op = self.evaluate(x[0] * n1d, x[1] * n2d, wf, &[x[2], x[3], x[4], x[5], x[6]])?;
-            let r_lp = self.lp_shaft.balance_residual(op.p_lpt, op.p_fan);
-            let r_hp = self.hp_shaft.balance_residual(op.p_hpt, op.p_hpc);
-            let mut r = op.flow_residuals.to_vec();
-            r.push(r_lp);
-            r.push(r_hp);
-            Ok(r)
+            r[..5].copy_from_slice(&op.flow_residuals);
+            r[5] = self.lp_shaft.balance_residual(op.p_lpt, op.p_fan);
+            r[6] = self.hp_shaft.balance_residual(op.p_hpt, op.p_hpc);
+            Ok(())
         };
         let opts = NewtonOptions { tol: 1e-8, max_iters: 80, ..Default::default() };
         let rep = newton_solve(f, &x0, &opts).map_err(|e| format!("engine balance: {e}"))?;

@@ -78,9 +78,19 @@ impl std::error::Error for Singular {}
 /// Solve `A x = b` in place via LU with partial pivoting. `a` is consumed
 /// as workspace.
 pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, Singular> {
+    let mut x = vec![0.0; b.len()];
+    solve_into(&mut a, &mut b, &mut x)?;
+    Ok(x)
+}
+
+/// [`solve`] into caller-owned storage: `a` and `b` are overwritten as
+/// workspace and the solution is written to `x`, so a solver that keeps
+/// the three across iterations allocates nothing here.
+pub fn solve_into(a: &mut Matrix, b: &mut [f64], x: &mut [f64]) -> Result<(), Singular> {
     let n = a.n_rows();
     assert_eq!(a.n_cols(), n, "square systems only");
     assert_eq!(b.len(), n);
+    assert_eq!(x.len(), n);
     for col in 0..n {
         // Pivot.
         let (pivot_row, pivot_val) = (col..n)
@@ -111,7 +121,6 @@ pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, Singular> {
         }
     }
     // Back substitution.
-    let mut x = vec![0.0; n];
     for i in (0..n).rev() {
         let mut s = b[i];
         for j in i + 1..n {
@@ -119,7 +128,7 @@ pub fn solve(mut a: Matrix, mut b: Vec<f64>) -> Result<Vec<f64>, Singular> {
         }
         x[i] = s / a[(i, i)];
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Euclidean norm.

@@ -6,7 +6,7 @@
 //! differences. A simple backtracking line search keeps iterates from
 //! overshooting map boundaries.
 
-use crate::linalg::{norm2, solve, Matrix};
+use crate::linalg::{norm2, solve_into, Matrix};
 
 /// Options for [`newton_solve`].
 #[derive(Debug, Clone)]
@@ -70,27 +70,42 @@ pub struct NewtonReport {
 
 /// Solve `f(x) = 0` starting from `x0`.
 ///
-/// `f` returns the residual vector (same length as `x`) or a message when
-/// the point is infeasible (the line search treats that as "too far" and
-/// backtracks).
+/// `f` writes the residual vector (same length as `x`) into its second
+/// argument, or returns a message when the point is infeasible (the line
+/// search treats that as "too far" and backtracks). The solver's
+/// buffers are allocated once per solve — the iterate and one scratch
+/// block up front, the Jacobian at the first Newton step — so an
+/// evaluation allocates nothing here.
 pub fn newton_solve(
-    mut f: impl FnMut(&[f64]) -> Result<Vec<f64>, String>,
+    mut f: impl FnMut(&[f64], &mut [f64]) -> Result<(), String>,
     x0: &[f64],
     opts: &NewtonOptions,
 ) -> Result<NewtonReport, NewtonError> {
     let n = x0.len();
     let mut x = x0.to_vec();
+    // The residual at `x`; a probe or trial point and its residual; the
+    // Newton step and its right-hand side.
+    let mut scratch = vec![0.0; 5 * n];
+    let (r, rest) = scratch.split_at_mut(n);
+    let (xt, rest) = rest.split_at_mut(n);
+    let (rt, rest) = rest.split_at_mut(n);
+    let (dx, rhs) = rest.split_at_mut(n);
+    let mut jac: Option<Matrix> = None;
     let mut evals = 0usize;
 
-    let mut eval = |x: &[f64], evals: &mut usize| -> Result<Vec<f64>, String> {
+    let mut eval = |x: &[f64], r: &mut [f64], evals: &mut usize| -> Result<(), String> {
         *evals += 1;
-        let r = f(x)?;
-        assert_eq!(r.len(), n, "residual length must match unknowns");
-        Ok(r)
+        f(x, r)
+    };
+    // `xt = x + lambda * dx`.
+    let trial = |xt: &mut [f64], x: &[f64], dx: &[f64], lambda: f64| {
+        for ((t, xi), di) in xt.iter_mut().zip(x).zip(dx) {
+            *t = xi + lambda * di;
+        }
     };
 
-    let mut r = eval(&x, &mut evals).map_err(NewtonError::Residual)?;
-    let mut rnorm = norm2(&r);
+    eval(&x, r, &mut evals).map_err(NewtonError::Residual)?;
+    let mut rnorm = norm2(r);
 
     for iter in 0..opts.max_iters {
         if rnorm <= opts.tol {
@@ -102,20 +117,24 @@ pub fn newton_solve(
             });
         }
 
-        // Forward-difference Jacobian, column per unknown.
-        let mut jac = Matrix::zeros(n, n);
+        // Forward-difference Jacobian, column per unknown; every entry is
+        // rewritten, so the factorised matrix of the last iteration can
+        // be reused.
+        let jac = jac.get_or_insert_with(|| Matrix::zeros(n, n));
         for j in 0..n {
             let h = opts.fd_step * x[j].abs().max(1e-4);
-            let mut xp = x.clone();
-            xp[j] += h;
-            let rp = eval(&xp, &mut evals).map_err(NewtonError::Residual)?;
+            xt.copy_from_slice(&x);
+            xt[j] += h;
+            eval(xt, rt, &mut evals).map_err(NewtonError::Residual)?;
             for i in 0..n {
-                jac[(i, j)] = (rp[i] - r[i]) / h;
+                jac[(i, j)] = (rt[i] - r[i]) / h;
             }
         }
 
-        let rhs: Vec<f64> = r.iter().map(|v| -v).collect();
-        let dx = solve(jac, rhs).map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
+        for (b, v) in rhs.iter_mut().zip(r.iter()) {
+            *b = -v;
+        }
+        solve_into(jac, rhs, dx).map_err(|_| NewtonError::SingularJacobian { iteration: iter })?;
 
         // Backtracking line search: accept the first step that reduces
         // the residual norm; infeasible evaluations also trigger
@@ -123,30 +142,28 @@ pub fn newton_solve(
         let mut lambda = 1.0;
         let mut accepted = false;
         for _ in 0..=opts.max_backtracks {
-            let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi + lambda * di).collect();
-            match eval(&xt, &mut evals) {
-                Ok(rt) => {
-                    let rtn = norm2(&rt);
-                    if rtn < rnorm || rtn <= opts.tol {
-                        x = xt;
-                        r = rt;
-                        rnorm = rtn;
-                        accepted = true;
-                        break;
-                    }
+            trial(xt, &x, dx, lambda);
+            // An infeasible trial shrinks the step.
+            if eval(xt, rt, &mut evals).is_ok() {
+                let rtn = norm2(rt);
+                if rtn < rnorm || rtn <= opts.tol {
+                    x.copy_from_slice(xt);
+                    r.copy_from_slice(rt);
+                    rnorm = rtn;
+                    accepted = true;
+                    break;
                 }
-                Err(_) => { /* infeasible: shrink */ }
             }
             lambda *= 0.5;
         }
         if !accepted {
             // Take the smallest step anyway to avoid stalling exactly at
             // a non-descending point of the FD model.
-            let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi + lambda * di).collect();
-            if let Ok(rt) = eval(&xt, &mut evals) {
-                x = xt;
-                rnorm = norm2(&rt);
-                r = rt;
+            trial(xt, &x, dx, lambda);
+            if eval(xt, rt, &mut evals).is_ok() {
+                x.copy_from_slice(xt);
+                rnorm = norm2(rt);
+                r.copy_from_slice(rt);
             } else {
                 return Err(NewtonError::NoConvergence {
                     iterations: iter + 1,
@@ -169,7 +186,10 @@ mod tests {
 
     #[test]
     fn solves_linear_system_in_one_step() {
-        let f = |x: &[f64]| Ok(vec![2.0 * x[0] - 4.0, x[1] + 1.0]);
+        let f = |x: &[f64], r: &mut [f64]| {
+            r.copy_from_slice(&[2.0 * x[0] - 4.0, x[1] + 1.0]);
+            Ok(())
+        };
         let rep = newton_solve(f, &[0.0, 0.0], &NewtonOptions::default()).unwrap();
         assert!((rep.x[0] - 2.0).abs() < 1e-8);
         assert!((rep.x[1] + 1.0).abs() < 1e-8);
@@ -179,7 +199,10 @@ mod tests {
     #[test]
     fn solves_coupled_nonlinear_system() {
         // x² + y² = 4, x·y = 1 (solution near (1.93, 0.52)).
-        let f = |x: &[f64]| Ok(vec![x[0] * x[0] + x[1] * x[1] - 4.0, x[0] * x[1] - 1.0]);
+        let f = |x: &[f64], r: &mut [f64]| {
+            r.copy_from_slice(&[x[0] * x[0] + x[1] * x[1] - 4.0, x[0] * x[1] - 1.0]);
+            Ok(())
+        };
         let rep = newton_solve(f, &[2.0, 0.3], &NewtonOptions::default()).unwrap();
         let (x, y) = (rep.x[0], rep.x[1]);
         assert!((x * x + y * y - 4.0).abs() < 1e-7);
@@ -191,12 +214,12 @@ mod tests {
         // sqrt is infeasible for negative arguments; full Newton steps
         // from x=9 toward the root of sqrt(x) - 1 = 0 overshoot into
         // negative territory and must be damped.
-        let f = |x: &[f64]| {
+        let f = |x: &[f64], r: &mut [f64]| {
             if x[0] < 0.0 {
-                Err("negative".to_string())
-            } else {
-                Ok(vec![x[0].sqrt() - 1.0])
+                return Err("negative".to_string());
             }
+            r[0] = x[0].sqrt() - 1.0;
+            Ok(())
         };
         let rep = newton_solve(f, &[9.0], &NewtonOptions::default()).unwrap();
         assert!((rep.x[0] - 1.0).abs() < 1e-6, "{:?}", rep.x);
@@ -205,7 +228,10 @@ mod tests {
     #[test]
     fn reports_no_convergence() {
         // f(x) = 1 + x² has no real root.
-        let f = |x: &[f64]| Ok(vec![1.0 + x[0] * x[0]]);
+        let f = |x: &[f64], r: &mut [f64]| {
+            r[0] = 1.0 + x[0] * x[0];
+            Ok(())
+        };
         let err = newton_solve(f, &[1.0], &NewtonOptions { max_iters: 10, ..Default::default() })
             .unwrap_err();
         // Depending on where the iteration lands, failure may surface as
@@ -218,7 +244,7 @@ mod tests {
 
     #[test]
     fn reports_initial_residual_failure() {
-        let f = |_: &[f64]| Err("bad start".to_string());
+        let f = |_: &[f64], _: &mut [f64]| Err("bad start".to_string());
         let err = newton_solve(f, &[1.0], &NewtonOptions::default()).unwrap_err();
         assert!(matches!(err, NewtonError::Residual(_)));
     }
@@ -227,11 +253,10 @@ mod tests {
     fn quadratic_convergence_iteration_count() {
         // Rosenbrock-ish gradient system; should converge well under the
         // iteration cap from a decent guess.
-        let f = |x: &[f64]| {
-            Ok(vec![
-                -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]),
-                200.0 * (x[1] - x[0] * x[0]),
-            ])
+        let f = |x: &[f64], r: &mut [f64]| {
+            r[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+            r[1] = 200.0 * (x[1] - x[0] * x[0]);
+            Ok(())
         };
         let rep = newton_solve(f, &[0.8, 0.6], &NewtonOptions::default()).unwrap();
         assert!((rep.x[0] - 1.0).abs() < 1e-6);

@@ -42,7 +42,7 @@
 //! applies the receiver's, so every range and precision hazard of the v1
 //! pipeline occurs at the same place with the same error.
 
-use std::sync::Arc;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -50,7 +50,7 @@ use crate::arch::{Architecture, FloatRepr, IntRepr};
 use crate::error::{Error, Result};
 use crate::native::{cray, vax};
 use crate::types::{Type, WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
-use crate::value::Value;
+use crate::value::{Elem, Packed, Value};
 
 /// The UTS version of the plan-driven untagged format introduced by this
 /// module — the one codec the runtime speaks. Schooner's bind messages
@@ -277,24 +277,24 @@ impl MarshalPlan {
     }
 }
 
-/// Collect `N`-byte wire chunks into one `Arc<[T]>` in a single pass and
-/// a single allocation (`Map<ChunksExact>` has an exact length), passing
-/// each through `conv`. The first conversion error is kept and returned
-/// once the pass ends; the elements after it are converted but unused.
-fn collect_array<T, const N: usize>(
+/// Collect `N`-byte wire chunks into one [`Packed`] array in a single
+/// pass, passing each through `conv`: a short array fills the value's
+/// inline buffer and a long one takes a single allocation (the chunk
+/// iterator has an exact length). The first conversion error is kept and
+/// returned once the pass ends; the elements after it are converted but
+/// unused.
+fn collect_array<T: Elem, const N: usize>(
     raw: &[u8],
     from_wire: impl Fn([u8; N]) -> T,
     conv: impl Fn(T) -> Result<T>,
-) -> Result<Arc<[T]>>
-where
-    T: Copy + Default,
-{
+) -> Result<Packed<T>> {
     let mut first_err = None;
-    let xs: Arc<[T]> = raw
+    let xs: Packed<T> = raw
         .chunks_exact(N)
         .map(|c| {
-            let x = from_wire(c.try_into().expect("chunks are N bytes"));
-            conv(x).unwrap_or_else(|e| {
+            let mut word = [0u8; N];
+            word.copy_from_slice(c);
+            conv(from_wire(word)).unwrap_or_else(|e| {
                 first_err.get_or_insert(e);
                 T::default()
             })

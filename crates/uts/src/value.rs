@@ -2,12 +2,119 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::error::{Error, Result};
 use crate::types::Type;
+
+/// Bytes of elements a [`Packed`] array holds inside the [`Value`]
+/// itself: 4 floats, 2 doubles or 2 integers.
+pub const INLINE_BYTES: usize = 16;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for i64 {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
+/// An element type of a packed array: `i64`, `f32` or `f64`.
+pub trait Elem:
+    Copy + Default + PartialEq + fmt::Debug + Send + Sync + 'static + sealed::Sealed
+{
+    /// The inline buffer: as many elements as fit in [`INLINE_BYTES`].
+    type Inline: Copy + Default + AsRef<[Self]> + AsMut<[Self]> + Send + Sync;
+    /// Elements the inline buffer holds.
+    const INLINE: usize = INLINE_BYTES / std::mem::size_of::<Self>();
+}
+
+impl Elem for i64 {
+    type Inline = [i64; INLINE_BYTES / 8];
+}
+
+impl Elem for f32 {
+    type Inline = [f32; INLINE_BYTES / 4];
+}
+
+impl Elem for f64 {
+    type Inline = [f64; INLINE_BYTES / 8];
+}
+
+/// The elements of a packed scalar array ([`Value::Integers`],
+/// [`Value::Floats`], [`Value::Doubles`]); derefs to `[T]`.
+///
+/// An array of at most [`INLINE_BYTES`] of elements is held inline, so
+/// building, decoding, cloning and dropping it allocate nothing; a longer
+/// one is a single shared allocation that clones by reference count. The
+/// form is chosen when the array is built and is invisible to equality,
+/// `Debug` and `Display`.
+#[derive(Clone)]
+pub struct Packed<T: Elem>(Repr<T>);
+
+#[derive(Clone)]
+enum Repr<T: Elem> {
+    Inline { len: u8, buf: T::Inline },
+    Shared(Arc<[T]>),
+}
+
+impl<T: Elem> Packed<T> {
+    /// `len` default (zero) elements.
+    fn zeroed(len: usize) -> Self {
+        (0..len).map(|_| T::default()).collect()
+    }
+}
+
+impl<T: Elem> Deref for Packed<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf.as_ref()[..usize::from(*len)],
+            Repr::Shared(xs) => xs,
+        }
+    }
+}
+
+impl<T: Elem> From<&[T]> for Packed<T> {
+    fn from(xs: &[T]) -> Self {
+        xs.iter().copied().collect()
+    }
+}
+
+/// One pass, and at most one allocation for an iterator whose length is
+/// known up front: one whose upper bound fits [`INLINE_BYTES`] fills the
+/// inline buffer, any other is collected into the shared form.
+impl<T: Elem> FromIterator<T> for Packed<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        if iter.size_hint().1.is_some_and(|n| n <= T::INLINE) {
+            let mut buf = T::Inline::default();
+            let mut len = 0u8;
+            for (slot, x) in buf.as_mut().iter_mut().zip(&mut iter) {
+                *slot = x;
+                len += 1;
+            }
+            Packed(Repr::Inline { len, buf })
+        } else {
+            Packed(Repr::Shared(iter.collect()))
+        }
+    }
+}
+
+impl<T: Elem> PartialEq for Packed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Elem> fmt::Debug for Packed<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A dynamically-typed value, the in-memory endpoint of every conversion.
 ///
@@ -22,6 +129,12 @@ use crate::types::Type;
 /// are what the marshal-plan fast path encodes and decodes in a single
 /// pass; equality treats a packed array and its boxed equivalent as the
 /// same value.
+///
+/// A packed integer, float or double array of at most [`INLINE_BYTES`]
+/// (16) bytes of elements — 2 integers, 4 floats or 2 doubles, such as the
+/// `array[4] of float` flow every engine module passes — lives inside the
+/// `Value`, which stays 32 bytes: making, decoding, cloning and dropping it
+/// allocates nothing. A longer array is one shared allocation.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A wire `integer`. Stored as `i64` so that architectures with wider
@@ -45,11 +158,11 @@ pub enum Value {
     /// Packed `array of integer`. Elements keep the full `i64` width so
     /// Cray-originated values hit the same wire range check as the boxed
     /// form.
-    Integers(Arc<[i64]>),
+    Integers(Packed<i64>),
     /// Packed `array of float`.
-    Floats(Arc<[f32]>),
+    Floats(Packed<f32>),
     /// Packed `array of double`.
-    Doubles(Arc<[f64]>),
+    Doubles(Packed<f64>),
     /// Packed `array of byte`; a shared view, so decoding can alias the
     /// incoming message buffer instead of copying element-by-element.
     Bytes(Bytes),
@@ -132,9 +245,9 @@ impl Value {
             Type::Boolean => Value::Boolean(false),
             Type::String => Value::String(String::new()),
             Type::Array { len, elem } => match **elem {
-                Type::Integer => Value::Integers(vec![0i64; *len].into()),
-                Type::Float => Value::Floats(vec![0f32; *len].into()),
-                Type::Double => Value::Doubles(vec![0f64; *len].into()),
+                Type::Integer => Value::Integers(Packed::zeroed(*len)),
+                Type::Float => Value::Floats(Packed::zeroed(*len)),
+                Type::Double => Value::Doubles(Packed::zeroed(*len)),
                 Type::Byte => Value::Bytes(Bytes::from(vec![0u8; *len])),
                 _ => Value::Array((0..*len).map(|_| Value::zero_of(elem)).collect()),
             },
@@ -452,6 +565,40 @@ mod tests {
         );
         assert_ne!(Value::integers(&[1]), Value::floats(&[1.0]));
         assert_ne!(farr(&[1.0]), Value::Record(vec![]));
+    }
+
+    /// Arrays up to 16 bytes of elements are held inline and longer ones
+    /// shared; the form never shows in equality or printing.
+    #[test]
+    fn packed_arrays_are_inline_up_to_16_bytes() {
+        let inline = |v: &Value| match v {
+            Value::Integers(Packed(r)) => matches!(r, Repr::Inline { .. }),
+            Value::Floats(Packed(r)) => matches!(r, Repr::Inline { .. }),
+            Value::Doubles(Packed(r)) => matches!(r, Repr::Inline { .. }),
+            _ => unreachable!(),
+        };
+        for n in 0..=5 {
+            let xs = [1.5f32; 5];
+            assert_eq!(inline(&Value::floats(&xs[..n])), n <= 4, "{n} floats");
+            assert_eq!(
+                inline(&Value::zero_of(&Type::Array { len: n, elem: Box::new(Type::Float) })),
+                n <= 4
+            );
+            assert_eq!(inline(&Value::doubles(&[1.5; 5][..n])), n <= 2, "{n} doubles");
+            assert_eq!(inline(&Value::integers(&[3; 5][..n])), n <= 2, "{n} integers");
+        }
+        assert!(std::mem::size_of::<Value>() <= 32);
+
+        // A shared array of inline length (one collected from an
+        // iterator of unknown length) is the same value as the inline one.
+        let shared = Value::Floats((0..10).map(|i| i as f32).filter(|&x| x < 2.0).collect());
+        assert!(!inline(&shared));
+        let inline_twin = Value::floats(&[0.0, 1.0]);
+        assert!(inline(&inline_twin));
+        assert_eq!(shared, inline_twin);
+        assert_eq!(shared, boxed_floats(&[0.0, 1.0]));
+        assert_eq!(format!("{shared:?}"), format!("{inline_twin:?}"));
+        assert_eq!(shared.to_string(), inline_twin.to_string());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use uts::Value;
 
 use crate::module::ComputeCtx;
-use crate::network::{ModuleId, NetworkEditor};
+use crate::network::{Connection, ModuleId, NetworkEditor};
 
 /// What one scheduling pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +51,58 @@ pub struct Scheduler {
     iteration: u64,
 }
 
+/// What connection `c`, number `i`, delivers this pass: its source's
+/// output now, or for a delayed edge, as the pass began.
+fn delivered<'a>(
+    editor: &'a NetworkEditor,
+    delayed: &'a [(usize, Value)],
+    (i, c): (usize, &Connection),
+) -> Option<&'a Value> {
+    if c.delayed {
+        delayed.iter().find(|(j, _)| *j == i).map(|(_, v)| v)
+    } else {
+        editor.output(c.from, &c.from_port)
+    }
+}
+
+/// The connections into module `id`, with their indices.
+fn wires_into(editor: &NetworkEditor, id: ModuleId) -> impl Iterator<Item = (usize, &Connection)> {
+    editor.connections().iter().enumerate().filter(move |(_, c)| c.to == id)
+}
+
+/// Whether the inputs module `id` would see this pass differ from `last`,
+/// compared by reference. An input port takes at most one wire, so every
+/// delivered value matching its `last` entry, and as many delivered as
+/// `last` holds, is equality of the two sets.
+fn inputs_changed(
+    editor: &NetworkEditor,
+    delayed: &[(usize, Value)],
+    id: ModuleId,
+    last: &HashMap<String, Value>,
+) -> bool {
+    let mut seen = 0;
+    for (i, c) in wires_into(editor, id) {
+        if let Some(v) = delivered(editor, delayed, (i, c)) {
+            if last.get(&c.to_port) != Some(v) {
+                return true;
+            }
+            seen += 1;
+        }
+    }
+    seen != last.len()
+}
+
+/// The inputs module `id` sees this pass, cloned for its `compute`.
+fn inputs_of(
+    editor: &NetworkEditor,
+    delayed: &[(usize, Value)],
+    id: ModuleId,
+) -> HashMap<String, Value> {
+    wires_into(editor, id)
+        .filter_map(|w| Some((w.1.to_port.clone(), delivered(editor, delayed, w)?.clone())))
+        .collect()
+}
+
 impl Scheduler {
     /// A fresh scheduler.
     pub fn new() -> Self {
@@ -81,38 +133,31 @@ impl Scheduler {
         let order =
             editor.topo_order_immediate().expect("editor enforces immediate-graph acyclicity");
 
-        // Snapshot outputs for delayed edges: they see last iteration.
-        let mut delayed_snapshot: HashMap<(ModuleId, String), Value> = HashMap::new();
-        for c in editor.connections() {
-            if c.delayed {
-                if let Some(v) = editor.output(c.from, &c.from_port) {
-                    delayed_snapshot.insert((c.from, c.from_port.clone()), v.clone());
-                }
-            }
-        }
+        // Snapshot outputs for delayed edges, by connection index: they
+        // see last iteration. A network without any allocates nothing.
+        let delayed: Vec<(usize, Value)> = editor
+            .connections()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.delayed)
+            .filter_map(|(i, c)| Some((i, editor.output(c.from, &c.from_port)?.clone())))
+            .collect();
 
         let mut executed = Vec::new();
         for id in order {
-            // Gather this module's inputs.
-            let mut inputs: HashMap<String, Value> = HashMap::new();
-            let conns: Vec<_> =
-                editor.connections().iter().filter(|c| c.to == id).cloned().collect();
-            for c in conns {
-                let v = if c.delayed {
-                    delayed_snapshot.get(&(c.from, c.from_port.clone())).cloned()
-                } else {
-                    editor.output(c.from, &c.from_port).cloned()
+            // Compare what this module would see with what it last saw in
+            // place; only a module that executes gets its inputs cloned.
+            let inst = editor.instance(id).expect("live module");
+            let needs_run = inst.dirty
+                || match &inst.last_inputs {
+                    Some(last) => inputs_changed(editor, &delayed, id, last),
+                    None => true,
                 };
-                if let Some(v) = v {
-                    inputs.insert(c.to_port, v);
-                }
-            }
-
-            let inst = editor.instance_mut(id).expect("live module");
-            let needs_run = inst.dirty || inst.last_inputs.as_ref() != Some(&inputs);
             if !needs_run {
                 continue;
             }
+            let inputs = inputs_of(editor, &delayed, id);
+            let inst = editor.instance_mut(id).expect("live module");
             let mut outputs = std::mem::take(&mut inst.outputs);
             let result = {
                 let mut ctx = ComputeCtx {
@@ -204,6 +249,42 @@ mod tests {
             // Round to keep equality-based convergence detection exact.
             let next = ((x + fb) / 2.0 * 1e9).round() / 1e9;
             ctx.set_output("out", Value::Double(next));
+            Ok(())
+        }
+    }
+
+    /// `out = a + b` over whichever of its two inputs are delivered.
+    struct Sum;
+    impl AvsModule for Sum {
+        fn spec(&self) -> ModuleSpec {
+            ModuleSpec::new("sum").input("a", "flow").input("b", "flow").output("out", "flow")
+        }
+        fn compute(&mut self, ctx: &mut ComputeCtx<'_>) -> Result<(), String> {
+            let sum = ["a", "b"].iter().filter_map(|p| ctx.input(p)?.as_f64()).sum();
+            ctx.set_output("out", Value::Double(sum));
+            Ok(())
+        }
+    }
+
+    /// An engine stage: every output carries an `array[4] of float` flow
+    /// derived from the sum of its input flows.
+    struct Stage {
+        ins: &'static [&'static str],
+        outs: &'static [&'static str],
+    }
+    impl AvsModule for Stage {
+        fn spec(&self) -> ModuleSpec {
+            let spec = self.ins.iter().fold(ModuleSpec::new("stage"), |s, p| s.input(p, "flow"));
+            self.outs.iter().fold(spec, |s, p| s.output(p, "flow"))
+        }
+        fn compute(&mut self, ctx: &mut ComputeCtx<'_>) -> Result<(), String> {
+            let mut w = 1.0;
+            for p in self.ins {
+                w += ctx.require_input(p)?.as_floats().ok_or("not a flow")?.iter().sum::<f32>();
+            }
+            for p in self.outs {
+                ctx.set_output(p, Value::floats(&[w, 2.0 * w, 300.0, 0.5]));
+            }
             Ok(())
         }
     }
@@ -310,5 +391,114 @@ mod tests {
         let mut sched = Scheduler::new();
         assert_eq!(sched.settle(&mut ed, 50).unwrap(), 1);
         assert_eq!(sched.settle(&mut ed, 50).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_disconnected_input_reexecutes_its_module() {
+        let mut ed = NetworkEditor::new();
+        let s = ed.add_module("s", Box::new(Source)).unwrap();
+        let sum = ed.add_module("sum", Box::new(Sum)).unwrap();
+        ed.connect(s, "out", sum, "a").unwrap();
+        ed.connect(s, "out", sum, "b").unwrap();
+        ed.set_widget(s, "level", WidgetInput::Number(3.0)).unwrap();
+        let mut sched = Scheduler::new();
+        sched.settle(&mut ed, 10).unwrap();
+        assert_eq!(ed.output(sum, "out"), Some(&Value::Double(6.0)));
+        // The input still wired is unchanged; the set shrank all the same.
+        assert!(ed.disconnect(s, "out", sum, "b"));
+        let r = sched.step(&mut ed).unwrap();
+        assert_eq!(r.executed, vec!["sum".to_owned()]);
+        assert_eq!(ed.output(sum, "out"), Some(&Value::Double(3.0)));
+        assert!(sched.step(&mut ed).unwrap().executed.is_empty());
+    }
+
+    #[test]
+    fn a_delayed_edge_whose_snapshot_changed_reexecutes_its_module() {
+        let mut ed = NetworkEditor::new();
+        // Placed first so that, with no immediate wire between them, the
+        // pass visits the source before its consumer.
+        let sum = ed.add_module("sum", Box::new(Sum)).unwrap();
+        let s = ed.add_module("s", Box::new(Source)).unwrap();
+        ed.connect_delayed(s, "out", sum, "a").unwrap();
+        let mut sched = Scheduler::new();
+        sched.settle(&mut ed, 10).unwrap();
+        assert_eq!(ed.output(sum, "out"), Some(&Value::Double(1.0)));
+        ed.set_widget(s, "level", WidgetInput::Number(5.0)).unwrap();
+        // The source re-runs; the delayed edge still carries the value the
+        // pass began with, so its consumer stays quiet until the next pass.
+        assert_eq!(sched.step(&mut ed).unwrap().executed, vec!["s".to_owned()]);
+        assert_eq!(sched.step(&mut ed).unwrap().executed, vec!["sum".to_owned()]);
+        assert_eq!(ed.output(sum, "out"), Some(&Value::Double(5.0)));
+        assert!(sched.step(&mut ed).unwrap().executed.is_empty());
+    }
+
+    /// The F100 network's wiring (fan-out at the splitter, fan-in at the
+    /// mixing volume, shafts and the system reading several stages), with
+    /// `array[4] of float` flows: once settled, a pass executes nothing.
+    #[test]
+    fn a_settled_f100_shaped_network_executes_nothing() {
+        const IN: &[&str] = &["in"];
+        const OUT: &[&str] = &["out"];
+        let stages: [(&str, &'static [&'static str], &'static [&'static str]); 15] = [
+            ("inlet", &[], OUT),
+            ("lpc", IN, OUT),
+            ("splitter", IN, &["bypass", "core"]),
+            ("bypass duct", IN, OUT),
+            ("hpc", IN, OUT),
+            ("bleed", IN, OUT),
+            ("combustor", IN, OUT),
+            ("hpt", IN, OUT),
+            ("lpt", IN, OUT),
+            ("mixing volume", &["core", "bypass"], OUT),
+            ("tailpipe duct", IN, OUT),
+            ("nozzle", IN, OUT),
+            ("low speed shaft", &["comp", "turb"], OUT),
+            ("high speed shaft", &["comp", "turb"], OUT),
+            ("system", &["in", "lpshaft", "hpshaft"], &["thrust"]),
+        ];
+        let wires = [
+            ("inlet", "out", "lpc", "in"),
+            ("lpc", "out", "splitter", "in"),
+            ("splitter", "bypass", "bypass duct", "in"),
+            ("splitter", "core", "hpc", "in"),
+            ("hpc", "out", "bleed", "in"),
+            ("bleed", "out", "combustor", "in"),
+            ("combustor", "out", "hpt", "in"),
+            ("hpt", "out", "lpt", "in"),
+            ("lpt", "out", "mixing volume", "core"),
+            ("bypass duct", "out", "mixing volume", "bypass"),
+            ("mixing volume", "out", "tailpipe duct", "in"),
+            ("tailpipe duct", "out", "nozzle", "in"),
+            ("nozzle", "out", "system", "in"),
+            ("lpc", "out", "low speed shaft", "comp"),
+            ("lpt", "out", "low speed shaft", "turb"),
+            ("hpc", "out", "high speed shaft", "comp"),
+            ("hpt", "out", "high speed shaft", "turb"),
+            ("low speed shaft", "out", "system", "lpshaft"),
+            ("high speed shaft", "out", "system", "hpshaft"),
+        ];
+        let mut ed = NetworkEditor::new();
+        for (name, ins, outs) in stages {
+            ed.add_module(name, Box::new(Stage { ins, outs })).unwrap();
+        }
+        let id = |ed: &NetworkEditor, name| ed.find(name).unwrap();
+        for (from, from_port, to, to_port) in wires {
+            ed.connect(id(&ed, from), from_port, id(&ed, to), to_port).unwrap();
+        }
+        let mut sched = Scheduler::new();
+        assert_eq!(sched.settle(&mut ed, 10).unwrap(), 1);
+        let counts: Vec<u64> = ed.module_ids().into_iter().map(|m| ed.exec_count(m)).collect();
+        assert_eq!(counts, vec![1; stages.len()]);
+        assert!(sched.step(&mut ed).unwrap().executed.is_empty());
+        assert_eq!(
+            ed.module_ids().into_iter().map(|m| ed.exec_count(m)).collect::<Vec<_>>(),
+            counts
+        );
+
+        // A forced re-run of the inlet reproduces its flow, so nothing
+        // downstream runs either.
+        let inlet = id(&ed, "inlet");
+        sched.mark(&mut ed, inlet).unwrap();
+        assert_eq!(sched.step(&mut ed).unwrap().executed, vec!["inlet".to_owned()]);
     }
 }

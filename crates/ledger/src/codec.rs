@@ -8,6 +8,8 @@
 //! carries the byte position; each format maps it once into its own
 //! error type.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::ops::Range;
 

@@ -20,6 +20,8 @@
 //!   is patched in before any byte of it is written), so it is a typed
 //!   error.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::codec::{put_u32, Reader};
 use crate::error::LedgerError;
 
@@ -116,9 +118,15 @@ pub enum FrameRead<'a> {
 }
 
 /// Read the frame starting at `offset`; CRC mismatch on a complete
-/// frame is `Err(Corrupt)`.
+/// frame, or an `offset` past the end of `bytes`, is `Err(Corrupt)`.
 pub fn read_frame(bytes: &[u8], offset: usize) -> Result<FrameRead<'_>, LedgerError> {
-    let mut r = Reader::new(&bytes[offset..]);
+    let Some(rest) = bytes.get(offset..) else {
+        return Err(LedgerError::Corrupt {
+            offset: offset as u64,
+            reason: format!("frame offset past the end of {} bytes", bytes.len()),
+        });
+    };
+    let mut r = Reader::new(rest);
     if r.is_empty() {
         return Ok(FrameRead::End);
     }
@@ -188,6 +196,18 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(matches!(read_frame(&bad, first), Err(LedgerError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn offset_past_the_end_is_corrupt() {
+        let file = framed(b"payload");
+        assert!(matches!(read_frame(&file, file.len()).unwrap(), FrameRead::End));
+        for offset in [file.len() + 1, usize::MAX] {
+            match read_frame(&file, offset) {
+                Err(LedgerError::Corrupt { offset: at, .. }) => assert_eq!(at, offset as u64),
+                _ => panic!("offset {offset} past the end must be Corrupt"),
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! written in order, a torn tail is only ever the last frame of the last
 //! commit — the case replay discards.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::blob::Blob;
 use crate::error::LedgerError;
 use crate::frame::{self, FrameRead};
 use crate::record::{self, Record, RecordKind};
@@ -198,6 +201,11 @@ pub struct Replay {
 
 /// Replay a journal file into records.
 ///
+/// The file is read once into one shared buffer, and every
+/// [`RecordKind::Event`] payload is a view into it; every other field is
+/// decoded into values of its own. Every frame's CRC, every body's full
+/// decode and the sequence are checked all the same:
+///
 /// * A **torn final record** — the file ends before the last frame
 ///   completes — is discarded and reported via [`Replay::torn_bytes`];
 ///   this is the normal residue of a crash mid-append.
@@ -206,7 +214,7 @@ pub struct Replay {
 ///   [`LedgerError::Corrupt`]: damage no single interrupted append can
 ///   explain.
 pub fn replay(path: &Path) -> Result<Replay, LedgerError> {
-    let bytes = std::fs::read(path)?;
+    let bytes = Blob::from(std::fs::read(path)?);
     let mut offset = frame::check_file_header(&bytes)?;
     let mut records: Vec<Record> = Vec::new();
     let mut torn_bytes = 0u64;
@@ -218,7 +226,8 @@ pub fn replay(path: &Path) -> Result<Replay, LedgerError> {
                 break;
             }
             FrameRead::Ok { body, next } => {
-                let rec = record::decode_body(body, offset as u64)?;
+                let rec =
+                    record::decode_body(&bytes.slice(next - body.len()..next), offset as u64)?;
                 let expected = records.last().map_or(1, |r| r.seq + 1);
                 if rec.seq != expected {
                     return Err(LedgerError::Corrupt {

@@ -26,9 +26,10 @@
 //!   the file is as fresh as the last checkpoint, verdict, barrier or
 //!   sample; only events after it are still in memory.
 //! * [`replay`] / [`Repository`] / [`Query`] — the readers: scan a
-//!   journal back into records, then answer range queries,
-//!   latest-checkpoint-per-path, retained-checkpoint sets (respecting
-//!   journaled evictions), and metrics as of a sequence point.
+//!   journal back into records (the file read into one buffer, of which
+//!   every event payload, a [`Blob`], is a view), then answer range
+//!   queries, latest-checkpoint-per-path, retained-checkpoint sets
+//!   (respecting journaled evictions), and metrics as of a sequence point.
 //! * [`LedgerHandle`] — a cloneable attach-once handle that subsystems
 //!   hold whether or not a journal is configured; appends through an
 //!   unattached handle are no-ops, so journaling stays zero-setup for
@@ -39,6 +40,7 @@
 //! (obs events, UTS-encoded checkpoint state) ride through as opaque
 //! bytes, and the crates that produced them decode them on the way out.
 
+pub mod blob;
 pub mod codec;
 pub mod error;
 pub mod frame;
@@ -48,6 +50,7 @@ pub mod record;
 pub mod repository;
 pub mod sequencer;
 
+pub use blob::Blob;
 pub use error::LedgerError;
 pub use journal::{replay, Journal, LedgerHandle, Replay};
 pub use query::Query;

@@ -15,6 +15,9 @@
 //! checkpoint `state` blobs — those are produced (and decoded) by the
 //! subsystems that own them. Everything else is self-describing.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::blob::Blob;
 use crate::codec::{put_bytes, put_f64, put_f64s, put_str, put_u64, Reader};
 use crate::error::LedgerError;
 
@@ -59,8 +62,9 @@ pub enum RecordKind {
     /// An observability event, pre-encoded by its producer (the obs
     /// layer's own codec); opaque to the ledger.
     Event {
-        /// The encoded event.
-        payload: Vec<u8>,
+        /// The encoded event; after [`replay`](crate::replay), a view
+        /// into the one buffer the journal file was read into.
+        payload: Blob,
     },
     /// A `CheckpointStore` write: the Manager captured a remote
     /// process's `state(...)` variables.
@@ -260,13 +264,15 @@ fn put_event(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Decode one frame body back into a record. `frame_offset` is the
-/// byte position of the frame in the file, for error reporting.
-pub fn decode_body(body: &[u8], frame_offset: u64) -> Result<Record, LedgerError> {
+/// byte position of the frame in the file, for error reporting. An
+/// event's payload is a view into `body`'s buffer, so it copies and
+/// allocates nothing.
+pub fn decode_body(body: &Blob, frame_offset: u64) -> Result<Record, LedgerError> {
     let mut r = Reader::new(body);
     let mut tag = None;
     let mut fields = || -> Result<Record, String> {
         let (seq, t) = (r.u64()?, r.f64()?);
-        let kind = decode_kind(*tag.insert(r.u8()?), &mut r)?;
+        let kind = decode_kind(*tag.insert(r.u8()?), &mut r, body)?;
         r.finish()?;
         Ok(Record { seq, t, kind })
     };
@@ -279,10 +285,11 @@ pub fn decode_body(body: &[u8], frame_offset: u64) -> Result<Record, LedgerError
     })
 }
 
-/// The fields that follow `tag`.
-fn decode_kind(tag: u8, r: &mut Reader) -> Result<RecordKind, String> {
+/// The fields that follow `tag`; an event's payload is a view into
+/// `body`, the buffer `r` reads.
+fn decode_kind(tag: u8, r: &mut Reader, body: &Blob) -> Result<RecordKind, String> {
     Ok(match tag {
-        TAG_EVENT => RecordKind::Event { payload: r.bytes()?.0.to_vec() },
+        TAG_EVENT => RecordKind::Event { payload: body.slice(r.bytes()?.1) },
         TAG_CHECKPOINT => RecordKind::Checkpoint {
             line: r.u64()?,
             path: r.str()?.to_owned(),
@@ -322,7 +329,7 @@ mod tests {
 
     fn samples() -> Vec<RecordKind> {
         vec![
-            RecordKind::Event { payload: vec![1, 2, 3, 255] },
+            RecordKind::Event { payload: vec![1, 2, 3, 255].into() },
             RecordKind::Checkpoint {
                 line: 7,
                 path: "/npss/modules/shaft".into(),
@@ -364,7 +371,7 @@ mod tests {
         for (i, kind) in samples().into_iter().enumerate() {
             let rec = Record { seq: i as u64 + 1, t: 0.5 * i as f64, kind };
             let body = encode_body(&rec);
-            let back = decode_body(&body, 0).unwrap();
+            let back = decode_body(&Blob::from(body), 0).unwrap();
             assert_eq!(back, rec);
         }
     }
@@ -387,7 +394,7 @@ mod tests {
         for (i, kind) in samples().into_iter().enumerate() {
             let body = encode_body(&Record { seq: 1, t: 0.0, kind });
             for cut in 0..body.len() {
-                let err = decode_body(&body[..cut], 42);
+                let err = decode_body(&Blob::from(body[..cut].to_vec()), 42);
                 assert!(
                     matches!(err, Err(LedgerError::Corrupt { offset: 42, .. })),
                     "sample {i} cut at {cut} must be Corrupt, got {err:?}"
@@ -406,7 +413,7 @@ mod tests {
             for bit in 0..body.len() * 8 {
                 let mut flipped = body.clone();
                 flipped[bit / 8] ^= 1 << (bit % 8);
-                match decode_body(&flipped, 42) {
+                match decode_body(&Blob::from(flipped.clone()), 42) {
                     Err(LedgerError::Corrupt { offset: 42, .. }) => {}
                     Err(other) => panic!("sample {i} bit {bit}: unexpected error {other}"),
                     Ok(rec) => assert_eq!(encode_body(&rec), flipped, "sample {i} bit {bit}"),
@@ -420,7 +427,7 @@ mod tests {
         let rec = Record { seq: 1, t: 0.0, kind: RecordKind::Note { text: "x".into() } };
         let mut body = encode_body(&rec);
         body.push(0);
-        assert!(matches!(decode_body(&body, 0), Err(LedgerError::Corrupt { .. })));
+        assert!(matches!(decode_body(&Blob::from(body), 0), Err(LedgerError::Corrupt { .. })));
     }
 
     #[test]
@@ -429,6 +436,6 @@ mod tests {
         super::put_u64(&mut body, 1);
         super::put_f64(&mut body, 0.0);
         body.push(200);
-        assert!(matches!(decode_body(&body, 0), Err(LedgerError::Corrupt { .. })));
+        assert!(matches!(decode_body(&Blob::from(body), 0), Err(LedgerError::Corrupt { .. })));
     }
 }

@@ -23,7 +23,7 @@ fn on_disk(path: &Path) -> Vec<Record> {
 }
 
 fn event(i: u8) -> RecordKind {
-    RecordKind::Event { payload: vec![i, 0, 255, i] }
+    RecordKind::Event { payload: vec![i, 0, 255, i].into() }
 }
 
 /// One sample of each of the eight state kinds.
@@ -105,7 +105,7 @@ fn events_alone_wait_for_a_commit_point() {
         assert_eq!(alive.is_some(), name != "drop", "{name}: the trigger ran");
         let records = on_disk(&path);
         assert_eq!(records.len(), 6, "{name}: every event is on disk");
-        assert_eq!(records[5].kind, RecordKind::Event { payload: vec![4; 9] });
+        assert_eq!(records[5].kind, RecordKind::Event { payload: vec![4; 9].into() });
         drop(alive);
         assert_eq!(on_disk(&path), records, "{name}: nothing was left behind");
         std::fs::remove_file(&path).ok();
@@ -121,7 +121,7 @@ fn events_commit_on_their_own_at_64_kib() {
     let frame_len = FRAME_HEADER_LEN + 8 + 8 + 1 + 4 + payload.len();
     let (mut buffered, mut committed) = (0, 0);
     for n in 1..=200 {
-        j.append(0.0, RecordKind::Event { payload: payload.clone() }).unwrap();
+        j.append(0.0, RecordKind::Event { payload: payload.clone().into() }).unwrap();
         buffered += frame_len;
         if buffered >= COMMIT_BYTES {
             (buffered, committed) = (0, n);

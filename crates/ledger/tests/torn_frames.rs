@@ -23,7 +23,7 @@ fn journal_with_tail(name: &str) -> (Vec<u8>, usize, Vec<Record>) {
     let path = tmp(name);
     let j = Journal::create(&path).unwrap();
     j.append(0.1, RecordKind::Note { text: "begin".into() }).unwrap();
-    j.append(0.2, RecordKind::Event { payload: vec![7, 0, 255, 3] }).unwrap();
+    j.append(0.2, RecordKind::Event { payload: vec![7, 0, 255, 3].into() }).unwrap();
     j.append(
         0.3,
         RecordKind::Checkpoint {

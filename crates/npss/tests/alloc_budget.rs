@@ -10,14 +10,22 @@
 //! every call (a stub clone, a route search, a formatted metric key)
 //! lands here long before it shows on a wall clock.
 //!
+//! The same suite holds one journaled F100 AVS op — the Network Editor
+//! under the Table-2 placement, with the journal attached and then
+//! replayed — whose costs are bookkeeping rather than calls: the
+//! scheduler's fixed-point pass and the journal's read side.
+//!
 //! One `#[test]` only: the counter is process-wide, so a second test
 //! running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use npss::engine_exec::Scheduling;
-use npss::{run_session, SessionKnobs, SessionRequest, Workload};
+use npss::{run_session, F100Network, RemotePlacement, SessionKnobs, SessionRequest, Workload};
+use schooner::Schooner;
 
 /// Ceilings on allocations per `rpc.calls`, whole session included. The
 /// per-call clone/route/format path measured 120 (plain) and 138
@@ -40,6 +48,17 @@ use npss::{run_session, SessionKnobs, SessionRequest, Workload};
 /// pins one warm call.
 const MAX_PLAIN: f64 = 1.95;
 const MAX_WAVE_BATCHED: f64 = 2.24;
+
+/// Ceilings on one journaled F100 AVS op — world build, Table-2
+/// placement, a 1 s Modified-Euler transient, shutdown and a replay of
+/// its journal — and on that replay's allocations per record. With one
+/// payload vector per replayed event and every module's inputs cloned on
+/// every scheduler pass, the op measured 21 901 and replay 1.002 per
+/// record; with events read as views of one shared file buffer and
+/// inputs compared before any is cloned, 10 194 and 0.0080 (78 for
+/// 9 706 records). The ceilings are those figures plus about 2 %.
+const MAX_AVS_OP: u64 = 10_400;
+const MAX_REPLAY_PER_RECORD: f64 = 0.0082;
 
 struct Counting;
 
@@ -81,6 +100,25 @@ fn allocs_per_call(req: &SessionRequest) -> f64 {
     allocs as f64 / calls as f64
 }
 
+/// Allocations of one journaled AVS op writing `journal`; of the op's
+/// replay of it; and the records replayed.
+fn avs_op_allocs(journal: &Path) -> (u64, u64, usize) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let sch = Arc::new(Schooner::standard().expect("world builds"));
+    sch.attach_journal(journal).expect("journal attaches");
+    let mut net = F100Network::build(sch.clone(), "ua-sparc10").expect("network builds");
+    net.apply_placement(&RemotePlacement::table2()).expect("Table-2 placement applies");
+    net.run("Modified Euler", 1.0, 0.02).expect("transient runs");
+    drop(net);
+    Arc::try_unwrap(sch).ok().expect("the network released its world").shutdown();
+    let replay_before = ALLOCS.load(Ordering::Relaxed);
+    let replay = ledger::replay(journal).expect("journal replays");
+    let after = ALLOCS.load(Ordering::Relaxed);
+    let records = replay.records.len();
+    assert!(records > 1_000, "a journaled transient records thousands of events, saw {records}");
+    (after - before, after - replay_before, records)
+}
+
 #[test]
 fn table2_session_stays_within_its_allocation_budget() {
     let mut req =
@@ -94,6 +132,17 @@ fn table2_session_stays_within_its_allocation_budget() {
     let wave_batched = allocs_per_call(&req);
     println!("allocations per rpc.calls: plain {plain:.3}, wave+batched {wave_batched:.3}");
 
+    let journal = std::env::temp_dir().join(format!("alloc-budget-{}.journal", std::process::id()));
+    // The first op pays the once-per-process work, as above.
+    avs_op_allocs(&journal);
+    let (avs_op, replay, records) = avs_op_allocs(&journal);
+    std::fs::remove_file(&journal).ok();
+    let replay_per_record = replay as f64 / records as f64;
+    println!(
+        "journaled F100 AVS op: {avs_op} allocations; its replay {replay} for {records} records, \
+         {replay_per_record:.4} per record"
+    );
+
     assert!(
         plain <= MAX_PLAIN,
         "plain Table-2 session: {plain:.3} allocations per call, budget {MAX_PLAIN}"
@@ -102,5 +151,14 @@ fn table2_session_stays_within_its_allocation_budget() {
         wave_batched <= MAX_WAVE_BATCHED,
         "wave-scheduled, link-batched Table-2 session: {wave_batched:.3} allocations per call, \
          budget {MAX_WAVE_BATCHED}"
+    );
+    assert!(
+        avs_op <= MAX_AVS_OP,
+        "journaled F100 AVS op: {avs_op} allocations, budget {MAX_AVS_OP}"
+    );
+    assert!(
+        replay_per_record <= MAX_REPLAY_PER_RECORD,
+        "journal replay: {replay_per_record:.4} allocations per record, budget \
+         {MAX_REPLAY_PER_RECORD}"
     );
 }

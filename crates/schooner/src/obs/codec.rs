@@ -59,11 +59,12 @@ pub fn encode_event_into(out: &mut Vec<u8>, e: &EventKind) {
     e.put(out);
 }
 
-/// Encode one event for the journal.
-pub fn encode_event(e: &EventKind) -> Vec<u8> {
+/// Encode one event for the journal, as the payload of a
+/// [`ledger::RecordKind::Event`].
+pub fn encode_event(e: &EventKind) -> ledger::Blob {
     let mut out = Vec::with_capacity(32);
     encode_event_into(&mut out, e);
-    out
+    out.into()
 }
 
 /// Decode one journaled event payload.
@@ -206,7 +207,7 @@ mod tests {
     /// The encoding itself, not just its round trip.
     #[test]
     fn every_variant_encodes_to_pinned_bytes() {
-        let bytes: Vec<u8> = one_of_each().iter().flat_map(encode_event).collect();
+        let bytes: Vec<u8> = one_of_each().iter().flat_map(|e| encode_event(e).to_vec()).collect();
         assert_eq!((bytes.len(), ledger::frame::crc32(&bytes)), (857, 0xCF5C_FA93));
     }
 
@@ -247,10 +248,10 @@ mod tests {
         for e in one_of_each() {
             let encoded = encode_event(&e);
             for bit in 0..encoded.len() * 8 {
-                let mut flipped = encoded.clone();
+                let mut flipped = encoded.to_vec();
                 flipped[bit / 8] ^= 1 << (bit % 8);
                 if let Ok(decoded) = decode_event(&flipped) {
-                    assert_eq!(encode_event(&decoded), flipped, "{e:?} bit {bit}");
+                    assert_eq!(*encode_event(&decoded), flipped, "{e:?} bit {bit}");
                 }
             }
         }
@@ -284,7 +285,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_errors() {
-        let mut encoded = encode_event(&EventKind::ManagerShutdown);
+        let mut encoded = encode_event(&EventKind::ManagerShutdown).to_vec();
         encoded.push(0);
         assert!(decode_event(&encoded).is_err());
     }

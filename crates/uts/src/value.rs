@@ -355,16 +355,19 @@ impl Value {
         }
     }
 
-    /// Element `i` of any array representation, boxed. Used by equality
-    /// and display; panics on out-of-range like slice indexing does.
-    fn array_elem(&self, i: usize) -> Value {
+    /// Element `i` of any array representation: borrowed from a boxed
+    /// array, or a scalar made (without allocating) from a packed one.
+    /// What equality and `Display` read elements through, so neither
+    /// allocates per element. Panics on out-of-range like slice indexing
+    /// does.
+    fn array_item(&self, i: usize) -> Cow<'_, Value> {
         match self {
-            Value::Array(items) => items[i].clone(),
-            Value::Integers(xs) => Value::Integer(xs[i]),
-            Value::Floats(xs) => Value::Float(xs[i]),
-            Value::Doubles(xs) => Value::Double(xs[i]),
-            Value::Bytes(bs) => Value::Byte(bs[i]),
-            _ => panic!("array_elem on non-array value"),
+            Value::Array(items) => Cow::Borrowed(&items[i]),
+            Value::Integers(xs) => Cow::Owned(Value::Integer(xs[i])),
+            Value::Floats(xs) => Cow::Owned(Value::Float(xs[i])),
+            Value::Doubles(xs) => Cow::Owned(Value::Double(xs[i])),
+            Value::Bytes(bs) => Cow::Owned(Value::Byte(bs[i])),
+            _ => panic!("array_item on non-array value"),
         }
     }
 }
@@ -383,17 +386,14 @@ impl PartialEq for Value {
             (Value::Boolean(a), Value::Boolean(b)) => a == b,
             (Value::String(a), Value::String(b)) => a == b,
             (Value::Record(a), Value::Record(b)) => a == b,
+            (Value::Array(x), Value::Array(y)) => x == y,
+            (Value::Integers(x), Value::Integers(y)) => x == y,
+            (Value::Floats(x), Value::Floats(y)) => x == y,
+            (Value::Doubles(x), Value::Doubles(y)) => x == y,
+            (Value::Bytes(x), Value::Bytes(y)) => x == y,
+            // Mixed representations, element by element.
             (a, b) => match (a.array_len(), b.array_len()) {
-                (Some(n), Some(m)) => {
-                    // Same-representation packed pairs compare without boxing.
-                    match (a, b) {
-                        (Value::Integers(x), Value::Integers(y)) => x == y,
-                        (Value::Floats(x), Value::Floats(y)) => x == y,
-                        (Value::Doubles(x), Value::Doubles(y)) => x == y,
-                        (Value::Bytes(x), Value::Bytes(y)) => x == y,
-                        _ => n == m && (0..n).all(|i| a.array_elem(i) == b.array_elem(i)),
-                    }
-                }
+                (Some(n), Some(m)) => n == m && (0..n).all(|i| a.array_item(i) == b.array_item(i)),
                 _ => false,
             },
         }
@@ -421,7 +421,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{}", self.array_elem(i))?;
+                    write!(f, "{}", self.array_item(i))?;
                 }
                 write!(f, "]")
             }

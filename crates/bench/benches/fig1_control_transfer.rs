@@ -1,49 +1,16 @@
 //! Figure 1 — a Schooner program: cross-machine control transfer.
 //!
-//! Regenerates the control-flow picture as a trace and measures the cost
-//! of a remote procedure call — both simulated (printed per machine pair)
-//! and wall-clock (Criterion, LAN vs building vs WAN pairs).
+//! Measures the wall-clock cost of one remote procedure call per network
+//! class (LAN vs WAN pairs). The figure's trace and its simulated
+//! per-pair costs are what `npss-sim fig1` and `npss-sim costs
+//! --critical-path` print, pinned in `tests/golden/paper/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use npss::experiments::fig1::{measure_dataflow_overlap, measure_pair_costs, run_fig1_program};
 use uts::Value;
 
 fn bench_fig1(c: &mut Criterion) {
     let sch = bench::world();
-    println!("\n=== Figure 1: a Schooner program (control-transfer trace) ===\n");
-    let trace = run_fig1_program(&sch).expect("figure 1 program");
-    println!("{trace}");
-
-    println!("=== Simulated RPC cost per machine pair ===\n");
-    let costs = measure_pair_costs(
-        &sch,
-        &["lerc-sparc10", "lerc-sgi-4d480", "lerc-cray-ymp", "ua-sparc10"],
-        25,
-    )
-    .expect("pair costs");
-    println!("{:<16} {:<16} {:<34} {:>10}", "caller", "callee", "network", "ms/call");
-    for pc in &costs {
-        println!("{:<16} {:<16} {:<34} {:>10.3}", pc.from, pc.to, pc.network, pc.per_call_ms);
-    }
-
-    println!("\n=== Sequential vs parallel control transfer ===\n");
-    let dc = measure_dataflow_overlap(&sch).expect("overlap measurement");
-    println!(
-        "{:<28} {:>14} {:>14} {:>16} {:>9}",
-        "program", "sequential ms", "parallel ms", "critical-path ms", "speedup"
-    );
-    println!(
-        "{:<28} {:>14.3} {:>14.3} {:>16.3} {:>8.2}x",
-        "fig1 P1 | P2 | P3", dc.sequential_ms, dc.parallel_ms, dc.critical_path_ms, dc.speedup
-    );
-    // The parallel column must reconcile with the critical path derived
-    // from the overlapped call spans: they are two routes to one number.
-    let drift = (dc.parallel_ms - dc.critical_path_ms).abs();
-    assert!(drift < 1e-6, "parallel column drifted {drift} ms from the span-derived critical path");
-    assert!(dc.speedup > 1.0, "overlapping independent calls must beat the sequential chain");
-
-    // Wall-clock RPC latency per network class.
     sch.install_program("/bench/echo", bench::echo_image(), &["lerc-sgi-4d480", "ua-sparc10"])
         .unwrap();
     let mut group = c.benchmark_group("fig1_rpc");

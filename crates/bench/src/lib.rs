@@ -1,10 +1,10 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each bench target regenerates one table or figure from the paper (or
-//! one ablation from DESIGN.md): it prints the regenerated rows once,
-//! then lets Criterion measure the wall-clock cost of the operations
-//! behind them. Simulated (virtual) times are part of the printed rows;
-//! Criterion's numbers are real host time.
+//! Each bench target times one ablation from DESIGN.md, or Figure 1's
+//! remote call per network class, with Criterion (real host time); an
+//! ablation prints its simulated (virtual-time) rows once first. The
+//! paper's tables and figures themselves are what `npss-sim` prints,
+//! pinned in `tests/golden/paper/`.
 
 use std::sync::Arc;
 

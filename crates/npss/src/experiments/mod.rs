@@ -10,8 +10,9 @@
 //! The paper's tables report configurations and a correctness claim
 //! (adapted modules converge and match the local-compute-only versions),
 //! not absolute times; the rows produced here carry both the
-//! configuration and the measured virtual-time/communication figures so
-//! the benches can regenerate the tables with the same shape.
+//! configuration and the measured virtual-time/communication figures;
+//! `npss-sim table1|table2|fig1` prints them, pinned in
+//! `tests/golden/paper/`.
 
 pub mod fig1;
 pub mod table1;

@@ -14,7 +14,6 @@ use schooner::Schooner;
 
 use crate::experiments::{max_rel_diff, network_class};
 use crate::f100::{F100Network, RemotePlacement};
-use crate::modules::ADAPTED_SLOTS;
 
 /// One machine combination from Table 1.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +53,7 @@ fn slot_for_module(module: &str) -> &'static str {
     }
 }
 
-/// Run configuration (durations kept settable so tests can run short and
-/// benches can run the full transient).
+/// Run configuration (durations kept settable so a run can be short).
 #[derive(Debug, Clone)]
 pub struct Table1Config {
     /// Transient length, seconds.
@@ -172,9 +170,4 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
         ));
     }
     out
-}
-
-/// Sanity: the slots named in `ADAPTED_SLOTS` cover every Table 1 module.
-pub fn slots_cover_modules() -> bool {
-    TABLE1_MODULES.iter().all(|m| ADAPTED_SLOTS.contains(&slot_for_module(m)))
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
-use npss::experiments::{max_rel_diff, table1, table2};
+use npss::experiments::max_rel_diff;
 use npss::f100::{F100Network, RemotePlacement, TABLE2_PLACEMENT};
 use npss::service;
 use schooner::{CallPolicy, Schooner};
@@ -105,53 +105,6 @@ fn remote_duct_on_the_cray_matches_local() {
     let result = remote.run("Modified Euler", 0.2, 0.02).unwrap();
     let diff = max_rel_diff(&result, &baseline);
     assert!(diff < 1e-9, "Cray duct deviates by {diff} (f32 fits the Cray mantissa exactly)");
-}
-
-#[test]
-fn table2_configuration_runs_and_matches() {
-    let sch = world();
-    let cfg = table2::Table2Config { t_end: 0.2, dt: 0.02 };
-    let report = table2::run_table2(&sch, &cfg).unwrap();
-    assert!(report.matches_local(), "max diff {}", report.max_rel_diff);
-    // Six remote instances grouped as the paper's four rows.
-    let total_instances: usize = report.rows.iter().map(|r| r.instances).sum();
-    assert_eq!(total_instances, 6, "{:?}", report.rows);
-    assert_eq!(report.rows.len(), 4, "{:?}", report.rows);
-    let duct_row = report.rows.iter().find(|r| r.module == "duct").unwrap();
-    assert_eq!(duct_row.instances, 2);
-    assert_eq!(duct_row.remote_machine, "lerc-cray-ymp");
-    let shaft_row = report.rows.iter().find(|r| r.module == "shaft").unwrap();
-    assert_eq!(shaft_row.instances, 2);
-    assert_eq!(shaft_row.remote_machine, "lerc-rs6000");
-    assert!(report.total_calls > 100);
-    let rendered = table2::render_table2(&report);
-    assert!(rendered.contains("MATCH"), "{rendered}");
-}
-
-#[test]
-fn table1_single_combo_single_module() {
-    // The full sweep runs in the bench; here one row end-to-end.
-    let sch = world();
-    let cfg = table1::Table1Config { t_end: 0.1, dt: 0.02, method: "Modified Euler".into() };
-    let rows = table1::run_table1(&sch, &cfg).unwrap();
-    assert_eq!(rows.len(), 20, "5 combos x 4 modules");
-    for row in &rows {
-        assert!(row.matches_local(), "{row:?}");
-        assert!(row.calls > 0, "{row:?}");
-    }
-    // WAN rows must cost more virtual time per call than LAN rows.
-    let lan: f64 = rows
-        .iter()
-        .filter(|r| r.network == "local Ethernet")
-        .map(|r| r.per_call_ms)
-        .fold(0.0, f64::max);
-    let wan: f64 = rows
-        .iter()
-        .filter(|r| r.network == "via Internet")
-        .map(|r| r.per_call_ms)
-        .fold(f64::INFINITY, f64::min);
-    assert!(wan > lan * 3.0, "WAN per-call {wan} ms vs LAN {lan} ms");
-    assert!(table1::slots_cover_modules());
 }
 
 #[test]

@@ -15,6 +15,8 @@
 //!
 //! Run with: `cargo run --release --example failures`
 
+use std::io::Write;
+
 use npss_sim::netsim::FaultPlan;
 use npss_sim::npss::procs::combustor_image;
 use npss_sim::npss::{ExecutiveEngine, LocalExec, RemoteExec};
@@ -25,14 +27,17 @@ use npss_sim::tess::transient::{FailureEvent, TransientMethod, TransientRun};
 use npss_sim::uts::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    physics_failures()?;
-    partition_survival()?;
-    degraded_transient()?;
-    Ok(())
+    all_three(&mut std::io::stdout().lock())
+}
+
+fn all_three(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    physics_failures(out)?;
+    partition_survival(out)?;
+    degraded_transient(out)
 }
 
 /// Part 1: component failures inside the engine model itself.
-fn physics_failures() -> Result<(), Box<dyn std::error::Error>> {
+fn physics_failures(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let engine = Turbofan::f100()?;
     let wf = 0.95 * engine.design.wf;
 
@@ -44,15 +49,16 @@ fn physics_failures() -> Result<(), Box<dyn std::error::Error>> {
 
     let result = run.run(2.6).map_err(to_err)?;
 
-    println!("== part 1: engine-physics failures ==\n");
-    println!("F100 at constant fuel {wf:.3} kg/s with injected failures:\n");
-    println!("  t = 0.5 s  combustor efficiency x0.90");
-    println!("  t = 1.2 s  bleed valve stuck open at 8%");
-    println!("  t = 1.9 s  fan damage (-5 deg effective stator)\n");
-    println!(
+    writeln!(out, "== part 1: engine-physics failures ==\n")?;
+    writeln!(out, "F100 at constant fuel {wf:.3} kg/s with injected failures:\n")?;
+    writeln!(out, "  t = 0.5 s  combustor efficiency x0.90")?;
+    writeln!(out, "  t = 1.2 s  bleed valve stuck open at 8%")?;
+    writeln!(out, "  t = 1.9 s  fan damage (-5 deg effective stator)\n")?;
+    writeln!(
+        out,
         "{:>6} {:>10} {:>10} {:>11} {:>9} {:>10}",
         "t (s)", "N1 (RPM)", "N2 (RPM)", "thrust kN", "T4 (K)", "W2 (kg/s)"
-    );
+    )?;
     for s in result.samples.iter().step_by(5) {
         let marker = match s.t {
             t if (0.48..0.56).contains(&t) => "  <- combustor degrades",
@@ -60,7 +66,8 @@ fn physics_failures() -> Result<(), Box<dyn std::error::Error>> {
             t if (1.88..1.96).contains(&t) => "  <- fan damaged",
             _ => "",
         };
-        println!(
+        writeln!(
+            out,
             "{:>6.2} {:>10.1} {:>10.1} {:>11.2} {:>9.1} {:>10.1}{marker}",
             s.t,
             s.n1,
@@ -68,19 +75,20 @@ fn physics_failures() -> Result<(), Box<dyn std::error::Error>> {
             s.thrust / 1e3,
             s.t4,
             s.w2
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "\nnet effect: thrust {:.1} kN -> {:.1} kN\n",
         result.samples[0].thrust / 1e3,
         result.last().thrust / 1e3
-    );
+    )?;
     Ok(())
 }
 
 /// Part 2: a remote call rides out a timed network partition.
-fn partition_survival() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== part 2: surviving a timed partition ==\n");
+fn partition_survival(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    writeln!(out, "== part 2: surviving a timed partition ==\n")?;
 
     let sch = Schooner::standard().map_err(to_err2)?;
     sch.ctx().obs.set_enabled(true);
@@ -109,25 +117,30 @@ fn partition_survival() -> Result<(), Box<dyn std::error::Error>> {
         0.0,
         t0 + 2.5,
     )));
-    println!("partition: ua-sparc10 <-/-> lerc-sgi-4d480 until t = {:.2}s", t0 + 2.5);
+    writeln!(out, "partition: ua-sparc10 <-/-> lerc-sgi-4d480 until t = {:.2}s", t0 + 2.5)?;
 
     let policy = CallPolicy::new().idempotent(true).retries(5).backoff(1.0, 2.0, 8.0);
-    let out = line.call_with("cal", &[Value::Float(100.0)], &policy).map_err(to_err2)?;
-    println!("cal(100) = {:?} after the partition healed at t = {:.2}s", out[0], line.now());
+    let reply = line.call_with("cal", &[Value::Float(100.0)], &policy).map_err(to_err2)?;
+    writeln!(
+        out,
+        "cal(100) = {:?} after the partition healed at t = {:.2}s",
+        reply[0],
+        line.now()
+    )?;
 
     for event in sch.ctx().obs.render().lines().filter(|l| l.contains("retry")) {
-        println!("  trace: {event}");
+        writeln!(out, "  trace: {event}")?;
     }
     sch.ctx().net.set_fault_plan(None);
     sch.shutdown();
-    println!();
+    writeln!(out)?;
     Ok(())
 }
 
 /// Part 3: the combustor host dies mid-transient; the executive degrades
 /// that one module to its local baseline and finishes the run.
-fn degraded_transient() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== part 3: transient completing through local-fallback degradation ==\n");
+fn degraded_transient(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    writeln!(out, "== part 3: transient completing through local-fallback degradation ==\n")?;
 
     let sch = Schooner::standard().map_err(to_err2)?;
     sch.ctx().obs.set_enabled(true);
@@ -152,7 +165,7 @@ fn degraded_transient() -> Result<(), Box<dyn std::error::Error>> {
     // would fail forever, so the policy exhausts once and the executor
     // switches permanently to the local baseline.
     sch.ctx().net.set_host_up("ua-sgi-4d340", false);
-    println!("ua-sgi-4d340 (remote combustor host) goes down; starting transient...");
+    writeln!(out, "ua-sgi-4d340 (remote combustor host) goes down; starting transient...")?;
 
     let result = engine.run_transient(
         &Schedule::constant(0.95 * wf),
@@ -160,19 +173,20 @@ fn degraded_transient() -> Result<(), Box<dyn std::error::Error>> {
         0.02,
         0.4,
     )?;
-    println!(
+    writeln!(
+        out,
         "transient completed: {} samples, thrust {:.1} kN -> {:.1} kN",
         result.samples.len(),
         result.samples[0].thrust / 1e3,
         result.last().thrust / 1e3
-    );
+    )?;
 
-    println!("\nexecutor report:");
+    writeln!(out, "\nexecutor report:")?;
     for row in engine.report_rows() {
-        println!("  {:<18} {:<34} {:>6} calls", row.module, row.location, row.calls);
+        writeln!(out, "  {:<18} {:<34} {:>6} calls", row.module, row.location, row.calls)?;
     }
     for event in sch.ctx().obs.render().lines().filter(|l| l.contains("degraded")) {
-        println!("\ntrace: {event}");
+        writeln!(out, "\ntrace: {event}")?;
     }
     engine.shutdown();
     sch.shutdown();
@@ -185,4 +199,26 @@ fn to_err(e: String) -> Box<dyn std::error::Error> {
 
 fn to_err2(e: npss_sim::schooner::SchError) -> Box<dyn std::error::Error> {
     e.to_string().into()
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    all_three(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("failures.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("failures.txt", &transcript());
 }

@@ -19,11 +19,16 @@
 //! * `recover`   — cold start from the journal; prints the same transcript.
 //! * (no mode)   — all three phases in-process, with verification.
 //!
-//! The journal lives at `$NPSS_JOURNAL` (default: a file in the system
-//! temp directory). Transcripts go to stdout and everything else to
-//! stderr, so `reference` and `recover` stdout can be diffed directly.
+//! `crash` and `recover` hand the journal over at `$NPSS_JOURNAL` (default:
+//! a file in the system temp directory); the in-process run journals to a
+//! file of its own, removed when it is done. Transcripts go to stdout and
+//! everything else to stderr, so `reference` and `recover` stdout can be
+//! diffed directly.
 //!
 //! Run with: `cargo run --release --example ledger_replay`
+
+use std::io::Write;
+use std::path::PathBuf;
 
 use npss_sim::ledger::Repository;
 use npss_sim::netsim::FaultPlan;
@@ -32,18 +37,22 @@ use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
 use npss_sim::tess::schedules::Schedule;
 use npss_sim::tess::transient::{TransientMethod, TransientResult, TransientSample};
-use std::path::PathBuf;
+use temp_journal::TempJournal;
+
+#[path = "support/temp_journal.rs"]
+mod temp_journal;
 
 const T_END: f64 = 1.0;
 const DT: f64 = 0.02;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = &mut std::io::stdout().lock();
     match args.first().map(String::as_str) {
-        Some("reference") => reference(),
+        Some("reference") => reference(out),
         Some("crash") => crash(),
-        Some("recover") => recover(),
-        None => all_in_one(),
+        Some("recover") => recover(out),
+        None => all_in_one(out),
         Some(other) => Err(format!("unknown mode '{other}' (want reference|crash|recover)").into()),
     }
 }
@@ -55,11 +64,11 @@ fn journal_path() -> PathBuf {
 }
 
 /// The uninterrupted run: the transcript every other mode is held to.
-fn reference() -> Result<(), Box<dyn std::error::Error>> {
+fn reference(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let sch = world()?;
     let mut engine = table2_engine(&sch)?;
     let result = run(&mut engine)?;
-    print_transcript(&result.samples);
+    write_transcript(out, &result.samples)?;
     engine.shutdown();
     sch.shutdown();
     Ok(())
@@ -88,7 +97,7 @@ fn crash() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Cold start: no shared memory with the dead run — only the journal.
-fn recover() -> Result<(), Box<dyn std::error::Error>> {
+fn recover(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let path = journal_path();
     let repo = Repository::open(&path)?;
     eprintln!(
@@ -116,7 +125,7 @@ fn recover() -> Result<(), Box<dyn std::error::Error>> {
     let fuel = fuel_schedule(&engine)?;
     let result =
         engine.recover_from_journal(&repo, &fuel, TransientMethod::ImprovedEuler, DT, T_END)?;
-    print_transcript(&result.samples);
+    write_transcript(out, &result.samples)?;
 
     // The acceptance check for `costs --metrics` durability: append the
     // live snapshot to the journal, then answer it back from the file
@@ -136,9 +145,10 @@ fn recover() -> Result<(), Box<dyn std::error::Error>> {
 
 /// All three phases in one process (the crash simulated by abandoning
 /// the doomed world un-shutdown), plus bit-exact verification.
-fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
+fn all_in_one(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("== cold-start recovery from the durable journal ==\n");
-    let path = journal_path();
+    let journal = TempJournal::new("npss-ledger-replay");
+    let path = &journal.0;
 
     // Reference — also measures the virtual window the crash lands in.
     let sch = world()?;
@@ -154,7 +164,7 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
     // dropped without shutdown, as a crashed process would leave it.
     let t_crash = t_start + 0.55 * (t_stop - t_start);
     let sch = world()?;
-    sch.attach_journal(&path)?;
+    sch.attach_journal(path)?;
     let mut engine = table2_engine(&sch)?;
     engine.max_recoveries = 0;
     sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xF100).host_crash("lerc-cray-ymp", t_crash)));
@@ -162,7 +172,7 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("doomed run aborted mid-transient: {err}");
 
     // Cold start from the journal alone.
-    let repo = Repository::open(&path)?;
+    let repo = Repository::open(path)?;
     eprintln!(
         "journal: {} records, sequence 1..={}, {} torn byte(s)",
         repo.len(),
@@ -170,7 +180,7 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
         repo.torn_bytes()
     );
     let sch = world()?;
-    sch.resume_journal(&path)?;
+    sch.resume_journal(path)?;
     sch.seed_recovery(&repo);
     let mut engine = table2_engine(&sch)?;
     let fuel = fuel_schedule(&engine)?;
@@ -193,11 +203,12 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let identical = recovered.samples.len() == reference.samples.len() && worst == 0;
-    println!(
+    writeln!(
+        out,
         "cold-start recovery vs uninterrupted: {} samples each, max ULP distance {worst} -> {}",
         recovered.samples.len(),
         if identical { "BIT-IDENTICAL" } else { "MISMATCH" }
-    );
+    )?;
     engine.shutdown();
     sch.shutdown();
     if !identical {
@@ -206,11 +217,12 @@ fn all_in_one() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Print one line per sample with full f64 bit patterns — the transcript
+/// Write one line per sample with full f64 bit patterns — the transcript
 /// two runs must agree on, bit for bit.
-fn print_transcript(samples: &[TransientSample]) {
+fn write_transcript(out: &mut impl Write, samples: &[TransientSample]) -> std::io::Result<()> {
     for s in samples {
-        println!(
+        writeln!(
+            out,
             "{:016x} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}  t={:.2} n1={:.1} n2={:.1}",
             s.t.to_bits(),
             s.n1.to_bits(),
@@ -222,8 +234,9 @@ fn print_transcript(samples: &[TransientSample]) {
             s.t,
             s.n1,
             s.n2,
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Run a throwaway uninterrupted world to find the virtual-time window of
@@ -273,4 +286,26 @@ fn fuel_schedule(exec: &ExecutiveEngine) -> Result<Schedule, Box<dyn std::error:
 fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {
     let fuel = fuel_schedule(exec)?;
     Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    all_in_one(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("ledger_replay.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("ledger_replay.txt", &transcript());
 }

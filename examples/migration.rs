@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --example migration`
 
+use std::io::Write;
 use std::sync::Arc;
 
 use npss_sim::schooner::{ProgramImage, Schooner, StatefulProcedure};
@@ -46,6 +47,10 @@ fn integrator_image() -> ProgramImage {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    migrate(&mut std::io::stdout().lock())
+}
+
+fn migrate(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let sch = Arc::new(Schooner::standard()?);
     sch.install_program("/demo/integrator", integrator_image(), &["lerc-rs6000", "lerc-convex"])?;
 
@@ -55,23 +60,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     owner.start_shared("/demo/integrator", "lerc-rs6000")?;
     let mut user = sch.open_line("monitor", "ua-sparc10")?;
 
-    println!("integrating f(t) = t on the RS6000 ...");
+    writeln!(out, "integrating f(t) = t on the RS6000 ...")?;
     let mut t = 0.0;
     for _ in 0..10 {
         owner.call("accumulate", &[Value::Double(0.1), Value::Double(t)])?;
         t += 0.1;
     }
     let mid = user.call("accumulate", &[Value::Double(0.0), Value::Double(t)])?;
-    println!("  integral so far (read by the second user): {}", mid[0]);
+    writeln!(out, "  integral so far (read by the second user): {}", mid[0])?;
 
     // Load spikes on the RS6000 — time to move.
     sch.ctx().park.load().set("lerc-rs6000", 8.0);
     let busy = sch.ctx().park.load().get("lerc-rs6000");
     let target =
         sch.ctx().park.load().least_loaded(["lerc-rs6000", "lerc-convex"]).unwrap().to_owned();
-    println!("RS6000 load is now {busy}; least-loaded candidate: {target}");
+    writeln!(out, "RS6000 load is now {busy}; least-loaded candidate: {target}")?;
 
-    println!("moving the integrator (state travels through UTS) ...");
+    writeln!(out, "moving the integrator (state travels through UTS) ...")?;
     owner.move_procedure("accumulate", &target)?;
 
     // Continue integrating on the Convex; the running total must be
@@ -83,14 +88,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The second user's cached binding is stale; its next call fails
     // against the old address and recovers through the Manager.
     let after = user.call("accumulate", &[Value::Double(0.0), Value::Double(t)])?;
-    println!("  integral after the move: {}", after[0]);
-    println!(
+    writeln!(out, "  integral after the move: {}", after[0])?;
+    writeln!(
+        out,
         "  exact value of ∫t dt over [0,2]: {}; stale-cache retries by second user: {}",
         0.5 * t * t,
         user.stats().stale_retries
-    );
+    )?;
 
     owner.quit()?;
     user.quit()?;
     Ok(())
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    migrate(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("migration.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("migration.txt", &transcript());
 }

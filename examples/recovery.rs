@@ -16,6 +16,8 @@
 //!
 //! Run with: `cargo run --release --example recovery`
 
+use std::io::Write;
+
 use npss_sim::ledger::{RecordKind, Repository};
 use npss_sim::netsim::FaultPlan;
 use npss_sim::npss::engine_exec::{Exec, Scheduling};
@@ -23,12 +25,20 @@ use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
 use npss_sim::tess::schedules::Schedule;
 use npss_sim::tess::transient::{TransientMethod, TransientResult};
+use temp_journal::TempJournal;
+
+#[path = "support/temp_journal.rs"]
+mod temp_journal;
 
 const T_END: f64 = 1.0;
 const DT: f64 = 0.02;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("== checkpoint/restart of the Table-2 transient ==\n");
+    checkpoint_restart(&mut std::io::stdout().lock())
+}
+
+fn checkpoint_restart(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    writeln!(out, "== checkpoint/restart of the Table-2 transient ==\n")?;
 
     // Reference: the same placement, never interrupted.
     let sch = world()?;
@@ -38,13 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_stop = vnow(&mut engine);
     engine.shutdown();
     sch.shutdown();
-    println!(
+    writeln!(
+        out,
         "reference run: {} samples over {:.1}s of engine time \
          ({:.1} virtual seconds of distributed execution)",
         reference.samples.len(),
         T_END,
         t_stop - t_start
-    );
+    )?;
 
     // Faulted run: the Cray crashes a little past mid-run and reboots
     // 0.35 virtual seconds later. The two-attempt call policy cannot
@@ -54,35 +65,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sch.ctx().obs.set_enabled(true);
     // Every event, checkpoint write, and supervision verdict of the
     // faulted run lands in a durable journal as well.
-    let journal_path = std::env::temp_dir().join("npss-recovery.journal");
-    sch.attach_journal(&journal_path)?;
+    let journal = TempJournal::new("npss-recovery");
+    sch.attach_journal(&journal.0)?;
     let mut engine = table2_engine(&sch)?;
     sch.ctx().net.set_fault_plan(Some(
         FaultPlan::new(0xF100)
             .host_crash("lerc-cray-ymp", t_crash)
             .host_restart("lerc-cray-ymp", t_crash + 0.35),
     ));
-    println!(
+    writeln!(
+        out,
         "\ncrash scheduled: lerc-cray-ymp (both duct instances) down at \
          t = {t_crash:.2}s, rebooting at t = {:.2}s\n",
         t_crash + 0.35
-    );
+    )?;
 
     let recovered = run(&mut engine)?;
-    println!(
+    writeln!(
+        out,
         "faulted run completed: {} samples, {} checkpoint rollback(s)\n",
         recovered.samples.len(),
         engine.recoveries
-    );
+    )?;
 
-    println!("supervision trace:");
+    writeln!(out, "supervision trace:")?;
     let rendered = sch.ctx().obs.render();
     for line in rendered.lines().filter(|l| {
         ["resuming from checkpoint", "declared", "respawned", "heartbeat", "escalating"]
             .iter()
             .any(|k| l.contains(k))
     }) {
-        println!("  {line}");
+        writeln!(out, "  {line}")?;
     }
 
     // The verification criterion, bit for bit.
@@ -101,11 +114,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let identical = recovered.samples.len() == reference.samples.len() && worst == 0;
-    println!(
+    writeln!(
+        out,
         "\nrecovered vs uninterrupted: {} samples each, max ULP distance {worst} -> {}",
         recovered.samples.len(),
         if identical { "BIT-IDENTICAL" } else { "MISMATCH" }
-    );
+    )?;
     if !identical {
         return Err("recovered transient deviates from the uninterrupted run".into());
     }
@@ -116,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The journal outlives the world: report what a cold restart would
     // recover from.
-    let repo = Repository::open(&journal_path)?;
+    let repo = Repository::open(&journal.0)?;
     let barrier = repo
         .records()
         .iter()
@@ -126,17 +140,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => None,
         })
         .ok_or("journal holds no checkpoint barrier")?;
-    println!(
+    writeln!(
+        out,
         "\ndurable journal: {} records, sequence range 1..={}, {} torn byte(s)",
         repo.len(),
         repo.last_seq(),
         repo.torn_bytes()
-    );
-    println!("journal path: {}", journal_path.display());
-    println!(
+    )?;
+    writeln!(out, "journal path: {}", journal.0.display())?;
+    writeln!(
+        out,
         "cold restart would resume from barrier seq {} (solver step {}, t = {:.2}s)",
         barrier.0, barrier.1, barrier.2
-    );
+    )?;
     Ok(())
 }
 
@@ -168,4 +184,35 @@ fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error
         (0.4 * T_END, wf_ref),
     ])?;
     Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+/// The transcript with its temporary journal path masked.
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    checkpoint_restart(&mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+    let masked = text.lines().map(|l| {
+        if l.starts_with("journal path: ") {
+            "journal path: <masked>"
+        } else {
+            l
+        }
+    });
+    masked.flat_map(|l| [l, "\n"]).collect::<String>().into_bytes()
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("recovery.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("recovery.txt", &transcript());
 }

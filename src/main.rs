@@ -79,29 +79,52 @@ fn world() -> Result<Arc<Schooner>, String> {
     Ok(Arc::new(Schooner::standard().map_err(|e| e.to_string())?))
 }
 
-/// The transient length: 1 s when absent, otherwise a number in the
-/// system module's "transient seconds" range, 0 < SECONDS <= 5.
-fn parse_seconds(arg: Option<&String>) -> Result<f64, String> {
-    let Some(arg) = arg else { return Ok(1.0) };
-    match arg.parse::<f64>() {
-        Ok(s) if s > 0.0 && s <= 5.0 => Ok(s),
-        _ => Err(format!("SECONDS must be a number with 0 < SECONDS <= 5, got '{arg}'")),
+/// The optional transient length: 1 s when absent, otherwise a number in
+/// the system module's "transient seconds" range, 0 < SECONDS <= 5.
+fn parse_seconds(args: &[String]) -> Result<f64, String> {
+    match args {
+        [] => Ok(1.0),
+        [arg] => match arg.parse::<f64>() {
+            Ok(s) if s > 0.0 && s <= 5.0 => Ok(s),
+            _ => Err(format!("SECONDS must be a number with 0 < SECONDS <= 5, got '{arg}'")),
+        },
+        [_, extra, ..] => Err(format!("unexpected argument '{extra}'")),
     }
 }
 
+/// Refuses the first argument that is neither one of `switches` nor one
+/// of `valued`, each of which takes the argument after it.
+fn only(args: &[String], switches: &[&str], valued: &[&str]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next();
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unexpected argument '{a}'"));
+        }
+    }
+    Ok(())
+}
+
 fn run(args: &[String]) -> Result<(), String> {
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Err(usage());
     };
     match cmd.as_str() {
-        "testbed" => cmd_testbed(),
-        "table1" => cmd_table1(parse_seconds(args.get(1))?),
-        "table2" => cmd_table2(parse_seconds(args.get(1))?),
-        "fig1" => cmd_fig1(),
-        "f100" => cmd_f100(&args[1..]),
-        "costs" => cmd_costs(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
+        "testbed" => {
+            only(rest, &[], &[])?;
+            cmd_testbed()
+        }
+        "table1" => cmd_table1(parse_seconds(rest)?),
+        "table2" => cmd_table2(parse_seconds(rest)?),
+        "fig1" => {
+            only(rest, &[], &[])?;
+            cmd_fig1()
+        }
+        "f100" => cmd_f100(rest),
+        "costs" => cmd_costs(rest),
+        "replay" => cmd_replay(rest),
+        "serve" => cmd_serve(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
@@ -161,6 +184,7 @@ fn cmd_fig1() -> Result<(), String> {
 }
 
 fn cmd_costs(args: &[String]) -> Result<(), String> {
+    only(args, &["--metrics", "--critical-path"], &["--journal"])?;
     let dump_metrics = args.iter().any(|a| a == "--metrics");
     let dump_critical = args.iter().any(|a| a == "--critical-path");
     let journal_path = args
@@ -258,6 +282,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err("usage: replay PATH [--metrics] [--events] [--range A:B]".to_owned());
     };
+    only(&args[1..], &["--metrics", "--events"], &["--range"])?;
     let dump_metrics = args.iter().any(|a| a == "--metrics");
     let dump_events = args.iter().any(|a| a == "--events");
     let range = args
@@ -343,6 +368,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     use npss_sim::npss::service::{run_session, SessionRequest, Workload};
     use npss_sim::schooner::pool::{PoolConfig, SessionPool};
 
+    only(args, &[], &["--workers", "--queue", "--rate", "--burst", "--sessions", "--tenants"])?;
     let workers: usize = parse_flag(args, "--workers", 4)?;
     let queue: usize = parse_flag(args, "--queue", 8)?;
     let rate: f64 = parse_flag(args, "--rate", 2.0)?;
@@ -407,7 +433,7 @@ fn cmd_f100(args: &[String]) -> Result<(), String> {
         if a == "--parallel" {
             parallel = true;
         } else if a.parse::<f64>().is_ok() {
-            seconds = parse_seconds(Some(a))?;
+            seconds = parse_seconds(std::slice::from_ref(a))?;
         } else if let Some((slot, machine)) = a.split_once('=') {
             placement = placement.with(slot, machine);
         } else {
@@ -468,6 +494,25 @@ mod tests {
                 let err = run(&[cmd, bad].map(String::from)).unwrap_err();
                 assert!(err.contains("SECONDS"), "{cmd} {bad}: {err}");
             }
+        }
+    }
+
+    #[test]
+    fn every_command_refuses_an_argument_it_does_not_take() {
+        for (args, unknown) in [
+            (&["testbed", "extra"][..], "extra"),
+            (&["table1", "1.0", "bogus"], "bogus"),
+            (&["table2", "1.0", "bogus"], "bogus"),
+            (&["fig1", "bogus"], "bogus"),
+            (&["f100", "--paralel"], "--paralel"),
+            (&["costs", "--metrcs"], "--metrcs"),
+            (&["costs", "--journal", "j", "--critical"], "--critical"),
+            (&["replay", "j", "--metrics", "--event"], "--event"),
+            (&["serve", "--worker", "2"], "--worker"),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let err = run(&args).unwrap_err();
+            assert!(err.contains(&format!("'{unknown}'")), "{args:?}: {err}");
         }
     }
 

@@ -1,0 +1,58 @@
+//! What `npss-sim` prints for the paper's tables and figures, pinned byte
+//! for byte: each [`COMMANDS`] entry's stdout must equal its golden under
+//! `tests/golden/paper/`. The `failures`, `recovery`, `migration` and
+//! `ledger_replay` examples pin their transcripts there too, in their own
+//! tests. To move an output on purpose, rewrite every golden with
+//! `cargo test -- --ignored rewrite_paper_goldens`.
+
+use std::process::{Command, Stdio};
+
+#[path = "support/golden.rs"]
+mod golden;
+
+/// `(golden, npss-sim arguments)`.
+const COMMANDS: [(&str, &[&str]); 6] = [
+    ("table1.txt", &["table1"]),
+    ("table2.txt", &["table2"]),
+    ("fig1.txt", &["fig1"]),
+    ("costs-metrics.txt", &["costs", "--metrics"]),
+    ("costs-critical-path.txt", &["costs", "--critical-path"]),
+    ("f100-parallel.txt", &["f100", "--parallel"]),
+];
+
+/// Runs every command at once; each must exit 0. Returns their stdout.
+fn outputs() -> Vec<(&'static str, Vec<u8>)> {
+    let spawn = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_npss-sim"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let running: Vec<_> = COMMANDS.iter().map(|&(name, args)| (name, args, spawn(args))).collect();
+    running
+        .into_iter()
+        .map(|(name, args, child)| {
+            let out = child.wait_with_output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "npss-sim {}: {}\n{stderr}", args.join(" "), out.status);
+            (name, out.stdout)
+        })
+        .collect()
+}
+
+#[test]
+fn paper_outputs_match_their_goldens() {
+    for (name, stdout) in outputs() {
+        golden::check(name, &stdout);
+    }
+}
+
+#[test]
+#[ignore = "rewrites the goldens"]
+fn rewrite_paper_goldens() {
+    for (name, stdout) in outputs() {
+        golden::rewrite(name, &stdout);
+    }
+}

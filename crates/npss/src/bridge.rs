@@ -13,21 +13,25 @@
 //!   producing an installable executable image. The Manager compiles its
 //!   stubs from that declaration, so an out-of-process component is
 //!   indistinguishable from a compiled-in one.
-//! * [`RemoteComponent`] is the caller's side: it implements
-//!   `EngineComponent` itself over a Schooner line, so hosts can hold a
-//!   `Box<dyn EngineComponent>` without knowing whether it computes
-//!   in-process or three networks away.
+//! * [`RemoteComponent`] is the caller's side: an `EngineComponent` view
+//!   over the same [`RemoteExec`] client the adapted modules use, so
+//!   hosts can hold a `Box<dyn EngineComponent>` without knowing whether
+//!   it computes in-process or three networks away — and the component
+//!   gets the executor's call policy, failover, local fallback and
+//!   split-phase calls.
 //!
 //! Because the rendered declaration carries the component's state table,
 //! checkpoints of registry-built components round-trip through the
 //! existing [`schooner::CheckpointStore`] and supervised recovery works
 //! unchanged.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use schooner::{ProcFault, ProcResult, Procedure, ProgramImage, Schooner};
-use tess::component::{ComponentRegistry, ComponentSpec, EngineComponent};
+use tess::component::{ComponentFactory, ComponentRegistry, ComponentSpec, EngineComponent};
 use uts::Value;
 
-use crate::exec::ExecError;
+use crate::exec::{ExecError, RemoteExec};
 
 /// The UTS procedure name every component image exports.
 pub const COMPONENT_PROC: &str = "compute";
@@ -72,6 +76,17 @@ pub fn component_path(spec: &ComponentSpec) -> String {
     spec.remote_path.clone().unwrap_or_else(|| format!("/npss/components/{}", spec.slug()))
 }
 
+/// The factory of the registered component type `type_name` (its spec
+/// comes from a probe instance), or a configuration error naming it.
+fn registered<'r>(
+    registry: &'r ComponentRegistry,
+    type_name: &str,
+) -> Result<&'r ComponentFactory, ExecError> {
+    registry
+        .factory(type_name)
+        .ok_or_else(|| ExecError::Config(format!("no registered component type {type_name:?}")))
+}
+
 /// Build the executable image for a registered component type: the
 /// component's `spec()` rendered as a UTS export named
 /// [`COMPONENT_PROC`], implemented by fresh instances from the registry
@@ -80,10 +95,8 @@ pub fn component_image(
     registry: &ComponentRegistry,
     type_name: &str,
 ) -> Result<ProgramImage, ExecError> {
-    let spec = registry
-        .spec(type_name)
-        .ok_or_else(|| ExecError::Config(format!("no registered component type {type_name:?}")))?;
-    let factory = registry.factory(type_name).expect("spec() implies factory").clone();
+    let factory = registered(registry, type_name)?.clone();
+    let spec = factory().spec();
     ProgramImage::from_procs(spec.slug(), &[spec.proc_spec(COMPONENT_PROC)])
         .and_then(|image| {
             image.with_procedure(COMPONENT_PROC, move || {
@@ -102,73 +115,43 @@ pub fn install_component(
     hosts: &[&str],
 ) -> Result<String, ExecError> {
     let image = component_image(registry, type_name)?;
-    let path =
-        component_path(&registry.spec(type_name).ok_or_else(|| {
-            ExecError::Config(format!("no registered component type {type_name:?}"))
-        })?);
+    let path = component_path(&registered(registry, type_name)?().spec());
     schooner.install_program(&path, image, hosts).map_err(ExecError::Sch)?;
     Ok(path)
 }
 
-/// A component instance running out-of-process, reached over a Schooner
-/// line — the caller-side half of the bridge.
+/// A component instance running out-of-process — the caller-side half
+/// of the bridge: an [`EngineComponent`] view over a [`RemoteExec`]
+/// started on the component's image.
 ///
-/// `RemoteComponent` implements [`EngineComponent`] itself: `compute`
-/// forwards over the line, `destroy` quits it. The *authoritative* state
-/// lives in the remote process (captured by the Manager on
-/// [`checkpoint`](RemoteComponent::checkpoint) and restored on supervised
-/// recovery), so the local `get_state` mirror reports the spec it was
-/// started with and `set_state` is rejected — mutate remote state through
-/// `compute`, or restart the component.
+/// `compute` is a [`COMPONENT_PROC`] call through the executor, under
+/// its [`CallPolicy`](schooner::CallPolicy) and with its local fallback;
+/// `destroy` quits the line. Checkpoints and moves go through
+/// [`RemoteComponent::exec_mut`]. The *authoritative* state lives in the
+/// remote process (captured by the Manager on checkpoint and restored on
+/// supervised recovery), so the local `get_state` mirror is empty and
+/// `set_state` is rejected — mutate remote state through `compute`, or
+/// restart the component.
 pub struct RemoteComponent {
-    line: schooner::LineHandle,
+    exec: RemoteExec,
     spec: ComponentSpec,
-    host: String,
 }
 
 impl RemoteComponent {
-    /// Start the component image at `path` on `machine` inside a freshly
-    /// opened line, binding the caller-side stub from the component spec.
-    pub fn start(
-        mut line: schooner::LineHandle,
+    /// View `exec`, started on the image of the registered component type
+    /// `type_name`, as that component.
+    pub fn new(
+        exec: RemoteExec,
         registry: &ComponentRegistry,
         type_name: &str,
-        path: &str,
-        machine: &str,
     ) -> Result<Self, ExecError> {
-        let spec = registry.spec(type_name).ok_or_else(|| {
-            ExecError::Config(format!("no registered component type {type_name:?}"))
-        })?;
-        line.start_remote(path, machine).map_err(ExecError::Sch)?;
-        Ok(Self { line, spec, host: machine.to_owned() })
+        Ok(Self { exec, spec: registered(registry, type_name)?().spec() })
     }
 
-    /// The machine the component runs on.
-    pub fn host(&self) -> &str {
-        &self.host
-    }
-
-    /// Ask the Manager to checkpoint the remote instance's `state(...)`
-    /// variables. Returns the snapshot size in bytes.
-    pub fn checkpoint(&mut self) -> Result<u64, ExecError> {
-        self.line.checkpoint(COMPONENT_PROC).map_err(ExecError::Sch)
-    }
-
-    /// Migrate the remote instance (with its state) to another machine.
-    pub fn move_to(&mut self, machine: &str) -> Result<(), ExecError> {
-        self.line.move_procedure(COMPONENT_PROC, machine).map_err(ExecError::Sch)?;
-        self.host = machine.to_owned();
-        Ok(())
-    }
-
-    /// Transport statistics from the underlying line.
-    pub fn stats(&self) -> schooner::LineStats {
-        self.line.stats()
-    }
-
-    /// The underlying line, e.g. for supervision-policy plumbing.
-    pub fn line_mut(&mut self) -> &mut schooner::LineHandle {
-        &mut self.line
+    /// The executor the component runs through: its location, statistics,
+    /// checkpoints, line and split-phase calls.
+    pub fn exec_mut(&mut self) -> &mut RemoteExec {
+        &mut self.exec
     }
 }
 
@@ -178,7 +161,9 @@ impl EngineComponent for RemoteComponent {
     }
 
     fn compute(&mut self, args: &[Value]) -> Result<Vec<Value>, String> {
-        self.line.call(COMPONENT_PROC, args).map_err(|e| e.to_string())
+        let mut out = Vec::new();
+        self.exec.call(COMPONENT_PROC, args, &mut out).map_err(|e| e.to_string())?;
+        Ok(out)
     }
 
     fn get_state(&self) -> Vec<Value> {
@@ -198,7 +183,7 @@ impl EngineComponent for RemoteComponent {
     }
 
     fn destroy(&mut self) {
-        let _ = self.line.quit();
+        self.exec.quit();
     }
 }
 

@@ -171,33 +171,9 @@ impl Exec {
     }
 }
 
-/// Solver tolerances appropriate for single-precision component calls.
-#[derive(Debug, Clone)]
-pub struct ExecutiveSolverOptions {
-    /// Residual 2-norm target.
-    pub tol: f64,
-    /// Relative finite-difference step.
-    pub fd_step: f64,
-    /// Newton iteration cap.
-    pub max_iters: usize,
-}
-
-impl Default for ExecutiveSolverOptions {
-    fn default() -> Self {
-        Self { tol: 3e-5, fd_step: 3e-3, max_iters: 60 }
-    }
-}
-
-impl ExecutiveSolverOptions {
-    fn newton(&self) -> NewtonOptions {
-        NewtonOptions {
-            tol: self.tol,
-            fd_step: self.fd_step,
-            max_iters: self.max_iters,
-            ..Default::default()
-        }
-    }
-}
+/// Newton options appropriate for single-precision component calls.
+const SOLVER: NewtonOptions =
+    NewtonOptions { tol: 3e-5, max_iters: 60, fd_step: 3e-3, max_backtracks: 12 };
 
 /// Statistics for one executor, for the experiment reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,8 +229,6 @@ pub struct ExecutiveEngine {
     /// The adapted-module slots, in gas-path order (see the index
     /// constants); reach one with [`ExecutiveEngine::exec_mut`].
     slots: Vec<SlotExec>,
-    /// Solver options.
-    pub opts: ExecutiveSolverOptions,
     /// Solver steps between checkpoint barriers in
     /// [`ExecutiveEngine::run_transient`]; 0 disables checkpointing and
     /// crash recovery (the default, preserving the plain failure path).
@@ -307,7 +281,6 @@ impl ExecutiveEngine {
         Ok(Self {
             engine,
             slots,
-            opts: ExecutiveSolverOptions::default(),
             checkpoint_interval: 0,
             max_recoveries: 2,
             recoveries: 0,
@@ -328,6 +301,15 @@ impl ExecutiveEngine {
     /// `"high speed shaft"`), or `None` for unknown slots.
     pub fn exec_mut(&mut self, slot: &str) -> Option<&mut Exec> {
         self.slots.iter_mut().find(|s| s.slot == slot).map(|s| &mut s.exec)
+    }
+
+    /// The virtual clock of the remote line bound to `slot`, or `None`
+    /// when the slot is local or unknown.
+    pub fn line_now(&mut self, slot: &str) -> Option<f64> {
+        match self.exec_mut(slot)? {
+            Exec::Remote(r) => Some(r.line_mut().now()),
+            Exec::Local(_) => None,
+        }
     }
 
     /// Replace one executor with a remote one (by adapted-module slot
@@ -667,7 +649,6 @@ impl ExecutiveEngine {
         wf: f64,
         guess: &mut [f64; 5],
     ) -> Result<OperatingPoint, String> {
-        let opts = self.opts.newton();
         let report = newton_solve(
             |x: &[f64], r: &mut [f64]| {
                 let op = self.evaluate(n1, n2, wf, &[x[0], x[1], x[2], x[3], x[4]])?;
@@ -675,7 +656,7 @@ impl ExecutiveEngine {
                 Ok(())
             },
             guess.as_slice(),
-            &opts,
+            &SOLVER,
         )
         .map_err(|e| e.to_string())?;
         guess.copy_from_slice(&report.x);
@@ -691,7 +672,6 @@ impl ExecutiveEngine {
         let n1d = self.engine.cycle.n1_design;
         let n2d = self.engine.cycle.n2_design;
         let x0 = [1.0, 1.0, 0.5, 0.5, self.engine.design.er_hpt, self.engine.design.er_lpt, 1.0];
-        let opts = self.opts.newton();
         let report = newton_solve(
             |x: &[f64], r: &mut [f64]| {
                 let op =
@@ -703,7 +683,7 @@ impl ExecutiveEngine {
                 Ok(())
             },
             &x0,
-            &opts,
+            &SOLVER,
         )
         .map_err(|e| format!("executive balance: {e}"))?;
         self.evaluate(

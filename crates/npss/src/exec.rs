@@ -10,6 +10,8 @@
 //! produces **exactly** the same numbers as the local baseline — the
 //! comparison the paper used to verify the adapted modules.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use schooner::{
     CallPolicy, CallTicket, LineHandle, OnExhaustion, ProcFault, Procedure, ProgramImage, SchError,
 };
@@ -122,13 +124,19 @@ impl LocalExec {
 /// [`schooner::Obs`], and the simulation continues on baseline numbers.
 pub struct RemoteExec {
     line: LineHandle,
-    host: String,
     started_at: f64,
     policy: CallPolicy,
-    fallback: Option<LocalExec>,
-    degraded: bool,
+    fallback: Option<Fallback>,
     /// Successful `set…` (configuration) calls, kept for fallback replay.
     config_log: Vec<(String, Vec<Value>)>,
+}
+
+/// A remote executor's local baseline: held in reserve while calls go
+/// over the line, and the route every call takes once it is active.
+struct Fallback {
+    local: LocalExec,
+    /// Set, for good, when the executor degrades.
+    active: bool,
 }
 
 impl RemoteExec {
@@ -141,11 +149,9 @@ impl RemoteExec {
         let started_at = line.now();
         Ok(Self {
             line,
-            host: machine.to_owned(),
             started_at,
             policy: CallPolicy::default(),
             fallback: None,
-            degraded: false,
             config_log: Vec::new(),
         })
     }
@@ -160,13 +166,13 @@ impl RemoteExec {
     /// policy is exhausted. Only effective together with a policy that
     /// says [`CallPolicy::degrade_on_exhaustion`].
     pub fn with_fallback(mut self, fallback: LocalExec) -> Self {
-        self.fallback = Some(fallback);
+        self.fallback = Some(Fallback { local: fallback, active: false });
         self
     }
 
     /// Whether this executor has degraded to its local fallback.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.fallback.as_ref().is_some_and(|f| f.active)
     }
 
     /// The policy in force.
@@ -194,7 +200,7 @@ impl RemoteExec {
     /// retained for crash recovery. Returns the snapshot size in bytes
     /// (0 for stateless procedures, or after degrading to the fallback).
     pub fn checkpoint(&mut self, name: &str) -> Result<u64, ExecError> {
-        if self.degraded {
+        if self.is_degraded() {
             return Ok(0);
         }
         self.line.checkpoint(name).map_err(ExecError::Sch)
@@ -206,7 +212,7 @@ impl RemoteExec {
     /// from a replayed ledger. Returns the restored size in bytes (0
     /// when nothing is retained, or after degrading to the fallback).
     pub fn restore(&mut self, name: &str) -> Result<u64, ExecError> {
-        if self.degraded {
+        if self.is_degraded() {
             return Ok(0);
         }
         self.line.restore(name).map_err(ExecError::Sch)
@@ -214,13 +220,14 @@ impl RemoteExec {
 
     /// Switch permanently to the local fallback, replaying recorded
     /// configuration calls so it matches the remote instance's setup.
-    fn degrade(&mut self, cause: &SchError) -> Result<(), ExecError> {
-        let fallback = self.fallback.as_mut().expect("checked by caller");
+    /// With no fallback to switch to, `cause` is the call's error.
+    fn degrade(&mut self, cause: SchError) -> Result<(), ExecError> {
+        let Some(fallback) = self.fallback.as_mut() else { return Err(ExecError::Sch(cause)) };
         let mut replayed = Vec::new();
         for (name, args) in &self.config_log {
-            fallback.call(name, args, &mut replayed)?;
+            fallback.local.call(name, args, &mut replayed)?;
         }
-        self.degraded = true;
+        fallback.active = true;
         let obs = self.line.obs();
         obs.metrics().counter_add("exec.degrades", 1);
         obs.emit(
@@ -248,19 +255,21 @@ impl RemoteExec {
         self.finish(pending, out)
     }
 
-    /// Where the computation runs, for reports (a host name, or the
-    /// local fallback once degraded).
+    /// Where the computation runs, for reports: the host the line's
+    /// process runs on after any failover or move, or the local fallback
+    /// once degraded.
     pub fn location(&self) -> String {
-        if self.degraded {
-            format!("local (degraded from {})", self.host)
+        let host = self.line.remote_host().unwrap_or_default();
+        if self.is_degraded() {
+            format!("local (degraded from {host})")
         } else {
-            self.host.clone()
+            host.to_owned()
         }
     }
 
     /// Number of calls made so far.
     pub fn calls(&self) -> u64 {
-        let local = self.fallback.as_ref().map_or(0, |f| f.calls());
+        let local = self.fallback.as_ref().map_or(0, |f| f.local.calls());
         self.line.stats().calls + local
     }
 
@@ -281,12 +290,11 @@ impl RemoteExec {
         args: &[Value],
         out: &mut Vec<Value>,
     ) -> Result<PendingCall, ExecError> {
-        Ok(if self.degraded {
-            PendingCall::Ready(
-                self.fallback.as_mut().expect("degraded implies fallback").call(name, args, out),
-            )
-        } else {
-            PendingCall::Ticket(self.line.issue_with(name, args, &self.policy)?)
+        Ok(match &mut self.fallback {
+            Some(Fallback { local, active: true }) => {
+                PendingCall::Ready(local.call(name, args, out))
+            }
+            _ => PendingCall::Ticket(self.line.issue_with(name, args, &self.policy)?),
         })
     }
 
@@ -321,7 +329,7 @@ impl RemoteExec {
                 Err(e @ (SchError::PolicyExhausted { .. } | SchError::DeadlineExceeded { .. })),
                 Some((name, args)),
             ) if can_degrade => {
-                self.degrade(&e)?;
+                self.degrade(e)?;
                 self.call(&name, &args, out)
             }
             (Err(e), _) => Err(ExecError::Sch(e)),

@@ -36,7 +36,7 @@ pub use bridge::{
     component_image, component_path, install_component, ComponentProcedure, RemoteComponent,
     COMPONENT_PROC,
 };
-pub use engine_exec::{ExecutiveEngine, ExecutiveSolverOptions, Scheduling, WavePlan};
+pub use engine_exec::{ExecutiveEngine, Scheduling, WavePlan};
 pub use exec::{flow_to_value, value_to_flow, ExecError, LocalExec, RemoteExec};
 pub use f100::{F100Network, RemotePlacement};
 pub use service::{run_session, CrashPlan, SessionKnobs, SessionReport, SessionRequest, Workload};

@@ -23,7 +23,7 @@ use tess::schedules::Schedule;
 use tess::transient::TransientMethod;
 use testkit::SplitMix64;
 
-use crate::engine_exec::{Exec, ExecutiveEngine, Scheduling, WavePlan};
+use crate::engine_exec::{ExecutiveEngine, Scheduling, WavePlan};
 use crate::f100::TABLE2_PLACEMENT;
 use crate::procs;
 use crate::sweep::{SweepConfig, SweepDriver};
@@ -225,10 +225,7 @@ fn session_engine(sch: &Schooner, scheduling: Scheduling) -> Result<ExecutiveEng
 /// The session's virtual clock: the bypass-duct line's `now()` (every
 /// engine workload places that slot remotely).
 fn vnow(exec: &mut ExecutiveEngine) -> Result<f64, String> {
-    match exec.exec_mut("bypass duct") {
-        Some(Exec::Remote(r)) => Ok(r.line_mut().now()),
-        _ => Err("bypass duct is not remote".into()),
-    }
+    exec.line_now("bypass duct").ok_or_else(|| "bypass duct is not remote".into())
 }
 
 fn hex_line(values: &[f64]) -> String {

@@ -4,12 +4,14 @@
 //! registered through [`tess::ComponentRegistry`] runs **out-of-process**
 //! through Schooner with results bit-identical to the in-process factory
 //! instance, seeded runs replay byte-for-byte, stateful components
-//! checkpoint through the Manager's store and survive a host crash, and
-//! new component types become Network Editor modules without touching the
-//! executive's dispatch code.
+//! checkpoint through the Manager's store and survive a host crash under
+//! their executor's call policy, a partitioned component degrades to its
+//! local fallback, and new component types become Network Editor modules
+//! without touching the executive's dispatch code.
 
 use netsim::FaultPlan;
-use npss::bridge::{install_component, RemoteComponent, COMPONENT_PROC};
+use npss::bridge::{component_image, install_component, RemoteComponent, COMPONENT_PROC};
+use npss::exec::{LocalExec, RemoteExec};
 use npss::modules::{ComponentModule, ExecutiveServices};
 use schooner::{CallPolicy, Schooner};
 use std::sync::Arc;
@@ -26,8 +28,19 @@ fn world() -> Schooner {
     Schooner::standard().unwrap()
 }
 
-fn all_hosts(sch: &Schooner) -> Vec<String> {
-    sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect()
+/// Install `type_name` from the registry on every host and start it on
+/// the serving host, called from the executive host under `policy`.
+fn start_component(
+    sch: &Schooner,
+    registry: &ComponentRegistry,
+    type_name: &str,
+    policy: CallPolicy,
+) -> RemoteExec {
+    let hosts: Vec<String> = sch.ctx().park.hosts().iter().map(|s| s.to_string()).collect();
+    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
+    let path = install_component(sch, registry, type_name, &host_refs).unwrap();
+    let line = sch.open_line(type_name, AVS_HOST).unwrap();
+    RemoteExec::start(line, &path, SERVE_HOST).unwrap().with_policy(policy)
 }
 
 /// The seeded afterburner input sweep: wet and dry operating points.
@@ -69,13 +82,8 @@ fn bits_of(values: &[Value]) -> Vec<u64> {
 fn afterburner_run(seed: u64) -> Vec<u64> {
     let sch = world();
     let registry = ComponentRegistry::builtin();
-    let hosts = all_hosts(&sch);
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    let path = install_component(&sch, &registry, "afterburner duct", &host_refs).unwrap();
-
-    let line = sch.open_line("afterburner duct", AVS_HOST).unwrap();
-    let mut remote =
-        RemoteComponent::start(line, &registry, "afterburner duct", &path, SERVE_HOST).unwrap();
+    let exec = start_component(&sch, &registry, "afterburner duct", CallPolicy::default());
+    let mut remote = RemoteComponent::new(exec, &registry, "afterburner duct").unwrap();
     let mut local = registry.create("afterburner duct").unwrap();
 
     let mut all_bits = Vec::new();
@@ -89,7 +97,7 @@ fn afterburner_run(seed: u64) -> Vec<u64> {
         );
         all_bits.extend(bits_of(&remote_out));
     }
-    assert_eq!(remote.host(), SERVE_HOST);
+    assert_eq!(remote.exec_mut().location(), SERVE_HOST);
     remote.destroy();
     sch.shutdown();
     all_bits
@@ -110,19 +118,16 @@ fn afterburner_runs_out_of_process_bit_identically() {
 /// count), so its checkpoints are non-empty and recovery is observable:
 /// after a host crash, the Manager respawns the process from the
 /// checkpointed `state(...)` variables and the continued sequence matches
-/// an uninterrupted in-process run bit-for-bit.
+/// an uninterrupted in-process run bit-for-bit. The component rides the
+/// crash on its own executor's retry policy.
 #[test]
 fn stateful_component_checkpoint_survives_host_crash() {
     let sch = world();
     sch.ctx().obs.set_enabled(true);
     let registry = ComponentRegistry::builtin();
-    let hosts = all_hosts(&sch);
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    let path = install_component(&sch, &registry, "heat exchanger", &host_refs).unwrap();
-
-    let line = sch.open_line("heat exchanger", AVS_HOST).unwrap();
-    let mut remote =
-        RemoteComponent::start(line, &registry, "heat exchanger", &path, SERVE_HOST).unwrap();
+    let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
+    let exec = start_component(&sch, &registry, "heat exchanger", policy);
+    let mut remote = RemoteComponent::new(exec, &registry, "heat exchanger").unwrap();
     let mut reference = registry.create("heat exchanger").unwrap();
 
     let sweep: Vec<Vec<Value>> = (0..10)
@@ -139,29 +144,24 @@ fn stateful_component_checkpoint_survives_host_crash() {
         let l = reference.compute(args).unwrap();
         assert_eq!(bits_of(&r), bits_of(&l));
     }
-    let bytes = remote.checkpoint().unwrap();
+    let bytes = remote.exec_mut().checkpoint(COMPONENT_PROC).unwrap();
     assert!(bytes > 0, "a stateful component must checkpoint more than 0 bytes");
 
     // Crash the serving host just after the checkpoint; it reboots two
     // virtual seconds later, inside the retry policy's backoff budget.
-    let t_crash = remote.line_mut().now() + 0.05;
+    let t_crash = remote.exec_mut().line_mut().now() + 0.05;
     sch.ctx().net.set_fault_plan(Some(
         FaultPlan::new(0xC0DE)
             .host_crash(SERVE_HOST, t_crash)
             .host_restart(SERVE_HOST, t_crash + 2.0),
     ));
 
-    // Ride the crash with a retrying call, then continue plainly. The
+    // The first call rides the crash through the policy's retries. The
     // respawned incarnation restores the checkpointed wall temperature
     // and transfer count, so every continued output matches the
     // uninterrupted local reference exactly.
-    let policy = CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0);
     for (i, args) in sweep[6..].iter().enumerate() {
-        let r = if i == 0 {
-            remote.line_mut().call_with(COMPONENT_PROC, args, &policy).unwrap()
-        } else {
-            remote.compute(args).unwrap()
-        };
+        let r = remote.compute(args).unwrap();
         let l = reference.compute(args).unwrap();
         assert_eq!(bits_of(&r), bits_of(&l), "post-recovery output {i} must be bit-identical");
     }
@@ -174,20 +174,16 @@ fn stateful_component_checkpoint_survives_host_crash() {
     sch.shutdown();
 }
 
-/// Migration: `move_to` carries the component's state to another machine
-/// through the same checkpoint machinery; the sequence continues as if
-/// nothing moved.
+/// Migration: moving the component's procedure through its executor
+/// carries its state to another machine through the same checkpoint
+/// machinery; the sequence continues as if nothing moved, and the
+/// executor reports the new host.
 #[test]
 fn stateful_component_state_migrates_with_move_to() {
     let sch = world();
     let registry = ComponentRegistry::builtin();
-    let hosts = all_hosts(&sch);
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    let path = install_component(&sch, &registry, "heat exchanger", &host_refs).unwrap();
-
-    let line = sch.open_line("heat exchanger", AVS_HOST).unwrap();
-    let mut remote =
-        RemoteComponent::start(line, &registry, "heat exchanger", &path, SERVE_HOST).unwrap();
+    let exec = start_component(&sch, &registry, "heat exchanger", CallPolicy::default());
+    let mut remote = RemoteComponent::new(exec, &registry, "heat exchanger").unwrap();
     let mut reference = registry.create("heat exchanger").unwrap();
 
     let hot = tess::GasState::new(72.0, 910.0, 2.4e5, 0.02);
@@ -200,8 +196,9 @@ fn stateful_component_state_migrates_with_move_to() {
     }
 
     // Migrate to the other IEEE host mid-sequence.
-    remote.move_to("lerc-sgi-4d420").unwrap();
-    assert_eq!(remote.host(), "lerc-sgi-4d420");
+    let exec = remote.exec_mut();
+    exec.line_mut().move_procedure(COMPONENT_PROC, "lerc-sgi-4d420").unwrap();
+    assert_eq!(exec.location(), "lerc-sgi-4d420");
 
     for _ in 0..5 {
         let r = remote.compute(&args).unwrap();
@@ -211,6 +208,50 @@ fn stateful_component_state_migrates_with_move_to() {
 
     remote.destroy();
     sch.shutdown();
+}
+
+/// A component cut off from its serving host degrades to the local
+/// fallback its executor was given — the component's own image,
+/// instantiated in-process — and every output, before and after the
+/// partition, is bit-equal to a registry instance's.
+#[test]
+fn a_partitioned_component_degrades_to_its_local_fallback() -> Result<(), Box<dyn std::error::Error>>
+{
+    let sch = world();
+    sch.ctx().obs.set_enabled(true);
+    let reg = ComponentRegistry::builtin();
+    let policy = CallPolicy::new()
+        .idempotent(true)
+        .retries(1)
+        .backoff(0.1, 2.0, 1.0)
+        .degrade_on_exhaustion();
+    let exec = start_component(&sch, &reg, "afterburner duct", policy)
+        .with_fallback(LocalExec::new(&component_image(&reg, "afterburner duct")?)?);
+    let mut remote = RemoteComponent::new(exec, &reg, "afterburner duct")?;
+    let mut local = reg.create("afterburner duct").ok_or("afterburner duct is registered")?;
+
+    for (i, args) in afterburner_sweep(0x5EED_AB02, 12).iter().enumerate() {
+        if i == 6 {
+            let t0 = remote.exec_mut().line_mut().now();
+            sch.ctx().net.set_fault_plan(Some(FaultPlan::new(0xAB02).partition(
+                &[AVS_HOST],
+                &[SERVE_HOST],
+                0.0,
+                t0 + 1.0e6,
+            )));
+        }
+        let (r, l) = (remote.compute(args)?, local.compute(args)?);
+        assert_eq!(bits_of(&r), bits_of(&l), "output {i} must be bit-equal to the registry's");
+        assert_eq!(remote.exec_mut().is_degraded(), i >= 6, "output {i}");
+    }
+    assert_eq!(remote.exec_mut().location(), format!("local (degraded from {SERVE_HOST})"));
+    let rendered = sch.ctx().obs.render();
+    assert!(rendered.contains("to local fallback"), "{rendered}");
+
+    remote.destroy();
+    sch.ctx().net.set_fault_plan(None);
+    sch.shutdown();
+    Ok(())
 }
 
 /// Acceptance: new component types become Network Editor modules through

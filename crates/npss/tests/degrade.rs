@@ -66,6 +66,31 @@ fn exhausted_policy_degrades_to_local_baseline() {
     sch.shutdown();
 }
 
+/// A failover moves the process; the executor's location names the
+/// machine it moved to.
+#[test]
+fn location_follows_a_policy_failover() {
+    let sch = Schooner::standard().unwrap();
+    sch.install_program("/npss/duct", duct_image(), &["lerc-sgi-4d480", "lerc-rs6000"]).unwrap();
+    let line = sch.open_line("duct", "lerc-sparc10").unwrap();
+    let policy = CallPolicy::new()
+        .idempotent(true)
+        .retries(1)
+        .backoff(0.1, 2.0, 1.0)
+        .failover(["lerc-rs6000"]);
+    let mut exec =
+        RemoteExec::start(line, "/npss/duct", "lerc-sgi-4d480").unwrap().with_policy(policy);
+
+    let mut out = Vec::new();
+    exec.call("setduct", &[Value::Float(0.03)], &mut out).unwrap();
+    assert_eq!(exec.location(), "lerc-sgi-4d480");
+    sch.ctx().net.set_host_up("lerc-sgi-4d480", false);
+    exec.call("duct", &duct_args(), &mut out).unwrap();
+    assert_eq!(exec.stats().failovers, 1);
+    assert_eq!(exec.location(), "lerc-rs6000");
+    sch.shutdown();
+}
+
 #[test]
 fn exhaustion_without_fallback_surfaces_typed_error() {
     let sch = Schooner::standard().unwrap();

@@ -161,6 +161,9 @@ pub struct LineHandle {
     clock: VirtualClock,
     imports: HashMap<String, ProcSpec>,
     cache: HashMap<String, Arc<Binding>>,
+    /// Address of the process this line last started, resolved or moved;
+    /// [`LineHandle::remote_host`] reads its host.
+    remote: Option<Arc<str>>,
     /// Address of the last binding that failed with a stale error,
     /// reported to the Manager on the next lookup so it can probe it.
     suspect: Option<String>,
@@ -210,6 +213,7 @@ impl LineHandle {
             clock: VirtualClock::new(),
             imports: HashMap::new(),
             cache: HashMap::new(),
+            remote: None,
             suspect: None,
             next_req: 1,
             stats: LineStats::default(),
@@ -246,6 +250,13 @@ impl LineHandle {
     /// The host the module runs on.
     pub fn host(&self) -> &str {
         &self.host
+    }
+
+    /// The host of the process this line last started, resolved or
+    /// moved: where its calls go after any failover or move, or `None`
+    /// before the first start.
+    pub fn remote_host(&self) -> Option<&str> {
+        self.remote.as_deref().map(host_part)
     }
 
     /// This line's current virtual time, in seconds.
@@ -321,6 +332,7 @@ impl LineHandle {
                 m => Err(m),
             })?
             .map_err(WireFault::into_error)?;
+        self.remote = Some(addr.as_str().into());
         self.ctx.obs.emit(
             self.clock.now(),
             EventKind::RemoteStarted {
@@ -615,6 +627,7 @@ impl LineHandle {
     ) -> SchResult<(u64, Arc<Binding>, u64)> {
         if !self.cache.contains_key(key) {
             let binding = self.map_via_manager(name)?;
+            self.remote = Some(Arc::clone(&binding.addr));
             self.cache.insert(key.to_owned(), Arc::new(binding));
         }
         self.issue_attempt(key, args)
@@ -915,6 +928,7 @@ impl LineHandle {
             })?
             .map_err(WireFault::into_error)?;
         let binding = self.binding_from_info(info)?;
+        self.remote = Some(Arc::clone(&binding.addr));
         self.cache.insert(name.to_ascii_lowercase(), Arc::new(binding));
         Ok(())
     }

@@ -53,11 +53,15 @@ impl ManagerHandle {
     }
 }
 
+/// Consecutive heartbeat misses before the Manager declares a suspect
+/// process dead and runs its supervision policy.
+const HEARTBEAT_MISS_THRESHOLD: u32 = 2;
+
 /// Register the Manager on `ctx.config.manager_host` with the world.
 pub(crate) fn spawn_manager(ctx: RuntimeCtx) -> SchResult<ManagerHandle> {
     let addr = manager_addr(&ctx.config.manager_host);
     let endpoint = ctx.net.register(addr.clone())?;
-    let monitor = HealthMonitor::new(ctx.config.heartbeat_miss_threshold);
+    let monitor = HealthMonitor::new(HEARTBEAT_MISS_THRESHOLD);
     let checkpoints = ctx.checkpoints.clone();
     let world = ctx.world.clone();
     world.spawn(ManagerWorker {
@@ -219,6 +223,9 @@ impl Actor for ManagerWorker {
     }
 }
 
+/// Virtual seconds of Manager bookkeeping per handled request.
+const MANAGER_OVERHEAD_S: f64 = 0.4e-3;
+
 impl ManagerWorker {
     fn send(&self, to: &str, msg: &Msg) -> SchResult<()> {
         self.endpoint.send(to, msg.encode(), self.clock.now())?;
@@ -269,7 +276,7 @@ impl ManagerWorker {
 
     /// Handle one message; returns false to terminate.
     fn dispatch(&mut self, msg: Msg) -> bool {
-        self.clock.advance(self.ctx.config.manager_overhead_s);
+        self.clock.advance(MANAGER_OVERHEAD_S);
         match msg {
             Msg::OpenLine { req, module, reply_to } => {
                 let line = self.next_line;

@@ -35,6 +35,9 @@ pub(crate) fn spawn_server(ctx: RuntimeCtx, host: &str) -> SchResult<()> {
     Ok(())
 }
 
+/// Virtual seconds a Server spends forking a new process.
+const PROCESS_STARTUP_S: f64 = 30e-3;
+
 struct ServerWorker {
     ctx: RuntimeCtx,
     host: String,
@@ -48,7 +51,7 @@ impl Actor for ServerWorker {
         self.clock.merge(env.arrive_at);
         match Msg::decode(env.payload) {
             Ok(Msg::StartProcess { req, line, path, incarnation, reply_to }) => {
-                self.clock.advance(self.ctx.config.process_startup_s);
+                self.clock.advance(PROCESS_STARTUP_S);
                 let result =
                     self.start_process(line, &path, incarnation).map_err(|e| WireFault::from(&e));
                 let reply = Msg::ProcessStarted { req, result };

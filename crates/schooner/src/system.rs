@@ -40,15 +40,6 @@ pub fn server_addr(host: &str) -> String {
 pub struct SchoonerConfig {
     /// Host the Manager process runs on.
     pub manager_host: String,
-    /// Virtual seconds of Manager bookkeeping per handled request.
-    pub manager_overhead_s: f64,
-    /// Flops charged per scalar converted during marshaling.
-    pub per_scalar_flops: f64,
-    /// Virtual seconds a Server spends forking a new process.
-    pub process_startup_s: f64,
-    /// Consecutive heartbeat misses before the Manager declares a
-    /// suspect process dead and runs its supervision policy.
-    pub heartbeat_miss_threshold: u32,
     /// Checkpoints retained per `(line, path)` key in the Manager's
     /// [`CheckpointStore`] (clamped to at least 1). Older snapshots are
     /// evicted — and the evictions journaled, when a journal is
@@ -69,10 +60,6 @@ impl Default for SchoonerConfig {
     fn default() -> Self {
         Self {
             manager_host: "lerc-sparc10".to_owned(),
-            manager_overhead_s: 0.4e-3,
-            per_scalar_flops: 80.0,
-            process_startup_s: 30e-3,
-            heartbeat_miss_threshold: 2,
             checkpoint_retention: DEFAULT_CHECKPOINT_RETENTION,
             link_batching: None,
         }
@@ -101,30 +88,6 @@ impl SchoonerConfigBuilder {
         self
     }
 
-    /// Virtual seconds of Manager bookkeeping per handled request.
-    pub fn manager_overhead_s(mut self, seconds: f64) -> Self {
-        self.config.manager_overhead_s = seconds;
-        self
-    }
-
-    /// Flops charged per scalar converted during marshaling.
-    pub fn per_scalar_flops(mut self, flops: f64) -> Self {
-        self.config.per_scalar_flops = flops;
-        self
-    }
-
-    /// Virtual seconds a Server spends forking a new process.
-    pub fn process_startup_s(mut self, seconds: f64) -> Self {
-        self.config.process_startup_s = seconds;
-        self
-    }
-
-    /// Consecutive heartbeat misses before a process is declared dead.
-    pub fn heartbeat_miss_threshold(mut self, misses: u32) -> Self {
-        self.config.heartbeat_miss_threshold = misses;
-        self
-    }
-
     /// Checkpoints retained per `(line, path)` key.
     pub fn checkpoint_retention(mut self, n: usize) -> Self {
         self.config.checkpoint_retention = n;
@@ -143,6 +106,9 @@ impl SchoonerConfigBuilder {
         self.config
     }
 }
+
+/// Flops charged per scalar converted during marshaling.
+const PER_SCALAR_FLOPS: f64 = 80.0;
 
 /// Everything a runtime component needs to participate in the simulation.
 #[derive(Clone)]
@@ -209,9 +175,7 @@ impl RuntimeCtx {
     /// Virtual seconds `host` spends converting `scalars` values between
     /// its native format and the wire.
     pub(crate) fn marshal_seconds(&self, host: &str, scalars: usize) -> f64 {
-        self.park
-            .compute_seconds(host, scalars as f64 * self.config.per_scalar_flops)
-            .unwrap_or(0.0)
+        self.park.compute_seconds(host, scalars as f64 * PER_SCALAR_FLOPS).unwrap_or(0.0)
     }
 
     /// Park the delivery failure of a batched message owned by another
@@ -423,16 +387,14 @@ mod tests {
             SchoonerConfig::builder().manager_host("ua-sparc10").checkpoint_retention(3).build();
         assert_eq!(c.manager_host, "ua-sparc10");
         assert_eq!(c.checkpoint_retention, 3);
-        let d = SchoonerConfig::default();
-        assert_eq!(c.heartbeat_miss_threshold, d.heartbeat_miss_threshold);
-        assert_eq!(c.per_scalar_flops, d.per_scalar_flops);
+        assert!(c.link_batching.is_none());
     }
 
     #[test]
     fn struct_literal_construction_still_compiles() {
         // Deprecation path: all fields stay public for one release, so
         // functional-update literals keep working.
-        let c = SchoonerConfig { heartbeat_miss_threshold: 5, ..SchoonerConfig::default() };
-        assert_eq!(c.heartbeat_miss_threshold, 5);
+        let c = SchoonerConfig { checkpoint_retention: 5, ..SchoonerConfig::default() };
+        assert_eq!(c.checkpoint_retention, 5);
     }
 }

@@ -32,7 +32,7 @@ use std::path::PathBuf;
 
 use npss_sim::ledger::Repository;
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::{Exec, Scheduling};
+use npss_sim::npss::engine_exec::Scheduling;
 use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
 use npss_sim::tess::schedules::Schedule;
@@ -153,9 +153,9 @@ fn all_in_one(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     // Reference — also measures the virtual window the crash lands in.
     let sch = world()?;
     let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let t_start = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     let reference = run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     engine.shutdown();
     sch.shutdown();
     eprintln!("reference run: {} samples", reference.samples.len());
@@ -247,19 +247,12 @@ fn write_transcript(out: &mut impl Write, samples: &[TransientSample]) -> std::i
 fn measure_crash_time() -> Result<f64, Box<dyn std::error::Error>> {
     let sch = world()?;
     let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let t_start = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     engine.shutdown();
     sch.shutdown();
     Ok(t_start + 0.55 * (t_stop - t_start))
-}
-
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
 }
 
 fn world() -> Result<Schooner, Box<dyn std::error::Error>> {

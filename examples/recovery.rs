@@ -20,7 +20,7 @@ use std::io::Write;
 
 use npss_sim::ledger::{RecordKind, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::{Exec, Scheduling};
+use npss_sim::npss::engine_exec::Scheduling;
 use npss_sim::npss::{service, ExecutiveEngine};
 use npss_sim::schooner::{CallPolicy, Schooner};
 use npss_sim::tess::schedules::Schedule;
@@ -43,9 +43,9 @@ fn checkpoint_restart(out: &mut impl Write) -> Result<(), Box<dyn std::error::Er
     // Reference: the same placement, never interrupted.
     let sch = world()?;
     let mut engine = table2_engine(&sch)?;
-    let t_start = vnow(&mut engine);
+    let t_start = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     let reference = run(&mut engine)?;
-    let t_stop = vnow(&mut engine);
+    let t_stop = engine.line_now("bypass duct").ok_or("the bypass duct is local")?;
     engine.shutdown();
     sch.shutdown();
     writeln!(
@@ -167,13 +167,6 @@ fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::
     let mut exec = service::table2_engine(sch, &policy, Scheduling::Sequential, 5)?;
     exec.max_recoveries = 20;
     Ok(exec)
-}
-
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
 }
 
 fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {

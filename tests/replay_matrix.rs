@@ -15,7 +15,7 @@ use std::sync::Arc;
 use npss_sim::ledger::frame::crc32;
 use npss_sim::ledger::{Record, RecordKind, RecordTag, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
+use npss_sim::npss::engine_exec::{ExecutiveEngine, Scheduling};
 use npss_sim::npss::f100::{F100Network, RemotePlacement};
 use npss_sim::npss::service::Workload::{FloodSweep, SteadyState, Transient};
 use npss_sim::npss::service::{self, run_session, CrashPlan, SessionKnobs, SessionRequest};
@@ -106,14 +106,6 @@ fn fuel_schedule(exec: &ExecutiveEngine) -> Schedule {
         .unwrap()
 }
 
-/// Virtual time, read from the bypass duct's line.
-fn vnow(exec: &mut ExecutiveEngine) -> f64 {
-    match exec.exec_mut("bypass duct").expect("known slot") {
-        Exec::Remote(r) => r.line_mut().now(),
-        Exec::Local(_) => unreachable!("table2 places the bypass duct remotely"),
-    }
-}
-
 /// A backoff that outlives a two-second reboot.
 fn ride_through() -> CallPolicy {
     CallPolicy::new().idempotent(true).retries(12).backoff(0.25, 2.0, 4.0)
@@ -139,10 +131,10 @@ fn table2(batch: bool, sched: Scheduling, policy: CallPolicy, fault: Option<Faul
     let mut exec = service::table2_engine(&sch, &policy, sched, BARRIER_EVERY).unwrap();
     exec.max_recoveries = 20;
     sch.ctx().net.set_fault_plan(fault);
-    let t_start = vnow(&mut exec);
+    let t_start = exec.line_now("bypass duct").unwrap();
     let fuel = fuel_schedule(&exec);
     let result = exec.run_transient(&fuel, ImprovedEuler, DT, T_END).unwrap();
-    let window = (t_start, vnow(&mut exec));
+    let window = (t_start, exec.line_now("bypass duct").unwrap());
     exec.shutdown();
     sch.ctx().net.set_fault_plan(None);
     let m = sch.ctx().obs.metrics();

@@ -120,13 +120,6 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Force every module to execute on the next pass.
-    pub fn mark_all(&self, editor: &mut NetworkEditor) {
-        for id in editor.module_ids() {
-            let _ = self.mark(editor, id);
-        }
-    }
-
     /// Run one scheduling pass.
     pub fn step(&mut self, editor: &mut NetworkEditor) -> Result<ExecReport, ModuleError> {
         self.iteration += 1;

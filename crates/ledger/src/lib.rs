@@ -25,11 +25,11 @@
 //!   `write_all` at every state record (anything but an obs event), so
 //!   the file is as fresh as the last checkpoint, verdict, barrier or
 //!   sample; only events after it are still in memory.
-//! * [`replay`] / [`Repository`] / [`Query`] — the readers: scan a
-//!   journal back into records (the file read into one buffer, of which
-//!   every event payload, a [`Blob`], is a view), then answer range
-//!   queries, latest-checkpoint-per-path, retained-checkpoint sets
-//!   (respecting journaled evictions), and metrics as of a sequence point.
+//! * [`replay`] / [`Repository`] — the readers: scan a journal back into
+//!   records (the file read into one buffer, of which every event
+//!   payload, a [`Blob`], is a view), then answer latest-checkpoint-per-
+//!   path, retained-checkpoint sets (respecting journaled evictions), and
+//!   metrics as of a sequence point.
 //! * [`LedgerHandle`] — a cloneable attach-once handle that subsystems
 //!   hold whether or not a journal is configured; appends through an
 //!   unattached handle are no-ops, so journaling stays zero-setup for
@@ -45,7 +45,6 @@ pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod journal;
-pub mod query;
 pub mod record;
 pub mod repository;
 pub mod sequencer;
@@ -53,7 +52,6 @@ pub mod sequencer;
 pub use blob::Blob;
 pub use error::LedgerError;
 pub use journal::{replay, Journal, LedgerHandle, Replay};
-pub use query::Query;
 pub use record::{CheckpointRec, Record, RecordKind, RecordTag};
 pub use repository::Repository;
 pub use sequencer::Sequencer;

@@ -32,8 +32,9 @@ pub struct Record {
     pub kind: RecordKind,
 }
 
-/// Discriminates record kinds without carrying their payloads — the
-/// query API filters on these.
+/// Discriminates record kinds without carrying their payloads —
+/// [`Repository::counts_by_tag`](crate::Repository::counts_by_tag)
+/// counts by these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordTag {
     /// An observability event ([`RecordKind::Event`]).

@@ -2,16 +2,15 @@
 
 use crate::error::LedgerError;
 use crate::journal::{replay, Replay};
-use crate::query::Query;
 use crate::record::{CheckpointRec, Record, RecordKind, RecordTag};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// A journal loaded into memory, with query helpers: ranges, latest
-/// checkpoint per path, retained-checkpoint sets (with journaled
-/// evictions applied), incarnation high-water marks, and metrics as of
-/// a sequence point. This is everything `recover_from_journal` and the
-/// `replay` CLI need — the world can be gone.
+/// A journal loaded into memory, with query helpers: latest checkpoint
+/// per path, retained-checkpoint sets (with journaled evictions applied),
+/// incarnation high-water marks, and metrics as of a sequence point. This
+/// is everything `recover_from_journal` and the `replay` CLI need — the
+/// world can be gone.
 pub struct Repository {
     records: Vec<Record>,
     torn_bytes: u64,
@@ -31,11 +30,6 @@ impl Repository {
     /// All records, in sequence order.
     pub fn records(&self) -> &[Record] {
         &self.records
-    }
-
-    /// Records passing `q`, in sequence order.
-    pub fn select(&self, q: &Query) -> Vec<&Record> {
-        self.records.iter().filter(|r| q.matches(r)).collect()
     }
 
     /// Number of records.
@@ -214,15 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn select_applies_query() {
+    fn last_seq_and_counts_by_tag() {
         let r = repo(vec![
             RecordKind::Note { text: "a".into() },
             RecordKind::Sample { values: vec![1.0] },
             RecordKind::Note { text: "b".into() },
         ]);
-        assert_eq!(r.select(&Query::all()).len(), 3);
-        assert_eq!(r.select(&Query::all().tag(RecordTag::Note)).len(), 2);
-        assert_eq!(r.select(&Query::all().from(2).to(3)).len(), 2);
         assert_eq!(r.last_seq(), 3);
         assert_eq!(r.counts_by_tag()[&RecordTag::Note], 2);
     }

@@ -40,6 +40,8 @@
 //! The header's `count` is not covered by the CRC, so it is bounded by
 //! what the body can hold before anything is reserved for it.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::sync::Arc;
 
@@ -184,7 +186,11 @@ impl FrameBuilder {
     ///
     /// Panics when `write` emits a different number of bytes than
     /// `payload_len` — the record header is written first, so the
-    /// length must be known up front.
+    /// length must be known up front — or when an address is 64 KiB or
+    /// longer or the payload 4 GiB or larger.
+    // Addresses are `host:port` strings and payloads one call's
+    // arguments, far inside the u16/u32 length fields.
+    #[allow(clippy::expect_used)]
     pub fn push_with(
         &mut self,
         from: &str,
@@ -239,9 +245,12 @@ pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg<'_>>, FrameError> {
     if frame[2] != FRAME_VERSION {
         return Err(FrameError::BadVersion(frame[2]));
     }
-    let count = u32::from_be_bytes(frame[3..7].try_into().unwrap());
-    let body_len = u32::from_be_bytes(frame[7..11].try_into().unwrap()) as usize;
-    let declared_crc = u32::from_be_bytes(frame[11..15].try_into().unwrap());
+    let mut at = 3;
+    let mut word = || {
+        let truncated = FrameError::Truncated { needed: FRAME_HEADER_LEN, have: frame.len() };
+        read(frame, &mut at, FRAME_HEADER_LEN).map(u32::from_be_bytes).ok_or(truncated)
+    };
+    let (count, body_len, declared_crc) = (word()?, word()? as usize, word()?);
     let total = FRAME_HEADER_LEN + body_len;
     if frame.len() < total {
         return Err(FrameError::Truncated { needed: total, have: frame.len() });
@@ -271,6 +280,14 @@ pub fn decode_frame(frame: &Bytes) -> Result<Vec<FrameMsg<'_>>, FrameError> {
     Ok(msgs)
 }
 
+/// The `N` bytes at `*off`, if they end by `end`; advances `*off` past
+/// them.
+fn read<const N: usize>(frame: &[u8], off: &mut usize, end: usize) -> Option<[u8; N]> {
+    let bytes = frame.get(*off..end)?.get(..N)?.try_into().ok()?;
+    *off += N;
+    Some(bytes)
+}
+
 fn decode_record<'a>(frame: &'a Bytes, off: &mut usize, end: usize) -> Option<FrameMsg<'a>> {
     let take = |off: &mut usize, n: usize| -> Option<usize> {
         let start = *off;
@@ -280,18 +297,14 @@ fn decode_record<'a>(frame: &'a Bytes, off: &mut usize, end: usize) -> Option<Fr
         *off = start + n;
         Some(start)
     };
-    let s = take(off, 2)?;
-    let from_len = u16::from_be_bytes(frame[s..s + 2].try_into().unwrap()) as usize;
+    let from_len = u16::from_be_bytes(read(frame, off, end)?) as usize;
     let s = take(off, from_len)?;
     let from = std::str::from_utf8(&frame[s..s + from_len]).ok()?;
-    let s = take(off, 2)?;
-    let to_len = u16::from_be_bytes(frame[s..s + 2].try_into().unwrap()) as usize;
+    let to_len = u16::from_be_bytes(read(frame, off, end)?) as usize;
     let s = take(off, to_len)?;
     let to = std::str::from_utf8(&frame[s..s + to_len]).ok()?;
-    let s = take(off, 8)?;
-    let sent_at = f64::from_bits(u64::from_be_bytes(frame[s..s + 8].try_into().unwrap()));
-    let s = take(off, 4)?;
-    let payload_len = u32::from_be_bytes(frame[s..s + 4].try_into().unwrap()) as usize;
+    let sent_at = f64::from_bits(u64::from_be_bytes(read(frame, off, end)?));
+    let payload_len = u32::from_be_bytes(read(frame, off, end)?) as usize;
     let s = take(off, payload_len)?;
     let payload = frame.slice(s..s + payload_len);
     Some(FrameMsg { from, to, sent_at, payload })

@@ -264,12 +264,6 @@ impl LineHandle {
         self.clock.now()
     }
 
-    /// Advance this line's clock by local (non-Schooner) work.
-    pub fn local_work(&self, flops: f64) -> f64 {
-        let secs = self.ctx.park.compute_seconds(&self.host, flops).unwrap_or(0.0);
-        self.clock.advance(secs)
-    }
-
     /// Merge an external virtual timestamp into this line's clock
     /// (Lamport max; the clock never moves backwards). A wave scheduler
     /// calls this before issuing, so every line in a wave starts from

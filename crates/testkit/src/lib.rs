@@ -9,6 +9,11 @@
 //! single `u64`, passes through every value of its state exactly once,
 //! and is trivially portable — the properties a *replayable* fuzz seed
 //! needs. Nothing here is cryptographic.
+//!
+//! [`census`] holds the one counting allocator the allocation census
+//! (`tests/census.rs` at the repository root) installs.
+
+pub mod census;
 
 /// The seeded SplitMix64 generator used by the differential/fuzz suites.
 ///

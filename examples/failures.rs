@@ -214,11 +214,11 @@ fn transcript() -> Vec<u8> {
 
 #[test]
 fn transcript_matches_its_golden() {
-    golden::check("failures.txt", &transcript());
+    golden::check("paper/failures.txt", &transcript());
 }
 
 #[test]
 #[ignore = "rewrites the golden"]
 fn rewrite_paper_goldens() {
-    golden::rewrite("failures.txt", &transcript());
+    golden::rewrite("paper/failures.txt", &transcript());
 }

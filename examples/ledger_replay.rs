@@ -32,18 +32,14 @@ use std::path::PathBuf;
 
 use npss_sim::ledger::Repository;
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Scheduling;
-use npss_sim::npss::{service, ExecutiveEngine};
-use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::schedules::Schedule;
-use npss_sim::tess::transient::{TransientMethod, TransientResult, TransientSample};
+use npss_sim::tess::transient::{TransientMethod, TransientSample};
+use table2_run::{fuel_schedule, run, table2_engine, world, DT, T_END};
 use temp_journal::TempJournal;
 
+#[path = "support/table2_run.rs"]
+mod table2_run;
 #[path = "support/temp_journal.rs"]
 mod temp_journal;
-
-const T_END: f64 = 1.0;
-const DT: f64 = 0.02;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -255,32 +251,6 @@ fn measure_crash_time() -> Result<f64, Box<dyn std::error::Error>> {
     Ok(t_start + 0.55 * (t_stop - t_start))
 }
 
-fn world() -> Result<Schooner, Box<dyn std::error::Error>> {
-    Ok(service::world(false)?)
-}
-
-/// The Table-2 placement with checkpoint barriers every five solver steps.
-fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::Error>> {
-    let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = service::table2_engine(sch, &policy, Scheduling::Sequential, 5)?;
-    exec.max_recoveries = 20;
-    Ok(exec)
-}
-
-fn fuel_schedule(exec: &ExecutiveEngine) -> Result<Schedule, Box<dyn std::error::Error>> {
-    let wf_ref = exec.engine.design.wf;
-    Ok(Schedule::new(vec![
-        (0.0, 0.92 * wf_ref),
-        (0.1 * T_END, 0.92 * wf_ref),
-        (0.4 * T_END, wf_ref),
-    ])?)
-}
-
-fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {
-    let fuel = fuel_schedule(exec)?;
-    Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
-}
-
 #[cfg(test)]
 #[path = "../tests/support/golden.rs"]
 mod golden;
@@ -294,11 +264,11 @@ fn transcript() -> Vec<u8> {
 
 #[test]
 fn transcript_matches_its_golden() {
-    golden::check("ledger_replay.txt", &transcript());
+    golden::check("paper/ledger_replay.txt", &transcript());
 }
 
 #[test]
 #[ignore = "rewrites the golden"]
 fn rewrite_paper_goldens() {
-    golden::rewrite("ledger_replay.txt", &transcript());
+    golden::rewrite("paper/ledger_replay.txt", &transcript());
 }

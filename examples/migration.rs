@@ -114,11 +114,11 @@ fn transcript() -> Vec<u8> {
 
 #[test]
 fn transcript_matches_its_golden() {
-    golden::check("migration.txt", &transcript());
+    golden::check("paper/migration.txt", &transcript());
 }
 
 #[test]
 #[ignore = "rewrites the golden"]
 fn rewrite_paper_goldens() {
-    golden::rewrite("migration.txt", &transcript());
+    golden::rewrite("paper/migration.txt", &transcript());
 }

@@ -20,18 +20,13 @@ use std::io::Write;
 
 use npss_sim::ledger::{RecordKind, Repository};
 use npss_sim::netsim::FaultPlan;
-use npss_sim::npss::engine_exec::Scheduling;
-use npss_sim::npss::{service, ExecutiveEngine};
-use npss_sim::schooner::{CallPolicy, Schooner};
-use npss_sim::tess::schedules::Schedule;
-use npss_sim::tess::transient::{TransientMethod, TransientResult};
+use table2_run::{run, table2_engine, world, T_END};
 use temp_journal::TempJournal;
 
+#[path = "support/table2_run.rs"]
+mod table2_run;
 #[path = "support/temp_journal.rs"]
 mod temp_journal;
-
-const T_END: f64 = 1.0;
-const DT: f64 = 0.02;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     checkpoint_restart(&mut std::io::stdout().lock())
@@ -156,29 +151,6 @@ fn checkpoint_restart(out: &mut impl Write) -> Result<(), Box<dyn std::error::Er
     Ok(())
 }
 
-fn world() -> Result<Schooner, Box<dyn std::error::Error>> {
-    Ok(service::world(false)?)
-}
-
-/// The Table-2 placement with checkpoint barriers every five solver
-/// steps and a deliberately short-fused call policy.
-fn table2_engine(sch: &Schooner) -> Result<ExecutiveEngine, Box<dyn std::error::Error>> {
-    let policy = CallPolicy::new().idempotent(true).retries(1).backoff(0.1, 2.0, 0.1);
-    let mut exec = service::table2_engine(sch, &policy, Scheduling::Sequential, 5)?;
-    exec.max_recoveries = 20;
-    Ok(exec)
-}
-
-fn run(exec: &mut ExecutiveEngine) -> Result<TransientResult, Box<dyn std::error::Error>> {
-    let wf_ref = exec.engine.design.wf;
-    let fuel = Schedule::new(vec![
-        (0.0, 0.92 * wf_ref),
-        (0.1 * T_END, 0.92 * wf_ref),
-        (0.4 * T_END, wf_ref),
-    ])?;
-    Ok(exec.run_transient(&fuel, TransientMethod::ImprovedEuler, DT, T_END)?)
-}
-
 #[cfg(test)]
 #[path = "../tests/support/golden.rs"]
 mod golden;
@@ -201,11 +173,11 @@ fn transcript() -> Vec<u8> {
 
 #[test]
 fn transcript_matches_its_golden() {
-    golden::check("recovery.txt", &transcript());
+    golden::check("paper/recovery.txt", &transcript());
 }
 
 #[test]
 #[ignore = "rewrites the golden"]
 fn rewrite_paper_goldens() {
-    golden::rewrite("recovery.txt", &transcript());
+    golden::rewrite("paper/recovery.txt", &transcript());
 }

@@ -12,12 +12,12 @@ mod golden;
 
 /// `(golden, npss-sim arguments)`.
 const COMMANDS: [(&str, &[&str]); 6] = [
-    ("table1.txt", &["table1"]),
-    ("table2.txt", &["table2"]),
-    ("fig1.txt", &["fig1"]),
-    ("costs-metrics.txt", &["costs", "--metrics"]),
-    ("costs-critical-path.txt", &["costs", "--critical-path"]),
-    ("f100-parallel.txt", &["f100", "--parallel"]),
+    ("paper/table1.txt", &["table1"]),
+    ("paper/table2.txt", &["table2"]),
+    ("paper/fig1.txt", &["fig1"]),
+    ("paper/costs-metrics.txt", &["costs", "--metrics"]),
+    ("paper/costs-critical-path.txt", &["costs", "--critical-path"]),
+    ("paper/f100-parallel.txt", &["f100", "--parallel"]),
 ];
 
 /// Runs every command at once; each must exit 0. Returns their stdout.

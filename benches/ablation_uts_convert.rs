@@ -1,49 +1,31 @@
-//! Ablation A4 — wire-format conversion cost per architecture pair.
+//! Ablation A4 — wire-format conversion cost per architecture pair, the
+//! one ablation timed on the wall clock.
 //!
 //! The UTS library converts every argument through the sender's native
 //! format, the intermediate representation, and the receiver's native
-//! format. This bench measures the real cost of that pipeline for the
-//! paper's shaft argument list on the interesting architecture pairs —
-//! including the Cray and VAX codecs, which do real bit-field work — and
-//! compares against a memcpy-like same-format baseline.
+//! format. This bench times that round trip on bulk double arrays for
+//! the same-format pair and for the Cray and VAX codecs, which do real
+//! bit-field work: the reference tagged codec (wire v1, `uts::wire`,
+//! timed directly — the runtime no longer reaches it) against the
+//! compiled marshal plan (wire v2) the stubs run, plus the share of a
+//! standard Schooner world's call payloads counted on the plan path. It
+//! asserts its floors and writes `BENCH_marshal.json` at the repository
+//! root:
 //!
-//! It also regenerates `BENCH_marshal.json`: a head-to-head of the
-//! reference tagged codec (wire v1, `uts::wire`, timed directly — the
-//! runtime no longer reaches it) against the compiled marshal plan
-//! (wire v2) the stubs run, on bulk double arrays, plus the share of a
-//! standard Schooner world's call payloads counted on the plan path. Run
-//! with `BENCH_QUICK=1` for the CI smoke configuration; set `BENCH_OUT`
-//! to redirect the JSON.
+//! ```sh
+//! BENCH_QUICK=1 cargo bench --bench ablation_uts_convert   # CI smoke
+//! ```
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use bytes::Bytes;
-use schooner::stub::CompiledStub;
-use schooner::Schooner;
-use uts::native::through_native;
-use uts::{Architecture, Type, Value};
-
-fn shaft_stub() -> CompiledStub {
-    let file = uts::parse_spec_file(npss::procs::SHAFT_SPEC).unwrap();
-    CompiledStub::compile(file.find("shaft").unwrap())
-}
-
-fn shaft_args() -> Vec<Value> {
-    vec![
-        Value::floats(&[1.25e7, 0.0, 0.0, 0.0]),
-        Value::Integer(1),
-        Value::floats(&[1.26e7, 0.0, 0.0, 0.0]),
-        Value::Integer(1),
-        Value::Float(0.99),
-        Value::Float(10_000.0),
-        Value::Float(9.0),
-    ]
-}
+use npss_sim::schooner::stub::CompiledStub;
+use npss_sim::schooner::{FnProcedure, ProgramImage, Schooner};
+use npss_sim::uts::native::through_native;
+use npss_sim::uts::{self, Architecture, Type, Value};
 
 /// A stub whose single input is `array[len] of double` — the payload
-/// shape the ISSUE's acceptance criterion targets.
+/// shape the speedup floor is set on.
 fn burst_stub(len: usize) -> CompiledStub {
     let spec = format!(r#"export burst prog("xs" val array[{len}] of double)"#);
     let file = uts::parse_spec_file(&spec).unwrap();
@@ -127,8 +109,17 @@ fn compare(len: usize, from: Architecture, to: Architecture, pair: &'static str)
 /// `uts.fast_path_hits` counter saw on the compiled-plan path.
 fn hit_rate() -> f64 {
     const CALLS: u64 = 8;
+    let image = ProgramImage::new(
+        "payload",
+        r#"export blast prog("xs" val array[256] of float, "ys" res array[256] of float)"#,
+    )
+    .unwrap()
+    .with_procedure("blast", || {
+        Box::new(FnProcedure::with_flops(|args: &[Value]| Ok(vec![args[0].clone()]), 10_000.0))
+    })
+    .unwrap();
     let sch = Schooner::standard().unwrap();
-    sch.install_program("/bench/hits", bench::payload_image(256), &["lerc-sgi-4d480"]).unwrap();
+    sch.install_program("/bench/hits", image, &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("hits", "lerc-sparc10").unwrap();
     line.start_remote("/bench/hits", "lerc-sgi-4d480").unwrap();
     let xs = Value::floats(&vec![1.0f32; 256]);
@@ -139,7 +130,7 @@ fn hit_rate() -> f64 {
     sch.ctx().obs.metrics().counter("uts.fast_path_hits") as f64 / (2 * CALLS) as f64
 }
 
-fn bench_plan_vs_legacy() {
+fn main() {
     println!("\n=== Compiled marshal plan (wire v2) vs reference tagged codec (wire v1) ===");
     println!("payload: array of double, exact-representable values; round trip\n");
 
@@ -211,53 +202,7 @@ fn bench_plan_vs_legacy() {
     json.push_str(&format!(
         "  ],\n  \"fast_path_hit_rate\": {{\"negotiated\": {v2_rate:.2}}}\n}}\n"
     ));
-    let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_marshal.json").into()
-    });
-    std::fs::write(&out, json).unwrap();
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_marshal.json");
+    std::fs::write(out, json).unwrap();
     println!("wrote {out}");
 }
-
-fn bench_convert(c: &mut Criterion) {
-    let stub = shaft_stub();
-    let args = shaft_args();
-
-    println!("\n=== Ablation A4: UTS conversion cost per architecture pair ===");
-    println!("payload: the paper's shaft argument list ({} scalars)\n", stub.input_scalars);
-
-    let pairs = [
-        (Architecture::SunSparc10, Architecture::Sgi4D, "ieee_be->ieee_be"),
-        (Architecture::SunSparc10, Architecture::IntelI860, "ieee_be->ieee_le"),
-        (Architecture::SunSparc10, Architecture::CrayYmp, "ieee_be->cray"),
-        (Architecture::CrayYmp, Architecture::SunSparc10, "cray->ieee_be"),
-        (Architecture::SunSparc10, Architecture::ConvexC220, "ieee_be->vax"),
-        (Architecture::CrayYmp, Architecture::ConvexC220, "cray->vax"),
-    ];
-    let mut group = c.benchmark_group("uts_convert");
-    for (from, to, label) in pairs {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(from, to), |b, &(f, t)| {
-            b.iter(|| {
-                let wire = reference_marshal(&stub, &args, f);
-                reference_unmarshal(&stub, wire, t)
-            });
-        });
-    }
-    group.finish();
-
-    // Same pairs through the compiled plan, for the criterion report.
-    let mut group = c.benchmark_group("uts_convert_plan");
-    for (from, to, label) in pairs {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &(from, to), |b, &(f, t)| {
-            b.iter(|| {
-                let wire = stub.marshal_inputs(&args, f).unwrap();
-                stub.unmarshal_inputs(wire, t).unwrap()
-            });
-        });
-    }
-    group.finish();
-
-    bench_plan_vs_legacy();
-}
-
-criterion_group!(benches, bench_convert);
-criterion_main!(benches);

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --example f100_engine`
 
+use std::io::Write;
 use std::sync::Arc;
 
 use npss_sim::avs::Widget;
@@ -14,42 +15,50 @@ use npss_sim::npss::f100::{F100Network, RemotePlacement};
 use npss_sim::schooner::Schooner;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    run(&mut std::io::stdout().lock())
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let sch = Arc::new(Schooner::standard()?);
     let mut net = F100Network::build(sch.clone(), "ua-sparc10").map_err(to_err)?;
 
-    println!("== The F100 network (Figure 2, headless) ==\n");
-    println!("{}", net.render());
+    writeln!(out, "== The F100 network (Figure 2, headless) ==\n")?;
+    writeln!(out, "{}", net.render())?;
 
-    println!("== Control panel: low speed shaft ==\n");
+    writeln!(out, "== Control panel: low speed shaft ==\n")?;
     let shaft = net.id("low speed shaft");
     for w in net.editor.control_panel(shaft).unwrap() {
         match w {
             Widget::Dial { name, min, max, value } => {
-                println!("  dial   {name:<16} [{min} .. {max}] = {value}")
+                writeln!(out, "  dial   {name:<16} [{min} .. {max}] = {value}")?
             }
-            Widget::RadioButtons { name, choices, selected } => {
-                println!("  radio  {name:<16} {:?} (selected: {})", choices, choices[*selected])
-            }
-            Widget::TypeIn { name, text } => println!("  typein {name:<16} \"{text}\""),
-            other => println!("  {other:?}"),
+            Widget::RadioButtons { name, choices, selected } => writeln!(
+                out,
+                "  radio  {name:<16} {:?} (selected: {})",
+                choices, choices[*selected]
+            )?,
+            Widget::TypeIn { name, text } => writeln!(out, "  typein {name:<16} \"{text}\"")?,
+            other => writeln!(out, "  {other:?}")?,
         }
     }
 
-    println!("\n== Placing the adapted modules (Table 2 configuration) ==\n");
+    writeln!(out, "\n== Placing the adapted modules (Table 2 configuration) ==\n")?;
     let placement = RemotePlacement::table2();
     for (slot, machine) in &placement.entries {
-        println!("  {slot:<18} -> {machine}");
+        writeln!(out, "  {slot:<18} -> {machine}")?;
     }
     net.apply_placement(&placement).map_err(to_err)?;
 
-    println!("\n== Balance + 1 s transient (Improved Euler) ==\n");
+    writeln!(out, "\n== Balance + 1 s transient (Improved Euler) ==\n")?;
     let result = net.run("Modified Euler", 1.0, 0.02).map_err(to_err)?;
-    println!(
+    writeln!(
+        out,
         "{:>6} {:>10} {:>10} {:>8} {:>10} {:>9}",
         "t (s)", "N1 (RPM)", "N2 (RPM)", "wf", "thrust kN", "T4 (K)"
-    );
+    )?;
     for s in result.samples.iter().step_by(5) {
-        println!(
+        writeln!(
+            out,
             "{:>6.2} {:>10.1} {:>10.1} {:>8.3} {:>10.2} {:>9.1}",
             s.t,
             s.n1,
@@ -57,20 +66,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.wf,
             s.thrust / 1000.0,
             s.t4
-        );
+        )?;
     }
 
-    println!("\n== Where the remote computations ran ==\n");
-    println!("{:<18} {:<16} {:>8} {:>14}", "module", "location", "calls", "sim seconds");
+    writeln!(out, "\n== Where the remote computations ran ==\n")?;
+    writeln!(out, "{:<18} {:<16} {:>8} {:>14}", "module", "location", "calls", "sim seconds")?;
     for row in net.report() {
-        println!(
+        writeln!(
+            out,
             "{:<18} {:<16} {:>8} {:>14.3}",
             row.module, row.location, row.calls, row.virtual_seconds
-        );
+        )?;
     }
     Ok(())
 }
 
 fn to_err(e: String) -> Box<dyn std::error::Error> {
     e.into()
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    run(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("paper/f100_engine.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("paper/f100_engine.txt", &transcript());
 }

@@ -8,11 +8,17 @@
 //!
 //! Run with: `cargo run --release --example flight_profile`
 
+use std::io::Write;
+
 use npss_sim::tess::engine::Turbofan;
 use npss_sim::tess::schedules::Schedule;
 use npss_sim::tess::transient::{TransientMethod, TransientRun};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    climb(&mut std::io::stdout().lock())
+}
+
+fn climb(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let engine = Turbofan::f100()?;
     let wf = 0.95 * engine.design.wf;
 
@@ -25,15 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
 
     let result = run.run(2.0).map_err(to_err)?;
-    println!("F100 climb: sea-level static -> 6 km / M 0.8 (constant fuel {wf:.3} kg/s)\n");
-    println!(
+    writeln!(out, "F100 climb: sea-level static -> 6 km / M 0.8 (constant fuel {wf:.3} kg/s)\n")?;
+    writeln!(
+        out,
         "{:>6} {:>9} {:>7} {:>10} {:>10} {:>11} {:>9}",
         "t (s)", "alt (m)", "Mach", "N1 (RPM)", "W2 (kg/s)", "thrust kN", "T4 (K)"
-    );
+    )?;
     for s in result.samples.iter().step_by(10) {
         let alt = run.altitude.at(s.t);
         let mach = run.mach.at(s.t);
-        println!(
+        writeln!(
+            out,
             "{:>6.2} {:>9.0} {:>7.2} {:>10.1} {:>10.1} {:>11.2} {:>9.1}",
             s.t,
             alt,
@@ -42,19 +50,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             s.w2,
             s.thrust / 1e3,
             s.t4
-        );
+        )?;
     }
     let first = &result.samples[0];
     let last = result.last();
-    println!(
+    writeln!(
+        out,
         "\nthrust lapse over the climb: {:.1} kN -> {:.1} kN ({:.0}%)",
         first.thrust / 1e3,
         last.thrust / 1e3,
         last.thrust / first.thrust * 100.0
-    );
+    )?;
     Ok(())
 }
 
 fn to_err(e: String) -> Box<dyn std::error::Error> {
     e.into()
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    climb(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("paper/flight_profile.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("paper/flight_profile.txt", &transcript());
 }

@@ -6,6 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::io::Write;
 use std::sync::Arc;
 
 use npss_sim::npss::experiments::fig1;
@@ -13,12 +14,16 @@ use npss_sim::schooner::{FnProcedure, ProgramImage, Schooner};
 use npss_sim::uts::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    run(&mut std::io::stdout().lock())
+}
+
+fn run(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     // One call: the whole simulated world — the two-site topology, the
     // machine park (Sparc/SGI/Cray/Convex/RS6000), per-machine Servers,
     // and the persistent Manager.
     let sch = Arc::new(Schooner::standard()?);
 
-    println!("== A first remote procedure ==\n");
+    writeln!(out, "== A first remote procedure ==\n")?;
     // Define an executable image: an export spec plus its implementation.
     let image = ProgramImage::new(
         "greeter",
@@ -44,31 +49,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // procedure (the dynamic startup protocol), and calls it.
     let mut line = sch.open_line("quickstart", "ua-sparc10")?;
     let names = line.start_remote("/demo/scale", "lerc-cray-ymp")?;
-    println!("started /demo/scale on the Cray; exported names: {names:?}");
-    let out = line.call("scale", &[Value::floats(&[1.0, 2.0, 3.0, 4.0]), Value::Float(2.5)])?;
-    println!("scale([1,2,3,4], 2.5) from ua-sparc10 via the Internet = {}", out[0]);
-    println!(
+    writeln!(out, "started /demo/scale on the Cray; exported names: {names:?}")?;
+    let scaled = line.call("scale", &[Value::floats(&[1.0, 2.0, 3.0, 4.0]), Value::Float(2.5)])?;
+    writeln!(out, "scale([1,2,3,4], 2.5) from ua-sparc10 via the Internet = {}", scaled[0])?;
+    writeln!(
+        out,
         "line virtual time: {:.3} s across {} call(s), {} request bytes\n",
         line.now(),
         line.stats().calls,
         line.stats().request_bytes
-    );
+    )?;
     line.quit()?;
 
-    println!("== Figure 1: sequential control flow across machines ==\n");
+    writeln!(out, "== Figure 1: sequential control flow across machines ==\n")?;
     let trace = fig1::run_fig1_program(&sch).map_err(|e| e.to_string())?;
-    println!("{trace}");
+    writeln!(out, "{trace}")?;
 
-    println!("== Per-machine-pair RPC cost (virtual ms/call) ==\n");
+    writeln!(out, "== Per-machine-pair RPC cost (virtual ms/call) ==\n")?;
     let costs = fig1::measure_pair_costs(
         &sch,
         &["lerc-sparc10", "lerc-sgi-4d480", "lerc-cray-ymp", "ua-sparc10"],
         20,
     )
     .map_err(|e| e.to_string())?;
-    println!("{:<16} {:<16} {:<34} {:>10}", "caller", "callee", "network", "ms/call");
+    writeln!(out, "{:<16} {:<16} {:<34} {:>10}", "caller", "callee", "network", "ms/call")?;
     for c in costs {
-        println!("{:<16} {:<16} {:<34} {:>10.3}", c.from, c.to, c.network, c.per_call_ms);
+        writeln!(out, "{:<16} {:<16} {:<34} {:>10.3}", c.from, c.to, c.network, c.per_call_ms)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+#[path = "../tests/support/golden.rs"]
+mod golden;
+
+#[cfg(test)]
+fn transcript() -> Vec<u8> {
+    let mut out = Vec::new();
+    run(&mut out).unwrap();
+    out
+}
+
+#[test]
+fn transcript_matches_its_golden() {
+    golden::check("paper/quickstart.txt", &transcript());
+}
+
+#[test]
+#[ignore = "rewrites the golden"]
+fn rewrite_paper_goldens() {
+    golden::rewrite("paper/quickstart.txt", &transcript());
 }

@@ -5,6 +5,8 @@
 //! npss-sim table1 [SECONDS]             regenerate Table 1
 //! npss-sim table2 [SECONDS]             regenerate Table 2
 //! npss-sim fig1                         Figure 1 control-transfer trace
+//! npss-sim ablations                    the design-choice ablation tables
+//!                                       A1–A3 and A5–A8
 //! npss-sim f100 [SECONDS] [slot=machine ...] [--parallel]
 //!                                       run the F100 network, optionally
 //!                                       placing adapted modules remotely;
@@ -31,6 +33,8 @@
 
 use std::sync::Arc;
 
+mod ablations;
+
 use npss_sim::npss::experiments::{fig1, table1, table2};
 use npss_sim::npss::f100::{F100Network, RemotePlacement};
 use npss_sim::schooner::Schooner;
@@ -48,12 +52,13 @@ fn main() {
 }
 
 fn usage() -> String {
-    "usage: npss-sim <testbed|table1|table2|fig1|f100|costs|replay|serve> [args]\n\
+    "usage: npss-sim <testbed|table1|table2|fig1|ablations|f100|costs|replay|serve> [args]\n\
      \n\
      testbed                 describe the simulated two-site testbed\n\
      table1 [SECONDS]        regenerate Table 1 (default 1.0 s transient)\n\
      table2 [SECONDS]        regenerate Table 2 (default 1.0 s transient)\n\
      fig1                    Figure 1 control-transfer trace\n\
+     ablations               the design-choice ablation tables A1-A3, A5-A8\n\
      f100 [SECONDS] [slot=machine ...] [--parallel]\n\
      \u{20}                        run the F100 network; --parallel overlaps\n\
      \u{20}                        each graph level's calls (same results);\n\
@@ -120,6 +125,10 @@ fn run(args: &[String]) -> Result<(), String> {
         "fig1" => {
             only(rest, &[], &[])?;
             cmd_fig1()
+        }
+        "ablations" => {
+            only(rest, &[], &[])?;
+            ablations::print_all()
         }
         "f100" => cmd_f100(rest),
         "costs" => cmd_costs(rest),
@@ -504,6 +513,7 @@ mod tests {
             (&["table1", "1.0", "bogus"], "bogus"),
             (&["table2", "1.0", "bogus"], "bogus"),
             (&["fig1", "bogus"], "bogus"),
+            (&["ablations", "a1"], "a1"),
             (&["f100", "--paralel"], "--paralel"),
             (&["costs", "--metrcs"], "--metrcs"),
             (&["costs", "--journal", "j", "--critical"], "--critical"),

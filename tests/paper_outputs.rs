@@ -1,9 +1,8 @@
 //! What `npss-sim` prints for the paper's tables and figures, pinned byte
 //! for byte: each [`COMMANDS`] entry's stdout must equal its golden under
-//! `tests/golden/paper/`. The `failures`, `recovery`, `migration` and
-//! `ledger_replay` examples pin their transcripts there too, in their own
-//! tests. To move an output on purpose, rewrite every golden with
-//! `cargo test -- --ignored rewrite_paper_goldens`.
+//! `tests/golden/paper/`. Every example pins its transcript there too,
+//! in its own test. To move an output on purpose, rewrite every golden
+//! with `cargo test -- --ignored rewrite_paper_goldens`.
 
 use std::process::{Command, Stdio};
 
@@ -11,13 +10,14 @@ use std::process::{Command, Stdio};
 mod golden;
 
 /// `(golden, npss-sim arguments)`.
-const COMMANDS: [(&str, &[&str]); 6] = [
+const COMMANDS: [(&str, &[&str]); 7] = [
     ("paper/table1.txt", &["table1"]),
     ("paper/table2.txt", &["table2"]),
     ("paper/fig1.txt", &["fig1"]),
     ("paper/costs-metrics.txt", &["costs", "--metrics"]),
     ("paper/costs-critical-path.txt", &["costs", "--critical-path"]),
     ("paper/f100-parallel.txt", &["f100", "--parallel"]),
+    ("paper/ablations.txt", &["ablations"]),
 ];
 
 /// Runs every command at once; each must exit 0. Returns their stdout.

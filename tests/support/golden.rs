@@ -1,6 +1,6 @@
 //! Byte-for-byte goldens under `tests/golden/`, named relative to it: the
-//! paper's outputs under `paper/` (what `npss-sim` prints for the tables
-//! and figures, and the transcripts of the fault examples) and the
+//! paper's outputs under `paper/` (what `npss-sim` prints for the tables,
+//! figures and ablations, and the examples' transcripts) and the
 //! allocation census. Shared by `tests/paper_outputs.rs`,
 //! `tests/census.rs` and the examples' own tests. Each kind has its own
 //! rewrite, so refreshing one never accepts a change to the other:

@@ -10,6 +10,9 @@
 //! * shortest-path routing and store-and-forward transfer-time accounting;
 //! * a reliable, ordered [`transport`] built on channels, where
 //!   every message carries the **virtual time** at which it arrives;
+//! * optional [`link`] batching, one switch ([`LinkConfig`]): call
+//!   requests between a pair of hosts coalesce into checksummed frames
+//!   that pay the route latency once, under fixed flush thresholds;
 //! * failure injection: hosts can go down, links can be removed, sites can
 //!   be partitioned.
 //!
@@ -27,9 +30,9 @@ pub mod topology;
 pub mod transport;
 
 pub use faults::FaultPlan;
-pub use link::{BatchConfig, CreditConfig, FrameError, LinkConfig};
+pub use link::{FrameError, LinkConfig};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sites::{npss_testbed, replica_of, HostSpec, Site};
 pub use time::VirtualClock;
 pub use topology::{Link, NodeId, NodeKind, Topology};
-pub use transport::{Endpoint, Envelope, FlushRecord, NetError, Network, NetworkStats, SendReport};
+pub use transport::{Endpoint, Envelope, FlushRecord, NetError, Network, NetworkStats};

@@ -1,5 +1,4 @@
-//! Link-layer framing, batching, and credit accounting (wire v2 at the
-//! link layer).
+//! Link-layer framing and batching (wire v2 at the link layer).
 //!
 //! The base transport pays one envelope per message: a small-message
 //! flood pays the full route latency for every call. This module adds
@@ -8,15 +7,15 @@
 //! * a **frame codec** ([`FrameBuilder`]/[`decode_frame`]) that packs
 //!   many logical messages into one checksummed link frame;
 //! * a **`LinkBatcher`** per directed host pair that accumulates
-//!   messages into an open frame until a flush threshold fires
-//!   ([`BatchConfig`]). A lone message is held unframed, as the plain
-//!   envelope it leaves as if nothing joins it; the second append builds
-//!   the frame, so every frame on the wire carries at least two;
-//! * **credit accounting** (`CreditState`) for receiver-granted
-//!   byte/message windows ([`CreditConfig`]): senders that exhaust the
-//!   window stall in *virtual* time until credits return, so a slow
-//!   endpoint backpressures its callers instead of growing an unbounded
-//!   queue.
+//!   messages into an open frame until a flush threshold fires (the
+//!   constants on [`LinkConfig`]: size, message count, linger age). A
+//!   lone message is held unframed, as the plain envelope it leaves as
+//!   if nothing joins it; the second append builds the frame, so every
+//!   frame on the wire carries at least two.
+//!
+//! A link has no flow control. Schooner batches only call requests, and
+//! a line has at most one call in flight, so a link never holds more
+//! messages than its sending host has open lines.
 //!
 //! Everything here is keyed on virtual time and plain arithmetic — no
 //! wall clocks, no RNG — so batched runs stay deterministic.
@@ -310,56 +309,21 @@ fn decode_record<'a>(frame: &'a Bytes, off: &mut usize, end: usize) -> Option<Fr
     Some(FrameMsg { from, to, sent_at, payload })
 }
 
-/// When an open frame is flushed onto the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchConfig {
-    /// Flush once the frame holds at least this many logical payload
-    /// bytes. `1` disables coalescing by size (every message flushes
-    /// alone).
-    pub max_frame_bytes: u64,
-    /// Flush once the frame holds this many messages.
-    pub max_frame_msgs: u32,
-    /// Flush when a new append finds the oldest buffered message has
-    /// waited at least this many virtual seconds.
-    pub linger_s: f64,
-}
+/// Link-layer batching. Installing one on a [`Network`](crate::Network)
+/// (see [`Network::set_link_config`](crate::Network::set_link_config))
+/// is the one switch: its flush thresholds are the constants below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkConfig;
 
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self { max_frame_bytes: 4096, max_frame_msgs: 32, linger_s: 2e-3 }
-    }
-}
-
-/// Receiver-granted credit window per directed link. Credits are
-/// consumed when a message is appended and returned one virtual
-/// ack-latency after its frame's last arrival.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CreditConfig {
-    /// Outstanding (sent, unacknowledged) payload bytes the receiver
-    /// allows on the link.
-    pub window_bytes: u64,
-    /// Outstanding messages the receiver allows.
-    pub window_msgs: u32,
-    /// Longest virtual-time stall a sender will tolerate waiting for
-    /// credits before the send fails with
-    /// [`NetError::CreditStall`](crate::NetError::CreditStall).
-    pub max_stall_s: f64,
-}
-
-impl Default for CreditConfig {
-    fn default() -> Self {
-        Self { window_bytes: 64 * 1024, window_msgs: 256, max_stall_s: 5.0 }
-    }
-}
-
-/// Full link-layer configuration: batching thresholds plus optional
-/// flow control.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LinkConfig {
-    /// Coalescing thresholds.
-    pub batch: BatchConfig,
-    /// Credit-based flow control; `None` leaves the link unthrottled.
-    pub credit: Option<CreditConfig>,
+impl LinkConfig {
+    /// A frame leaves once it holds this many logical payload bytes; an
+    /// append that would take it past them flushes the frame first.
+    pub const MAX_FRAME_BYTES: u64 = 4096;
+    /// A frame leaves once it holds this many messages.
+    pub const MAX_FRAME_MSGS: usize = 32;
+    /// An append at least this many virtual seconds after the frame's
+    /// oldest member flushes the frame before joining.
+    pub const LINGER_S: f64 = 2e-3;
 }
 
 /// A message appended to an empty link, held as the envelope it leaves
@@ -427,8 +391,8 @@ impl OpenFrame {
     }
 }
 
-/// Per-directed-link batching and credit state. Owned by the transport
-/// under its link-table lock.
+/// Per-directed-link batching state. Owned by the transport under its
+/// link-table lock.
 #[derive(Debug, Default)]
 pub(crate) struct LinkBatcher {
     pub(crate) frame: Option<OpenFrame>,
@@ -436,92 +400,6 @@ pub(crate) struct LinkBatcher {
     /// order (the Schooner layer stores `(line id, call id)` for span
     /// attribution); emptied by each flush and reused by the next frame.
     pub(crate) tags: Vec<(u64, u64)>,
-    pub(crate) credit: CreditState,
-}
-
-/// Credit ledger for one directed link.
-///
-/// `pending` holds one entry per buffered (unflushed) message, in
-/// append order; flushing settles them with a return time (or releases
-/// them immediately when delivery failed). `settled` entries return to
-/// the window once virtual time passes their `return_t`.
-#[derive(Debug, Default)]
-pub(crate) struct CreditState {
-    pending: Vec<u64>,
-    settled: Vec<(f64, u64)>,
-}
-
-impl CreditState {
-    /// Return settled credits whose return time has passed.
-    pub(crate) fn retire(&mut self, t: f64) {
-        self.settled.retain(|&(rt, _)| rt > t);
-    }
-
-    /// Outstanding (bytes, messages) still charged against the window.
-    pub(crate) fn outstanding(&self) -> (u64, u32) {
-        let bytes: u64 =
-            self.pending.iter().sum::<u64>() + self.settled.iter().map(|&(_, b)| b).sum::<u64>();
-        let msgs = (self.pending.len() + self.settled.len()) as u32;
-        (bytes, msgs)
-    }
-
-    /// Charge one buffered message against the window.
-    pub(crate) fn reserve(&mut self, bytes: u64) {
-        self.pending.push(bytes);
-    }
-
-    /// Settle every pending reservation after a flush, one outcome per
-    /// reservation in append order: `Some(return_t)` schedules the
-    /// credit's return, `None` (failed delivery) releases it immediately.
-    pub(crate) fn settle(&mut self, outcomes: impl ExactSizeIterator<Item = Option<f64>>) {
-        debug_assert_eq!(outcomes.len(), self.pending.len(), "settle must cover the whole frame");
-        for (bytes, outcome) in self.pending.drain(..).zip(outcomes) {
-            if let Some(rt) = outcome {
-                self.settled.push((rt, bytes));
-            }
-        }
-    }
-
-    /// True when a message of `need_bytes` fits in the window right
-    /// now. A message larger than the whole window is admitted alone
-    /// (when nothing is outstanding) so it can ever be sent at all.
-    pub(crate) fn admits(&self, need_bytes: u64, w: &CreditConfig) -> bool {
-        let (out_bytes, out_msgs) = self.outstanding();
-        (out_bytes + need_bytes <= w.window_bytes || out_bytes == 0) && out_msgs < w.window_msgs
-    }
-
-    /// Earliest virtual time `>= t` at which a message of `need_bytes`
-    /// fits in the window, or `None` when it never will. Must be called
-    /// with no pending reservations (the caller flushes first). A
-    /// message larger than the whole window is admitted once the link
-    /// is idle.
-    pub(crate) fn earliest_available(
-        &self,
-        t: f64,
-        need_bytes: u64,
-        w: &CreditConfig,
-    ) -> Option<f64> {
-        debug_assert!(self.pending.is_empty(), "flush before computing a stall");
-        let fits = |out_bytes: u64, out_msgs: u32| {
-            (out_bytes + need_bytes <= w.window_bytes || out_bytes == 0) && out_msgs < w.window_msgs
-        };
-        let mut live: Vec<(f64, u64)> =
-            self.settled.iter().copied().filter(|&(rt, _)| rt > t).collect();
-        live.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut out_bytes: u64 = live.iter().map(|&(_, b)| b).sum();
-        let mut out_msgs = live.len() as u32;
-        if fits(out_bytes, out_msgs) {
-            return Some(t);
-        }
-        for (rt, bytes) in live {
-            out_bytes -= bytes;
-            out_msgs -= 1;
-            if fits(out_bytes, out_msgs) {
-                return Some(rt);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -664,44 +542,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn credit_ledger_reserves_settles_and_retires() {
-        let mut c = CreditState::default();
-        c.reserve(100);
-        c.reserve(50);
-        assert_eq!(c.outstanding(), (150, 2));
-        c.settle([Some(5.0), None].into_iter());
-        assert_eq!(c.outstanding(), (100, 1), "failed delivery releases immediately");
-        c.retire(4.9);
-        assert_eq!(c.outstanding(), (100, 1));
-        c.retire(5.0);
-        assert_eq!(c.outstanding(), (0, 0));
-    }
-
-    #[test]
-    fn earliest_available_walks_return_times() {
-        let w = CreditConfig { window_bytes: 100, window_msgs: 10, max_stall_s: 1.0 };
-        let mut c = CreditState::default();
-        c.reserve(60);
-        c.reserve(40);
-        c.settle([Some(2.0), Some(3.0)].into_iter());
-        // Window full: 60 returns at t=2, 40 at t=3.
-        assert_eq!(c.earliest_available(1.0, 50, &w), Some(2.0));
-        assert_eq!(c.earliest_available(1.0, 100, &w), Some(3.0));
-        assert_eq!(c.earliest_available(2.5, 30, &w), Some(2.5));
-        // Oversized message: admitted once the link is idle.
-        assert_eq!(c.earliest_available(1.0, 500, &w), Some(3.0));
-    }
-
-    #[test]
-    fn window_msgs_limits_message_count() {
-        let w = CreditConfig { window_bytes: 1 << 30, window_msgs: 2, max_stall_s: 1.0 };
-        let mut c = CreditState::default();
-        c.reserve(1);
-        c.reserve(1);
-        c.settle([Some(7.0), Some(9.0)].into_iter());
-        assert_eq!(c.earliest_available(0.0, 1, &w), Some(7.0));
     }
 }

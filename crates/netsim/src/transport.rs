@@ -10,9 +10,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -44,17 +44,6 @@ pub enum NetError {
     },
     /// No message arrived within the receive timeout.
     Timeout,
-    /// The sender exhausted its credit window on the link and the stall
-    /// needed for credits to return exceeds the configured limit (see
-    /// [`CreditConfig`](crate::link::CreditConfig)).
-    CreditStall {
-        /// Sending host.
-        from: String,
-        /// Receiving host.
-        to: String,
-        /// Virtual microseconds until enough credits return.
-        wait_us: u64,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -71,13 +60,6 @@ impl fmt::Display for NetError {
                 write!(f, "message from '{from}' to '{to}' lost by fault injection")
             }
             NetError::Timeout => write!(f, "receive timed out"),
-            NetError::CreditStall { from, to, wait_us } => {
-                write!(
-                    f,
-                    "credit window from '{from}' to '{to}' exhausted; \
-                     {wait_us}us until credits return"
-                )
-            }
         }
     }
 }
@@ -116,20 +98,6 @@ impl NetworkStats {
     }
 }
 
-/// Outcome of one [`Network::send_batched`]/[`Network::send_gather`]
-/// call on a batched link.
-#[derive(Debug, Clone)]
-pub struct SendReport {
-    /// Virtual seconds this send stalled waiting for credits (the
-    /// caller must advance its clock by this much).
-    pub stalled_s: f64,
-    /// Arrival instant of this message when it left on its own envelope
-    /// (no link config installed): it is already delivered, so there is
-    /// no flush to report. `None` on a batched link, where the message's
-    /// fate is the [`FlushRecord`] that carries its tag.
-    pub delivered_at: Option<f64>,
-}
-
 /// Fate of one logical message in a flush. Flushes append these to a
 /// buffer the caller lends, in link order and buffer order within a
 /// link.
@@ -138,7 +106,7 @@ pub struct FlushRecord {
     /// Opaque caller tag passed at append time (Schooner stores
     /// `(line id, call id)` for span attribution).
     pub tag: (u64, u64),
-    /// Virtual time the message was appended (post-stall).
+    /// Virtual time the message was appended.
     pub sent_at: f64,
     /// Arrival instant on success, or why delivery failed.
     pub result: Result<f64, NetError>,
@@ -170,16 +138,6 @@ struct LinkRecord {
     bytes_key: String,
     flushes_key: String,
     fill_key: String,
-    /// The `net.credit.` keys, built on the pair's first credit stall:
-    /// most links never stall.
-    credit_keys: OnceLock<CreditKeys>,
-}
-
-/// The credit-stall counter keys of one directed host pair.
-struct CreditKeys {
-    stalls: String,
-    stall_us: String,
-    refused: String,
 }
 
 impl LinkRecord {
@@ -189,22 +147,11 @@ impl LinkRecord {
             to: self.to_host.clone(),
         })
     }
-
-    fn credit_keys(&self) -> &CreditKeys {
-        self.credit_keys.get_or_init(|| {
-            let (from, to) = (&self.from_host, &self.to_host);
-            CreditKeys {
-                stalls: format!("net.credit.stalls.{from}->{to}"),
-                stall_us: format!("net.credit.stall_us.{from}->{to}"),
-                refused: format!("net.credit.refused.{from}->{to}"),
-            }
-        })
-    }
 }
 
-/// Open frames and credit ledgers, `[from_host][to_host]`. Nested
-/// BTreeMaps so a message finds its batcher by `&str` and bulk flushes
-/// walk links in a deterministic (name-sorted) order.
+/// Open frames, `[from_host][to_host]`. Nested BTreeMaps so a message
+/// finds its batcher by `&str` and bulk flushes walk links in a
+/// deterministic (name-sorted) order.
 type LinkTable = BTreeMap<String, BTreeMap<String, LinkBatcher>>;
 
 struct NetInner {
@@ -221,9 +168,9 @@ struct NetInner {
     next_ep: AtomicU64,
     stats: NetworkStats,
     metrics: MetricsRegistry,
-    /// Link-layer batching configuration; `None` keeps every link on
-    /// the one-envelope-per-message path.
-    link_cfg: RwLock<Option<LinkConfig>>,
+    /// Whether link-layer batching is installed; off keeps every send
+    /// on the one-envelope-per-message path.
+    batching: AtomicBool,
     /// Lock order: `links` before `endpoints` before `topo` before
     /// `link_records`.
     links: Mutex<LinkTable>,
@@ -253,7 +200,7 @@ impl Network {
                 next_ep: AtomicU64::new(1),
                 stats: NetworkStats::default(),
                 metrics: MetricsRegistry::new(),
-                link_cfg: RwLock::new(None),
+                batching: AtomicBool::new(false),
                 links: Mutex::new(BTreeMap::new()),
             }),
         }
@@ -369,7 +316,6 @@ impl Network {
             bytes_key: format!("net.bytes.{from}->{to}"),
             flushes_key: format!("net.batch.flushes.{from}->{to}"),
             fill_key: format!("net.batch.fill.{from}->{to}"),
-            credit_keys: OnceLock::new(),
         });
         self.inner.link_records.write().unwrap().insert((f, t), rec.clone());
         Ok(rec)
@@ -498,17 +444,14 @@ impl Network {
         self.inner.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Install (or clear) link-layer batching and flow control. With a
-    /// config installed, [`send_batched`](Network::send_batched) /
+    /// Install (or clear) link-layer batching. With it installed,
+    /// [`send_batched`](Network::send_batched) /
     /// [`send_gather`](Network::send_gather) coalesce messages into
-    /// per-link frames; without one they degrade to plain
-    /// [`send`](Network::send). Configure once, before traffic flows.
+    /// per-link frames; without it they degrade to plain
+    /// [`send`](Network::send). Messages already buffered stay on their
+    /// links until a flush.
     pub fn set_link_config(&self, cfg: Option<LinkConfig>) {
-        *self.inner.link_cfg.write().unwrap() = cfg;
-    }
-
-    fn link_config(&self) -> Option<LinkConfig> {
-        *self.inner.link_cfg.read().unwrap()
+        self.inner.batching.store(cfg.is_some(), Ordering::Relaxed);
     }
 
     /// Total (latency seconds, seconds per byte) of the minimum-latency
@@ -528,7 +471,7 @@ impl Network {
         payload: Bytes,
         sent_at: f64,
         tag: (u64, u64),
-    ) -> Result<SendReport, NetError> {
+    ) -> Result<Option<f64>, NetError> {
         let write = &mut |b: &mut BytesMut| b.put_slice(&payload);
         let (spare, flushed) = (&mut BytesMut::new(), &mut Vec::new());
         self.send_gather(from, to, sent_at, tag, payload.len(), spare, flushed, write)
@@ -537,26 +480,19 @@ impl Network {
     /// Scatter-gather append: `write` emits exactly `payload_len` bytes
     /// of payload in place — into `spare`, which the caller lends, when
     /// the link holds nothing yet, else *directly into the link frame
-    /// buffer*. The message is charged against the link's credit window
-    /// and buffered until a flush threshold fires (size, message count,
-    /// or linger age; see [`BatchConfig`](crate::link::BatchConfig)) or
-    /// the sender flushes explicitly with
+    /// buffer*. The message is buffered until a flush threshold fires
+    /// (size, message count, or linger age; see the constants on
+    /// [`LinkConfig`]) or the sender flushes explicitly with
     /// [`flush_link`](Network::flush_link). A flush that finds one
     /// message delivers it as the plain envelope it was written as; only
     /// two or more make a frame.
     ///
     /// Semantics match the unbatched path per logical message: fault
     /// windows and drop ordinals are consumed *at append time* with
-    /// this message's (post-stall) send instant, `net.msg`/`net.bytes`
-    /// count logical messages, and each message's arrival is computed
-    /// from its own payload size — so a frame flushed at its members'
-    /// send instant delivers at exactly the unbatched arrival times.
-    ///
-    /// When the credit window is exhausted the sender first flushes its
-    /// open frame, then stalls in virtual time until credits return;
-    /// `SendReport::stalled_s` tells the caller how far to advance its
-    /// clock. A stall longer than the configured maximum fails with
-    /// [`NetError::CreditStall`].
+    /// this message's send instant, `net.msg`/`net.bytes` count logical
+    /// messages, and each message's arrival is computed from its own
+    /// payload size — so a frame flushed at its members' send instant
+    /// delivers at exactly the unbatched arrival times.
     ///
     /// Every message a flush triggered by this append delivers or fails
     /// is appended to `flushed` as a [`FlushRecord`] — also when the
@@ -564,9 +500,11 @@ impl Network {
     /// before acting on an error. This message's own record is among
     /// them when its frame filled and left at once.
     ///
-    /// With no link config the message is written into `spare` and
-    /// leaves as a plain envelope at once. Either way a message written
-    /// into `spare` takes its buffer, leaving it empty; a spare
+    /// With batching off the message is written into `spare` and leaves
+    /// as a plain envelope at once: the result is its arrival instant,
+    /// where a batched append returns `None` and the message's fate is
+    /// the [`FlushRecord`] that carries its tag. Either way a message
+    /// written into `spare` takes its buffer, leaving it empty; a spare
     /// reclaimed from an earlier message (see [`Bytes::try_into_mut`])
     /// with room for `payload_len` bytes makes that write allocate
     /// nothing.
@@ -581,23 +519,19 @@ impl Network {
         spare: &mut BytesMut,
         flushed: &mut Vec<FlushRecord>,
         write: &mut dyn FnMut(&mut BytesMut),
-    ) -> Result<SendReport, NetError> {
-        let Some(cfg) = self.link_config() else {
-            // No link config: behave exactly like `send`.
+    ) -> Result<Option<f64>, NetError> {
+        if !self.inner.batching.load(Ordering::Relaxed) {
             let payload = fill(spare, payload_len, write);
-            let arrive = self.send(from, to, payload, sent_at)?;
-            return Ok(SendReport { stalled_s: 0.0, delivered_at: Some(arrive) });
-        };
-        let result =
-            self.gather_inner(&cfg, from, to, sent_at, tag, payload_len, spare, flushed, write);
+            return self.send(from, to, payload, sent_at).map(Some);
+        }
+        let result = self.gather_inner(from, to, sent_at, tag, payload_len, spare, flushed, write);
         self.count_fault(&result);
-        result
+        result.map(|()| None)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn gather_inner(
         &self,
-        cfg: &LinkConfig,
         from: &str,
         to: &str,
         sent_at: f64,
@@ -606,9 +540,8 @@ impl Network {
         spare: &mut BytesMut,
         flushed: &mut Vec<FlushRecord>,
         write: &mut dyn FnMut(&mut BytesMut),
-    ) -> Result<SendReport, NetError> {
+    ) -> Result<(), NetError> {
         let (from_host, to_host) = (host_of(from), host_of(to));
-        let m = &self.inner.metrics;
         let mut links = self.inner.links.lock().unwrap();
         if !links.get(from_host).is_some_and(|out| out.contains_key(to_host)) {
             links
@@ -621,83 +554,42 @@ impl Network {
             .and_then(|out| out.get_mut(to_host))
             .expect("batcher inserted above");
 
-        // Credit gate. Flushing first gives every reservation a return
-        // time, making credit availability a pure function of virtual
-        // time — the stall is then deterministic.
-        let mut stalled_s = 0.0;
-        if let Some(credit) = &cfg.credit {
-            batcher.credit.retire(sent_at);
-            let need = payload_len as u64;
-            if !batcher.credit.admits(need, credit) {
-                self.flush_batcher(from_host, to_host, batcher, cfg, sent_at, flushed);
-                batcher.credit.retire(sent_at);
-                if !batcher.credit.admits(need, credit) {
-                    let link = self.link_record(from_host, to_host)?;
-                    let keys = link.credit_keys();
-                    let wait = batcher
-                        .credit
-                        .earliest_available(sent_at, need, credit)
-                        .map(|avail| avail - sent_at);
-                    let wait_us = wait.map_or(u64::MAX, |w| (w * 1e6).round() as u64);
-                    match wait {
-                        Some(w) if w <= credit.max_stall_s => {
-                            stalled_s = w;
-                            m.counter_add(&keys.stalls, 1);
-                            m.counter_add(&keys.stall_us, wait_us);
-                        }
-                        _ => {
-                            m.counter_add(&keys.refused, 1);
-                            return Err(NetError::CreditStall {
-                                from: from_host.to_owned(),
-                                to: to_host.to_owned(),
-                                wait_us,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let sent_eff = sent_at + stalled_s;
-
         // Pre-append thresholds: a frame that cannot absorb this
         // message (size/count) or whose oldest member has lingered past
         // its deadline leaves first.
         if let Some(f) = &batcher.frame {
-            let over_linger = sent_eff - f.first_sent >= cfg.batch.linger_s;
-            let over_bytes = f.payload_bytes + payload_len as u64 > cfg.batch.max_frame_bytes;
-            let over_msgs = batcher.tags.len() as u32 + 1 > cfg.batch.max_frame_msgs;
+            let over_linger = sent_at - f.first_sent >= LinkConfig::LINGER_S;
+            let over_bytes = f.payload_bytes + payload_len as u64 > LinkConfig::MAX_FRAME_BYTES;
+            let over_msgs = batcher.tags.len() + 1 > LinkConfig::MAX_FRAME_MSGS;
             if over_linger || over_bytes || over_msgs {
-                self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, flushed);
+                self.flush_batcher(from_host, to_host, batcher, sent_at, flushed);
             }
         }
 
-        // Per-message admission at the effective send instant, by the
-        // unbatched path's rules (this consumes the link's drop ordinal
-        // for this logical message); the arrival law waits for the flush.
+        // Per-message admission at the send instant, by the unbatched
+        // path's rules (this consumes the link's drop ordinal for this
+        // logical message); the arrival law waits for the flush.
         let plan = self.fault_plan();
         let plan = plan.as_deref();
-        self.check_link(plan, from_host, to_host, sent_eff, true)?;
+        self.check_link(plan, from_host, to_host, sent_at, true)?;
         let link = self.link_record(from_host, to_host)?;
         link.path()?;
         let (from_addr, to_addr) = {
             let eps = self.inner.endpoints.read().unwrap();
-            let (to, _) = self.mailbox(&eps, plan, to, to_host, sent_eff)?;
+            let (to, _) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
             (sender_addr(&eps, from), to.clone())
         };
 
-        // Commit: reserve credits, gather the payload into the held
-        // message or the frame (from here on that is the one holder of
-        // the message's addresses, send instant and length), and count it.
-        if cfg.credit.is_some() {
-            batcher.credit.reserve(payload_len as u64);
-        }
-        // An empty link holds the message as the envelope it would leave
-        // as, addressed by the copies the endpoints registered.
+        // Commit: gather the payload into the held message or the frame
+        // (from here on that is the one holder of the message's
+        // addresses, send instant and length), and count it. An empty
+        // link holds the message as the envelope it would leave as,
+        // addressed by the copies the endpoints registered.
         match &mut batcher.frame {
-            Some(frame) => frame.push(from, to, sent_eff, payload_len, write),
+            Some(frame) => frame.push(from, to, sent_at, payload_len, write),
             None => {
                 let payload = fill(spare, payload_len, write);
-                let held = HeldMsg { from: from_addr, to: to_addr, sent_at: sent_eff, payload };
+                let held = HeldMsg { from: from_addr, to: to_addr, sent_at, payload };
                 batcher.frame = Some(OpenFrame::held(held));
             }
         }
@@ -707,19 +599,20 @@ impl Network {
         // Post-append thresholds: a frame that just filled leaves now,
         // carrying this message with it.
         let frame = batcher.frame.as_ref().expect("appended above");
-        let full = frame.payload_bytes >= cfg.batch.max_frame_bytes
-            || batcher.tags.len() as u32 >= cfg.batch.max_frame_msgs;
+        let full = frame.payload_bytes >= LinkConfig::MAX_FRAME_BYTES
+            || batcher.tags.len() >= LinkConfig::MAX_FRAME_MSGS;
         if full {
-            self.flush_batcher(from_host, to_host, batcher, cfg, sent_eff, flushed);
+            self.flush_batcher(from_host, to_host, batcher, sent_at, flushed);
         }
-        Ok(SendReport { stalled_s, delivered_at: None })
+        Ok(())
     }
 
     /// Flush the open frame toward `to_host`, if any, appending its
     /// messages' outcomes to `flushed`. `now` is the flusher's virtual
     /// time; the frame leaves at the latest of `now` and its members'
     /// send instants. Senders call this before awaiting a reply so no
-    /// request is ever stranded in a buffer.
+    /// request is ever stranded in a buffer — also after batching was
+    /// switched off, which stops new appends but not this flush.
     pub fn flush_link(
         &self,
         from_host: &str,
@@ -727,22 +620,20 @@ impl Network {
         now: f64,
         flushed: &mut Vec<FlushRecord>,
     ) {
-        let Some(cfg) = self.link_config() else { return };
         let mut links = self.inner.links.lock().unwrap();
         if let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
-            self.flush_batcher(from_host, to_host, batcher, &cfg, now, flushed);
+            self.flush_batcher(from_host, to_host, batcher, now, flushed);
         }
     }
 
     /// Flush every open frame on every link (teardown / test sync) and
     /// return their messages' outcomes.
     pub fn flush_all(&self, now: f64) -> Vec<FlushRecord> {
-        let Some(cfg) = self.link_config() else { return Vec::new() };
         let mut flushed = Vec::new();
         let mut links = self.inner.links.lock().unwrap();
         for (from_host, outbound) in links.iter_mut() {
             for (to_host, batcher) in outbound {
-                self.flush_batcher(from_host, to_host, batcher, &cfg, now, &mut flushed);
+                self.flush_batcher(from_host, to_host, batcher, now, &mut flushed);
             }
         }
         flushed
@@ -754,25 +645,11 @@ impl Network {
         links.get(from_host).and_then(|out| out.get(to_host)).map_or(0, |b| b.tags.len())
     }
 
-    /// Credits outstanding (bytes, messages) on a link at virtual time
-    /// `t`, after retiring returns due by `t`. Test/inspection hook.
-    pub fn credit_outstanding(&self, from_host: &str, to_host: &str, t: f64) -> (u64, u32) {
-        let mut links = self.inner.links.lock().unwrap();
-        match links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
-            Some(b) => {
-                b.credit.retire(t);
-                b.credit.outstanding()
-            }
-            None => (0, 0),
-        }
-    }
-
     fn flush_batcher(
         &self,
         from_host: &str,
         to_host: &str,
         batcher: &mut LinkBatcher,
-        cfg: &LinkConfig,
         now: f64,
         flushed: &mut Vec<FlushRecord>,
     ) {
@@ -788,7 +665,6 @@ impl Network {
         // that opened since append fails every message the flush carries.
         let link_err = self.check_link(plan, from_host, to_host, flush_t, false).err();
         let first = flushed.len();
-        let mut last_arrive: Option<f64> = None;
         {
             let eps = self.inner.endpoints.read().unwrap();
             let mut deliver = |tag: (u64, u64), msg: FrameMsg| {
@@ -801,9 +677,6 @@ impl Network {
                     }
                     None => self.deliver_flushed(&eps, plan, &link, msg, flush_t),
                 };
-                if let Ok(arrive) = &result {
-                    last_arrive = Some(last_arrive.map_or(*arrive, |a| a.max(*arrive)));
-                }
                 flushed.push(FlushRecord { tag, sent_at, result });
             };
             match frame.records {
@@ -827,15 +700,6 @@ impl Network {
             }
         }
         batcher.tags.clear();
-        // Credit return: the receiver acks the frame once its last
-        // message arrives; the ack pays one zero-byte latency back.
-        // Failed messages release their credits immediately.
-        if cfg.credit.is_some() {
-            let ret = last_arrive
-                .map(|a| a + self.transfer_seconds(to_host, from_host, 0).unwrap_or(0.0));
-            let outcomes = flushed[first..].iter().map(|r| r.result.as_ref().ok().and(ret));
-            batcher.credit.settle(outcomes);
-        }
         m.counter_add(&link.flushes_key, 1);
         m.counter_add(&link.fill_key, (flushed.len() - first) as u64);
     }
@@ -1167,26 +1031,41 @@ mod tests {
     }
 
     const SGI: &str = "lerc-sgi-4d480:svc";
+    const L1: &str = "lerc-sparc10:l1";
+    const LINK: (&str, &str) = ("lerc-sparc10", "lerc-sgi-4d480");
 
-    /// Append a four-byte message toward [`SGI`] through `send_gather`,
+    /// Append a `len`-byte message toward [`SGI`] through `send_gather`,
     /// collecting flush outcomes into `out`.
     fn append(
         net: &Network,
         from: &str,
         t: f64,
         tag: (u64, u64),
+        len: usize,
         out: &mut Vec<FlushRecord>,
-    ) -> Result<SendReport, NetError> {
-        let write = &mut |b: &mut BytesMut| b.put_slice(b"ping");
-        net.send_gather(from, SGI, t, tag, 4, &mut BytesMut::new(), out, write)
+    ) -> Result<Option<f64>, NetError> {
+        let write = &mut |b: &mut BytesMut| b.put_slice(&vec![b'p'; len]);
+        net.send_gather(from, SGI, t, tag, len, &mut BytesMut::new(), out, write)
+    }
+
+    /// A testbed network with batching on and [`SGI`] registered.
+    fn batched() -> (Network, Endpoint) {
+        let net = Network::new(crate::npss_testbed());
+        net.set_link_config(Some(LinkConfig));
+        let svc = net.register(SGI).unwrap();
+        (net, svc)
     }
 
     /// Nothing is left on the link to report twice.
     fn assert_link_drained(net: &Network, t: f64) {
-        assert_eq!(net.pending_batched("lerc-sparc10", "lerc-sgi-4d480"), 0);
+        assert_eq!(net.pending_batched(LINK.0, LINK.1), 0);
         let mut later = Vec::new();
-        net.flush_link("lerc-sparc10", "lerc-sgi-4d480", t, &mut later);
+        net.flush_link(LINK.0, LINK.1, t, &mut later);
         assert!(later.is_empty(), "reported again: {later:?}");
+    }
+
+    fn tags(out: &[FlushRecord]) -> Vec<(u64, u64)> {
+        out.iter().map(|r| r.tag).collect()
     }
 
     /// A linger flush before an append that is then refused admission:
@@ -1194,19 +1073,12 @@ mod tests {
     /// append's own error.
     #[test]
     fn an_append_refused_after_a_linger_flush_reports_the_flush() {
-        let net = Network::new(crate::npss_testbed());
-        net.set_link_config(Some(LinkConfig::default()));
-        let _svc = net.register(SGI).unwrap();
+        let (net, _svc) = batched();
         let mut out = Vec::new();
-        append(&net, "lerc-sparc10:l1", 0.0, (1, 1), &mut out).unwrap();
+        assert_eq!(append(&net, L1, 0.0, (1, 1), 4, &mut out), Ok(None));
         assert!(out.is_empty(), "a lone message is held until a flush");
-        net.set_fault_plan(Some(FaultPlan::new(1).partition(
-            &["lerc-sparc10"],
-            &["lerc-sgi-4d480"],
-            1.0,
-            2.0,
-        )));
-        let err = append(&net, "lerc-sparc10:l2", 1.5, (2, 1), &mut out).unwrap_err();
+        net.set_fault_plan(Some(FaultPlan::new(1).partition(&[LINK.0], &[LINK.1], 1.0, 2.0)));
+        let err = append(&net, "lerc-sparc10:l2", 1.5, (2, 1), 4, &mut out).unwrap_err();
         assert!(matches!(err, NetError::Unreachable { .. }), "{err:?}");
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!((out[0].tag, out[0].sent_at), ((1, 1), 0.0));
@@ -1214,24 +1086,75 @@ mod tests {
         assert_link_drained(&net, 3.0);
     }
 
-    /// The credit gate's flush before a refused stall: the flushed
-    /// message's delivery is reported, not lost with the `CreditStall`.
+    /// Switching batching off strands nothing: a message held when it
+    /// goes off leaves with the next flush, at the plain path's arrival.
     #[test]
-    fn an_append_refused_a_credit_stall_reports_the_flush() {
-        let net = Network::new(crate::npss_testbed());
-        let credit =
-            crate::CreditConfig { window_bytes: 1 << 20, window_msgs: 1, max_stall_s: 0.0 };
-        net.set_link_config(Some(LinkConfig { credit: Some(credit), ..LinkConfig::default() }));
-        let svc = net.register(SGI).unwrap();
+    fn a_message_held_when_batching_goes_off_leaves_with_the_next_flush() {
+        let (net, svc) = batched();
         let mut out = Vec::new();
-        append(&net, "lerc-sparc10:l1", 0.0, (1, 1), &mut out).unwrap();
-        let err = append(&net, "lerc-sparc10:l2", 0.0, (2, 1), &mut out).unwrap_err();
-        assert!(matches!(err, NetError::CreditStall { .. }), "{err:?}");
+        assert_eq!(append(&net, L1, 0.5, (1, 1), 4, &mut out), Ok(None));
+        net.set_link_config(None);
+        net.flush_link(LINK.0, LINK.1, 0.5, &mut out);
+
+        let plain = Network::new(crate::npss_testbed());
+        let _svc = plain.register(SGI).unwrap();
+        let arrive = plain.send(L1, SGI, Bytes::from_static(b"pppp"), 0.5).unwrap();
         assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].tag, (1, 1));
-        let arrive = *out[0].result.as_ref().expect("the flushed message was delivered");
-        assert_eq!(svc.try_recv().map(|e| e.arrive_at.to_bits()), Some(arrive.to_bits()));
+        assert_eq!((out[0].tag, out[0].sent_at), ((1, 1), 0.5));
+        assert_eq!(out[0].result.clone().map(f64::to_bits), Ok(arrive.to_bits()));
+        let env = svc.try_recv().expect("the held message reached its mailbox");
+        assert_eq!((&env.payload[..], env.arrive_at.to_bits()), (&b"pppp"[..], arrive.to_bits()));
+        assert_link_drained(&net, 0.5);
+    }
+
+    /// Each flush threshold fires exactly at its constant.
+    #[test]
+    fn each_flush_threshold_fires_at_its_constant() {
+        let mut out = Vec::new();
+
+        // Count: the 31st append stays buffered; the 32nd leaves with
+        // its frame.
+        let (net, _svc) = batched();
+        let last = LinkConfig::MAX_FRAME_MSGS as u64 - 1;
+        for i in 0..last {
+            append(&net, L1, 0.0, (1, i), 4, &mut out).unwrap();
+        }
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(net.pending_batched(LINK.0, LINK.1), LinkConfig::MAX_FRAME_MSGS - 1);
+        append(&net, L1, 0.0, (1, last), 4, &mut out).unwrap();
+        assert_eq!(tags(&out), (0..=last).map(|i| (1, i)).collect::<Vec<_>>());
         assert_link_drained(&net, 0.0);
+
+        // Bytes: the append that brings the payload to the limit leaves
+        // with the frame; one that would pass it flushes the frame first.
+        let (net, _svc) = batched();
+        let half = LinkConfig::MAX_FRAME_BYTES as usize / 2;
+        out.clear();
+        append(&net, L1, 0.0, (2, 0), half, &mut out).unwrap();
+        append(&net, L1, 0.0, (2, 1), half, &mut out).unwrap();
+        assert_eq!(tags(&out), [(2, 0), (2, 1)]);
+        assert_link_drained(&net, 0.0);
+        out.clear();
+        append(&net, L1, 0.0, (3, 0), half, &mut out).unwrap();
+        append(&net, L1, 0.0, (3, 1), half + 1, &mut out).unwrap();
+        assert_eq!(tags(&out), [(3, 0)]);
+        assert_eq!(net.pending_batched(LINK.0, LINK.1), 1);
+
+        // Linger: an append just short of the age joins the frame; one
+        // at the age flushes the frame, at its own instant, first.
+        let (net, _svc) = batched();
+        let just_short = f64::from_bits(LinkConfig::LINGER_S.to_bits() - 1);
+        out.clear();
+        append(&net, L1, 0.0, (4, 0), 4, &mut out).unwrap();
+        append(&net, L1, just_short, (4, 1), 4, &mut out).unwrap();
+        assert!(out.is_empty(), "{out:?}");
+        append(&net, L1, LinkConfig::LINGER_S, (4, 2), 4, &mut out).unwrap();
+        assert_eq!(tags(&out), [(4, 0), (4, 1)]);
+        let plain = Network::new(crate::npss_testbed());
+        let _svc = plain.register(SGI).unwrap();
+        let arrive = plain.send(L1, SGI, Bytes::from_static(b"pppp"), LinkConfig::LINGER_S);
+        assert_eq!(out[0].result.clone().map(f64::to_bits), arrive.map(f64::to_bits));
+        assert_eq!(net.pending_batched(LINK.0, LINK.1), 1);
     }
 
     #[test]

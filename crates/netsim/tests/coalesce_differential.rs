@@ -3,19 +3,16 @@
 //!
 //! Two identical testbeds run the same seeded traffic — one through
 //! `Network::send`, one through `Network::send_batched` — across a grid
-//! of flush-threshold settings. The receiver-side envelope sequences
-//! must agree on every logical property (source, destination, payload
-//! bytes, send instant), the logical-message counters must agree
-//! exactly, and when frames flush at their members' send instants the
-//! arrival times must be *bit-identical*: coalescing changes link
+//! of explicit flush cadences and send gaps. The receiver-side envelope
+//! sequences must agree on every logical property (source, destination,
+//! payload bytes, send instant), the logical-message counters must
+//! agree exactly, and when frames flush at their members' send instants
+//! the arrival times must be *bit-identical*: coalescing changes link
 //! occupancy, never what was said or when it was said.
 
 use bytes::Bytes;
 use netsim::link::{decode_frame, FrameBuilder};
-use netsim::{
-    npss_testbed, BatchConfig, CreditConfig, Envelope, FaultPlan, FrameError, LinkConfig, NetError,
-    Network,
-};
+use netsim::{npss_testbed, Envelope, FaultPlan, FrameError, LinkConfig, NetError, Network};
 use testkit::SplitMix64 as Gen;
 
 /// A random 1..=`max_len`-byte payload.
@@ -28,23 +25,56 @@ const SRC: &str = "ua-sparc10:flood";
 const DST: &str = "lerc-rs6000:duct";
 const DST2: &str = "lerc-cray-ymp:burner";
 
-/// The flush-threshold grid every differential sweep runs over,
-/// including the degenerate corners: `max_frame_msgs: 1` must behave
-/// exactly like the unbatched path, and a huge frame must hold a whole
-/// wave.
-fn threshold_grid() -> Vec<LinkConfig> {
-    let mut grid = Vec::new();
-    for &max_frame_bytes in &[1u64, 512, 4096, u64::MAX] {
-        for &max_frame_msgs in &[1u32, 3, 32] {
-            for &linger_s in &[0.0, 2e-3, 1e9] {
-                grid.push(LinkConfig {
-                    batch: BatchConfig { max_frame_bytes, max_frame_msgs, linger_s },
-                    credit: None,
-                });
-            }
-        }
+/// Explicit flush cadences the differential sweeps run over: a link is
+/// flushed after every `n` appends to it, or (`None`) only at the end.
+/// Every append is flushed alone (held fill-1 flushes), frames of a few
+/// records, frames the size and count thresholds close, and whatever
+/// the thresholds alone make of the traffic.
+const CADENCES: [Option<usize>; 4] = [Some(1), Some(3), Some(32), None];
+
+/// Send gaps in virtual seconds: one instant for everything, and gaps
+/// below and past the linger age, so linger flushes take a frame at
+/// its second and at its first member.
+const GAPS: [f64; 3] = [0.0, 1e-3, 3e-3];
+
+/// Two testbeds with `SRC`, `DST` and `DST2` registered, the second
+/// batched: `(plain, batched, [dst, dst2] of plain, [dst, dst2] of
+/// batched)`.
+fn twin_nets() -> (Network, Network, [netsim::Endpoint; 4]) {
+    let plain = Network::new(npss_testbed());
+    let batched = Network::new(npss_testbed());
+    batched.set_link_config(Some(LinkConfig));
+    plain.register(SRC).unwrap();
+    batched.register(SRC).unwrap();
+    let eps = [
+        plain.register(DST).unwrap(),
+        plain.register(DST2).unwrap(),
+        batched.register(DST).unwrap(),
+        batched.register(DST2).unwrap(),
+    ];
+    (plain, batched, eps)
+}
+
+fn host(addr: &str) -> &str {
+    addr.split_once(':').map_or(addr, |(h, _)| h)
+}
+
+/// Append `body` toward `to` on the batched net and, when `cadence`
+/// says so, flush that link: `appended` counts the link's appends.
+fn append_with_cadence(
+    net: &Network,
+    to: &str,
+    body: Bytes,
+    t: f64,
+    tag: u64,
+    cadence: Option<usize>,
+    appended: &mut usize,
+) {
+    assert_eq!(net.send_batched(SRC, to, body, t, (0, tag)), Ok(None));
+    *appended += 1;
+    if cadence.is_some_and(|n| appended.is_multiple_of(n)) {
+        net.flush_link(host(SRC), host(to), t, &mut Vec::new());
     }
-    grid
 }
 
 fn drain(ep: &netsim::Endpoint) -> Vec<Envelope> {
@@ -73,101 +103,83 @@ fn assert_envelopes_equal(plain: &[Envelope], batched: &[Envelope], check_arriva
 }
 
 /// Wave-shaped floods (every message in a wave shares one send instant,
-/// flushed at that instant) deliver bit-identical envelope sequences —
-/// arrivals included — under every flush-threshold setting, and the
-/// logical-message counters agree exactly.
+/// and the wave's frames leave at that instant) deliver bit-identical
+/// envelope sequences — arrivals included — under every flush cadence
+/// and gap between waves, and the logical-message counters agree
+/// exactly. Waves are wide enough for the size and count thresholds to
+/// close frames inside them.
 #[test]
-fn wave_floods_are_bit_identical_across_threshold_grid() {
-    for (ci, cfg) in threshold_grid().into_iter().enumerate() {
-        for seed in [11u64, 5280] {
-            let plain_net = Network::new(npss_testbed());
-            let batch_net = Network::new(npss_testbed());
-            batch_net.set_link_config(Some(cfg));
-            let src_p = plain_net.register(SRC).unwrap();
-            let dst_p = plain_net.register(DST).unwrap();
-            let dst2_p = plain_net.register(DST2).unwrap();
-            let src_b = batch_net.register(SRC).unwrap();
-            let dst_b = batch_net.register(DST).unwrap();
-            let dst2_b = batch_net.register(DST2).unwrap();
-            let _ = (&src_p, &src_b);
-
-            let mut gp = Gen::new(seed);
-            let mut gb = Gen::new(seed);
-            let mut t = 0.0;
-            for wave in 0..12 {
-                let width = 1 + wave % 5;
-                for i in 0..width {
-                    // Interleave two destination hosts so the batched
-                    // run keeps more than one frame open at once.
-                    let to = if i % 2 == 0 { DST } else { DST2 };
-                    let body = payload(&mut gp, 600);
-                    assert_eq!(body, payload(&mut gb, 600));
-                    plain_net.send(SRC, to, body.clone(), t).unwrap();
-                    batch_net.send_batched(SRC, to, body, t, (0, i as u64)).unwrap();
+fn wave_floods_are_bit_identical_across_cadences_and_gaps() {
+    for cadence in CADENCES {
+        for gap in GAPS {
+            for seed in [11u64, 5280] {
+                let (plain_net, batch_net, [dst_p, dst2_p, dst_b, dst2_b]) = twin_nets();
+                let mut g = Gen::new(seed);
+                let mut appended = [0usize; 2];
+                let mut t = 0.0;
+                for wave in 0..12 {
+                    let width = 1 + (wave * 13) % 70;
+                    // Small payloads on odd waves, so the count threshold
+                    // closes frames before the size threshold does.
+                    let max_len = if wave % 2 == 0 { 600 } else { 64 };
+                    for i in 0..width as u64 {
+                        // Interleave two destination hosts so the batched
+                        // run keeps more than one frame open at once.
+                        let (to, link) = if i % 2 == 0 { (DST, 0) } else { (DST2, 1) };
+                        let body = payload(&mut g, max_len);
+                        plain_net.send(SRC, to, body.clone(), t).unwrap();
+                        let appended = &mut appended[link];
+                        append_with_cadence(&batch_net, to, body, t, i, cadence, appended);
+                    }
+                    batch_net.flush_all(t);
+                    t += gap;
                 }
-                batch_net.flush_all(t);
-                t += 0.25;
-            }
 
-            assert_envelopes_equal(&drain(&dst_p), &drain(&dst_b), true);
-            assert_envelopes_equal(&drain(&dst2_p), &drain(&dst2_b), true);
-            let excl = &["net.batch.", "net.credit."];
-            assert_eq!(
-                plain_net.metrics().snapshot_json_excluding(excl),
-                batch_net.metrics().snapshot_json_excluding(excl),
-                "config {ci}: logical counters diverged",
-            );
+                assert_envelopes_equal(&drain(&dst_p), &drain(&dst_b), true);
+                assert_envelopes_equal(&drain(&dst2_p), &drain(&dst2_b), true);
+                let excl = &["net.batch."];
+                assert_eq!(
+                    plain_net.metrics().snapshot_json_excluding(excl),
+                    batch_net.metrics().snapshot_json_excluding(excl),
+                    "cadence {cadence:?}, gap {gap}, seed {seed}: logical counters diverged",
+                );
+            }
         }
     }
 }
 
 /// Staggered send instants: payload sequence and send stamps still match
 /// exactly; arrivals may only move later (a frame flushes no earlier
-/// than its newest member's send instant).
+/// than its newest member's send instant, and a linger flush leaves at
+/// the instant of the append that found it). When every message is
+/// flushed alone or all share one instant, arrivals match bit for bit.
 #[test]
 fn staggered_floods_preserve_message_sequence() {
-    for cfg in threshold_grid() {
-        let plain_net = Network::new(npss_testbed());
-        let batch_net = Network::new(npss_testbed());
-        batch_net.set_link_config(Some(cfg));
-        plain_net.register(SRC).unwrap();
-        batch_net.register(SRC).unwrap();
-        let dst_p = plain_net.register(DST).unwrap();
-        let dst_b = batch_net.register(DST).unwrap();
-
-        let mut gp = Gen::new(977);
-        let mut gb = Gen::new(977);
-        let mut t = 0.0;
-        for i in 0..120u64 {
-            t += gp.index(1000) as f64 * 1e-6;
-            let _ = gb.index(1000);
-            let body = payload(&mut gp, 300);
-            assert_eq!(body, payload(&mut gb, 300));
-            plain_net.send(SRC, DST, body.clone(), t).unwrap();
-            batch_net.send_batched(SRC, DST, body, t, (0, i)).unwrap();
+    for cadence in CADENCES {
+        for gap in GAPS {
+            let (plain_net, batch_net, [dst_p, _, dst_b, _]) = twin_nets();
+            let mut g = Gen::new(977);
+            let mut appended = 0;
+            let mut t = 0.0;
+            for i in 0..120u64 {
+                let body = payload(&mut g, 300);
+                plain_net.send(SRC, DST, body.clone(), t).unwrap();
+                append_with_cadence(&batch_net, DST, body, t, i, cadence, &mut appended);
+                t += gap;
+            }
+            batch_net.flush_all(t);
+            let exact = cadence == Some(1) || gap == 0.0;
+            assert_envelopes_equal(&drain(&dst_p), &drain(&dst_b), exact);
         }
-        batch_net.flush_all(t);
-        assert_envelopes_equal(&drain(&dst_p), &drain(&dst_b), false);
     }
 }
 
-/// `max_frame_msgs: 1` is the identity configuration: every message
-/// flushes alone at its own send instant, so even staggered traffic is
+/// Flushing after every append is the identity cadence: every message
+/// leaves alone at its own send instant, so even staggered traffic is
 /// bit-identical to the unbatched path, arrivals included.
 #[test]
 fn single_message_frames_match_unbatched_exactly() {
-    let cfg = LinkConfig {
-        batch: BatchConfig { max_frame_bytes: u64::MAX, max_frame_msgs: 1, linger_s: 1e9 },
-        credit: None,
-    };
-    let plain_net = Network::new(npss_testbed());
-    let batch_net = Network::new(npss_testbed());
-    batch_net.set_link_config(Some(cfg));
-    plain_net.register(SRC).unwrap();
-    batch_net.register(SRC).unwrap();
-    let dst_p = plain_net.register(DST).unwrap();
-    let dst_b = batch_net.register(DST).unwrap();
-
+    let (plain_net, batch_net, [dst_p, _, dst_b, _]) = twin_nets();
     let mut g = Gen::new(404);
     let mut t = 0.0;
     for i in 0..80u64 {
@@ -175,8 +187,10 @@ fn single_message_frames_match_unbatched_exactly() {
         let payload = payload(&mut g, 256);
         plain_net.send(SRC, DST, payload.clone(), t).unwrap();
         batch_net.send_batched(SRC, DST, payload, t, (0, i)).unwrap();
+        let mut flushed = Vec::new();
+        batch_net.flush_link("ua-sparc10", "lerc-rs6000", t, &mut flushed);
+        assert_eq!(flushed.len(), 1, "message {i} did not leave alone");
     }
-    // Nothing should be buffered: each append flushed its own frame.
     assert_eq!(batch_net.pending_batched("ua-sparc10", "lerc-rs6000"), 0);
     assert_envelopes_equal(&drain(&dst_p), &drain(&dst_b), true);
 }
@@ -188,13 +202,9 @@ fn single_message_frames_match_unbatched_exactly() {
 #[test]
 fn seeded_drop_plans_fail_identical_message_ordinals() {
     for seed in [3u64, 77, 901] {
-        let cfg = LinkConfig {
-            batch: BatchConfig { max_frame_bytes: 4096, max_frame_msgs: 8, linger_s: 1e9 },
-            credit: None,
-        };
         let plain_net = Network::new(npss_testbed());
         let batch_net = Network::new(npss_testbed());
-        batch_net.set_link_config(Some(cfg));
+        batch_net.set_link_config(Some(LinkConfig));
         plain_net.set_fault_plan(Some(FaultPlan::new(seed).drop_between(
             "ua-sparc10",
             "lerc-rs6000",
@@ -233,15 +243,6 @@ fn seeded_drop_plans_fail_identical_message_ordinals() {
     }
 }
 
-/// A link whose frames never flush by threshold, metered by the default
-/// credit window: every flush in the tests below is an explicit one.
-fn credited_unbounded() -> LinkConfig {
-    LinkConfig {
-        batch: BatchConfig { linger_s: 1e9, ..BatchConfig::default() },
-        credit: Some(CreditConfig::default()),
-    }
-}
-
 /// A flush outcome, comparable bit for bit.
 fn outcome(r: &netsim::FlushRecord) -> ((u64, u64), u64, Result<u64, NetError>) {
     (r.tag, r.sent_at.to_bits(), r.result.clone().map(f64::to_bits))
@@ -249,8 +250,8 @@ fn outcome(r: &netsim::FlushRecord) -> ((u64, u64), u64, Result<u64, NetError>) 
 
 /// A window fault that opens between a lone (held) message's append and
 /// its flush fails it exactly as it fails the same message inside a
-/// two-record frame: the same typed error, the same `net.fault.*`
-/// counts, and its credit released at once.
+/// two-record frame: the same typed error and the same `net.fault.*`
+/// counts.
 #[test]
 fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
     let plans: [fn() -> FaultPlan; 2] = [
@@ -261,7 +262,7 @@ fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
     for plan in plans {
         let net = || {
             let net = Network::new(npss_testbed());
-            net.set_link_config(Some(credited_unbounded()));
+            net.set_link_config(Some(LinkConfig));
             net.set_fault_plan(Some(plan()));
             net.register(SRC).unwrap();
             (net.register(DST).unwrap(), net)
@@ -273,7 +274,6 @@ fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
             held.send_batched(SRC, DST, Bytes::from_static(body), 0.5, tag).unwrap();
             assert_eq!(held.pending_batched("ua-sparc10", "lerc-rs6000"), 1);
             held_out.extend(held.flush_all(1.5));
-            assert_eq!(held.credit_outstanding("ua-sparc10", "lerc-rs6000", 1.5), (0, 0));
         }
         // Framed: both messages leave in one frame.
         let (_dst_f, framed) = net();
@@ -281,7 +281,6 @@ fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
             framed.send_batched(SRC, DST, Bytes::from_static(body), 0.5, tag).unwrap();
         }
         let framed_out = framed.flush_all(1.5);
-        assert_eq!(framed.credit_outstanding("ua-sparc10", "lerc-rs6000", 1.5), (0, 0));
 
         let held_out: Vec<_> = held_out.iter().map(outcome).collect();
         assert_eq!(held_out, framed_out.iter().map(outcome).collect::<Vec<_>>());
@@ -296,53 +295,13 @@ fn a_window_fault_fails_a_held_message_as_it_fails_a_framed_one() {
     }
 }
 
-/// With credits on, a fill-1 flush delivers its message at the plain
-/// path's arrival instant and returns its credit at the bit-identical
-/// instant a two-record frame does when that message arrives last.
-#[test]
-fn a_held_flush_returns_its_credit_when_a_framed_flush_does() {
-    let (late, early) = (Bytes::from(vec![7u8; 300]), Bytes::from_static(b"ack"));
-    let net = || {
-        let net = Network::new(npss_testbed());
-        net.set_link_config(Some(credited_unbounded()));
-        net.register(SRC).unwrap();
-        (net.register(DST).unwrap(), net)
-    };
-    let (_dst_h, held) = net();
-    held.send_batched(SRC, DST, late.clone(), 0.5, (0, 0)).unwrap();
-    let held_out = held.flush_all(0.5);
-    let (_dst_f, framed) = net();
-    framed.send_batched(SRC, DST, late.clone(), 0.5, (0, 0)).unwrap();
-    framed.send_batched(SRC, DST, early, 0.5, (0, 1)).unwrap();
-    let framed_out = framed.flush_all(0.5);
-    let plain = Network::new(npss_testbed());
-    let _dst_p = plain.register(DST).unwrap();
-    let plain_arrival = plain.send(SRC, DST, late, 0.5).unwrap();
-
-    let arrival = *held_out[0].result.as_ref().unwrap();
-    assert_eq!(arrival.to_bits(), plain_arrival.to_bits());
-    assert_eq!(outcome(&held_out[0]), outcome(&framed_out[0]));
-    let early_arrival = *framed_out[1].result.as_ref().unwrap();
-    assert!(early_arrival < arrival, "the framed probe must not arrive last");
-
-    let returned = arrival + held.transfer_seconds("lerc-rs6000", "ua-sparc10", 0).unwrap();
-    let just_before = f64::from_bits(returned.to_bits() - 1);
-    for (net, outstanding) in [(&held, (300, 1)), (&framed, (303, 2))] {
-        assert_eq!(net.credit_outstanding("ua-sparc10", "lerc-rs6000", just_before), outstanding);
-        assert_eq!(net.credit_outstanding("ua-sparc10", "lerc-rs6000", returned), (0, 0));
-    }
-}
-
 /// The same seeded batched flood, run twice, is byte-identical in its
 /// full metrics snapshot — batching counters included.
 #[test]
 fn batched_flood_replays_byte_identically() {
     let run = || {
         let net = Network::new(npss_testbed());
-        net.set_link_config(Some(LinkConfig {
-            batch: BatchConfig::default(),
-            credit: Some(CreditConfig::default()),
-        }));
+        net.set_link_config(Some(LinkConfig));
         net.register(SRC).unwrap();
         let dst = net.register(DST).unwrap();
         let mut g = Gen::new(2024);

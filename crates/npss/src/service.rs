@@ -172,7 +172,7 @@ pub fn f100_wave_plan() -> WavePlan {
 /// example runs in. `link_batching` installs the default link config.
 pub fn world(link_batching: bool) -> Result<Schooner, String> {
     let config = if link_batching {
-        SchoonerConfig::builder().link_batching(LinkConfig::default()).build()
+        SchoonerConfig::builder().link_batching(LinkConfig).build()
     } else {
         SchoonerConfig::default()
     };

@@ -215,9 +215,7 @@ mod tests {
         let base = run(&plain);
         plain.shutdown();
         let batched_world = Schooner::standard_with(
-            schooner::SchoonerConfig::builder()
-                .link_batching(netsim::LinkConfig::default())
-                .build(),
+            schooner::SchoonerConfig::builder().link_batching(netsim::LinkConfig).build(),
         )
         .unwrap();
         let batched = run(&batched_world);

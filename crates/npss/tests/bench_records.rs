@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use netsim::{BatchConfig, CreditConfig, LinkConfig};
+use netsim::LinkConfig;
 use npss::engine_exec::{Exec, Scheduling};
 use npss::service::{self, run_session, SessionKnobs, SessionReport, SessionRequest, Workload};
 use npss::sweep::{SweepConfig, SweepDriver, SweepReport};
@@ -189,7 +189,6 @@ struct FloodRow {
     bytes: u64,
     /// Latency-paying wire units: frames when batched, messages when not.
     frames: u64,
-    stalls: u64,
     /// How long the route is busy: the cost model's latency term once
     /// per wire unit plus its per-byte term.
     occupancy_s: f64,
@@ -216,37 +215,21 @@ fn flood(config: SchoonerConfig, variants: usize) -> FloodRow {
     let msgs = m.counter(&format!("net.msg.{link}"));
     let bytes = m.counter(&format!("net.bytes.{link}"));
     let flushes = m.counter(&format!("net.batch.flushes.{link}"));
-    let stalls = m.counter(&format!("net.credit.stalls.{link}"));
     let frames = if flushes > 0 { flushes } else { msgs };
     let occupancy_s = frames as f64 * latency_s + bytes as f64 * per_byte_s;
     sch.shutdown();
-    FloodRow { report, msgs, bytes, frames, stalls, occupancy_s }
-}
-
-fn batched_config(credit: Option<CreditConfig>) -> SchoonerConfig {
-    SchoonerConfig::builder()
-        .link_batching(LinkConfig { batch: BatchConfig::default(), credit })
-        .build()
+    FloodRow { report, msgs, bytes, frames, occupancy_s }
 }
 
 fn transport_record() -> String {
     let variants = 2048;
     let plain = flood(SchoonerConfig::default(), variants);
-    let batched = flood(batched_config(None), variants);
+    let batched = flood(SchoonerConfig::builder().link_batching(LinkConfig).build(), variants);
     assert_eq!(plain.report.checksum, batched.report.checksum, "coalescing changed a sweep result");
     assert_eq!(plain.msgs, batched.msgs, "logical message counts diverged");
     assert_eq!(plain.bytes, batched.bytes, "logical byte counts diverged");
     let speedup = batched.throughput() / plain.throughput();
     assert!(speedup >= 5.0, "batched flood speedup {speedup:.2}x is below the 5x floor");
-
-    // Backpressure: a credit window far smaller than the flood must stall
-    // the sender (in virtual time) and still finish with the same answers.
-    let bp_variants = 512;
-    let bp_plain = flood(SchoonerConfig::default(), bp_variants);
-    let credit = CreditConfig { window_bytes: 512, window_msgs: 4, max_stall_s: 600.0 };
-    let bp = flood(batched_config(Some(credit)), bp_variants);
-    assert!(bp.stalls > 0, "tight window never stalled the flood — row is vacuous");
-    assert_eq!(bp.report.checksum, bp_plain.report.checksum, "backpressure changed a result");
 
     format!(
         "{{\n  \"bench\": \"transport_flood\",\n  \
@@ -255,9 +238,7 @@ fn transport_record() -> String {
          \"occupancy_s\": {:.6}, \"msgs_per_link_s\": {:.3}}},\n    \
          {{\"transport\": \"batched\", \"msgs\": {}, \"frames\": {}, \
          \"occupancy_s\": {:.6}, \"msgs_per_link_s\": {:.3}, \"mean_fill\": {:.2}}}\n  ],\n  \
-         \"speedup\": {:.3},\n  \"floor\": 5.0,\n  \
-         \"backpressure\": {{\"window_bytes\": {}, \"window_msgs\": {}, \
-         \"stalls\": {}, \"completed\": true, \"checksum_matches_unbatched\": true}}\n}}\n",
+         \"speedup\": {:.3},\n  \"floor\": 5.0\n}}\n",
         plain.msgs,
         plain.frames,
         plain.occupancy_s,
@@ -268,9 +249,6 @@ fn transport_record() -> String {
         batched.throughput(),
         batched.msgs as f64 / batched.frames as f64,
         speedup,
-        credit.window_bytes,
-        credit.window_msgs,
-        bp.stalls,
     )
 }
 

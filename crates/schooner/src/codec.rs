@@ -10,6 +10,8 @@
 //! [`BufMut`] (the journal's `Vec<u8>`, a message's `BytesMut`); readers
 //! are [`ledger::codec::Reader`]s.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};

@@ -141,10 +141,7 @@ impl SchError {
     /// True when the failure is transient at the transport or Manager
     /// level, so retrying an **idempotent** call may succeed. Remote
     /// faults and protocol errors are excluded: those calls reached the
-    /// other side or indicate a bug, and retrying cannot help. A credit
-    /// stall is transient by construction — the receiver will return
-    /// credits as in-flight frames drain — so a policy retry (after its
-    /// backoff advances virtual time) may find the window open.
+    /// other side or indicate a bug, and retrying cannot help.
     pub fn is_retryable(&self) -> bool {
         self.is_stale_binding()
             || matches!(
@@ -153,7 +150,6 @@ impl SchError {
                     | SchError::Net(NetError::HostDown(_))
                     | SchError::Net(NetError::Unreachable { .. })
                     | SchError::Net(NetError::Dropped { .. })
-                    | SchError::Net(NetError::CreditStall { .. })
                     | SchError::Net(NetError::Timeout)
             )
     }
@@ -192,10 +188,6 @@ mod tests {
         assert!(
             SchError::Net(NetError::Dropped { from: "a".into(), to: "b".into() }).is_retryable()
         );
-        let stall =
-            SchError::Net(NetError::CreditStall { from: "a".into(), to: "b".into(), wait_us: 10 });
-        assert!(stall.is_retryable());
-        assert!(!stall.is_stale_binding());
         assert!(!SchError::RemoteFault("boom".into()).is_retryable());
         assert!(!SchError::UnknownProcedure("f".into()).is_retryable());
         assert!(!SchError::Escalated("shaft".into()).is_retryable());

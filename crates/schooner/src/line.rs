@@ -710,16 +710,10 @@ impl LineHandle {
                 )
             },
         );
-        // Credit-window stalls happen in virtual time and count as
-        // transmission: the line waited for the wire.
-        if let Ok(report) = &sent {
-            if report.stalled_s > 0.0 {
-                self.clock.advance(report.stalled_s);
-                obs.span_phase(self.id, call, Phase::Transmit, report.stalled_s);
-            }
-            if let Some(arrive_at) = report.delivered_at {
-                obs.span_phase(self.id, call, Phase::Transmit, arrive_at - sent_at);
-            }
+        // A request that left on its own envelope is on the wire until
+        // it arrives; a batched one is charged when its frame flushes.
+        if let Ok(Some(arrive_at)) = sent {
+            obs.span_phase(self.id, call, Phase::Transmit, arrive_at - sent_at);
         }
         // A failed append may still have flushed other lines' messages:
         // their outcomes are absorbed before the error is returned.

@@ -7,9 +7,10 @@
 //! byte strings; the protocol itself uses a compact framing so message
 //! sizes — which drive the network cost model — stay realistic.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{BufMut, Bytes, BytesMut};
 use ledger::codec::Reader;
-use netsim::NetError;
 
 use crate::codec::{self, Field};
 use crate::error::{SchError, SchResult};
@@ -44,16 +45,16 @@ pub enum FaultCode {
     /// The supervision policy for a crashed procedure is to escalate the
     /// failure to the caller instead of recovering.
     Escalated = 11,
-    /// A batched link's credit window stayed exhausted past the maximum
-    /// stall; the detail carries `from|to|wait_us`.
-    CreditStall = 12,
+    // Byte 12 was the credit stall of the retired link flow control. It
+    // stays reserved: a peer that sends it decodes to `Other` instead of
+    // being misread as whatever reuses the number.
     /// Anything else; the detail string carries the description.
     Other = 10,
 }
 
 impl FaultCode {
     /// All codes, for exhaustive encode/decode testing.
-    pub const ALL: [FaultCode; 12] = [
+    pub const ALL: [FaultCode; 11] = [
         FaultCode::UnknownProcedure,
         FaultCode::UnknownLine,
         FaultCode::UnknownExecutable,
@@ -64,7 +65,6 @@ impl FaultCode {
         FaultCode::Protocol,
         FaultCode::Unavailable,
         FaultCode::Escalated,
-        FaultCode::CreditStall,
         FaultCode::Other,
     ];
 
@@ -105,15 +105,6 @@ impl WireFault {
             FaultCode::Protocol => SchError::Protocol(self.detail),
             FaultCode::Unavailable => SchError::ManagerUnavailable,
             FaultCode::Escalated => SchError::Escalated(self.detail),
-            FaultCode::CreditStall => {
-                // Detail is `from|to|wait_us`; a malformed detail still
-                // reconstructs a typed stall (empty link, infinite wait).
-                let mut parts = self.detail.splitn(3, '|');
-                let from = parts.next().unwrap_or_default().to_owned();
-                let to = parts.next().unwrap_or_default().to_owned();
-                let wait_us = parts.next().and_then(|w| w.parse().ok()).unwrap_or(u64::MAX);
-                SchError::Net(NetError::CreditStall { from, to, wait_us })
-            }
             // UnknownExecutable and Duplicate carry their rendered text:
             // the caller keeps the description without re-parsing fields.
             FaultCode::UnknownExecutable | FaultCode::Duplicate | FaultCode::Other => {
@@ -148,9 +139,6 @@ impl From<&SchError> for WireFault {
             SchError::Protocol(msg) => WireFault::new(FaultCode::Protocol, msg.clone()),
             SchError::ManagerUnavailable => WireFault::new(FaultCode::Unavailable, e.to_string()),
             SchError::Escalated(msg) => WireFault::new(FaultCode::Escalated, msg.clone()),
-            SchError::Net(NetError::CreditStall { from, to, wait_us }) => {
-                WireFault::new(FaultCode::CreditStall, format!("{from}|{to}|{wait_us}"))
-            }
             _ => WireFault::new(FaultCode::Other, e.to_string()),
         }
     }
@@ -286,6 +274,8 @@ pub struct WireStr(Bytes);
 
 impl std::ops::Deref for WireStr {
     type Target = str;
+    // Every constructor checks UTF-8 or copies from a `str`.
+    #[allow(clippy::expect_used)]
     fn deref(&self) -> &str {
         std::str::from_utf8(&self.0).expect("a WireStr is UTF-8 from construction")
     }
@@ -444,8 +434,8 @@ codec::tagged! {
 impl Msg {
     /// Exact wire size of a [`Msg::CallRequest`] with these fields —
     /// what [`Msg::encode_call_request_into`] will emit. Computed ahead
-    /// of the gather so the link layer can make its credit and framing
-    /// decisions before a single byte is written.
+    /// of the gather so the link layer can make its framing decisions
+    /// before a single byte is written.
     pub fn call_request_wire_len(proc_name: &str, args_len: usize, reply_to: &str) -> usize {
         1 + 8 + 8 + (4 + proc_name.len()) + (4 + args_len) + (4 + reply_to.len())
     }
@@ -720,7 +710,8 @@ mod tests {
     fn all_variants_encode_to_pinned_bytes() {
         let bytes: Vec<u8> = all_variants().iter().flat_map(|m| m.encode().to_vec()).collect();
         assert_eq!((bytes.len(), ledger::frame::crc32(&bytes)), (889, 0x6D7F_5B28));
-        assert_eq!(FaultCode::ALL.map(|c| c as u8), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 10]);
+        assert_eq!(FaultCode::ALL.map(|c| c as u8), [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10]);
+        assert_eq!(FaultCode::from_u8(12), FaultCode::Other, "byte 12 is reserved");
     }
 
     /// A `StartReply` whose `u16` name count promises 65 535 names that
@@ -865,20 +856,6 @@ mod tests {
             Err(SchError::Protocol(why)) => assert_eq!(why, "invalid UTF-8 at byte 17"),
             other => panic!("non-UTF-8 name decoded to {other:?}"),
         }
-    }
-
-    #[test]
-    fn credit_stall_fault_reconstructs_typed() {
-        let e = SchError::Net(NetError::CreditStall {
-            from: "ua-sparc10".into(),
-            to: "lerc-rs6000".into(),
-            wait_us: 12_500,
-        });
-        let round = WireFault::from(&e).into_error();
-        assert_eq!(round, e);
-        // A garbled detail still yields a typed stall rather than Other.
-        let garbled = WireFault::new(FaultCode::CreditStall, "nonsense").into_error();
-        assert!(matches!(garbled, SchError::Net(NetError::CreditStall { wait_us: u64::MAX, .. })));
     }
 
     /// The version byte keeps its place in the encoding; any value but

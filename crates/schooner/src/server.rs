@@ -10,6 +10,8 @@
 //! processes are actors: they run when a waiting caller drives the
 //! world, never on a thread of their own.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -11,6 +11,8 @@
 //! architecture range/precision semantics apply at exactly the points
 //! they did in the real system.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::{Bytes, BytesMut};
 use uts::check::{check_call_args, check_call_results};
 use uts::spec::ProcSpec;

@@ -143,56 +143,33 @@ pub struct Snapshot {
     pub incarnation: u64,
 }
 
-/// Default number of checkpoints retained per `(line, path)` key.
-pub const DEFAULT_CHECKPOINT_RETENTION: usize = 4;
+/// Number of checkpoints retained per `(line, path)` key.
+pub const CHECKPOINT_RETENTION: usize = 4;
 
 /// Manager-side store of recent checkpoints per supervised process,
 /// keyed by `(line, executable path)` so a respawn of the same
 /// executable — on any host and under any fresh address — finds its
 /// state.
 ///
-/// Growth is bounded: each key keeps at most `retention` snapshots
+/// Growth is bounded: each key keeps at most [`CHECKPOINT_RETENTION`] snapshots
 /// (newest last); storing past the cap evicts from the oldest end and
 /// **returns the evicted snapshots** so the Manager can journal each
 /// eviction — a ledger replay that applies the same policy reproduces
 /// the live store exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<StoreInner>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StoreInner {
-    retention: usize,
     snaps: HashMap<(u64, String), VecDeque<Snapshot>>,
 }
 
-impl Default for CheckpointStore {
-    fn default() -> Self {
-        Self::with_retention(DEFAULT_CHECKPOINT_RETENTION)
-    }
-}
-
 impl CheckpointStore {
-    /// An empty store with the default retention.
+    /// An empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty store keeping the last `retention` checkpoints per key
-    /// (clamped to at least 1).
-    pub fn with_retention(retention: usize) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(StoreInner {
-                retention: retention.max(1),
-                snaps: HashMap::new(),
-            })),
-        }
-    }
-
-    /// Checkpoints retained per key.
-    pub fn retention(&self) -> usize {
-        self.inner.lock().unwrap().retention
     }
 
     /// Retain `snapshot` as the newest checkpoint for `(line, path)`;
@@ -200,11 +177,10 @@ impl CheckpointStore {
     /// first; empty while under the cap).
     pub fn put(&self, line: u64, path: &str, snapshot: Snapshot) -> Vec<Snapshot> {
         let mut inner = self.inner.lock().unwrap();
-        let retention = inner.retention;
         let queue = inner.snaps.entry((line, path.to_owned())).or_default();
         queue.push_back(snapshot);
         let mut evicted = Vec::new();
-        while queue.len() > retention {
+        while queue.len() > CHECKPOINT_RETENTION {
             evicted.extend(queue.pop_front());
         }
         evicted
@@ -342,34 +318,23 @@ mod tests {
 
     #[test]
     fn checkpoint_store_retention_evicts_oldest_and_reports() {
-        let store = CheckpointStore::with_retention(2);
-        assert_eq!(store.retention(), 2);
+        let store = CheckpointStore::new();
         let snap = |n: u8| Snapshot {
             state: Bytes::from(vec![n]),
             taken_at: f64::from(n),
             incarnation: 1,
         };
-        assert!(store.put(1, "/p", snap(1)).is_empty());
-        assert!(store.put(1, "/p", snap(2)).is_empty());
-        // Third write overflows the cap: the oldest is evicted and
+        for n in 1..=4 {
+            assert!(store.put(1, "/p", snap(n)).is_empty());
+        }
+        // The fifth write overflows the cap: the oldest is evicted and
         // handed back for journaling.
-        assert_eq!(store.put(1, "/p", snap(3)), vec![snap(1)]);
-        assert_eq!(store.history(1, "/p"), vec![snap(2), snap(3)]);
-        assert_eq!(store.get(1, "/p"), Some(snap(3)));
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.put(1, "/p", snap(5)), vec![snap(1)]);
+        assert_eq!(store.history(1, "/p"), (2..=5).map(snap).collect::<Vec<_>>());
+        assert_eq!(store.get(1, "/p"), Some(snap(5)));
+        assert_eq!(store.len(), CHECKPOINT_RETENTION);
         // Other keys have their own windows.
         assert!(store.put(1, "/q", snap(9)).is_empty());
-        assert_eq!(store.len(), 3);
-    }
-
-    #[test]
-    fn checkpoint_store_retention_clamps_to_one() {
-        let store = CheckpointStore::with_retention(0);
-        assert_eq!(store.retention(), 1);
-        let s1 = Snapshot { state: Bytes::from_static(&[1]), taken_at: 1.0, incarnation: 1 };
-        let s2 = Snapshot { state: Bytes::from_static(&[2]), taken_at: 2.0, incarnation: 1 };
-        store.put(1, "/p", s1.clone());
-        assert_eq!(store.put(1, "/p", s2.clone()), vec![s1]);
-        assert_eq!(store.get(1, "/p"), Some(s2));
+        assert_eq!(store.len(), CHECKPOINT_RETENTION + 1);
     }
 }

@@ -19,9 +19,7 @@ use crate::manager::{spawn_manager, ManagerHandle};
 use crate::obs::Obs;
 use crate::program::{ProgramImage, ProgramRegistry};
 use crate::server::spawn_server;
-use crate::supervise::{
-    CheckpointStore, Snapshot, SupervisionMap, SupervisionPolicy, DEFAULT_CHECKPOINT_RETENTION,
-};
+use crate::supervise::{CheckpointStore, Snapshot, SupervisionMap, SupervisionPolicy};
 use crate::world::World;
 use ledger::{Journal, LedgerHandle};
 
@@ -35,34 +33,24 @@ pub fn server_addr(host: &str) -> String {
     format!("{host}:schooner-server")
 }
 
-/// Tunables of the runtime's virtual-cost model.
+/// How a world is deployed: where its Manager runs and whether its
+/// links batch call requests.
 #[derive(Debug, Clone)]
 pub struct SchoonerConfig {
     /// Host the Manager process runs on.
     pub manager_host: String,
-    /// Checkpoints retained per `(line, path)` key in the Manager's
-    /// [`CheckpointStore`] (clamped to at least 1). Older snapshots are
-    /// evicted — and the evictions journaled, when a journal is
-    /// attached — so long-running transients cannot grow the store
-    /// without bound.
-    pub checkpoint_retention: usize,
-    /// Link-layer batching and flow control. `None` (the default) sends
-    /// every call request as its own network message; `Some` coalesces
-    /// call requests per `(sending host, receiving host)` link into
-    /// framed batches with credit-based backpressure (see
-    /// [`netsim::LinkConfig`]). Manager and reply traffic is never
-    /// batched — only the client-side call-request data plane, which is
-    /// issued in deterministic virtual-time order.
+    /// Link-layer batching. `None` (the default) sends every call
+    /// request as its own network message; `Some` coalesces call
+    /// requests per `(sending host, receiving host)` link into framed
+    /// batches (see [`netsim::LinkConfig`]). Manager and reply traffic
+    /// is never batched — only the client-side call-request data plane,
+    /// which is issued in deterministic virtual-time order.
     pub link_batching: Option<LinkConfig>,
 }
 
 impl Default for SchoonerConfig {
     fn default() -> Self {
-        Self {
-            manager_host: "lerc-sparc10".to_owned(),
-            checkpoint_retention: DEFAULT_CHECKPOINT_RETENTION,
-            link_batching: None,
-        }
+        Self { manager_host: "lerc-sparc10".to_owned(), link_batching: None }
     }
 }
 
@@ -88,14 +76,7 @@ impl SchoonerConfigBuilder {
         self
     }
 
-    /// Checkpoints retained per `(line, path)` key.
-    pub fn checkpoint_retention(mut self, n: usize) -> Self {
-        self.config.checkpoint_retention = n;
-        self
-    }
-
-    /// Coalesce call requests into per-link framed batches with
-    /// credit-based flow control.
+    /// Coalesce call requests into per-link framed batches.
     pub fn link_batching(mut self, cfg: LinkConfig) -> Self {
         self.config.link_batching = Some(cfg);
         self
@@ -213,7 +194,7 @@ impl Schooner {
         // The world's sink adopts the network's registry so transport
         // counters and RPC metrics land in one snapshot.
         let obs = Obs::with_metrics(net.metrics().clone());
-        let checkpoints = CheckpointStore::with_retention(config.checkpoint_retention);
+        let checkpoints = CheckpointStore::new();
         let ctx = RuntimeCtx {
             net,
             park,
@@ -383,18 +364,8 @@ mod tests {
 
     #[test]
     fn builder_overrides_only_named_fields() {
-        let c =
-            SchoonerConfig::builder().manager_host("ua-sparc10").checkpoint_retention(3).build();
+        let c = SchoonerConfig::builder().manager_host("ua-sparc10").build();
         assert_eq!(c.manager_host, "ua-sparc10");
-        assert_eq!(c.checkpoint_retention, 3);
         assert!(c.link_batching.is_none());
-    }
-
-    #[test]
-    fn struct_literal_construction_still_compiles() {
-        // Deprecation path: all fields stay public for one release, so
-        // functional-update literals keep working.
-        let c = SchoonerConfig { checkpoint_retention: 5, ..SchoonerConfig::default() };
-        assert_eq!(c.checkpoint_retention, 5);
     }
 }

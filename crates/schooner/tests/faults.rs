@@ -76,7 +76,7 @@ fn partition_heals_in_virtual_time_and_results_match_baseline() {
 /// line's failure is not lost and mistaken for a vanished reply.
 #[test]
 fn a_held_request_failed_by_another_lines_refused_append_keeps_its_error() {
-    let config = SchoonerConfig::builder().link_batching(netsim::LinkConfig::default()).build();
+    let config = SchoonerConfig::builder().link_batching(netsim::LinkConfig).build();
     let sch = Schooner::standard_with(config).unwrap();
     sch.install_program("/x/cal", converter_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut a = sch.open_line("a", "ua-sparc10").unwrap();

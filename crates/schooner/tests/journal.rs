@@ -33,25 +33,21 @@ fn journal_file(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("schooner-journal-{name}-{}", std::process::id()))
 }
 
-fn quick_config(retention: usize) -> SchoonerConfig {
-    SchoonerConfig::builder().checkpoint_retention(retention).build()
-}
-
 /// Every `CheckpointStore` write lands in the journal, retention evicts
 /// the oldest, the evictions are journaled too, and a cold replay of the
 /// file reconstructs exactly the retained set.
 #[test]
 fn checkpoint_writes_and_evictions_replay_exactly() {
     let path = journal_file("retention");
-    let sch = Schooner::standard_with(quick_config(2)).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.attach_journal(&path).unwrap();
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
     line.start_remote("/npss/accum", "lerc-sgi-4d480").unwrap();
 
-    // Five checkpoints at totals 1..=5 against a retention of 2: the
-    // first three must be evicted (and journaled as evictions).
-    for _ in 0..5 {
+    // Six checkpoints at totals 1..=6 against a retention of 4: the
+    // first two must be evicted (and journaled as evictions).
+    for _ in 0..6 {
         line.call("accum", &[Value::Double(1.0)]).unwrap();
         assert!(line.checkpoint("accum").unwrap() > 0);
     }
@@ -62,17 +58,17 @@ fn checkpoint_writes_and_evictions_replay_exactly() {
         .iter()
         .map(|s| (s.taken_at, s.state.clone()))
         .collect();
-    assert_eq!(live.len(), 2, "retention must bound the live store");
+    assert_eq!(live.len(), 4, "retention must bound the live store");
     sch.shutdown();
 
     let repo = Repository::open(&path).unwrap();
     assert_eq!(repo.torn_bytes(), 0);
     let counts = repo.counts_by_tag();
-    assert_eq!(counts.get(&RecordTag::Checkpoint), Some(&5));
-    assert_eq!(counts.get(&RecordTag::CheckpointEvicted), Some(&3));
+    assert_eq!(counts.get(&RecordTag::Checkpoint), Some(&6));
+    assert_eq!(counts.get(&RecordTag::CheckpointEvicted), Some(&2));
 
     let retained = repo.retained_checkpoints();
-    assert_eq!(retained.len(), 2, "replay must agree with the live store");
+    assert_eq!(retained.len(), 4, "replay must agree with the live store");
     for (rec, (taken_at, state)) in retained.iter().zip(&live) {
         assert_eq!(rec.taken_at.to_bits(), taken_at.to_bits());
         assert_eq!(rec.state, state.as_ref());
@@ -87,7 +83,7 @@ fn checkpoint_writes_and_evictions_replay_exactly() {
 #[test]
 fn verdicts_journal_and_seed_fences_incarnations() {
     let path = journal_file("verdicts");
-    let sch = Schooner::standard_with(quick_config(4)).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.attach_journal(&path).unwrap();
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
@@ -130,7 +126,7 @@ fn verdicts_journal_and_seed_fences_incarnations() {
 
     // A fresh world seeded from the journal can never reissue a dead
     // incarnation.
-    let sch2 = Schooner::standard_with(quick_config(4)).unwrap();
+    let sch2 = Schooner::standard().unwrap();
     sch2.seed_recovery(&repo);
     sch2.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line2 = sch2.open_line("m", "lerc-sparc10").unwrap();
@@ -155,7 +151,7 @@ fn verdicts_journal_and_seed_fences_incarnations() {
 /// instance; with nothing retained it is a 0-byte no-op.
 #[test]
 fn restore_rewinds_to_latest_checkpoint() {
-    let sch = Schooner::standard_with(quick_config(4)).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
     line.start_remote("/npss/accum", "lerc-sgi-4d480").unwrap();
@@ -180,7 +176,7 @@ fn restore_rewinds_to_latest_checkpoint() {
 #[test]
 fn metrics_snapshot_survives_the_world() {
     let path = journal_file("metrics");
-    let sch = Schooner::standard_with(quick_config(4)).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.attach_journal(&path).unwrap();
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
@@ -206,7 +202,7 @@ fn metrics_snapshot_survives_the_world() {
 #[test]
 fn shutdown_commits_while_an_obs_clone_outlives_the_world() {
     let path = journal_file("shutdown-commit");
-    let sch = Schooner::standard_with(quick_config(4)).unwrap();
+    let sch = Schooner::standard().unwrap();
     sch.attach_journal(&path).unwrap();
     sch.install_program("/npss/accum", accumulator_image(), &["lerc-sgi-4d480"]).unwrap();
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();

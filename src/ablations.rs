@@ -81,7 +81,7 @@ fn stateful_image(len: usize) -> Res<ProgramImage> {
 /// The standard world with default link batching: coalescing, no flow
 /// control.
 fn batched_world() -> Res<Schooner> {
-    let config = SchoonerConfig::builder().link_batching(LinkConfig::default()).build();
+    let config = SchoonerConfig::builder().link_batching(LinkConfig).build();
     Ok(Schooner::standard_with(config)?)
 }
 

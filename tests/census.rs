@@ -185,7 +185,7 @@ export flow prog("x" val array[4] of float, "y" res array[4] of float)
 }
 
 fn echoes(rows: &mut Vec<Row>) {
-    let batched = SchoonerConfig::builder().link_batching(LinkConfig::default()).build();
+    let batched = SchoonerConfig::builder().link_batching(LinkConfig).build();
     for (world, config) in [("plain", SchoonerConfig::default()), ("batched", batched)] {
         let (first, second) = (echo_arms(&config), echo_arms(&config));
         let arms = ["call", "collect", "collect_into", "flow-collect_into"];

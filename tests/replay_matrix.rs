@@ -32,7 +32,7 @@ const BARRIER_EVERY: usize = 4;
 const CRAY: &str = "lerc-cray-ymp";
 /// What batching may move: its own families and the call latencies (a
 /// coalesced request leaves with its frame, at the latest member's send).
-const LINK_LAYER: [&str; 3] = ["net.batch.", "net.credit.", "rpc.call_s."];
+const LINK_LAYER: [&str; 2] = ["net.batch.", "rpc.call_s."];
 const GOLDEN: &str = "tests/golden/replay_matrix.txt";
 const SESSION_GOLDENS: [(&str, &str); 2] = [
     ("session/solo", "tests/golden/table2_session.metrics.json"),

@@ -5,12 +5,12 @@
 //! format, the intermediate representation, and the receiver's native
 //! format. This bench times that round trip on bulk double arrays for
 //! the same-format pair and for the Cray and VAX codecs, which do real
-//! bit-field work: the reference tagged codec (wire v1, `uts::wire`,
-//! timed directly — the runtime no longer reaches it) against the
-//! compiled marshal plan (wire v2) the stubs run, plus the share of a
-//! standard Schooner world's call payloads counted on the plan path. It
-//! asserts its floors and writes `BENCH_marshal.json` at the repository
-//! root:
+//! bit-field work: the reference tagged codec (wire v1, the test oracle
+//! `crates/uts/tests/support/oracle.rs`, timed directly — the runtime
+//! no longer reaches it) against the compiled marshal plan (wire v2) the
+//! stubs run, plus the share of a standard Schooner world's call
+//! payloads counted on the plan path. It asserts its floors and writes
+//! `BENCH_marshal.json` at the repository root:
 //!
 //! ```sh
 //! BENCH_QUICK=1 cargo bench --bench ablation_uts_convert   # CI smoke
@@ -21,8 +21,13 @@ use std::time::Instant;
 use bytes::Bytes;
 use npss_sim::schooner::stub::CompiledStub;
 use npss_sim::schooner::{FnProcedure, ProgramImage, Schooner};
-use npss_sim::uts::native::through_native;
 use npss_sim::uts::{self, Architecture, Type, Value};
+
+#[allow(dead_code)]
+#[path = "../crates/uts/tests/support/oracle.rs"]
+mod oracle;
+
+use oracle::through_native;
 
 /// A stub whose single input is `array[len] of double` — the payload
 /// shape the speedup floor is set on.
@@ -47,14 +52,14 @@ fn reference_marshal(stub: &CompiledStub, args: &[Value], from: Architecture) ->
         .zip(&stub.input_types)
         .map(|(v, ty)| through_native(v, ty, from).unwrap())
         .collect();
-    uts::wire::encode_values(&native).unwrap()
+    oracle::encode_values(&native).unwrap()
 }
 
 /// The reference pipeline's unmarshal half: tagged wire decode, then the
 /// receiver-native pass.
 fn reference_unmarshal(stub: &CompiledStub, wire: Bytes, to: Architecture) -> Vec<Value> {
     let types: Vec<&Type> = stub.input_types.iter().collect();
-    let decoded = uts::wire::decode_values(wire, &types).unwrap();
+    let decoded = oracle::decode_values(wire, &types).unwrap();
     decoded.iter().zip(&types).map(|(v, ty)| through_native(v, ty, to).unwrap()).collect()
 }
 

@@ -107,7 +107,7 @@ impl Json {
 
     /// Parse a JSON document.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { s, at: 0 };
+        let mut p = Parser { s, at: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -193,10 +193,16 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How many arrays and objects one document may nest. Saved-network
+/// files nest six deep; the parser recurses once per level.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     s: &'a str,
     /// Byte offset into `s`, always on a character boundary.
     at: usize,
+    /// Arrays and objects open around the current value.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,11 +240,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nested more than {MAX_DEPTH} deep at byte {}", self.at))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.at)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -393,6 +409,21 @@ mod tests {
         let text = doc.pretty();
         assert!(text.len() > 1 << 20);
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    /// Nesting past the bound is an error naming the byte offset, never
+    /// a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        // 64 levels of `[{"k":` pairs, then one array too many at byte 192.
+        let deep = format!("{}[]{}", "[{\"k\":".repeat(MAX_DEPTH / 2), "}]".repeat(MAX_DEPTH / 2));
+        assert_eq!(Json::parse(&deep).unwrap_err(), "nested more than 64 deep at byte 192");
+        assert_eq!(
+            Json::parse(&"[".repeat(200_000)).unwrap_err(),
+            "nested more than 64 deep at byte 64"
+        );
     }
 
     #[test]

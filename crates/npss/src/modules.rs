@@ -486,6 +486,15 @@ impl AvsModule for SystemModule {
             return Ok(());
         }
 
+        // The executive balances with Newton-Raphson only (it has no RK4
+        // relaxation), so any other choice fails the run.
+        let steady = ctx.widget_choice("steady-state method")?;
+        if steady != "Newton-Raphson" {
+            return Err(format!(
+                "system: steady-state method '{steady}' is not available in the executive \
+                 (it balances with Newton-Raphson)"
+            ));
+        }
         let method = match ctx.widget_choice("transient method")? {
             "Fourth-order Runge-Kutta" => TransientMethod::RungeKutta4,
             "Adams" => TransientMethod::Adams,

@@ -322,12 +322,7 @@ fn run_workload(
             Ok((transcript, start, end))
         }
         Workload::FloodSweep { lines, variants } => {
-            let cfg = SweepConfig {
-                lines: *lines,
-                variants: *variants,
-                seed: req.seed,
-                ..SweepConfig::default()
-            };
+            let cfg = SweepConfig { lines: *lines, variants: *variants, seed: req.seed };
             let mut driver = SweepDriver::start(sch, cfg).map_err(|e| e.to_string())?;
             let report = driver.run().map_err(|e| e.to_string())?;
             driver.shutdown();

@@ -2,8 +2,8 @@
 //!
 //! The Table 2 engine makes a handful of remote calls per solver step; a
 //! design-space sweep makes thousands. [`SweepDriver`] opens `lines`
-//! parallel Schooner lines on one host, binds each to the adapted duct
-//! procedure on a target host, and floods seeded [`flight_profile`]
+//! parallel Schooner lines on the UA Sparc 10, binds each to the adapted
+//! duct procedure on the LeRC RS6000, and floods seeded [`flight_profile`]
 //! variants across the link wave-style: every round syncs the lines to a
 //! common instant, issues one request per line in slot order, then
 //! collects in slot order — the same split-phase discipline the wave
@@ -69,16 +69,20 @@ pub fn flight_profile(seed: u64, n: usize) -> Vec<FlightPoint> {
         .collect()
 }
 
+/// Host the sweep's module lines run on (the sending side): The
+/// University of Arizona, the paper's wide-area shape.
+const MODULE_HOST: &str = "ua-sparc10";
+/// Host the duct processes run on (the receiving side): the LeRC RS6000,
+/// over the Internet link — maximum latency per message, so coalescing
+/// has the most to amortize.
+const TARGET_HOST: &str = "lerc-rs6000";
+
 /// Configuration of a flood sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Host the sweep's module lines run on (the sending side).
-    pub module_host: String,
-    /// Host the duct processes run on (the receiving side).
-    pub target_host: String,
     /// Parallel lines — the wave width. Every round issues one call per
     /// line before collecting any, so all of a round's requests share
-    /// the `module_host -> target_host` link at the same instant.
+    /// the `MODULE_HOST -> TARGET_HOST` link at the same instant.
     pub lines: usize,
     /// Total flight-profile variants to evaluate.
     pub variants: usize,
@@ -87,18 +91,8 @@ pub struct SweepConfig {
 }
 
 impl Default for SweepConfig {
-    /// The paper's wide-area shape: lines at The University of Arizona
-    /// flooding duct evaluations on the LeRC RS6000 over the Internet
-    /// link — maximum latency per message, so coalescing has the most
-    /// to amortize.
     fn default() -> Self {
-        Self {
-            module_host: "ua-sparc10".to_owned(),
-            target_host: "lerc-rs6000".to_owned(),
-            lines: 8,
-            variants: 256,
-            seed: 0x5EED_F100,
-        }
+        Self { lines: 8, variants: 256, seed: 0x5EED_F100 }
     }
 }
 
@@ -130,14 +124,13 @@ impl SweepDriver {
     /// the same flood batched.
     pub fn start(world: &Schooner, cfg: SweepConfig) -> Result<Self, String> {
         world
-            .install_program(SWEEP_PROC_PATH, procs::duct_image(), &[cfg.target_host.as_str()])
+            .install_program(SWEEP_PROC_PATH, procs::duct_image(), &[TARGET_HOST])
             .map_err(|e| e.to_string())?;
         let mut execs = Vec::with_capacity(cfg.lines);
         for k in 0..cfg.lines {
-            let line = world
-                .open_line(&format!("sweep-{k}"), &cfg.module_host)
-                .map_err(|e| e.to_string())?;
-            execs.push(RemoteExec::start(line, SWEEP_PROC_PATH, &cfg.target_host)?);
+            let line =
+                world.open_line(&format!("sweep-{k}"), MODULE_HOST).map_err(|e| e.to_string())?;
+            execs.push(RemoteExec::start(line, SWEEP_PROC_PATH, TARGET_HOST)?);
         }
         Ok(Self { outs: vec![Vec::new(); execs.len()], execs, cfg })
     }

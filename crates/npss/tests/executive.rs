@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use avs::{NetworkDescription, WidgetInput};
 use npss::engine_exec::{Exec, ExecutiveEngine, Scheduling};
 use npss::experiments::max_rel_diff;
 use npss::f100::{F100Network, RemotePlacement, TABLE2_PLACEMENT};
@@ -50,6 +51,38 @@ fn f100_network_builds_and_renders_figure2() {
     assert!(names.contains(&"pathname"));
     assert!(names.contains(&"moment inertia"));
     assert!(names.contains(&"spool speed"));
+}
+
+/// The system module's steady-state widget is read: the executive has
+/// no RK4 relaxation, so choosing it fails the run by name instead of
+/// balancing with Newton-Raphson anyway.
+#[test]
+fn steady_state_method_choice_is_honoured() {
+    let mut net = F100Network::build(world(), "ua-sparc10").unwrap();
+    let system = net.id("system");
+    let choose = |net: &mut F100Network, method: &str| {
+        let choice = WidgetInput::Choice(method.to_owned());
+        net.editor.set_widget(system, "steady-state method", choice).unwrap();
+    };
+    choose(&mut net, "Fourth-order Runge-Kutta");
+    let err = net.run("Modified Euler", 0.04, 0.02).unwrap_err();
+    assert!(err.contains("'Fourth-order Runge-Kutta'"), "{err}");
+    choose(&mut net, "Newton-Raphson");
+    assert_eq!(net.run("Modified Euler", 0.04, 0.02).unwrap().samples.len(), 3);
+}
+
+/// A saved network is file text: nesting past the JSON parser's bound is
+/// an error, never a stack overflow, and a saved F100 network restores.
+#[test]
+fn saved_network_text_is_parsed_with_bounded_nesting() {
+    let err = NetworkDescription::from_json(&"[".repeat(200_000)).unwrap_err();
+    assert!(err.contains("at byte 64"), "{err}");
+    let sch = world();
+    let net = F100Network::build(sch.clone(), "ua-sparc10").unwrap();
+    let text = net.save().to_json();
+    let saved = NetworkDescription::from_json(&text).unwrap();
+    let restored = F100Network::restore(&saved, sch, "ua-sparc10").unwrap();
+    assert_eq!(restored.render(), net.render());
 }
 
 #[test]

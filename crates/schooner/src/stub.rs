@@ -335,15 +335,12 @@ export shaft prog(
     }
 
     /// The runtime speaks one codec: a payload of the reference tagged
-    /// codec is well-formed for its own decoder but a typed wire error
-    /// here, never a fallback.
+    /// codec (wire v1: array tag, count 1, float tag, 1.0f32 big-endian)
+    /// is a typed wire error here, never a fallback.
     #[test]
     fn reference_codec_payload_is_a_typed_error() {
         let stub = shaft_stub();
-        let args = shaft_args();
-        let tagged = uts::wire::encode_values(&args).unwrap();
-        let types: Vec<&Type> = stub.input_types.iter().collect();
-        assert_eq!(uts::wire::decode_values(tagged.clone(), &types).unwrap(), args);
+        let tagged = Bytes::from_static(b"\x07\x00\x00\x00\x01\x02\x3f\x80\x00\x00");
         let err = stub.unmarshal_inputs(tagged, Architecture::SunSparc10).unwrap_err();
         assert!(matches!(err, SchError::Uts(uts::Error::Wire(_))), "{err}");
     }

@@ -125,14 +125,6 @@ impl Architecture {
             _ => FortranCase::Lower,
         }
     }
-
-    /// True when the architecture's formats are bit-compatible with the
-    /// canonical wire representation (big-endian IEEE), meaning conversion
-    /// is a pure copy.
-    pub fn is_wire_native(self) -> bool {
-        matches!(self.float_repr(), FloatRepr::IeeeBig)
-            && matches!(self.int_repr(), IntRepr::I32Big)
-    }
 }
 
 impl fmt::Display for Architecture {
@@ -159,21 +151,12 @@ mod tests {
         assert_eq!(Architecture::CrayYmp.int_repr(), IntRepr::I64Cray);
         assert_eq!(Architecture::CrayYmp.float_repr(), FloatRepr::Cray);
         assert_eq!(Architecture::CrayYmp.fortran_case(), FortranCase::Upper);
-        assert!(!Architecture::CrayYmp.is_wire_native());
-    }
-
-    #[test]
-    fn sparc_is_wire_native() {
-        assert!(Architecture::SunSparc10.is_wire_native());
-        assert!(Architecture::Sgi4D.is_wire_native());
-        assert!(Architecture::IbmRs6000.is_wire_native());
     }
 
     #[test]
     fn intel_is_little_endian() {
         assert_eq!(Architecture::IntelI860.int_repr(), IntRepr::I32Little);
         assert_eq!(Architecture::IntelI860.float_repr(), FloatRepr::IeeeLittle);
-        assert!(!Architecture::IntelI860.is_wire_native());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * an **intermediate wire representation** through which all data
 //!   passes when crossing machine boundaries: **compiled marshal plans**
 //!   ([`plan`]) compile a signature once into a flat opcode sequence,
-//!   pack scalar arrays contiguously, and bypass the native round-trip on
+//!   pack scalar arrays contiguously, and bypass the native conversion on
 //!   IEEE architectures;
 //! * **per-architecture native formats** ([`native`]) and conversion
 //!   routines between a machine's native representation and the wire
@@ -19,11 +19,12 @@
 //!   exponent range forces the out-of-range policy described in the paper;
 //! * **signature checking** ([`check`]) used by the Schooner Manager to
 //!   type-check calls at runtime, including the subset rule that allows an
-//!   import specification to name a subset of an export's parameters;
-//! * the **reference tagged codec** ([`wire`], wire v1) — the oracle for
-//!   `tests/wire_v2_differential.rs` and `BENCH_marshal.json`, whose
-//!   conversion semantics the plans preserve exactly; not used by the
-//!   runtime.
+//!   import specification to name a subset of an export's parameters.
+//!
+//! The plans are the crate's one codec. The tagged codec they replaced
+//! (wire v1) and its Value-level native round trip are a test oracle in
+//! `tests/support/oracle.rs`, compiled only into this crate's tests and
+//! the A4 bench, whose conversion semantics the plans preserve exactly.
 //!
 //! The flow of an argument value in a remote call is:
 //!
@@ -45,7 +46,6 @@
 //!
 //! ```
 //! use uts::{parse_spec_file, Architecture, MarshalPlan, Type, Value};
-//! use uts::native::through_native;
 //!
 //! let spec = parse_spec_file(r#"
 //!     export setshaft prog(
@@ -58,11 +58,12 @@
 //! let setshaft = spec.find("setshaft").unwrap();
 //! assert_eq!(setshaft.input_params().count(), 4);
 //!
-//! // A single-precision value converts exactly through the Cray's
+//! // Single-precision values convert exactly through the Cray's
 //! // 48-bit-mantissa native format...
 //! let v = Value::floats(&[1.0, 2.5, -3.25, 0.0]);
-//! let ty = &setshaft.params[0].ty;
-//! assert_eq!(through_native(&v, ty, Architecture::CrayYmp).unwrap(), v);
+//! let plan = MarshalPlan::compile(&[setshaft.params[0].ty.clone()]);
+//! let wire = plan.encode(&[v.clone()], Architecture::SunSparc10).unwrap();
+//! assert_eq!(plan.decode(wire, Architecture::CrayYmp).unwrap(), [v]);
 //!
 //! // ...but an integer only the Cray's 64-bit word can hold is an error
 //! // at the 32-bit wire boundary, per the paper's chosen policy.
@@ -78,7 +79,6 @@ pub mod plan;
 pub mod spec;
 pub mod types;
 pub mod value;
-pub mod wire;
 
 pub use arch::Architecture;
 pub use check::{check_call_args, check_import_against_export, CheckedCall};

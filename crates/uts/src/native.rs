@@ -14,16 +14,13 @@
 //!   biased 128 with a hidden bit and PDP-11 word order; *narrower* range
 //!   than IEEE, so IEEE values near 3.4e38 overflow it.
 //!
-//! The conversion pipeline for one parameter is
-//! `Value → caller-native bytes → Value → wire bytes` on the sending side
-//! and `wire bytes → Value → callee-native bytes → Value` on the receiving
-//! side, so every range and precision hazard of the real system occurs here
-//! for the same reason.
+//! IEEE machines need no codec: their formats are the wire's, up to byte
+//! order. The compiled marshal plans ([`crate::plan`]) apply these codecs
+//! per scalar — the sender's on encode, the receiver's on decode — so
+//! every range and precision hazard of the real system occurs for the
+//! same reason.
 
-use crate::arch::{Architecture, FloatRepr, IntRepr};
 use crate::error::{Error, Result};
-use crate::types::{Type, WIRE_INTEGER_MAX, WIRE_INTEGER_MIN};
-use crate::value::Value;
 
 /// `ldexp(x, e) = x * 2^e` computed safely for the exponent ranges the Cray
 /// codec produces (|e| ≤ ~1200 after range pre-checks).
@@ -292,245 +289,6 @@ pub mod vax {
     }
 }
 
-/// Append the native encoding of `value` (which must conform to `ty`) for
-/// the given architecture to `out`.
-pub fn encode_native(
-    value: &Value,
-    ty: &Type,
-    arch: Architecture,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    value.expect_type(ty)?;
-    encode_native_unchecked(value, arch, out)
-}
-
-fn put_native_int(i: i64, arch: Architecture, out: &mut Vec<u8>) -> Result<()> {
-    match arch.int_repr() {
-        IntRepr::I32Big | IntRepr::I32Little => {
-            if !(WIRE_INTEGER_MIN..=WIRE_INTEGER_MAX).contains(&i) {
-                return Err(Error::OutOfRange {
-                    what: "integer",
-                    value: i.to_string(),
-                    target: format!("{arch} 32-bit integer"),
-                });
-            }
-            let v = i as i32;
-            match arch.int_repr() {
-                IntRepr::I32Big => out.extend_from_slice(&v.to_be_bytes()),
-                _ => out.extend_from_slice(&v.to_le_bytes()),
-            }
-        }
-        IntRepr::I64Cray => out.extend_from_slice(&i.to_be_bytes()),
-    }
-    Ok(())
-}
-
-fn get_native_int(buf: &mut &[u8], arch: Architecture) -> Result<i64> {
-    let width = arch.int_repr().width();
-    if buf.len() < width {
-        return Err(Error::Wire(format!("truncated native integer on {arch}")));
-    }
-    let (head, rest) = buf.split_at(width);
-    *buf = rest;
-    let v = match arch.int_repr() {
-        IntRepr::I32Big => i64::from(i32::from_be_bytes(head.try_into().unwrap())),
-        IntRepr::I32Little => i64::from(i32::from_le_bytes(head.try_into().unwrap())),
-        IntRepr::I64Cray => i64::from_be_bytes(head.try_into().unwrap()),
-    };
-    Ok(v)
-}
-
-fn put_native_f32(x: f32, arch: Architecture, out: &mut Vec<u8>) -> Result<()> {
-    match arch.float_repr() {
-        FloatRepr::IeeeBig => out.extend_from_slice(&x.to_be_bytes()),
-        FloatRepr::IeeeLittle => out.extend_from_slice(&x.to_le_bytes()),
-        FloatRepr::Cray => out.extend_from_slice(&cray::encode(x as f64)?.to_be_bytes()),
-        FloatRepr::Vax => out.extend_from_slice(&vax::encode_f(x)?),
-    }
-    Ok(())
-}
-
-fn get_native_f32(buf: &mut &[u8], arch: Architecture) -> Result<f32> {
-    let width = match arch.float_repr() {
-        FloatRepr::Cray => 8,
-        _ => 4,
-    };
-    if buf.len() < width {
-        return Err(Error::Wire(format!("truncated native float on {arch}")));
-    }
-    let (head, rest) = buf.split_at(width);
-    *buf = rest;
-    match arch.float_repr() {
-        FloatRepr::IeeeBig => Ok(f32::from_be_bytes(head.try_into().unwrap())),
-        FloatRepr::IeeeLittle => Ok(f32::from_le_bytes(head.try_into().unwrap())),
-        FloatRepr::Cray => {
-            let x = cray::decode(u64::from_be_bytes(head.try_into().unwrap()))?;
-            if x.is_finite() && x.abs() > f32::MAX as f64 {
-                return Err(Error::OutOfRange {
-                    what: "float",
-                    value: x.to_string(),
-                    target: "IEEE 754 single".into(),
-                });
-            }
-            Ok(x as f32)
-        }
-        FloatRepr::Vax => vax::decode_f(head.try_into().unwrap()),
-    }
-}
-
-fn put_native_f64(x: f64, arch: Architecture, out: &mut Vec<u8>) -> Result<()> {
-    match arch.float_repr() {
-        FloatRepr::IeeeBig => out.extend_from_slice(&x.to_be_bytes()),
-        FloatRepr::IeeeLittle => out.extend_from_slice(&x.to_le_bytes()),
-        FloatRepr::Cray => out.extend_from_slice(&cray::encode(x)?.to_be_bytes()),
-        FloatRepr::Vax => out.extend_from_slice(&vax::encode_d(x)?),
-    }
-    Ok(())
-}
-
-fn get_native_f64(buf: &mut &[u8], arch: Architecture) -> Result<f64> {
-    if buf.len() < 8 {
-        return Err(Error::Wire(format!("truncated native double on {arch}")));
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    match arch.float_repr() {
-        FloatRepr::IeeeBig => Ok(f64::from_be_bytes(head.try_into().unwrap())),
-        FloatRepr::IeeeLittle => Ok(f64::from_le_bytes(head.try_into().unwrap())),
-        FloatRepr::Cray => cray::decode(u64::from_be_bytes(head.try_into().unwrap())),
-        FloatRepr::Vax => vax::decode_d(head.try_into().unwrap()),
-    }
-}
-
-fn encode_native_unchecked(value: &Value, arch: Architecture, out: &mut Vec<u8>) -> Result<()> {
-    match value {
-        Value::Integer(i) => put_native_int(*i, arch, out),
-        Value::Float(x) => put_native_f32(*x, arch, out),
-        Value::Double(x) => put_native_f64(*x, arch, out),
-        Value::Byte(b) => {
-            out.push(*b);
-            Ok(())
-        }
-        Value::Boolean(b) => {
-            out.push(u8::from(*b));
-            Ok(())
-        }
-        Value::String(s) => {
-            put_native_int(s.len() as i64, arch, out)?;
-            out.extend_from_slice(s.as_bytes());
-            Ok(())
-        }
-        Value::Array(items) => {
-            for item in items {
-                encode_native_unchecked(item, arch, out)?;
-            }
-            Ok(())
-        }
-        Value::Record(fields) => {
-            for (_, v) in fields {
-                encode_native_unchecked(v, arch, out)?;
-            }
-            Ok(())
-        }
-        Value::Integers(xs) => {
-            for &i in xs.iter() {
-                put_native_int(i, arch, out)?;
-            }
-            Ok(())
-        }
-        Value::Floats(xs) => {
-            for &x in xs.iter() {
-                put_native_f32(x, arch, out)?;
-            }
-            Ok(())
-        }
-        Value::Doubles(xs) => {
-            for &x in xs.iter() {
-                put_native_f64(x, arch, out)?;
-            }
-            Ok(())
-        }
-        Value::Bytes(bs) => {
-            out.extend_from_slice(bs);
-            Ok(())
-        }
-    }
-}
-
-/// Decode a native byte buffer (produced by [`encode_native`] on the same
-/// architecture) back into a value of type `ty`.
-pub fn decode_native(buf: &[u8], ty: &Type, arch: Architecture) -> Result<Value> {
-    let mut cursor = buf;
-    let v = decode_native_inner(&mut cursor, ty, arch)?;
-    if !cursor.is_empty() {
-        return Err(Error::Wire(format!("{} trailing native bytes on {arch}", cursor.len())));
-    }
-    Ok(v)
-}
-
-fn decode_native_inner(buf: &mut &[u8], ty: &Type, arch: Architecture) -> Result<Value> {
-    match ty {
-        Type::Integer => Ok(Value::Integer(get_native_int(buf, arch)?)),
-        Type::Float => Ok(Value::Float(get_native_f32(buf, arch)?)),
-        Type::Double => Ok(Value::Double(get_native_f64(buf, arch)?)),
-        Type::Byte => {
-            if buf.is_empty() {
-                return Err(Error::Wire("truncated native byte".into()));
-            }
-            let b = buf[0];
-            *buf = &buf[1..];
-            Ok(Value::Byte(b))
-        }
-        Type::Boolean => {
-            if buf.is_empty() {
-                return Err(Error::Wire("truncated native boolean".into()));
-            }
-            let b = buf[0];
-            *buf = &buf[1..];
-            Ok(Value::Boolean(b != 0))
-        }
-        Type::String => {
-            let len = get_native_int(buf, arch)?;
-            if len < 0 {
-                return Err(Error::Wire("negative native string length".into()));
-            }
-            let len = len as usize;
-            if buf.len() < len {
-                return Err(Error::Wire("truncated native string".into()));
-            }
-            let (head, rest) = buf.split_at(len);
-            *buf = rest;
-            let s = std::str::from_utf8(head)
-                .map_err(|e| Error::Wire(format!("invalid UTF-8 in native string: {e}")))?;
-            Ok(Value::String(s.to_owned()))
-        }
-        Type::Array { len, elem } => {
-            let mut items = Vec::with_capacity(*len);
-            for _ in 0..*len {
-                items.push(decode_native_inner(buf, elem, arch)?);
-            }
-            Ok(Value::Array(items))
-        }
-        Type::Record { fields } => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (name, fty) in fields {
-                out.push((name.clone(), decode_native_inner(buf, fty, arch)?));
-            }
-            Ok(Value::Record(out))
-        }
-    }
-}
-
-/// Run a value through the sender-side half of the marshaling pipeline:
-/// encode into `arch`'s native bytes, decode back (applying that
-/// architecture's precision/range semantics), and return the value as the
-/// wire layer will see it.
-pub fn through_native(value: &Value, ty: &Type, arch: Architecture) -> Result<Value> {
-    let mut buf = Vec::new();
-    encode_native(value, ty, arch, &mut buf)?;
-    decode_native(&buf, ty, arch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,114 +399,5 @@ mod tests {
     fn vax_d_overflow_is_error() {
         assert!(vax::encode_d(1.0e300).is_err());
         assert!(vax::encode_d(f64::MAX).is_err());
-    }
-
-    #[test]
-    fn native_int_round_trip_all_archs() {
-        for arch in Architecture::ALL {
-            for i in [0i64, 1, -1, i32::MAX as i64, i32::MIN as i64] {
-                let mut buf = Vec::new();
-                put_native_int(i, arch, &mut buf).unwrap();
-                let mut cur = buf.as_slice();
-                assert_eq!(get_native_int(&mut cur, arch).unwrap(), i, "{arch} {i}");
-                assert!(cur.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn big_integer_fits_only_on_cray() {
-        let big = 1i64 << 40;
-        let mut buf = Vec::new();
-        assert!(put_native_int(big, Architecture::CrayYmp, &mut buf).is_ok());
-        let mut cur = buf.as_slice();
-        assert_eq!(get_native_int(&mut cur, Architecture::CrayYmp).unwrap(), big);
-        let mut buf = Vec::new();
-        assert!(put_native_int(big, Architecture::SunSparc10, &mut buf).is_err());
-    }
-
-    #[test]
-    fn endianness_differs_between_sparc_and_i860() {
-        let mut be = Vec::new();
-        let mut le = Vec::new();
-        put_native_int(0x0102_0304, Architecture::SunSparc10, &mut be).unwrap();
-        put_native_int(0x0102_0304, Architecture::IntelI860, &mut le).unwrap();
-        assert_eq!(be, vec![1, 2, 3, 4]);
-        assert_eq!(le, vec![4, 3, 2, 1]);
-    }
-
-    #[test]
-    fn through_native_identity_on_ieee_archs() {
-        let ty = Type::Record {
-            fields: vec![
-                ("xs".into(), Type::Array { len: 4, elem: Box::new(Type::Float) }),
-                ("n".into(), Type::Integer),
-                ("d".into(), Type::Double),
-                ("s".into(), Type::String),
-            ],
-        };
-        let v = Value::Record(vec![
-            ("xs".into(), Value::floats(&[1.0, -2.5, 3.25, 0.0])),
-            ("n".into(), Value::Integer(42)),
-            ("d".into(), Value::Double(-1.25e-8)),
-            ("s".into(), Value::String("f100".into())),
-        ]);
-        for arch in [
-            Architecture::SunSparc10,
-            Architecture::Sgi4D,
-            Architecture::IbmRs6000,
-            Architecture::IntelI860,
-            Architecture::Cm5Node,
-        ] {
-            assert_eq!(through_native(&v, &ty, arch).unwrap(), v, "{arch}");
-        }
-    }
-
-    #[test]
-    fn through_native_cray_exact_for_floats() {
-        let ty = Type::Array { len: 4, elem: Box::new(Type::Float) };
-        let v = Value::floats(&[1.0, -2.5, 3.25e10, 1.0e-12]);
-        assert_eq!(through_native(&v, &ty, Architecture::CrayYmp).unwrap(), v);
-    }
-
-    #[test]
-    fn through_native_cray_rounds_full_precision_double() {
-        let x = std::f64::consts::PI;
-        let out = through_native(&Value::Double(x), &Type::Double, Architecture::CrayYmp).unwrap();
-        match out {
-            Value::Double(y) => {
-                assert_ne!(y, x);
-                assert!((y - x).abs() / x < 2f64.powi(-47));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn through_native_convex_exact_in_range() {
-        let ty =
-            Type::Record { fields: vec![("f".into(), Type::Float), ("d".into(), Type::Double)] };
-        let v = Value::Record(vec![
-            ("f".into(), Value::Float(0.125)),
-            ("d".into(), Value::Double(98.6)),
-        ]);
-        assert_eq!(through_native(&v, &ty, Architecture::ConvexC220).unwrap(), v);
-    }
-
-    #[test]
-    fn decode_native_detects_trailing_bytes() {
-        let mut buf = Vec::new();
-        encode_native(&Value::Integer(5), &Type::Integer, Architecture::SunSparc10, &mut buf)
-            .unwrap();
-        buf.push(0);
-        assert!(decode_native(&buf, &Type::Integer, Architecture::SunSparc10).is_err());
-    }
-
-    #[test]
-    fn decode_native_detects_truncation() {
-        let mut buf = Vec::new();
-        encode_native(&Value::Double(1.0), &Type::Double, Architecture::SunSparc10, &mut buf)
-            .unwrap();
-        assert!(decode_native(&buf[..7], &Type::Double, Architecture::SunSparc10).is_err());
     }
 }

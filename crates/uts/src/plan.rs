@@ -1,7 +1,8 @@
 //! Compiled marshal plans and the v2 untagged wire format.
 //!
-//! The reference tagged codec ([`crate::wire`], v1) interprets the `Type`
-//! tree for every value of every call: each array element is boxed as a [`Value`], recursively
+//! The tagged codec these plans replaced (wire v1, now the test oracle
+//! `tests/support/oracle.rs`) interprets the `Type` tree for every value
+//! of every call: each array element is boxed as a [`Value`], recursively
 //! type-checked, converted through the sender's native format via an
 //! intermediate byte buffer, and emitted with its own tag byte. This
 //! module compiles a procedure signature **once** into a flat opcode
@@ -183,8 +184,8 @@ impl MarshalPlan {
     }
 
     /// Encode `values` as a v2 payload, applying `arch`'s native-format
-    /// conversion per scalar exactly as the v1 pipeline's
-    /// `through_native` + tagged encode would.
+    /// conversion per scalar exactly as the v1 pipeline's sender-native
+    /// pass + tagged encode would.
     pub fn encode(&self, values: &[Value], arch: Architecture) -> Result<Bytes> {
         let mut buf = BytesMut::with_capacity(self.size_hint);
         self.encode_into(&mut buf, values, arch)?;
@@ -639,41 +640,9 @@ fn decode_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::through_native;
-    use crate::wire::{decode_values, encode_values};
 
     fn arr(len: usize, elem: Type) -> Type {
         Type::Array { len, elem: Box::new(elem) }
-    }
-
-    /// The full v1 pipeline for one architecture pair, for parity checks.
-    fn v1_round_trip(
-        values: &[Value],
-        types: &[Type],
-        from: Architecture,
-        to: Architecture,
-    ) -> Result<Vec<Value>> {
-        let sent: Vec<Value> = values
-            .iter()
-            .zip(types)
-            .map(|(v, t)| through_native(v, t, from))
-            .collect::<Result<_>>()?;
-        let bytes = encode_values(&sent)?;
-        let refs: Vec<&Type> = types.iter().collect();
-        let recv = decode_values(bytes, &refs)?;
-        recv.iter().zip(types).map(|(v, t)| through_native(v, t, to)).collect()
-    }
-
-    fn v2_round_trip(
-        values: &[Value],
-        types: &[Type],
-        from: Architecture,
-        to: Architecture,
-    ) -> Result<Vec<Value>> {
-        let plan = MarshalPlan::compile(types);
-        let bytes = plan.encode(values, from)?;
-        assert_eq!(bytes[0], V2_MAGIC);
-        plan.decode(bytes, to)
     }
 
     #[test]
@@ -732,46 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_matches_v1_on_every_arch_pair() {
-        let types = vec![
-            arr(8, Type::Double),
-            arr(5, Type::Float),
-            Type::Integer,
-            Type::Record {
-                fields: vec![
-                    ("name".into(), Type::String),
-                    ("flags".into(), arr(3, Type::Boolean)),
-                ],
-            },
-            arr(4, Type::Byte),
-        ];
-        let values = vec![
-            Value::doubles(&[0.0, 1.5, -2.25, 1.0e-8, 98.6, -1.0, 3.0, 0.125]),
-            Value::floats(&[1.0, -2.5, 3.25, 0.0, 42.0]),
-            Value::Integer(-7),
-            Value::Record(vec![
-                ("name".into(), Value::String("f100".into())),
-                (
-                    "flags".into(),
-                    Value::Array(vec![
-                        Value::Boolean(true),
-                        Value::Boolean(false),
-                        Value::Boolean(true),
-                    ]),
-                ),
-            ]),
-            Value::Bytes(Bytes::from(vec![1, 2, 3, 255])),
-        ];
-        for from in Architecture::ALL {
-            for to in Architecture::ALL {
-                let v1 = v1_round_trip(&values, &types, from, to).unwrap();
-                let v2 = v2_round_trip(&values, &types, from, to).unwrap();
-                assert_eq!(v1, v2, "{from} -> {to}");
-            }
-        }
-    }
-
-    #[test]
     fn cray_integer_fails_with_wire_range_error() {
         let types = vec![Type::Integer];
         let plan = MarshalPlan::compile(&types);
@@ -785,36 +714,6 @@ mod tests {
             Error::OutOfRange { target, .. } => assert!(target.contains("32-bit integer")),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn vax_overflow_and_cray_rounding_match_v1() {
-        let types = vec![Type::Double];
-        // VAX overflow: error on encode, same as v1.
-        assert!(v2_round_trip(
-            &[Value::Double(1.0e300)],
-            &types,
-            Architecture::ConvexC220,
-            Architecture::SunSparc10
-        )
-        .is_err());
-        // Cray rounding to 48 bits matches the v1 result bit-for-bit.
-        let x = std::f64::consts::PI;
-        let v1 = v1_round_trip(
-            &[Value::Double(x)],
-            &types,
-            Architecture::CrayYmp,
-            Architecture::SunSparc10,
-        )
-        .unwrap();
-        let v2 = v2_round_trip(
-            &[Value::Double(x)],
-            &types,
-            Architecture::CrayYmp,
-            Architecture::SunSparc10,
-        )
-        .unwrap();
-        assert_eq!(v1, v2);
     }
 
     #[test]
@@ -882,17 +781,6 @@ mod tests {
         }
         // Wrong arity is rejected before any encoding.
         assert!(plan.encode(&[], Architecture::Sgi4D).is_err());
-    }
-
-    #[test]
-    fn v1_payloads_are_never_mistaken_for_v2() {
-        let vals = vec![Value::Integer(1), Value::doubles(&[2.0])];
-        let bytes = encode_values(&vals).unwrap();
-        assert_ne!(bytes[0], V2_MAGIC);
-        let plan = MarshalPlan::compile(&[Type::Integer, arr(1, Type::Double)]);
-        assert!(matches!(plan.decode(bytes, Architecture::Sgi4D), Err(Error::Wire(_))));
-        // An empty payload (v1's encoding of zero values) has no marker either.
-        assert!(matches!(plan.decode(Bytes::new(), Architecture::Sgi4D), Err(Error::Wire(_))));
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! state    := "state" "(" STRING type { "," STRING type } ")"
 //! ```
 //!
+//! A type nests at most 32 `array`/`record` levels deep; a deeper one is
+//! a parse error at the keyword that opens level 33.
+//!
 //! The `state(...)` clause is the paper's planned extension for procedure
 //! migration: it lists the state variables whose values are packaged
 //! through UTS when a procedure instance is moved between machines.
@@ -265,16 +268,22 @@ impl<'a> Lexer<'a> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// How many `array … of` and `record` levels one type may nest. Spec text
+/// arrives in messages, and the parser recurses once per level.
+const MAX_TYPE_DEPTH: usize = 32;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     lookahead: Token,
+    /// `array`/`record` levels open around the type being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self> {
         let mut lexer = Lexer::new(src);
         let lookahead = lexer.next_token()?;
-        Ok(Self { lexer, lookahead })
+        Ok(Self { lexer, lookahead, depth: 0 })
     }
 
     fn err_at(&self, msg: impl Into<String>) -> Error {
@@ -326,6 +335,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_type(&mut self) -> Result<Type> {
+        let (line, col) = (self.lookahead.line, self.lookahead.col);
         let ident = self.expect_ident()?;
         match ident.as_str() {
             "integer" => Ok(Type::Integer),
@@ -334,6 +344,11 @@ impl<'a> Parser<'a> {
             "byte" => Ok(Type::Byte),
             "boolean" => Ok(Type::Boolean),
             "string" => Ok(Type::String),
+            "array" | "record" if self.depth == MAX_TYPE_DEPTH => Err(Error::Parse {
+                line,
+                col,
+                msg: format!("type nested more than {MAX_TYPE_DEPTH} levels deep"),
+            }),
             "array" => {
                 self.expect(&Tok::LBracket, "'['")?;
                 let len = match self.lookahead.tok {
@@ -348,7 +363,7 @@ impl<'a> Parser<'a> {
                 }
                 self.expect(&Tok::RBracket, "']'")?;
                 self.expect_keyword("of")?;
-                let elem = self.parse_type()?;
+                let elem = self.parse_inner_type()?;
                 Ok(Type::Array { len, elem: Box::new(elem) })
             }
             "record" => {
@@ -356,7 +371,7 @@ impl<'a> Parser<'a> {
                 let mut fields = Vec::new();
                 loop {
                     let name = self.expect_string()?;
-                    let ty = self.parse_type()?;
+                    let ty = self.parse_inner_type()?;
                     if fields.iter().any(|(n, _): &(String, Type)| n == &name) {
                         return Err(self.err_at(format!("duplicate record field \"{name}\"")));
                     }
@@ -373,6 +388,14 @@ impl<'a> Parser<'a> {
             }
             other => Err(self.err_at(format!("unknown type '{other}'"))),
         }
+    }
+
+    /// An array's element type or a record's field type: one level deeper.
+    fn parse_inner_type(&mut self) -> Result<Type> {
+        self.depth += 1;
+        let ty = self.parse_type();
+        self.depth -= 1;
+        ty
     }
 
     fn parse_mode(&mut self) -> Result<ParamMode> {
@@ -602,6 +625,43 @@ export integrator prog("dt" val double, "y" res double)
     #[test]
     fn zero_length_array_rejected() {
         assert!(parse_spec_file(r#"export f prog("x" val array[0] of float)"#).is_err());
+    }
+
+    /// `n` nested `array[1] of` levels, or `record ("f" … ) end` levels,
+    /// around an integer, as the one parameter of a declaration.
+    fn nested_spec(n: usize, record: bool) -> String {
+        let (open, close) =
+            if record { ("record (\"f\" ", ") end ") } else { ("array[1] of ", "") };
+        format!("export f prog(\"p\" val {}integer {})", open.repeat(n), close.repeat(n))
+    }
+
+    /// Spec text arrives in messages: nesting past the bound is a parse
+    /// error at the keyword that opens level 33, never a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        for record in [false, true] {
+            let file = parse_spec_file(&nested_spec(MAX_TYPE_DEPTH, record)).unwrap();
+            let mut ty = &file.decls[0].params[0].ty;
+            for _ in 0..MAX_TYPE_DEPTH {
+                ty = match ty {
+                    Type::Array { elem, .. } => elem,
+                    Type::Record { fields } => &fields[0].1,
+                    other => panic!("{other:?}"),
+                };
+            }
+            assert_eq!(ty, &Type::Integer);
+            // Both openers are 12 characters; the first starts at column 23.
+            let col = 23 + 12 * MAX_TYPE_DEPTH;
+            for n in [100_000, MAX_TYPE_DEPTH + 1] {
+                match parse_spec_file(&nested_spec(n, record)) {
+                    Err(Error::Parse { line: 1, col: c, msg }) => {
+                        assert_eq!(c, col, "{msg}");
+                        assert!(msg.contains("nested"), "{msg}");
+                    }
+                    other => panic!("{n} levels: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! Every packed length on both sides of the 16-byte inline limit (0–5
 //! floats, 0–3 doubles and integers) is encoded on each of the seven
 //! architectures and decoded on each, and the elements must carry the
-//! same bits as the tagged reference pipeline (`uts::wire` plus
-//! `native::through_native`) gives. A digest of every decoded bit pins
-//! the sweep to the figures the shared-array representation produced.
+//! same bits as the tagged reference pipeline (`support/oracle.rs`)
+//! gives. A digest of every decoded bit pins the sweep to the figures the
+//! shared-array representation produced.
 //! Conversion errors, equality across representations, and the `Debug`
 //! and `Display` strings are pinned the same way.
 
+#[allow(dead_code)]
+#[path = "support/oracle.rs"]
+mod oracle;
+
+use oracle::{decode_values, encode_values, through_native};
 use testkit::SplitMix64;
-use uts::native::through_native;
-use uts::wire::{decode_values, encode_values};
 use uts::{Architecture, Error, MarshalPlan, Type, Value};
 
 fn arr(len: usize, elem: Type) -> Type {

@@ -57,7 +57,7 @@ impl ModuleLibrary {
     }
 
     /// Instantiate with an explicit instance name.
-    pub fn instantiate_named(
+    pub(crate) fn instantiate_named(
         &self,
         type_name: &str,
         instance_name: &str,

@@ -91,19 +91,6 @@ impl NetworkEditor {
         Ok(id)
     }
 
-    /// Remove a module: its `destroy` runs and all its wires are cut.
-    pub fn remove_module(&mut self, id: ModuleId) -> Result<(), String> {
-        let slot = self
-            .slots
-            .get_mut(id.0)
-            .and_then(Option::take)
-            .ok_or_else(|| format!("no module {id:?}"))?;
-        let mut instance = slot;
-        instance.module.destroy();
-        self.connections.retain(|c| c.from != id && c.to != id);
-        Ok(())
-    }
-
     /// Remove every module (clearing the network).
     pub fn clear(&mut self) {
         for slot in &mut self.slots {
@@ -488,22 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_module_runs_destroy_and_cuts_wires() {
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut ed = NetworkEditor::new();
-        let s = ed.add_module("s", Box::new(Source)).unwrap();
-        let p = ed.add_module("p", Box::new(Pass)).unwrap();
-        let d = ed.add_module("d", Box::new(DropFlag(flag.clone()))).unwrap();
-        ed.connect(s, "out", p, "in").unwrap();
-        ed.remove_module(d).unwrap();
-        assert!(flag.load(std::sync::atomic::Ordering::SeqCst));
-        assert!(ed.find("d").is_none());
-        ed.remove_module(p).unwrap();
-        assert!(ed.connections().is_empty());
-        assert!(ed.remove_module(p).is_err(), "double remove");
-    }
-
-    #[test]
     fn clear_destroys_everything() {
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut ed = NetworkEditor::new();
@@ -625,25 +596,22 @@ mod tests {
     }
 
     #[test]
-    fn levels_stable_under_insert_and_remove() {
+    fn levels_stable_under_insert() {
         let mut ed = NetworkEditor::new();
         let s = ed.add_module("s", Box::new(Source)).unwrap();
         let a = ed.add_module("a", Box::new(Pass)).unwrap();
         ed.connect(s, "out", a, "in").unwrap();
         let before = level_names(&ed);
         // Inserting a disconnected module leaves existing levels alone.
-        let x = ed.add_module("x", Box::new(Source)).unwrap();
+        ed.add_module("x", Box::new(Source)).unwrap();
         let with_x = level_names(&ed);
         assert_eq!(with_x[0], vec!["s", "x"]);
         assert_eq!(with_x[1], before[1]);
-        // Removing it restores the original leveling exactly.
-        ed.remove_module(x).unwrap();
-        assert_eq!(level_names(&ed), before);
         // Wiring the newcomer in *behind* a module deepens only that arm.
         let y = ed.add_module("y", Box::new(Pass)).unwrap();
         ed.connect(a, "out", y, "in").unwrap();
         let with_y = level_names(&ed);
-        assert_eq!(with_y[..2], before[..2]);
+        assert_eq!(with_y[..2], with_x[..2]);
         assert_eq!(with_y[2], vec!["y"]);
     }
 
@@ -672,8 +640,8 @@ mod tests {
         assert_eq!(level_names(&fresh), level_names(&ed));
 
         let mut offset = NetworkEditor::new();
-        let pre = offset.add_module("pre-existing", Box::new(Source)).unwrap();
-        offset.remove_module(pre).unwrap();
+        offset.add_module("pre-existing", Box::new(Source)).unwrap();
+        offset.clear();
         saved.restore(&lib, &mut offset).unwrap();
         assert_eq!(level_names(&offset), level_names(&ed));
     }

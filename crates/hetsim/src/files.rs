@@ -39,11 +39,6 @@ impl FileStore {
         self.inner.read().unwrap().get(&(host.to_owned(), path.to_owned())).cloned()
     }
 
-    /// Read a file as UTF-8 text.
-    pub fn read_text(&self, host: &str, path: &str) -> Option<String> {
-        self.read(host, path).and_then(|b| String::from_utf8(b.as_ref().clone()).ok())
-    }
-
     /// True when the file exists on that host.
     pub fn exists(&self, host: &str, path: &str) -> bool {
         self.inner.read().unwrap().contains_key(&(host.to_owned(), path.to_owned()))
@@ -90,7 +85,7 @@ mod tests {
         fs.write("a", "/maps/fan.map", "fan data");
         assert!(fs.exists("a", "/maps/fan.map"));
         assert!(!fs.exists("b", "/maps/fan.map"));
-        assert_eq!(fs.read_text("a", "/maps/fan.map").unwrap(), "fan data");
+        assert_eq!(fs.read("a", "/maps/fan.map").unwrap().as_slice(), b"fan data");
         assert!(fs.read("b", "/maps/fan.map").is_none());
     }
 
@@ -99,7 +94,7 @@ mod tests {
         let fs = FileStore::new();
         fs.write("a", "/f", "v1");
         fs.write("a", "/f", "v2");
-        assert_eq!(fs.read_text("a", "/f").unwrap(), "v2");
+        assert_eq!(fs.read("a", "/f").unwrap().as_slice(), b"v2");
     }
 
     #[test]
@@ -122,7 +117,7 @@ mod tests {
         assert!(fs.remove("a", "/f"));
         assert!(!fs.remove("a", "/f"));
         assert!(!fs.copy("a", "/f", "c"), "source gone");
-        assert_eq!(fs.read_text("b", "/f").unwrap(), "data");
+        assert_eq!(fs.read("b", "/f").unwrap().as_slice(), b"data");
     }
 
     #[test]
@@ -131,6 +126,5 @@ mod tests {
         let data = vec![0u8, 255, 128, 7];
         fs.write("a", "/bin", data.clone());
         assert_eq!(fs.read("a", "/bin").unwrap().as_ref(), &data);
-        assert!(fs.read_text("a", "/bin").is_none() || !data.is_empty());
     }
 }

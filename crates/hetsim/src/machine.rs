@@ -10,7 +10,8 @@ use crate::load::LoadModel;
 /// A machine available to run remote procedures.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    /// Topology host name (e.g. `lerc-cray-ymp`).
+    /// Topology host name (a `netsim::sites::TESTBED_HOSTS` name in the
+    /// standard park).
     pub host: String,
     /// The machine's architecture (data formats, naming conventions).
     pub arch: Architecture,
@@ -83,27 +84,25 @@ impl MachinePark {
     }
 }
 
-/// The standard machine park matching `netsim::npss_testbed`.
+/// The standard machine park: one machine per host of
+/// `netsim::sites::TESTBED_HOSTS`.
 ///
 /// Speeds are relative, tuned so that (as in 1992) the Cray dominates on
 /// raw floating-point throughput while workstations pay far less in
 /// network distance.
 pub fn standard_park() -> MachinePark {
-    let specs: [(&str, Architecture, &str, f64); 8] = [
-        ("lerc-sparc10", Architecture::SunSparc10, "Sun Sparc 10", 10.0),
-        ("lerc-sgi-4d480", Architecture::Sgi4D, "SGI 4D/480", 32.0),
-        ("lerc-sgi-4d420", Architecture::Sgi4D, "SGI 4D/420", 24.0),
-        ("lerc-cray-ymp", Architecture::CrayYmp, "Cray YMP", 300.0),
-        ("lerc-convex", Architecture::ConvexC220, "Convex C220", 50.0),
-        ("lerc-rs6000", Architecture::IbmRs6000, "IBM RS6000", 40.0),
-        ("ua-sparc10", Architecture::SunSparc10, "Sun Sparc 10", 10.0),
-        ("ua-sgi-4d340", Architecture::Sgi4D, "SGI 4D/340", 18.0),
-    ];
-    MachinePark::new(specs.into_iter().map(|(host, arch, desc, speed)| Machine {
-        host: host.to_owned(),
-        arch,
-        description: desc.to_owned(),
-        speed_mflops: speed,
+    MachinePark::new(netsim::sites::TESTBED_HOSTS.iter().map(|h| {
+        let (arch, speed_mflops) = match h.machine {
+            "Sun Sparc 10" => (Architecture::SunSparc10, 10.0),
+            "SGI 4D/480" => (Architecture::Sgi4D, 32.0),
+            "SGI 4D/420" => (Architecture::Sgi4D, 24.0),
+            "SGI 4D/340" => (Architecture::Sgi4D, 18.0),
+            "Cray YMP" => (Architecture::CrayYmp, 300.0),
+            "Convex C220" => (Architecture::ConvexC220, 50.0),
+            "IBM RS6000" => (Architecture::IbmRs6000, 40.0),
+            other => panic!("no machine model for testbed machine {other:?}"),
+        };
+        Machine { host: h.name.to_owned(), arch, description: h.machine.to_owned(), speed_mflops }
     }))
 }
 

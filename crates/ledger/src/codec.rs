@@ -45,17 +45,6 @@ pub fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
     xs.iter().for_each(|&x| put_f64(out, x));
 }
 
-/// Append `0` for `None`, or `1` and what `put` writes.
-pub fn put_opt<T>(out: &mut Vec<u8>, v: Option<T>, put: impl FnOnce(&mut Vec<u8>, T)) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put(out, x);
-        }
-    }
-}
-
 /// What a read found wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -260,8 +249,8 @@ mod tests {
         put_str(&mut str3, "abc");
         let mut f64s2 = Vec::new();
         put_f64s(&mut f64s2, &[1.0, -2.0]);
-        let mut some = Vec::new();
-        put_opt(&mut some, Some(7), put_u64);
+        let mut some = vec![1];
+        put_u64(&mut some, 7);
         let count = |c: usize| match c {
             0..4 => trunc(0, 4),
             _ => CodecError { pos: 0, kind: ErrorKind::Count(2) },
@@ -402,7 +391,7 @@ mod tests {
         put_f64(&mut out, nan);
         put_str(&mut out, "");
         put_bytes(&mut out, &[]);
-        put_opt(&mut out, None::<u64>, put_u64);
+        out.push(0); // `None`
         put_f64s(&mut out, &[-0.0, nan]);
         put_u32(&mut out, u32::MAX);
         let mut r = Reader::new(&out);

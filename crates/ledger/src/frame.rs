@@ -26,9 +26,9 @@ use crate::codec::{put_u32, Reader};
 use crate::error::LedgerError;
 
 /// File magic: identifies a ledger journal.
-pub const MAGIC: &[u8; 8] = b"NPSSLEDG";
+pub(crate) const MAGIC: &[u8; 8] = b"NPSSLEDG";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 /// Bytes in the file header (magic + version).
 pub const FILE_HEADER_LEN: usize = MAGIC.len() + 4;
 /// Bytes in each frame header (len + crc).

@@ -6,9 +6,9 @@ use crate::record::{CheckpointRec, Record, RecordKind, RecordTag};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// A journal loaded into memory, with query helpers: latest checkpoint
-/// per path, retained-checkpoint sets (with journaled evictions applied),
-/// incarnation high-water marks, and metrics as of a sequence point. This
+/// A journal loaded into memory, with query helpers: retained-checkpoint
+/// sets (with journaled evictions applied), incarnation high-water
+/// marks, and metrics as of a sequence point. This
 /// is everything `recover_from_journal` and the `replay` CLI need — the
 /// world can be gone.
 pub struct Repository {
@@ -23,7 +23,7 @@ impl Repository {
     }
 
     /// Wrap an already-replayed journal.
-    pub fn from_replay(replayed: Replay) -> Self {
+    pub(crate) fn from_replay(replayed: Replay) -> Self {
         Self { records: replayed.records, torn_bytes: replayed.torn_bytes }
     }
 
@@ -72,7 +72,7 @@ impl Repository {
 
     /// [`Repository::retained_checkpoints`] considering only records
     /// with `seq <= seq_point`.
-    pub fn retained_checkpoints_as_of(&self, seq_point: u64) -> Vec<CheckpointRec<'_>> {
+    pub(crate) fn retained_checkpoints_as_of(&self, seq_point: u64) -> Vec<CheckpointRec<'_>> {
         let mut retained: Vec<CheckpointRec<'_>> = Vec::new();
         for r in self.records.iter().take_while(|r| r.seq <= seq_point) {
             match &r.kind {
@@ -99,22 +99,6 @@ impl Repository {
             }
         }
         retained
-    }
-
-    /// The newest retained checkpoint for `(line, path)`, if any.
-    pub fn latest_checkpoint(&self, line: u64, path: &str) -> Option<CheckpointRec<'_>> {
-        self.retained_checkpoints().into_iter().rfind(|c| c.line == line && c.path == path)
-    }
-
-    /// The newest retained checkpoint per `(line, path)` key.
-    pub fn latest_checkpoints(&self) -> Vec<CheckpointRec<'_>> {
-        let mut latest: HashMap<(u64, &str), CheckpointRec<'_>> = HashMap::new();
-        for c in self.retained_checkpoints() {
-            latest.insert((c.line, c.path), c);
-        }
-        let mut out: Vec<_> = latest.into_values().collect();
-        out.sort_by_key(|c| c.seq);
-        out
     }
 
     /// The highest incarnation the journal has seen (over checkpoint
@@ -180,9 +164,6 @@ mod tests {
         assert_eq!(retained[1].line, 2);
         // As-of before the eviction, both duct checkpoints stand.
         assert_eq!(r.retained_checkpoints_as_of(2).len(), 2);
-        assert_eq!(r.latest_checkpoint(1, "/p/duct").unwrap().taken_at, 20.0);
-        assert!(r.latest_checkpoint(1, "/p/nozzle").is_none());
-        assert_eq!(r.latest_checkpoints().len(), 2);
     }
 
     #[test]

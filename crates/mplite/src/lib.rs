@@ -255,7 +255,7 @@ pub struct TaskCtx {
 
 impl TaskCtx {
     /// This task's id.
-    pub fn tid(&self) -> TaskId {
+    pub(crate) fn tid(&self) -> TaskId {
         self.tid
     }
 

@@ -47,9 +47,9 @@ use std::sync::Arc;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Frame magic: "NB" (netsim batch).
-pub const FRAME_MAGIC: [u8; 2] = *b"NB";
+pub(crate) const FRAME_MAGIC: [u8; 2] = *b"NB";
 /// Link frame format version.
-pub const FRAME_VERSION: u8 = 2;
+pub(crate) const FRAME_VERSION: u8 = 2;
 /// Fixed frame header length in bytes.
 pub const FRAME_HEADER_LEN: usize = 15;
 /// Smallest possible record: two empty addresses (2 + 2 length bytes),
@@ -81,7 +81,7 @@ pub enum FrameError {
         /// Bytes actually available.
         have: usize,
     },
-    /// The first two bytes are not [`FRAME_MAGIC`].
+    /// The first two bytes are not `FRAME_MAGIC`.
     BadMagic([u8; 2]),
     /// Unsupported frame version.
     BadVersion(u8),
@@ -190,7 +190,7 @@ impl FrameBuilder {
     // Addresses are `host:port` strings and payloads one call's
     // arguments, far inside the u16/u32 length fields.
     #[allow(clippy::expect_used)]
-    pub fn push_with(
+    pub(crate) fn push_with(
         &mut self,
         from: &str,
         to: &str,

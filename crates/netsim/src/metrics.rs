@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Upper bounds (seconds, virtual time) of the histogram's log-scale
 /// buckets; an implicit `+inf` bucket catches the rest. The range spans
 /// sub-microsecond local calls up to tens-of-seconds WAN retries.
-pub const BUCKET_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
+pub(crate) const BUCKET_BOUNDS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
 
 /// One named distribution of virtual-time durations.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,22 +154,6 @@ impl MetricsRegistry {
     /// Snapshot of a histogram, if it has ever been observed.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         lock(&self.store).histograms.get(name).cloned()
-    }
-
-    /// Names of all counters whose name starts with `prefix`, in sorted
-    /// order (pass `""` for everything).
-    pub fn counter_names(&self, prefix: &str) -> Vec<String> {
-        lock(&self.store).counters.keys().filter(|k| k.starts_with(prefix)).cloned().collect()
-    }
-
-    /// Names of all histograms whose name starts with `prefix`, sorted.
-    pub fn histogram_names(&self, prefix: &str) -> Vec<String> {
-        lock(&self.store).histograms.keys().filter(|k| k.starts_with(prefix)).cloned().collect()
-    }
-
-    /// Names of all gauges whose name starts with `prefix`, sorted.
-    pub fn gauge_names(&self, prefix: &str) -> Vec<String> {
-        lock(&self.store).gauges.keys().filter(|k| k.starts_with(prefix)).cloned().collect()
     }
 
     /// Forget everything (fresh-world tests).
@@ -378,25 +362,12 @@ mod tests {
         m.gauge_add("pool.busy_workers", 2);
         assert_eq!(m.gauge("pool.queue_depth"), 2);
         assert_eq!(m.gauge("pool.busy_workers"), 2);
-        assert_eq!(m.gauge_names("pool."), vec!["pool.busy_workers", "pool.queue_depth"]);
         let snap = m.snapshot_json();
         assert!(snap.contains("\"pool.queue_depth\": 2"));
         // Gauges honor the exclusion prefixes like every other family.
         assert!(!m.snapshot_json_excluding(&["pool."]).contains("pool.queue_depth"));
         m.clear();
         assert_eq!(m.gauge("pool.queue_depth"), 0);
-    }
-
-    #[test]
-    fn prefix_queries_filter_names() {
-        let m = MetricsRegistry::new();
-        m.counter_add("net.msg.a->b", 1);
-        m.counter_add("net.bytes.a->b", 64);
-        m.counter_add("rpc.calls", 1);
-        m.observe("rpc.call_s.a->b", 0.1);
-        assert_eq!(m.counter_names("net."), vec!["net.bytes.a->b", "net.msg.a->b"]);
-        assert_eq!(m.counter_names(""), vec!["net.bytes.a->b", "net.msg.a->b", "rpc.calls"]);
-        assert_eq!(m.histogram_names("rpc."), vec!["rpc.call_s.a->b"]);
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! sites are joined by an Internet path. Machines are placed so that the
 //! paper's three network classes all occur:
 //!
-//! * **local Ethernet** — e.g. `lerc-sparc10` ↔ `lerc-sgi-4d480`;
-//! * **same building, multiple gateways** — e.g. `lerc-sparc10` ↔
-//!   `lerc-convex` (two gateway crossings);
+//! * **local Ethernet** — two hosts on one subnet;
+//! * **same building, multiple gateways** — the LeRC workstation lab and
+//!   supercomputer center subnets (two gateway crossings);
 //! * **via Internet** — anything between `lerc-*` and `ua-*`.
+//!
+//! [`TESTBED_HOSTS`] is the one table of hosts: the topology, the
+//! recovery replicas and `hetsim`'s machine park are all read from it.
 
 use crate::topology::{Link, NodeKind, Topology};
 
@@ -21,16 +24,6 @@ pub enum Site {
     UniversityOfArizona,
 }
 
-impl Site {
-    /// Human-readable name as used in the paper's tables.
-    pub fn display_name(self) -> &'static str {
-        match self {
-            Site::LewisResearchCenter => "Lewis Research Center",
-            Site::UniversityOfArizona => "The University of Arizona",
-        }
-    }
-}
-
 /// A host in the standard testbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostSpec {
@@ -40,24 +33,47 @@ pub struct HostSpec {
     pub site: Site,
     /// Human-readable machine description (matches the paper's tables).
     pub machine: &'static str,
+    /// The switch node of the Ethernet subnet the host hangs off.
+    pub subnet: &'static str,
 }
 
-/// The machines of the standard NPSS testbed.
+/// The machines of the standard NPSS testbed, each subnet's hosts
+/// together, in the order [`npss_testbed`] adds them.
 ///
-/// Subnet placement (encoded in [`npss_testbed`]):
-/// at LeRC, the workstation lab subnet holds the Sparc 10 and both SGIs;
+/// At LeRC, the workstation lab subnet holds the Sparc 10 and both SGIs;
 /// the supercomputer center subnet (two gateways away) holds the Cray,
 /// the Convex, and the RS6000. At UA both hosts share one subnet.
-pub const TESTBED_HOSTS: [HostSpec; 8] = [
-    HostSpec { name: "lerc-sparc10", site: Site::LewisResearchCenter, machine: "Sun Sparc 10" },
-    HostSpec { name: "lerc-sgi-4d480", site: Site::LewisResearchCenter, machine: "SGI 4D/480" },
-    HostSpec { name: "lerc-sgi-4d420", site: Site::LewisResearchCenter, machine: "SGI 4D/420" },
-    HostSpec { name: "lerc-cray-ymp", site: Site::LewisResearchCenter, machine: "Cray YMP" },
-    HostSpec { name: "lerc-convex", site: Site::LewisResearchCenter, machine: "Convex C220" },
-    HostSpec { name: "lerc-rs6000", site: Site::LewisResearchCenter, machine: "IBM RS6000" },
-    HostSpec { name: "ua-sparc10", site: Site::UniversityOfArizona, machine: "Sun Sparc 10" },
-    HostSpec { name: "ua-sgi-4d340", site: Site::UniversityOfArizona, machine: "SGI 4D/340" },
-];
+pub const TESTBED_HOSTS: [HostSpec; 8] = {
+    const fn host(
+        name: &'static str,
+        site: Site,
+        machine: &'static str,
+        subnet: &'static str,
+    ) -> HostSpec {
+        HostSpec { name, site, machine, subnet }
+    }
+    use Site::{LewisResearchCenter as LeRC, UniversityOfArizona as UA};
+    [
+        host("lerc-sparc10", LeRC, "Sun Sparc 10", "lerc-lab-net"),
+        host("lerc-sgi-4d480", LeRC, "SGI 4D/480", "lerc-lab-net"),
+        host("lerc-sgi-4d420", LeRC, "SGI 4D/420", "lerc-lab-net"),
+        host("lerc-cray-ymp", LeRC, "Cray YMP", "lerc-scc-net"),
+        host("lerc-convex", LeRC, "Convex C220", "lerc-scc-net"),
+        host("lerc-rs6000", LeRC, "IBM RS6000", "lerc-scc-net"),
+        host("ua-sparc10", UA, "Sun Sparc 10", "ua-net"),
+        host("ua-sgi-4d340", UA, "SGI 4D/340", "ua-net"),
+    ]
+};
+
+/// Adds `site`'s hosts in table order, each on an Ethernet link to its
+/// subnet's switch.
+fn add_hosts(t: &mut Topology, site: Site) {
+    for h in TESTBED_HOSTS.iter().filter(|h| h.site == site) {
+        let subnet = t.node(h.subnet).expect("a subnet's switch is added before its hosts");
+        let host = t.add_node(h.name, NodeKind::Host);
+        t.add_link(host, subnet, Link::ethernet());
+    }
+}
 
 /// Build the standard two-site topology.
 pub fn npss_testbed() -> Topology {
@@ -69,17 +85,7 @@ pub fn npss_testbed() -> Topology {
     let lerc_gw2 = t.add_node("lerc-gw2", NodeKind::Gateway);
     let lerc_scc = t.add_node("lerc-scc-net", NodeKind::Switch);
     let lerc_border = t.add_node("lerc-border", NodeKind::Gateway);
-
-    // Workstation lab subnet.
-    for host in ["lerc-sparc10", "lerc-sgi-4d480", "lerc-sgi-4d420"] {
-        let h = t.add_node(host, NodeKind::Host);
-        t.add_link(h, lerc_lab, Link::ethernet());
-    }
-    // Supercomputer center subnet, two building gateways away.
-    for host in ["lerc-cray-ymp", "lerc-convex", "lerc-rs6000"] {
-        let h = t.add_node(host, NodeKind::Host);
-        t.add_link(h, lerc_scc, Link::ethernet());
-    }
+    add_hosts(&mut t, Site::LewisResearchCenter);
     // lab — gw1 — gw2 — scc is the only internal path, so lab↔scc traffic
     // crosses two gateways ("same building, multiple gateways"); the
     // border router hangs off gw1 and carries only wide-area traffic.
@@ -91,10 +97,7 @@ pub fn npss_testbed() -> Topology {
     // --- The University of Arizona ---
     let ua_net = t.add_node("ua-net", NodeKind::Switch);
     let ua_border = t.add_node("ua-border", NodeKind::Gateway);
-    for host in ["ua-sparc10", "ua-sgi-4d340"] {
-        let h = t.add_node(host, NodeKind::Host);
-        t.add_link(h, ua_net, Link::ethernet());
-    }
+    add_hosts(&mut t, Site::UniversityOfArizona);
     t.add_link(ua_net, ua_border, Link::building_hop());
 
     // --- The Internet between them ---
@@ -108,23 +111,15 @@ pub fn host_spec(name: &str) -> Option<&'static HostSpec> {
     TESTBED_HOSTS.iter().find(|h| h.name == name)
 }
 
-/// The designated recovery replica for a testbed host: the nearest
-/// machine on the same subnet, where a supervised procedure can be
-/// respawned after its home host crashes. Pairs are mutual within each
-/// subnet; the Cray's replica is the Convex sitting next to it in the
-/// supercomputer center, etc.
+/// The designated recovery replica for a testbed host, where a
+/// supervised procedure can be respawned after its home host crashes:
+/// the next host on the same subnet in [`TESTBED_HOSTS`] order, or, for
+/// the subnet's last host, the one before it.
 pub fn replica_of(host: &str) -> Option<&'static str> {
-    Some(match host {
-        "lerc-sparc10" => "lerc-sgi-4d480",
-        "lerc-sgi-4d480" => "lerc-sgi-4d420",
-        "lerc-sgi-4d420" => "lerc-sgi-4d480",
-        "lerc-cray-ymp" => "lerc-convex",
-        "lerc-convex" => "lerc-rs6000",
-        "lerc-rs6000" => "lerc-convex",
-        "ua-sparc10" => "ua-sgi-4d340",
-        "ua-sgi-4d340" => "ua-sparc10",
-        _ => return None,
-    })
+    let subnet = host_spec(host)?.subnet;
+    let peers = TESTBED_HOSTS.iter().filter(|h| h.subnet == subnet);
+    let next = peers.clone().skip_while(|h| h.name != host).nth(1);
+    next.or_else(|| peers.take_while(|h| h.name != host).last()).map(|h| h.name)
 }
 
 #[cfg(test)]
@@ -193,22 +188,21 @@ mod tests {
     }
 
     #[test]
-    fn replicas_are_testbed_hosts_on_a_reachable_path() {
-        let t = npss_testbed();
-        for h in TESTBED_HOSTS {
-            let r = replica_of(h.name).expect("every testbed host has a replica");
-            assert_ne!(r, h.name);
-            assert!(host_spec(r).is_some(), "replica {r} must be a testbed host");
-            let a = t.node(h.name).unwrap();
-            let b = t.node(r).unwrap();
-            assert!(t.transfer_seconds(a, b, 1).is_some());
-        }
+    fn replicas_are_the_paired_hosts() {
+        let pairs = TESTBED_HOSTS.map(|h| (h.name, replica_of(h.name).unwrap()));
+        assert_eq!(
+            pairs,
+            [
+                ("lerc-sparc10", "lerc-sgi-4d480"),
+                ("lerc-sgi-4d480", "lerc-sgi-4d420"),
+                ("lerc-sgi-4d420", "lerc-sgi-4d480"),
+                ("lerc-cray-ymp", "lerc-convex"),
+                ("lerc-convex", "lerc-rs6000"),
+                ("lerc-rs6000", "lerc-convex"),
+                ("ua-sparc10", "ua-sgi-4d340"),
+                ("ua-sgi-4d340", "ua-sparc10"),
+            ]
+        );
         assert!(replica_of("nonesuch").is_none());
-    }
-
-    #[test]
-    fn site_names_match_paper() {
-        assert_eq!(Site::LewisResearchCenter.display_name(), "Lewis Research Center");
-        assert_eq!(Site::UniversityOfArizona.display_name(), "The University of Arizona");
     }
 }

@@ -239,16 +239,6 @@ impl Network {
         Ok(Endpoint { addr, host, rx, id, net: self.clone() })
     }
 
-    /// Remove an endpoint registration.
-    pub fn unregister(&self, addr: &str) {
-        self.inner.endpoints.write().unwrap().remove(addr);
-    }
-
-    /// True when an endpoint is registered at `addr`.
-    pub fn is_registered(&self, addr: &str) -> bool {
-        self.inner.endpoints.read().unwrap().contains_key(addr)
-    }
-
     /// Mark a host up or down. Sends to or from a down host fail.
     pub fn set_host_up(&self, host: &str, up: bool) {
         self.inner.down_hosts.write().unwrap().insert(host.to_owned(), !up);
@@ -955,19 +945,6 @@ mod tests {
         });
         let _ = net.send("a:x", "b:svc", Bytes::new(), 0.0);
         assert_eq!(net.metrics().counter("net.fault.partitioned"), 1);
-    }
-
-    #[test]
-    fn unregister_removes_endpoint() {
-        let net = net3();
-        let _pb = net.register("b:svc").unwrap();
-        assert!(net.is_registered("b:svc"));
-        net.unregister("b:svc");
-        assert!(!net.is_registered("b:svc"));
-        assert!(matches!(
-            net.send("a:x", "b:svc", Bytes::new(), 0.0),
-            Err(NetError::UnknownAddress(_))
-        ));
     }
 
     #[test]

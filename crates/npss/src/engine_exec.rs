@@ -709,7 +709,7 @@ impl ExecutiveEngine {
     /// into its current instance, best effort — the inverse of
     /// [`ExecutiveEngine::checkpoint_remotes`], used by journal-driven
     /// recovery after `Schooner::seed_recovery` repopulated the store.
-    pub fn restore_remotes(&mut self) {
+    pub(crate) fn restore_remotes(&mut self) {
         for s in &mut self.slots {
             if let Exec::Remote(r) = &mut s.exec {
                 let _ = r.restore(s.proc);

@@ -17,7 +17,7 @@ use uts::Value;
 
 /// A procedure image used by the Figure 1 program: `work(x) -> y` doing a
 /// fixed amount of simulated floating-point work.
-pub fn work_image(name: &str, flops: f64) -> ProgramImage {
+pub(crate) fn work_image(name: &str, flops: f64) -> ProgramImage {
     ProgramImage::new(name, r#"export work prog("x" val double, "y" res double)"#)
         .expect("spec parses")
         .with_procedure("work", move || {

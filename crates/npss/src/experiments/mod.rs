@@ -24,13 +24,13 @@ pub fn network_class(sch: &schooner::Schooner, a: &str, b: &str) -> String {
     if a == b {
         return "same machine".to_owned();
     }
-    let (gateways, cross_site) = sch.ctx().net.with_topology(|t| {
+    let site = |host| netsim::sites::host_spec(host).expect("a testbed host").site;
+    let gateways = sch.ctx().net.with_topology(|t| {
         let na = t.node(a).expect("host in topology");
         let nb = t.node(b).expect("host in topology");
-        let gw = t.gateways_crossed(na, nb).unwrap_or(usize::MAX);
-        (gw, a.split('-').next() != b.split('-').next())
+        t.gateways_crossed(na, nb).unwrap_or(usize::MAX)
     });
-    if cross_site {
+    if site(a) != site(b) {
         "via Internet".to_owned()
     } else if gateways == 0 {
         "local Ethernet".to_owned()

@@ -20,7 +20,7 @@ use crate::experiments::{max_rel_diff, network_class};
 use crate::f100::{F100Network, RemotePlacement};
 
 /// The AVS machine of the Table 2 run.
-pub const TABLE2_AVS_MACHINE: &str = "ua-sparc10";
+pub(crate) const TABLE2_AVS_MACHINE: &str = "ua-sparc10";
 
 /// Run configuration. The paper's run is the default: a steady-state
 /// balance followed by a one-second transient with Improved Euler.

@@ -260,7 +260,7 @@ impl F100Network {
     /// The module library that can rebuild saved NPSS networks for the
     /// given executive services: one entry per component type in the
     /// services' registry, plus the system module and the probe.
-    pub fn module_library(services: Arc<ExecutiveServices>) -> ModuleLibrary {
+    pub(crate) fn module_library(services: Arc<ExecutiveServices>) -> ModuleLibrary {
         let mut lib = ModuleLibrary::new();
         for type_name in services.registry().type_names() {
             let services = services.clone();

@@ -79,7 +79,7 @@ impl ExecutiveServices {
     }
 
     /// Fresh services with an explicit component registry.
-    pub fn with_registry(
+    pub(crate) fn with_registry(
         schooner: Arc<Schooner>,
         avs_host: &str,
         registry: ComponentRegistry,
@@ -104,20 +104,20 @@ impl ExecutiveServices {
     }
 
     /// Publish the execution waves derived from the current network.
-    pub fn set_wave_plan(&self, plan: WavePlan) {
+    pub(crate) fn set_wave_plan(&self, plan: WavePlan) {
         *self.wave_plan.lock().unwrap() = plan;
     }
 
     /// The machine-selection radio choices: "local" plus every testbed
     /// host (the strings between colons in the paper's widget call).
-    pub fn machine_choices(&self) -> Vec<String> {
+    pub(crate) fn machine_choices(&self) -> Vec<String> {
         let mut v = vec!["local".to_owned()];
         v.extend(self.schooner.ctx().park.hosts().iter().map(|s| s.to_string()));
         v
     }
 
     /// A snapshot of the component registry.
-    pub fn registry(&self) -> ComponentRegistry {
+    pub(crate) fn registry(&self) -> ComponentRegistry {
         self.registry.read().unwrap().clone()
     }
 
@@ -131,12 +131,12 @@ impl ExecutiveServices {
     }
 
     /// The typed spec of a registered component type.
-    pub fn component_spec(&self, type_name: &str) -> Option<ComponentSpec> {
+    pub(crate) fn component_spec(&self, type_name: &str) -> Option<ComponentSpec> {
         self.registry.read().unwrap().spec(type_name)
     }
 
     /// The engine cycle selected for the next run.
-    pub fn cycle(&self) -> tess::CycleDesign {
+    pub(crate) fn cycle(&self) -> tess::CycleDesign {
         self.cycle.lock().unwrap().clone()
     }
 
@@ -149,13 +149,13 @@ impl ExecutiveServices {
     /// Current widget-driven placements: slot → (machine, path), in
     /// sorted slot order — the order their lines are opened in, which
     /// the journal and every line id depend on.
-    pub fn placements(&self) -> BTreeMap<String, (String, String)> {
+    pub(crate) fn placements(&self) -> BTreeMap<String, (String, String)> {
         self.placements.lock().unwrap().clone()
     }
 
     /// Record where a slot's computation runs and which executable serves
     /// it (machine `"local"` selects the in-process version).
-    pub fn set_placement(&self, slot: &str, machine: &str, path: &str) {
+    pub(crate) fn set_placement(&self, slot: &str, machine: &str, path: &str) {
         self.placements
             .lock()
             .unwrap()
@@ -163,32 +163,27 @@ impl ExecutiveServices {
     }
 
     /// Forget a slot's placement (its module left the network).
-    pub fn remove_placement(&self, slot: &str) {
+    pub(crate) fn remove_placement(&self, slot: &str) {
         self.placements.lock().unwrap().remove(slot);
     }
 
-    /// A physics-widget value published by a component module.
-    pub fn param(&self, slot: &str, widget: &str) -> Option<f64> {
-        self.params.lock().unwrap().get(&(slot.to_owned(), widget.to_owned())).copied()
-    }
-
     /// Snapshot of all published physics-widget values.
-    pub fn params(&self) -> HashMap<(String, String), f64> {
+    pub(crate) fn params(&self) -> HashMap<(String, String), f64> {
         self.params.lock().unwrap().clone()
     }
 
     /// Publish a physics-widget value.
-    pub fn set_param(&self, slot: &str, widget: &str, value: f64) {
+    pub(crate) fn set_param(&self, slot: &str, widget: &str, value: f64) {
         self.params.lock().unwrap().insert((slot.to_owned(), widget.to_owned()), value);
     }
 
     /// Most recent simulation result, if a run has completed.
-    pub fn result(&self) -> Option<TransientResult> {
+    pub(crate) fn result(&self) -> Option<TransientResult> {
         self.result.lock().unwrap().clone()
     }
 
     /// Store the result of a completed run.
-    pub fn set_result(&self, result: TransientResult) {
+    pub(crate) fn set_result(&self, result: TransientResult) {
         *self.result.lock().unwrap() = Some(result);
     }
 
@@ -198,19 +193,19 @@ impl ExecutiveServices {
     }
 
     /// Store the executor statistics of a completed run.
-    pub fn set_report(&self, rows: Vec<ExecReportRow>) {
+    pub(crate) fn set_report(&self, rows: Vec<ExecReportRow>) {
         *self.report.lock().unwrap() = rows;
     }
 
     /// The component type a live module slot was built from.
-    pub fn module_type_of(&self, slot: &str) -> Option<String> {
+    pub(crate) fn module_type_of(&self, slot: &str) -> Option<String> {
         self.module_types.lock().unwrap().get(slot).cloned()
     }
 
     /// The default executable pathname of a slot: the `remote_path` its
     /// component type declares (`None` for types without one, which never
     /// show placement widgets).
-    pub fn default_path_of_slot(&self, slot: &str) -> Option<String> {
+    pub(crate) fn default_path_of_slot(&self, slot: &str) -> Option<String> {
         let type_name = self.module_type_of(slot)?;
         self.component_spec(&type_name)?.remote_path
     }

@@ -81,7 +81,7 @@ export duct prog(
 "#;
 
 /// Combustor export specification.
-pub const COMBUSTOR_SPEC: &str = r#"
+pub(crate) const COMBUSTOR_SPEC: &str = r#"
 export setcomb prog(
     "eta" val float,
     "dp"  val float,
@@ -97,7 +97,7 @@ export comb prog(
 
 /// Nozzle export specification. `out` is
 /// `[w_capacity, gross_thrust, exit_velocity, p_exit]`.
-pub const NOZZLE_SPEC: &str = r#"
+pub(crate) const NOZZLE_SPEC: &str = r#"
 export setnozl prog(
     "area" val float,
     "cd"   val float,

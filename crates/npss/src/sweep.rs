@@ -23,7 +23,7 @@ use crate::exec::{PendingCall, RemoteExec};
 use crate::procs;
 
 /// Installed path of the duct executable the sweep floods.
-pub const SWEEP_PROC_PATH: &str = "/npss/npss-duct";
+pub(crate) const SWEEP_PROC_PATH: &str = "/npss/npss-duct";
 
 /// One seeded flight-profile variant: a duct inlet condition and loss
 /// fraction, the argument set of one `duct` call.

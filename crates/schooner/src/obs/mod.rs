@@ -97,7 +97,7 @@ impl Obs {
     }
 
     /// Whether event recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Acquire)
     }
 
@@ -171,7 +171,7 @@ impl Obs {
         }
     }
 
-    /// Drop the open span of a failed call attempt and count it.
+    /// Drop the open span of a failed call attempt.
     pub fn span_abandon(&self, line: u64, call: u64) {
         lock(&self.inner.spans).abandon(line, call);
     }
@@ -187,11 +187,6 @@ impl Obs {
         let mut v = self.completed_spans();
         v.retain(|s| s.line == line);
         v
-    }
-
-    /// Number of spans abandoned by failed attempts.
-    pub fn abandoned_spans(&self) -> u64 {
-        lock(&self.inner.spans).abandoned()
     }
 
     /// Drop all span state (events and metrics are unaffected).
@@ -270,7 +265,6 @@ mod tests {
         let obs = Obs::new();
         obs.span_start(1, 1, "duct", "a", "b", 0.0);
         obs.span_abandon(1, 1);
-        assert_eq!(obs.abandoned_spans(), 1);
         assert!(obs.metrics().histogram("rpc.call_s.a->b").is_none());
     }
 

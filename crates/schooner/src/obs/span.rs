@@ -6,7 +6,7 @@
 //! unmarshal time; the serving process records its compute time (the
 //! request message carries the line and call id, so the attribution
 //! needs no string matching). A span closes when the caller unmarshals
-//! the reply; attempts that error out are abandoned and counted, so the
+//! the reply; attempts that error out are abandoned, so the
 //! completed set holds exactly the successful calls. Figure-1 breakdowns
 //! and the `costs` CLI read these spans instead of parsing trace text.
 
@@ -194,7 +194,6 @@ pub fn critical_path(spans: &[CallSpan]) -> CriticalPath {
 pub(crate) struct SpanTable {
     open: HashMap<(u64, u64), CallSpan>,
     done: Vec<CallSpan>,
-    abandoned: u64,
     /// Every procedure and host name a span has carried, so opening a
     /// span shares the text instead of copying it.
     names: HashSet<Arc<str>>,
@@ -265,9 +264,7 @@ impl SpanTable {
 
     /// Drop the open span of a failed attempt.
     pub(crate) fn abandon(&mut self, line: u64, call: u64) {
-        if self.open.remove(&(line, call)).is_some() {
-            self.abandoned += 1;
-        }
+        self.open.remove(&(line, call));
     }
 
     pub(crate) fn completed(&self) -> Vec<CallSpan> {
@@ -276,14 +273,9 @@ impl SpanTable {
         v
     }
 
-    pub(crate) fn abandoned(&self) -> u64 {
-        self.abandoned
-    }
-
     pub(crate) fn clear(&mut self) {
         self.open.clear();
         self.done.clear();
-        self.abandoned = 0;
     }
 }
 
@@ -316,12 +308,10 @@ mod tests {
         let mut t = SpanTable::default();
         t.start(1, 1, "p", "a", "b", 0.0);
         t.abandon(1, 1);
-        assert!(t.end(1, 1, 1.0).is_none());
-        assert!(t.completed().is_empty());
-        assert_eq!(t.abandoned(), 1);
         // Abandoning an unknown key is a no-op.
         t.abandon(9, 9);
-        assert_eq!(t.abandoned(), 1);
+        assert!(t.end(1, 1, 1.0).is_none());
+        assert!(t.completed().is_empty());
     }
 
     #[test]

@@ -149,6 +149,10 @@ impl Default for PoolConfig {
     }
 }
 
+/// The most worker threads one pool starts. A larger count is refused
+/// before anything is allocated or spawned.
+const MAX_WORKERS: usize = 256;
+
 /// Fallback service-time estimate (seconds) for the queue-full
 /// retry-after hint before any session has completed.
 const DEFAULT_SERVICE_ESTIMATE_S: f64 = 0.05;
@@ -206,13 +210,19 @@ impl<R> SessionTicket<R> {
 
 impl<R: Send + 'static> SessionPool<R> {
     /// Start the pool: spawn `config.workers` named worker threads.
-    /// Refuses a pool that could never admit a session: no workers, no
-    /// queue, a rate that is negative or NaN, or a finite rate whose bucket
-    /// cannot hold one token.
+    /// Refuses more than 256 workers, and a pool that could never admit a
+    /// session: no workers, no queue, a rate that is negative or NaN, or a
+    /// finite rate whose bucket cannot hold one token. If a spawn fails,
+    /// the workers already started are shut down and joined.
     pub fn start(config: PoolConfig) -> SchResult<Self> {
         let PoolConfig { workers, queue_capacity, tenant_rate, tenant_burst } = config;
         if workers == 0 {
             return Err(SchError::Other("session pool needs at least one worker".into()));
+        }
+        if workers > MAX_WORKERS {
+            return Err(SchError::Other(format!(
+                "session pool takes at most {MAX_WORKERS} workers, got {workers}"
+            )));
         }
         if queue_capacity == 0 {
             return Err(SchError::Other(
@@ -238,16 +248,19 @@ impl<R: Send + 'static> SessionPool<R> {
             wake: Condvar::new(),
             metrics: MetricsRegistry::new(),
         });
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
+        let mut pool =
+            Self { shared, config, started: Instant::now(), workers: Vec::with_capacity(workers) };
+        for i in 0..workers {
+            let shared = Arc::clone(&pool.shared);
+            let spawned = std::thread::Builder::new()
                 .name(format!("pool-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .map_err(|e| SchError::Other(format!("spawn pool-worker-{i}: {e}")))?;
-            workers.push(handle);
+                .spawn(move || worker_loop(&shared));
+            // On `?`, dropping `pool` shuts down and joins the workers
+            // spawned so far.
+            pool.workers
+                .push(spawned.map_err(|e| SchError::Other(format!("spawn pool-worker-{i}: {e}")))?);
         }
-        Ok(Self { shared, config, started: Instant::now(), workers })
+        Ok(pool)
     }
 
     /// Pool-level telemetry: `pool.admitted`, `pool.rejected.*`,
@@ -497,6 +510,7 @@ mod tests {
     fn start_refuses_a_pool_that_could_never_admit() {
         let refused = [
             (PoolConfig { workers: 0, ..PoolConfig::default() }, "worker"),
+            (PoolConfig { workers: usize::MAX, ..PoolConfig::default() }, "at most 256 workers"),
             (PoolConfig { queue_capacity: 0, ..PoolConfig::default() }, "queue capacity"),
             (PoolConfig { tenant_rate: f64::NAN, ..PoolConfig::default() }, "tenant rate"),
             (PoolConfig { tenant_rate: -1.0, ..PoolConfig::default() }, "tenant rate"),

@@ -144,14 +144,14 @@ pub struct Snapshot {
 }
 
 /// Number of checkpoints retained per `(line, path)` key.
-pub const CHECKPOINT_RETENTION: usize = 4;
+pub(crate) const CHECKPOINT_RETENTION: usize = 4;
 
 /// Manager-side store of recent checkpoints per supervised process,
 /// keyed by `(line, executable path)` so a respawn of the same
 /// executable — on any host and under any fresh address — finds its
 /// state.
 ///
-/// Growth is bounded: each key keeps at most [`CHECKPOINT_RETENTION`] snapshots
+/// Growth is bounded: each key keeps at most `CHECKPOINT_RETENTION` snapshots
 /// (newest last); storing past the cap evicts from the oldest end and
 /// **returns the evicted snapshots** so the Manager can journal each
 /// eviction — a ledger replay that applies the same policy reproduces

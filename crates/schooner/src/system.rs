@@ -122,7 +122,7 @@ pub struct RuntimeCtx {
     pub checkpoints: CheckpointStore,
     /// Incarnation counter for supervised processes. The next respawn
     /// takes `fetch_add(1)`; recovery from a journal floor-bumps it via
-    /// [`RuntimeCtx::bump_incarnation_floor`] so post-recovery
+    /// `RuntimeCtx::bump_incarnation_floor` so post-recovery
     /// incarnations are strictly newer than anything journaled.
     pub incarnations: Arc<AtomicU64>,
     /// Delivery failures of *batched* call requests, keyed by the
@@ -149,7 +149,7 @@ impl RuntimeCtx {
     /// Raising the counter is always safe: fencing discards replies
     /// from incarnations *older* than a line's binding, so skipping
     /// numbers can never mis-fence.
-    pub fn bump_incarnation_floor(&self, floor: u64) {
+    pub(crate) fn bump_incarnation_floor(&self, floor: u64) {
         self.incarnations.fetch_max(floor, Ordering::SeqCst);
     }
 

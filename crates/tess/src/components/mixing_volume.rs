@@ -1,21 +1,18 @@
-//! Mixing volume: inter-component plenum where streams merge and mass can
-//! be stored during transients.
+//! Mixing volume: inter-component plenum where streams merge.
 
 use crate::component::{
     flow_from_value, flow_type, flow_value, state_scalars, ComponentSpec, EngineComponent,
 };
-use crate::gas::{GasState, R_GAS};
+use crate::gas::GasState;
 use uts::{Type, Value};
 
 /// A plenum joining two streams.
 ///
 /// Steady behaviour is conservative mixing (mass, enthalpy, fuel) with a
-/// flow-weighted total-pressure blend and a mixing loss. For transients,
-/// [`MixingVolume::dpdt`] gives the pressure-storage derivative used when
-/// volume dynamics are enabled.
+/// flow-weighted total-pressure blend and a mixing loss.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixingVolume {
-    /// Plenum volume, m³ (only used by the storage dynamics).
+    /// Plenum volume, m³ (carried as state; the steady mix ignores it).
     pub volume: f64,
     /// Total-pressure mixing loss fraction.
     pub dp_frac: f64,
@@ -32,12 +29,6 @@ impl MixingVolume {
         let mut out = a.mix_with(b);
         out.pt *= 1.0 - self.dp_frac;
         out
-    }
-
-    /// Rate of change of plenum pressure for an (isothermal at `tt`)
-    /// imbalance between inflow and outflow, Pa/s.
-    pub fn dpdt(&self, w_in: f64, w_out: f64, tt: f64) -> f64 {
-        (w_in - w_out) * R_GAS * tt / self.volume
     }
 }
 
@@ -90,15 +81,5 @@ mod tests {
         assert!(out.tt < core.tt && out.tt > bypass.tt);
         let blend = (60.0 * 2.4e5 + 42.0 * 2.5e5) / 102.0;
         assert!((out.pt - blend * 0.99).abs() < 1.0);
-    }
-
-    #[test]
-    fn storage_dynamics_sign_and_scale() {
-        let mv = MixingVolume::new(0.5, 0.0);
-        // 1 kg/s surplus at 900 K in 0.5 m³: dP/dt = R·T/V ≈ 516 kPa/s.
-        let dpdt = mv.dpdt(101.0, 100.0, 900.0);
-        assert!((dpdt - R_GAS * 900.0 / 0.5).abs() < 1e-9);
-        assert!(mv.dpdt(100.0, 101.0, 900.0) < 0.0);
-        assert_eq!(mv.dpdt(100.0, 100.0, 900.0), 0.0);
     }
 }

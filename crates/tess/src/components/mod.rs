@@ -11,9 +11,9 @@ pub mod bleed;
 pub mod combustor;
 pub mod compressor;
 pub mod duct;
-pub mod heat_exchanger;
+pub(crate) mod heat_exchanger;
 pub mod inlet;
-pub mod mixing_volume;
+pub(crate) mod mixing_volume;
 pub mod nozzle;
 pub mod shaft;
 pub mod splitter;

@@ -37,7 +37,7 @@ pub struct FlightCondition {
 
 impl FlightCondition {
     /// Sea-level static, standard day.
-    pub fn sea_level_static() -> Self {
+    pub(crate) fn sea_level_static() -> Self {
         Self { t_amb: T_STD, p_amb: P_STD, mach: 0.0 }
     }
 }

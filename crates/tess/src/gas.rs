@@ -23,7 +23,7 @@ pub const R_GAS: f64 = 287.05;
 pub const FUEL_LHV: f64 = 43.1e6;
 
 /// Reference temperature for enthalpy (h(T_REF) = 0).
-pub const T_REF: f64 = 300.0;
+pub(crate) const T_REF: f64 = 300.0;
 
 /// Sea-level static standard day.
 pub const P_STD: f64 = 101_325.0;
@@ -37,7 +37,7 @@ const CP_C: f64 = -1.419_187_675_070_028_5e-4;
 const CP_D: f64 = 4.789_915_966_386_556_5e-8;
 
 /// Specific heat of dry air at temperature `t` (K), J/kg·K.
-pub fn cp_air(t: f64) -> f64 {
+pub(crate) fn cp_air(t: f64) -> f64 {
     CP_A + t * (CP_B + t * (CP_C + t * CP_D))
 }
 
@@ -131,11 +131,6 @@ impl GasState {
     /// A station state.
     pub fn new(w: f64, tt: f64, pt: f64, far: f64) -> Self {
         Self { w, tt, pt, far }
-    }
-
-    /// Standard-day sea-level static free stream at the given flow.
-    pub fn standard_day(w: f64) -> Self {
-        Self::new(w, T_STD, P_STD, 0.0)
     }
 
     /// Specific total enthalpy of this stream.
@@ -272,7 +267,7 @@ mod tests {
 
     #[test]
     fn corrected_flow_is_physical() {
-        let std = GasState::standard_day(100.0);
+        let std = GasState::new(100.0, T_STD, P_STD, 0.0);
         assert!((std.corrected_flow() - 100.0).abs() < 1e-9);
         // Hot, low-pressure flow corrects upward.
         let hot = GasState::new(100.0, 2.0 * T_STD, 0.5 * P_STD, 0.0);

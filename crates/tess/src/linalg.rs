@@ -25,28 +25,14 @@ impl Matrix {
         m
     }
 
-    /// Build from nested rows (must be rectangular).
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, Vec::len);
-        assert!(rows.iter().all(|r| r.len() == n_cols), "ragged rows");
-        Self { n_rows, n_cols, data: rows.concat() }
-    }
-
     /// Rows count.
-    pub fn n_rows(&self) -> usize {
+    pub(crate) fn n_rows(&self) -> usize {
         self.n_rows
     }
 
     /// Columns count.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.n_cols
-    }
-
-    /// Matrix-vector product.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n_cols);
-        (0..self.n_rows).map(|i| (0..self.n_cols).map(|j| self[(i, j)] * x[j]).sum()).collect()
     }
 }
 
@@ -136,19 +122,22 @@ pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Infinity norm.
-pub fn norm_inf(v: &[f64]) -> f64 {
-    v.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A matrix from rectangular rows.
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        Matrix { n_rows: rows.len(), n_cols: rows[0].len(), data: rows.concat() }
+    }
+
+    fn mul_vec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.n_rows).map(|i| (0..a.n_cols).map(|j| a[(i, j)] * x[j]).sum()).collect()
+    }
+
     #[test]
     fn solves_known_system() {
-        let a =
-            Matrix::from_rows(&[vec![2.0, 1.0, -1.0], vec![-3.0, -1.0, 2.0], vec![-2.0, 1.0, 2.0]]);
+        let a = from_rows(&[vec![2.0, 1.0, -1.0], vec![-3.0, -1.0, 2.0], vec![-2.0, 1.0, 2.0]]);
         let b = vec![8.0, -11.0, -3.0];
         let x = solve(a, b).unwrap();
         let expect = [2.0, 3.0, -1.0];
@@ -159,23 +148,23 @@ mod tests {
 
     #[test]
     fn pivoting_handles_zero_leading_entry() {
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
+        let a = from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let x = solve(a, vec![3.0, 4.0]).unwrap();
         assert_eq!(x, vec![4.0, 3.0]);
     }
 
     #[test]
     fn singular_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
         assert_eq!(solve(a, vec![1.0, 2.0]), Err(Singular));
     }
 
     #[test]
     fn identity_and_mul_vec() {
         let i = Matrix::identity(3);
-        assert_eq!(i.mul_vec(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.mul_vec(&[1.0, 1.0]), vec![3.0, 7.0]);
+        assert_eq!(mul_vec(&i, &[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        assert_eq!(mul_vec(&a, &[1.0, 1.0]), vec![3.0, 7.0]);
         assert_eq!(a.n_rows(), 2);
         assert_eq!(a.n_cols(), 2);
     }
@@ -185,17 +174,15 @@ mod tests {
         // A mildly ill-conditioned 5x5.
         let rows: Vec<Vec<f64>> =
             (0..5).map(|i| (0..5).map(|j| 1.0 / (1.0 + i as f64 + j as f64)).collect()).collect();
-        let a = Matrix::from_rows(&rows);
+        let a = from_rows(&rows);
         let b = vec![1.0, 0.0, 2.0, -1.0, 0.5];
         let x = solve(a.clone(), b.clone()).unwrap();
-        let r: Vec<f64> = a.mul_vec(&x).iter().zip(&b).map(|(ax, bi)| ax - bi).collect();
+        let r: Vec<f64> = mul_vec(&a, &x).iter().zip(&b).map(|(ax, bi)| ax - bi).collect();
         assert!(norm2(&r) < 1e-8, "residual {r:?}");
     }
 
     #[test]
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 }

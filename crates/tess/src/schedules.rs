@@ -60,11 +60,6 @@ impl Schedule {
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
     }
-
-    /// Largest breakpoint time.
-    pub fn end_time(&self) -> f64 {
-        self.points[self.points.len() - 1].0
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +87,6 @@ mod tests {
         let s = Schedule::ramp(1.0, 10.0, 2.0, 20.0);
         assert_eq!(s.at(0.0), 10.0);
         assert_eq!(s.at(3.0), 20.0);
-        assert_eq!(s.end_time(), 2.0);
     }
 
     #[test]

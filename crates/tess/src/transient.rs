@@ -81,29 +81,6 @@ impl TransientResult {
     pub fn last(&self) -> &TransientSample {
         self.samples.last().expect("at least the initial sample")
     }
-
-    /// Linear interpolation of N1 at time `t`.
-    pub fn n1_at(&self, t: f64) -> f64 {
-        interp(&self.samples, t, |s| s.n1)
-    }
-
-    /// Linear interpolation of thrust at time `t`.
-    pub fn thrust_at(&self, t: f64) -> f64 {
-        interp(&self.samples, t, |s| s.thrust)
-    }
-}
-
-fn interp(samples: &[TransientSample], t: f64, get: impl Fn(&TransientSample) -> f64) -> f64 {
-    if t <= samples[0].t {
-        return get(&samples[0]);
-    }
-    for w in samples.windows(2) {
-        if t <= w[1].t {
-            let f = (t - w[0].t) / (w[1].t - w[0].t);
-            return get(&w[0]) + f * (get(&w[1]) - get(&w[0]));
-        }
-    }
-    get(samples.last().unwrap())
 }
 
 /// A failure injected at a point in transient time — the executive's
@@ -386,17 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_accessors() {
-        let (engine, fuel) = throttle_step();
-        let mut run = TransientRun::new(engine, fuel, TransientMethod::ImprovedEuler, 0.05);
-        let r = run.run(0.5).unwrap();
-        let mid = r.n1_at(0.125);
-        assert!(mid >= r.samples[0].n1);
-        assert!(r.thrust_at(-1.0) == r.samples[0].thrust);
-        assert!(r.n1_at(99.0) == r.last().n1);
-    }
-
-    #[test]
     fn stator_schedule_participates() {
         let engine = Turbofan::f100().unwrap();
         let wf = engine.design.wf;
@@ -468,7 +434,7 @@ mod failure_tests {
     fn combustor_degradation_cuts_thrust_and_t4() {
         let mut run = steady_run().with_failure(0.2, FailureEvent::CombustorDegradation(0.85));
         let r = run.run(0.8).unwrap();
-        let before = r.thrust_at(0.18);
+        let before = r.samples[9].thrust; // t = 0.18 s
         let after = r.last().thrust;
         assert!(after < before * 0.98, "thrust {before} -> {after}");
         assert!(r.last().t4 < r.samples[9].t4, "less heat release");
@@ -479,7 +445,7 @@ mod failure_tests {
         let mut run = steady_run().with_failure(0.2, FailureEvent::BleedStuckOpen(0.10));
         let r = run.run(0.8).unwrap();
         assert!(
-            r.last().thrust < r.thrust_at(0.18),
+            r.last().thrust < r.samples[9].thrust,
             "dumping 10% core flow overboard must cost thrust"
         );
     }

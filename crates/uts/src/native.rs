@@ -35,7 +35,7 @@ pub mod cray {
     use super::*;
 
     /// Exponent bias of the Cray format (0o40000).
-    pub const BIAS: i64 = 16384;
+    pub(crate) const BIAS: i64 = 16384;
     const MANT_BITS: u32 = 48;
     const EXP_MASK: u64 = 0x7FFF;
     const MANT_MASK: u64 = (1u64 << MANT_BITS) - 1;
@@ -144,7 +144,7 @@ pub mod vax {
     use super::*;
 
     /// Exponent bias of F and D floating.
-    pub const BIAS: i32 = 128;
+    pub(crate) const BIAS: i32 = 128;
 
     /// Encode an `f32` as VAX F_floating (4 bytes, PDP-11 word order).
     ///

@@ -156,11 +156,6 @@ impl MarshalPlan {
         plan
     }
 
-    /// Number of top-level values this plan encodes.
-    pub fn param_count(&self) -> usize {
-        self.param_ends.len()
-    }
-
     /// Total scalar leaves across all parameters.
     pub fn scalar_count(&self) -> usize {
         self.scalars
@@ -668,7 +663,6 @@ mod tests {
                 Op::ByteArray(3),
             ]
         );
-        assert_eq!(plan.param_count(), 4);
         assert_eq!(plan.scalar_count(), 4 + 1 + 3 + 6);
         assert!(!plan.size_is_exact());
         // marker + 16 + 4 + (16 + 4-byte string prefix) + 6

@@ -12,7 +12,7 @@ use crate::types::Type;
 
 /// Bytes of elements a [`Packed`] array holds inside the [`Value`]
 /// itself: 4 floats, 2 doubles or 2 integers.
-pub const INLINE_BYTES: usize = 16;
+pub(crate) const INLINE_BYTES: usize = 16;
 
 mod sealed {
     pub trait Sealed {}
@@ -25,7 +25,7 @@ mod sealed {
 pub trait Elem:
     Copy + Default + PartialEq + fmt::Debug + Send + Sync + 'static + sealed::Sealed
 {
-    /// The inline buffer: as many elements as fit in [`INLINE_BYTES`].
+    /// The inline buffer: as many elements as fit in `INLINE_BYTES`.
     type Inline: Copy + Default + AsRef<[Self]> + AsMut<[Self]> + Send + Sync;
     /// Elements the inline buffer holds.
     const INLINE: usize = INLINE_BYTES / std::mem::size_of::<Self>();
@@ -46,7 +46,7 @@ impl Elem for f64 {
 /// The elements of a packed scalar array ([`Value::Integers`],
 /// [`Value::Floats`], [`Value::Doubles`]); derefs to `[T]`.
 ///
-/// An array of at most [`INLINE_BYTES`] of elements is held inline, so
+/// An array of at most `INLINE_BYTES` of elements is held inline, so
 /// building, decoding, cloning and dropping it allocate nothing; a longer
 /// one is a single shared allocation that clones by reference count. The
 /// form is chosen when the array is built and is invisible to equality,
@@ -85,7 +85,7 @@ impl<T: Elem> From<&[T]> for Packed<T> {
 }
 
 /// One pass, and at most one allocation for an iterator whose length is
-/// known up front: one whose upper bound fits [`INLINE_BYTES`] fills the
+/// known up front: one whose upper bound fits `INLINE_BYTES` fills the
 /// inline buffer, any other is collected into the shared form.
 impl<T: Elem> FromIterator<T> for Packed<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
@@ -130,7 +130,7 @@ impl<T: Elem> fmt::Debug for Packed<T> {
 /// pass; equality treats a packed array and its boxed equivalent as the
 /// same value.
 ///
-/// A packed integer, float or double array of at most [`INLINE_BYTES`]
+/// A packed integer, float or double array of at most `INLINE_BYTES`
 /// (16) bytes of elements — 2 integers, 4 floats or 2 doubles, such as the
 /// `array[4] of float` flow every engine module passes — lives inside the
 /// `Value`, which stays 32 bytes: making, decoding, cloning and dropping it
@@ -344,7 +344,7 @@ impl Value {
     }
 
     /// Number of elements, if this value is any array representation.
-    pub fn array_len(&self) -> Option<usize> {
+    pub(crate) fn array_len(&self) -> Option<usize> {
         match self {
             Value::Array(items) => Some(items.len()),
             Value::Integers(xs) => Some(xs.len()),

@@ -532,4 +532,13 @@ mod tests {
         let err = run(&args).unwrap_err();
         assert!(err.contains("--tenants"), "unexpected error: {err}");
     }
+
+    /// `main` exits 2 on the error, naming the bound, before any worker
+    /// is spawned.
+    #[test]
+    fn serve_refuses_more_workers_than_the_bound() {
+        let args = ["serve", "--workers", "18446744073709551615"].map(String::from);
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("at most 256 workers"), "unexpected error: {err}");
+    }
 }

@@ -10,7 +10,8 @@ use std::process::{Command, Stdio};
 mod golden;
 
 /// `(golden, npss-sim arguments)`.
-const COMMANDS: [(&str, &[&str]); 7] = [
+const COMMANDS: [(&str, &[&str]); 8] = [
+    ("paper/testbed.txt", &["testbed"]),
     ("paper/table1.txt", &["table1"]),
     ("paper/table2.txt", &["table2"]),
     ("paper/fig1.txt", &["fig1"]),

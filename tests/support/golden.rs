@@ -1,12 +1,14 @@
 //! Byte-for-byte goldens under `tests/golden/`, named relative to it: the
-//! paper's outputs under `paper/` (what `npss-sim` prints for the tables,
-//! figures and ablations, and the examples' transcripts) and the
-//! allocation census. Shared by `tests/paper_outputs.rs`,
-//! `tests/census.rs` and the examples' own tests. Each kind has its own
-//! rewrite, so refreshing one never accepts a change to the other:
+//! paper's outputs under `paper/` (what `npss-sim` prints for the testbed,
+//! tables, figures and ablations, and the examples' transcripts), the
+//! allocation census and the public API (`api.txt`). Shared by
+//! `tests/paper_outputs.rs`, `tests/census.rs`, `tests/api_surface.rs`
+//! and the examples' own tests. Each kind has its own rewrite, so
+//! refreshing one never accepts a change to another:
 //! `cargo test -- --ignored rewrite_paper_goldens` for the paper's
 //! outputs, `cargo test --test census -- --ignored rewrite_census_golden`
-//! for the census.
+//! for the census, `cargo test --test api_surface -- --ignored
+//! rewrite_api_golden` for the API.
 
 use std::fmt::Write;
 use std::path::PathBuf;

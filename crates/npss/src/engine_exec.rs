@@ -1,13 +1,16 @@
-//! The executive's engine: TESS gas-path evaluation with the four adapted
-//! components routed through [`Exec`] executors.
+//! The executive's engine: TESS's gas path with the adapted components
+//! routed through [`Exec`] executors.
 //!
 //! The F100 network contains six module instances with (potentially)
 //! remote computations: two ducts (bypass and tailpipe), one combustor,
-//! one nozzle, and two shafts. [`ExecutiveEngine`] evaluates exactly the
-//! same match problem as [`tess::Turbofan`], but every computation
-//! belonging to an adapted module goes through its executor — in-process
-//! for the original local-compute-only versions, or across the simulated
-//! network through Schooner.
+//! one nozzle, and two shafts. [`ExecutiveEngine::evaluate`] *is*
+//! [`tess::Turbofan::evaluate_with`]: the gas path is TESS's own, and
+//! its four adapted slots (the two ducts, the combustor and the nozzle)
+//! answer through the [`AdaptedModules`] seam from their executors —
+//! in-process for the original local-compute-only versions, or across
+//! the simulated network through Schooner. The two shafts are called on
+//! the evaluated point. This module holds the executors, the call
+//! scheduling, checkpoints and the journal, and no thermodynamics.
 //!
 //! Because the adapted procedures exchange single-precision values (as
 //! the original Fortran did), the executive's solvers run at
@@ -16,10 +19,11 @@
 //! and a looser residual target than the double-precision internal
 //! engine.
 
-use tess::engine::{OperatingPoint, Turbofan};
+use tess::engine::{AdaptedModules, OperatingPoint, Turbofan};
 use tess::schedules::Schedule;
 use tess::solver::newton::{newton_solve, NewtonOptions};
 use tess::transient::{transient_steps, TransientMethod, TransientResult, TransientSample};
+use tess::GasState;
 use uts::Value;
 
 use crate::exec::{flow_to_value, value_to_flow, LocalExec, PendingCall, RemoteExec};
@@ -201,15 +205,85 @@ struct SlotExec {
 }
 
 impl SlotExec {
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<(), String> {
-        self.exec.call(name, args, &mut self.out)
-    }
-
     /// Read the outputs of the slot's last call, then empty its vector.
     fn take<T>(&mut self, read: impl FnOnce(&[Value]) -> Result<T, String>) -> Result<T, String> {
         let got = read(&self.out);
         self.out.clear();
         got
+    }
+
+    /// The one `float` result of the slot's last call, `proc`.
+    fn take_float(&mut self, proc: &str) -> Result<f32, String> {
+        self.take(|out| match out.first() {
+            Some(Value::Float(x)) => Ok(*x),
+            other => Err(format!("{proc} returned {other:?}")),
+        })
+    }
+}
+
+/// Run a group of adapted-module calls, `calls` sorted by slot index,
+/// each writing its outputs into its slot's vector.
+///
+/// Without `overlap` they go out one blocking call at a time in the
+/// order given and the first error is returned as is. With it the
+/// group is one execution wave: every participating remote line is
+/// synced to a common start instant, all requests are issued in slot
+/// order, then all replies are collected in slot order. Every pending
+/// call is drained even after a failure (a line with a ticket
+/// outstanding accepts no other traffic); when several calls in the
+/// wave fail, the error reported is the one lowest in slot order, so
+/// the outcome never depends on reply arrival order. Either way, a
+/// group that fails leaves no slot of the group holding an output.
+///
+/// Groups are fixed-size arrays on the caller's stack, so the
+/// sequential sweep pays nothing for sharing this path.
+fn call_group<const N: usize>(
+    slots: &mut [SlotExec],
+    overlap: bool,
+    calls: [(usize, &'static str, &[Value]); N],
+) -> Result<(), String> {
+    let mut first_err: Option<String> = None;
+    if !overlap {
+        for (slot, name, args) in calls {
+            let SlotExec { exec, out, .. } = &mut slots[slot];
+            if let Err(e) = exec.call(name, args, out) {
+                first_err = Some(e);
+                break;
+            }
+        }
+    } else {
+        let mut t0 = 0.0_f64;
+        for (slot, _, _) in calls {
+            if let Exec::Remote(r) = &mut slots[slot].exec {
+                t0 = t0.max(r.line_mut().now());
+            }
+        }
+        for (slot, _, _) in calls {
+            if let Exec::Remote(r) = &mut slots[slot].exec {
+                r.line_mut().sync_to(t0);
+            }
+        }
+        let pending = calls.map(|(slot, name, args)| {
+            let SlotExec { exec, out, .. } = &mut slots[slot];
+            exec.begin(name, args, out)
+        });
+        for ((slot, name, _), p) in calls.into_iter().zip(pending) {
+            let SlotExec { slot: slot_name, exec, out, .. } = &mut slots[slot];
+            // `calls` is in slot order: the first failure met is the
+            // lowest slot's.
+            if let Err(e) = exec.finish(p, out) {
+                first_err.get_or_insert_with(|| format!("{slot_name} ({name}): {e}"));
+            }
+        }
+    }
+    match first_err {
+        Some(msg) => {
+            for (slot, _, _) in calls {
+                slots[slot].out.clear();
+            }
+            Err(msg)
+        }
+        None => Ok(()),
     }
 }
 
@@ -221,6 +295,68 @@ const COMBUSTOR: usize = 2;
 const NOZZLE: usize = 3;
 const LP_SHAFT: usize = 4;
 const HP_SHAFT: usize = 5;
+
+/// The executive's side of TESS's [`AdaptedModules`] seam: each adapted
+/// module is its slot's procedure, called with the engine's parameters in
+/// single precision.
+struct Routed<'a> {
+    engine: &'a Turbofan,
+    slots: &'a mut [SlotExec],
+    /// Whether the bypass duct and the combustor go out as one wave.
+    overlap: bool,
+}
+
+impl AdaptedModules for Routed<'_> {
+    fn duct_and_burn(
+        &mut self,
+        bypass: &GasState,
+        core: &GasState,
+        wf: f64,
+    ) -> Result<(GasState, GasState), String> {
+        let cy = &self.engine.cycle;
+        let duct_args =
+            [flow_to_value(bypass), Value::Float(cy.bypass_dp as f32), Value::Float(0.0)];
+        let comb_args = [
+            flow_to_value(core),
+            Value::Float(wf as f32),
+            Value::Float(cy.comb_eta as f32),
+            Value::Float(cy.comb_dp as f32),
+        ];
+        call_group(
+            self.slots,
+            self.overlap,
+            [(BYPASS_DUCT, "duct", &duct_args), (COMBUSTOR, "comb", &comb_args)],
+        )?;
+        let st16 = self.slots[BYPASS_DUCT].take(|out| value_to_flow(&out[0]));
+        let st4 = self.slots[COMBUSTOR].take(|out| value_to_flow(&out[0]));
+        Ok((st16?, st4?))
+    }
+
+    // The tailpipe and the nozzle are each a singleton wave in the plan.
+    fn tailpipe(&mut self, mixed: &GasState) -> Result<GasState, String> {
+        let dp = self.engine.cycle.tailpipe_dp as f32;
+        let args = [flow_to_value(mixed), Value::Float(dp), Value::Float(0.0)];
+        call_group(self.slots, false, [(TAILPIPE, "duct", &args)])?;
+        self.slots[TAILPIPE].take(|out| value_to_flow(&out[0]))
+    }
+
+    fn nozzle(&mut self, face: &GasState, p_amb: f64) -> Result<(f64, f64), String> {
+        let (cy, d) = (&self.engine.cycle, &self.engine.design);
+        let args = [
+            flow_to_value(face),
+            Value::Float(p_amb as f32),
+            Value::Float(d.nozzle_area as f32),
+            Value::Float(cy.nozzle_cd as f32),
+            Value::Float(cy.nozzle_cv as f32),
+        ];
+        call_group(self.slots, false, [(NOZZLE, "nozl", &args)])?;
+        self.slots[NOZZLE].take(|out| {
+            let nz =
+                out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
+            Ok((nz[0] as f64, nz[1] as f64))
+        })
+    }
+}
 
 /// The executive's engine.
 pub struct ExecutiveEngine {
@@ -253,6 +389,7 @@ pub struct ExecutiveEngine {
 /// Engine-side state retained at a checkpoint barrier: everything the
 /// transient loop needs to resume from that solver step. Remote-process
 /// state is checkpointed separately through the Manager.
+#[derive(Clone, Copy)]
 struct TransientCheckpoint {
     t: f64,
     step: usize,
@@ -292,10 +429,6 @@ impl ExecutiveEngine {
         })
     }
 
-    fn slot_mut(&mut self, slot: &str) -> Result<&mut Exec, String> {
-        self.exec_mut(slot).ok_or_else(|| format!("no adapted module slot '{slot}'"))
-    }
-
     /// The executor bound to an adapted-module slot (`"bypass duct"`,
     /// `"tailpipe duct"`, `"combustor"`, `"nozzle"`, `"low speed shaft"`,
     /// `"high speed shaft"`), or `None` for unknown slots.
@@ -319,19 +452,22 @@ impl ExecutiveEngine {
         if self.obs.is_none() {
             self.obs = Some(exec.line_mut().obs().clone());
         }
-        let target = self.slot_mut(slot)?;
-        target.quit();
-        *target = Exec::Remote(exec);
-        Ok(())
+        self.bind(slot, Exec::Remote(exec))
     }
 
     /// Replace one executor with a different **local** implementation —
     /// the "substitute a different code for an engine component" case
     /// when the substituted code runs on the local machine.
     pub fn set_local(&mut self, slot: &str, exec: LocalExec) -> Result<(), String> {
-        let target = self.slot_mut(slot)?;
+        self.bind(slot, Exec::Local(exec))
+    }
+
+    /// Quit the executor bound to `slot` and bind `exec` in its place.
+    fn bind(&mut self, slot: &str, exec: Exec) -> Result<(), String> {
+        let target =
+            self.exec_mut(slot).ok_or_else(|| format!("no adapted module slot '{slot}'"))?;
         target.quit();
-        *target = Exec::Local(exec);
+        *target = exec;
         Ok(())
     }
 
@@ -352,71 +488,6 @@ impl ExecutiveEngine {
     pub fn shutdown(&mut self) {
         for s in &mut self.slots {
             s.exec.quit();
-        }
-    }
-
-    /// Run a group of adapted-module calls, `calls` sorted by slot index,
-    /// each writing its outputs into its slot's vector.
-    ///
-    /// Without `overlap` they go out one blocking call at a time in the
-    /// order given and the first error is returned as is. With it the
-    /// group is one execution wave: every participating remote line is
-    /// synced to a common start instant, all requests are issued in slot
-    /// order, then all replies are collected in slot order. Every pending
-    /// call is drained even after a failure (a line with a ticket
-    /// outstanding accepts no other traffic); when several calls in the
-    /// wave fail, the error reported is the one lowest in slot order, so
-    /// the outcome never depends on reply arrival order. Either way, a
-    /// group that fails leaves no slot of the group holding an output.
-    ///
-    /// Groups are fixed-size arrays on the caller's stack, so the
-    /// sequential sweep pays nothing for sharing this path.
-    fn call_group<const N: usize>(
-        &mut self,
-        overlap: bool,
-        calls: [(usize, &'static str, &[Value]); N],
-    ) -> Result<(), String> {
-        let mut first_err: Option<String> = None;
-        if !overlap {
-            for (slot, name, args) in calls {
-                if let Err(e) = self.slots[slot].call(name, args) {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        } else {
-            let mut t0 = 0.0_f64;
-            for (slot, _, _) in calls {
-                if let Exec::Remote(r) = &mut self.slots[slot].exec {
-                    t0 = t0.max(r.line_mut().now());
-                }
-            }
-            for (slot, _, _) in calls {
-                if let Exec::Remote(r) = &mut self.slots[slot].exec {
-                    r.line_mut().sync_to(t0);
-                }
-            }
-            let pending = calls.map(|(slot, name, args)| {
-                let SlotExec { exec, out, .. } = &mut self.slots[slot];
-                exec.begin(name, args, out)
-            });
-            for ((slot, name, _), p) in calls.into_iter().zip(pending) {
-                let SlotExec { slot: slot_name, exec, out, .. } = &mut self.slots[slot];
-                // `calls` is in slot order: the first failure met is the
-                // lowest slot's.
-                if let Err(e) = exec.finish(p, out) {
-                    first_err.get_or_insert_with(|| format!("{slot_name} ({name}): {e}"));
-                }
-            }
-        }
-        match first_err {
-            Some(msg) => {
-                for (slot, _, _) in calls {
-                    self.slots[slot].out.clear();
-                }
-                Err(msg)
-            }
-            None => Ok(()),
         }
     }
 
@@ -447,7 +518,8 @@ impl ExecutiveEngine {
         ];
         let lp = shaft_args(d.p_fan, d.p_lpt);
         let hp = shaft_args(d.p_hpc, d.p_hpt);
-        self.call_group(
+        call_group(
+            &mut self.slots,
             self.scheduling == Scheduling::WaveParallel,
             [
                 (BYPASS_DUCT, "setduct", &bypass),
@@ -461,31 +533,21 @@ impl ExecutiveEngine {
         for slot in [BYPASS_DUCT, TAILPIPE, COMBUSTOR, NOZZLE] {
             self.slots[slot].out.clear();
         }
-        let ecorr_of = |out: &[Value]| -> Result<f32, String> {
-            match out.first() {
-                Some(Value::Float(x)) => Ok(*x),
-                other => Err(format!("setshaft returned {other:?}")),
-            }
-        };
-        let lp = self.slots[LP_SHAFT].take(ecorr_of);
-        let hp = self.slots[HP_SHAFT].take(ecorr_of);
+        let lp = self.slots[LP_SHAFT].take_float("setshaft");
+        let hp = self.slots[HP_SHAFT].take_float("setshaft");
         self.ecorr_lp = Some(lp?);
         self.ecorr_hp = Some(hp?);
         Ok(())
     }
 
-    /// Evaluate the gas path with the adapted components routed through
-    /// their executors. Same unknowns/residuals as
-    /// [`tess::Turbofan::evaluate`].
+    /// Evaluate TESS's gas path ([`tess::Turbofan::evaluate_with`]) with
+    /// the adapted components routed through their executors.
     ///
     /// The bypass duct and the combustor are independent in the AVS
     /// graph, so they form one call group — a wave under the wave
-    /// scheduler, two blocking calls otherwise. The local HPC and bleed
-    /// computations run ahead of the group so both sets of arguments
-    /// exist before either request is issued; executive-side physics is
-    /// charged to no line, so the order is invisible on every clock, and
-    /// every number that feeds a residual is computed from the same
-    /// inputs in the same precision either way.
+    /// scheduler, two blocking calls otherwise; the gas path reaches them
+    /// after the local HPC and bleed, so both sets of arguments exist
+    /// before either request is issued.
     pub fn evaluate(
         &mut self,
         n1: f64,
@@ -493,125 +555,15 @@ impl ExecutiveEngine {
         wf: f64,
         x: &[f64; 5],
     ) -> Result<OperatingPoint, String> {
-        let e = &self.engine;
-        let [beta_fan, beta_hpc, er_hpt, er_lpt, bpr_frac] = *x;
-        if !(0.1..=8.0).contains(&bpr_frac) {
-            return Err(format!("bypass-ratio fraction {bpr_frac} outside model range"));
-        }
-        let bpr = e.cycle.bpr * bpr_frac;
-        let cy = &e.cycle;
-        let d = &e.design;
-
-        let probe = e.inlet.capture(e.flight.t_amb, e.flight.p_amb, e.flight.mach, 1.0);
-        let nc_fan = e.fan.corrected_speed(n1, probe.tt);
-        let fan_pt = e.fan.map.lookup(nc_fan, beta_fan).map_err(|err| format!("fan: {err}"))?;
-        let wc_fan = fan_pt.wc * (1.0 + 0.008 * e.stators.fan_deg);
-        let w2 = wc_fan * (probe.pt / tess::gas::P_STD) / (probe.tt / tess::gas::T_STD).sqrt();
-        let st2 = tess::GasState::new(w2, probe.tt, probe.pt, 0.0);
-
-        let fan_res = e.fan.operate(&st2, n1, beta_fan, e.stators.fan_deg)?;
-        let st21 = fan_res.exit;
-        let (st25, bypass) = tess::components::Splitter::new(bpr).split(&st21);
-
-        let hpc_res = e.hpc.operate(&st25, n2, beta_hpc, e.stators.hpc_deg)?;
-        let st3 = hpc_res.exit;
-        let r_hpc = (hpc_res.wc_map - st25.corrected_flow()) / d.st25.corrected_flow();
-        let (st3m, _) = e.bleed.extract(&st3);
-
-        // Adapted modules: bypass duct and combustor.
-        let duct_args =
-            [flow_to_value(&bypass), Value::Float(cy.bypass_dp as f32), Value::Float(0.0)];
-        let comb_args = [
-            flow_to_value(&st3m),
-            Value::Float(wf as f32),
-            Value::Float(cy.comb_eta as f32),
-            Value::Float(cy.comb_dp as f32),
-        ];
         let overlap = self.scheduling == Scheduling::WaveParallel
             && self.wave_plan.same_wave("bypass duct", "combustor");
-        self.call_group(
-            overlap,
-            [(BYPASS_DUCT, "duct", &duct_args), (COMBUSTOR, "comb", &comb_args)],
-        )?;
-        let st16 = self.slots[BYPASS_DUCT].take(|out| value_to_flow(&out[0]));
-        let st4 = self.slots[COMBUSTOR].take(|out| value_to_flow(&out[0]));
-        let (st16, st4) = (st16?, st4?);
-
-        let e = &self.engine;
-        let cy = &e.cycle;
-        let d = &e.design;
-        let hpt_res = e.hpt.operate(&st4, n2, er_hpt)?;
-        let st45 = hpt_res.exit;
-        let r_hpt = (hpt_res.wc_map - st4.corrected_flow()) / d.st4.corrected_flow();
-
-        let lpt_res = e.lpt.operate(&st45, n1, er_lpt)?;
-        let st5 = lpt_res.exit;
-        let r_lpt = (lpt_res.wc_map - st45.corrected_flow()) / d.st45.corrected_flow();
-
-        let design_mix_ratio = d.st5.pt / d.st16.pt;
-        let r_mix = (st5.pt / st16.pt) / design_mix_ratio - 1.0;
-
-        let st6 = e.mixer.mix(&st5, &st16);
-
-        // Adapted module: tailpipe duct (a singleton wave in the plan).
-        let tailpipe = &mut self.slots[TAILPIPE];
-        tailpipe.call(
-            "duct",
-            &[flow_to_value(&st6), Value::Float(cy.tailpipe_dp as f32), Value::Float(0.0)],
-        )?;
-        let st7 = tailpipe.take(|out| value_to_flow(&out[0]))?;
-
-        // Adapted module: nozzle (likewise a singleton wave).
-        let nozzle = &mut self.slots[NOZZLE];
-        nozzle.call(
-            "nozl",
-            &[
-                flow_to_value(&st7),
-                Value::Float(e.flight.p_amb as f32),
-                Value::Float(d.nozzle_area as f32),
-                Value::Float(cy.nozzle_cd as f32),
-                Value::Float(cy.nozzle_cv as f32),
-            ],
-        )?;
-        let (w_capacity, gross_thrust) = nozzle.take(|out| {
-            let nz =
-                out[0].as_floats().ok_or_else(|| "nozl returned malformed result".to_string())?;
-            Ok((nz[0] as f64, nz[1] as f64))
-        })?;
-        let r_noz = (w_capacity - st7.w) / d.st7.w;
-
-        let ram_drag =
-            st2.w * tess::components::Inlet::flight_velocity(e.flight.t_amb, e.flight.mach);
-        let thrust = gross_thrust - ram_drag;
-
-        Ok(OperatingPoint {
-            n1,
-            n2,
-            wf,
-            st2,
-            st21,
-            st25,
-            st16,
-            st3,
-            st4,
-            st45,
-            st5,
-            st6,
-            st7,
-            p_fan: fan_res.power,
-            p_hpc: hpc_res.power,
-            p_hpt: hpt_res.power,
-            p_lpt: lpt_res.power,
-            thrust,
-            sfc: if thrust > 0.0 { wf / thrust } else { f64::NAN },
-            bpr,
-            flow_residuals: [r_hpc, r_hpt, r_lpt, r_noz, r_mix],
-        })
+        let mut routed = Routed { engine: &self.engine, slots: &mut self.slots, overlap };
+        self.engine.evaluate_with(&mut routed, n1, n2, wf, x)
     }
 
     /// Spool accelerations through the shaft executors (RPM/s). The two
     /// shafts share no state: one wave under the wave scheduler.
-    pub fn spool_accels(&mut self, op: &OperatingPoint) -> Result<(f64, f64), String> {
+    fn spool_accels(&mut self, op: &OperatingPoint) -> Result<(f64, f64), String> {
         let ecorr_lp = self.ecorr_lp.ok_or("setup() not run")?;
         let ecorr_hp = self.ecorr_hp.ok_or("setup() not run")?;
         let shaft_args = |p_c: f64, p_t: f64, ecorr: f32, n: f64, inertia: f64| {
@@ -629,20 +581,14 @@ impl ExecutiveEngine {
         let hp = shaft_args(op.p_hpc, op.p_hpt, ecorr_hp, op.n2, self.engine.cycle.i2);
         let overlap = self.scheduling == Scheduling::WaveParallel
             && self.wave_plan.same_wave("low speed shaft", "high speed shaft");
-        self.call_group(overlap, [(LP_SHAFT, "shaft", &lp), (HP_SHAFT, "shaft", &hp)])?;
-        let accel_of = |out: &[Value]| -> Result<f64, String> {
-            match out.first() {
-                Some(Value::Float(x)) => Ok(*x as f64),
-                other => Err(format!("shaft returned {other:?}")),
-            }
-        };
-        let lp = self.slots[LP_SHAFT].take(accel_of);
-        let hp = self.slots[HP_SHAFT].take(accel_of);
-        Ok((lp?, hp?))
+        call_group(&mut self.slots, overlap, [(LP_SHAFT, "shaft", &lp), (HP_SHAFT, "shaft", &hp)])?;
+        let lp = self.slots[LP_SHAFT].take_float("shaft");
+        let hp = self.slots[HP_SHAFT].take_float("shaft");
+        Ok((lp? as f64, hp? as f64))
     }
 
     /// Solve the four inner flow-match unknowns at fixed speeds and fuel.
-    pub fn solve_inner(
+    fn solve_inner(
         &mut self,
         n1: f64,
         n2: f64,
@@ -759,24 +705,21 @@ impl ExecutiveEngine {
         });
     }
 
-    /// Journal a checkpoint barrier (the engine-side resume state) plus a
-    /// metrics snapshot at the same sequence point, so `costs --journal`
-    /// can answer "as of the latest barrier" from the file alone.
-    fn journal_barrier(
-        &mut self,
-        step: usize,
-        t: f64,
-        samples_len: usize,
-        y: &[f64; 2],
-        inner: &[f64; 5],
-    ) {
+    /// Place a checkpoint barrier at `cp` and return it: the Manager
+    /// snapshots every remote component, the event is emitted, and the
+    /// journal gets the engine-side resume state plus a metrics snapshot
+    /// at the same sequence point, so `costs --journal` can answer "as of
+    /// the latest barrier" from the file alone.
+    fn barrier(&mut self, cp: TransientCheckpoint) -> TransientCheckpoint {
+        self.checkpoint_remotes();
+        self.emit_event(schooner::EventKind::Barrier { step: cp.step, t: cp.t });
         let mut state = Vec::with_capacity(7);
-        state.extend_from_slice(y);
-        state.extend_from_slice(inner);
+        state.extend_from_slice(&cp.y);
+        state.extend_from_slice(&cp.inner);
         self.journal(ledger::RecordKind::Barrier {
-            step: step as u64,
-            t_engine: t,
-            samples_len: samples_len as u64,
+            step: cp.step as u64,
+            t_engine: cp.t,
+            samples_len: cp.samples_len as u64,
             state,
         });
         let now = self.world_now();
@@ -786,6 +729,7 @@ impl ExecutiveEngine {
                 obs.ledger().append(now, ledger::RecordKind::MetricsSnapshot { json });
             }
         }
+        cp
     }
 
     /// Balance at the initial fuel, then run a transient with the chosen
@@ -817,9 +761,10 @@ impl ExecutiveEngine {
         let mut inner = self.engine.design_inner_guess();
         self.solve_inner(y[0], y[1], fuel.at(0.0), &mut inner)?;
 
-        let samples = vec![sample_of(0.0, &initial)];
+        let samples = vec![TransientSample::at(0.0, &initial)];
         self.journal_sample(&samples[0]);
-        self.transient_loop(fuel, method, dt, steps, 0.0, 0, y, inner, samples)
+        let entry = TransientCheckpoint { t: 0.0, step: 0, y, inner, samples_len: 1 };
+        self.transient_loop(fuel, method, dt, steps, entry, samples)
     }
 
     /// Resume an interrupted transient from a replayed journal alone.
@@ -850,42 +795,28 @@ impl ExecutiveEngine {
         t_end: f64,
     ) -> Result<TransientResult, String> {
         let steps = transient_steps(t_end, dt)?;
-        // The latest barrier's resume state: (t, step, y, inner, samples_len).
-        struct Resume {
-            t: f64,
-            step: usize,
-            y: [f64; 2],
-            inner: [f64; 5],
-            samples_len: usize,
-        }
         let mut samples: Vec<TransientSample> = Vec::new();
-        let mut resume: Option<Resume> = None;
+        let mut resume: Option<TransientCheckpoint> = None;
         for rec in repo.records() {
             match &rec.kind {
-                ledger::RecordKind::Sample { values } if values.len() == 7 => {
-                    samples.push(TransientSample {
-                        t: values[0],
-                        n1: values[1],
-                        n2: values[2],
-                        wf: values[3],
-                        thrust: values[4],
-                        t4: values[5],
-                        w2: values[6],
-                    });
+                ledger::RecordKind::Sample { values } => {
+                    if let [t, n1, n2, wf, thrust, t4, w2] = values[..] {
+                        samples.push(TransientSample { t, n1, n2, wf, thrust, t4, w2 });
+                    }
                 }
                 ledger::RecordKind::Rollback { samples_len, .. } => {
                     samples.truncate(*samples_len as usize);
                 }
-                ledger::RecordKind::Barrier { step, t_engine, samples_len, state }
-                    if state.len() == 7 =>
-                {
-                    resume = Some(Resume {
-                        t: *t_engine,
-                        step: *step as usize,
-                        y: [state[0], state[1]],
-                        inner: [state[2], state[3], state[4], state[5], state[6]],
-                        samples_len: *samples_len as usize,
-                    });
+                ledger::RecordKind::Barrier { step, t_engine, samples_len, state } => {
+                    if let [n1, n2, x0, x1, x2, x3, x4] = state[..] {
+                        resume = Some(TransientCheckpoint {
+                            t: *t_engine,
+                            step: *step as usize,
+                            y: [n1, n2],
+                            inner: [x0, x1, x2, x3, x4],
+                            samples_len: *samples_len as usize,
+                        });
+                    }
                 }
                 _ => {}
             }
@@ -901,51 +832,37 @@ impl ExecutiveEngine {
         }
         self.setup()?;
         self.restore_remotes();
-        self.transient_loop(fuel, method, dt, steps, r.t, r.step, r.y, r.inner, samples)
+        self.transient_loop(fuel, method, dt, steps, r, samples)
     }
 
     /// The transient stepping loop shared by [`Self::run_transient`]
     /// (entering at step 0) and [`Self::recover_from_journal`] (entering
-    /// at a replayed barrier). Places the entry checkpoint barrier, then
+    /// at a replayed barrier) from `entry`, whose `samples_len` is
+    /// `samples.len()`. Places the entry checkpoint barrier, then
     /// integrates to step `steps` with rollback recovery.
-    #[allow(clippy::too_many_arguments)] // the resume state is the argument list
     fn transient_loop(
         &mut self,
         fuel: &Schedule,
         method: TransientMethod,
         dt: f64,
         steps: usize,
-        mut t: f64,
-        mut step: usize,
-        mut y: [f64; 2],
-        mut inner: [f64; 5],
+        entry: TransientCheckpoint,
         mut samples: Vec<TransientSample>,
     ) -> Result<TransientResult, String> {
         let mut integrator = method.integrator();
         self.recoveries = 0;
-        let mut checkpoint = if self.checkpoint_interval > 0 {
-            self.checkpoint_remotes();
-            self.emit_event(schooner::EventKind::Barrier { step, t });
-            self.journal_barrier(step, t, samples.len(), &y, &inner);
-            Some(TransientCheckpoint { t, step, y, inner, samples_len: samples.len() })
-        } else {
-            None
-        };
+        let mut checkpoint = (self.checkpoint_interval > 0).then(|| self.barrier(entry));
+        let TransientCheckpoint { mut t, mut step, mut y, mut inner, .. } = entry;
         while step < steps {
             let outcome: Result<TransientSample, String> = (|| {
-                {
-                    let inner_ref = &mut inner;
-                    let mut f = |tau: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
-                        let op = self.solve_inner(y[0], y[1], fuel.at(tau), inner_ref)?;
-                        let (a1, a2) = self.spool_accels(&op)?;
-                        d[0] = a1;
-                        d[1] = a2;
-                        Ok(())
-                    };
-                    integrator.step(&mut f, t, &mut y, dt)?;
-                }
+                let mut f = |tau: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
+                    let op = self.solve_inner(y[0], y[1], fuel.at(tau), &mut inner)?;
+                    (d[0], d[1]) = self.spool_accels(&op)?;
+                    Ok(())
+                };
+                integrator.step(&mut f, t, &mut y, dt)?;
                 let op = self.solve_inner(y[0], y[1], fuel.at(t + dt), &mut inner)?;
-                Ok(sample_of(t + dt, &op))
+                Ok(TransientSample::at(t + dt, &op))
             })();
             match outcome {
                 Ok(sample) => {
@@ -957,20 +874,13 @@ impl ExecutiveEngine {
                         && step.is_multiple_of(self.checkpoint_interval)
                         && step < steps
                     {
-                        self.checkpoint_remotes();
-                        self.emit_event(schooner::EventKind::Barrier { step, t });
-                        self.journal_barrier(step, t, samples.len(), &y, &inner);
-                        checkpoint = Some(TransientCheckpoint {
-                            t,
-                            step,
-                            y,
-                            inner,
-                            samples_len: samples.len(),
-                        });
+                        let samples_len = samples.len();
+                        let cp = TransientCheckpoint { t, step, y, inner, samples_len };
+                        checkpoint = Some(self.barrier(cp));
                     }
                 }
                 Err(e) => {
-                    let Some(cp) = checkpoint.as_ref() else { return Err(e) };
+                    let Some(cp) = checkpoint else { return Err(e) };
                     if self.recoveries >= self.max_recoveries {
                         return Err(format!(
                             "transient failed after {} recoveries: {e}",
@@ -978,10 +888,7 @@ impl ExecutiveEngine {
                         ));
                     }
                     self.recoveries += 1;
-                    t = cp.t;
-                    step = cp.step;
-                    y = cp.y;
-                    inner = cp.inner;
+                    TransientCheckpoint { t, step, y, inner, .. } = cp;
                     samples.truncate(cp.samples_len);
                     integrator = method.integrator();
                     if let Some(obs) = &self.obs {
@@ -1003,17 +910,5 @@ impl ExecutiveEngine {
             }
         }
         Ok(TransientResult { samples, method: method.display_name().to_owned(), dt })
-    }
-}
-
-fn sample_of(t: f64, op: &OperatingPoint) -> TransientSample {
-    TransientSample {
-        t,
-        n1: op.n1,
-        n2: op.n2,
-        wf: op.wf,
-        thrust: op.thrust,
-        t4: op.st4.tt,
-        w2: op.st2.w,
     }
 }

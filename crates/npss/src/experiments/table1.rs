@@ -39,19 +39,15 @@ pub const TABLE1_COMBOS: [MachineCombo; 5] = [
 ];
 
 /// Which adapted module a Table 1 run exercises (the paper tested each
-/// separately). For the duct and shaft, the bypass duct and the low-speed
-/// shaft stand in for "the" module.
-pub const TABLE1_MODULES: [&str; 4] = ["shaft", "duct", "combustor", "nozzle"];
-
-fn slot_for_module(module: &str) -> &'static str {
-    match module {
-        "shaft" => "low speed shaft",
-        "duct" => "bypass duct",
-        "combustor" => "combustor",
-        "nozzle" => "nozzle",
-        other => panic!("unknown adapted module '{other}'"),
-    }
-}
+/// separately), with the engine slot placed remotely to test it: for the
+/// duct and shaft, the bypass duct and the low-speed shaft stand in for
+/// "the" module.
+pub const TABLE1_MODULES: [(&str, &str); 4] = [
+    ("shaft", "low speed shaft"),
+    ("duct", "bypass duct"),
+    ("combustor", "combustor"),
+    ("nozzle", "nozzle"),
+];
 
 /// Run configuration (durations kept settable so a run can be short).
 #[derive(Debug, Clone)]
@@ -110,8 +106,7 @@ pub fn run_table1(sch: &Arc<Schooner>, cfg: &Table1Config) -> Result<Vec<Table1R
         baseline_net.apply_placement(&RemotePlacement::all_local())?;
         let baseline = baseline_net.run(&cfg.method, cfg.t_end, cfg.dt)?;
 
-        for module in TABLE1_MODULES {
-            let slot = slot_for_module(module);
+        for (module, slot) in TABLE1_MODULES {
             let mut net = F100Network::build(sch.clone(), combo.avs_machine)?;
             net.apply_placement(&RemotePlacement::all_local().with(slot, combo.remote_machine))?;
             let result = net.run(&cfg.method, cfg.t_end, cfg.dt);

@@ -79,16 +79,6 @@ impl Table2Report {
     }
 }
 
-fn module_type_of_slot(slot: &str) -> &'static str {
-    match slot {
-        "bypass duct" | "tailpipe duct" => "duct",
-        "low speed shaft" | "high speed shaft" => "shaft",
-        "combustor" => "combustor",
-        "nozzle" => "nozzle",
-        _ => "other",
-    }
-}
-
 /// Run the combined test.
 pub fn run_table2(sch: &Arc<Schooner>, cfg: &Table2Config) -> Result<Table2Report, String> {
     // Baseline: original local-compute-only versions.
@@ -105,7 +95,10 @@ pub fn run_table2(sch: &Arc<Schooner>, cfg: &Table2Config) -> Result<Table2Repor
     // Aggregate per (module type, machine), as the paper's table does.
     let mut rows: Vec<Table2Row> = Vec::new();
     for r in report.iter().filter(|r| r.location != "local") {
-        let mtype = module_type_of_slot(&r.module);
+        let mtype = net
+            .services
+            .module_type_of(&r.module)
+            .ok_or_else(|| format!("no component type recorded for slot '{}'", r.module))?;
         if let Some(row) =
             rows.iter_mut().find(|row| row.module == mtype && row.remote_machine == r.location)
         {
@@ -114,7 +107,7 @@ pub fn run_table2(sch: &Arc<Schooner>, cfg: &Table2Config) -> Result<Table2Repor
             row.virtual_seconds += r.virtual_seconds;
         } else {
             rows.push(Table2Row {
-                module: mtype.to_owned(),
+                module: mtype,
                 instances: 1,
                 remote_machine: r.location.clone(),
                 network: network_class(sch, TABLE2_AVS_MACHINE, &r.location),

@@ -37,6 +37,8 @@ use tess::components::{Combustor, Duct, Nozzle, Shaft};
 use tess::gas::GasState;
 use uts::Value;
 
+use crate::exec::flow_to_value;
+
 /// Standard installation path of the shaft image (the component type's
 /// declared `remote_path`).
 pub const SHAFT_PATH: &str = Shaft::REMOTE_PATH;
@@ -173,11 +175,6 @@ fn flow_in(f: [f32; 4]) -> GasState {
     GasState::new(f[0] as f64, f[1] as f64, f[2] as f64, f[3] as f64)
 }
 
-/// Convert a gas state back into the single-precision quadruple.
-fn flow_out(s: &GasState) -> Value {
-    Value::floats(&[s.w as f32, s.tt as f32, s.pt as f32, s.far as f32])
-}
-
 /// The `npss-shaft` executable image.
 pub fn shaft_image() -> ProgramImage {
     static IMAGE: OnceLock<ProgramImage> = OnceLock::new();
@@ -258,7 +255,7 @@ fn build_duct_image() -> ProgramImage {
                     let dp = get_f32(&args[1], "dpfrac")? as f64;
                     let q = get_f32(&args[2], "q")? as f64;
                     let out = Duct::new(dp).flow(&flow, q);
-                    Ok([flow_out(&out)])
+                    Ok([flow_to_value(&out)])
                 },
                 60_000.0,
             ))
@@ -297,7 +294,7 @@ fn build_combustor_image() -> ProgramImage {
                     let eta = get_f32(&args[2], "eta")? as f64;
                     let dp = get_f32(&args[3], "dp")? as f64;
                     let out = Combustor::new(eta, dp).burn(&flow, wf)?;
-                    Ok([flow_out(&out)])
+                    Ok([flow_to_value(&out)])
                 },
                 150_000.0,
             ))
@@ -574,7 +571,7 @@ pub fn duct2_image() -> ProgramImage {
                     let scale = (flow.w / 100.0).powi(2);
                     let dp = (dp_ref * scale).clamp(0.0, 0.5);
                     let out = Duct::new(dp).flow(&flow, q);
-                    Ok([flow_out(&out)])
+                    Ok([flow_to_value(&out)])
                 },
                 90_000.0,
             ))

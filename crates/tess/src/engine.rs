@@ -14,6 +14,12 @@
 //! solved by Newton–Raphson or by fourth-order Runge–Kutta pseudo-
 //! transient relaxation, the two steady-state choices in the system
 //! module's control panel.
+//!
+//! The gas path is written once, in [`Turbofan::evaluate_with`]. Four of
+//! its modules — the two ducts, the combustor and the nozzle — are reached
+//! through [`AdaptedModules`], the seam the paper's executive adapts so
+//! their computations can execute remotely; [`Turbofan::evaluate`] passes
+//! the engine's own components through it.
 
 use crate::components::{
     Bleed, Combustor, Compressor, Duct, Inlet, MixingVolume, Nozzle, Shaft, Splitter, Turbine,
@@ -128,9 +134,6 @@ pub struct Turbofan {
     pub inlet: Inlet,
     /// Fan (whole-flow low-pressure compressor).
     pub fan: Compressor,
-    /// Core/bypass splitter at the design bypass ratio (off-design the
-    /// split floats to satisfy the mixer pressure balance).
-    pub splitter: Splitter,
     /// Bypass duct.
     pub bypass_duct: Duct,
     /// High-pressure compressor.
@@ -163,6 +166,52 @@ pub struct Turbofan {
     pub flight: FlightCondition,
 }
 
+/// The four modules of the gas path that the executive adapts to run
+/// remotely (the shafts act on an evaluated point, outside the gas path),
+/// in the order [`Turbofan::evaluate_with`] reaches them.
+pub trait AdaptedModules {
+    /// The bypass duct and the combustor together — the gas path reaches
+    /// both with both inlet states known: the bypass stream and the HPC
+    /// exit after bleed, burning `wf` kg/s of fuel. Returns (bypass duct
+    /// exit, combustor exit).
+    fn duct_and_burn(
+        &mut self,
+        bypass: &GasState,
+        core: &GasState,
+        wf: f64,
+    ) -> Result<(GasState, GasState), String>;
+
+    /// The tailpipe duct: mixer exit in, nozzle face out.
+    fn tailpipe(&mut self, mixed: &GasState) -> Result<GasState, String>;
+
+    /// The nozzle flowing `face` against ambient `p_amb`: (flow capacity,
+    /// gross thrust).
+    fn nozzle(&mut self, face: &GasState, p_amb: f64) -> Result<(f64, f64), String>;
+}
+
+/// The engine's own components behind the seam.
+struct OwnModules<'a>(&'a Turbofan);
+
+impl AdaptedModules for OwnModules<'_> {
+    fn duct_and_burn(
+        &mut self,
+        bypass: &GasState,
+        core: &GasState,
+        wf: f64,
+    ) -> Result<(GasState, GasState), String> {
+        Ok((self.0.bypass_duct.flow(bypass, 0.0), self.0.combustor.burn(core, wf)?))
+    }
+
+    fn tailpipe(&mut self, mixed: &GasState) -> Result<GasState, String> {
+        Ok(self.0.tailpipe.flow(mixed, 0.0))
+    }
+
+    fn nozzle(&mut self, face: &GasState, p_amb: f64) -> Result<(f64, f64), String> {
+        let nz = self.0.nozzle.operate(face, p_amb, None)?;
+        Ok((nz.w_capacity, nz.gross_thrust))
+    }
+}
+
 impl Turbofan {
     /// Build an engine from a cycle design, synthesizing maps anchored at
     /// the design point.
@@ -193,7 +242,6 @@ impl Turbofan {
             // T_STD at the sea-level-static design, the HPC sees the fan
             // exit temperature).
             fan: Compressor::new("fan", fan_map, cycle.n1_design / (design.st2.tt / T_STD).sqrt()),
-            splitter: Splitter::new(cycle.bpr),
             bypass_duct: Duct::new(cycle.bypass_dp),
             hpc: Compressor::new("hpc", hpc_map, cycle.n2_design / (design.st25.tt / T_STD).sqrt()),
             bleed: Bleed::new(cycle.bleed_frac),
@@ -236,6 +284,22 @@ impl Turbofan {
         wf: f64,
         x: &[f64; 5],
     ) -> Result<OperatingPoint, String> {
+        self.evaluate_with(&mut OwnModules(self), n1, n2, wf, x)
+    }
+
+    /// [`Turbofan::evaluate`] with the bypass duct, combustor, tailpipe
+    /// and nozzle supplied by `adapted`. The engine's own physics (inlet,
+    /// fan, split, HPC and bleed) runs before the first seam call, so a
+    /// fault found there is reported before any adapted module is asked;
+    /// an error from the seam is returned unchanged.
+    pub fn evaluate_with(
+        &self,
+        adapted: &mut impl AdaptedModules,
+        n1: f64,
+        n2: f64,
+        wf: f64,
+        x: &[f64; 5],
+    ) -> Result<OperatingPoint, String> {
         let [beta_fan, beta_hpc, er_hpt, er_lpt, bpr_frac] = *x;
         if !(0.1..=8.0).contains(&bpr_frac) {
             return Err(format!("bypass-ratio fraction {bpr_frac} outside model range"));
@@ -255,14 +319,13 @@ impl Turbofan {
         let fan_res = self.fan.operate(&st2, n1, beta_fan, self.stators.fan_deg)?;
         let st21 = fan_res.exit;
         let (st25, bypass) = Splitter::new(bpr).split(&st21);
-        let st16 = self.bypass_duct.flow(&bypass, 0.0);
 
         let hpc_res = self.hpc.operate(&st25, n2, beta_hpc, self.stators.hpc_deg)?;
         let st3 = hpc_res.exit;
         let r_hpc = (hpc_res.wc_map - st25.corrected_flow()) / self.design.st25.corrected_flow();
 
         let (st3m, _bleed_out) = self.bleed.extract(&st3);
-        let st4 = self.combustor.burn(&st3m, wf)?;
+        let (st16, st4) = adapted.duct_and_burn(&bypass, &st3m, wf)?;
 
         let hpt_res = self.hpt.operate(&st4, n2, er_hpt)?;
         let st45 = hpt_res.exit;
@@ -280,12 +343,12 @@ impl Turbofan {
         let r_mix = (st5.pt / st16.pt) / design_mix_ratio - 1.0;
 
         let st6 = self.mixer.mix(&st5, &st16);
-        let st7 = self.tailpipe.flow(&st6, 0.0);
-        let nz = self.nozzle.operate(&st7, self.flight.p_amb, None)?;
-        let r_noz = (nz.w_capacity - st7.w) / self.design.st7.w;
+        let st7 = adapted.tailpipe(&st6)?;
+        let (w_capacity, gross_thrust) = adapted.nozzle(&st7, self.flight.p_amb)?;
+        let r_noz = (w_capacity - st7.w) / self.design.st7.w;
 
         let ram_drag = st2.w * Inlet::flight_velocity(self.flight.t_amb, self.flight.mach);
-        let thrust = nz.gross_thrust - ram_drag;
+        let thrust = gross_thrust - ram_drag;
 
         Ok(OperatingPoint {
             n1,
@@ -382,18 +445,12 @@ impl Turbofan {
         let mut steps = 0;
         #[allow(clippy::explicit_counter_loop)] // `steps` outlives the loop for the report
         for _ in 0..4000 {
-            let mut inner_shared = inner;
-            {
-                let mut f = |_t: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
-                    let op = self.solve_inner(y[0], y[1], wf, &mut inner_shared)?;
-                    let (a1, a2) = self.spool_accels(&op);
-                    d[0] = a1;
-                    d[1] = a2;
-                    Ok(())
-                };
-                rk.step(&mut f, 0.0, &mut y, dt)?;
-            }
-            inner = inner_shared;
+            let mut f = |_t: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
+                let op = self.solve_inner(y[0], y[1], wf, &mut inner)?;
+                (d[0], d[1]) = self.spool_accels(&op);
+                Ok(())
+            };
+            rk.step(&mut f, 0.0, &mut y, dt)?;
             steps += 1;
             let op = self.solve_inner(y[0], y[1], wf, &mut inner)?;
             let (a1, a2) = self.spool_accels(&op);
@@ -518,6 +575,74 @@ mod tests {
             .evaluate(e.cycle.n1_design, e.cycle.n2_design, e.design.wf, &[0.5, 0.5, 0.5, 2.0, 1.0])
             .unwrap_err();
         assert!(err.contains("expansion ratio"), "{err}");
+    }
+
+    /// A seam over the engine's own components that logs every state it
+    /// is handed; `duct_and_burn` fails with the second field when set.
+    struct Recorder<'a>(OwnModules<'a>, Option<&'static str>, Vec<GasState>);
+
+    impl AdaptedModules for Recorder<'_> {
+        fn duct_and_burn(
+            &mut self,
+            bypass: &GasState,
+            core: &GasState,
+            wf: f64,
+        ) -> Result<(GasState, GasState), String> {
+            self.2.extend([*bypass, *core]);
+            match self.1 {
+                Some(e) => Err(e.to_owned()),
+                None => self.0.duct_and_burn(bypass, core, wf),
+            }
+        }
+        fn tailpipe(&mut self, mixed: &GasState) -> Result<GasState, String> {
+            self.2.push(*mixed);
+            self.0.tailpipe(mixed)
+        }
+        fn nozzle(&mut self, face: &GasState, p_amb: f64) -> Result<(f64, f64), String> {
+            self.2.push(*face);
+            self.0.nozzle(face, p_amb)
+        }
+    }
+
+    #[test]
+    fn a_forwarding_seam_reproduces_evaluate_bit_for_bit() {
+        let e = engine();
+        let (n1, n2, wf) = (0.97 * e.cycle.n1_design, 0.99 * e.cycle.n2_design, 0.92 * e.design.wf);
+        let x = [0.45, 0.55, e.design.er_hpt, e.design.er_lpt, 1.05];
+        let own = e.evaluate(n1, n2, wf, &x).unwrap();
+        let mut seam = Recorder(OwnModules(&e), None, Vec::new());
+        let via = e.evaluate_with(&mut seam, n1, n2, wf, &x).unwrap();
+        // `Debug` prints each f64 in its shortest round-trip form: equal
+        // text is equal bits.
+        assert_eq!(format!("{via:?}"), format!("{own:?}"));
+        let [bypass, core, mixed, face] = seam.2[..] else { panic!("{:?}", seam.2) };
+        assert_eq!((bypass.w + own.st25.w, bypass.pt), (own.st21.w, own.st21.pt));
+        assert_eq!((core.tt, core.pt), (own.st3.tt, own.st3.pt));
+        assert!(core.w < own.st3.w, "the combustor sees the flow left after bleed");
+        assert_eq!((mixed, face), (own.st6, own.st7));
+    }
+
+    #[test]
+    fn a_seam_error_returns_unchanged_and_stops_the_gas_path() {
+        let e = engine();
+        let mut seam = Recorder(OwnModules(&e), Some("combustor (comb): host down"), Vec::new());
+        let (n1, n2, x) = (e.cycle.n1_design, e.cycle.n2_design, e.design_inner_guess());
+        let err = e.evaluate_with(&mut seam, n1, n2, e.design.wf, &x).unwrap_err();
+        assert_eq!(err, "combustor (comb): host down");
+        assert_eq!(seam.2.len(), 2, "neither tailpipe nor nozzle was called");
+    }
+
+    /// The order contract the executive relies on: a fault in the
+    /// engine's own physics is reported before any adapted module runs.
+    #[test]
+    fn an_hpc_map_excursion_fails_before_the_seam_is_called() {
+        let e = engine();
+        let mut seam = Recorder(OwnModules(&e), None, Vec::new());
+        let off_map = [0.5, 7.0, e.design.er_hpt, e.design.er_lpt, 1.0];
+        let (n1, n2) = (e.cycle.n1_design, e.cycle.n2_design);
+        let err = e.evaluate_with(&mut seam, n1, n2, e.design.wf, &off_map).unwrap_err();
+        assert!(err.contains("coordinate 7 outside table range"), "{err}");
+        assert!(seam.2.is_empty(), "seam called: {:?}", seam.2);
     }
 }
 

@@ -65,6 +65,13 @@ pub struct TransientSample {
     pub w2: f64,
 }
 
+impl TransientSample {
+    /// The sample of operating point `op` at transient time `t`.
+    pub fn at(t: f64, op: &OperatingPoint) -> Self {
+        Self { t, n1: op.n1, n2: op.n2, wf: op.wf, thrust: op.thrust, t4: op.st4.tt, w2: op.st2.w }
+    }
+}
+
 /// A complete transient trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
@@ -210,7 +217,7 @@ impl TransientRun {
         self.engine.solve_inner(y[0], y[1], self.fuel.at(0.0), &mut inner)?;
 
         let mut integrator = self.method.integrator();
-        let mut samples = vec![sample_of(0.0, &initial.point)];
+        let mut samples = vec![TransientSample::at(0.0, &initial.point)];
         let mut t = 0.0;
         for _ in 0..steps {
             // Injected failures fire at the start of the step in which
@@ -219,34 +226,21 @@ impl TransientRun {
             if self.apply_failures(t) > 0 {
                 integrator.reset();
             }
-            let mut inner_shared = inner;
-            {
-                let engine = &mut self.engine;
-                let fuel = &self.fuel;
-                let fan_s = &self.fan_stators;
-                let hpc_s = &self.hpc_stators;
-                let alt_s = &self.altitude;
-                let mach_s = &self.mach;
-                let damage = self.fan_damage_deg;
-                let mut f = |tau: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
-                    engine.stators.fan_deg = fan_s.at(tau) + damage;
-                    engine.stators.hpc_deg = hpc_s.at(tau);
-                    Self::apply_flight(engine, alt_s, mach_s, tau);
-                    let op = engine.solve_inner(y[0], y[1], fuel.at(tau), &mut inner_shared)?;
-                    let (a1, a2) = engine.spool_accels(&op);
-                    d[0] = a1;
-                    d[1] = a2;
-                    Ok(())
-                };
-                integrator.step(&mut f, t, &mut y, self.dt)?;
-            }
-            inner = inner_shared;
+            let mut f = |tau: f64, y: &[f64], d: &mut [f64]| -> Result<(), String> {
+                self.engine.stators.fan_deg = self.fan_stators.at(tau) + self.fan_damage_deg;
+                self.engine.stators.hpc_deg = self.hpc_stators.at(tau);
+                Self::apply_flight(&mut self.engine, &self.altitude, &self.mach, tau);
+                let op = self.engine.solve_inner(y[0], y[1], self.fuel.at(tau), &mut inner)?;
+                (d[0], d[1]) = self.engine.spool_accels(&op);
+                Ok(())
+            };
+            integrator.step(&mut f, t, &mut y, self.dt)?;
             t += self.dt;
             self.engine.stators.fan_deg = self.fan_stators.at(t) + self.fan_damage_deg;
             self.engine.stators.hpc_deg = self.hpc_stators.at(t);
             Self::apply_flight(&mut self.engine, &self.altitude, &self.mach, t);
             let op = self.engine.solve_inner(y[0], y[1], self.fuel.at(t), &mut inner)?;
-            samples.push(sample_of(t, &op));
+            samples.push(TransientSample::at(t, &op));
         }
         Ok(TransientResult { samples, method: self.method.display_name().to_owned(), dt: self.dt })
     }
@@ -264,18 +258,6 @@ pub fn transient_steps(t_end: f64, dt: f64) -> Result<usize, String> {
         return Err(format!("transient length must be finite and not negative, got {t_end}"));
     }
     Ok((t_end / dt).round() as usize)
-}
-
-fn sample_of(t: f64, op: &OperatingPoint) -> TransientSample {
-    TransientSample {
-        t,
-        n1: op.n1,
-        n2: op.n2,
-        wf: op.wf,
-        thrust: op.thrust,
-        t4: op.st4.tt,
-        w2: op.st2.w,
-    }
 }
 
 #[cfg(test)]

@@ -215,11 +215,16 @@ fn public_api_matches_its_golden() {
     let got = surface();
     let golden_file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/api.txt");
     let want = fs::read_to_string(golden_file).unwrap();
-    // Name the items that appeared or went, not every line they shift.
-    for (a, b, what) in [(&got, &want, "added"), (&want, &got, "removed")] {
-        let moved: Vec<&str> = a.lines().filter(|l| !b.lines().any(|m| m == *l)).collect();
-        assert!(moved.is_empty(), "API items {what}: {moved:#?}");
-    }
+    // Name the items that appeared and those that went, both at once,
+    // not every line they shift.
+    let only_in = |a: &str, b: &str| -> Vec<String> {
+        a.lines().filter(|l| !b.lines().any(|m| m == *l)).map(str::to_owned).collect()
+    };
+    let (added, removed) = (only_in(&got, &want), only_in(&want, &got));
+    assert!(
+        added.is_empty() && removed.is_empty(),
+        "API items added: {added:#?}\nAPI items removed: {removed:#?}"
+    );
     golden::check("api.txt", got.as_bytes());
 }
 

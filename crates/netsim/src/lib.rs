@@ -8,7 +8,7 @@
 //! * a [`Topology`] of hosts, subnet switches, and
 //!   gateway routers connected by links with latency and bandwidth;
 //! * shortest-path routing and store-and-forward transfer-time accounting;
-//! * a reliable, ordered [`transport`] built on channels, where
+//! * a reliable, ordered [`transport`] over per-endpoint mailboxes, where
 //!   every message carries the **virtual time** at which it arrives;
 //! * optional [`link`] batching, one switch ([`LinkConfig`]): call
 //!   requests between a pair of hosts coalesce into checksummed frames

@@ -10,9 +10,17 @@
 //! determinism tests depend on this, which is also why keys must never
 //! embed process-unique identifiers (host names and line-relative call
 //! ids are fine; global process counters are not).
+//!
+//! A hot path resolves its name once into a [`Counter`] or a
+//! [`HistogramHandle`] and updates through that: no registry lock and
+//! no string comparison per update. A metric enters the snapshot on its
+//! first update, whether by handle or by name, so resolving a handle
+//! that is never used leaves the export unchanged.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Upper bounds (seconds, virtual time) of the histogram's log-scale
@@ -72,11 +80,86 @@ impl Histogram {
     }
 }
 
+/// One counter's storage, shared by the registry and every handle.
+#[derive(Debug, Default)]
+struct CounterCell {
+    value: AtomicU64,
+    /// Set by the first add: only counters that were added to are
+    /// exported.
+    live: AtomicBool,
+}
+
+impl CounterCell {
+    fn add(&self, delta: u64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        if !self.live.load(Ordering::Relaxed) {
+            self.live.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A counter resolved once by name ([`MetricsRegistry::counter_handle`]).
+/// Adding through it is two atomic operations. Cloning is cheap; all
+/// clones add to the one counter.
+#[derive(Debug, Clone)]
+pub struct Counter {
+    cell: Arc<CounterCell>,
+}
+
+impl Counter {
+    /// Add `delta`, exactly as [`MetricsRegistry::counter_add`] under
+    /// this counter's name would.
+    pub fn add(&self, delta: u64) {
+        self.cell.add(delta);
+    }
+}
+
+/// A histogram resolved once by name
+/// ([`MetricsRegistry::histogram_handle`]). Observing through it takes
+/// only the histogram's own lock. Cloning is cheap; all clones record
+/// into the one histogram.
+#[derive(Debug, Clone)]
+pub struct HistogramHandle {
+    cell: Arc<Mutex<Histogram>>,
+}
+
+impl HistogramHandle {
+    /// Record one virtual-time duration, exactly as
+    /// [`MetricsRegistry::observe`] under this histogram's name would.
+    pub fn observe(&self, seconds: f64) {
+        lock(&self.cell).observe(seconds);
+    }
+}
+
+/// A metric name as the registry keeps it: a `'static` name without a
+/// copy, any other as an owned string.
+type Name = Cow<'static, str>;
+
+/// The cell named `name` in `map`, created on first use.
+fn cell<'a, T: Default>(map: &'a mut BTreeMap<Name, Arc<T>>, name: &str) -> &'a Arc<T> {
+    if !map.contains_key(name) {
+        map.insert(Cow::Owned(name.to_owned()), Arc::default());
+    }
+    &map[name]
+}
+
+/// A handle's cell: [`cell`], with an owned or `'static` name moved in
+/// rather than copied.
+fn resolve<T: Default>(map: &mut BTreeMap<Name, Arc<T>>, name: Name) -> Arc<T> {
+    if let Some(c) = map.get(&*name) {
+        return c.clone();
+    }
+    let c = Arc::<T>::default();
+    map.insert(name, c.clone());
+    c
+}
+
 #[derive(Debug, Default)]
 struct Store {
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<Name, Arc<CounterCell>>,
     gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// A histogram with no observation yet is not exported.
+    histograms: BTreeMap<Name, Arc<Mutex<Histogram>>>,
 }
 
 /// A shared registry of named counters and virtual-time histograms.
@@ -89,8 +172,8 @@ pub struct MetricsRegistry {
 /// Take the guard even when a previous holder panicked: metrics are
 /// monotonic aggregates, so a half-applied update is still usable and a
 /// poisoned lock must not cascade the panic into every later reader.
-fn lock(store: &Mutex<Store>) -> MutexGuard<'_, Store> {
-    store.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl MetricsRegistry {
@@ -101,18 +184,18 @@ impl MetricsRegistry {
 
     /// Add `delta` to the named counter, creating it at zero first.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut s = lock(&self.store);
-        match s.counters.get_mut(name) {
-            Some(c) => *c += delta,
-            None => {
-                s.counters.insert(name.to_owned(), delta);
-            }
-        }
+        cell(&mut lock(&self.store).counters, name).add(delta);
+    }
+
+    /// The named counter as a handle, for a path that adds to it often.
+    /// Resolving does not export the counter; its first add does.
+    pub fn counter_handle(&self, name: impl Into<Cow<'static, str>>) -> Counter {
+        Counter { cell: resolve(&mut lock(&self.store).counters, name.into()) }
     }
 
     /// Current value of a counter (0 when it has never been touched).
     pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.store).counters.get(name).copied().unwrap_or(0)
+        lock(&self.store).counters.get(name).map_or(0, |c| c.value.load(Ordering::Relaxed))
     }
 
     /// Set the named gauge to an instantaneous level (queue depths, busy
@@ -140,28 +223,21 @@ impl MetricsRegistry {
 
     /// Record one virtual-time duration into the named histogram.
     pub fn observe(&self, name: &str, seconds: f64) {
-        let mut s = lock(&self.store);
-        match s.histograms.get_mut(name) {
-            Some(h) => h.observe(seconds),
-            None => {
-                let mut h = Histogram::default();
-                h.observe(seconds);
-                s.histograms.insert(name.to_owned(), h);
-            }
-        }
+        lock(cell(&mut lock(&self.store).histograms, name)).observe(seconds);
+    }
+
+    /// The named histogram as a handle, for a path that observes it
+    /// often. Resolving does not export the histogram; its first
+    /// observation does.
+    pub fn histogram_handle(&self, name: impl Into<Cow<'static, str>>) -> HistogramHandle {
+        HistogramHandle { cell: resolve(&mut lock(&self.store).histograms, name.into()) }
     }
 
     /// Snapshot of a histogram, if it has ever been observed.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        lock(&self.store).histograms.get(name).cloned()
-    }
-
-    /// Forget everything (fresh-world tests).
-    pub fn clear(&self) {
-        let mut s = lock(&self.store);
-        s.counters.clear();
-        s.gauges.clear();
-        s.histograms.clear();
+        let s = lock(&self.store);
+        let h = lock(s.histograms.get(name)?).clone();
+        (h.count > 0).then_some(h)
     }
 
     /// Deterministic JSON export: keys in sorted (BTreeMap) order,
@@ -181,10 +257,11 @@ impl MetricsRegistry {
         let mut out = String::new();
         out.push_str("{\n  \"counters\": {");
         let mut first = true;
-        for (name, value) in &s.counters {
-            if skip(name) {
+        for (name, cell) in &s.counters {
+            if skip(name) || !cell.live.load(Ordering::Relaxed) {
                 continue;
             }
+            let value = cell.value.load(Ordering::Relaxed);
             if !first {
                 out.push(',');
             }
@@ -212,7 +289,8 @@ impl MetricsRegistry {
         out.push_str("},\n  \"histograms\": {");
         first = true;
         for (name, h) in &s.histograms {
-            if skip(name) {
+            let h = lock(h);
+            if skip(name) || h.count == 0 {
                 continue;
             }
             if !first {
@@ -366,8 +444,6 @@ mod tests {
         assert!(snap.contains("\"pool.queue_depth\": 2"));
         // Gauges honor the exclusion prefixes like every other family.
         assert!(!m.snapshot_json_excluding(&["pool."]).contains("pool.queue_depth"));
-        m.clear();
-        assert_eq!(m.gauge("pool.queue_depth"), 0);
     }
 
     #[test]
@@ -389,13 +465,37 @@ mod tests {
         assert!(m.snapshot_json().contains("\"x\": 2"));
     }
 
+    /// Two registries fed the same updates, one by name and one through
+    /// handles, export the same bytes; handles resolved and never used
+    /// export nothing, exactly like names the registry never saw.
     #[test]
-    fn clear_empties_everything() {
-        let m = MetricsRegistry::new();
-        m.counter_add("x", 1);
-        m.observe("y", 1.0);
-        m.clear();
-        assert_eq!(m.counter("x"), 0);
-        assert!(m.histogram("y").is_none());
+    fn handles_export_exactly_what_names_do() {
+        let (named, handled) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let idle = handled.counter_handle("rpc.retries.stale");
+        let idle_h = handled.histogram_handle("rpc.call_s.a->c");
+        assert_eq!(handled.snapshot_json(), MetricsRegistry::new().snapshot_json());
+        assert_eq!(
+            (handled.counter("rpc.retries.stale"), handled.histogram("rpc.call_s.a->c")),
+            (0, None)
+        );
+
+        let (calls, lat) = (handled.counter_handle("rpc.calls"), handled.histogram_handle("lat"));
+        for (delta, v) in [(1, 0.002), (0, 0.5), (3, 0.0005)] {
+            named.counter_add("rpc.calls", delta);
+            named.observe("lat", v);
+            calls.add(delta);
+            lat.observe(v);
+        }
+        named.counter_add("zero", 0);
+        handled.counter_handle("zero").add(0);
+        assert_eq!(handled.snapshot_json(), named.snapshot_json());
+        assert_eq!(handled.counter("rpc.calls"), 4);
+        assert_eq!(handled.histogram("lat"), named.histogram("lat"));
+
+        // A handle and the name reach the same counter.
+        handled.counter_add("rpc.calls", 1);
+        calls.clone().add(1);
+        assert_eq!(handled.counter("rpc.calls"), 6);
+        drop((idle, idle_h));
     }
 }

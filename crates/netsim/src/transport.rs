@@ -3,23 +3,22 @@
 //! Processes register an [`Endpoint`] under an address of the form
 //! `host:process`. Sending looks up the route between the two hosts,
 //! computes the virtual transfer time for the payload size, stamps the
-//! envelope with its arrival instant, and enqueues it on the receiver's
-//! channel. Failure injection (downed hosts, removed links) surfaces as
-//! send-time errors, exactly where a connection failure would surface in
-//! the real system.
+//! envelope with its arrival instant, and enqueues it in the receiver's
+//! [`Mailbox`]. Failure injection (downed hosts, removed links) surfaces
+//! as send-time errors, exactly where a connection failure would surface
+//! in the real system.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::faults::FaultPlan;
 use crate::link::{decode_frame, FrameMsg, HeldMsg, LinkBatcher, LinkConfig, OpenFrame, Records};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::topology::{NodeId, Path, Topology};
 
 /// Transport errors.
@@ -33,7 +32,8 @@ pub enum NetError {
     HostDown(String),
     /// No route between the two hosts (link failure / partition).
     Unreachable { from: String, to: String },
-    /// The receiving endpoint was dropped.
+    /// The endpoint's registration was replaced, so nothing will reach
+    /// it any more.
     Disconnected(String),
     /// The message was lost by injected fault (see [`FaultPlan`]).
     Dropped {
@@ -112,6 +112,87 @@ pub struct FlushRecord {
     pub result: Result<f64, NetError>,
 }
 
+/// Take the guard even when a previous holder panicked: a queue of
+/// whole envelopes is never left half-updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// One endpoint's queue of envelopes, in delivery order. The queue
+/// keeps its capacity, so a warm endpoint receives without allocating.
+///
+/// A clone is a handle on the same queue that can only ask whether
+/// mail is waiting: a scheduler that steps actors
+/// ([`has_mail`](Mailbox::has_mail)) reads that without taking the
+/// queue's lock.
+#[derive(Clone)]
+pub struct Mailbox {
+    inner: Arc<MailboxInner>,
+}
+
+struct MailboxInner {
+    queue: Mutex<Queue>,
+    /// Envelopes queued: written under `queue`'s lock with `Release`
+    /// after every push and pop, read with `Acquire` by anyone.
+    pending: AtomicUsize,
+    /// Signalled by an enqueue while a thread waits in
+    /// [`Endpoint::recv`], and only then.
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    envelopes: VecDeque<Envelope>,
+    /// Threads blocked in [`Endpoint::recv`].
+    waiters: usize,
+    /// The endpoint's registration was replaced: no send reaches it.
+    closed: bool,
+}
+
+impl Mailbox {
+    fn new() -> Self {
+        let inner = MailboxInner {
+            queue: Mutex::default(),
+            pending: AtomicUsize::new(0),
+            arrived: Condvar::new(),
+        };
+        Self { inner: Arc::new(inner) }
+    }
+
+    /// Whether an envelope is waiting. An answer of `false` that
+    /// synchronizes with the receiver's last pop also shows everything
+    /// the receiving thread did before that pop.
+    pub fn has_mail(&self) -> bool {
+        self.inner.pending.load(Ordering::Acquire) > 0
+    }
+
+    /// Append an admitted envelope; returns its arrival time.
+    fn push(&self, env: Envelope) -> f64 {
+        let arrive_at = env.arrive_at;
+        let mut q = lock(&self.inner.queue);
+        q.envelopes.push_back(env);
+        self.inner.pending.store(q.envelopes.len(), Ordering::Release);
+        let waiting = q.waiters > 0;
+        // Signalled after the lock is released, so a waiter woken on
+        // this CPU does not find it still held.
+        drop(q);
+        if waiting {
+            self.inner.arrived.notify_all();
+        }
+        arrive_at
+    }
+
+    fn pop(&self, q: &mut Queue) -> Option<Envelope> {
+        let env = q.envelopes.pop_front()?;
+        self.inner.pending.store(q.envelopes.len(), Ordering::Release);
+        Some(env)
+    }
+
+    fn close(&self) {
+        lock(&self.inner.queue).closed = true;
+    }
+}
+
 /// One registered endpoint.
 struct EpEntry {
     /// Registration id, so a stale [`Endpoint`]'s Drop cannot tear down a
@@ -123,19 +204,21 @@ struct EpEntry {
     /// (managers, servers, lines) that model the *infrastructure*, which
     /// restarts with the host, rather than a process instance.
     birth: Option<f64>,
-    tx: Sender<Envelope>,
+    mailbox: Mailbox,
 }
 
 /// What the transport derives from one directed host pair, computed on
-/// the pair's first message and shared by every later one: the route
-/// and the per-link metric keys.
+/// the pair's first message and shared by every later one: the route,
+/// the per-link message and byte counters, and the batching metric keys.
 struct LinkRecord {
     from_host: String,
     to_host: String,
     /// Minimum-latency route; `None` when the pair is partitioned.
     route: Option<Path>,
-    msg_key: String,
-    bytes_key: String,
+    /// `net.msg.{from}->{to}`.
+    msgs: Counter,
+    /// `net.bytes.{from}->{to}`.
+    bytes: Counter,
     flushes_key: String,
     fill_key: String,
 }
@@ -233,10 +316,14 @@ impl Network {
             return Err(NetError::UnknownHost(host));
         }
         let addr: Arc<str> = addr.into();
-        let (tx, rx) = channel();
+        let mailbox = Mailbox::new();
         let id = self.inner.next_ep.fetch_add(1, Ordering::Relaxed);
-        self.inner.endpoints.write().unwrap().insert(addr.clone(), EpEntry { id, birth, tx });
-        Ok(Endpoint { addr, host, rx, id, net: self.clone() })
+        let entry = EpEntry { id, birth, mailbox: mailbox.clone() };
+        let replaced = self.inner.endpoints.write().unwrap().insert(addr.clone(), entry);
+        if let Some(old) = replaced {
+            old.mailbox.close();
+        }
+        Ok(Endpoint { addr, host, mailbox, id, net: self.clone() })
     }
 
     /// Mark a host up or down. Sends to or from a down host fail.
@@ -298,12 +385,13 @@ impl Network {
         }
         // Computed under the topology read lock, so the route belongs
         // to the epoch it is filed under.
+        let m = &self.inner.metrics;
         let rec = Arc::new(LinkRecord {
             from_host: from.to_owned(),
             to_host: to.to_owned(),
             route: topo.shortest_path(f, t),
-            msg_key: format!("net.msg.{from}->{to}"),
-            bytes_key: format!("net.bytes.{from}->{to}"),
+            msgs: m.counter_handle(format!("net.msg.{from}->{to}")),
+            bytes: m.counter_handle(format!("net.bytes.{from}->{to}")),
             flushes_key: format!("net.batch.flushes.{from}->{to}"),
             fill_key: format!("net.batch.fill.{from}->{to}"),
         });
@@ -360,16 +448,13 @@ impl Network {
         let link = self.link_record(from_host, to_host)?;
         let arrive_at = arrival(&link, plan, sent_at, payload.len())?;
         let eps = self.inner.endpoints.read().unwrap();
-        let (to, tx) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
+        let (to, mailbox) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
         // Count the message before it becomes visible to the receiver:
         // a metrics snapshot taken right after delivery must already
-        // include every message that caused the state it observes. (The
-        // rare disconnected-during-teardown failure below leaves the
-        // message counted as sent, which is the drop-like semantics we
-        // want.)
+        // include every message that caused the state it observes.
         self.count_message(&link, payload.len() as u64);
         let from = sender_addr(&eps, from);
-        enqueue(tx, Envelope { from, to: to.clone(), payload, sent_at, arrive_at })
+        Ok(mailbox.push(Envelope { from, to: to.clone(), payload, sent_at, arrive_at }))
     }
 
     // ----- admission rules, each stated once -----
@@ -414,7 +499,7 @@ impl Network {
         to: &str,
         to_host: &str,
         t: f64,
-    ) -> Result<(&'a Arc<str>, &'a Sender<Envelope>), NetError> {
+    ) -> Result<(&'a Arc<str>, &'a Mailbox), NetError> {
         let (addr, entry) =
             eps.get_key_value(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
         if let (Some(birth), Some(plan)) = (entry.birth, plan) {
@@ -423,13 +508,13 @@ impl Network {
                 return Err(NetError::UnknownAddress(to.into()));
             }
         }
-        Ok((addr, &entry.tx))
+        Ok((addr, &entry.mailbox))
     }
 
     /// Count one *logical* message on its link (frames are not messages).
     fn count_message(&self, link: &LinkRecord, bytes: u64) {
-        self.inner.metrics.counter_add(&link.msg_key, 1);
-        self.inner.metrics.counter_add(&link.bytes_key, bytes);
+        link.msgs.add(1);
+        link.bytes.add(bytes);
         self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -709,14 +794,12 @@ impl Network {
         flush_t: f64,
     ) -> Result<f64, NetError> {
         let arrive_at = arrival(link, plan, flush_t, msg.payload.len())?;
-        let (to, tx) = self.mailbox(eps, plan, msg.to, &link.to_host, flush_t)?;
+        let (to, mailbox) = self.mailbox(eps, plan, msg.to, &link.to_host, flush_t)?;
         // The envelope is what the flush carried, addresses and all (as
         // the registered copies of the text the record carries).
         let FrameMsg { from, sent_at, payload, .. } = msg;
-        enqueue(
-            tx,
-            Envelope { from: sender_addr(eps, from), to: to.clone(), payload, sent_at, arrive_at },
-        )
+        let from = sender_addr(eps, from);
+        Ok(mailbox.push(Envelope { from, to: to.clone(), payload, sent_at, arrive_at }))
     }
 }
 
@@ -748,18 +831,11 @@ fn arrival(
     Ok(t + plan.map_or(transfer, |p| p.adjust_transfer(t, transfer)))
 }
 
-/// Hand an admitted envelope to its mailbox; returns its arrival time.
-fn enqueue(tx: &Sender<Envelope>, env: Envelope) -> Result<f64, NetError> {
-    let arrive_at = env.arrive_at;
-    tx.send(env).map_err(|e| NetError::Disconnected(e.0.to.to_string()))?;
-    Ok(arrive_at)
-}
-
 /// A registered receiver bound to one address.
 pub struct Endpoint {
     addr: Arc<str>,
     host: String,
-    rx: Receiver<Envelope>,
+    mailbox: Mailbox,
     /// Our registration id, kept for identity comparison so a
     /// re-registered address is not torn down by the old endpoint's Drop.
     id: u64,
@@ -787,18 +863,43 @@ impl Endpoint {
         self.net.send(&self.addr, to, payload, sent_at)
     }
 
+    /// A handle on this endpoint's mailbox that can only ask whether
+    /// mail is waiting.
+    pub fn mailbox(&self) -> Mailbox {
+        self.mailbox.clone()
+    }
+
     /// Block until a message arrives (or the wall-clock timeout expires —
     /// the timeout is real time, a liveness guard, not simulated time).
     pub fn recv(&self, timeout: Duration) -> Result<Envelope, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Disconnected(self.addr.to_string()),
-        })
+        let mb = &self.mailbox.inner;
+        let mut q = lock(&mb.queue);
+        // A zero timeout is one look, with no clock read.
+        let started = (!timeout.is_zero()).then(Instant::now);
+        loop {
+            if let Some(env) = self.mailbox.pop(&mut q) {
+                return Ok(env);
+            }
+            if q.closed {
+                return Err(NetError::Disconnected(self.addr.to_string()));
+            }
+            let left = started.map_or(Duration::ZERO, |t0| timeout.saturating_sub(t0.elapsed()));
+            if left.is_zero() {
+                return Err(NetError::Timeout);
+            }
+            q.waiters += 1;
+            q = mb.arrived.wait_timeout(q, left).unwrap_or_else(|p| p.into_inner()).0;
+            q.waiters -= 1;
+        }
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive. An empty mailbox is seen without taking
+    /// its lock.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
+        if !self.mailbox.has_mail() {
+            return None;
+        }
+        self.mailbox.pop(&mut lock(&self.mailbox.inner.queue))
     }
 }
 
@@ -1132,6 +1233,59 @@ mod tests {
         let arrive = plain.send(L1, SGI, Bytes::from_static(b"pppp"), LinkConfig::LINGER_S);
         assert_eq!(out[0].result.clone().map(f64::to_bits), arrive.map(f64::to_bits));
         assert_eq!(net.pending_batched(LINK.0, LINK.1), 1);
+    }
+
+    /// A `recv` blocked on a thread of its own wakes on a send, and
+    /// returns `Timeout` when nothing is sent.
+    #[test]
+    fn a_blocked_recv_wakes_on_a_send_and_times_out_without_one() {
+        let net = net3();
+        let pb = net.register("b:svc").unwrap();
+        let waiters = || lock(&pb.mailbox.inner.queue).waiters;
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let t0 = Instant::now();
+                (pb.recv(Duration::from_secs(30)), t0.elapsed())
+            });
+            while waiters() == 0 {
+                std::thread::yield_now();
+            }
+            net.send("a:x", "b:svc", Bytes::from_static(b"wake"), 0.5).unwrap();
+            let (got, waited) = waiter.join().unwrap();
+            assert_eq!(&got.unwrap().payload[..], b"wake");
+            assert!(waited < Duration::from_secs(30), "woken by the send, not the deadline");
+        });
+        assert_eq!(waiters(), 0);
+
+        let timeout = Duration::from_millis(20);
+        let (got, waited) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let t0 = Instant::now();
+                (pb.recv(timeout), t0.elapsed())
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(got.unwrap_err(), NetError::Timeout);
+        assert!(waited >= timeout, "gave up after {waited:?}");
+        assert!(!pb.mailbox().has_mail());
+        assert_eq!(waiters(), 0);
+    }
+
+    /// Re-registering an address leaves the old endpoint disconnected
+    /// once it has drained what reached it before.
+    #[test]
+    fn a_replaced_endpoint_drains_then_reports_disconnected() {
+        let net = net3();
+        let old = net.register("b:svc").unwrap();
+        net.send("a:x", "b:svc", Bytes::from_static(b"before"), 0.0).unwrap();
+        let new = net.register("b:svc").unwrap();
+        net.send("a:x", "b:svc", Bytes::from_static(b"after"), 0.0).unwrap();
+        assert_eq!(&old.recv(Duration::from_secs(1)).unwrap().payload[..], b"before");
+        assert!(matches!(old.recv(Duration::from_secs(1)), Err(NetError::Disconnected(_))));
+        assert_eq!(&new.try_recv().unwrap().payload[..], b"after");
+        drop(old);
+        assert!(net.send("a:x", "b:svc", Bytes::new(), 0.0).is_ok(), "the old drop kept the new");
     }
 
     #[test]

@@ -686,21 +686,23 @@ impl ExecutiveEngine {
         }
     }
 
-    /// Append a typed record to the world's attached journal (no-op in an
-    /// all-local configuration or when no journal is attached).
-    fn journal(&mut self, kind: ledger::RecordKind) {
+    /// Append the typed record `kind` builds to the world's attached
+    /// journal. In an all-local configuration or with no journal
+    /// attached it is a no-op that builds nothing.
+    fn journal(&mut self, kind: impl FnOnce() -> ledger::RecordKind) {
+        if !self.obs.as_ref().is_some_and(|obs| obs.ledger().is_attached()) {
+            return;
+        }
         let now = self.world_now();
         if let Some(obs) = &self.obs {
-            if obs.ledger().is_attached() {
-                obs.ledger().append(now, kind);
-            }
+            obs.ledger().append(now, kind());
         }
     }
 
     /// Journal one accepted transient sample, field-for-field in f64 bits
     /// so replay reconstructs it exactly.
     fn journal_sample(&mut self, s: &TransientSample) {
-        self.journal(ledger::RecordKind::Sample {
+        self.journal(|| ledger::RecordKind::Sample {
             values: vec![s.t, s.n1, s.n2, s.wf, s.thrust, s.t4, s.w2],
         });
     }
@@ -713,14 +715,16 @@ impl ExecutiveEngine {
     fn barrier(&mut self, cp: TransientCheckpoint) -> TransientCheckpoint {
         self.checkpoint_remotes();
         self.emit_event(schooner::EventKind::Barrier { step: cp.step, t: cp.t });
-        let mut state = Vec::with_capacity(7);
-        state.extend_from_slice(&cp.y);
-        state.extend_from_slice(&cp.inner);
-        self.journal(ledger::RecordKind::Barrier {
-            step: cp.step as u64,
-            t_engine: cp.t,
-            samples_len: cp.samples_len as u64,
-            state,
+        self.journal(|| {
+            let mut state = Vec::with_capacity(7);
+            state.extend_from_slice(&cp.y);
+            state.extend_from_slice(&cp.inner);
+            ledger::RecordKind::Barrier {
+                step: cp.step as u64,
+                t_engine: cp.t,
+                samples_len: cp.samples_len as u64,
+                state,
+            }
         });
         let now = self.world_now();
         if let Some(obs) = &self.obs {
@@ -901,7 +905,7 @@ impl ExecutiveEngine {
                         recovery: self.recoveries,
                         max: self.max_recoveries,
                     });
-                    self.journal(ledger::RecordKind::Rollback {
+                    self.journal(|| ledger::RecordKind::Rollback {
                         step: step as u64,
                         t_engine: t,
                         samples_len: samples.len() as u64,

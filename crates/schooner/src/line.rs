@@ -517,7 +517,7 @@ impl LineHandle {
                 // resolve falls back to the Manager for a fresh location,
                 // carrying the failed address so the Manager can probe it.
                 self.stats.stale_retries += 1;
-                self.ctx.obs.metrics().counter_add("rpc.retries.stale", 1);
+                self.ctx.rpc.stale_retries.add(1);
                 if let Some(addr) = stale_addr(&err) {
                     self.suspect = Some(addr);
                 }
@@ -541,7 +541,7 @@ impl LineHandle {
                     match self.move_procedure(name, target) {
                         Ok(()) => {
                             self.stats.failovers += 1;
-                            self.ctx.obs.metrics().counter_add("rpc.failovers", 1);
+                            self.ctx.rpc.failovers.add(1);
                             moved = true;
                             break;
                         }
@@ -595,7 +595,7 @@ impl LineHandle {
                 );
             }
             self.stats.policy_retries += 1;
-            self.ctx.obs.metrics().counter_add("rpc.retries.policy", 1);
+            self.ctx.rpc.policy_retries.add(1);
         }
     }
 
@@ -662,9 +662,8 @@ impl LineHandle {
     ) -> SchResult<u64> {
         let obs = self.ctx.obs.clone();
         binding.stub.marshal_inputs_into(&mut self.encode_buf, args, self.arch)?;
-        let m = obs.metrics();
-        m.counter_add("uts.encode_bytes", self.encode_buf.len() as u64);
-        m.counter_add("uts.fast_path_hits", 1);
+        self.ctx.rpc.encode_bytes.add(self.encode_buf.len() as u64);
+        self.ctx.rpc.fast_path_hits.add(1);
         let marshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.input_scalars);
         self.clock.advance(marshal_s);
         obs.span_phase(self.id, call, Phase::Marshal, marshal_s);
@@ -804,10 +803,10 @@ impl LineHandle {
         self.stats.calls += 1;
         self.stats.request_bytes += request_bytes;
         self.stats.reply_bytes += bytes.len() as u64;
-        let m = obs.metrics();
-        m.counter_add("rpc.calls", 1);
-        m.counter_add("rpc.request_bytes", request_bytes);
-        m.counter_add("rpc.reply_bytes", bytes.len() as u64);
+        let rpc = &self.ctx.rpc;
+        rpc.calls.add(1);
+        rpc.request_bytes.add(request_bytes);
+        rpc.reply_bytes.add(bytes.len() as u64);
         binding.stub.unmarshal_outputs_into(bytes.clone(), self.arch, out)?;
         reclaim(&mut self.spare, bytes);
         let unmarshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.output_scalars);
@@ -843,7 +842,7 @@ impl LineHandle {
             };
             if incarnation > 0 && incarnation < min_incarnation {
                 self.stats.fenced_replies += 1;
-                self.ctx.obs.metrics().counter_add("rpc.fenced_replies", 1);
+                self.ctx.rpc.fenced_replies.add(1);
                 self.ctx.obs.emit(
                     self.clock.now(),
                     EventKind::ReplyFenced { line: self.id, incarnation, binding: min_incarnation },
@@ -999,7 +998,7 @@ impl LineHandle {
 
     fn map_via_manager(&mut self, name: &str) -> SchResult<Binding> {
         self.stats.manager_lookups += 1;
-        self.ctx.obs.metrics().counter_add("rpc.manager_lookups", 1);
+        self.ctx.rpc.manager_lookups.add(1);
         let import_spec =
             self.imports.get(&name.to_ascii_lowercase()).map(|d| d.to_source()).unwrap_or_default();
         let req = self.fresh_req();

@@ -64,7 +64,8 @@ pub(crate) fn spawn_manager(ctx: RuntimeCtx) -> SchResult<ManagerHandle> {
     let monitor = HealthMonitor::new(HEARTBEAT_MISS_THRESHOLD);
     let checkpoints = ctx.checkpoints.clone();
     let world = ctx.world.clone();
-    world.spawn(ManagerWorker {
+    let mailbox = endpoint.mailbox();
+    let manager = ManagerWorker {
         ctx,
         endpoint,
         clock: VirtualClock::new(),
@@ -75,7 +76,8 @@ pub(crate) fn spawn_manager(ctx: RuntimeCtx) -> SchResult<ManagerHandle> {
         checkpoints,
         next_line: 1,
         next_req: 1,
-    });
+    };
+    world.spawn(manager, mailbox);
     Ok(ManagerHandle { addr })
 }
 
@@ -220,6 +222,10 @@ impl Actor for ManagerWorker {
         } else {
             Step::Done
         }
+    }
+
+    fn has_backlog(&self) -> bool {
+        !self.backlog.is_empty()
     }
 }
 

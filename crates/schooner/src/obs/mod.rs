@@ -137,7 +137,10 @@ impl Obs {
 
     // ----- spans -----
 
-    /// Open a call span keyed by `(line, call)`.
+    /// Open a call span keyed by `(line, call)`. A line has one call in
+    /// flight, so this replaces any span the line left open. Spans are
+    /// kept in one slot per line id up to the largest seen: line ids are
+    /// the small sequential ones the Manager hands out.
     pub fn span_start(
         &self,
         line: u64,
@@ -147,7 +150,8 @@ impl Obs {
         to_host: &str,
         t: f64,
     ) {
-        lock(&self.inner.spans).start(line, call, proc, from_host, to_host, t);
+        let metrics = &self.inner.metrics;
+        lock(&self.inner.spans).start(metrics, line, call, proc, from_host, to_host, t);
     }
 
     /// Attribute virtual seconds to one phase of an open span. Callable
@@ -165,9 +169,8 @@ impl Obs {
     /// different snapshots. The model's latencies are microseconds and
     /// up, so the grid is far below resolution.
     pub fn span_end(&self, line: u64, call: u64, t: f64) {
-        let ended = lock(&self.inner.spans).end(line, call, t);
-        if let Some((call_s_key, total)) = ended {
-            self.inner.metrics.observe(&call_s_key, (total * 1e9).round() / 1e9);
+        if let Some((call_s, total)) = lock(&self.inner.spans).end(line, call, t) {
+            call_s.observe((total * 1e9).round() / 1e9);
         }
     }
 

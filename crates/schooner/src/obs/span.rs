@@ -9,9 +9,17 @@
 //! the reply; attempts that error out are abandoned, so the
 //! completed set holds exactly the successful calls. Figure-1 breakdowns
 //! and the `costs` CLI read these spans instead of parsing trace text.
+//!
+//! A line has at most one call in flight, so the open spans live in one
+//! slot per line, found by indexing with the line id; the call id is
+//! checked on every access. Each slot keeps the names and histogram of
+//! its line's last span, so a line calling the same procedure again
+//! opens its span without hashing a name.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+use netsim::metrics::{HistogramHandle, MetricsRegistry};
 
 /// A per-phase attribution slot within a call span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,9 +87,6 @@ pub struct CallSpan {
     /// Caller's virtual time when the reply was unmarshaled.
     pub ended_at: f64,
     phases: [f64; PHASE_COUNT],
-    /// `rpc.call_s.{from_host}->{to_host}`, the histogram this span's
-    /// duration is recorded under when it closes.
-    call_s_key: Arc<str>,
 }
 
 impl CallSpan {
@@ -188,22 +193,57 @@ pub fn critical_path(spans: &[CallSpan]) -> CriticalPath {
     CriticalPath { waves, serial_s, critical_s }
 }
 
+/// The names a span carries and the histogram it closes into.
+#[derive(Debug, Clone)]
+struct Route {
+    proc: Arc<str>,
+    from_host: Arc<str>,
+    to_host: Arc<str>,
+    /// `rpc.call_s.{from_host}->{to_host}`.
+    call_s: HistogramHandle,
+}
+
+impl Route {
+    fn joins(&self, from_host: &str, to_host: &str) -> bool {
+        *self.from_host == *from_host && *self.to_host == *to_host
+    }
+}
+
+/// One line's open span and the route of its last one.
+#[derive(Debug, Default)]
+struct LineSlot {
+    open: Option<CallSpan>,
+    last: Option<Route>,
+}
+
+/// The slot of `line` when its open span is the one of `call`.
+fn open_slot(lines: &mut [LineSlot], line: u64, call: u64) -> Option<&mut LineSlot> {
+    let slot = lines.get_mut(usize::try_from(line).ok()?)?;
+    slot.open.as_ref().is_some_and(|s| s.call == call).then_some(slot)
+}
+
 /// Open and completed spans. Interior to [`Obs`](super::Obs), which
 /// wraps it in a poison-recovering mutex.
 #[derive(Debug, Default)]
 pub(crate) struct SpanTable {
-    open: HashMap<(u64, u64), CallSpan>,
+    /// Indexed by line id.
+    lines: Vec<LineSlot>,
     done: Vec<CallSpan>,
     /// Every procedure and host name a span has carried, so opening a
     /// span shares the text instead of copying it.
     names: HashSet<Arc<str>>,
-    /// The `rpc.call_s.` histogram key of each host pair seen.
-    call_s_keys: HashMap<(Arc<str>, Arc<str>), Arc<str>>,
+    /// The `rpc.call_s.` histogram of each host pair seen.
+    call_s: HashMap<(Arc<str>, Arc<str>), HistogramHandle>,
 }
 
 impl SpanTable {
+    /// Open the span of `call` on `line`, replacing any span the line
+    /// left open. The `rpc.call_s.` histogram of a host pair not seen
+    /// before is resolved in `metrics`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn start(
         &mut self,
+        metrics: &MetricsRegistry,
         line: u64,
         call: u64,
         proc: &str,
@@ -211,28 +251,53 @@ impl SpanTable {
         to_host: &str,
         t: f64,
     ) {
+        let idx = line as usize;
+        if self.lines.len() <= idx {
+            self.lines.resize_with(idx + 1, LineSlot::default);
+        }
+        let route = match self.lines[idx].last.take() {
+            Some(r) if *r.proc == *proc && r.joins(from_host, to_host) => r,
+            last => self.route(metrics, last, proc, from_host, to_host),
+        };
+        let slot = &mut self.lines[idx];
+        slot.open = Some(CallSpan {
+            line,
+            call,
+            proc: route.proc.clone(),
+            from_host: route.from_host.clone(),
+            to_host: route.to_host.clone(),
+            started_at: t,
+            ended_at: t,
+            phases: [0.0; PHASE_COUNT],
+        });
+        slot.last = Some(route);
+    }
+
+    /// The route of a span whose names differ from its line's last one:
+    /// names are shared through the intern set, and the histogram is the
+    /// last route's when the hosts are the same.
+    fn route(
+        &mut self,
+        metrics: &MetricsRegistry,
+        last: Option<Route>,
+        proc: &str,
+        from_host: &str,
+        to_host: &str,
+    ) -> Route {
         let proc = self.intern(proc);
+        if let Some(r) = last.filter(|r| r.joins(from_host, to_host)) {
+            return Route { proc, ..r };
+        }
         let from_host = self.intern(from_host);
         let to_host = self.intern(to_host);
-        let call_s_key = self
-            .call_s_keys
+        let call_s = self
+            .call_s
             .entry((from_host.clone(), to_host.clone()))
-            .or_insert_with(|| format!("rpc.call_s.{from_host}->{to_host}").into())
+            .or_insert_with(|| {
+                metrics.histogram_handle(format!("rpc.call_s.{from_host}->{to_host}"))
+            })
             .clone();
-        self.open.insert(
-            (line, call),
-            CallSpan {
-                line,
-                call,
-                proc,
-                from_host,
-                to_host,
-                started_at: t,
-                ended_at: t,
-                phases: [0.0; PHASE_COUNT],
-                call_s_key,
-            },
-        );
+        Route { proc, from_host, to_host, call_s }
     }
 
     fn intern(&mut self, name: &str) -> Arc<str> {
@@ -248,23 +313,26 @@ impl SpanTable {
     /// the key (e.g. compute time of a call whose caller already gave
     /// up).
     pub(crate) fn phase(&mut self, line: u64, call: u64, phase: Phase, seconds: f64) {
-        if let Some(span) = self.open.get_mut(&(line, call)) {
+        if let Some(span) = open_slot(&mut self.lines, line, call).and_then(|s| s.open.as_mut()) {
             span.phases[phase.index()] += seconds;
         }
     }
 
-    /// Close the span; returns its histogram key and total duration.
-    pub(crate) fn end(&mut self, line: u64, call: u64, t: f64) -> Option<(Arc<str>, f64)> {
-        let mut span = self.open.remove(&(line, call))?;
+    /// Close the span; returns its histogram and total duration.
+    pub(crate) fn end(&mut self, line: u64, call: u64, t: f64) -> Option<(&HistogramHandle, f64)> {
+        let slot = open_slot(&mut self.lines, line, call)?;
+        let mut span = slot.open.take()?;
         span.ended_at = t;
-        let closed = (span.call_s_key.clone(), span.total());
+        let total = span.total();
         self.done.push(span);
-        Some(closed)
+        Some((&slot.last.as_ref()?.call_s, total))
     }
 
     /// Drop the open span of a failed attempt.
     pub(crate) fn abandon(&mut self, line: u64, call: u64) {
-        self.open.remove(&(line, call));
+        if let Some(slot) = open_slot(&mut self.lines, line, call) {
+            slot.open = None;
+        }
     }
 
     pub(crate) fn completed(&self) -> Vec<CallSpan> {
@@ -274,7 +342,9 @@ impl SpanTable {
     }
 
     pub(crate) fn clear(&mut self) {
-        self.open.clear();
+        for slot in &mut self.lines {
+            slot.open = None;
+        }
         self.done.clear();
     }
 }
@@ -285,15 +355,16 @@ mod tests {
 
     #[test]
     fn span_lifecycle_accumulates_phases() {
-        let mut t = SpanTable::default();
-        t.start(1, 10, "duct", "ua-sparc10", "lerc-cray-ymp", 5.0);
+        let (m, mut t) = (MetricsRegistry::new(), SpanTable::default());
+        t.start(&m, 1, 10, "duct", "ua-sparc10", "lerc-cray-ymp", 5.0);
         t.phase(1, 10, Phase::Marshal, 0.001);
         t.phase(1, 10, Phase::Transmit, 0.02);
         t.phase(1, 10, Phase::Compute, 0.003);
         t.phase(1, 10, Phase::Reply, 0.02);
         t.phase(1, 10, Phase::Unmarshal, 0.001);
-        let (key, total) = t.end(1, 10, 5.05).unwrap();
-        assert_eq!(&*key, "rpc.call_s.ua-sparc10->lerc-cray-ymp");
+        let (call_s, total) = t.end(1, 10, 5.05).unwrap();
+        call_s.observe(total);
+        assert!(m.histogram("rpc.call_s.ua-sparc10->lerc-cray-ymp").is_some());
         assert!((total - 0.05).abs() < 1e-12);
         let span = &t.completed()[0];
         assert_eq!(&*span.proc, "duct");
@@ -305,8 +376,8 @@ mod tests {
 
     #[test]
     fn abandoned_spans_do_not_complete() {
-        let mut t = SpanTable::default();
-        t.start(1, 1, "p", "a", "b", 0.0);
+        let (m, mut t) = (MetricsRegistry::new(), SpanTable::default());
+        t.start(&m, 1, 1, "p", "a", "b", 0.0);
         t.abandon(1, 1);
         // Abandoning an unknown key is a no-op.
         t.abandon(9, 9);
@@ -331,7 +402,6 @@ mod tests {
             started_at: start,
             ended_at: end,
             phases: [0.0; PHASE_COUNT],
-            call_s_key: "rpc.call_s.a->b".into(),
         }
     }
 
@@ -360,15 +430,37 @@ mod tests {
 
     #[test]
     fn completed_sorted_by_line_then_call() {
-        let mut t = SpanTable::default();
-        t.start(2, 1, "p", "a", "b", 0.0);
-        t.start(1, 2, "p", "a", "b", 0.0);
-        t.start(1, 1, "p", "a", "b", 0.0);
-        t.end(2, 1, 1.0);
-        t.end(1, 2, 1.0);
-        t.end(1, 1, 1.0);
+        let (m, mut t) = (MetricsRegistry::new(), SpanTable::default());
+        for (line, call) in [(2, 1), (1, 2), (1, 1)] {
+            t.start(&m, line, call, "p", "a", "b", 0.0);
+            t.end(line, call, 1.0);
+        }
         let done = t.completed();
         let keys: Vec<(u64, u64)> = done.iter().map(|s| (s.line, s.call)).collect();
         assert_eq!(keys, vec![(1, 1), (1, 2), (2, 1)]);
+    }
+
+    /// A line's slot answers only to its open call: another call id is
+    /// ignored, and a new call replaces a span the line left open.
+    #[test]
+    fn a_line_slot_answers_only_to_its_open_call() {
+        let (m, mut t) = (MetricsRegistry::new(), SpanTable::default());
+        t.start(&m, 3, 1, "p", "a", "b", 0.0);
+        t.phase(3, 2, Phase::Compute, 1.0);
+        t.abandon(3, 2);
+        assert!(t.end(3, 2, 1.0).is_none());
+        t.start(&m, 3, 2, "q", "a", "c", 0.5);
+        assert!(t.end(3, 1, 1.0).is_none(), "replaced by call 2");
+        t.phase(3, 2, Phase::Compute, 0.25);
+        t.end(3, 2, 1.0).unwrap().0.observe(0.5);
+        let done = t.completed();
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].call, &*done[0].proc, &*done[0].to_host), (2, "q", "c"));
+        assert_eq!(done[0].phase(Phase::Compute), 0.25);
+        assert!(m.histogram("rpc.call_s.a->c").is_some());
+        assert!(m.histogram("rpc.call_s.a->b").is_none());
+        // A call on a line never seen is a no-op.
+        t.phase(u64::MAX, 1, Phase::Compute, 1.0);
+        assert!(t.end(u64::MAX, 1, 1.0).is_none());
     }
 }

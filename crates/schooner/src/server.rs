@@ -33,7 +33,9 @@ use crate::world::{Actor, Step};
 pub(crate) fn spawn_server(ctx: RuntimeCtx, host: &str) -> SchResult<()> {
     let endpoint = ctx.net.register(server_addr(host))?;
     let world = ctx.world.clone();
-    world.spawn(ServerWorker { ctx, host: host.to_owned(), endpoint, clock: VirtualClock::new() });
+    let mailbox = endpoint.mailbox();
+    let server = ServerWorker { ctx, host: host.to_owned(), endpoint, clock: VirtualClock::new() };
+    world.spawn(server, mailbox);
     Ok(())
 }
 
@@ -96,6 +98,7 @@ impl ServerWorker {
         // Processes are born at the server's current virtual time; the
         // transport fences their endpoint if the host crashes later.
         let endpoint = self.ctx.net.register_process(addr.clone(), self.clock.now())?;
+        let mailbox = endpoint.mailbox();
         let worker = ProcessWorker {
             addr: addr.as_str().into(),
             ctx: self.ctx.clone(),
@@ -119,7 +122,7 @@ impl ServerWorker {
                 line,
             },
         );
-        self.ctx.world.spawn(worker);
+        self.ctx.world.spawn(worker, mailbox);
 
         Ok(StartedInfo {
             addr,
@@ -294,9 +297,9 @@ impl ProcessWorker {
         self.results.clear();
         marshaled?;
         self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.output_scalars));
-        let m = self.ctx.obs.metrics();
-        m.counter_add("uts.encode_bytes", (reply.len() - Msg::CALL_REPLY_HEADER_LEN) as u64);
-        m.counter_add("uts.fast_path_hits", 1);
+        let rpc = &self.ctx.rpc;
+        rpc.encode_bytes.add((reply.len() - Msg::CALL_REPLY_HEADER_LEN) as u64);
+        rpc.fast_path_hits.add(1);
         Ok(reply.freeze())
     }
 

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hetsim::{FileStore, MachinePark};
+use netsim::metrics::{Counter, MetricsRegistry};
 use netsim::{LinkConfig, NetError, Network, Topology};
 
 use crate::error::{SchError, SchResult};
@@ -91,6 +92,49 @@ impl SchoonerConfigBuilder {
 /// Flops charged per scalar converted during marshaling.
 const PER_SCALAR_FLOPS: f64 = 80.0;
 
+/// The counters the RPC path adds to, resolved once per world so a
+/// call updates them without a registry lookup by name.
+#[derive(Clone)]
+pub(crate) struct RpcCounters {
+    /// `rpc.calls`
+    pub(crate) calls: Counter,
+    /// `rpc.request_bytes`
+    pub(crate) request_bytes: Counter,
+    /// `rpc.reply_bytes`
+    pub(crate) reply_bytes: Counter,
+    /// `uts.encode_bytes`, on both sides of the wire.
+    pub(crate) encode_bytes: Counter,
+    /// `uts.fast_path_hits`, on both sides of the wire.
+    pub(crate) fast_path_hits: Counter,
+    /// `rpc.retries.stale`
+    pub(crate) stale_retries: Counter,
+    /// `rpc.retries.policy`
+    pub(crate) policy_retries: Counter,
+    /// `rpc.failovers`
+    pub(crate) failovers: Counter,
+    /// `rpc.fenced_replies`
+    pub(crate) fenced_replies: Counter,
+    /// `rpc.manager_lookups`
+    pub(crate) manager_lookups: Counter,
+}
+
+impl RpcCounters {
+    fn resolve(m: &MetricsRegistry) -> Self {
+        Self {
+            calls: m.counter_handle("rpc.calls"),
+            request_bytes: m.counter_handle("rpc.request_bytes"),
+            reply_bytes: m.counter_handle("rpc.reply_bytes"),
+            encode_bytes: m.counter_handle("uts.encode_bytes"),
+            fast_path_hits: m.counter_handle("uts.fast_path_hits"),
+            stale_retries: m.counter_handle("rpc.retries.stale"),
+            policy_retries: m.counter_handle("rpc.retries.policy"),
+            failovers: m.counter_handle("rpc.failovers"),
+            fenced_replies: m.counter_handle("rpc.fenced_replies"),
+            manager_lookups: m.counter_handle("rpc.manager_lookups"),
+        }
+    }
+}
+
 /// Everything a runtime component needs to participate in the simulation.
 #[derive(Clone)]
 pub struct RuntimeCtx {
@@ -135,6 +179,8 @@ pub struct RuntimeCtx {
     /// The world's actors — Manager, Servers, processes — which run
     /// whenever a line (or the Manager itself) waits for a message.
     pub(crate) world: World,
+    /// The RPC path's counters in [`RuntimeCtx::obs`]'s registry.
+    pub(crate) rpc: RpcCounters,
 }
 
 impl RuntimeCtx {
@@ -194,6 +240,7 @@ impl Schooner {
         // The world's sink adopts the network's registry so transport
         // counters and RPC metrics land in one snapshot.
         let obs = Obs::with_metrics(net.metrics().clone());
+        let rpc = RpcCounters::resolve(net.metrics());
         let checkpoints = CheckpointStore::new();
         let ctx = RuntimeCtx {
             net,
@@ -208,6 +255,7 @@ impl Schooner {
             incarnations: Arc::new(AtomicU64::new(1)),
             batch_failures: Arc::new(Mutex::new(HashMap::new())),
             world: World::default(),
+            rpc,
         };
         let hosts: Vec<String> = ctx
             .park

@@ -5,8 +5,10 @@
 //! private state, each fed by its own endpoint. None of them is a
 //! thread. They run only when somebody who is waiting for a message
 //! drives them, through the one scheduler there is, [`World::recv`]:
-//! look in your own mailbox; if it is empty, give every actor one step
-//! and look again. Distribution is carried by the virtual timestamps in
+//! look in your own mailbox; if it is empty, give every actor that has
+//! mail one step, in registration order, and look again. The world
+//! holds each actor's [`Mailbox`], so it sees who has mail without
+//! stepping anyone. Distribution is carried by the virtual timestamps in
 //! the messages, not by host scheduling, so the composition of the
 //! per-site programs runs as the one sequential program it is equal to.
 //!
@@ -15,7 +17,7 @@
 //! that quiescence is the loss event ([`NetError::Timeout`]), found at
 //! once instead of after a wall-clock deadline.
 //!
-//! Four rules keep that verdict sound when several threads drive one
+//! Five rules keep that verdict sound when several threads drive one
 //! world: an actor is only ever `try_lock`ed (a busy actor is mid-step
 //! further up this thread's own stack, or on another thread whose step
 //! may be producing our reply); a pass during which *any* thread
@@ -23,15 +25,20 @@
 //! an actor this pass had already gone by; the table lock is never held
 //! across a step (a Server registers a process mid-step) and a pass
 //! walks a copy of the table, so a concurrent retirement cannot make it
-//! skip an actor with mail; and shutdown clears the table, because
-//! actors hold a `RuntimeCtx`, which holds the world.
+//! skip an actor with mail; shutdown clears the table, because actors
+//! hold a `RuntimeCtx`, which holds the world; and an actor skipped for
+//! want of mail whose runner is another thread's token still counts as
+//! foreign, since that thread took the mail and its step may be
+//! producing our reply. A step is counted before its runner is cleared,
+//! so a pass that reads a cleared runner also sees the step counted.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Duration;
 
+use netsim::transport::Mailbox;
 use netsim::{Endpoint, Envelope, NetError};
 
 /// What one [`Actor::step`] did.
@@ -48,13 +55,30 @@ pub(crate) enum Step {
 pub(crate) trait Actor: Send {
     /// Handle at most one message from the actor's own mailbox.
     fn step(&mut self) -> Step;
+
+    /// Whether the actor holds messages it has already taken from its
+    /// mailbox: it is then stepped as if it had mail.
+    fn has_backlog(&self) -> bool {
+        false
+    }
 }
 
 struct Slot {
     /// Token of the thread inside `step`, 0 when none.
     runner: AtomicU64,
+    /// The actor's own mailbox: a pass steps the actor only when it
+    /// has mail (or a backlog).
+    mailbox: Mailbox,
+    /// [`Actor::has_backlog`] after the actor's last step.
+    backlog: AtomicBool,
     /// `None` once the actor is retired.
     actor: Mutex<Option<Box<dyn Actor>>>,
+}
+
+impl Slot {
+    fn ready(&self) -> bool {
+        self.mailbox.has_mail() || self.backlog.load(Ordering::Acquire)
+    }
 }
 
 /// The outcome of one pass over the actors.
@@ -87,9 +111,15 @@ pub(crate) struct World {
 }
 
 impl World {
-    /// Register an actor; it runs whenever somebody waits.
-    pub(crate) fn spawn(&self, actor: impl Actor + 'static) {
-        let slot = Slot { runner: AtomicU64::new(0), actor: Mutex::new(Some(Box::new(actor))) };
+    /// Register an actor fed by `mailbox`; it runs whenever somebody
+    /// waits and its mailbox has mail.
+    pub(crate) fn spawn(&self, actor: impl Actor + 'static, mailbox: Mailbox) {
+        let slot = Slot {
+            runner: AtomicU64::new(0),
+            mailbox,
+            backlog: AtomicBool::new(false),
+            actor: Mutex::new(Some(Box::new(actor))),
+        };
         self.slots.lock().unwrap().push(Arc::new(slot));
     }
 
@@ -136,7 +166,8 @@ impl World {
         drop(retired);
     }
 
-    /// Give every actor that is not already mid-step one step.
+    /// Give every actor that has mail and is not already mid-step one
+    /// step.
     fn pass(&self) -> Pass {
         let me = TOKEN.with(|t| *t);
         let steps_before = self.steps.load(Ordering::Acquire);
@@ -144,6 +175,12 @@ impl World {
         table.extend(self.slots.lock().unwrap().iter().cloned());
         let mut pass = Pass { worked: false, foreign: false };
         for slot in &table {
+            if !slot.ready() {
+                // Whoever took the mail may still be stepping on it.
+                let runner = slot.runner.load(Ordering::Acquire);
+                pass.foreign |= runner != 0 && runner != me;
+                continue;
+            }
             let mut guard = match slot.actor.try_lock() {
                 Ok(guard) => guard,
                 Err(TryLockError::WouldBlock) => {
@@ -160,19 +197,21 @@ impl World {
             // A panicking procedure body retires its process, exactly as
             // it used to kill only its own thread.
             let step = catch_unwind(AssertUnwindSafe(|| actor.step())).unwrap_or(Step::Done);
-            slot.runner.store(0, Ordering::Release);
-            match step {
-                Step::Idle => continue,
-                Step::Worked => {}
-                Step::Done => {
-                    // Dropping the actor drops its endpoint, which
-                    // unregisters its address.
-                    *guard = None;
-                    drop(guard);
-                    self.slots.lock().unwrap().retain(|s| !Arc::ptr_eq(s, slot));
-                }
+            let done = matches!(step, Step::Done);
+            slot.backlog.store(!done && actor.has_backlog(), Ordering::Release);
+            if done {
+                // Dropping the actor drops its endpoint, which
+                // unregisters its address.
+                *guard = None;
             }
-            self.steps.fetch_add(1, Ordering::AcqRel);
+            if !matches!(step, Step::Idle) {
+                self.steps.fetch_add(1, Ordering::AcqRel);
+            }
+            slot.runner.store(0, Ordering::Release);
+            drop(guard);
+            if done {
+                self.slots.lock().unwrap().retain(|s| !Arc::ptr_eq(s, slot));
+            }
         }
         table.clear();
         SCRATCH.with(|s| s.borrow_mut().push(table));
@@ -190,31 +229,43 @@ mod tests {
 
     use super::*;
 
-    /// Forwards whatever reaches its endpoint to `to`.
+    /// Forwards whatever reaches its endpoint to `to`, after holding
+    /// each message for `hold`.
     struct Relay {
         ep: Endpoint,
         to: &'static str,
+        hold: Duration,
     }
 
     impl Actor for Relay {
         fn step(&mut self) -> Step {
             let Some(env) = self.ep.try_recv() else { return Step::Idle };
+            std::thread::sleep(self.hold);
             self.ep.send(self.to, env.payload, env.arrive_at).unwrap();
             Step::Worked
         }
     }
 
-    /// On its first step, lets another thread run one whole pass and
-    /// waits for it to finish; idle ever after.
+    fn spawn_relay(world: &World, ep: Endpoint, to: &'static str, hold: Duration) {
+        let mailbox = ep.mailbox();
+        world.spawn(Relay { ep, to, hold }, mailbox);
+    }
+
+    /// On its first message, lets another thread run one whole pass and
+    /// waits for it to finish. It reports every step idle, so its own
+    /// steps never count as work.
     struct Yield {
+        ep: Endpoint,
         go: Option<(Sender<()>, Receiver<()>)>,
     }
 
     impl Actor for Yield {
         fn step(&mut self) -> Step {
-            if let Some((go, done)) = self.go.take() {
-                go.send(()).unwrap();
-                done.recv().unwrap();
+            if self.ep.try_recv().is_some() {
+                if let Some((go, done)) = self.go.take() {
+                    go.send(()).unwrap();
+                    done.recv().unwrap();
+                }
             }
             Step::Idle
         }
@@ -230,15 +281,19 @@ mod tests {
         let net = Network::new(npss_testbed());
         let waiter = net.register("ua-sparc10:waiter").unwrap();
         let x = net.register("ua-sparc10:x").unwrap();
+        let y = net.register("ua-sparc10:y").unwrap();
         let z = net.register("ua-sparc10:z").unwrap();
-        net.send("ua-sparc10:src", "ua-sparc10:z", Bytes::from_static(b"m"), 0.0).unwrap();
+        for to in ["ua-sparc10:y", "ua-sparc10:z"] {
+            net.send("ua-sparc10:src", to, Bytes::from_static(b"m"), 0.0).unwrap();
+        }
 
         let world = World::default();
         let (go_tx, go_rx) = channel();
         let (done_tx, done_rx) = channel();
-        world.spawn(Relay { ep: x, to: "ua-sparc10:waiter" });
-        world.spawn(Yield { go: Some((go_tx, done_rx)) });
-        world.spawn(Relay { ep: z, to: "ua-sparc10:x" });
+        spawn_relay(&world, x, "ua-sparc10:waiter", Duration::ZERO);
+        let mailbox = y.mailbox();
+        world.spawn(Yield { ep: y, go: Some((go_tx, done_rx)) }, mailbox);
+        spawn_relay(&world, z, "ua-sparc10:x", Duration::ZERO);
         let other = world.clone();
         let b = std::thread::spawn(move || {
             go_rx.recv().unwrap();
@@ -249,6 +304,33 @@ mod tests {
         let env = world.recv(&waiter).expect("the message reaches the waiter");
         assert_eq!(&env.payload[..], b"m");
         b.join().unwrap();
+        world.clear();
+    }
+
+    /// An actor with no mail that is mid-step on another thread may be
+    /// producing the awaited message: the waiter waits for it. Thread B
+    /// steps S, which takes its one message and holds it before
+    /// relaying it to the waiter; the waiter starts once S's mailbox is
+    /// empty, so every pass it makes skips S for want of mail.
+    #[test]
+    fn a_mail_less_actor_mid_step_on_another_thread_is_waited_for() {
+        let net = Network::new(npss_testbed());
+        let waiter = net.register("ua-sparc10:waiter").unwrap();
+        let s = net.register("ua-sparc10:s").unwrap();
+        let s_mail = s.mailbox();
+        net.send("ua-sparc10:src", "ua-sparc10:s", Bytes::from_static(b"m"), 0.0).unwrap();
+
+        let world = World::default();
+        spawn_relay(&world, s, "ua-sparc10:waiter", Duration::from_millis(50));
+        let other = world.clone();
+        let b = std::thread::spawn(move || other.pass().worked);
+        while s_mail.has_mail() {
+            std::thread::yield_now();
+        }
+
+        let env = world.recv(&waiter).expect("the held message reaches the waiter");
+        assert_eq!(&env.payload[..], b"m");
+        assert!(b.join().unwrap(), "B's pass stepped S");
         world.clear();
     }
 }

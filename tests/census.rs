@@ -1,6 +1,6 @@
-//! The allocation census: exact heap allocations of the paths whose
-//! per-call plumbing a Table-2 session pays for, as one table pinned in
-//! `tests/golden/census.txt`.
+//! The allocation census: exact heap allocations, and the bytes they
+//! request, of the paths whose per-call plumbing a Table-2 session pays
+//! for, as one table pinned in `tests/golden/census.txt`.
 //!
 //! A Table-2 session is about 3 000 RPCs of ~46 bytes, so what it costs
 //! the host is almost all plumbing, not engine compute. The rows are whole
@@ -42,48 +42,53 @@ mod temp_journal;
 static CENSUS: Census = Census;
 
 /// Written by rustc 1.95.0, the toolchain CI pins. Some counts rest on
-/// std internals (the `mpsc` block size behind the echo rows, `Vec` and
-/// `HashMap` growth), so a toolchain that moves them rewrites the golden.
+/// std internals (`Vec`, `VecDeque` and `HashMap` growth), so a
+/// toolchain that moves them rewrites the golden. The `avs/op` bytes
+/// include the journal's copy of its path under the system temp dir.
 const GOLDEN: &str = "census.txt";
 /// Calls per echo arm, measured after as many warm-up calls.
 const ECHOES: u64 = 200;
 /// Decodes and reclaim rounds per row.
 const ROUNDS: u64 = 100;
 
-/// One line of the table: `allocs` over `per`'s count of its unit, if any.
+/// `(allocations, requested bytes)`, as [`census::count`] returns them.
+type Tally = (u64, u64);
+
+/// One line of the table: `tally`, and its allocations over `per`'s
+/// count of its unit, if any.
 struct Row {
     name: String,
-    allocs: u64,
+    tally: Tally,
     per: Option<(u64, &'static str)>,
 }
 
 /// Runs `measure` once to warm up and twice more; the two measured
-/// `(allocations, count)` pairs must agree. Returns the second.
-fn twice(name: &str, mut measure: impl FnMut() -> (u64, u64)) -> (u64, u64) {
+/// `(tally, count)` pairs must agree. Returns the second.
+fn twice(name: &str, mut measure: impl FnMut() -> (Tally, u64)) -> (Tally, u64) {
     measure();
     let (first, second) = (measure(), measure());
     assert_eq!(
         first, second,
-        "{name}: two runs made (allocations, count) {first:?} and {second:?}"
+        "{name}: two runs made ((allocations, bytes), count) {first:?} and {second:?}"
     );
     second
 }
 
-fn row(name: &str, measure: impl FnMut() -> (u64, u64), unit: Option<&'static str>) -> Row {
-    let (allocs, n) = twice(name, measure);
-    Row { name: name.into(), allocs, per: unit.map(|u| (n, u)) }
+fn row(name: &str, measure: impl FnMut() -> (Tally, u64), unit: Option<&'static str>) -> Row {
+    let (tally, n) = twice(name, measure);
+    Row { name: name.into(), tally, per: unit.map(|u| (n, u)) }
 }
 
-/// A whole seeded session: its allocations and its `rpc.calls`.
-fn session(req: &SessionRequest) -> (u64, u64) {
-    let (allocs, report) = census::count(|| run_session(req).expect("seeded session runs"));
+/// A whole seeded session: its tally and its `rpc.calls`.
+fn session(req: &SessionRequest) -> (Tally, u64) {
+    let (tally, report) = census::count(|| run_session(req).expect("seeded session runs"));
     let calls = report
         .metrics_json
         .lines()
         .find_map(|l| l.trim().strip_prefix("\"rpc.calls\": "))
         .and_then(|v| v.trim_end_matches(',').parse().ok())
         .expect("snapshot carries rpc.calls");
-    (allocs, calls)
+    (tally, calls)
 }
 
 fn wave_batched() -> SessionKnobs {
@@ -128,25 +133,25 @@ fn avs(rows: &mut Vec<Row>) {
     };
     rows.push(row("avs/op", || (census::count(op).0, 0), None));
     let replay = || {
-        let (allocs, replay) =
+        let (tally, replay) =
             census::count(|| ledger::replay(&journal.0).expect("journal replays"));
-        (allocs, replay.records.len() as u64)
+        (tally, replay.records.len() as u64)
     };
     rows.push(row("avs/replay", replay, Some("records")));
 }
 
-/// Allocations of [`ECHOES`] calls of `call`, after as many to warm up.
-fn warm(mut call: impl FnMut()) -> u64 {
+/// The tally of [`ECHOES`] calls of `call`, after as many to warm up.
+fn warm(mut call: impl FnMut()) -> Tally {
     (0..ECHOES).for_each(|_| call());
     census::count(|| (0..ECHOES).for_each(|_| call())).0
 }
 
-/// Each echo arm's allocations in a fresh world: `call` and
+/// Each echo arm's tally in a fresh world: `call` and
 /// `issue`/`collect` of a one-double echo, and `issue`/`collect_into` of
 /// that echo and of the `array[4] of float` flow of the Table-2 modules.
-/// A fresh world starts every arm at the same point of its mailboxes'
-/// block cycle, so the counts repeat exactly.
-fn echo_arms(config: &SchoonerConfig) -> [u64; 4] {
+/// A fresh world starts every arm with the same spans logged, so the
+/// counts repeat exactly.
+fn echo_arms(config: &SchoonerConfig) -> [Tally; 4] {
     let sch = Schooner::standard_with(config.clone()).unwrap();
     let image = ProgramImage::new(
         "echo",
@@ -191,26 +196,26 @@ fn echoes(rows: &mut Vec<Row>) {
         let arms = ["call", "collect", "collect_into", "flow-collect_into"];
         for ((arm, a), b) in arms.into_iter().zip(first).zip(second) {
             let name = format!("echo/{world}/{arm}");
-            assert_eq!(a, b, "{name}: two worlds made {a} and {b} allocations");
-            rows.push(Row { name, allocs: b, per: Some((ECHOES, "calls")) });
+            assert_eq!(a, b, "{name}: two worlds made (allocations, bytes) {a:?} and {b:?}");
+            rows.push(Row { name, tally: b, per: Some((ECHOES, "calls")) });
         }
     }
 }
 
-/// Allocations of [`ROUNDS`] decodes of `values` (`types`, sent from a
+/// The tally of [`ROUNDS`] decodes of `values` (`types`, sent from a
 /// SPARC) on a Cray, into one kept vector, after one warm-up decode.
-fn decodes(types: &[Type], values: &[Value]) -> (u64, u64) {
+fn decodes(types: &[Type], values: &[Value]) -> (Tally, u64) {
     let plan = MarshalPlan::compile(types);
     let wire = plan.encode(values, Architecture::SunSparc10).unwrap();
     let mut out = Vec::new();
     plan.decode_into(wire.clone(), Architecture::CrayYmp, &mut out).unwrap();
-    let (allocs, ()) = census::count(|| {
+    let (tally, ()) = census::count(|| {
         for _ in 0..ROUNDS {
             plan.decode_into(wire.clone(), Architecture::CrayYmp, &mut out).unwrap();
         }
     });
     assert_eq!(out, values);
-    (allocs, ROUNDS)
+    (tally, ROUNDS)
 }
 
 /// A flow station as a record, the shape a module input may take.
@@ -237,9 +242,9 @@ fn uts(rows: &mut Vec<Row>) {
     let stations = || Value::Array((0..8).map(|i| station(i as f32)).collect());
     let (a, b) = (stations(), stations());
     let compare = || {
-        let (allocs, equal) = census::count(|| a == b);
+        let (tally, equal) = census::count(|| a == b);
         assert!(equal);
-        (allocs, 0)
+        (tally, 0)
     };
     rows.push(row("compare/records", compare, None));
 }
@@ -259,7 +264,7 @@ fn bytes(rows: &mut Vec<Row>) {
         m.put_slice(b"first message");
         let mut b = m.freeze();
         let data = b.as_ptr();
-        let (allocs, ()) = census::count(|| {
+        let (tally, ()) = census::count(|| {
             for round in 0..ROUNDS as u32 {
                 let mut m = b.try_into_mut().expect("sole handle");
                 m.clear();
@@ -270,7 +275,7 @@ fn bytes(rows: &mut Vec<Row>) {
                 assert_eq!((&b[..4], &b[4..]), (&round.to_be_bytes()[..], &b"reply"[..]));
             }
         });
-        (allocs, ROUNDS)
+        (tally, ROUNDS)
     };
     rows.push(row("bytes/reclaim-write-freeze", reclaim, Some("rounds")));
 }
@@ -285,14 +290,16 @@ fn census() -> Vec<Row> {
     rows
 }
 
-/// The golden text, a line per row: its name and allocations, then, for
-/// a row with a unit, allocations per unit and the unit's count.
+/// The golden text, a line per row: its name, allocations and requested
+/// bytes, then, for a row with a unit, allocations per unit and the
+/// unit's count.
 fn render(rows: &[Row]) -> String {
     let mut out = String::new();
     for row in rows {
-        write!(out, "{:<30}{:>7}", row.name, row.allocs).unwrap();
+        let (allocs, bytes) = row.tally;
+        write!(out, "{:<30}{:>7}{:>10} B", row.name, allocs, bytes).unwrap();
         if let Some((n, unit)) = row.per {
-            write!(out, "{:>10.4} per {:>5} {unit}", row.allocs as f64 / n as f64, n).unwrap();
+            write!(out, "{:>10.4} per {:>5} {unit}", allocs as f64 / n as f64, n).unwrap();
         }
         out.push('\n');
     }

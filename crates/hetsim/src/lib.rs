@@ -25,4 +25,4 @@ pub mod machine;
 
 pub use files::FileStore;
 pub use load::LoadModel;
-pub use machine::{standard_park, Machine, MachinePark};
+pub use machine::{standard_park, HostCost, Machine, MachinePark};

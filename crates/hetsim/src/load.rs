@@ -6,15 +6,37 @@
 //! experiment drivers raise it mid-run to justify a move.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
 
-use std::sync::RwLock;
+/// One host's load, an `f64` held as its bits in an atomic cell. The
+/// model and every [`HostCost`](crate::HostCost) of the host share it.
+#[derive(Clone, Default)]
+pub(crate) struct LoadCell(Arc<AtomicU64>);
+
+impl LoadCell {
+    pub(crate) fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Acquire))
+    }
+
+    fn set(&self, load: f64) {
+        self.0.store(load.to_bits(), Ordering::Release);
+    }
+
+    fn add(&self, delta: f64) -> f64 {
+        let next = |bits| (f64::from_bits(bits) + delta).max(0.0);
+        let step = |bits| Some(next(bits).to_bits());
+        // `step` never refuses, so the update always lands.
+        let prev = self.0.fetch_update(Ordering::AcqRel, Ordering::Acquire, step);
+        next(prev.unwrap_or_else(|bits| bits))
+    }
+}
 
 /// Shared, mutable load state. Load is a non-negative "competing jobs"
 /// figure: effective speed = nominal / (1 + load).
 #[derive(Clone, Default)]
 pub struct LoadModel {
-    inner: Arc<RwLock<HashMap<String, f64>>>,
+    inner: Arc<RwLock<HashMap<String, LoadCell>>>,
 }
 
 impl LoadModel {
@@ -25,20 +47,25 @@ impl LoadModel {
 
     /// Current load of `host` (0 when never set).
     pub fn get(&self, host: &str) -> f64 {
-        self.inner.read().unwrap().get(host).copied().unwrap_or(0.0)
+        self.inner.read().unwrap().get(host).map_or(0.0, LoadCell::get)
     }
 
     /// Set the load of `host`; negative values clamp to 0.
     pub fn set(&self, host: &str, load: f64) {
-        self.inner.write().unwrap().insert(host.to_owned(), load.max(0.0));
+        self.cell(host).set(load.max(0.0));
     }
 
     /// Add to the load of `host` (may be negative; clamps at 0).
     pub fn add(&self, host: &str, delta: f64) -> f64 {
-        let mut map = self.inner.write().unwrap();
-        let entry = map.entry(host.to_owned()).or_insert(0.0);
-        *entry = (*entry + delta).max(0.0);
-        *entry
+        self.cell(host).add(delta)
+    }
+
+    /// The load cell of `host`, created idle on first use.
+    pub(crate) fn cell(&self, host: &str) -> LoadCell {
+        if let Some(cell) = self.inner.read().unwrap().get(host) {
+            return cell.clone();
+        }
+        self.inner.write().unwrap().entry(host.to_owned()).or_default().clone()
     }
 
     /// The host with the lowest load among `candidates` (ties broken by
@@ -48,11 +75,10 @@ impl LoadModel {
         candidates: impl IntoIterator<Item = &'a str>,
     ) -> Option<&'a str> {
         let map = self.inner.read().unwrap();
-        candidates.into_iter().min_by(|a, b| {
-            let la = map.get(*a).copied().unwrap_or(0.0);
-            let lb = map.get(*b).copied().unwrap_or(0.0);
-            la.partial_cmp(&lb).unwrap().then_with(|| a.cmp(b))
-        })
+        let load = |host: &str| map.get(host).map_or(0.0, LoadCell::get);
+        candidates
+            .into_iter()
+            .min_by(|a, b| load(a).partial_cmp(&load(b)).unwrap().then_with(|| a.cmp(b)))
     }
 }
 

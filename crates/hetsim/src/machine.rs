@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use uts::Architecture;
 
-use crate::load::LoadModel;
+use crate::load::{LoadCell, LoadModel};
 
 /// A machine available to run remote procedures.
 #[derive(Debug, Clone)]
@@ -26,8 +26,31 @@ impl Machine {
     /// at the given load factor (`load` ≥ 0; 0 means idle, 1 means the
     /// machine is doing one competing job's worth of other work).
     pub fn compute_seconds(&self, flops: f64, load: f64) -> f64 {
-        let effective = self.speed_mflops * 1e6 / (1.0 + load.max(0.0));
-        flops.max(0.0) / effective
+        compute_seconds(self.speed_mflops, flops, load)
+    }
+}
+
+/// Virtual seconds for `flops` on a machine of `speed_mflops` at `load`.
+fn compute_seconds(speed_mflops: f64, flops: f64, load: f64) -> f64 {
+    let effective = speed_mflops * 1e6 / (1.0 + load.max(0.0));
+    flops.max(0.0) / effective
+}
+
+/// One host's compute cost, resolved once
+/// ([`MachinePark::cost`]): its machine's speed and a handle on the
+/// host's load cell. The load is read on every call, so a
+/// [`LoadModel::set`] acts on the very next one. Cloning is cheap.
+#[derive(Clone)]
+pub struct HostCost {
+    speed_mflops: f64,
+    load: LoadCell,
+}
+
+impl HostCost {
+    /// Virtual seconds for `flops` of work on the host at its current
+    /// load, exactly as [`MachinePark::compute_seconds`] answers.
+    pub fn compute_seconds(&self, flops: f64) -> f64 {
+        compute_seconds(self.speed_mflops, flops, self.load.get())
     }
 }
 
@@ -81,6 +104,14 @@ impl MachinePark {
     pub fn compute_seconds(&self, host: &str, flops: f64) -> Option<f64> {
         let m = self.machine(host)?;
         Some(m.compute_seconds(flops, self.inner.load.get(host)))
+    }
+
+    /// The cost handle of `host`, for a caller that charges compute on
+    /// it often: it answers [`compute_seconds`](Self::compute_seconds)
+    /// without looking the host up. `None` when the host is unknown.
+    pub fn cost(&self, host: &str) -> Option<HostCost> {
+        let speed_mflops = self.machine(host)?.speed_mflops;
+        Some(HostCost { speed_mflops, load: self.inner.load.cell(host) })
     }
 }
 
@@ -137,6 +168,25 @@ mod tests {
         park.load().set("lerc-rs6000", 3.0);
         let busy = park.compute_seconds("lerc-rs6000", 1e6).unwrap();
         assert!((busy / idle - 4.0).abs() < 1e-9);
+    }
+
+    /// A handle resolved before the load moves reads the new load on
+    /// its next call, bit for bit as the park does by name.
+    #[test]
+    fn a_cost_handle_reads_load_set_after_it_was_resolved() {
+        let park = standard_park();
+        let cost = park.cost("lerc-rs6000").unwrap();
+        let idle = cost.compute_seconds(1e6);
+        assert_eq!(idle.to_bits(), park.compute_seconds("lerc-rs6000", 1e6).unwrap().to_bits());
+        park.load().set("lerc-rs6000", 3.0);
+        let busy = cost.compute_seconds(1e6);
+        assert_eq!(busy.to_bits(), park.compute_seconds("lerc-rs6000", 1e6).unwrap().to_bits());
+        assert!((busy / idle - 4.0).abs() < 1e-9);
+        assert_eq!(park.load().add("lerc-rs6000", -1.0), 2.0);
+        let again = park.compute_seconds("lerc-rs6000", 1e6).unwrap();
+        assert_eq!(cost.compute_seconds(1e6).to_bits(), again.to_bits());
+        assert!((again / idle - 3.0).abs() < 1e-9);
+        assert!(park.cost("nonesuch").is_none());
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use metrics::{Histogram, MetricsRegistry};
 pub use sites::{npss_testbed, replica_of, HostSpec, Site};
 pub use time::VirtualClock;
 pub use topology::{Link, NodeId, NodeKind, Topology};
-pub use transport::{Endpoint, Envelope, FlushRecord, NetError, Network, NetworkStats};
+pub use transport::{Endpoint, Envelope, FlushRecord, NetError, Network, Route};

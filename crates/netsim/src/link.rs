@@ -46,6 +46,8 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::metrics::Counter;
+
 /// Frame magic: "NB" (netsim batch).
 pub(crate) const FRAME_MAGIC: [u8; 2] = *b"NB";
 /// Link frame format version.
@@ -400,6 +402,9 @@ pub(crate) struct LinkBatcher {
     /// order (the Schooner layer stores `(line id, call id)` for span
     /// attribution); emptied by each flush and reused by the next frame.
     pub(crate) tags: Vec<(u64, u64)>,
+    /// `net.batch.flushes.{from}->{to}` and `net.batch.fill.{from}->{to}`,
+    /// resolved at the link's first flush.
+    pub(crate) counters: Option<(Counter, Counter)>,
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Reliable, ordered message transport over the simulated topology.
 //!
 //! Processes register an [`Endpoint`] under an address of the form
-//! `host:process`. Sending looks up the route between the two hosts,
-//! computes the virtual transfer time for the payload size, stamps the
-//! envelope with its arrival instant, and enqueues it in the receiver's
-//! [`Mailbox`]. Failure injection (downed hosts, removed links) surfaces
+//! `host:process`. A [`Route`] between two addresses resolves, once per
+//! network epoch, everything a send would otherwise find by name: the
+//! hosts' state, the fault plan, the minimum-latency path and the
+//! receiver's [`Mailbox`]. Sending on it computes the virtual transfer
+//! time for the payload size, stamps the envelope with its arrival
+//! instant, and enqueues it in the mailbox. Failure injection (downed hosts, removed links) surfaces
 //! as send-time errors, exactly where a connection failure would surface
 //! in the real system.
 
@@ -80,22 +82,6 @@ pub struct Envelope {
     pub sent_at: f64,
     /// Virtual time at which the message reaches the destination host.
     pub arrive_at: f64,
-}
-
-/// Aggregate transport statistics, for the benchmark harness.
-#[derive(Debug, Default)]
-pub struct NetworkStats {
-    /// Total messages successfully enqueued.
-    pub messages: AtomicU64,
-    /// Total payload bytes successfully enqueued.
-    pub bytes: AtomicU64,
-}
-
-impl NetworkStats {
-    /// Snapshot (messages, bytes).
-    pub fn snapshot(&self) -> (u64, u64) {
-        (self.messages.load(Ordering::Relaxed), self.bytes.load(Ordering::Relaxed))
-    }
 }
 
 /// Fate of one logical message in a flush. Flushes append these to a
@@ -208,8 +194,8 @@ struct EpEntry {
 }
 
 /// What the transport derives from one directed host pair, computed on
-/// the pair's first message and shared by every later one: the route,
-/// the per-link message and byte counters, and the batching metric keys.
+/// the pair's first message and shared by every later one: the route
+/// and the per-link message and byte counters.
 struct LinkRecord {
     from_host: String,
     to_host: String,
@@ -219,8 +205,6 @@ struct LinkRecord {
     msgs: Counter,
     /// `net.bytes.{from}->{to}`.
     bytes: Counter,
-    flushes_key: String,
-    fill_key: String,
 }
 
 impl LinkRecord {
@@ -229,6 +213,83 @@ impl LinkRecord {
             from: self.from_host.clone(),
             to: self.to_host.clone(),
         })
+    }
+}
+
+/// A resolved route from one address to another: everything a send
+/// would otherwise find by name — the downed-host verdict, the fault
+/// plan, the pair's link record, the destination's mailbox and birth,
+/// both registered address copies — found once, in one network epoch.
+///
+/// [`Network::send_on`] re-resolves a route whose epoch is stale, so a
+/// route held across registrations, endpoint drops, host state, fault
+/// plans and topology changes answers exactly as a fresh
+/// [`Network::send`] would. A send on a current route hashes nothing
+/// and reads no lock but the destination mailbox's. An unregistered
+/// destination or a partitioned pair is a cached *outcome*, reported at
+/// the same step of the admission order as before.
+#[derive(Clone)]
+pub struct Route {
+    /// The network epoch the fields below were resolved in.
+    epoch: u64,
+    /// The sender's registered copy of its address, or a fresh copy
+    /// for a sender with no endpoint.
+    from: Arc<str>,
+    /// The destination's registered copy of its address, or a fresh
+    /// copy when nothing is registered there.
+    to: Arc<str>,
+    /// Lengths of the host parts of `from` and `to`.
+    host_lens: (usize, usize),
+    /// `HostDown` for the first administratively downed end.
+    down: Option<NetError>,
+    plan: Option<Arc<FaultPlan>>,
+    /// The pair's link record; `UnknownHost` for a host the topology
+    /// does not know.
+    link: Result<Arc<LinkRecord>, NetError>,
+    /// The destination's mailbox and crash-fencing birth; `None` when
+    /// nothing is registered at `to`.
+    dest: Option<(Mailbox, Option<f64>)>,
+}
+
+impl Route {
+    /// The destination address.
+    pub fn addr(&self) -> &str {
+        &self.to
+    }
+
+    /// The sending and receiving hosts.
+    fn hosts(&self) -> (&str, &str) {
+        (&self.from[..self.host_lens.0], &self.to[..self.host_lens.1])
+    }
+
+    /// Link state at `t`: administratively downed hosts, then the fault
+    /// plan's windows. A logical message (`drop_ordinal`) also consumes
+    /// the link's seeded drop ordinal; a frame leaving later re-checks
+    /// the windows only, because its members consumed theirs at append.
+    fn check_link(&self, t: f64, drop_ordinal: bool) -> Result<(), NetError> {
+        if let Some(down) = &self.down {
+            return Err(down.clone());
+        }
+        let (from_host, to_host) = self.hosts();
+        match self.plan.as_deref() {
+            Some(p) if drop_ordinal => p.check_send(from_host, to_host, t),
+            Some(p) => p.check_window(from_host, to_host, t),
+            None => Ok(()),
+        }
+    }
+
+    /// The route rule: the pair's link record and its path.
+    fn path(&self) -> Result<(&LinkRecord, &Path), NetError> {
+        let link = self.link.as_deref().map_err(Clone::clone)?;
+        Ok((link, link.path()?))
+    }
+
+    /// The arrival law: a message of `bytes` leaving at `t` arrives one
+    /// route transfer later, stretched by any latency spike active at
+    /// `t`.
+    fn arrival(&self, path: &Path, t: f64, bytes: usize) -> f64 {
+        let transfer = path.transfer_seconds(bytes);
+        t + self.plan.as_ref().map_or(transfer, |p| p.adjust_transfer(t, transfer))
     }
 }
 
@@ -248,12 +309,18 @@ struct NetInner {
     endpoints: RwLock<HashMap<Arc<str>, EpEntry>>,
     down_hosts: RwLock<HashMap<String, bool>>,
     faults: RwLock<Option<Arc<FaultPlan>>>,
+    /// Bumped after every change a [`Route`] caches: a registration, an
+    /// endpoint's drop, a host going up or down, a fault plan, a
+    /// topology mutation.
+    epoch: AtomicU64,
     next_ep: AtomicU64,
-    stats: NetworkStats,
     metrics: MetricsRegistry,
     /// Whether link-layer batching is installed; off keeps every send
     /// on the one-envelope-per-message path.
     batching: AtomicBool,
+    /// Links holding an open frame, so a flush with nothing anywhere to
+    /// flush takes no lock.
+    open_frames: AtomicUsize,
     /// Lock order: `links` before `endpoints` before `topo` before
     /// `link_records`.
     links: Mutex<LinkTable>,
@@ -280,13 +347,20 @@ impl Network {
                 endpoints: RwLock::new(HashMap::new()),
                 down_hosts: RwLock::new(HashMap::new()),
                 faults: RwLock::new(None),
+                epoch: AtomicU64::new(0),
                 next_ep: AtomicU64::new(1),
-                stats: NetworkStats::default(),
                 metrics: MetricsRegistry::new(),
                 batching: AtomicBool::new(false),
+                open_frames: AtomicUsize::new(0),
                 links: Mutex::new(BTreeMap::new()),
             }),
         }
+    }
+
+    /// Start a new epoch: every route resolved before re-resolves on
+    /// its next send. Called after the change is made.
+    fn bump_epoch(&self) {
+        self.inner.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Register an endpoint at `addr` (`host:process`). The host part must
@@ -320,6 +394,7 @@ impl Network {
         let id = self.inner.next_ep.fetch_add(1, Ordering::Relaxed);
         let entry = EpEntry { id, birth, mailbox: mailbox.clone() };
         let replaced = self.inner.endpoints.write().unwrap().insert(addr.clone(), entry);
+        self.bump_epoch();
         if let Some(old) = replaced {
             old.mailbox.close();
         }
@@ -329,6 +404,7 @@ impl Network {
     /// Mark a host up or down. Sends to or from a down host fail.
     pub fn set_host_up(&self, host: &str, up: bool) {
         self.inner.down_hosts.write().unwrap().insert(host.to_owned(), !up);
+        self.bump_epoch();
     }
 
     fn is_down(&self, host: &str) -> bool {
@@ -340,10 +416,7 @@ impl Network {
     /// network.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
         *self.inner.faults.write().unwrap() = plan.map(Arc::new);
-    }
-
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.inner.faults.read().unwrap().clone()
+        self.bump_epoch();
     }
 
     /// Mutate the topology (e.g. remove links for failure injection).
@@ -354,17 +427,13 @@ impl Network {
         let mut topo = self.inner.topo.write().unwrap();
         let out = f(&mut topo);
         self.inner.link_records.write().unwrap().clear();
+        self.bump_epoch();
         out
     }
 
     /// Read the topology.
     pub fn with_topology<R>(&self, f: impl FnOnce(&Topology) -> R) -> R {
         f(&self.inner.topo.read().unwrap())
-    }
-
-    /// Transport statistics.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.inner.stats
     }
 
     /// The network's metrics registry. Higher layers (Schooner's `obs`,
@@ -392,8 +461,6 @@ impl Network {
             route: topo.shortest_path(f, t),
             msgs: m.counter_handle(format!("net.msg.{from}->{to}")),
             bytes: m.counter_handle(format!("net.bytes.{from}->{to}")),
-            flushes_key: format!("net.batch.flushes.{from}->{to}"),
-            fill_key: format!("net.batch.fill.{from}->{to}"),
         });
         self.inner.link_records.write().unwrap().insert((f, t), rec.clone());
         Ok(rec)
@@ -402,6 +469,35 @@ impl Network {
     /// Virtual transfer time between two hosts for a payload size.
     pub fn transfer_seconds(&self, from: &str, to: &str, bytes: usize) -> Result<f64, NetError> {
         Ok(self.link_record(from, to)?.path()?.transfer_seconds(bytes))
+    }
+
+    /// Resolve the route from address `from` to address `to` in the
+    /// current epoch. Resolving never fails: an unknown host, a downed
+    /// host, a partition or an unregistered destination is kept as the
+    /// outcome a send on the route reports.
+    pub fn route(&self, from: &str, to: &str) -> Route {
+        // Read before anything it guards: a change made while resolving
+        // leaves the route stale, so its next send re-resolves.
+        let epoch = self.inner.epoch.load(Ordering::Acquire);
+        let (from_host, to_host) = (host_of(from), host_of(to));
+        let down = [from_host, to_host]
+            .into_iter()
+            .find(|h| self.is_down(h))
+            .map(|h| NetError::HostDown(h.into()));
+        let plan = self.inner.faults.read().unwrap().clone();
+        let link = self.link_record(from_host, to_host);
+        let eps = self.inner.endpoints.read().unwrap();
+        let host_lens = (from_host.len(), to_host.len());
+        let (from, to, dest) = ends(&eps, from, to);
+        Route { epoch, from, to, host_lens, down, plan, link, dest }
+    }
+
+    /// Re-resolve `route` if the network changed since it was resolved.
+    fn refresh(&self, route: &mut Route) {
+        if route.epoch != self.inner.epoch.load(Ordering::Acquire) {
+            let (from, to) = (route.from.clone(), route.to.clone());
+            *route = self.route(&from, &to);
+        }
     }
 
     /// Count a failed send under its fault family.
@@ -418,6 +514,8 @@ impl Network {
     /// Send `payload` from `from` (an address) to `to` (an address),
     /// stamping virtual times. `sent_at` is the sender's current virtual
     /// time; the envelope's `arrive_at` adds the route's transfer time.
+    /// The same as resolving the [`route`](Network::route) and sending
+    /// on it once.
     pub fn send(
         &self,
         from: &str,
@@ -425,98 +523,63 @@ impl Network {
         payload: Bytes,
         sent_at: f64,
     ) -> Result<f64, NetError> {
+        self.send_on(&mut self.route(from, to), payload, sent_at)
+    }
+
+    /// [`send`](Network::send) on a route resolved earlier; a stale
+    /// route is re-resolved first.
+    pub fn send_on(
+        &self,
+        route: &mut Route,
+        payload: Bytes,
+        sent_at: f64,
+    ) -> Result<f64, NetError> {
+        self.refresh(route);
         // Successful sends are counted inside `send_inner`, *before*
         // the envelope reaches the receiver's queue: the receiver may
         // act on the message (and something may read the metrics)
         // the moment it is delivered, so counting afterwards races.
-        let result = self.send_inner(from, to, payload, sent_at);
+        let result = self.send_inner(route, payload, sent_at);
         self.count_fault(&result);
         result
     }
 
-    fn send_inner(
-        &self,
-        from: &str,
-        to: &str,
-        payload: Bytes,
-        sent_at: f64,
-    ) -> Result<f64, NetError> {
-        let (from_host, to_host) = (host_of(from), host_of(to));
-        let plan = self.fault_plan();
-        let plan = plan.as_deref();
-        self.check_link(plan, from_host, to_host, sent_at, true)?;
-        let link = self.link_record(from_host, to_host)?;
-        let arrive_at = arrival(&link, plan, sent_at, payload.len())?;
-        let eps = self.inner.endpoints.read().unwrap();
-        let (to, mailbox) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
+    fn send_inner(&self, route: &Route, payload: Bytes, sent_at: f64) -> Result<f64, NetError> {
+        route.check_link(sent_at, true)?;
+        let (link, path) = route.path()?;
+        let arrive_at = route.arrival(path, sent_at, payload.len());
+        let mailbox = self.mailbox(route, sent_at)?;
         // Count the message before it becomes visible to the receiver:
         // a metrics snapshot taken right after delivery must already
         // include every message that caused the state it observes.
-        self.count_message(&link, payload.len() as u64);
-        let from = sender_addr(&eps, from);
-        Ok(mailbox.push(Envelope { from, to: to.clone(), payload, sent_at, arrive_at }))
+        count_message(link, payload.len() as u64);
+        let (from, to) = (route.from.clone(), route.to.clone());
+        Ok(mailbox.push(Envelope { from, to, payload, sent_at, arrive_at }))
     }
 
     // ----- admission rules, each stated once -----
     //
     // `send`, the batcher's append and its flush all admit a message by
-    // the same rules in the same order: link state, route, arrival law,
-    // destination mailbox, counting. Each rule lives in one helper below
-    // (the route rule is `link_record` + `LinkRecord::path`).
+    // the same rules in the same order: link state
+    // (`Route::check_link`), route (`Route::path`), arrival law
+    // (`Route::arrival`), destination mailbox (`mailbox` below),
+    // counting (`count_message`).
 
-    /// Link state at `t`: administratively downed hosts, then the fault
-    /// plan's windows. A logical message (`drop_ordinal`) also consumes
-    /// the link's seeded drop ordinal; a frame leaving later re-checks
-    /// the windows only, because its members consumed theirs at append.
-    fn check_link(
-        &self,
-        plan: Option<&FaultPlan>,
-        from_host: &str,
-        to_host: &str,
-        t: f64,
-        drop_ordinal: bool,
-    ) -> Result<(), NetError> {
-        for host in [from_host, to_host] {
-            if self.is_down(host) {
-                return Err(NetError::HostDown(host.into()));
-            }
-        }
-        match plan {
-            Some(p) if drop_ordinal => p.check_send(from_host, to_host, t),
-            Some(p) => p.check_window(from_host, to_host, t),
-            None => Ok(()),
-        }
-    }
-
-    /// The mailbox registered at `to`, as of virtual time `t`, and the
-    /// shared copy of its address. Crash fencing: a process endpoint born
-    /// before a crash of its host no longer exists — the address resolves
-    /// to nothing, which the RPC layer classifies as a stale binding.
-    fn mailbox<'a>(
-        &self,
-        eps: &'a HashMap<Arc<str>, EpEntry>,
-        plan: Option<&FaultPlan>,
-        to: &str,
-        to_host: &str,
-        t: f64,
-    ) -> Result<(&'a Arc<str>, &'a Mailbox), NetError> {
-        let (addr, entry) =
-            eps.get_key_value(to).ok_or_else(|| NetError::UnknownAddress(to.into()))?;
-        if let (Some(birth), Some(plan)) = (entry.birth, plan) {
-            if plan.crash_count(to_host, t) > plan.crash_count(to_host, birth) {
+    /// The mailbox registered at the route's destination, as of virtual
+    /// time `t`. Crash fencing: a process endpoint born before a crash
+    /// of its host no longer exists — the address resolves to nothing,
+    /// which the RPC layer classifies as a stale binding.
+    fn mailbox<'r>(&self, route: &'r Route, t: f64) -> Result<&'r Mailbox, NetError> {
+        let unknown = || NetError::UnknownAddress(route.to.to_string());
+        let (mailbox, birth) = route.dest.as_ref().ok_or_else(unknown)?;
+        if let (Some(birth), Some(plan)) = (birth, &route.plan) {
+            let (_, to_host) = route.hosts();
+            if plan.crash_count(to_host, t) > plan.crash_count(to_host, *birth) {
                 self.inner.metrics.counter_add("net.fault.fenced", 1);
-                return Err(NetError::UnknownAddress(to.into()));
+                return Err(unknown());
             }
         }
-        Ok((addr, &entry.mailbox))
-    }
-
-    /// Count one *logical* message on its link (frames are not messages).
-    fn count_message(&self, link: &LinkRecord, bytes: u64) {
-        link.msgs.add(1);
-        link.bytes.add(bytes);
-        self.inner.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        Ok(mailbox)
     }
 
     /// Install (or clear) link-layer batching. With it installed,
@@ -549,16 +612,17 @@ impl Network {
     ) -> Result<Option<f64>, NetError> {
         let write = &mut |b: &mut BytesMut| b.put_slice(&payload);
         let (spare, flushed) = (&mut BytesMut::new(), &mut Vec::new());
-        self.send_gather(from, to, sent_at, tag, payload.len(), spare, flushed, write)
+        let route = &mut self.route(from, to);
+        self.send_gather(route, sent_at, tag, payload.len(), spare, flushed, write)
     }
 
-    /// Scatter-gather append: `write` emits exactly `payload_len` bytes
-    /// of payload in place — into `spare`, which the caller lends, when
-    /// the link holds nothing yet, else *directly into the link frame
-    /// buffer*. The message is buffered until a flush threshold fires
-    /// (size, message count, or linger age; see the constants on
-    /// [`LinkConfig`]) or the sender flushes explicitly with
-    /// [`flush_link`](Network::flush_link). A flush that finds one
+    /// Scatter-gather append on `route`: `write` emits exactly
+    /// `payload_len` bytes of payload in place — into `spare`, which the
+    /// caller lends, when the link holds nothing yet, else *directly
+    /// into the link frame buffer*. The message is buffered until a
+    /// flush threshold fires (size, message count, or linger age; see
+    /// the constants on [`LinkConfig`]) or the sender flushes explicitly
+    /// with [`flush_link`](Network::flush_link). A flush that finds one
     /// message delivers it as the plain envelope it was written as; only
     /// two or more make a frame.
     ///
@@ -586,8 +650,7 @@ impl Network {
     #[allow(clippy::too_many_arguments)]
     pub fn send_gather(
         &self,
-        from: &str,
-        to: &str,
+        route: &mut Route,
         sent_at: f64,
         tag: (u64, u64),
         payload_len: usize,
@@ -597,9 +660,10 @@ impl Network {
     ) -> Result<Option<f64>, NetError> {
         if !self.inner.batching.load(Ordering::Relaxed) {
             let payload = fill(spare, payload_len, write);
-            return self.send(from, to, payload, sent_at).map(Some);
+            return self.send_on(route, payload, sent_at).map(Some);
         }
-        let result = self.gather_inner(from, to, sent_at, tag, payload_len, spare, flushed, write);
+        self.refresh(route);
+        let result = self.gather_inner(route, sent_at, tag, payload_len, spare, flushed, write);
         self.count_fault(&result);
         result.map(|()| None)
     }
@@ -607,8 +671,7 @@ impl Network {
     #[allow(clippy::too_many_arguments)]
     fn gather_inner(
         &self,
-        from: &str,
-        to: &str,
+        route: &Route,
         sent_at: f64,
         tag: (u64, u64),
         payload_len: usize,
@@ -616,7 +679,7 @@ impl Network {
         flushed: &mut Vec<FlushRecord>,
         write: &mut dyn FnMut(&mut BytesMut),
     ) -> Result<(), NetError> {
-        let (from_host, to_host) = (host_of(from), host_of(to));
+        let (from_host, to_host) = route.hosts();
         let mut links = self.inner.links.lock().unwrap();
         if !links.get(from_host).is_some_and(|out| out.contains_key(to_host)) {
             links
@@ -637,23 +700,16 @@ impl Network {
             let over_bytes = f.payload_bytes + payload_len as u64 > LinkConfig::MAX_FRAME_BYTES;
             let over_msgs = batcher.tags.len() + 1 > LinkConfig::MAX_FRAME_MSGS;
             if over_linger || over_bytes || over_msgs {
-                self.flush_batcher(from_host, to_host, batcher, sent_at, flushed);
+                self.flush_batcher(batcher, route, sent_at, flushed);
             }
         }
 
         // Per-message admission at the send instant, by the unbatched
         // path's rules (this consumes the link's drop ordinal for this
         // logical message); the arrival law waits for the flush.
-        let plan = self.fault_plan();
-        let plan = plan.as_deref();
-        self.check_link(plan, from_host, to_host, sent_at, true)?;
-        let link = self.link_record(from_host, to_host)?;
-        link.path()?;
-        let (from_addr, to_addr) = {
-            let eps = self.inner.endpoints.read().unwrap();
-            let (to, _) = self.mailbox(&eps, plan, to, to_host, sent_at)?;
-            (sender_addr(&eps, from), to.clone())
-        };
+        route.check_link(sent_at, true)?;
+        let (link, _) = route.path()?;
+        self.mailbox(route, sent_at)?;
 
         // Commit: gather the payload into the held message or the frame
         // (from here on that is the one holder of the message's
@@ -661,15 +717,16 @@ impl Network {
         // link holds the message as the envelope it would leave as,
         // addressed by the copies the endpoints registered.
         match &mut batcher.frame {
-            Some(frame) => frame.push(from, to, sent_at, payload_len, write),
+            Some(frame) => frame.push(&route.from, &route.to, sent_at, payload_len, write),
             None => {
                 let payload = fill(spare, payload_len, write);
-                let held = HeldMsg { from: from_addr, to: to_addr, sent_at, payload };
-                batcher.frame = Some(OpenFrame::held(held));
+                let (from, to) = (route.from.clone(), route.to.clone());
+                batcher.frame = Some(OpenFrame::held(HeldMsg { from, to, sent_at, payload }));
+                self.inner.open_frames.fetch_add(1, Ordering::AcqRel);
             }
         }
         batcher.tags.push(tag);
-        self.count_message(&link, payload_len as u64);
+        count_message(link, payload_len as u64);
 
         // Post-append thresholds: a frame that just filled leaves now,
         // carrying this message with it.
@@ -677,27 +734,30 @@ impl Network {
         let full = frame.payload_bytes >= LinkConfig::MAX_FRAME_BYTES
             || batcher.tags.len() >= LinkConfig::MAX_FRAME_MSGS;
         if full {
-            self.flush_batcher(from_host, to_host, batcher, sent_at, flushed);
+            self.flush_batcher(batcher, route, sent_at, flushed);
         }
         Ok(())
     }
 
-    /// Flush the open frame toward `to_host`, if any, appending its
+    /// Flush the open frame on `route`'s link, if any, appending its
     /// messages' outcomes to `flushed`. `now` is the flusher's virtual
     /// time; the frame leaves at the latest of `now` and its members'
     /// send instants. Senders call this before awaiting a reply so no
     /// request is ever stranded in a buffer — also after batching was
-    /// switched off, which stops new appends but not this flush.
-    pub fn flush_link(
-        &self,
-        from_host: &str,
-        to_host: &str,
-        now: f64,
-        flushed: &mut Vec<FlushRecord>,
-    ) {
+    /// switched off, which stops new appends but not this flush. With
+    /// no frame open on any link it takes no lock.
+    pub fn flush_link(&self, route: &mut Route, now: f64, flushed: &mut Vec<FlushRecord>) {
+        if self.inner.open_frames.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let mut links = self.inner.links.lock().unwrap();
-        if let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) {
-            self.flush_batcher(from_host, to_host, batcher, now, flushed);
+        let (from_host, to_host) = route.hosts();
+        let Some(batcher) = links.get_mut(from_host).and_then(|out| out.get_mut(to_host)) else {
+            return;
+        };
+        if batcher.frame.is_some() {
+            self.refresh(route);
+            self.flush_batcher(batcher, route, now, flushed);
         }
     }
 
@@ -708,7 +768,12 @@ impl Network {
         let mut links = self.inner.links.lock().unwrap();
         for (from_host, outbound) in links.iter_mut() {
             for (to_host, batcher) in outbound {
-                self.flush_batcher(from_host, to_host, batcher, now, &mut flushed);
+                if batcher.frame.is_some() {
+                    // A route between the bare host names carries the
+                    // link's state; each message finds its own ends.
+                    let route = self.route(from_host, to_host);
+                    self.flush_batcher(batcher, &route, now, &mut flushed);
+                }
             }
         }
         flushed
@@ -720,63 +785,66 @@ impl Network {
         links.get(from_host).and_then(|out| out.get(to_host)).map_or(0, |b| b.tags.len())
     }
 
+    /// Flush `batcher`'s open frame. `route` is any current route over
+    /// the batcher's link: it carries the link's state, and the ends of
+    /// every message it also addresses.
     fn flush_batcher(
         &self,
-        from_host: &str,
-        to_host: &str,
         batcher: &mut LinkBatcher,
+        route: &Route,
         now: f64,
         flushed: &mut Vec<FlushRecord>,
     ) {
         let Some(frame) = batcher.frame.take() else { return };
-        let link = self
-            .link_record(from_host, to_host)
-            .expect("a frame is opened only between hosts the topology knows");
+        self.inner.open_frames.fetch_sub(1, Ordering::AcqRel);
         let flush_t = frame.max_sent.max(now);
-        let m = &self.inner.metrics;
-        let plan = self.fault_plan();
-        let plan = plan.as_deref();
         // Link-level check at flush time: a crash, flap, or partition
         // that opened since append fails every message the flush carries.
-        let link_err = self.check_link(plan, from_host, to_host, flush_t, false).err();
+        let link_err = route.check_link(flush_t, false).err();
         let first = flushed.len();
-        {
-            let eps = self.inner.endpoints.read().unwrap();
-            let mut deliver = |tag: (u64, u64), msg: FrameMsg| {
-                let sent_at = msg.sent_at;
-                let result = match &link_err {
-                    Some(e) => {
-                        let failed = Err(e.clone());
-                        self.count_fault(&failed);
-                        failed
-                    }
-                    None => self.deliver_flushed(&eps, plan, &link, msg, flush_t),
-                };
-                flushed.push(FlushRecord { tag, sent_at, result });
-            };
-            match frame.records {
-                // A lone message leaves as the envelope it was written
-                // as: no frame is built, checksummed or decoded for it.
-                Records::Held(HeldMsg { from, to, sent_at, payload }) => {
-                    deliver(batcher.tags[0], FrameMsg { from: &from, to: &to, sent_at, payload });
+        let mut deliver = |tag: (u64, u64), msg: FrameMsg| {
+            let sent_at = msg.sent_at;
+            let result = match &link_err {
+                Some(e) => {
+                    let failed = Err(e.clone());
+                    self.count_fault(&failed);
+                    failed
                 }
-                Records::Framed(builder) => {
-                    // Decode our own frame on every flush: delivery
-                    // consumes the decoded records — addresses, send
-                    // instants, payload slices — so a codec regression
-                    // cannot pass silently.
-                    let wire = builder.finish();
-                    let decoded = decode_frame(&wire).expect("link frame failed to decode");
-                    debug_assert_eq!(decoded.len(), batcher.tags.len());
-                    for (&tag, msg) in batcher.tags.iter().zip(decoded) {
-                        deliver(tag, msg);
-                    }
+                None => self.deliver_flushed(route, msg, flush_t),
+            };
+            flushed.push(FlushRecord { tag, sent_at, result });
+        };
+        match frame.records {
+            // A lone message leaves as the envelope it was written
+            // as: no frame is built, checksummed or decoded for it.
+            Records::Held(HeldMsg { from, to, sent_at, payload }) => {
+                deliver(batcher.tags[0], FrameMsg { from: &from, to: &to, sent_at, payload });
+            }
+            Records::Framed(builder) => {
+                // Decode our own frame on every flush: delivery
+                // consumes the decoded records — addresses, send
+                // instants, payload slices — so a codec regression
+                // cannot pass silently.
+                let wire = builder.finish();
+                let decoded = decode_frame(&wire).expect("link frame failed to decode");
+                debug_assert_eq!(decoded.len(), batcher.tags.len());
+                for (&tag, msg) in batcher.tags.iter().zip(decoded) {
+                    deliver(tag, msg);
                 }
             }
         }
         batcher.tags.clear();
-        m.counter_add(&link.flushes_key, 1);
-        m.counter_add(&link.fill_key, (flushed.len() - first) as u64);
+        // The batching counters are named at the link's first flush.
+        let (flushes, fill) = batcher.counters.get_or_insert_with(|| {
+            let m = &self.inner.metrics;
+            let (from, to) = route.hosts();
+            (
+                m.counter_handle(format!("net.batch.flushes.{from}->{to}")),
+                m.counter_handle(format!("net.batch.fill.{from}->{to}")),
+            )
+        });
+        flushes.add(1);
+        fill.add((flushed.len() - first) as u64);
     }
 
     /// Deliver one flushed message, held or decoded from its frame.
@@ -785,22 +853,32 @@ impl Network {
     /// so a frame flushed at its members' send instants is time-identical
     /// to per-envelope sends. What batching changes is link *occupancy*:
     /// the route latency is paid once per frame, not once per message.
-    fn deliver_flushed(
-        &self,
-        eps: &HashMap<Arc<str>, EpEntry>,
-        plan: Option<&FaultPlan>,
-        link: &LinkRecord,
-        msg: FrameMsg,
-        flush_t: f64,
-    ) -> Result<f64, NetError> {
-        let arrive_at = arrival(link, plan, flush_t, msg.payload.len())?;
-        let (to, mailbox) = self.mailbox(eps, plan, msg.to, &link.to_host, flush_t)?;
+    fn deliver_flushed(&self, route: &Route, msg: FrameMsg, flush_t: f64) -> Result<f64, NetError> {
+        let (_, path) = route.path()?;
+        let arrive_at = route.arrival(path, flush_t, msg.payload.len());
+        let FrameMsg { from, to, sent_at, payload } = msg;
         // The envelope is what the flush carried, addresses and all (as
-        // the registered copies of the text the record carries).
-        let FrameMsg { from, sent_at, payload, .. } = msg;
-        let from = sender_addr(eps, from);
-        Ok(mailbox.push(Envelope { from, to: to.clone(), payload, sent_at, arrive_at }))
+        // the registered copies of the text the record carries). A
+        // message between other ends of the link finds its own.
+        let own;
+        let route = if *route.from == *from && *route.to == *to {
+            route
+        } else {
+            let (from, to, dest) = ends(&self.inner.endpoints.read().unwrap(), from, to);
+            let host_lens = (host_of(&from).len(), host_of(&to).len());
+            own = Route { from, to, host_lens, dest, ..route.clone() };
+            &own
+        };
+        let mailbox = self.mailbox(route, flush_t)?;
+        let (from, to) = (route.from.clone(), route.to.clone());
+        Ok(mailbox.push(Envelope { from, to, payload, sent_at, arrive_at }))
     }
+}
+
+/// Count one *logical* message on its link (frames are not messages).
+fn count_message(link: &LinkRecord, bytes: u64) {
+    link.msgs.add(1);
+    link.bytes.add(bytes);
 }
 
 /// Write a `payload_len`-byte payload into `spare` and take it out as
@@ -813,22 +891,20 @@ fn fill(spare: &mut BytesMut, payload_len: usize, write: &mut dyn FnMut(&mut Byt
     std::mem::take(spare).freeze()
 }
 
-/// The envelope's copy of sender address `from`: the one its endpoint
-/// registered, or a fresh one for a sender with no endpoint.
-fn sender_addr(eps: &HashMap<Arc<str>, EpEntry>, from: &str) -> Arc<str> {
-    eps.get_key_value(from).map_or_else(|| from.into(), |(addr, _)| addr.clone())
-}
-
-/// The arrival law: a message of `bytes` leaving at `t` arrives one route
-/// transfer later, stretched by any latency spike active at `t`.
-fn arrival(
-    link: &LinkRecord,
-    plan: Option<&FaultPlan>,
-    t: f64,
-    bytes: usize,
-) -> Result<f64, NetError> {
-    let transfer = link.path()?.transfer_seconds(bytes);
-    Ok(t + plan.map_or(transfer, |p| p.adjust_transfer(t, transfer)))
+/// The route's ends: the registered copy of each address (a fresh one
+/// for an address with no endpoint) and the destination's mailbox and
+/// birth.
+#[allow(clippy::type_complexity)]
+fn ends(
+    eps: &HashMap<Arc<str>, EpEntry>,
+    from: &str,
+    to: &str,
+) -> (Arc<str>, Arc<str>, Option<(Mailbox, Option<f64>)>) {
+    let from = eps.get_key_value(from).map_or_else(|| from.into(), |(addr, _)| addr.clone());
+    match eps.get_key_value(to) {
+        Some((addr, entry)) => (from, addr.clone(), Some((entry.mailbox.clone(), entry.birth))),
+        None => (from, to.into(), None),
+    }
 }
 
 /// A registered receiver bound to one address.
@@ -911,6 +987,7 @@ impl Drop for Endpoint {
         if let Some(entry) = eps.get(&*self.addr) {
             if entry.id == self.id {
                 eps.remove(&*self.addr);
+                self.net.bump_epoch();
             }
         }
     }
@@ -1018,13 +1095,26 @@ mod tests {
         assert_eq!(pb.recv(Duration::from_millis(10)).unwrap_err(), NetError::Timeout);
     }
 
+    /// The sum of every counter in `net`'s snapshot whose name starts
+    /// with `prefix`.
+    fn counter_sum(net: &Network, prefix: &str) -> u64 {
+        let json = net.metrics().snapshot_json();
+        let key = format!("\"{prefix}");
+        json.lines()
+            .filter_map(|l| l.trim().strip_prefix(&key)?.rsplit_once(": "))
+            .map(|(_, v)| v.trim_end_matches(',').parse::<u64>().unwrap())
+            .sum()
+    }
+
     #[test]
-    fn stats_accumulate() {
+    fn traffic_counters_accumulate_over_links() {
         let net = net3();
         let _pb = net.register("b:svc").unwrap();
+        let _pc = net.register("c:svc").unwrap();
         net.send("a:x", "b:svc", Bytes::from_static(&[0; 64]), 0.0).unwrap();
         net.send("a:x", "b:svc", Bytes::from_static(&[0; 36]), 0.0).unwrap();
-        assert_eq!(net.stats().snapshot(), (2, 100));
+        net.send("b:svc", "c:svc", Bytes::from_static(&[0; 11]), 0.0).unwrap();
+        assert_eq!((counter_sum(&net, "net.msg."), counter_sum(&net, "net.bytes.")), (3, 111));
     }
 
     #[test]
@@ -1123,7 +1213,8 @@ mod tests {
         out: &mut Vec<FlushRecord>,
     ) -> Result<Option<f64>, NetError> {
         let write = &mut |b: &mut BytesMut| b.put_slice(&vec![b'p'; len]);
-        net.send_gather(from, SGI, t, tag, len, &mut BytesMut::new(), out, write)
+        let route = &mut net.route(from, SGI);
+        net.send_gather(route, t, tag, len, &mut BytesMut::new(), out, write)
     }
 
     /// A testbed network with batching on and [`SGI`] registered.
@@ -1138,7 +1229,7 @@ mod tests {
     fn assert_link_drained(net: &Network, t: f64) {
         assert_eq!(net.pending_batched(LINK.0, LINK.1), 0);
         let mut later = Vec::new();
-        net.flush_link(LINK.0, LINK.1, t, &mut later);
+        net.flush_link(&mut net.route(L1, SGI), t, &mut later);
         assert!(later.is_empty(), "reported again: {later:?}");
     }
 
@@ -1172,7 +1263,7 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(append(&net, L1, 0.5, (1, 1), 4, &mut out), Ok(None));
         net.set_link_config(None);
-        net.flush_link(LINK.0, LINK.1, 0.5, &mut out);
+        net.flush_link(&mut net.route(L1, SGI), 0.5, &mut out);
 
         let plain = Network::new(crate::npss_testbed());
         let _svc = plain.register(SGI).unwrap();

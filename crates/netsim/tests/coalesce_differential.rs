@@ -55,10 +55,6 @@ fn twin_nets() -> (Network, Network, [netsim::Endpoint; 4]) {
     (plain, batched, eps)
 }
 
-fn host(addr: &str) -> &str {
-    addr.split_once(':').map_or(addr, |(h, _)| h)
-}
-
 /// Append `body` toward `to` on the batched net and, when `cadence`
 /// says so, flush that link: `appended` counts the link's appends.
 fn append_with_cadence(
@@ -73,7 +69,7 @@ fn append_with_cadence(
     assert_eq!(net.send_batched(SRC, to, body, t, (0, tag)), Ok(None));
     *appended += 1;
     if cadence.is_some_and(|n| appended.is_multiple_of(n)) {
-        net.flush_link(host(SRC), host(to), t, &mut Vec::new());
+        net.flush_link(&mut net.route(SRC, to), t, &mut Vec::new());
     }
 }
 
@@ -188,7 +184,7 @@ fn single_message_frames_match_unbatched_exactly() {
         plain_net.send(SRC, DST, payload.clone(), t).unwrap();
         batch_net.send_batched(SRC, DST, payload, t, (0, i)).unwrap();
         let mut flushed = Vec::new();
-        batch_net.flush_link("ua-sparc10", "lerc-rs6000", t, &mut flushed);
+        batch_net.flush_link(&mut batch_net.route(SRC, DST), t, &mut flushed);
         assert_eq!(flushed.len(), 1, "message {i} did not leave alone");
     }
     assert_eq!(batch_net.pending_batched("ua-sparc10", "lerc-rs6000"), 0);

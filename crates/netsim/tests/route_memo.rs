@@ -5,7 +5,7 @@
 //! it was computed on.
 
 use bytes::Bytes;
-use netsim::{FaultPlan, Link, NetError, Network, NodeId, NodeKind, Topology};
+use netsim::{Endpoint, FaultPlan, Link, NetError, Network, NodeId, NodeKind, Route, Topology};
 use testkit::SplitMix64 as Gen;
 
 /// a, b on one switch; c behind a gateway.
@@ -163,5 +163,190 @@ fn memoised_transfer_equals_fresh_dijkstra_on_random_topologies() {
         let (a, b) = links[g.index(links.len())];
         net.with_topology_mut(|t| t.remove_links(a, b));
         assert_memo_matches_fresh(&net, seed);
+    }
+}
+
+/// One envelope as bits: addresses, send and arrival instants, payload.
+type Delivered = (String, String, u64, u64, Vec<u8>);
+
+fn drain(ep: &Endpoint) -> Vec<Delivered> {
+    std::iter::from_fn(|| ep.try_recv())
+        .map(|e| {
+            let (from, to) = (e.from.to_string(), e.to.to_string());
+            (from, to, e.sent_at.to_bits(), e.arrive_at.to_bits(), e.payload.to_vec())
+        })
+        .collect()
+}
+
+/// A send's outcome as bits.
+fn bits(r: Result<f64, NetError>) -> Result<u64, NetError> {
+    r.map(f64::to_bits)
+}
+
+/// A route resolved before a cut and held through it and the heal
+/// answers every send exactly as a fresh `send` does: the same
+/// arrival before the cut, `Unreachable` during it, the same arrival
+/// again after the heal, and the same envelopes in the mailbox.
+#[test]
+fn a_route_held_across_a_topology_epoch_answers_as_fresh_sends() {
+    let (held, fresh) = (small_net(), small_net());
+    let (dst_h, dst_f) = (held.register("c:svc").unwrap(), fresh.register("c:svc").unwrap());
+    let mut route = held.route("a:x", "c:svc");
+    let mut both = |t: f64| {
+        let on_route = bits(held.send_on(&mut route, payload(300), t));
+        assert_eq!(on_route, bits(fresh.send("a:x", "c:svc", payload(300), t)), "at t = {t}");
+        on_route
+    };
+    let first = both(1.0).unwrap();
+    assert_eq!(both(1.0), Ok(first));
+
+    for net in [&held, &fresh] {
+        let (sw, gw) = net.with_topology(|t| (t.node("sw").unwrap(), t.node("gw").unwrap()));
+        net.with_topology_mut(|t| t.remove_links(sw, gw));
+    }
+    assert_eq!(both(2.0), Err(NetError::Unreachable { from: "a".into(), to: "c".into() }));
+    assert!(both(2.5).is_err());
+
+    for net in [&held, &fresh] {
+        let (sw, gw) = net.with_topology(|t| (t.node("sw").unwrap(), t.node("gw").unwrap()));
+        net.with_topology_mut(|t| t.add_link(sw, gw, Link::building_hop()));
+    }
+    assert_eq!(both(1.0), Ok(first));
+    assert_eq!(drain(&dst_h), drain(&dst_f));
+    assert_eq!(held.metrics().snapshot_json(), fresh.metrics().snapshot_json());
+}
+
+/// Hosts of the differential's networks, and the addresses it sends
+/// between; `c:late` is not registered until the run registers it.
+const HOSTS: [&str; 3] = ["a", "b", "c"];
+const ADDRS: [&str; 5] = ["a:x", "b:svc", "b:proc", "c:svc", "c:late"];
+
+/// The fault plan of the differential's `k`th installation: seeded
+/// drops, a crash with its restart, a latency spike and a partition,
+/// all in the window after `t`.
+fn plan(k: u64, t: f64) -> FaultPlan {
+    FaultPlan::new(k)
+        .drop_between("a", "b", 0.3)
+        .drop_between("b", "c", 0.2)
+        .host_crash("b", t + 0.5)
+        .host_restart("b", t + 1.0)
+        .latency_spike(t + 0.2, t + 0.9, 1.5, 1e-3)
+        .partition(&["a"], &["c"], t + 1.2, t + 1.4)
+}
+
+/// The two networks of the differential, the endpoints registered on
+/// both, and what those endpoints received before they went away.
+struct Twin {
+    held: Network,
+    fresh: Network,
+    eps: Vec<Option<[Endpoint; 2]>>,
+    got: [Vec<Delivered>; 2],
+}
+
+impl Twin {
+    fn new() -> Self {
+        let eps = (0..ADDRS.len()).map(|_| None).collect();
+        Self { held: small_net(), fresh: small_net(), eps, got: [Vec::new(), Vec::new()] }
+    }
+
+    fn each(&self, f: impl Fn(&Network)) {
+        f(&self.held);
+        f(&self.fresh);
+    }
+
+    /// Register `ADDRS[i]` on both networks at `t`, replacing (and
+    /// draining) any endpoint already there.
+    fn register(&mut self, i: usize, t: f64) {
+        let reg = |net: &Network| match ADDRS[i].ends_with(":proc") {
+            true => net.register_process(ADDRS[i], t).unwrap(),
+            false => net.register(ADDRS[i]).unwrap(),
+        };
+        let old = self.eps[i].replace([reg(&self.held), reg(&self.fresh)]);
+        self.retire(old);
+    }
+
+    /// Drop (after draining) the endpoints at `ADDRS[i]`.
+    fn unregister(&mut self, i: usize) {
+        let old = self.eps[i].take();
+        self.retire(old);
+    }
+
+    fn retire(&mut self, eps: Option<[Endpoint; 2]>) {
+        if let Some([h, f]) = eps {
+            self.got[0].extend(drain(&h));
+            self.got[1].extend(drain(&f));
+        }
+    }
+}
+
+/// Two networks driven through the same seeded script: one sends on
+/// routes it resolved once and holds (and now and then by name), the
+/// other always by name. Host state, fault plans (drops, crashes,
+/// spikes, partitions), re-registrations, endpoint drops and topology
+/// cuts are interleaved with the sends; every send's outcome, every
+/// delivered envelope and the final metrics snapshot must be equal,
+/// to the bit.
+#[test]
+fn held_routes_and_fresh_sends_agree_through_every_kind_of_change() {
+    for seed in 0..24u64 {
+        let mut g = Gen::new(0x5EED_0000 ^ seed);
+        let mut twin = Twin::new();
+        let mut t = 0.0;
+        for i in 0..4 {
+            twin.register(i, t);
+        }
+        let mut routes: Vec<Vec<Route>> = ADDRS
+            .iter()
+            .map(|from| ADDRS.iter().map(|to| twin.held.route(from, to)).collect())
+            .collect();
+        let mut plans = 0;
+        for step in 0..400 {
+            t += g.range(0.0, 0.05);
+            match g.below(100) {
+                0..=69 => {
+                    let (from, to) = (g.index(ADDRS.len()), g.index(ADDRS.len()));
+                    let body = payload(g.index(2_000));
+                    let on_held = if g.below(4) == 0 {
+                        twin.held.send(ADDRS[from], ADDRS[to], body.clone(), t)
+                    } else {
+                        twin.held.send_on(&mut routes[from][to], body.clone(), t)
+                    };
+                    let on_fresh = twin.fresh.send(ADDRS[from], ADDRS[to], body, t);
+                    assert_eq!(bits(on_held), bits(on_fresh), "seed {seed} step {step}");
+                }
+                70..=76 => {
+                    let (host, up) = (HOSTS[g.index(HOSTS.len())], g.below(3) != 0);
+                    twin.each(|n| n.set_host_up(host, up));
+                }
+                77..=81 => {
+                    plans += 1;
+                    let install = g.below(4) != 0;
+                    twin.each(|n| n.set_fault_plan(install.then(|| plan(plans, t))));
+                }
+                82..=88 => twin.register(g.index(ADDRS.len()), t),
+                89..=93 => twin.unregister(g.index(ADDRS.len())),
+                _ => {
+                    let cut = g.flag();
+                    twin.each(|net| {
+                        let (sw, gw) =
+                            net.with_topology(|t| (t.node("sw").unwrap(), t.node("gw").unwrap()));
+                        net.with_topology_mut(|t| {
+                            t.remove_links(sw, gw);
+                            if !cut {
+                                t.add_link(sw, gw, Link::building_hop());
+                            }
+                        });
+                    });
+                }
+            }
+        }
+        for i in 0..ADDRS.len() {
+            twin.unregister(i);
+        }
+        let [got_held, got_fresh] = &twin.got;
+        assert!(!got_held.is_empty(), "seed {seed}: nothing was delivered");
+        assert_eq!(got_held, got_fresh, "seed {seed}: envelopes");
+        let snapshots = [&twin.held, &twin.fresh].map(|n| n.metrics().snapshot_json());
+        assert_eq!(snapshots[0], snapshots[1], "seed {seed}: metrics");
     }
 }

@@ -19,7 +19,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use netsim::{Endpoint, Envelope, FlushRecord, NetError, VirtualClock};
+use hetsim::HostCost;
+use netsim::{Endpoint, Envelope, FlushRecord, NetError, Route, VirtualClock};
 use uts::spec::ProcSpec;
 use uts::{Architecture, Value};
 
@@ -28,7 +29,7 @@ use crate::message::{reclaim, FaultCode, MapInfo, Msg, StartedInfo, WireFault};
 use crate::obs::{EventKind, Obs, Phase};
 use crate::policy::{CallPolicy, JitterRng};
 use crate::stub::CompiledStub;
-use crate::system::RuntimeCtx;
+use crate::system::{marshal_seconds, RuntimeCtx};
 
 /// The host part of a `host:process` address.
 fn host_part(addr: &str) -> &str {
@@ -49,6 +50,15 @@ struct Binding {
     /// Incarnation of the process instance this binding points at;
     /// replies stamped with an older incarnation are fenced.
     incarnation: u64,
+}
+
+/// The binding a line called last, under its cache key, and the route
+/// its requests take, kept beside it: calling the same procedure again
+/// finds both without a lookup.
+struct Bound {
+    key: String,
+    binding: Arc<Binding>,
+    route: Route,
 }
 
 /// The in-flight (or already-failed) half of a split-phase call.
@@ -155,12 +165,18 @@ pub struct LineHandle {
     module: String,
     host: String,
     arch: Architecture,
+    /// The line's host's compute cost, which its marshaling is charged
+    /// through.
+    cost: HostCost,
     ctx: RuntimeCtx,
     manager: String,
     endpoint: Endpoint,
     clock: VirtualClock,
     imports: HashMap<String, ProcSpec>,
     cache: HashMap<String, Arc<Binding>>,
+    /// The cache entry called last, with its route; `None` once that
+    /// entry is replaced or dropped.
+    bound: Option<Bound>,
     /// Address of the process this line last started, resolved or moved;
     /// [`LineHandle::remote_host`] reads its host.
     remote: Option<Arc<str>>,
@@ -197,9 +213,10 @@ impl LineHandle {
         host: &str,
         serial: u64,
     ) -> SchResult<Self> {
-        let arch = ctx
+        let (arch, cost) = ctx
             .park
             .arch_of(host)
+            .zip(ctx.park.cost(host))
             .ok_or_else(|| SchError::Other(format!("host '{host}' has no machine")))?;
         let endpoint = ctx.net.register(format!("{host}:line-{serial}"))?;
         let mut handle = Self {
@@ -207,12 +224,14 @@ impl LineHandle {
             module: module.to_owned(),
             host: host.to_owned(),
             arch,
+            cost,
             ctx,
             manager,
             endpoint,
             clock: VirtualClock::new(),
             imports: HashMap::new(),
             cache: HashMap::new(),
+            bound: None,
             remote: None,
             suspect: None,
             next_req: 1,
@@ -522,6 +541,7 @@ impl LineHandle {
                     self.suspect = Some(addr);
                 }
                 self.cache.remove(key);
+                self.forget(key);
             }
             if !policy.retries_error(&err) {
                 return Err(err);
@@ -611,27 +631,59 @@ impl LineHandle {
         self.collect_attempt(call, &binding, request_bytes, out)
     }
 
-    /// Resolve the binding (consulting the Manager on a cache miss) and
-    /// issue one request; returns the in-flight attempt's identity.
+    /// Resolve the binding (the one called last, else the cache's,
+    /// else the Manager's) and issue one request; returns the in-flight
+    /// attempt's identity.
     fn resolve_and_issue(
         &mut self,
         key: &str,
         name: &str,
         args: &[Value],
     ) -> SchResult<(u64, Arc<Binding>, u64)> {
-        if !self.cache.contains_key(key) {
-            let binding = self.map_via_manager(name)?;
-            self.remote = Some(Arc::clone(&binding.addr));
-            self.cache.insert(key.to_owned(), Arc::new(binding));
+        if self.bound.as_ref().is_none_or(|bound| bound.key != key) {
+            let binding = match self.cache.get(key) {
+                Some(binding) => Arc::clone(binding),
+                None => {
+                    let binding = Arc::new(self.map_via_manager(name)?);
+                    self.remote = Some(Arc::clone(&binding.addr));
+                    self.cache.insert(key.to_owned(), Arc::clone(&binding));
+                    binding
+                }
+            };
+            self.bind(key, binding);
         }
-        self.issue_attempt(key, args)
+        self.issue_attempt(args)
     }
 
-    /// The request side of one attempt: open the span, marshal, and
-    /// transmit. Returns `(call id, binding, request bytes)` with the
-    /// request on the wire; an error abandons the span.
-    fn issue_attempt(&mut self, key: &str, args: &[Value]) -> SchResult<(u64, Arc<Binding>, u64)> {
-        let binding = Arc::clone(self.cache.get(key).expect("binding inserted by caller"));
+    /// Make `binding`, cached under `key`, the one the line calls
+    /// through, beside the route to its address (the route kept from
+    /// the last binding when that goes to the same address).
+    fn bind(&mut self, key: &str, binding: Arc<Binding>) {
+        let (mut kept, route) = match self.bound.take() {
+            Some(Bound { key, route, .. }) if route.addr() == &*binding.addr => (key, route),
+            old => {
+                let route = self.ctx.net.route(self.endpoint.addr(), &binding.addr);
+                (old.map(|bound| bound.key).unwrap_or_default(), route)
+            }
+        };
+        kept.clear();
+        kept.push_str(key);
+        self.bound = Some(Bound { key: kept, binding, route });
+    }
+
+    /// Stop calling through the binding cached under `key`, which was
+    /// just replaced or dropped.
+    fn forget(&mut self, key: &str) {
+        if self.bound.as_ref().is_some_and(|bound| bound.key == key) {
+            self.bound = None;
+        }
+    }
+
+    /// The request side of one attempt on the bound binding: open the
+    /// span, marshal, and transmit. Returns `(call id, binding, request
+    /// bytes)` with the request on the wire; an error abandons the span.
+    fn issue_attempt(&mut self, args: &[Value]) -> SchResult<(u64, Arc<Binding>, u64)> {
+        let binding = Arc::clone(&self.bound.as_ref().expect("bound by the caller").binding);
         let call = self.fresh_req();
         let obs = self.ctx.obs.clone();
         obs.span_start(
@@ -664,7 +716,7 @@ impl LineHandle {
         binding.stub.marshal_inputs_into(&mut self.encode_buf, args, self.arch)?;
         self.ctx.rpc.encode_bytes.add(self.encode_buf.len() as u64);
         self.ctx.rpc.fast_path_hits.add(1);
-        let marshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.input_scalars);
+        let marshal_s = marshal_seconds(&self.cost, binding.stub.input_scalars);
         self.clock.advance(marshal_s);
         obs.span_phase(self.id, call, Phase::Marshal, marshal_s);
         let request_bytes = self.encode_buf.len() as u64;
@@ -690,9 +742,9 @@ impl LineHandle {
         let line_id = self.id;
         let encode_buf = &self.encode_buf;
         let endpoint = &self.endpoint;
+        let route = &mut self.bound.as_mut().expect("bound by the caller").route;
         let sent = self.ctx.net.send_gather(
-            endpoint.addr(),
-            &binding.addr,
+            route,
             sent_at,
             (line_id, call),
             wire_len,
@@ -788,8 +840,16 @@ impl LineHandle {
         if let Some(e) = self.ctx.take_batch_failure((self.id, call)) {
             return Err(e.into());
         }
-        let to_host = host_part(&binding.addr);
-        self.ctx.net.flush_link(&self.host, to_host, self.clock.now(), &mut self.flushed);
+        let net = &self.ctx.net;
+        let mut unbound;
+        let route = match &mut self.bound {
+            Some(bound) if bound.route.addr() == &*binding.addr => &mut bound.route,
+            _ => {
+                unbound = net.route(self.endpoint.addr(), &binding.addr);
+                &mut unbound
+            }
+        };
+        net.flush_link(route, self.clock.now(), &mut self.flushed);
         self.absorb_flush_reports((self.id, call))?;
         let bytes = self.await_call_reply(call, binding.incarnation)?.map_err(|e| {
             if e.code == FaultCode::ProcessGone {
@@ -809,7 +869,7 @@ impl LineHandle {
         rpc.reply_bytes.add(bytes.len() as u64);
         binding.stub.unmarshal_outputs_into(bytes.clone(), self.arch, out)?;
         reclaim(&mut self.spare, bytes);
-        let unmarshal_s = self.ctx.marshal_seconds(&self.host, binding.stub.output_scalars);
+        let unmarshal_s = marshal_seconds(&self.cost, binding.stub.output_scalars);
         self.clock.advance(unmarshal_s);
         obs.span_phase(self.id, call, Phase::Unmarshal, unmarshal_s);
         obs.emit(
@@ -916,7 +976,9 @@ impl LineHandle {
             .map_err(WireFault::into_error)?;
         let binding = self.binding_from_info(info)?;
         self.remote = Some(Arc::clone(&binding.addr));
-        self.cache.insert(name.to_ascii_lowercase(), Arc::new(binding));
+        let key = name.to_ascii_lowercase();
+        self.forget(&key);
+        self.cache.insert(key, Arc::new(binding));
         Ok(())
     }
 
@@ -934,6 +996,7 @@ impl LineHandle {
         })?;
         self.quit_sent = true;
         self.cache.clear();
+        self.bound = None;
         self.ctx.clear_batch_failures(self.id);
         Ok(())
     }

@@ -12,13 +12,13 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
+use hetsim::HostCost;
 use ledger::codec::{put_bytes, put_str, Reader};
-use netsim::{Endpoint, VirtualClock};
+use netsim::{Endpoint, Route, VirtualClock};
 use uts::{Architecture, Value};
 
 use crate::error::{SchError, SchResult};
@@ -26,7 +26,7 @@ use crate::message::{reclaim, FaultCode, Msg, StartedInfo, WireFault};
 use crate::obs::{EventKind, Phase};
 use crate::proc::Procedure;
 use crate::stub::CompiledStub;
-use crate::system::{server_addr, RuntimeCtx};
+use crate::system::{marshal_seconds, server_addr, RuntimeCtx};
 use crate::world::{Actor, Step};
 
 /// Register the Server for `host` with the world.
@@ -71,24 +71,29 @@ impl Actor for ServerWorker {
 impl ServerWorker {
     fn start_process(&mut self, line: u64, path: &str, incarnation: u64) -> SchResult<StartedInfo> {
         let image = self.ctx.registry.resolve(&self.ctx.files, path, &self.host)?;
-        let arch = self
-            .ctx
-            .park
+        let park = &self.ctx.park;
+        let (arch, cost) = park
             .arch_of(&self.host)
+            .zip(park.cost(&self.host))
             .ok_or_else(|| SchError::Other(format!("host '{}' has no machine", self.host)))?;
         // Apply the target compiler's name-case convention: the process
         // exports the names its "linker" produced.
         let case = arch.fortran_case();
-        let mut exports = HashMap::new();
+        let procs = image.instantiate()?;
+        let mut exports: Vec<Export> = Vec::with_capacity(procs.len());
         let mut names: Vec<String> = Vec::new();
-        for (name, proc) in image.instantiate()? {
+        for (name, proc) in procs {
             let stub = image
                 .stub(&name)
                 .ok_or_else(|| SchError::Other(format!("missing spec for '{name}'")))?
                 .clone();
             let folded = case.apply(&name);
-            let key: Arc<str> = folded.as_str().into();
-            exports.insert(key.clone(), Export { name: key, stub, proc });
+            let export = Export { name: folded.as_str().into(), stub, proc };
+            // A name that folds onto an earlier one replaces it.
+            match exports.iter_mut().find(|e| e.name == export.name) {
+                Some(earlier) => *earlier = export,
+                None => exports.push(export),
+            }
             names.push(folded);
         }
         names.sort();
@@ -102,11 +107,12 @@ impl ServerWorker {
         let worker = ProcessWorker {
             addr: addr.as_str().into(),
             ctx: self.ctx.clone(),
-            host: self.host.clone(),
             arch,
+            cost,
             line,
             incarnation,
             endpoint,
+            reply_route: None,
             clock: VirtualClock::starting_at(self.clock.now()),
             exports,
             args: Vec::new(),
@@ -146,19 +152,25 @@ struct Export {
 /// executable image and serves calls over its endpoint.
 struct ProcessWorker {
     ctx: RuntimeCtx,
-    host: String,
     arch: Architecture,
+    /// The host's compute cost, which marshaling and procedure bodies
+    /// are charged through.
+    cost: HostCost,
     /// Owning line; 0 means shared (callable from any line).
     line: u64,
     /// Manager-assigned incarnation of this instance, stamped into every
     /// reply so callers can fence pre-crash answers.
     incarnation: u64,
     endpoint: Endpoint,
+    /// The route of the last call's `reply_to`, which the next call's
+    /// reply most likely takes too.
+    reply_route: Option<Route>,
     /// The endpoint's address, shared into every `Computed` event.
     addr: Arc<str>,
     clock: VirtualClock,
-    /// The image's procedures, by folded name.
-    exports: HashMap<Arc<str>, Export>,
+    /// The image's procedures, one per folded name: an image exports a
+    /// few, so a call finds its own by comparing names, not hashing.
+    exports: Vec<Export>,
     /// The arguments of the call being served, decoded into one vector
     /// the process keeps; it is empty between calls.
     args: Vec<Value>,
@@ -190,7 +202,12 @@ impl Actor for ProcessWorker {
                 // the caller's open span as the Compute phase (the
                 // reply is sent after this, so the span is still open).
                 self.ctx.obs.span_phase(line, call, Phase::Compute, self.clock.now() - t0);
-                let _ = self.endpoint.send(&reply_to, reply, self.clock.now());
+                let net = &self.ctx.net;
+                let route = match &mut self.reply_route {
+                    Some(route) if route.addr() == &*reply_to => route,
+                    slot => slot.insert(net.route(self.endpoint.addr(), &reply_to)),
+                };
+                let _ = net.send_on(route, reply, self.clock.now());
             }
             Msg::Ping { req, reply_to } => {
                 self.reply(&reply_to, Msg::Pong { req, incarnation: self.incarnation });
@@ -262,13 +279,14 @@ impl ProcessWorker {
                 self.line
             )));
         }
-        let Export { name, stub, proc } = self
-            .exports
-            .get_mut(proc_name)
-            .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
+        let Export { name, stub, proc } =
+            self.exports
+                .iter_mut()
+                .find(|e| *e.name == *proc_name)
+                .ok_or_else(|| SchError::UnknownProcedure(proc_name.to_owned()))?;
         // Unmarshal through this machine's native format.
         stub.unmarshal_inputs_into(args, self.arch, &mut self.args)?;
-        self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.input_scalars));
+        self.clock.advance(marshal_seconds(&self.cost, stub.input_scalars));
 
         let flops = proc.flops(&self.args);
         let called = proc.call(&self.args, &mut self.results);
@@ -277,7 +295,7 @@ impl ProcessWorker {
             self.results.clear();
             return Err(fault.into());
         }
-        let compute = self.ctx.park.compute_seconds(&self.host, flops).unwrap_or(0.0);
+        let compute = self.cost.compute_seconds(flops);
         self.clock.advance(compute);
         self.ctx.obs.emit(
             self.clock.now(),
@@ -296,7 +314,7 @@ impl ProcessWorker {
         });
         self.results.clear();
         marshaled?;
-        self.clock.advance(self.ctx.marshal_seconds(&self.host, stub.output_scalars));
+        self.clock.advance(marshal_seconds(&self.cost, stub.output_scalars));
         let rpc = &self.ctx.rpc;
         rpc.encode_bytes.add((reply.len() - Msg::CALL_REPLY_HEADER_LEN) as u64);
         rpc.fast_path_hits.add(1);
@@ -307,7 +325,7 @@ impl ProcessWorker {
     /// `u32 name-len, name, u32 blob-len, blob` per procedure in sorted
     /// name order, where each blob is the UTS-marshaled state.
     fn collect_state(&self) -> SchResult<Bytes> {
-        let mut exports: Vec<&Export> = self.exports.values().collect();
+        let mut exports: Vec<&Export> = self.exports.iter().collect();
         exports.sort_by(|a, b| a.name.cmp(&b.name));
         let mut buf = Vec::new();
         for Export { name, stub, proc } in exports {
@@ -326,7 +344,7 @@ impl ProcessWorker {
             // State arrives keyed by the *source* process's folded names;
             // fold to our own convention via case-insensitive match.
             let export =
-                self.exports.values_mut().find(|e| e.name.eq_ignore_ascii_case(name)).ok_or_else(
+                self.exports.iter_mut().find(|e| e.name.eq_ignore_ascii_case(name)).ok_or_else(
                     || SchError::StateTransfer(format!("no procedure '{name}' in target process")),
                 )?;
             let values = export.stub.unmarshal_state(blob, self.arch)?;

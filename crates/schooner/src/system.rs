@@ -7,10 +7,10 @@
 //! protocol (`start_remote` / `call` / `move_procedure` / `quit`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use hetsim::{FileStore, MachinePark};
+use hetsim::{FileStore, HostCost, MachinePark};
 use netsim::metrics::{Counter, MetricsRegistry};
 use netsim::{LinkConfig, NetError, Network, Topology};
 
@@ -91,6 +91,13 @@ impl SchoonerConfigBuilder {
 
 /// Flops charged per scalar converted during marshaling.
 const PER_SCALAR_FLOPS: f64 = 80.0;
+
+/// Virtual seconds a host spends converting `scalars` values between
+/// its native format and the wire, charged through the host's cost
+/// handle.
+pub(crate) fn marshal_seconds(cost: &HostCost, scalars: usize) -> f64 {
+    cost.compute_seconds(scalars as f64 * PER_SCALAR_FLOPS)
+}
 
 /// The counters the RPC path adds to, resolved once per world so a
 /// call updates them without a registry lookup by name.
@@ -174,8 +181,13 @@ pub struct RuntimeCtx {
     /// line's coalesced request and that delivery fails, the failure is
     /// parked here; the owning line claims it at collect time and feeds
     /// it into its [`CallPolicy`](crate::CallPolicy) exactly as a
-    /// synchronous send error would have been.
+    /// synchronous send error would have been. Written only through
+    /// the runtime's park, take and clear methods, which keep
+    /// `parked` equal to its length.
     pub batch_failures: Arc<Mutex<HashMap<(u64, u64), NetError>>>,
+    /// Entries in [`RuntimeCtx::batch_failures`]: a collect that finds
+    /// none parked takes no lock.
+    pub(crate) parked: Arc<AtomicUsize>,
     /// The world's actors — Manager, Servers, processes — which run
     /// whenever a line (or the Manager itself) waits for a message.
     pub(crate) world: World,
@@ -199,27 +211,34 @@ impl RuntimeCtx {
         self.incarnations.fetch_max(floor, Ordering::SeqCst);
     }
 
-    /// Virtual seconds `host` spends converting `scalars` values between
-    /// its native format and the wire.
-    pub(crate) fn marshal_seconds(&self, host: &str, scalars: usize) -> f64 {
-        self.park.compute_seconds(host, scalars as f64 * PER_SCALAR_FLOPS).unwrap_or(0.0)
-    }
-
     /// Park the delivery failure of a batched message owned by another
     /// line (or by a call this line will only examine at collect time).
     pub(crate) fn park_batch_failure(&self, tag: (u64, u64), err: NetError) {
-        self.batch_failures.lock().unwrap().insert(tag, err);
+        let mut parked = self.batch_failures.lock().unwrap();
+        parked.insert(tag, err);
+        self.parked.store(parked.len(), Ordering::Release);
     }
 
     /// Claim the parked delivery failure for `(line, call)`, if any.
     pub fn take_batch_failure(&self, tag: (u64, u64)) -> Option<NetError> {
-        self.batch_failures.lock().unwrap().remove(&tag)
+        if self.parked.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut parked = self.batch_failures.lock().unwrap();
+        let taken = parked.remove(&tag);
+        self.parked.store(parked.len(), Ordering::Release);
+        taken
     }
 
     /// Drop every parked failure belonging to `line` — called when the
     /// line quits so abandoned tickets cannot leak entries.
     pub(crate) fn clear_batch_failures(&self, line: u64) {
-        self.batch_failures.lock().unwrap().retain(|(l, _), _| *l != line);
+        if self.parked.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut parked = self.batch_failures.lock().unwrap();
+        parked.retain(|(l, _), _| *l != line);
+        self.parked.store(parked.len(), Ordering::Release);
     }
 }
 
@@ -254,6 +273,7 @@ impl Schooner {
             checkpoints,
             incarnations: Arc::new(AtomicU64::new(1)),
             batch_failures: Arc::new(Mutex::new(HashMap::new())),
+            parked: Arc::new(AtomicUsize::new(0)),
             world: World::default(),
             rpc,
         };

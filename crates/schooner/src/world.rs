@@ -24,15 +24,16 @@
 //! completed a step counts as worked, since that step may have sent to
 //! an actor this pass had already gone by; the table lock is never held
 //! across a step (a Server registers a process mid-step) and a pass
-//! walks a copy of the table, so a concurrent retirement cannot make it
-//! skip an actor with mail; shutdown clears the table, because actors
-//! hold a `RuntimeCtx`, which holds the world; and an actor skipped for
-//! want of mail whose runner is another thread's token still counts as
-//! foreign, since that thread took the mail and its step may be
-//! producing our reply. A step is counted before its runner is cleared,
+//! walks an immutable snapshot of the table, so a concurrent spawn or
+//! retirement cannot make it skip an actor with mail (the snapshot is
+//! rebuilt at the first pass after a spawn or a retirement, in place
+//! when no pass still walks it); shutdown clears the table and takes
+//! every actor out of its slot, because actors hold a `RuntimeCtx`,
+//! which holds the world; and an actor skipped for want of mail whose
+//! runner is another thread's token still counts as foreign, since
+//! that thread took the mail and its step may be producing our reply. A step is counted before its runner is cleared,
 //! so a pass that reads a cleared runner also sees the step counted.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
@@ -95,14 +96,43 @@ static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// This thread's identity in `Slot::runner`.
     static TOKEN: u64 = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-    /// Reused table copies, one per nesting depth of `pass`.
-    static SCRATCH: RefCell<Vec<Vec<Arc<Slot>>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The actor table: the live slots in registration order, and the
+/// snapshot of them that passes walk.
+#[derive(Default)]
+struct Table {
+    slots: Vec<Arc<Slot>>,
+    /// `slots` as of the last rebuild. A pass holds one reference to
+    /// it for its whole walk, so what it walks never changes under it.
+    snapshot: Arc<Vec<Arc<Slot>>>,
+    /// A spawn or a retirement since the last rebuild.
+    stale: bool,
+}
+
+impl Table {
+    /// The snapshot of the live slots, rebuilt first if a spawn or a
+    /// retirement made it stale — in place when no pass walks it, so a
+    /// world that only steps allocates nothing for it.
+    fn snapshot(&mut self) -> Arc<Vec<Arc<Slot>>> {
+        if self.stale {
+            match Arc::get_mut(&mut self.snapshot) {
+                Some(snapshot) => {
+                    snapshot.clear();
+                    snapshot.extend(self.slots.iter().cloned());
+                }
+                None => self.snapshot = Arc::new(self.slots.clone()),
+            }
+            self.stale = false;
+        }
+        Arc::clone(&self.snapshot)
+    }
 }
 
 /// The actors of one Schooner world, in registration order.
 #[derive(Clone, Default)]
 pub(crate) struct World {
-    slots: Arc<Mutex<Vec<Arc<Slot>>>>,
+    table: Arc<Mutex<Table>>,
     /// Steps that handled a message or retired an actor, on every
     /// thread: a pass that sees it move has to look again. Bumped with
     /// `AcqRel` after the step and read with `Acquire`, so a pass that
@@ -120,7 +150,9 @@ impl World {
             backlog: AtomicBool::new(false),
             actor: Mutex::new(Some(Box::new(actor))),
         };
-        self.slots.lock().unwrap().push(Arc::new(slot));
+        let mut table = self.table.lock().unwrap();
+        table.slots.push(Arc::new(slot));
+        table.stale = true;
     }
 
     /// Wait for the next message on `ep`, driving the world until it
@@ -158,12 +190,27 @@ impl World {
         }
     }
 
-    /// Retire every actor (breaking the `RuntimeCtx` ↔ `World` cycle).
+    /// Retire every actor (breaking the `RuntimeCtx` ↔ `World` cycle),
+    /// also those a snapshot some pass still holds refers to.
     pub(crate) fn clear(&self) {
+        let retired = {
+            let mut table = self.table.lock().unwrap();
+            // The snapshot lets go of the slots too, so an actor mid-step
+            // on another thread goes with the last pass that holds it.
+            match Arc::get_mut(&mut table.snapshot) {
+                Some(snapshot) => snapshot.clear(),
+                None => table.snapshot = Arc::default(),
+            }
+            table.stale = false;
+            std::mem::take(&mut table.slots)
+        };
         // Dropped outside the table lock: an actor's drop unregisters
         // its endpoint and releases its `RuntimeCtx`.
-        let retired = std::mem::take(&mut *self.slots.lock().unwrap());
-        drop(retired);
+        let actors: Vec<_> = retired
+            .iter()
+            .filter_map(|slot| slot.actor.try_lock().ok().and_then(|mut actor| actor.take()))
+            .collect();
+        drop(actors);
     }
 
     /// Give every actor that has mail and is not already mid-step one
@@ -171,10 +218,9 @@ impl World {
     fn pass(&self) -> Pass {
         let me = TOKEN.with(|t| *t);
         let steps_before = self.steps.load(Ordering::Acquire);
-        let mut table = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
-        table.extend(self.slots.lock().unwrap().iter().cloned());
+        let table = self.table.lock().unwrap().snapshot();
         let mut pass = Pass { worked: false, foreign: false };
-        for slot in &table {
+        for slot in table.iter() {
             if !slot.ready() {
                 // Whoever took the mail may still be stepping on it.
                 let runner = slot.runner.load(Ordering::Acquire);
@@ -210,11 +256,11 @@ impl World {
             slot.runner.store(0, Ordering::Release);
             drop(guard);
             if done {
-                self.slots.lock().unwrap().retain(|s| !Arc::ptr_eq(s, slot));
+                let mut table = self.table.lock().unwrap();
+                table.slots.retain(|s| !Arc::ptr_eq(s, slot));
+                table.stale = true;
             }
         }
-        table.clear();
-        SCRATCH.with(|s| s.borrow_mut().push(table));
         pass.worked = self.steps.load(Ordering::Acquire) != steps_before;
         pass
     }
@@ -249,6 +295,129 @@ mod tests {
     fn spawn_relay(world: &World, ep: Endpoint, to: &'static str, hold: Duration) {
         let mailbox = ep.mailbox();
         world.spawn(Relay { ep, to, hold }, mailbox);
+    }
+
+    /// Counts its steps; takes one message per step and, when it holds
+    /// `child`, spawns it on its first step. Reports `Done` after
+    /// `lifetime` messages.
+    struct Counted {
+        ep: Endpoint,
+        steps: Arc<AtomicU64>,
+        lifetime: u64,
+        child: Option<(World, Box<Counted>)>,
+        /// Dropped with the actor.
+        _alive: Arc<()>,
+    }
+
+    impl Actor for Counted {
+        fn step(&mut self) -> Step {
+            let n = self.steps.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some((world, child)) = self.child.take() {
+                let mailbox = child.ep.mailbox();
+                world.spawn(*child, mailbox);
+            }
+            self.ep.try_recv();
+            if n >= self.lifetime {
+                Step::Done
+            } else {
+                Step::Worked
+            }
+        }
+    }
+
+    /// An actor on `ep` with the given lifetime, and its step count.
+    fn counted(ep: Endpoint, lifetime: u64, alive: &Arc<()>) -> (Counted, Arc<AtomicU64>) {
+        let steps = Arc::new(AtomicU64::new(0));
+        let actor =
+            Counted { ep, steps: steps.clone(), lifetime, child: None, _alive: alive.clone() };
+        (actor, steps)
+    }
+
+    /// Send `n` messages to `to` on `net`.
+    fn mail(net: &Network, to: &str, n: usize) {
+        for _ in 0..n {
+            net.send("ua-sparc10:src", to, Bytes::from_static(b"m"), 0.0).unwrap();
+        }
+    }
+
+    /// A pass walks the table as it was when the pass began: an actor
+    /// spawned during one of its steps, mail and all, is stepped by the
+    /// next pass, not this one.
+    #[test]
+    fn an_actor_spawned_during_a_step_is_stepped_on_a_later_pass() {
+        let net = Network::new(npss_testbed());
+        let alive = Arc::new(());
+        let world = World::default();
+        let (child, child_steps) = counted(net.register("ua-sparc10:child").unwrap(), 9, &alive);
+        let (mut parent, parent_steps) =
+            counted(net.register("ua-sparc10:parent").unwrap(), 9, &alive);
+        parent.child = Some((world.clone(), Box::new(child)));
+        mail(&net, "ua-sparc10:parent", 1);
+        mail(&net, "ua-sparc10:child", 2);
+        let mailbox = parent.ep.mailbox();
+        world.spawn(parent, mailbox);
+
+        assert!(world.pass().worked);
+        assert_eq!(parent_steps.load(Ordering::Relaxed), 1);
+        assert_eq!(child_steps.load(Ordering::Relaxed), 0, "spawned mid-pass, stepped in it");
+        assert!(world.pass().worked);
+        assert_eq!(child_steps.load(Ordering::Relaxed), 1);
+        world.run_until_idle();
+        assert_eq!(
+            (parent_steps.load(Ordering::Relaxed), child_steps.load(Ordering::Relaxed)),
+            (1, 2)
+        );
+        world.clear();
+        assert_eq!(Arc::strong_count(&alive), 1);
+    }
+
+    /// An actor that retires with mail still queued is never stepped
+    /// again: not by the pass that retired it, nor by any later one.
+    #[test]
+    fn a_retired_actor_is_never_stepped_again() {
+        let net = Network::new(npss_testbed());
+        let alive = Arc::new(());
+        let world = World::default();
+        let (first, first_steps) = counted(net.register("ua-sparc10:first").unwrap(), 1, &alive);
+        let (second, second_steps) = counted(net.register("ua-sparc10:second").unwrap(), 9, &alive);
+        let mailbox = first.ep.mailbox();
+        mail(&net, "ua-sparc10:first", 3);
+        world.spawn(first, mailbox.clone());
+        let second_mail = second.ep.mailbox();
+        world.spawn(second, second_mail);
+        mail(&net, "ua-sparc10:second", 2);
+
+        world.run_until_idle();
+        assert_eq!(first_steps.load(Ordering::Relaxed), 1);
+        assert_eq!(second_steps.load(Ordering::Relaxed), 2);
+        assert!(mailbox.has_mail(), "the retired actor left mail behind");
+        assert_eq!(Arc::strong_count(&alive), 2, "the retired actor was dropped");
+        for _ in 0..3 {
+            assert!(!world.pass().worked);
+        }
+        assert_eq!(first_steps.load(Ordering::Relaxed), 1);
+        world.clear();
+    }
+
+    /// `clear` drops every actor, also while a pass somewhere still
+    /// holds the snapshot that lists it.
+    #[test]
+    fn clear_drops_every_actor_while_a_snapshot_is_alive() {
+        let net = Network::new(npss_testbed());
+        let alive = Arc::new(());
+        let world = World::default();
+        for i in 0..3 {
+            let (actor, _) = counted(net.register(format!("ua-sparc10:a{i}")).unwrap(), 9, &alive);
+            let mailbox = actor.ep.mailbox();
+            world.spawn(actor, mailbox);
+        }
+        let held = world.table.lock().unwrap().snapshot();
+        assert_eq!(held.len(), 3);
+        world.clear();
+        assert_eq!(Arc::strong_count(&alive), 1, "an actor outlived clear");
+        assert!(held.iter().all(|slot| slot.actor.lock().unwrap().is_none()));
+        assert!(world.table.lock().unwrap().snapshot().is_empty());
+        assert!(!world.pass().worked);
     }
 
     /// On its first message, lets another thread run one whole pass and

@@ -182,11 +182,24 @@ fn many_lines_stress() {
     sch.shutdown();
 }
 
+/// The world's (messages, bytes) so far: the sums of its `net.msg.*`
+/// and `net.bytes.*` counters, read from its metrics snapshot.
+fn traffic(sch: &Schooner) -> (u64, u64) {
+    let json = sch.ctx().obs.metrics().snapshot_json();
+    let sum = |prefix: &str| -> u64 {
+        json.lines()
+            .filter_map(|l| l.trim().strip_prefix(prefix)?.rsplit_once(": "))
+            .map(|(_, v)| v.trim_end_matches(',').parse::<u64>().unwrap())
+            .sum()
+    };
+    (sum("\"net.msg."), sum("\"net.bytes."))
+}
+
 #[test]
 fn wire_traffic_volume_is_accounted() {
     let sch = Schooner::standard().unwrap();
     sch.install_program("/x/sink", kitchen_sink_image(), &["lerc-sgi-4d480"]).unwrap();
-    let (m0, b0) = sch.ctx().net.stats().snapshot();
+    let (m0, b0) = traffic(&sch);
     let mut line = sch.open_line("m", "lerc-sparc10").unwrap();
     line.start_remote("/x/sink", "lerc-sgi-4d480").unwrap();
     let sample = Value::Record(vec![
@@ -195,7 +208,7 @@ fn wire_traffic_volume_is_accounted() {
         ("valid".into(), Value::Boolean(true)),
     ]);
     line.call("annotate", &[sample, Value::Integer(0)]).unwrap();
-    let (m1, b1) = sch.ctx().net.stats().snapshot();
+    let (m1, b1) = traffic(&sch);
     // Startup protocol (open, start request/reply via server) + map +
     // call round trip: at least 8 messages and a few hundred bytes.
     assert!(m1 - m0 >= 8, "messages {}", m1 - m0);

@@ -3,7 +3,10 @@
 //! policy recovery — while letting one call per line stay in flight so
 //! independent lines overlap in virtual time.
 
-use schooner::{CallPolicy, FnProcedure, ProgramImage, SchError, Schooner, StatefulProcedure};
+use netsim::LinkConfig;
+use schooner::{
+    CallPolicy, FnProcedure, ProgramImage, SchError, Schooner, SchoonerConfig, StatefulProcedure,
+};
 use uts::Value;
 
 fn doubler_image() -> ProgramImage {
@@ -53,6 +56,35 @@ fn issue_then_collect_equals_blocking_call() {
     let out = line.collect(ticket).unwrap();
     assert_eq!(out, vec![Value::Float(42.5)]);
     sch.shutdown();
+}
+
+/// Switching batching off while a request is held on its link strands
+/// nothing: the collect's flush still finds the open frame and sends
+/// it, and the call completes with the result and arrival the same
+/// call has with batching left on.
+#[test]
+fn a_request_held_when_batching_goes_off_is_flushed_by_the_collect() {
+    let run = |switch_off: bool| {
+        let config = SchoonerConfig::builder().link_batching(LinkConfig).build();
+        let sch = Schooner::standard_with(config).unwrap();
+        sch.install_program("/npss/doubler", doubler_image(), &["lerc-cray-ymp"]).unwrap();
+        let mut line = sch.open_line("m", "ua-sparc10").unwrap();
+        line.start_remote("/npss/doubler", "lerc-cray-ymp").unwrap();
+        let ticket = line.issue("double", &[Value::Float(1.5)]).unwrap();
+        let net = &sch.ctx().net;
+        assert_eq!(net.pending_batched("ua-sparc10", "lerc-cray-ymp"), 1, "held on its link");
+        if switch_off {
+            net.set_link_config(None);
+        }
+        let out = line.collect(ticket).unwrap();
+        assert_eq!(net.pending_batched("ua-sparc10", "lerc-cray-ymp"), 0);
+        let now = line.now().to_bits();
+        sch.shutdown();
+        (out, now)
+    };
+    let (out, now) = run(true);
+    assert_eq!(out, vec![Value::Float(3.0)]);
+    assert_eq!(now, run(false).1);
 }
 
 /// The blocking and split-phase forms must be indistinguishable in the
